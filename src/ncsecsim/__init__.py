@@ -65,8 +65,19 @@ from .ledger import (
     SimulatedLedger,
     key_exchange_count,
     per_second_signaling,
+    per_window_signaling,
 )
-from .mobility import CellGrid, Measurement, UeState, ho_trigger, measure, place_ues, step
+from .mobility import (
+    CellGrid,
+    Measurement,
+    UeState,
+    advance,
+    ho_trigger,
+    measure,
+    place_ues,
+    step,
+    trigger_targets,
+)
 from .handover import (
     HoEvent,
     HoPhase,

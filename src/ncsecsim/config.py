@@ -222,6 +222,12 @@ def validate(config: RunConfig) -> None:
         raise ConfigError("ledger.collection_period_ms: must be positive")
     if config.ledger.ho_timeout_ms <= 0:
         raise ConfigError("ledger.ho_timeout_ms: must be positive")
+    if config.ledger.ho_timeout_ms < config.ledger.collection_period_ms:
+        raise ConfigError(
+            f"ledger.ho_timeout_ms={config.ledger.ho_timeout_ms} is below "
+            f"ledger.collection_period_ms={config.ledger.collection_period_ms}: "
+            "a first-visit handover can wait a whole period for its keys"
+        )
     if config.horizon_ms < 0:
         raise ConfigError("horizon_ms: must be >= 0")
     az = config.analyze
@@ -229,6 +235,11 @@ def validate(config: RunConfig) -> None:
         raise ConfigError("analyze.epsilon/d: epsilon in (0,1), d in [0,1)")
     if az.c_min < 0 or az.c_max < az.c_min:
         raise ConfigError("analyze.c_min/c_max: need 0 <= c_min <= c_max")
+    if az.L < sec.l:
+        raise ConfigError(
+            f"analyze.L={az.L} is below security.l={sec.l}: the baseline key "
+            "universe must hold every tag of a packet"
+        )
 
 
 def _format_value(value) -> str:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ClockError, InvalidParameter, UnknownController
 
 DEFAULT_COLLECTION_PERIOD_MS = 1000
@@ -121,7 +123,8 @@ class SimulatedLedger:
         self.period = int(collection_period_ms)
         self.trace = trace if trace is not None else []
         self.blocks: list[LedgerBlock] = []
-        self._pending: list[CandidateEntry] = []
+        # Pending entries by (domain, kind), in submission order.
+        self._pending: dict[tuple[str, EntryKind], CandidateEntry] = {}
         self._ledgered: dict[tuple[str, EntryKind], CandidateEntry] = {}
         self._broadcast_by_key: dict[tuple[str, EntryKind], SignalRecord] = {}
         self._last_boundary = -1  # index of the last inspected boundary
@@ -137,7 +140,7 @@ class SimulatedLedger:
             raise UnknownController(f"controller {controller!r} is not registered")
 
     def is_pending(self, domain: str, kind: EntryKind) -> bool:
-        return any(e.domain == domain and e.entry_kind == kind for e in self._pending)
+        return (domain, kind) in self._pending
 
     def is_ledgered(self, domain: str, kind: EntryKind) -> bool:
         return (domain, kind) in self._ledgered
@@ -151,9 +154,9 @@ class SimulatedLedger:
         """
         self._require_registered(entry.origin)
         key = (entry.domain, entry.entry_kind)
-        if key in self._ledgered or self.is_pending(*key):
+        if key in self._ledgered or key in self._pending:
             return SubmitReceipt(accepted=False, duplicate=True, entry=None)
-        self._pending.append(entry)
+        self._pending[key] = entry
         self.trace.append(
             SignalRecord(SignalKind.CANDIDATE_UPLOAD, entry.origin, "ledger", entry.submitted_at)
         )
@@ -173,10 +176,11 @@ class SimulatedLedger:
         while self._last_boundary < boundary_index:
             self._last_boundary += 1
             b = self._last_boundary * self.period
-            ready = [e for e in self._pending if e.submitted_at <= b]
+            ready = [e for e in self._pending.values() if e.submitted_at <= b]
             if not ready:
                 continue
-            self._pending = [e for e in self._pending if e.submitted_at > b]
+            for e in ready:
+                del self._pending[(e.domain, e.entry_kind)]
             block = LedgerBlock(
                 block_height=len(self.blocks) + 1,
                 entries=tuple(ready),
@@ -235,6 +239,19 @@ def per_second_signaling(
         for r in records
         if r.counts_as_key_exchange and window_start_ms <= r.t < end
     )
+
+
+def per_window_signaling(
+    records: Sequence[SignalRecord], horizon_ms: int, window_len_ms: int = 1000
+) -> list[int]:
+    """Key-exchange signals in each window [k * len, (k + 1) * len) whose
+    start lies in [0, horizon]; element k equals
+    ``per_second_signaling(records, k * window_len_ms, window_len_ms)``."""
+    windows = max(0, horizon_ms // window_len_ms + 1)
+    times = np.fromiter(
+        (r.t for r in records if r.counts_as_key_exchange and r.t >= 0), dtype=np.int64
+    )
+    return np.bincount(times // window_len_ms, minlength=windows)[:windows].tolist()
 
 
 def key_exchange_count(records: Sequence[SignalRecord], up_to_ms: int | None = None) -> int:

@@ -12,6 +12,9 @@ A handover to candidate cell c triggers when its measured power exceeds
 the serving cell's by the configured offset and no sample inside the
 trailing time-to-trigger window contradicts that.  With the default
 160 ms periodicity and 32 ms TTT a single satisfying measurement decides.
+
+Motion (``advance``) and the trigger rule (``trigger_targets``) work on
+arrays of UEs; ``step`` and ``ho_trigger`` are their single-UE forms.
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ class CellGrid:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1 or self.isd_m <= 0:
             raise InvalidParameter("grid needs positive rows, cols, and ISD")
+        xs = (np.arange(self.cols) + 0.5) * self.isd_m
+        ys = (np.arange(self.rows) + 0.5) * self.isd_m
+        gx, gy = np.meshgrid(xs, ys)
+        bs = np.column_stack([gx.ravel(), gy.ravel()])
+        ext = np.array(self.extent)
+        for arr in (bs, ext):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_bs_positions", bs)
+        object.__setattr__(self, "_extent_arr", ext)
 
     @property
     def num_cells(self) -> int:
@@ -60,17 +72,13 @@ class CellGrid:
 
     @property
     def bs_positions(self) -> np.ndarray:
-        """(num_cells, 2) lattice coordinates, cell ids row-major."""
-        xs = (np.arange(self.cols) + 0.5) * self.isd_m
-        ys = (np.arange(self.rows) + 0.5) * self.isd_m
-        gx, gy = np.meshgrid(xs, ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        """(num_cells, 2) lattice coordinates, cell ids row-major (read-only)."""
+        return self._bs_positions
 
     def torus_delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = np.abs(a - b)
         if self.wrap:
-            ext = np.array(self.extent)
-            d = np.minimum(d, ext - d)
+            d = np.minimum(d, self._extent_arr - d)
         return d
 
     def distances(self, pos: np.ndarray) -> np.ndarray:
@@ -90,8 +98,7 @@ class CellGrid:
     def wrap_position(self, pos: np.ndarray) -> np.ndarray:
         if not self.wrap:
             return pos
-        ext = np.array(self.extent)
-        return np.mod(pos, ext)
+        return np.mod(pos, self._extent_arr)
 
 
 @dataclass(frozen=True)
@@ -110,15 +117,29 @@ class Measurement:
     rsrp_dbm: np.ndarray  # one entry per cell
 
 
-def step(ue: UeState, dt_ms: float, grid: CellGrid) -> UeState:
-    """Advance the UE along its fixed heading, wrapping on the torus."""
-    if dt_ms <= 0:
+def advance(
+    pos: np.ndarray,
+    dirs: np.ndarray,
+    speed_mps: np.ndarray,
+    dt_ms: float | np.ndarray,
+    grid: CellGrid,
+) -> np.ndarray:
+    """Positions after ``dt_ms`` along fixed unit headings, wrapped on the torus.
+
+    ``pos`` and ``dirs`` end in a coordinate axis of length 2; every
+    argument broadcasts against the others, so one call moves all UEs one
+    tick, or one UE (or all) to several future instants at once.
+    """
+    if np.any(np.asarray(dt_ms) <= 0):
         raise InvalidParameter("dt must be positive")
-    dist = ue.speed_mps * dt_ms / 1000.0
-    new = np.array(ue.pos) + dist * np.array(
-        [math.cos(ue.heading_rad), math.sin(ue.heading_rad)]
-    )
-    new = grid.wrap_position(new)
+    dist = speed_mps * dt_ms / 1000.0
+    return grid.wrap_position(pos + dist[..., None] * dirs)
+
+
+def step(ue: UeState, dt_ms: float, grid: CellGrid) -> UeState:
+    """Advance one UE along its fixed heading, wrapping on the torus."""
+    heading = np.array([math.cos(ue.heading_rad), math.sin(ue.heading_rad)])
+    new = advance(np.array(ue.pos), heading, np.float64(ue.speed_mps), dt_ms, grid)
     return replace(ue, pos=(float(new[0]), float(new[1])))
 
 
@@ -132,11 +153,24 @@ def measure(
     return Measurement(t, ue.ue_id, grid.rsrp(np.array(ue.pos)))
 
 
-def trigger_condition(rsrp: np.ndarray, serving: int, ul_offset_db: float) -> np.ndarray:
-    """Boolean per-cell mask of candidates beating serving by the offset."""
-    mask = rsrp > rsrp[serving] + ul_offset_db
-    mask[serving] = False
-    return mask
+def trigger_targets(
+    window: np.ndarray, serving: np.ndarray, ul_offset_db: float
+) -> np.ndarray:
+    """Handover target per UE, or -1 where no cell qualifies.
+
+    ``window`` holds the samples inside the time-to-trigger window, shape
+    (W, *batch, cells), oldest first and newest last; ``serving`` gives
+    the serving cell per batch entry.  A cell qualifies when it beats the
+    serving cell by more than the offset in every sample.  The strongest
+    qualifying cell at the newest sample wins; equal powers break toward
+    the lowest cell id.
+    """
+    serving = np.broadcast_to(np.asarray(serving), window.shape[1:-1])[..., None]
+    serving_power = np.take_along_axis(window, serving[None], axis=-1)
+    mask = np.all(window > serving_power + ul_offset_db, axis=0)
+    np.put_along_axis(mask, serving, False, axis=-1)
+    best = np.argmax(np.where(mask, window[-1], -np.inf), axis=-1)
+    return np.where(mask.any(axis=-1), best, -1)
 
 
 def ho_trigger(
@@ -149,26 +183,17 @@ def ho_trigger(
 
     ``history`` is time-ordered, newest last.  The condition for cell c
     must hold at the newest measurement and at every earlier measurement
-    inside [t_newest - TTT, t_newest].  When several cells qualify the
-    strongest wins; equal powers break toward the lowest cell id.
+    inside [t_newest - TTT, t_newest]; ``trigger_targets`` decides.
     """
     if not history:
         return None
-    newest = history[-1]
-    mask = trigger_condition(newest.rsrp_dbm, serving, ul_offset_db)
-    if not mask.any():
-        return None
-    window_start = newest.t - ul_ttt_ms
-    for meas in reversed(history[:-1]):
-        if meas.t < window_start:
-            break
-        mask &= trigger_condition(meas.rsrp_dbm, serving, ul_offset_db)
-        if not mask.any():
-            return None
-    candidates = np.nonzero(mask)[0]
-    best = candidates[np.argmax(newest.rsrp_dbm[candidates])]
-    ties = candidates[newest.rsrp_dbm[candidates] == newest.rsrp_dbm[best]]
-    return int(ties.min())
+    window_start = history[-1].t - ul_ttt_ms
+    first = len(history) - 1
+    while first > 0 and history[first - 1].t >= window_start:
+        first -= 1
+    window = np.stack([meas.rsrp_dbm for meas in history[first:]])
+    target = int(trigger_targets(window, serving, ul_offset_db))
+    return None if target < 0 else target
 
 
 def place_ues(

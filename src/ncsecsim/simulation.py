@@ -19,8 +19,8 @@ key signaling, never in mobility.
 from __future__ import annotations
 
 import csv
-from collections import deque
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +44,9 @@ from .ledger import (
     LedgerBlock,
     SignalRecord,
     SimulatedLedger,
-    per_second_signaling,
+    per_window_signaling,
 )
-from .mobility import CellGrid, Measurement, UeState, ho_trigger, place_ues, step
+from .mobility import CellGrid, Measurement, advance, place_ues, trigger_targets
 
 _ALL_SCHEMES = (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE)
 
@@ -98,11 +98,10 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         config.ledger.collection_period_ms,
         trace,
     )
-    ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
-    hist_len = max(2, sc.ul_ttt_ms // sc.rs_period_ms + 2)
-    histories: dict[int, deque[Measurement]] = {
-        ue.ue_id: deque(maxlen=hist_len) for ue in ues
-    }
+    ues = UeArrays.place(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
+    # Ring buffer of the samples a TTT window can reach, all UEs at once.
+    window_len = sc.ul_ttt_ms // sc.rs_period_ms + 1
+    ring = np.empty((window_len, ues.count, grid.num_cells))
     inflight: dict[int, HoProcedure] = {}
     procedures: list[HoProcedure] = []
     events: list[HoEvent] = []
@@ -112,19 +111,16 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     lead_ticks = max(1, -(-config.prediction.lead_ms // sc.rs_period_ms))
 
     if config.horizon_ms > 0:
-        for t in range(0, config.horizon_ms + 1, sc.rs_period_ms):
+        for tick, t in enumerate(range(0, config.horizon_ms + 1, sc.rs_period_ms)):
             if t > 0:
-                ues = [step(ue, sc.rs_period_ms, grid) for ue in ues]
+                ues.pos = advance(ues.pos, ues.dirs, ues.speed, sc.rs_period_ms, grid)
 
-            positions = np.array([ue.pos for ue in ues])
-            rsrp = grid.rsrp(positions) if len(ues) else np.zeros((0, grid.num_cells))
-            if sc.shadow_sigma_db > 0 and len(ues):
+            rsrp = grid.rsrp(ues.pos)
+            if sc.shadow_sigma_db > 0 and ues.count:
                 rsrp = rsrp + rng_fading.normal(0.0, sc.shadow_sigma_db, rsrp.shape)
-            for i, ue in enumerate(ues):
-                meas = Measurement(t, ue.ue_id, rsrp[i])
-                histories[ue.ue_id].append(meas)
-                if sc.dump_measurements:
-                    measurements.append(meas)
+            ring[tick % window_len] = rsrp
+            if sc.dump_measurements:
+                measurements.extend(Measurement(t, i, rsrp[i]) for i in range(ues.count))
 
             if predict:
                 _forecast_and_prestage(
@@ -132,56 +128,56 @@ def run_simulation(config: RunConfig) -> SimulationResult:
                     cell_keys, rng_predict, t, lead_ticks,
                 )
 
-            for i, ue in enumerate(ues):
-                if ue.ue_id in inflight:
+            reach = min(tick + 1, window_len)
+            window = ring[np.arange(tick + 1 - reach, tick + 1) % window_len]  # oldest first
+            targets = trigger_targets(window, ues.serving, sc.ul_offset_db)
+            for ue_id in np.flatnonzero(targets >= 0).tolist():
+                if ue_id in inflight:
                     continue
-                target = ho_trigger(
-                    list(histories[ue.ue_id]),
-                    ue.serving_cell,
-                    sc.ul_offset_db,
-                    sc.ul_ttt_ms,
-                )
-                if target is None:
-                    continue
+                s_cell, target = int(ues.serving[ue_id]), int(targets[ue_id])
                 proc = begin_handover(
-                    ue.ue_id, ue.serving_cell, target, config.scheme, ledger, t,
+                    ue_id, s_cell, target, config.scheme, ledger, t,
                     trace, t_cell_keys=cell_keys[target],
                     timeout_ms=config.ledger.ho_timeout_ms,
                 )
                 procedures.append(proc)
-                events.append(HoEvent(ue.ue_id, ue.serving_cell, target, t))
+                events.append(HoEvent(ue_id, s_cell, target, t))
                 if proc.complete:
-                    ues[i] = _switch_serving(ue, target)
+                    ues.serving[ue_id] = target
                 else:
-                    inflight[ue.ue_id] = proc
+                    inflight[ue_id] = proc
 
             ledger.tick(t)
 
-            if inflight:
-                by_id = {ue.ue_id: i for i, ue in enumerate(ues)}
-                for ue_id in sorted(inflight):
-                    proc = inflight[ue_id]
-                    if try_complete(proc, ledger, t):
-                        idx = by_id[ue_id]
-                        ues[idx] = _switch_serving(ues[idx], proc.t_cell)
-                        del inflight[ue_id]
+            for ue_id in sorted(inflight):
+                proc = inflight[ue_id]
+                if try_complete(proc, ledger, t):
+                    ues.serving[ue_id] = proc.t_cell
+                    del inflight[ue_id]
 
+    own_trace = sorted(trace, key=lambda r: r.t)
+    # The baselines differ only in key assignment, not in signaling
+    # (begin_handover branches on ledger vs not), so one replay serves both.
+    replays: dict[bool, list[SignalRecord]] = {}
     scheme_traces: dict[str, list[SignalRecord]] = {}
     for scheme in _ALL_SCHEMES:
         if scheme is config.scheme:
-            scheme_traces[scheme.label] = sorted(trace, key=lambda r: r.t)
-        else:
+            scheme_traces[scheme.label] = own_trace
+            continue
+        uses_ledger = scheme is Scheme.BLOCKCHAIN
+        if uses_ledger not in replays:
             replay = replay_key_signaling(
                 events, scheme, cell_keys, config.horizon_ms,
                 rs_period_ms=sc.rs_period_ms,
                 collection_period_ms=config.ledger.collection_period_ms,
             )
-            scheme_traces[scheme.label] = sorted(replay, key=lambda r: r.t)
+            replays[uses_ledger] = sorted(replay, key=lambda r: r.t)
+        scheme_traces[scheme.label] = replays[uses_ledger]
 
     return SimulationResult(
         config=config,
         grid=grid,
-        trace=sorted(trace, key=lambda r: r.t),
+        trace=own_trace,
         procedures=procedures,
         events=events,
         blocks=list(ledger.blocks),
@@ -192,15 +188,49 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     )
 
 
-def _switch_serving(ue: UeState, target: int) -> UeState:
-    return replace(ue, serving_cell=target)
+@dataclass
+class UeArrays:
+    """Per-UE state of a run, one row per UE id.
+
+    ``dirs`` hold the unit heading from ``math.cos``/``math.sin``, as
+    ``step`` computes it; ``forecast_dirs`` hold it from ``np.cos``/
+    ``np.sin``, as the prediction forecast always has.  The two may differ
+    in the last bit, and each path keeps its own so runs stay
+    byte-identical.
+    """
+
+    pos: np.ndarray  # (U, 2) metres
+    dirs: np.ndarray  # (U, 2)
+    forecast_dirs: np.ndarray  # (U, 2)
+    speed: np.ndarray  # (U,) metres per second
+    serving: np.ndarray  # (U,) cell ids
+
+    @classmethod
+    def place(
+        cls, grid: CellGrid, count: int, speed_mps: float, rng: np.random.Generator
+    ) -> "UeArrays":
+        ues = place_ues(grid, count, speed_mps, rng)
+        headings = [ue.heading_rad for ue in ues]
+        return cls(
+            pos=np.array([ue.pos for ue in ues], dtype=float).reshape(count, 2),
+            dirs=np.array([[math.cos(h), math.sin(h)] for h in headings]).reshape(count, 2),
+            forecast_dirs=np.array([[np.cos(h), np.sin(h)] for h in headings]).reshape(
+                count, 2
+            ),
+            speed=np.array([ue.speed_mps for ue in ues], dtype=float),
+            serving=np.array([ue.serving_cell for ue in ues], dtype=np.intp),
+        )
+
+    @property
+    def count(self) -> int:
+        return len(self.serving)
 
 
 def _forecast_and_prestage(
     config: RunConfig,
     grid: CellGrid,
     ledger: SimulatedLedger,
-    ues: list[UeState],
+    ues: UeArrays,
     inflight: dict[int, HoProcedure],
     decided: set[tuple[int, int, int]],
     cell_keys: dict[int, tuple[MacKey, ...]],
@@ -213,41 +243,35 @@ def _forecast_and_prestage(
     Motion and the deterministic radio model make the forecast exact at
     the default settings; the accuracy knob then decides per upcoming
     trigger whether the prestage actually happens.  Each (ue, cell,
-    trigger time) is decided at most once.
+    trigger time) is decided at most once.  The forecast runs for all
+    UEs and lead ticks at once; the ledger checks and prestage draws then
+    go UE by UE in id order.
     """
     sc = config.scenario
-    for ue in ues:
-        if ue.ue_id in inflight:
+    lead_ms = np.arange(1, lead_ticks + 1) * sc.rs_period_ms
+    future = advance(
+        ues.pos[:, None], ues.forecast_dirs[:, None], ues.speed[:, None], lead_ms, grid
+    )
+    targets = trigger_targets(grid.rsrp(future)[None], ues.serving[:, None], sc.ul_offset_db)
+    fires = targets >= 0
+    earliest = fires.argmax(axis=1)  # only the earliest trigger is a valid forecast
+    for ue_id in np.flatnonzero(fires.any(axis=1)).tolist():
+        if ue_id in inflight:
             continue
-        for j in range(1, lead_ticks + 1):
-            t_future = now + j * sc.rs_period_ms
-            dist = ue.speed_mps * (j * sc.rs_period_ms) / 1000.0
-            pos = grid.wrap_position(
-                np.array(ue.pos)
-                + dist * np.array([np.cos(ue.heading_rad), np.sin(ue.heading_rad)])
+        j = int(earliest[ue_id])
+        target = int(targets[ue_id, j])
+        domain = str(target)
+        if ledger.is_ledgered(domain, EntryKind.CELL_KEY_SET) or ledger.is_pending(
+            domain, EntryKind.CELL_KEY_SET
+        ):
+            continue  # nothing left to hide for the nearest trigger
+        key = (ue_id, target, now + int(lead_ms[j]))
+        if key not in decided:
+            decided.add(key)
+            predict_and_prestage(
+                ue_id, target, config.prediction, ledger, rng, now,
+                t_cell_keys=cell_keys[target],
             )
-            rsrp = grid.rsrp(pos)
-            target = ho_trigger(
-                [Measurement(t_future, ue.ue_id, rsrp)],
-                ue.serving_cell,
-                sc.ul_offset_db,
-                sc.ul_ttt_ms,
-            )
-            if target is None:
-                continue
-            domain = str(target)
-            if ledger.is_ledgered(domain, EntryKind.CELL_KEY_SET) or ledger.is_pending(
-                domain, EntryKind.CELL_KEY_SET
-            ):
-                break  # nothing left to hide for the nearest trigger
-            key = (ue.ue_id, target, t_future)
-            if key not in decided:
-                decided.add(key)
-                predict_and_prestage(
-                    ue.ue_id, target, config.prediction, ledger, rng, now,
-                    t_cell_keys=cell_keys[target],
-                )
-            break  # only the earliest upcoming trigger is a valid forecast
 
 
 # ----------------------------------------------------------------------
@@ -301,11 +325,13 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
         w = csv.writer(fh)
         w.writerow(["window_start_ms", "scheme", "key_exchanges"])
         if horizon > 0:
-            for start in range(0, horizon + 1, 1000):
+            counts = {
+                label: per_window_signaling(tr, horizon)
+                for label, tr in result.scheme_traces.items()
+            }
+            for i, start in enumerate(range(0, horizon + 1, 1000)):
                 for label in labels:
-                    w.writerow(
-                        [start, label, per_second_signaling(result.scheme_traces[label], start)]
-                    )
+                    w.writerow([start, label, counts[label][i]])
 
     paths["cumulative"] = out / "cumulative_key_exchanges.csv"
     with open(paths["cumulative"], "w", newline="") as fh:

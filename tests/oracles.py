@@ -76,3 +76,31 @@ def matvec_oracle(coeffs, rows, k: int, poly: int) -> list[int]:
         for j in range(n):
             out[j] ^= mul_oracle(int(c), int(row[j]), k, poly)
     return out
+
+
+def ho_trigger_oracle(history, serving: int, ul_offset_db: float, ul_ttt_ms: int):
+    """Per-UE handover trigger, one sample at a time.
+
+    ``history`` is a time-ordered sequence of objects with ``t`` and
+    ``rsrp_dbm`` (one power per cell), newest last.  A cell qualifies if
+    its power exceeds the serving cell's by more than the offset at the
+    newest sample and at every earlier sample no older than
+    ``t_newest - ul_ttt_ms``.  Returns the strongest qualifying cell at
+    the newest sample, the lowest id among equals, or None.
+    """
+    if not history:
+        return None
+    newest = history[-1]
+    window_start = newest.t - ul_ttt_ms
+    cells = range(len(newest.rsrp_dbm))
+    qualifying = set(cells) - {serving}
+    for meas in reversed(history):
+        if meas.t < window_start:
+            break
+        threshold = meas.rsrp_dbm[serving] + ul_offset_db
+        qualifying = {c for c in qualifying if meas.rsrp_dbm[c] > threshold}
+    best = None
+    for c in sorted(qualifying):
+        if best is None or newest.rsrp_dbm[c] > newest.rsrp_dbm[best]:
+            best = c
+    return best

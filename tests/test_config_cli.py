@@ -118,6 +118,38 @@ def test_cli_exit_code_1_on_config_errors(tmp_path, capsys):
     assert main(["bogus-subcommand"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, setting, keys",
+    [
+        # the default 2000 ms timeout expires before a 3000 ms block verifies
+        ("run", "ledger.collection_period_ms=3000",
+         ("ledger.ho_timeout_ms", "ledger.collection_period_ms")),
+        # the baselines cannot draw l=8 distinct tags from L=4 keys
+        ("analyze", "analyze.L=4", ("analyze.L", "security.l")),
+    ],
+)
+def test_cli_rejects_inconsistent_settings_as_config_errors(
+    tmp_path, capsys, command, setting, keys
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for key in keys:
+        assert key in err
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
+def test_ho_timeout_equal_to_collection_period_is_accepted():
+    cfg = apply_settings(
+        RunConfig(),
+        {"ledger.collection_period_ms": "3000", "ledger.ho_timeout_ms": "3000"},
+    )
+    assert cfg.ledger.ho_timeout_ms == cfg.ledger.collection_period_ms
+
+
 def test_cli_exit_code_2_on_runtime_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -1,0 +1,84 @@
+"""Golden artifact digests for small runs off the reference settings.
+
+Each case applies a few dotted config settings to the defaults, runs the
+simulation, writes its artifacts and compares their SHA-256 digests with
+those in ``golden_digests.json``.  The digests were recorded with the
+per-UE event loop that preceded the array-state loop, so any change to
+the bytes of a run (motion, trigger rule, forecast, ledger order, CSV
+accounting) shows up here.  A deliberate change of the bytes must re-record them and say so in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from ncsecsim.config import RunConfig, apply_settings
+from ncsecsim.simulation import run_simulation, write_run_artifacts
+
+CASES: dict[str, dict[str, str]] = {
+    "ttt480": {"scenario.ul_ttt_ms": "480", "horizon_ms": "20000", "seed": "3"},
+    "ttt320_shadow4_predict": {
+        "scenario.ul_ttt_ms": "320",
+        "scenario.shadow_sigma_db": "4",
+        "prediction.enabled": "true",
+        "prediction.lead_ms": "1000",
+        "horizon_ms": "15000",
+        "seed": "4",
+    },
+    "shadow4": {"scenario.shadow_sigma_db": "4", "horizon_ms": "10000", "seed": "5"},
+    "double_random": {"scheme": "macsig", "horizon_ms": "30000", "seed": "6"},
+    "hmac_40ues": {"scheme": "hmac", "scenario.num_ues": "40", "horizon_ms": "10000", "seed": "7"},
+    "dump_measurements": {
+        "scenario.dump_measurements": "true",
+        "scenario.num_ues": "4",
+        "horizon_ms": "3000",
+        "seed": "8",
+    },
+    "no_ues": {"scenario.num_ues": "0", "horizon_ms": "5000", "seed": "9"},
+    "no_wrap": {
+        "scenario.wrap": "false",
+        "scenario.num_ues": "10",
+        "horizon_ms": "20000",
+        "seed": "10",
+    },
+    "rect_grid_offset0": {
+        "scenario.rows": "3",
+        "scenario.cols": "5",
+        "scenario.ul_offset_db": "0",
+        "horizon_ms": "10000",
+        "seed": "11",
+    },
+    "off_grid_horizon": {"scenario.rs_period_ms": "100", "horizon_ms": "7777", "seed": "12"},
+    "slow_ledger_predict": {
+        "ledger.collection_period_ms": "1500",
+        "ledger.ho_timeout_ms": "3000",
+        "prediction.enabled": "true",
+        "prediction.lead_ms": "1600",
+        "horizon_ms": "20000",
+        "seed": "13",
+    },
+}
+
+GOLDEN: dict[str, dict[str, str]] = json.loads(
+    (Path(__file__).parent / "golden_digests.json").read_text()
+)
+
+
+def run_case(name: str, out: Path) -> dict[str, str]:
+    """Run one case into ``out``; SHA-256 of every artifact, by file name."""
+    config = apply_settings(RunConfig(), CASES[name])
+    paths = write_run_artifacts(run_simulation(config), out)
+    return {
+        Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+        for p in paths.values()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifacts_match_golden_digests(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]

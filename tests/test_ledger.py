@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ncsecsim.errors import ClockError, InvalidParameter, UnknownController
@@ -8,6 +9,7 @@ from ncsecsim.ledger import (
     SimulatedLedger,
     SignalRecord,
     per_second_signaling,
+    per_window_signaling,
 )
 
 
@@ -139,6 +141,23 @@ def test_entries_cover_exactly_the_window(led):
     assert {e.domain for e in block2.entries} == {"c"}
 
 
+def test_block_entries_keep_submission_order(led):
+    # submission order, not domain order, and a verified entry's slot does
+    # not come back to the queue
+    for origin, domain, t in (("bsh0", "z", 100), ("bsh1", "a", 1200), ("bsh2", "m", 300),
+                              ("bsh3", "b", 1100)):
+        led.submit_candidate(entry(origin=origin, domain=domain, t=t))
+    assert led.is_pending("a", EntryKind.CELL_KEY_SET)
+    block1 = led.tick(1000)
+    assert [e.domain for e in block1.entries] == ["z", "m"]
+    assert not led.is_pending("z", EntryKind.CELL_KEY_SET)
+    assert led.submit_candidate(entry(origin="bsh4", domain="z", t=1300)).duplicate
+    led.submit_candidate(entry(origin="bsh4", domain="c", t=1050))
+    block2 = led.tick(2000)
+    assert [e.domain for e in block2.entries] == ["a", "b", "c"]
+    assert not any(led.is_pending(d, EntryKind.CELL_KEY_SET) for d in "zambc")
+
+
 def test_query_keys_before_and_after(led):
     assert led.query_keys("bsh0", "3") is None
     led.submit_candidate(entry(domain="3", payload=("key1", "key2"), t=50))
@@ -183,3 +202,20 @@ def test_per_second_signaling_eq4_instance():
     assert per_second_signaling(records, 2000) == 0
     ue_only = [r for r in records if r.kind is SignalKind.KEY_TO_UE]
     assert per_second_signaling(ue_only, 1000) == 3
+
+
+def test_per_window_signaling_matches_window_scans():
+    rng = np.random.default_rng(3)
+    kinds = list(SignalKind)
+    records = [
+        SignalRecord(kinds[int(rng.integers(len(kinds)))], "a", "b", int(rng.integers(0, 7500)))
+        for _ in range(400)
+    ]
+    for horizon in (0, 999, 1000, 5500, 7000):
+        assert per_window_signaling(records, horizon) == [
+            per_second_signaling(records, start) for start in range(0, horizon + 1, 1000)
+        ]
+    assert per_window_signaling([], 3000) == [0, 0, 0, 0]
+    assert per_window_signaling(records, 6000, window_len_ms=1500) == [
+        per_second_signaling(records, start, 1500) for start in range(0, 6001, 1500)
+    ]

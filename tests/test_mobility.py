@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.errors import InvalidParameter, ScheduleError
 from ncsecsim.mobility import (
     CellGrid,
     Measurement,
     UeState,
+    advance,
     ho_trigger,
     measure,
     place_ues,
     step,
+    trigger_targets,
 )
+from oracles import ho_trigger_oracle
 
 
 @pytest.fixture
@@ -48,6 +53,46 @@ def test_grid_geometry(grid):
     assert grid.extent == (400.0, 400.0)
     assert grid.bs_positions.shape == (16, 2)
     assert tuple(grid.bs_positions[0]) == (50.0, 50.0)
+
+
+def test_bs_positions_cached_read_only(grid):
+    assert grid.bs_positions is grid.bs_positions
+    with pytest.raises(ValueError):
+        grid.bs_positions[0, 0] = 0.0
+    assert grid == CellGrid()
+
+
+def test_array_motion_matches_step_bit_for_bit(grid):
+    ues = place_ues(grid, 30, 60 / 3.6, np.random.default_rng(9))
+    pos = np.array([ue.pos for ue in ues])
+    dirs = np.array([[math.cos(ue.heading_rad), math.sin(ue.heading_rad)] for ue in ues])
+    speed = np.array([ue.speed_mps for ue in ues])
+    for _ in range(25):
+        ues = [step(ue, 160, grid) for ue in ues]
+        pos = advance(pos, dirs, speed, 160, grid)
+        assert pos.tolist() == [list(ue.pos) for ue in ues]
+    with pytest.raises(InvalidParameter):
+        advance(pos, dirs, speed, 0, grid)
+
+
+def test_batched_forecast_matches_per_tick_positions_and_powers(grid):
+    # one call over (UE, lead tick) pairs gives the bits of one call per pair
+    ues = place_ues(grid, 12, 60 / 3.6, np.random.default_rng(10))
+    pos = np.array([ue.pos for ue in ues])
+    dirs = np.array([[np.cos(ue.heading_rad), np.sin(ue.heading_rad)] for ue in ues])
+    speed = np.array([ue.speed_mps for ue in ues])
+    lead_ms = np.arange(1, 8) * 160
+    future = advance(pos[:, None], dirs[:, None], speed[:, None], lead_ms, grid)
+    powers = grid.rsrp(future)
+    for u, ue in enumerate(ues):
+        for j, dt in enumerate(lead_ms.tolist()):
+            dist = ue.speed_mps * dt / 1000.0
+            single = grid.wrap_position(
+                np.array(ue.pos)
+                + dist * np.array([np.cos(ue.heading_rad), np.sin(ue.heading_rad)])
+            )
+            assert future[u, j].tolist() == single.tolist()
+            assert powers[u, j].tolist() == grid.rsrp(single).tolist()
 
 
 def test_measure_requires_rs_grid(grid):
@@ -169,3 +214,52 @@ def test_initial_measurement_never_triggers(grid):
     for ue in ues:
         meas = measure(ue, grid, 0)
         assert ho_trigger([meas], ue.serving_cell, 1.0, 32) is None
+
+
+# Powers on a 0.5 dB grid, so exact ties between cells are common.
+POWER_LEVELS = [-70.0 + 0.5 * k for k in range(41)]
+RS_PERIOD_MS = 160
+
+
+@st.composite
+def trigger_histories(draw):
+    """(powers (samples, ues, cells), serving, offset, ttt) with planted
+    ties and serving cells that are the strongest."""
+    cells = draw(st.integers(2, 7))
+    ues = draw(st.integers(1, 4))
+    samples = draw(st.integers(1, 6))
+    # TTT windows that reach 1 to 5 samples of a 160 ms grid
+    ttt = draw(st.sampled_from([0, 32, 160, 200, 320, 480, 640]))
+    offset = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    flat = draw(st.lists(st.sampled_from(POWER_LEVELS),
+                         min_size=samples * ues * cells, max_size=samples * ues * cells))
+    powers = np.array(flat).reshape(samples, ues, cells)
+    serving = np.array([draw(st.integers(0, cells - 1)) for _ in range(ues)])
+    for u in range(ues):
+        mode = draw(st.sampled_from(["free", "tie", "serving_strongest"]))
+        strongest = powers[:, u].max(axis=-1)
+        if mode == "serving_strongest":
+            powers[:, u, serving[u]] = strongest
+        elif mode == "tie" and cells >= 3:
+            others = [c for c in range(cells) if c != serving[u]]
+            a, b = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+            lift = draw(st.sampled_from([0.0, 0.5, 3.0]))
+            powers[:, u, a] = powers[:, u, b] = strongest + lift
+    return powers, serving, offset, ttt
+
+
+@settings(max_examples=300, deadline=None)
+@given(trigger_histories())
+def test_array_trigger_rule_matches_oracle(case):
+    powers, serving, offset, ttt = case
+    samples, ues, _ = powers.shape
+    window = min(samples, ttt // RS_PERIOD_MS + 1)
+    targets = trigger_targets(powers[-window:], serving, offset)
+    assert targets.shape == (ues,)
+    for u in range(ues):
+        history = [
+            Measurement(k * RS_PERIOD_MS, u, powers[k, u]) for k in range(samples)
+        ]
+        expected = ho_trigger_oracle(history, int(serving[u]), offset, ttt)
+        assert (None if targets[u] < 0 else int(targets[u])) == expected
+        assert ho_trigger(history, int(serving[u]), offset, ttt) == expected

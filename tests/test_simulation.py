@@ -175,3 +175,14 @@ def test_shadow_fading_keeps_determinism():
     )
     a, b = run_simulation(cfg), run_simulation(cfg)
     assert [(r.t, r.kind) for r in a.trace] == [(r.t, r.kind) for r in b.trace]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scheme_traces_keep_label_order_and_baselines_agree(scheme):
+    result = run_simulation(dataclasses.replace(RunConfig(seed=3), scheme=scheme))
+    assert list(result.scheme_traces) == ["blockchain", "macsig", "hmac"]
+    assert result.scheme_traces[scheme.label] == result.trace
+    # the two baselines signal identically whether run or replayed
+    sig = lambda trace: [(r.t, r.kind, r.src, r.dst) for r in trace]
+    assert result.events
+    assert sig(result.scheme_traces["macsig"]) == sig(result.scheme_traces["hmac"])
