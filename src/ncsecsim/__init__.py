@@ -28,7 +28,7 @@ from .errors import (
     TagSetUnavailable,
     UnknownController,
 )
-from .gf import GF16, GF256, FieldSpec, FieldVector, axpy, dot, inv, mul
+from .gf import GF16, GF256, FieldSpec, FieldVector
 from .rlnc import CodedPacket, DecodeResult, Generation, decode, encode, random_generation, recode
 from .integrity import (
     MacKey,

@@ -27,7 +27,7 @@ import numpy as np
 from ._stats import wilson_interval
 from .errors import InvalidParameter
 from .gf import FieldSpec, FieldVector
-from .integrity import MacKey, attach_tags, generate_domain_keys, ledger_check, make_tag, tagset_for_generation, verify_tags
+from .integrity import MacKey, attach_tags, generate_domain_keys, ledger_check, tag_matrix, tagset_for_generation, verify_tags
 from .keydist import Scheme, SchemeConfig
 from .rlnc import CodedPacket, encode, random_generation
 
@@ -103,8 +103,7 @@ def inject(
     tags = FieldVector(spec.random_elements(rng, len(pkt.tags)), spec, _checked=True)
     if strategy is AttackStrategy.VALID_TAG_FORGE:
         positions = range(len(held_keys)) if held_positions is None else held_positions
-        for key, pos in zip(held_keys, positions):
-            tags.elems[pos] = make_tag(payload, key)
+        tags.elems[list(positions)] = tag_matrix(payload.elems, held_keys, spec)
     forged = CodedPacket(pkt.gen_id, pkt.coeffs.copy(), payload, tags)
     return InjectionResult(forged, strategy)
 

@@ -213,8 +213,7 @@ def validate(config: RunConfig) -> None:
     if sc.ul_ttt_ms < 0:
         raise ConfigError("scenario.ul_ttt_ms: must be >= 0")
     sec = config.security
-    k = sec.q.bit_length() - 1
-    if sec.q < 2 or (1 << k) != sec.q or k > 16:
+    if not _is_field_order(sec.q):
         raise ConfigError("security.q: must be a power of two, at most 2^16")
     if sec.n < 1 or sec.m < 1 or sec.l < 1:
         raise ConfigError("security.n/m/l: must be >= 1")
@@ -240,6 +239,34 @@ def validate(config: RunConfig) -> None:
             f"analyze.L={az.L} is below security.l={sec.l}: the baseline key "
             "universe must hold every tag of a packet"
         )
+    if az.s > az.L:
+        raise ConfigError(
+            f"analyze.s={az.s} exceeds analyze.L={az.L}: a node draws s distinct "
+            "keys from the universe"
+        )
+    if az.s < sec.l:
+        raise ConfigError(
+            f"analyze.s={az.s} is below security.l={sec.l}: the macsig source "
+            "tags with l keys from its own s"
+        )
+    if az.trials < 1:
+        raise ConfigError("analyze.trials: must be >= 1")
+    at = config.attack
+    if not _is_field_order(at.q):
+        raise ConfigError("attack.q: must be a power of two, at most 2^16")
+    if at.n < 1 or at.m < 1:
+        raise ConfigError("attack.n/m: must be >= 1")
+    if at.l < 2:
+        raise ConfigError("attack.l: must be >= 2, the grid verifies up to 2 tags")
+    if at.trials != 0 and at.trials < 1000:
+        raise ConfigError(
+            f"attack.trials={at.trials}: must be 0 (empty grid) or at least 1000"
+        )
+
+
+def _is_field_order(q: int) -> bool:
+    k = q.bit_length() - 1
+    return q >= 2 and (1 << k) == q and k <= 16
 
 
 def _format_value(value) -> str:

@@ -7,9 +7,12 @@ wrappers around numpy arrays so that bulk operations (recoding rows,
 inner products over long payloads, Monte-Carlo batches) run as table
 lookups instead of Python loops.
 
-For k <= 8, multiplication uses log/antilog tables built at construction
-time from a searched generator; wider fields (k <= 16) fall back to
-shift-and-reduce, which is slower but exact.
+Every field, k = 1..16, multiplies through one pair of log/antilog
+tables built at construction time from a searched generator.  Zero has a
+sentinel logarithm that lands every product with a zero factor in a
+zero-filled run of the antilog table, so no product needs a zero branch.
+Matrix products (``FieldSpec.matmul``) are xor-reductions of those
+elementwise products.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ _DEFAULT_POLY = {
     15: 0x8003,
     16: 0x1100B,
 }
-
-_TABLE_MAX_K = 8
 
 
 def _poly_degree(p: int) -> int:
@@ -84,49 +85,49 @@ class FieldSpec:
         self.poly = poly
         self.q = 1 << k
         self.dtype = np.uint8 if k <= 8 else np.uint16
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        if k <= _TABLE_MAX_K:
-            self._build_tables()
+        self._build_tables()
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Carry-less multiply reduced by the field polynomial (no tables)."""
+    def _raw_mul(self, a, b: int):
+        """Carry-less multiply reduced by the field polynomial (no tables).
+
+        ``a`` may be an int or an integer array; ``b`` is an int.
+        """
         acc = 0
         while b:
             if b & 1:
                 acc ^= a
-            a <<= 1
-            if a & self.q:
-                a ^= self.poly
+            a = a << 1
+            a ^= (a >> self.k) * self.poly
             b >>= 1
         return acc
 
+    def _powers(self, g: int) -> np.ndarray:
+        """g**0 .. g**(q-2), built by doubling the run computed so far."""
+        out = np.ones(1, dtype=np.int64)
+        while out.size < self.q - 1:
+            step = self._raw_mul(int(out[-1]), g)  # g**out.size
+            out = np.concatenate([out, self._raw_mul(out, step)])
+        return out[: self.q - 1]
+
     def _build_tables(self) -> None:
         q = self.q
-        gen = 1
-        if q > 2:
-            # x need not be primitive for an arbitrary irreducible polynomial
-            # (it is not for 0x11B), so search for a generator.
-            for cand in range(2, q):
-                val, order = cand, 1
-                while val != 1:
-                    val = self._raw_mul(val, cand)
-                    order += 1
-                if order == q - 1:
-                    gen = cand
-                    break
-        exp = np.zeros(2 * q, dtype=self.dtype)
-        log = np.zeros(q, dtype=np.int16)
-        val = 1
-        for i in range(q - 1):
-            exp[i] = val
-            log[val] = i
-            val = self._raw_mul(val, gen)
-        for i in range(q - 1, 2 * q):
-            exp[i] = exp[i - (q - 1)]
+        # x need not be primitive for an arbitrary irreducible polynomial
+        # (it is not for 0x11B), so search for an element of order q-1:
+        # its powers hit 1 exactly once.
+        for gen in range(1, q):
+            powers = self._powers(gen)
+            if np.count_nonzero(powers == 1) == 1:
+                break
+        # log[0] = 2q is the sentinel: a sum with a zero operand falls in
+        # exp[2q:], and 0*0 in exp[4q], all zero.  Nonzero sums stay below
+        # 2q-3, covered by two periods of the powers.
+        exp = np.zeros(4 * q + 1, dtype=self.dtype)
+        exp[: 2 * (q - 1)] = np.tile(powers, 2)
+        log = np.full(q, 2 * q, dtype=np.int32)
+        log[powers] = np.arange(q - 1, dtype=np.int32)
         self.generator = gen
         self._exp = exp
         self._log = log
@@ -135,18 +136,12 @@ class FieldSpec:
     # scalar operations
     # ------------------------------------------------------------------
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return int(self._exp[int(self._log[a]) + int(self._log[b])])
-        return self._raw_mul(a, b)
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InversionOfZero("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return int(self._exp[(self.q - 1) - int(self._log[a])])
-        return self.pow(a, self.q - 2)
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -168,32 +163,16 @@ class FieldSpec:
         """Elementwise product; broadcasts, so a scalar times a vector works."""
         a = np.asarray(a, dtype=self.dtype)
         b = np.asarray(b, dtype=self.dtype)
-        if self._exp is None:
-            return np.frompyfunc(self._raw_mul, 2, 1)(a, b).astype(self.dtype)
-        idx = self._log[a].astype(np.int32) + self._log[b].astype(np.int32)
-        out = self._exp[idx]
-        return np.where((a == 0) | (b == 0), 0, out).astype(self.dtype)
+        return self._exp[self._log[a] + self._log[b]]
 
-    def vec_dot(self, u, v) -> int:
-        prod = self.vec_mul(u, v)
-        if prod.size == 0:
-            return 0
-        return int(np.bitwise_xor.reduce(prod))
-
-    def mat_vec_dot(self, rows: np.ndarray, v) -> np.ndarray:
-        """Per-row inner products of a matrix with a vector."""
-        prod = self.vec_mul(rows, np.asarray(v, dtype=self.dtype)[None, :])
-        return np.bitwise_xor.reduce(prod, axis=1)
-
-    def combine_rows(self, coeffs, rows: np.ndarray) -> np.ndarray:
-        """Linear combination sum_i coeffs[i] * rows[i]."""
-        coeffs = np.asarray(coeffs, dtype=self.dtype)
-        if coeffs.shape[0] != rows.shape[0]:
-            raise DimensionMismatch(
-                f"{coeffs.shape[0]} coefficients for {rows.shape[0]} rows"
-            )
-        prod = self.vec_mul(coeffs[:, None], rows)
-        return np.bitwise_xor.reduce(prod, axis=0)
+    def matmul(self, a, b) -> np.ndarray:
+        """Matrix product over the field: ``a`` is (..., r, m) or (m,), ``b``
+        is (m, c); sums of products are xor-reductions of ``vec_mul``."""
+        a = np.asarray(a, dtype=self.dtype)
+        b = np.asarray(b, dtype=self.dtype)
+        if b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+            raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
+        return np.bitwise_xor.reduce(self.vec_mul(a[..., :, None], b), axis=-2)
 
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.q, size=size, dtype=np.uint16).astype(self.dtype)
@@ -266,7 +245,7 @@ class FieldVector:
 
     def dot(self, other: "FieldVector") -> int:
         self._check_compatible(other)
-        return self.spec.vec_dot(self.elems, other.elems)
+        return int(self.spec.matmul(self.elems, other.elems[:, None])[0])
 
     def copy(self) -> "FieldVector":
         return FieldVector(self.elems.copy(), self.spec, _checked=True)
@@ -287,27 +266,6 @@ class FieldVector:
 
     def __repr__(self) -> str:
         return f"FieldVector({self.tolist()}, GF({self.spec.q}))"
-
-
-# Module-level forms of the four core operations, for callers that prefer
-# free functions over methods.
-
-def mul(a: int, b: int, spec: FieldSpec) -> int:
-    return spec.mul(a, b)
-
-
-def inv(a: int, spec: FieldSpec) -> int:
-    return spec.inv(a)
-
-
-def dot(u: FieldVector, v: FieldVector) -> int:
-    return u.dot(v)
-
-
-def axpy(alpha: int, x: FieldVector, y: FieldVector) -> FieldVector:
-    """alpha*x + y elementwise."""
-    x._check_compatible(y)
-    return FieldVector(x.spec.vec_mul(alpha, x.elems) ^ y.elems, x.spec, _checked=True)
 
 
 #: Shared default fields.  Construction is cheap but these save repetition.

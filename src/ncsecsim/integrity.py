@@ -76,27 +76,41 @@ def generate_domain_keys(
     )
 
 
+def _key_matrix(keys: Sequence[MacKey], n: int, spec: FieldSpec) -> np.ndarray:
+    """The key vectors as rows of a (len(keys), n+1) matrix."""
+    for key in keys:
+        if key.payload_len != n:
+            raise DimensionMismatch(
+                f"payload length {n} does not match key dimension {key.payload_len}+1"
+            )
+    return np.array([key.vec.elems for key in keys], dtype=spec.dtype).reshape(len(keys), n + 1)
+
+
+def tag_matrix(payloads, keys: Sequence[MacKey], spec: FieldSpec) -> np.ndarray:
+    """Tags of every payload under every key: dot(p, key[0..n)) / key[n].
+
+    ``payloads`` is one payload (n,) or a stack (rows, n); the result is
+    (len(keys),) or (rows, len(keys)) respectively.
+    """
+    payloads = np.asarray(payloads, dtype=spec.dtype)
+    vecs = _key_matrix(keys, payloads.shape[-1], spec)
+    inv_last = [spec.inv(int(last)) for last in vecs[:, -1]]
+    return spec.vec_mul(spec.matmul(payloads, vecs[:, :-1].T), inv_last)
+
+
 def make_tag(payload: FieldVector, key: MacKey) -> int:
     """Tag t with dot((payload || t), key.vec) == 0."""
-    if len(payload) != key.payload_len:
-        raise DimensionMismatch(
-            f"payload length {len(payload)} does not match key dimension "
-            f"{key.payload_len}+1"
-        )
-    spec = key.vec.spec
-    head = spec.vec_dot(payload.elems, key.vec.elems[:-1])
-    return spec.div(head, key.vec[len(key.vec) - 1])
+    return int(tag_matrix(payload.elems, [key], key.vec.spec)[0])
 
 
 def attach_tags(pkt: CodedPacket, keys: Sequence[MacKey]) -> CodedPacket:
     """Return a copy of pkt carrying one tag per key, in key order."""
     spec = pkt.spec
-    tags = [make_tag(pkt.payload, k) for k in keys]
     return CodedPacket(
         pkt.gen_id,
         pkt.coeffs.copy(),
         pkt.payload.copy(),
-        FieldVector(np.array(tags, dtype=spec.dtype), spec, _checked=True),
+        FieldVector(tag_matrix(pkt.payload.elems, keys, spec), spec, _checked=True),
     )
 
 
@@ -119,14 +133,10 @@ def verify_tags(
     if any(p < 0 or p >= len(pkt.tags) for p in positions):
         raise DimensionMismatch("tag position outside the packet's tag vector")
     spec = pkt.spec
-    verdicts = []
-    for key, pos in zip(keys, positions):
-        if key.payload_len != len(pkt.payload):
-            raise DimensionMismatch("key dimension does not match payload")
-        acc = spec.vec_dot(pkt.payload.elems, key.vec.elems[:-1])
-        acc ^= spec.mul(pkt.tags[pos], key.vec[len(key.vec) - 1])
-        verdicts.append(acc == 0)
-    return verdicts
+    vecs = _key_matrix(keys, len(pkt.payload), spec)
+    acc = spec.matmul(pkt.payload.elems, vecs[:, :-1].T)
+    acc ^= spec.vec_mul(pkt.tags.elems[positions], vecs[:, -1])
+    return (acc == 0).tolist()
 
 
 def combine_tags(tag_rows: np.ndarray | Sequence[Sequence[int]], coeffs: FieldVector) -> FieldVector:
@@ -143,7 +153,7 @@ def combine_tags(tag_rows: np.ndarray | Sequence[Sequence[int]], coeffs: FieldVe
         raise DimensionMismatch(
             f"{rows.shape[0]} tag rows vs {len(coeffs)} coefficients"
         )
-    return FieldVector(spec.combine_rows(coeffs.elems, rows), spec, _checked=True)
+    return FieldVector(spec.matmul(coeffs.elems, rows), spec, _checked=True)
 
 
 @dataclass(frozen=True)
@@ -165,12 +175,7 @@ def tagset_for_generation(
     gen: Generation, keys: Sequence[MacKey], source_id: str
 ) -> TagSet:
     """Tags of every native payload, as uploaded by the source."""
-    rows = np.zeros((gen.m, len(keys)), dtype=gen.spec.dtype)
-    for i in range(gen.m):
-        payload = FieldVector(gen.natives[i], gen.spec, _checked=True)
-        for j, key in enumerate(keys):
-            rows[i, j] = make_tag(payload, key)
-    return TagSet(gen.gen_id, source_id, rows)
+    return TagSet(gen.gen_id, source_id, tag_matrix(gen.natives, keys, gen.spec))
 
 
 def ledger_check(

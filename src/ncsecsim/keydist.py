@@ -91,6 +91,8 @@ class SchemeConfig:
             raise InvalidParameter("l must be >= 1")
         if self.scheme is not Scheme.BLOCKCHAIN and self.l > self.L:
             raise InvalidParameter(f"l={self.l} exceeds key universe L={self.L}")
+        if self.scheme is Scheme.DOUBLE_RANDOM and self.s > self.L:
+            raise InvalidParameter(f"s={self.s} exceeds key universe L={self.L}")
         if not 0 < self.epsilon < 1:
             raise InvalidParameter(f"epsilon={self.epsilon} outside (0, 1)")
         if not 0 <= self.d < 1:
@@ -189,9 +191,6 @@ def assign_keys(
         full = frozenset(range(config.l))
         holdings = {node: full for node in range(node_count)}
         return KeyAssignment(holdings, tuple(range(config.l)))
-
-    if config.s > config.L or config.l > config.L:
-        raise InvalidParameter("s and l must not exceed the key universe L")
 
     if config.scheme is Scheme.DOUBLE_RANDOM:
         if config.l > config.s:

@@ -76,7 +76,7 @@ class CodedPacket:
 def encode(gen: Generation, rng: np.random.Generator) -> CodedPacket:
     """Source encoding: uniform random coefficients over the whole field."""
     coeffs = gen.spec.random_elements(rng, gen.m)
-    payload = gen.spec.combine_rows(coeffs, gen.natives)
+    payload = gen.spec.matmul(coeffs, gen.natives)
     return CodedPacket(
         gen.gen_id,
         FieldVector(coeffs, gen.spec, _checked=True),
@@ -115,17 +115,17 @@ def recode(packets: list[CodedPacket], rng: np.random.Generator) -> CodedPacket:
     local = spec.random_elements(rng, len(packets))
     if not local.any():
         local = spec.random_elements(rng, len(packets))
-    coeffs = spec.combine_rows(local, np.vstack([p.coeffs.elems for p in packets]))
-    payload = spec.combine_rows(local, np.vstack([p.payload.elems for p in packets]))
-    pkt = CodedPacket(
-        packets[0].gen_id,
-        FieldVector(coeffs, spec, _checked=True),
-        FieldVector(payload, spec, _checked=True),
+    m, n = len(packets[0].coeffs), len(packets[0].payload)
+    rows = np.vstack(
+        [np.concatenate([p.coeffs.elems, p.payload.elems, p.tags.elems]) for p in packets]
     )
-    if tag_len:
-        tags = spec.combine_rows(local, np.vstack([p.tags.elems for p in packets]))
-        pkt.tags = FieldVector(tags, spec, _checked=True)
-    return pkt
+    mixed = spec.matmul(local, rows)
+    return CodedPacket(
+        packets[0].gen_id,
+        FieldVector(mixed[:m], spec, _checked=True),
+        FieldVector(mixed[m : m + n], spec, _checked=True),
+        FieldVector(mixed[m + n :], spec, _checked=True),
+    )
 
 
 @dataclass(frozen=True)
@@ -151,24 +151,7 @@ def decode(packets: list[CodedPacket]) -> DecodeResult:
     aug = np.vstack(
         [np.concatenate([p.coeffs.elems, p.payload.elems]) for p in packets]
     ).astype(spec.dtype)
-    rows = aug.shape[0]
-    rank = 0
-    for col in range(m):
-        pivot = None
-        for r in range(rank, rows):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            aug[[rank, pivot]] = aug[[pivot, rank]]
-        aug[rank] = spec.vec_mul(spec.inv(int(aug[rank, col])), aug[rank])
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            aug[others] ^= spec.vec_mul(aug[others, col][:, None], aug[rank][None, :])
-        rank += 1
+    rank = _row_reduce(aug, m, spec)
     # A row with zero coefficients but nonzero payload means the received
     # packets were not all combinations of one native set.
     tail = aug[rank:]
@@ -182,28 +165,30 @@ def decode(packets: list[CodedPacket]) -> DecodeResult:
 def in_row_space(payload: FieldVector, gen: Generation) -> bool:
     """Rank test for row-space membership of a payload vector."""
     stacked = np.vstack([gen.natives, payload.elems[None, :]])
-    return _matrix_rank(stacked, gen.spec) == _matrix_rank(gen.natives, gen.spec)
+    rank = _row_reduce(gen.natives.copy(), gen.n, gen.spec)
+    return _row_reduce(stacked, gen.n, gen.spec) == rank
 
 
-def _matrix_rank(matrix: np.ndarray, spec: FieldSpec) -> int:
-    work = np.asarray(matrix, dtype=spec.dtype).copy()
-    rows, cols = work.shape
+def _row_reduce(work: np.ndarray, cols: int, spec: FieldSpec) -> int:
+    """Gauss-Jordan elimination over the first ``cols`` columns, in place.
+
+    The pivot is the first nonzero entry at or below the current rank row;
+    it is scaled to 1 and cleared from every other row.  Returns the rank.
+    """
     rank = 0
     for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if work[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+        if rank == work.shape[0]:
+            break
+        below = np.flatnonzero(work[rank:, col])
+        if not below.size:
             continue
+        pivot = rank + int(below[0])
         if pivot != rank:
             work[[rank, pivot]] = work[[pivot, rank]]
         work[rank] = spec.vec_mul(spec.inv(int(work[rank, col])), work[rank])
-        below = np.nonzero(work[rank + 1 :, col])[0] + rank + 1
-        if below.size:
-            work[below] ^= spec.vec_mul(work[below, col][:, None], work[rank][None, :])
+        others = np.flatnonzero(work[:, col])
+        others = others[others != rank]
+        if others.size:
+            work[others] ^= spec.vec_mul(work[others, col][:, None], work[rank][None, :])
         rank += 1
-        if rank == rows:
-            break
     return rank

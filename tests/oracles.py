@@ -78,6 +78,20 @@ def matvec_oracle(coeffs, rows, k: int, poly: int) -> list[int]:
     return out
 
 
+def matmul_oracle(a, b, k: int, poly: int) -> list[list[int]]:
+    """Naive product of an r x m and an m x c matrix, one dot per entry.
+
+    Takes 2-d numpy arrays so that an empty inner dimension keeps its shape.
+    """
+    r, m = a.shape
+    c = b.shape[1]
+    return [
+        [dot_oracle([a[i, t] for t in range(m)], [b[t, j] for t in range(m)], k, poly)
+         for j in range(c)]
+        for i in range(r)
+    ]
+
+
 def ho_trigger_oracle(history, serving: int, ul_offset_db: float, ul_ttt_ms: int):
     """Per-UE handover trigger, one sample at a time.
 

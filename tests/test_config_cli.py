@@ -1,4 +1,6 @@
+import csv
 import filecmp
+from collections import Counter
 
 import pytest
 
@@ -126,6 +128,17 @@ def test_cli_exit_code_1_on_config_errors(tmp_path, capsys):
          ("ledger.ho_timeout_ms", "ledger.collection_period_ms")),
         # the baselines cannot draw l=8 distinct tags from L=4 keys
         ("analyze", "analyze.L=4", ("analyze.L", "security.l")),
+        # s > L: no node can draw 20 distinct keys from 16
+        ("analyze", "analyze.s=20", ("analyze.s", "analyze.L")),
+        # the macsig source cannot tag with l=8 keys from a hand of 4
+        ("analyze", "analyze.s=4", ("analyze.s", "security.l")),
+        ("analyze", "analyze.trials=0", ("analyze.trials",)),
+        # 0 selects the empty grid; a rate needs at least 1000 trials
+        ("attack", "attack.trials=10", ("attack.trials",)),
+        ("attack", "attack.q=15", ("attack.q",)),
+        ("attack", "attack.n=0", ("attack.n",)),
+        # the grid measures up to l'=2 verified tags
+        ("attack", "attack.l=1", ("attack.l",)),
     ],
 )
 def test_cli_rejects_inconsistent_settings_as_config_errors(
@@ -173,6 +186,23 @@ def test_cli_horizon_zero_header_only(tmp_path):
                  "cumulative_key_exchanges.csv"):
         lines = (out / name).read_text().strip().splitlines()
         assert len(lines) == 1, name  # header only
+
+
+def test_cli_horizon_off_the_ledger_grid_truncates(tmp_path, capsys):
+    # The run visits RS instants <= horizon (multiples of 160 ms, so the
+    # last is 1920 ms).  The 2000 ms collection boundary is never verified,
+    # so the 4 uploads stay unledgered, and the 5 handovers still in flight
+    # appear in signals.csv but not in ho_summary.csv.
+    out = tmp_path / "h2000"
+    assert main(["run", "--horizon-ms", "2000", "--out", str(out)]) == 0
+    assert "5 HO triggers, 0 completed, 0 ledger blocks" in capsys.readouterr().out
+    with open(out / "signals.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert Counter(r["kind"] for r in rows) == {"ho_request": 5, "candidate_upload": 4}
+    assert max(int(r["t_ms"]) for r in rows) <= 1920
+    assert (out / "ho_summary.csv").read_text().splitlines() == [
+        "ue_id,s_cell,t_cell,t_trigger_ms,t_complete_ms,key_signals,prep_wait_ms"
+    ]
 
 
 def test_cli_analyze_outputs(tmp_path):

@@ -1,10 +1,82 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.errors import DimensionMismatch, InvalidParameter, InversionOfZero
-from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector, axpy, dot, inv
+from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
 
-from oracles import axpy_oracle, dot_oracle, inv_oracle, mul_oracle
+from oracles import axpy_oracle, dot_oracle, inv_oracle, matmul_oracle, mul_oracle
+
+SPECS = {k: FieldSpec(k) for k in range(1, 17)}
+
+
+@st.composite
+def operand_pairs(draw):
+    """A bit width and two equal-length operand lists, zeros planted often."""
+    k = draw(st.integers(1, 16))
+    q = 1 << k
+    element = st.one_of(st.just(0), st.just(1), st.just(q - 1), st.integers(0, q - 1))
+    size = draw(st.integers(1, 12))
+    a = draw(st.lists(element, min_size=size, max_size=size))
+    b = draw(st.lists(element, min_size=size, max_size=size))
+    return k, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_kernel_matches_oracle_at_every_k(case):
+    k, a, b = case
+    spec = SPECS[k]
+    got = spec.vec_mul(np.array(a), np.array(b))
+    assert got.dtype == spec.dtype
+    for x, y, z in zip(a, b, got):
+        expect = mul_oracle(x, y, k, spec.poly)
+        assert int(z) == expect
+        assert spec.mul(x, y) == expect
+        if x:
+            assert spec.inv(x) == inv_oracle(x, k, spec.poly)
+        else:
+            with pytest.raises(InversionOfZero):
+                spec.inv(x)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Operands of a product, inner and outer dimensions possibly empty."""
+    k = draw(st.sampled_from([1, 2, 4, 8, 12, 16]))
+    r, m, c = (draw(st.integers(0, 4)) for _ in range(3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spec = SPECS[k]
+    a = spec.random_elements(rng, (r, m))
+    b = spec.random_elements(rng, (m, c))
+    # plant zero rows/columns so the zero sentinel meets every position
+    if r and draw(st.booleans()):
+        a[draw(st.integers(0, r - 1))] = 0
+    if c and draw(st.booleans()):
+        b[:, draw(st.integers(0, c - 1))] = 0
+    return k, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+def test_matmul_matches_loop_oracle(case):
+    k, a, b = case
+    spec = SPECS[k]
+    got = spec.matmul(a, b)
+    assert got.shape == (a.shape[0], b.shape[1]) and got.dtype == spec.dtype
+    assert got.tolist() == matmul_oracle(a, b, k, spec.poly)
+    # a single row is the same product as a 1-d left operand
+    for i in range(a.shape[0]):
+        assert spec.matmul(a[i], b).tolist() == got[i].tolist()
+
+
+def test_matmul_rejects_mismatched_inner_dimension():
+    with pytest.raises(DimensionMismatch):
+        GF256.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        GF256.matmul(np.zeros(3), np.zeros(3))
 
 
 def test_published_aes_field_values():
@@ -46,7 +118,7 @@ def test_inverse_of_one_and_zero():
     with pytest.raises(InversionOfZero):
         GF256.inv(0)
     with pytest.raises(InversionOfZero):
-        inv(0, GF16)
+        GF16.inv(0)
 
 
 def test_distributivity_exhaustive_k4():
@@ -90,11 +162,11 @@ def test_dot_zero_and_unit_vectors():
     rng = np.random.default_rng(3)
     v = FieldVector.random(8, GF256, rng)
     zero = FieldVector.zeros(8, GF256)
-    assert dot(v, zero) == 0
+    assert v.dot(zero) == 0
     for i in range(8):
         e = FieldVector.zeros(8, GF256)
         e.elems[i] = 1
-        assert dot(e, v) == v[i]
+        assert e.dot(v) == v[i]
 
 
 def test_dot_matches_loop_oracle():
@@ -102,7 +174,7 @@ def test_dot_matches_loop_oracle():
     for _ in range(50):
         u = FieldVector.random(8, GF256, rng)
         v = FieldVector.random(8, GF256, rng)
-        assert dot(u, v) == dot_oracle(u.tolist(), v.tolist(), 8, 0x11B)
+        assert u.dot(v) == dot_oracle(u.tolist(), v.tolist(), 8, 0x11B)
 
 
 def test_dot_bilinearity_randomized():
@@ -125,9 +197,9 @@ def test_axpy_cases():
     rng = np.random.default_rng(6)
     x = FieldVector.random(6, GF256, rng)
     y = FieldVector.random(6, GF256, rng)
-    assert axpy(0, x, y) == y
-    assert axpy(1, x, x).is_zero()  # characteristic 2
-    got = axpy(0x37, x, y)
+    assert x.scale(0) + y == y
+    assert (x.scale(1) + x).is_zero()  # characteristic 2
+    got = x.scale(0x37) + y
     assert got.tolist() == axpy_oracle(0x37, x.tolist(), y.tolist(), 8, 0x11B)
 
 
@@ -137,11 +209,11 @@ def test_length_and_spec_mismatches_raise():
     b = FieldVector.random(5, GF256, rng)
     c = FieldVector.random(4, GF16, rng)
     with pytest.raises(DimensionMismatch):
-        dot(a, b)
+        a.dot(b)
     with pytest.raises(DimensionMismatch):
-        axpy(1, a, b)
+        a.scale(1) + b
     with pytest.raises(DimensionMismatch):
-        dot(a, c)
+        a.dot(c)
 
 
 def test_invalid_specs_rejected():
@@ -163,14 +235,15 @@ def test_all_default_polynomials_are_irreducible():
         assert spec.q == 1 << k
 
 
-def test_wide_field_fallback_matches_oracle():
-    spec = FieldSpec(12)
+@pytest.mark.parametrize("k", [12, 16])
+def test_wide_field_fallback_matches_oracle(k):
+    spec = FieldSpec(k)
     rng = np.random.default_rng(8)
     for a, b in rng.integers(0, spec.q, size=(200, 2)):
         a, b = int(a), int(b)
-        assert spec.mul(a, b) == mul_oracle(a, b, 12, spec.poly)
+        assert spec.mul(a, b) == mul_oracle(a, b, k, spec.poly)
     for a in (1, 2, 5, 1000, spec.q - 1):
         assert spec.mul(a, spec.inv(a)) == 1
     u = FieldVector.random(5, spec, rng)
     v = FieldVector.random(5, spec, rng)
-    assert dot(u, v) == dot_oracle(u.tolist(), v.tolist(), 12, spec.poly)
+    assert u.dot(v) == dot_oracle(u.tolist(), v.tolist(), k, spec.poly)

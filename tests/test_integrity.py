@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim._stats import binomial_sigma
 from ncsecsim.errors import DimensionMismatch, InvalidParameter, TagSetUnavailable
-from ncsecsim.gf import GF16, GF256, FieldVector
+from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
 from ncsecsim.integrity import (
     MacKey,
     TagSet,
@@ -19,6 +21,8 @@ from ncsecsim.integrity import (
 from ncsecsim.rlnc import CodedPacket, encode, random_generation, recode
 
 from oracles import dot_oracle
+
+SPECS = {k: FieldSpec(k) for k in (1, 2, 4, 8, 16)}
 
 
 @pytest.fixture
@@ -98,10 +102,11 @@ def test_forged_random_tag_passes_at_one_over_q():
     forged_tags = rng.integers(0, 16, size=trials)
     base_tag = make_tag(base.payload, key)
     k_last = key.vec[8]
+    k_head = FieldVector(key.vec.elems[:-1], spec, _checked=True)
     for i in range(trials):
         payload = base.payload.copy()
         payload.elems[positions[i]] ^= deltas[i]
-        acc = spec.vec_dot(payload.elems, key.vec.elems[:-1])
+        acc = payload.dot(k_head)
         acc ^= spec.mul(int(forged_tags[i]), k_last)
         passes += int(acc == 0)
     rate = passes / trials
@@ -202,3 +207,29 @@ def test_make_tag_dimension_mismatch(setup):
     _, _, keys = setup
     with pytest.raises(DimensionMismatch):
         make_tag(FieldVector.zeros(5, GF256), keys[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from(sorted(SPECS)),
+    m=st.integers(1, 4),
+    n=st.integers(1, 8),
+    l=st.integers(1, 4),
+    tree=st.lists(st.lists(st.integers(0, 63), min_size=1, max_size=4), min_size=1, max_size=10),
+)
+def test_tags_survive_random_recode_trees(seed, k, m, n, l, tree):
+    # Each step recodes a random multiset of the packets so far, so the
+    # pool grows into an arbitrary recoding tree over two source packets.
+    spec = SPECS[k]
+    rng = np.random.default_rng(seed)
+    gen = random_generation("t", m, n, spec, rng)
+    keys = generate_domain_keys(n, l, spec, rng, "d")
+    ts = tagset_for_generation(gen, keys, "src")
+    pool = [attach_tags(encode(gen, rng), keys) for _ in range(2)]
+    for picks in tree:
+        mixed = recode([pool[i % len(pool)] for i in picks], rng)
+        assert all(verify_tags(mixed, keys))
+        assert attach_tags(mixed, keys).tags == mixed.tags  # tag(sum) == sum(tags)
+        assert ledger_check(mixed, ts, keys)
+        pool.append(mixed)

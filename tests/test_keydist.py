@@ -147,7 +147,7 @@ def test_assign_double_random_coverage_expectation():
 def test_assign_parameter_validation():
     rng = np.random.default_rng(35)
     with pytest.raises(InvalidParameter):
-        assign_keys(SchemeConfig(Scheme.DOUBLE_RANDOM, l=4, L=16, s=20), 10, rng)
+        SchemeConfig(Scheme.DOUBLE_RANDOM, l=4, L=16, s=20)  # s > L
     with pytest.raises(InvalidParameter):
         SchemeConfig(Scheme.C_COVER_FREE, l=20, L=16)
     with pytest.raises(InvalidParameter):

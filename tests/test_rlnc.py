@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.errors import (
     DimensionMismatch,
@@ -7,7 +9,7 @@ from ncsecsim.errors import (
     GenerationMismatch,
     PollutionDetectedAtDecode,
 )
-from ncsecsim.gf import GF16, GF256, FieldVector
+from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
 from ncsecsim.rlnc import (
     CodedPacket,
     Generation,
@@ -19,6 +21,8 @@ from ncsecsim.rlnc import (
 )
 
 from oracles import matvec_oracle
+
+SPECS = {k: FieldSpec(k) for k in (1, 2, 4, 8, 16)}
 
 
 class StubRng:
@@ -183,3 +187,52 @@ def test_generation_validation():
         Generation("bad", np.zeros((0, 4), dtype=np.uint8), GF256)
     with pytest.raises(Exception):
         Generation("bad", np.full((2, 2), 999), GF256)
+
+
+@st.composite
+def full_rank_receptions(draw):
+    """A generation and a shuffled reception that contains a full-rank set.
+
+    Row i of the full-rank set is e_i plus random multiples of e_j, j < i
+    (unit lower triangular), so rank m holds by construction; extra random
+    packets and recodes ride along.
+    """
+    k = draw(st.sampled_from(sorted(SPECS)))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = SPECS[k]
+    g = random_generation("r", m, n, spec, rng)
+    packets = []
+    for i in range(m):
+        row = spec.random_elements(rng, m)
+        row[i] = 1
+        row[i + 1 :] = 0
+        packets.append(encode(g, StubRng(row)))
+    packets += [encode(g, rng) for _ in range(draw(st.integers(0, 3)))]
+    packets += [recode(packets[:2], rng) for _ in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(len(packets))))
+    return g, [packets[i] for i in order], rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_receptions())
+def test_decode_roundtrip_property(case):
+    g, packets, _ = case
+    result = decode(packets)
+    assert result.complete and result.rank == g.m
+    assert np.array_equal(result.natives, g.natives)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_receptions(), st.data())
+def test_pollution_flagged_at_decode_property(case, data):
+    # With a full-rank honest set present, one packet whose payload does
+    # not match its coefficients makes the system inconsistent.
+    g, packets, rng = case
+    bad = encode(g, rng)
+    pos = data.draw(st.integers(0, g.n - 1))
+    bad.payload.elems[pos] ^= data.draw(st.integers(1, g.spec.q - 1))
+    at = data.draw(st.integers(0, len(packets)))
+    with pytest.raises(PollutionDetectedAtDecode):
+        decode(packets[:at] + [bad] + packets[at:])
