@@ -64,7 +64,6 @@ from .ledger import (
     SignalRecord,
     SimulatedLedger,
     key_exchange_count,
-    per_second_signaling,
     per_window_signaling,
 )
 from .mobility import (

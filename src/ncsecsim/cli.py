@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .attack import bypass_rate_grid
-from .config import RunConfig, apply_settings, load_config, write_config_echo
+from .config import RunConfig, apply_settings, load_config, validate_command, write_config_echo
 from .errors import ConfigError, NcSecError
 from .keydist import SCHEME_BY_LABEL, Scheme, SchemeConfig, colluder_sweep
 from .simulation import run_simulation, write_run_artifacts
@@ -170,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _effective_config(args)
+        validate_command(args.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

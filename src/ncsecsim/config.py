@@ -9,6 +9,7 @@ its output CSVs; replaying that file reproduces the run bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,11 +122,14 @@ def _convert(raw: str, target_type, key: str):
             return _parse_bool(raw, key)
         if target_type is int:
             return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        if target_type is not float:
+            return raw
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _parse_scheme(raw: str) -> Scheme:
@@ -199,6 +203,7 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
 
 
 def validate(config: RunConfig) -> None:
+    """Check the settings every command reads (see ``validate_command``)."""
     sc = config.scenario
     if sc.rows < 1 or sc.cols < 1:
         raise ConfigError("scenario.rows/cols: must be >= 1")
@@ -229,39 +234,47 @@ def validate(config: RunConfig) -> None:
         )
     if config.horizon_ms < 0:
         raise ConfigError("horizon_ms: must be >= 0")
-    az = config.analyze
-    if not 0 < az.epsilon < 1 or not 0 <= az.d < 1:
-        raise ConfigError("analyze.epsilon/d: epsilon in (0,1), d in [0,1)")
-    if az.c_min < 0 or az.c_max < az.c_min:
-        raise ConfigError("analyze.c_min/c_max: need 0 <= c_min <= c_max")
-    if az.L < sec.l:
-        raise ConfigError(
-            f"analyze.L={az.L} is below security.l={sec.l}: the baseline key "
-            "universe must hold every tag of a packet"
-        )
-    if az.s > az.L:
-        raise ConfigError(
-            f"analyze.s={az.s} exceeds analyze.L={az.L}: a node draws s distinct "
-            "keys from the universe"
-        )
-    if az.s < sec.l:
-        raise ConfigError(
-            f"analyze.s={az.s} is below security.l={sec.l}: the macsig source "
-            "tags with l keys from its own s"
-        )
-    if az.trials < 1:
-        raise ConfigError("analyze.trials: must be >= 1")
-    at = config.attack
-    if not _is_field_order(at.q):
-        raise ConfigError("attack.q: must be a power of two, at most 2^16")
-    if at.n < 1 or at.m < 1:
-        raise ConfigError("attack.n/m: must be >= 1")
-    if at.l < 2:
-        raise ConfigError("attack.l: must be >= 2, the grid verifies up to 2 tags")
-    if at.trials != 0 and at.trials < 1000:
-        raise ConfigError(
-            f"attack.trials={at.trials}: must be 0 (empty grid) or at least 1000"
-        )
+    if config.seed < 0:
+        raise ConfigError("seed: must be >= 0")
+
+
+def validate_command(command: str, config: RunConfig) -> None:
+    """Check the settings only ``command`` reads: ``analyze.*`` for
+    ``analyze`` and ``attack.*`` for ``attack``."""
+    az, at, sec = config.analyze, config.attack, config.security
+    if command == "analyze":
+        if not 0 < az.epsilon < 1 or not 0 <= az.d < 1:
+            raise ConfigError("analyze.epsilon/d: epsilon in (0,1), d in [0,1)")
+        if az.c_min < 0 or az.c_max < az.c_min:
+            raise ConfigError("analyze.c_min/c_max: need 0 <= c_min <= c_max")
+        if az.L < sec.l:
+            raise ConfigError(
+                f"analyze.L={az.L} is below security.l={sec.l}: the baseline key "
+                "universe must hold every tag of a packet"
+            )
+        if az.s > az.L:
+            raise ConfigError(
+                f"analyze.s={az.s} exceeds analyze.L={az.L}: a node draws s distinct "
+                "keys from the universe"
+            )
+        if az.s < sec.l:
+            raise ConfigError(
+                f"analyze.s={az.s} is below security.l={sec.l}: the macsig source "
+                "tags with l keys from its own s"
+            )
+        if az.trials < 1:
+            raise ConfigError("analyze.trials: must be >= 1")
+    if command == "attack":
+        if not _is_field_order(at.q):
+            raise ConfigError("attack.q: must be a power of two, at most 2^16")
+        if at.n < 1 or at.m < 1:
+            raise ConfigError("attack.n/m: must be >= 1")
+        if at.l < 2:
+            raise ConfigError("attack.l: must be >= 2, the grid verifies up to 2 tags")
+        if at.trials != 0 and at.trials < 1000:
+            raise ConfigError(
+                f"attack.trials={at.trials}: must be 0 (empty grid) or at least 1000"
+            )
 
 
 def _is_field_order(q: int) -> bool:

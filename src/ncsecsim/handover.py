@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -340,40 +340,37 @@ def replay_key_signaling(
     horizon_ms: int,
     rs_period_ms: int = 160,
     collection_period_ms: int = 1000,
-    domain_of: Callable[[int], str] | None = None,
 ) -> list[SignalRecord]:
-    """Replay an HO event stream under one key-sharing policy.
+    """Key-exchange signals of a time-ordered HO event stream under one
+    key-sharing policy, with no per-UE concurrency limits.
 
-    All three schemes' signaling curves for a run come from the same
-    trigger stream, so the curves differ only in key-sharing policy.  The
-    replay mirrors the event loop's tick semantics (same grid, same
-    boundary rule) and applies no per-UE concurrency limits: every
-    triggered handover is costed.
+    Baseline handovers send keys to the serving BS and on to the UE at
+    their trigger.  Under the ledger scheme each cell's key set is uploaded
+    at its first trigger, and every handover gets its keys at the first RS
+    instant at or after its block verified, as in the event loop; blocks
+    verify up to the last RS instant at or before the horizon.
     """
-    domain = domain_of if domain_of is not None else str
     trace: list[SignalRecord] = []
-    controllers = {_bsh(c) for c in cell_keys}
-    led = SimulatedLedger(controllers, collection_period_ms, trace)
-    pending: list[HoProcedure] = []
-    by_tick: dict[int, list[HoEvent]] = {}
-    for ev in events:
-        by_tick.setdefault(ev.t_trigger, []).append(ev)
-    if not events:
+    if scheme is not Scheme.BLOCKCHAIN:
+        for ev in events:
+            s, t = _bsh(ev.s_cell), ev.t_trigger
+            trace.append(SignalRecord(SignalKind.KEY_TO_SBS, _bsh(ev.t_cell), s, t))
+            trace.append(SignalRecord(SignalKind.KEY_TO_UE, s, _ue(ev.ue_id), t))
         return trace
-    for t in range(0, horizon_ms + 1, rs_period_ms):
-        for ev in by_tick.get(t, ()):
-            proc = begin_handover(
-                ev.ue_id, ev.s_cell, ev.t_cell, scheme, led, t, trace,
-                t_cell_keys=cell_keys[ev.t_cell],
-                s_domain=domain(ev.s_cell), t_domain=domain(ev.t_cell),
-                timeout_ms=10 * collection_period_ms,
-            )
-            if not proc.complete:
-                pending.append(proc)
-        led.tick(t)
-        still = []
-        for proc in pending:
-            if not try_complete(proc, led, t):
-                still.append(proc)
-        pending = still
+    led = SimulatedLedger({_bsh(c) for c in cell_keys}, collection_period_ms, trace)
+    for ev in events:  # resubmission is a no-op: one upload per cell
+        entry = CandidateEntry(
+            EntryKind.CELL_KEY_SET, _bsh(ev.t_cell), tuple(cell_keys[ev.t_cell]),
+            ev.t_trigger, str(ev.t_cell),
+        )
+        led.submit_candidate(entry)
+    # Every boundary takes all candidates submitted at or before it, so one
+    # tick gives the blocks that ticking on every RS instant would.
+    led.tick(horizon_ms // rs_period_ms * rs_period_ms)
+    verified_at = {e.domain: b.verified_at for b in led.blocks for e in b.entries}
+    for ev in events:
+        b = verified_at.get(str(ev.t_cell))
+        if b is not None:
+            t = max(ev.t_trigger, -(-b // rs_period_ms) * rs_period_ms)
+            trace.append(SignalRecord(SignalKind.KEY_TO_UE, _bsh(ev.s_cell), _ue(ev.ue_id), t))
     return trace

@@ -229,24 +229,11 @@ class SimulatedLedger:
 # trace accounting
 # ----------------------------------------------------------------------
 
-def per_second_signaling(
-    records: Sequence[SignalRecord], window_start_ms: int, window_len_ms: int = 1000
-) -> int:
-    """Key-exchange signals inside [window_start, window_start + window_len)."""
-    end = window_start_ms + window_len_ms
-    return sum(
-        1
-        for r in records
-        if r.counts_as_key_exchange and window_start_ms <= r.t < end
-    )
-
-
 def per_window_signaling(
     records: Sequence[SignalRecord], horizon_ms: int, window_len_ms: int = 1000
 ) -> list[int]:
     """Key-exchange signals in each window [k * len, (k + 1) * len) whose
-    start lies in [0, horizon]; element k equals
-    ``per_second_signaling(records, k * window_len_ms, window_len_ms)``."""
+    start lies in [0, horizon]."""
     windows = max(0, horizon_ms // window_len_ms + 1)
     times = np.fromiter(
         (r.t for r in records if r.counts_as_key_exchange and r.t >= 0), dtype=np.int64

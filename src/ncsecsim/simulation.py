@@ -11,9 +11,9 @@ All randomness flows from one master seed through named substreams
 (placement, key material, prediction, fading), so identical seed and
 configuration give byte-identical artifacts.
 
-For scheme comparisons the run keeps its trigger stream and replays it
-under the other key-sharing policies; the resulting curves differ only in
-key signaling, never in mobility.
+For scheme comparisons the run keeps its trigger stream and derives the
+other kind of scheme's key-exchange signals from it; the resulting curves
+differ only in key signaling, never in mobility.
 """
 
 from __future__ import annotations
@@ -156,23 +156,18 @@ def run_simulation(config: RunConfig) -> SimulationResult:
                     del inflight[ue_id]
 
     own_trace = sorted(trace, key=lambda r: r.t)
-    # The baselines differ only in key assignment, not in signaling
-    # (begin_handover branches on ledger vs not), so one replay serves both.
-    replays: dict[bool, list[SignalRecord]] = {}
-    scheme_traces: dict[str, list[SignalRecord]] = {}
-    for scheme in _ALL_SCHEMES:
-        if scheme is config.scheme:
-            scheme_traces[scheme.label] = own_trace
-            continue
-        uses_ledger = scheme is Scheme.BLOCKCHAIN
-        if uses_ledger not in replays:
-            replay = replay_key_signaling(
-                events, scheme, cell_keys, config.horizon_ms,
-                rs_period_ms=sc.rs_period_ms,
-                collection_period_ms=config.ledger.collection_period_ms,
-            )
-            replays[uses_ledger] = sorted(replay, key=lambda r: r.t)
-        scheme_traces[scheme.label] = replays[uses_ledger]
+    # The baselines differ only in key assignment, not in signaling, so a
+    # baseline run's own trace serves both and one replay serves the rest.
+    own_uses_ledger = config.scheme is Scheme.BLOCKCHAIN
+    replayed = replay_key_signaling(
+        events, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN, cell_keys,
+        config.horizon_ms, sc.rs_period_ms, config.ledger.collection_period_ms,
+    )
+    replayed.sort(key=lambda r: r.t)
+    scheme_traces = {
+        scheme.label: own_trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
+        for scheme in _ALL_SCHEMES
+    }
 
     return SimulationResult(
         config=config,

@@ -118,3 +118,11 @@ def ho_trigger_oracle(history, serving: int, ul_offset_db: float, ul_ttt_ms: int
         if best is None or newest.rsrp_dbm[c] > newest.rsrp_dbm[best]:
             best = c
     return best
+
+
+def per_second_signaling(records, window_start_ms: int, window_len_ms: int = 1000) -> int:
+    """Key-exchange signals inside [window_start, window_start + window_len)."""
+    end = window_start_ms + window_len_ms
+    return sum(
+        1 for r in records if r.counts_as_key_exchange and window_start_ms <= r.t < end
+    )

@@ -10,6 +10,7 @@ from ncsecsim.config import (
     apply_settings,
     config_items,
     load_config,
+    validate_command,
     write_config_echo,
 )
 from ncsecsim.errors import ConfigError
@@ -74,7 +75,8 @@ def test_apply_settings_and_sections():
 )
 def test_bad_settings_raise_config_error(settings):
     with pytest.raises(ConfigError):
-        apply_settings(RunConfig(), settings)
+        # analyze.* is checked only for the command that reads it
+        validate_command("analyze", apply_settings(RunConfig(), settings))
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -139,6 +141,12 @@ def test_cli_exit_code_1_on_config_errors(tmp_path, capsys):
         ("attack", "attack.n=0", ("attack.n",)),
         # the grid measures up to l'=2 verified tags
         ("attack", "attack.l=1", ("attack.l",)),
+        # non-finite floats would fail deep inside the run
+        ("run", "scenario.isd_m=nan", ("scenario.isd_m",)),
+        ("run", "scenario.ue_speed_kmh=inf", ("scenario.ue_speed_kmh",)),
+        ("analyze", "analyze.epsilon=-inf", ("analyze.epsilon",)),
+        # numpy seeds must be non-negative
+        ("run", "seed=-1", ("seed",)),
     ],
 )
 def test_cli_rejects_inconsistent_settings_as_config_errors(
@@ -152,7 +160,18 @@ def test_cli_rejects_inconsistent_settings_as_config_errors(
     for key in keys:
         assert key in err
     with pytest.raises(ConfigError):
-        load_config(cfg)
+        validate_command(command, load_config(cfg))
+
+
+def test_cli_checks_only_the_settings_a_command_reads(tmp_path, capsys):
+    # analyze.s=8 is below security.l=12, but run never reads analyze.*
+    cfg = tmp_path / "l12.cfg"
+    cfg.write_text("security.l=12\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(cfg), "--horizon-ms", "1000", "--out", out]) == 0
+    assert main(["analyze", "--config", str(cfg), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "analyze.s" in err and "security.l" in err
 
 
 def test_ho_timeout_equal_to_collection_period_is_accepted():

@@ -62,6 +62,13 @@ CASES: dict[str, dict[str, str]] = {
         "horizon_ms": "20000",
         "seed": "13",
     },
+    "hmac_rs250_slow_ledger": {
+        "scheme": "hmac",
+        "scenario.rs_period_ms": "250",
+        "ledger.collection_period_ms": "1500",
+        "ledger.ho_timeout_ms": "3000",
+        "horizon_ms": "12345",
+    },
 }
 
 GOLDEN: dict[str, dict[str, str]] = json.loads(

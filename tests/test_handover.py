@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
 from ncsecsim.handover import (
@@ -15,7 +17,7 @@ from ncsecsim.handover import (
     try_complete,
 )
 from ncsecsim.keydist import Scheme
-from ncsecsim.ledger import SignalKind, SimulatedLedger, key_exchange_count
+from ncsecsim.ledger import SignalKind, SimulatedLedger, SignalRecord, key_exchange_count
 
 CELLS = list(range(16))
 KEYS = {c: (f"key{c}",) for c in CELLS}
@@ -198,3 +200,61 @@ def test_replay_blockchain_matches_direct_engine_semantics():
     assert len(deliveries) == 4
     hmac_trace = replay_key_signaling(events, Scheme.C_COVER_FREE, KEYS, 10_000)
     assert key_exchange_count(hmac_trace) == 8
+
+
+def reference_replay(events, scheme, cell_keys, horizon_ms, rs_period_ms, collection_period_ms):
+    """The protocol driven on the RS grid: every event starts a handover at
+    its trigger instant, the ledger ticks at every instant, and blocked
+    handovers complete at the first instant at or after their block verifies."""
+    trace: list[SignalRecord] = []
+    led = SimulatedLedger({f"bsh{c}" for c in cell_keys}, collection_period_ms, trace)
+    by_tick: dict[int, list[HoEvent]] = {}
+    for ev in events:
+        by_tick.setdefault(ev.t_trigger, []).append(ev)
+    pending = []
+    for t in range(0, horizon_ms + 1, rs_period_ms):
+        for ev in by_tick.get(t, ()):
+            proc = begin_handover(
+                ev.ue_id, ev.s_cell, ev.t_cell, scheme, led, t, trace,
+                t_cell_keys=cell_keys[ev.t_cell], timeout_ms=10 * collection_period_ms,
+            )
+            if not proc.complete:
+                pending.append(proc)
+        led.tick(t)
+        pending = [p for p in pending if not try_complete(p, led, t)]
+    return trace
+
+
+@st.composite
+def event_streams(draw):
+    """Time-ordered trigger streams on the RS grid up to an off-grid horizon,
+    with the RS period both below and above the collection period."""
+    rs = draw(st.integers(40, 3000))
+    period = draw(st.integers(100, 2000))
+    horizon = draw(st.integers(0, 30_000))
+    last_tick = horizon // rs
+    raw = draw(st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers(1, 5),
+                  st.integers(0, last_tick)),
+        max_size=40,
+    ))
+    events = sorted(
+        (HoEvent(ue, s, (s + step) % 6, tick * rs) for ue, s, step, tick in raw),
+        key=lambda ev: ev.t_trigger,
+    )
+    return events, horizon, rs, period
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_streams(), st.sampled_from([Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM]))
+def test_replay_matches_the_protocol_driven_on_the_rs_grid(stream, scheme):
+    events, horizon, rs, period = stream
+    keys = {c: (f"key{c}",) for c in range(6)}
+    key_signals = lambda trace: sorted(
+        (r.t, r.kind.value) for r in trace if r.counts_as_key_exchange
+    )
+    expected = reference_replay(events, scheme, keys, horizon, rs, period)
+    got = replay_key_signaling(
+        events, scheme, keys, horizon, rs_period_ms=rs, collection_period_ms=period
+    )
+    assert key_signals(got) == key_signals(expected)

@@ -8,9 +8,10 @@ from ncsecsim.ledger import (
     SignalKind,
     SimulatedLedger,
     SignalRecord,
-    per_second_signaling,
     per_window_signaling,
 )
+
+from oracles import per_second_signaling
 
 
 def entry(origin="bsh3", domain="3", t=100, kind=EntryKind.CELL_KEY_SET, payload=("k",)):
