@@ -43,17 +43,16 @@ from .integrity import (
     verify_tags,
 )
 from .keydist import (
-    KeyAssignment,
     SafeKeyEstimate,
     Scheme,
     SchemeConfig,
-    assign_keys,
     bandwidth_blockchain,
     bandwidth_hmac,
     bandwidth_macsig,
     colluder_sweep,
     required_tags,
     safe_key_probability,
+    sample_holdings,
     security_level,
 )
 from .ledger import (

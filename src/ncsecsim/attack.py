@@ -27,8 +27,17 @@ import numpy as np
 from ._stats import wilson_interval
 from .errors import InvalidParameter
 from .gf import FieldSpec, FieldVector
-from .integrity import MacKey, attach_tags, generate_domain_keys, ledger_check, tag_matrix, tagset_for_generation, verify_tags
-from .keydist import Scheme, SchemeConfig
+from .integrity import (
+    MacKey,
+    attach_tags,
+    combine_tags,
+    generate_domain_keys,
+    key_verdicts,
+    tag_matrix,
+    tag_slots,
+    tagset_for_generation,
+)
+from .keydist import Scheme, SchemeConfig, sample_holdings
 from .rlnc import CodedPacket, encode, random_generation
 
 
@@ -60,15 +69,6 @@ class InjectionResult:
     strategy_used: AttackStrategy
 
 
-def _perturb_payload(payload: FieldVector, rng: np.random.Generator) -> FieldVector:
-    spec = payload.spec
-    out = payload.copy()
-    pos = int(rng.integers(0, len(payload)))
-    delta = 1 + int(rng.integers(0, spec.q - 1))
-    out.elems[pos] ^= delta
-    return out
-
-
 def inject(
     pkt: CodedPacket,
     adversary: AdversaryConfig,
@@ -84,28 +84,52 @@ def inject(
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    payloads, tags, strategy = _forge(pkt, adversary.strategy, held_keys, held_positions, 1, rng)
     spec = pkt.spec
-    strategy = adversary.strategy
+    forged = CodedPacket(
+        pkt.gen_id,
+        pkt.coeffs.copy(),
+        FieldVector(payloads[0], spec, _checked=True),
+        FieldVector(tags[0], spec, _checked=True),
+    )
+    return InjectionResult(forged, strategy)
 
+
+def _forge(
+    pkt: CodedPacket,
+    strategy: AttackStrategy,
+    held_keys: Sequence[MacKey],
+    held_positions: Sequence[int] | None,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, AttackStrategy]:
+    """Payloads (trials, n) and tags (trials, l) of independent forgeries
+    of ``pkt``, plus the strategy actually used.  The coding coefficients
+    are never touched."""
+    spec = pkt.spec
+    rows = np.arange(trials)
+    payloads = np.tile(pkt.payload.elems, (trials, 1))
     if strategy is AttackStrategy.TAG_ONLY_POLLUTION:
         if len(pkt.tags) == 0:
             raise InvalidParameter("tag pollution needs a tagged packet")
-        tags = pkt.tags.copy()
-        idx = int(rng.integers(0, len(tags)))
-        tags.elems[idx] ^= 1 + int(rng.integers(0, spec.q - 1))
-        forged = CodedPacket(pkt.gen_id, pkt.coeffs.copy(), pkt.payload.copy(), tags)
-        return InjectionResult(forged, strategy)
+        tags = np.tile(pkt.tags.elems, (trials, 1))
+        slots = rng.integers(0, len(pkt.tags), size=trials)
+        tags[rows, slots] ^= _nonzero_elements(spec, rng, trials)
+        return payloads, tags, strategy
 
     if strategy is AttackStrategy.VALID_TAG_FORGE and not held_keys:
         strategy = AttackStrategy.RANDOM_FORGE
-
-    payload = _perturb_payload(pkt.payload, rng)
-    tags = FieldVector(spec.random_elements(rng, len(pkt.tags)), spec, _checked=True)
+    symbols = rng.integers(0, len(pkt.payload), size=trials)
+    payloads[rows, symbols] ^= _nonzero_elements(spec, rng, trials)
+    tags = spec.random_elements(rng, (trials, len(pkt.tags)))
     if strategy is AttackStrategy.VALID_TAG_FORGE:
-        positions = range(len(held_keys)) if held_positions is None else held_positions
-        tags.elems[list(positions)] = tag_matrix(payload.elems, held_keys, spec)
-    forged = CodedPacket(pkt.gen_id, pkt.coeffs.copy(), payload, tags)
-    return InjectionResult(forged, strategy)
+        slots = tag_slots(held_keys, held_positions, len(pkt.tags))
+        tags[:, slots] = tag_matrix(payloads, held_keys, spec)
+    return payloads, tags, strategy
+
+
+def _nonzero_elements(spec: FieldSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    return (1 + rng.integers(0, spec.q - 1, size=size)).astype(spec.dtype)
 
 
 @dataclass(frozen=True)
@@ -132,22 +156,16 @@ def _colluder_positions(
     config: SchemeConfig, adversary: AdversaryConfig, rng: np.random.Generator
 ) -> list[int]:
     """Tag positions whose keys the colluders jointly hold."""
-    if (
-        adversary.knowledge is AdversaryKnowledge.ALL_KEYS
-        or config.scheme is Scheme.BLOCKCHAIN
-    ):
+    if adversary.knowledge is AdversaryKnowledge.ALL_KEYS:
         return list(range(config.l))
-    held: set[int] = set()
-    for _ in range(adversary.count):
-        if config.scheme is Scheme.C_COVER_FREE:
-            held.add(int(rng.integers(0, config.l)))
-        else:
-            overlap = int(rng.hypergeometric(config.l, config.L - config.l, config.s))
-            if overlap:
-                held.update(
-                    int(p) for p in rng.choice(config.l, size=overlap, replace=False)
-                )
-    return sorted(held)
+    tags, held = sample_holdings(config, adversary.count, 1, rng)
+    # slot i carries the tag of the i-th tag key
+    return np.flatnonzero(held.any(axis=0)[0, tags[0]]).tolist()
+
+
+# Elements per batch of (trials x payload symbols x keys): bounds the
+# temporaries of the forge's and the checks' field products.
+_BATCH_ELEMENTS = 1 << 19
 
 
 def measure_bypass_rate(
@@ -170,14 +188,17 @@ def measure_bypass_rate(
     use_ledger = config.scheme is Scheme.BLOCKCHAIN if use_ledger is None else use_ledger
     if l_prime is None:
         l_prime = config.l if config.scheme is Scheme.BLOCKCHAIN else 1
-    if l_prime > config.l:
-        raise InvalidParameter("cannot verify more tags than the packet carries")
+    if not 0 <= l_prime <= config.l:
+        raise InvalidParameter(f"l_prime={l_prime} outside 0..{config.l}, the tags a packet carries")
 
     spec = _field_for_order(config.q)
     gen = random_generation("harness", config.m, config.n, spec, rng)
     source_keys = generate_domain_keys(config.n, config.l, spec, rng, "harness")
     base = attach_tags(encode(gen, rng), source_keys)
-    tagset = tagset_for_generation(gen, source_keys, "src") if use_ledger else None
+    expected = (
+        combine_tags(tagset_for_generation(gen, source_keys, "src").native_tags, base.coeffs).elems
+        if use_ledger else None
+    )
 
     benign_positions = sorted(
         int(p) for p in rng.choice(config.l, size=l_prime, replace=False)
@@ -186,24 +207,14 @@ def measure_bypass_rate(
     colluder_positions = _colluder_positions(config, adversary, rng)
     colluder_keys = [source_keys[p] for p in colluder_positions]
 
-    if (
-        adversary.strategy is AttackStrategy.RANDOM_FORGE
-        and not use_ledger
-    ):
-        passes = _random_forge_passes_vectorised(
-            spec, base, benign_keys, benign_positions, trials, rng
+    batch = max(1, _BATCH_ELEMENTS // (config.n * config.l))
+    passes = 0
+    for start in range(0, trials, batch):
+        payloads, tags, _ = _forge(
+            base, adversary.strategy, colluder_keys, colluder_positions,
+            min(batch, trials - start), rng,
         )
-    else:
-        passes = 0
-        for _ in range(trials):
-            forged = inject(
-                base, adversary, colluder_keys, rng, held_positions=colluder_positions
-            ).packet
-            if use_ledger:
-                ok = ledger_check(forged, tagset, benign_keys, benign_positions)
-            else:
-                ok = all(verify_tags(forged, benign_keys, benign_positions))
-            passes += int(ok)
+        passes += int(_accepts(payloads, tags, benign_keys, benign_positions, expected, spec).sum())
 
     low, high = wilson_interval(passes, trials)
     return BypassRateResult(
@@ -219,35 +230,20 @@ def measure_bypass_rate(
     )
 
 
-def _random_forge_passes_vectorised(
+def _accepts(
+    payloads: np.ndarray,
+    tags: np.ndarray,
+    keys: Sequence[MacKey],
+    positions: Sequence[int],
+    expected_tags: np.ndarray | None,
     spec: FieldSpec,
-    base: CodedPacket,
-    benign_keys: Sequence[MacKey],
-    benign_positions: Sequence[int],
-    trials: int,
-    rng: np.random.Generator,
-) -> int:
-    """Random forge against key-only checks, batched.
-
-    With payload p' = p + delta at one position and a fresh random tag per
-    slot, the check value for key k reduces to
-    mul(tag' + tag_base, k[n]) + mul(delta, k[pos]), which needs only
-    table lookups per trial.
-    """
-    if not benign_keys:
-        return trials
-    n = len(base.payload)
-    pos = rng.integers(0, n, size=trials)
-    delta = (1 + rng.integers(0, spec.q - 1, size=trials)).astype(spec.dtype)
-    all_pass = np.ones(trials, dtype=bool)
-    for key, slot in zip(benign_keys, benign_positions):
-        k_head = key.vec.elems[:-1]
-        k_last = int(key.vec[len(key.vec) - 1])
-        forged_tags = spec.random_elements(rng, trials)
-        acc = spec.vec_mul(forged_tags ^ base.tags[slot], k_last)
-        acc ^= spec.vec_mul(delta, k_head[pos])
-        all_pass &= acc == 0
-    return int(all_pass.sum())
+) -> np.ndarray:
+    """Per-packet verdicts of a benign hop: every key it holds verifies
+    and, on a ledgered hop, the carried tags equal the ledger's."""
+    ok = key_verdicts(payloads, tags, keys, positions, spec).all(axis=-1)
+    if expected_tags is not None:
+        ok &= (tags == expected_tags).all(axis=-1)
+    return ok
 
 
 def bypass_rate_grid(

@@ -114,6 +114,40 @@ def attach_tags(pkt: CodedPacket, keys: Sequence[MacKey]) -> CodedPacket:
     )
 
 
+def tag_slots(
+    keys: Sequence[MacKey], positions: Sequence[int] | None, tag_count: int
+) -> list[int]:
+    """The tag slot of each key (by default key i owns slot i), checked
+    against the number of tags a packet carries."""
+    positions = list(range(len(keys)) if positions is None else positions)
+    if len(positions) != len(keys):
+        raise DimensionMismatch("one tag position per key required")
+    if any(p < 0 or p >= tag_count for p in positions):
+        raise DimensionMismatch("tag position outside the packet's tag vector")
+    return positions
+
+
+def key_verdicts(
+    payloads,
+    tags,
+    keys: Sequence[MacKey],
+    positions: Sequence[int] | None,
+    spec: FieldSpec,
+) -> np.ndarray:
+    """Per-key verdicts over stacked packets: dot((p || t[pos]), key.vec) == 0.
+
+    ``payloads`` is (..., n) and ``tags`` (..., l); the result is
+    (..., len(keys)).  ``positions`` maps each key to its tag slot.
+    """
+    payloads = np.asarray(payloads, dtype=spec.dtype)
+    tags = np.asarray(tags, dtype=spec.dtype)
+    positions = tag_slots(keys, positions, tags.shape[-1])
+    vecs = _key_matrix(keys, payloads.shape[-1], spec)
+    acc = spec.matmul(payloads, vecs[:, :-1].T)
+    acc ^= spec.vec_mul(tags[..., positions], vecs[:, -1])
+    return acc == 0
+
+
 def verify_tags(
     pkt: CodedPacket,
     keys: Sequence[MacKey],
@@ -125,18 +159,7 @@ def verify_tags(
     checks tag i.  A node holding a subset of the source keys passes that
     subset along with the slots those keys correspond to.
     """
-    if positions is None:
-        positions = range(len(keys))
-    positions = list(positions)
-    if len(positions) != len(keys):
-        raise DimensionMismatch("one tag position per key required")
-    if any(p < 0 or p >= len(pkt.tags) for p in positions):
-        raise DimensionMismatch("tag position outside the packet's tag vector")
-    spec = pkt.spec
-    vecs = _key_matrix(keys, len(pkt.payload), spec)
-    acc = spec.matmul(pkt.payload.elems, vecs[:, :-1].T)
-    acc ^= spec.vec_mul(pkt.tags.elems[positions], vecs[:, -1])
-    return (acc == 0).tolist()
+    return key_verdicts(pkt.payload.elems, pkt.tags.elems, keys, positions, pkt.spec).tolist()
 
 
 def combine_tags(tag_rows: np.ndarray | Sequence[Sequence[int]], coeffs: FieldVector) -> FieldVector:
@@ -200,4 +223,6 @@ def ledger_check(
     expected = combine_tags(tagset.native_tags, pkt.coeffs)
     if expected != pkt.tags:
         return False
-    return all(verify_tags(pkt, keys, positions)) if keys else True
+    if not keys:
+        return True
+    return bool(key_verdicts(pkt.payload.elems, pkt.tags.elems, keys, positions, pkt.spec).all())

@@ -158,62 +158,54 @@ def security_level(l_verified: int, q: int) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# key assignment
+# key holdings
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyAssignment:
-    """Which key ids each node holds, plus the source's tag keys."""
+def sample_holdings(
+    config: SchemeConfig, nodes: int, trials: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample which keys the source tags with and which keys each node holds.
 
-    holdings: dict[int, frozenset[int]]
-    source_keys: tuple[int, ...]
-    source_id: int = 0
-
-    def verifiable_tags(self, node_id: int) -> int:
-        """Number of tag slots this node can check (its l')."""
-        return len(self.holdings[node_id] & set(self.source_keys))
-
-
-def assign_keys(
-    config: SchemeConfig, node_count: int, rng: np.random.Generator
-) -> KeyAssignment:
-    """Sample one assignment under the configured scheme's model.
-
-    Node 0 is the source.  Blockchain: everyone holds the whole domain
-    set.  Double random: every node draws s of the L universe keys without
-    replacement and the source tags with l keys from its own hand.
-    C-cover-free: the source holds all L, tags with l of them, and every
-    other node holds exactly one of those l.
+    Returns boolean masks over the key universe: ``tags`` (trials, U)
+    marks the source's tag keys and ``held`` (nodes, trials, U) each
+    node's keys.  Blockchain: the universe is the l domain keys and every
+    node holds all of them (nothing is drawn).  Double random: the
+    universe is the L keys, the tag keys are a uniform l-subset (the
+    source tags with l keys of its uniform s-key hand) and every node
+    holds a uniform s-subset.  C-cover-free: by symmetry the tag keys are
+    0..l-1 of the L, and every node holds one of them.  Draws run in node
+    order: the tag keys, node 0, then the others.
     """
-    if node_count < 2:
-        raise InvalidParameter("need at least a source and one receiver")
+    if nodes < 1 or trials < 1:
+        raise InvalidParameter("need at least one node and one trial")
+    l = config.l
     if config.scheme is Scheme.BLOCKCHAIN:
-        full = frozenset(range(config.l))
-        holdings = {node: full for node in range(node_count)}
-        return KeyAssignment(holdings, tuple(range(config.l)))
-
+        return np.ones((trials, l), dtype=bool), np.ones((nodes, trials, l), dtype=bool)
+    if config.scheme is Scheme.DOUBLE_RANDOM and l > config.s:
+        raise InvalidParameter("source cannot tag with more keys than it holds")
+    tags = np.zeros((trials, config.L), dtype=bool)
+    held = np.zeros((nodes, trials, config.L), dtype=bool)
     if config.scheme is Scheme.DOUBLE_RANDOM:
-        if config.l > config.s:
-            raise InvalidParameter("source cannot tag with more keys than it holds")
-        holdings = {
-            node: frozenset(
-                int(k) for k in rng.choice(config.L, size=config.s, replace=False)
-            )
-            for node in range(node_count)
-        }
-        source_hand = sorted(holdings[0])
-        picks = rng.choice(len(source_hand), size=config.l, replace=False)
-        source_keys = tuple(source_hand[int(i)] for i in sorted(picks))
-        return KeyAssignment(holdings, source_keys)
-
+        _mark_uniform_subsets(tags, l, rng)
+        for mask in held:
+            _mark_uniform_subsets(mask, config.s, rng)
+        return tags, held
     # C_COVER_FREE
-    source_keys = tuple(
-        int(k) for k in sorted(rng.choice(config.L, size=config.l, replace=False))
-    )
-    holdings = {0: frozenset(range(config.L))}
-    for node in range(1, node_count):
-        holdings[node] = frozenset({source_keys[int(rng.integers(0, config.l))]})
-    return KeyAssignment(holdings, source_keys)
+    tags[:, :l] = True
+    rows = np.arange(trials)
+    held[0, rows, rng.integers(0, l, size=trials)] = True
+    if nodes > 1:
+        picks = rng.integers(0, l, size=(trials, nodes - 1))
+        held[np.arange(1, nodes)[:, None], rows, picks.T] = True
+    return tags, held
+
+
+def _mark_uniform_subsets(mask: np.ndarray, size: int, rng: np.random.Generator) -> None:
+    """Mark a uniform size-subset in every row of the (trials, U) mask: the
+    keys of the ``size`` smallest of U uniform draws.  The draws are 53-bit
+    floats, so two in a row coincide with probability about U**2 / 2**54."""
+    draws = rng.random(mask.shape)
+    np.less_equal(draws, np.partition(draws, size - 1, axis=1)[:, size - 1 : size], out=mask)
 
 
 # ----------------------------------------------------------------------
@@ -259,59 +251,11 @@ def safe_key_probability(
         rng = np.random.default_rng(0)
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    if config.scheme is Scheme.DOUBLE_RANDOM:
-        safe = _safe_trials_double_random(config, c, rng, trials)
-    else:
-        safe = _safe_trials_cover_free(config, c, rng, trials)
+    tags, held = sample_holdings(config, c + 1, trials, rng)
+    # node 0 is the benign hop, the others the colluders
+    safe = int((held[0] & tags & ~held[1:].any(axis=0)).any(axis=1).sum())
     low, high = wilson_interval(safe, trials)
     return SafeKeyEstimate(safe / trials, low, high, trials, exact=False)
-
-
-def _random_subsets(
-    rng: np.random.Generator, trials: int, universe: int, size: int
-) -> np.ndarray:
-    """Boolean (trials, universe) masks of uniform size-subsets."""
-    order = rng.random((trials, universe)).argsort(axis=1)
-    mask = np.zeros((trials, universe), dtype=bool)
-    rows = np.arange(trials)[:, None]
-    mask[rows, order[:, :size]] = True
-    return mask
-
-
-def _safe_trials_double_random(
-    config: SchemeConfig, c: int, rng: np.random.Generator, trials: int
-) -> int:
-    L, s, l = config.L, config.s, config.l
-    if l > s:
-        raise InvalidParameter("source cannot tag with more keys than it holds")
-    source_order = rng.random((trials, L)).argsort(axis=1)
-    source_keys = np.zeros((trials, L), dtype=bool)
-    rows = np.arange(trials)[:, None]
-    # first s columns are the source's hand; first l of those are tag keys
-    source_keys[rows, source_order[:, :l]] = True
-    benign = _random_subsets(rng, trials, L, s)
-    if c == 0:
-        colluders = np.zeros((trials, L), dtype=bool)
-    else:
-        colluders = _random_subsets(rng, trials, L, s)
-        for _ in range(c - 1):
-            colluders |= _random_subsets(rng, trials, L, s)
-    checkable = benign & source_keys
-    uncovered = checkable & ~colluders
-    return int(uncovered.any(axis=1).sum())
-
-
-def _safe_trials_cover_free(
-    config: SchemeConfig, c: int, rng: np.random.Generator, trials: int
-) -> int:
-    l = config.l
-    # Key labels are symmetric, so fix the source's tag keys as 0..l-1.
-    benign = rng.integers(0, l, size=trials)
-    if c == 0:
-        return trials if l > 0 else 0
-    colluders = rng.integers(0, l, size=(trials, c))
-    covered = (colluders == benign[:, None]).any(axis=1)
-    return int((~covered).sum())
 
 
 # ----------------------------------------------------------------------

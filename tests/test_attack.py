@@ -1,20 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim._stats import binomial_sigma
 from ncsecsim.attack import (
     AdversaryConfig,
     AdversaryKnowledge,
     AttackStrategy,
+    _accepts,
+    _colluder_positions,
+    _forge,
     bypass_rate_grid,
     inject,
     measure_bypass_rate,
 )
-from ncsecsim.errors import InvalidParameter
-from ncsecsim.gf import GF16
-from ncsecsim.integrity import attach_tags, generate_domain_keys, verify_tags
+from ncsecsim.errors import DimensionMismatch, InvalidParameter
+from ncsecsim.gf import GF16, FieldSpec
+from ncsecsim.integrity import (
+    attach_tags,
+    combine_tags,
+    generate_domain_keys,
+    tagset_for_generation,
+    verify_tags,
+)
 from ncsecsim.keydist import Scheme, SchemeConfig
 from ncsecsim.rlnc import encode, random_generation
+
+from oracles import dot_oracle, matvec_oracle
 
 
 @pytest.fixture
@@ -114,3 +127,87 @@ def test_grid_rows_cover_documented_cases():
     assert by_key[("hmac", "random_forge", 0)].rate == 1.0
     lp1 = by_key[("hmac", "random_forge", 1)]
     assert abs(lp1.rate - 1 / 16) <= 4 * binomial_sigma(1 / 16, lp1.trials)
+
+
+MACSIG = SchemeConfig(Scheme.DOUBLE_RANDOM, l=8, L=16, s=8, q=16, m=4, n=32)
+
+
+@pytest.mark.parametrize("config,l_prime", [(BASELINE, 1), (MACSIG, 3)])
+def test_all_keys_valid_tag_forge_passes_key_checks_always(config, l_prime):
+    rng = np.random.default_rng(66)
+    adv = AdversaryConfig(knowledge=AdversaryKnowledge.ALL_KEYS,
+                          strategy=AttackStrategy.VALID_TAG_FORGE)
+    res = measure_bypass_rate(config, adv, 2_000, rng, l_prime=l_prime)
+    assert res.passes == res.trials and res.rate == 1.0
+
+
+@pytest.mark.parametrize("config,l_prime", [(BASELINE, 1), (MACSIG, 2)])
+def test_tag_only_pollution_passes_unless_a_verified_slot_is_hit(config, l_prime):
+    # one uniformly chosen slot of l is flipped; the hop checks l' of them
+    rng = np.random.default_rng(67)
+    adv = AdversaryConfig(strategy=AttackStrategy.TAG_ONLY_POLLUTION)
+    res = measure_bypass_rate(config, adv, 20_000, rng, l_prime=l_prime)
+    expected = 1 - l_prime / config.l
+    assert abs(res.rate - expected) <= 5 * binomial_sigma(expected, res.trials)
+
+
+def test_inject_rejects_bad_held_positions(tagged_packet):
+    rng, _, keys, pkt = tagged_packet
+    adv = AdversaryConfig(strategy=AttackStrategy.VALID_TAG_FORGE)
+    for positions in ([0], [0, 1, 2], [0, 4], [-1, 0]):
+        with pytest.raises(DimensionMismatch):
+            inject(pkt, adv, held_keys=keys[:2], rng=rng, held_positions=positions)
+
+
+def test_negative_l_prime_rejected():
+    rng = np.random.default_rng(68)
+    with pytest.raises(InvalidParameter):
+        measure_bypass_rate(BASELINE, AdversaryConfig(), 1_000, rng, l_prime=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from([2, 4, 16, 256]),
+    scheme=st.sampled_from(list(Scheme)),
+    strategy=st.sampled_from(list(AttackStrategy)),
+    knowledge=st.sampled_from(list(AdversaryKnowledge)),
+    count=st.integers(1, 3),
+    ledger=st.booleans(),
+    m=st.integers(1, 3),
+    n=st.integers(1, 6),
+    l=st.integers(1, 5),
+    data=st.data(),
+)
+def test_bypass_verdicts_match_first_principles_checks(
+    seed, q, scheme, strategy, knowledge, count, ledger, m, n, l, data
+):
+    # Every forged packet is judged by the batched checks a benign hop runs
+    # and, independently, by oracle inner products over (payload || tag)
+    # and the oracle combination of the ledgered native tags.
+    l_prime = data.draw(st.integers(0, l), label="l_prime")
+    L = data.draw(st.integers(l, 2 * l), label="L")
+    s = data.draw(st.integers(l, L), label="s")
+    spec = FieldSpec(q.bit_length() - 1)
+    config = SchemeConfig(scheme, l=l, L=L, s=s, q=q, m=m, n=n)
+    rng = np.random.default_rng(seed)
+    gen = random_generation("g", m, n, spec, rng)
+    keys = generate_domain_keys(n, l, spec, rng, "d")
+    base = attach_tags(encode(gen, rng), keys)
+    tagset = tagset_for_generation(gen, keys, "src")
+    benign = sorted(int(p) for p in rng.choice(l, size=l_prime, replace=False))
+    held = _colluder_positions(config, AdversaryConfig(count, knowledge, strategy), rng)
+    payloads, tags, _ = _forge(base, strategy, [keys[p] for p in held], held, 24, rng)
+
+    expected = combine_tags(tagset.native_tags, base.coeffs).elems if ledger else None
+    verdicts = _accepts(payloads, tags, [keys[p] for p in benign], benign, expected, spec)
+
+    ledger_tags = matvec_oracle(base.coeffs.elems, tagset.native_tags, spec.k, spec.poly)
+    for t in range(len(payloads)):
+        ok = all(
+            dot_oracle(list(payloads[t]) + [tags[t, p]], keys[p].vec.elems, spec.k, spec.poly) == 0
+            for p in benign
+        )
+        if ledger:
+            ok = ok and tags[t].tolist() == ledger_tags
+        assert bool(verdicts[t]) == ok, (t, strategy, benign, held)

@@ -7,6 +7,12 @@ per-UE event loop that preceded the array-state loop, so any change to
 the bytes of a run (motion, trigger rule, forecast, ledger order, CSV
 accounting) shows up here.  A deliberate change of the bytes must re-record them and say so in
 CHANGES.md.
+
+The command cases run ``analyze`` and ``attack`` through ``cli.main``.
+The ``analyze`` digests were recorded with the per-scheme safe-key
+samplers that preceded ``keydist.sample_holdings``; the ``attack``
+digests with the batched bypass harness, whose draw order differs from
+the per-trial loop before it.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from ncsecsim.cli import main
 from ncsecsim.config import RunConfig, apply_settings
 from ncsecsim.simulation import run_simulation, write_run_artifacts
 
@@ -71,6 +78,15 @@ CASES: dict[str, dict[str, str]] = {
     },
 }
 
+# command -> dotted settings, run through the command line
+COMMAND_CASES: dict[str, tuple[str, dict[str, str]]] = {
+    "analyze_L24_s12_c0": (
+        "analyze",
+        {"analyze.trials": "5000", "analyze.L": "24", "analyze.s": "12", "analyze.c_min": "0"},
+    ),
+    "attack_2000": ("attack", {"attack.trials": "2000"}),
+}
+
 GOLDEN: dict[str, dict[str, str]] = json.loads(
     (Path(__file__).parent / "golden_digests.json").read_text()
 )
@@ -89,3 +105,18 @@ def run_case(name: str, out: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+def run_command_case(name: str, tmp: Path) -> dict[str, str]:
+    """Run one command case via ``cli.main``; SHA-256 of every file it writes."""
+    command, settings = COMMAND_CASES[name]
+    cfg = tmp / "case.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    out = tmp / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_command_artifacts_match_golden_digests(name, tmp_path):
+    assert run_command_case(name, tmp_path) == GOLDEN[name]

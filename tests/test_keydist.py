@@ -9,13 +9,13 @@ from ncsecsim.keydist import (
     SCHEME_BY_LABEL,
     Scheme,
     SchemeConfig,
-    assign_keys,
     bandwidth_blockchain,
     bandwidth_hmac,
     bandwidth_macsig,
     colluder_sweep,
     required_tags,
     safe_key_probability,
+    sample_holdings,
     security_level,
 )
 
@@ -112,36 +112,33 @@ def test_safe_keys_rejects_negative_c():
 
 def test_assign_blockchain_full_domain_set():
     rng = np.random.default_rng(32)
-    a = assign_keys(SchemeConfig(Scheme.BLOCKCHAIN, l=8), 12, rng)
-    full = frozenset(range(8))
-    assert all(h == full for h in a.holdings.values())
-    assert a.source_keys == tuple(range(8))
+    tags, held = sample_holdings(SchemeConfig(Scheme.BLOCKCHAIN, l=8), 12, 3, rng)
+    assert tags.shape == (3, 8) and held.shape == (12, 3, 8)
+    assert tags.all() and held.all()
 
 
 def test_assign_cover_free_single_source_key_each():
     rng = np.random.default_rng(33)
     cfg = SchemeConfig(Scheme.C_COVER_FREE, l=8, L=16)
-    a = assign_keys(cfg, 60, rng)
-    assert len(a.holdings[0]) == 16
-    for node in range(1, 60):
-        held = a.holdings[node]
-        assert len(held) == 1
-        assert held <= set(a.source_keys)
+    tags, held = sample_holdings(cfg, 60, 5, rng)
+    assert tags.shape == (5, 16) and held.shape == (60, 5, 16)
+    # the source tags with l of its L keys; every node holds one of them
+    assert (tags.sum(axis=-1) == 8).all()
+    assert (held.sum(axis=-1) == 1).all()
+    assert not (held & ~tags).any()
 
 
 def test_assign_double_random_coverage_expectation():
     # per-key coverage over 100 nodes with s=4 of L=16: Binomial(100, 1/4)
     rng = np.random.default_rng(34)
     cfg = SchemeConfig(Scheme.DOUBLE_RANDOM, l=4, L=16, s=4)
-    a = assign_keys(cfg, 100, rng)
-    coverage = [
-        sum(1 for node in a.holdings if key in a.holdings[node]) for key in range(16)
-    ]
+    tags, held = sample_holdings(cfg, 100, 1, rng)
+    assert (held.sum(axis=-1) == 4).all()
+    coverage = held[:, 0].sum(axis=0)
     mean, sigma = 25.0, math.sqrt(100 * 0.25 * 0.75)
     assert all(abs(c - mean) <= 3 * sigma for c in coverage)
     assert abs(np.mean(coverage) - mean) <= 3 * sigma / math.sqrt(16)
-    assert len(a.source_keys) == 4
-    assert set(a.source_keys) <= a.holdings[0]
+    assert tags.sum() == 4
 
 
 def test_assign_parameter_validation():
@@ -151,21 +148,39 @@ def test_assign_parameter_validation():
     with pytest.raises(InvalidParameter):
         SchemeConfig(Scheme.C_COVER_FREE, l=20, L=16)
     with pytest.raises(InvalidParameter):
-        assign_keys(SchemeConfig(Scheme.DOUBLE_RANDOM, l=6, L=16, s=4), 10, rng)
+        sample_holdings(SchemeConfig(Scheme.DOUBLE_RANDOM, l=6, L=16, s=4), 10, 1, rng)
     with pytest.raises(InvalidParameter):
-        assign_keys(SchemeConfig(Scheme.BLOCKCHAIN, l=8), 1, rng)
+        sample_holdings(SchemeConfig(Scheme.BLOCKCHAIN, l=8), 0, 1, rng)
+    with pytest.raises(InvalidParameter):
+        sample_holdings(SchemeConfig(Scheme.C_COVER_FREE, l=8, L=16), 1, 0, rng)
 
 
 def test_verification_capability_equals_source_key_overlap():
     rng = np.random.default_rng(36)
     cfg = SchemeConfig(Scheme.DOUBLE_RANDOM, l=6, L=16, s=8)
-    a = assign_keys(cfg, 25, rng)
-    for node, held in a.holdings.items():
-        assert a.verifiable_tags(node) == len(held & set(a.source_keys))
+    tags, held = sample_holdings(cfg, 25, 1, rng)
+    overlap = (held & tags).sum(axis=-1)
+    source_keys = set(np.flatnonzero(tags[0]))
+    for node in range(25):
+        assert overlap[node, 0] == len(set(np.flatnonzero(held[node, 0])) & source_keys)
     # the evasion probability a node faces uses exactly that count
-    node = 5
-    lp = a.verifiable_tags(node)
+    lp = int(overlap[5, 0])
     assert security_level(lp, cfg.q) == Fraction(1, cfg.q ** lp)
+
+
+def test_double_random_overlap_is_hypergeometric():
+    # |held ∩ tags| for a uniform s-subset against a uniform l-subset of L
+    # follows Hypergeometric(l, L - l, s); each count within 5 sigma
+    L, s, l = 16, 8, 6
+    rng = np.random.default_rng(38)
+    tags, held = sample_holdings(SchemeConfig(Scheme.DOUBLE_RANDOM, l=l, L=L, s=s), 4, 20_000, rng)
+    overlap = (held & tags).sum(axis=-1).ravel()
+    samples = overlap.size
+    counts = np.bincount(overlap, minlength=l + 1)
+    for x in range(l + 1):
+        p = math.comb(l, x) * math.comb(L - l, s - x) / math.comb(L, s)
+        sigma = math.sqrt(samples * p * (1 - p))
+        assert abs(counts[x] - samples * p) <= 5 * sigma + 1e-9, (x, counts[x], samples * p)
 
 
 def test_colluder_sweep_curve_shapes():
