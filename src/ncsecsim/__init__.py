@@ -24,7 +24,6 @@ from .errors import (
     NcSecError,
     NoOpHandover,
     PollutionDetectedAtDecode,
-    ScheduleError,
     TagSetUnavailable,
     UnknownController,
 )
@@ -68,17 +67,13 @@ from .ledger import (
 from .mobility import (
     CellGrid,
     Measurement,
-    UeState,
+    UeArrays,
     advance,
-    ho_trigger,
-    measure,
     place_ues,
-    step,
     trigger_targets,
 )
 from .handover import (
     HoEvent,
-    HoPhase,
     HoProcedure,
     KeyPath,
     PredictionConfig,
@@ -86,7 +81,6 @@ from .handover import (
     cumulative_key_exchanges,
     predict_and_prestage,
     replay_key_signaling,
-    run_handover,
     try_complete,
 )
 from .attack import (

@@ -254,7 +254,12 @@ def bypass_rate_grid(
     m: int = 4,
     l: int = 8,
 ) -> list[BypassRateResult]:
-    """The standard sweep emitted by the command-line ``attack`` runner."""
+    """The standard sweep emitted by the command-line ``attack`` runner.
+
+    The hmac (cover-free) rows sweep l' = 0, 1, 2 verified tags to trace
+    the q^-l' law of the random forge.  Under the cover-free model a
+    benign node holds one tag key, so the l'=2 row goes beyond that model.
+    """
     rows: list[BypassRateResult] = []
     ledger_cfg = SchemeConfig(Scheme.BLOCKCHAIN, l=l, q=q, m=m, n=n)
     baseline_cfg = SchemeConfig(Scheme.C_COVER_FREE, l=l, L=2 * l, q=q, m=m, n=n)

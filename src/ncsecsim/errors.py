@@ -45,10 +45,6 @@ class TagSetUnavailable(NcSecError):
     """No ledgered tag set covers the packet; verification impossible."""
 
 
-class ScheduleError(NcSecError):
-    """Measurement requested off the reference-signal time grid."""
-
-
 class NoOpHandover(NcSecError):
     """Handover requested with target equal to the serving cell."""
 

@@ -20,6 +20,13 @@ entirely.  A shared block broadcast is attributed to the handover that
 caused the upload, which keeps per-handover costs at exactly {1, 3} for
 the ledger scheme and 2 for the baselines while the raw trace still
 records each broadcast once.
+
+``begin_handover`` returns a procedure that is either complete or, on
+the ledger scheme's first visit, waiting for its keys to be ledgered;
+``try_complete`` finishes a waiting one once the ledger has ticked past
+its block.  The event loop in ``simulation`` is the only driver of the
+two in a run; ``replay_key_signaling`` derives the other schemes' key
+signals from its trigger stream.
 """
 
 from __future__ import annotations
@@ -39,13 +46,6 @@ from .ledger import (
     SignalRecord,
     SimulatedLedger,
 )
-
-
-class HoPhase(Enum):
-    TRIGGERED = "triggered"
-    PREPARED = "prepared"
-    EXECUTING = "executing"
-    COMPLETE = "complete"
 
 
 class KeyPath(Enum):
@@ -76,7 +76,6 @@ class HoProcedure:
     scheme: Scheme
     t_trigger: int
     timeout_ms: int
-    phase: HoPhase = HoPhase.TRIGGERED
     t_complete: int | None = None
     prep_wait_ms: int | None = None
     key_path: KeyPath | None = None
@@ -90,7 +89,7 @@ class HoProcedure:
 
     @property
     def complete(self) -> bool:
-        return self.phase is HoPhase.COMPLETE
+        return self.t_complete is not None
 
 
 def _bsh(cell: int) -> str:
@@ -117,14 +116,12 @@ def _emit(
 def _finish(proc: HoProcedure, trace: list[SignalRecord], now: int, deliver_keys: bool) -> None:
     s, t, u = _bsh(proc.s_cell), _bsh(proc.t_cell), _ue(proc.ue_id)
     _emit(trace, proc, SignalKind.HO_ACK, t, s, now)
-    proc.phase = HoPhase.EXECUTING
     _emit(trace, proc, SignalKind.HO_COMMAND, s, u, now)
     _emit(trace, proc, SignalKind.HO_CONFIRM, u, t, now)
     if deliver_keys:
         _emit(trace, proc, SignalKind.KEY_TO_UE, s, u, now)
     _emit(trace, proc, SignalKind.PATH_SWITCH, "core", t, now)
     _emit(trace, proc, SignalKind.HO_COMPLETE, t, s, now)
-    proc.phase = HoPhase.COMPLETE
     proc.t_complete = now
     proc.prep_wait_ms = now - proc.t_trigger
 
@@ -143,6 +140,9 @@ def begin_handover(
     timeout_ms: int | None = None,
 ) -> HoProcedure:
     """Start a handover; completes immediately unless keys must be ledgered.
+
+    The returned procedure is complete, or it is a ``LEDGER_FIRST_HO``
+    one with ``t_complete`` None that ``try_complete`` finishes.
 
     By default every cell is its own security domain, so every handover
     crosses domains and needs key sharing.
@@ -199,7 +199,6 @@ def begin_handover(
         if receipt.accepted:
             proc.did_upload = True
             proc.signals.append(ledger.trace[-1])  # the upload record
-    proc.phase = HoPhase.PREPARED
     return proc
 
 
@@ -207,8 +206,6 @@ def try_complete(proc: HoProcedure, ledger: SimulatedLedger, now: int) -> bool:
     """Finish a preparation-blocked handover once its keys are ledgered."""
     if proc.complete:
         return True
-    if proc.phase is not HoPhase.PREPARED:
-        return False
     if ledger.query_keys(_bsh(proc.s_cell), proc.t_domain) is None:
         if now - proc.t_trigger > proc.timeout_ms:
             raise HoPreparationTimeout(
@@ -222,41 +219,6 @@ def try_complete(proc: HoProcedure, ledger: SimulatedLedger, now: int) -> bool:
             proc.signals.append(broadcast)
     _finish(proc, trace=ledger.trace, now=now, deliver_keys=True)
     return True
-
-
-def run_handover(
-    ue_id: int,
-    s_cell: int,
-    t_cell: int,
-    scheme: Scheme,
-    ledger: SimulatedLedger | None,
-    now: int,
-    trace: list[SignalRecord] | None = None,
-    t_cell_keys: Sequence | None = None,
-    s_domain: str | None = None,
-    t_domain: str | None = None,
-    timeout_ms: int | None = None,
-) -> HoProcedure:
-    """Run one handover to completion, advancing the ledger clock as needed.
-
-    Inside the full simulation the event loop drives begin/try_complete
-    itself so that concurrent handovers share ledger blocks; this wrapper
-    serves direct library use and tests.
-    """
-    if trace is None:
-        trace = ledger.trace if ledger is not None else []
-    proc = begin_handover(
-        ue_id, s_cell, t_cell, scheme, ledger, now, trace,
-        t_cell_keys=t_cell_keys, s_domain=s_domain, t_domain=t_domain,
-        timeout_ms=timeout_ms,
-    )
-    t = now if ledger is None else max(now, ledger.now)
-    while not proc.complete:
-        t = ledger.next_boundary(t)
-        ledger.tick(t)
-        if not try_complete(proc, ledger, t):
-            t += 1
-    return proc
 
 
 # ----------------------------------------------------------------------

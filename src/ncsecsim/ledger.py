@@ -132,9 +132,6 @@ class SimulatedLedger:
         self.upload_log: list[tuple[int, str, str]] = []  # (t, origin, domain)
 
     # ------------------------------------------------------------------
-    def register(self, controller: str) -> None:
-        self.controllers.add(controller)
-
     def _require_registered(self, controller: str) -> None:
         if controller not in self.controllers:
             raise UnknownController(f"controller {controller!r} is not registered")
@@ -194,15 +191,6 @@ class SimulatedLedger:
                 self._broadcast_by_key[(e.domain, e.entry_kind)] = broadcast
             newest = block
         return newest
-
-    @property
-    def now(self) -> int:
-        """The latest time the ledger has been ticked to."""
-        return 0 if self._last_now is None else self._last_now
-
-    def next_boundary(self, now: int) -> int:
-        """Earliest verification instant at or after ``now``."""
-        return -(-now // self.period) * self.period
 
     # ------------------------------------------------------------------
     def query_keys(self, controller: str, domain: str):

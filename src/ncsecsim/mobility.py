@@ -13,23 +13,20 @@ the serving cell's by the configured offset and no sample inside the
 trailing time-to-trigger window contradicts that.  With the default
 160 ms periodicity and 32 ms TTT a single satisfying measurement decides.
 
-Motion (``advance``) and the trigger rule (``trigger_targets``) work on
-arrays of UEs; ``step`` and ``ho_trigger`` are their single-UE forms.
+UE state is one set of arrays (``UeArrays``, drawn by ``place_ues``).
+Motion (``advance``), measurement (``CellGrid.rsrp``) and the trigger
+rule (``trigger_targets``) take every UE at once; a single UE is a batch
+of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, ScheduleError
-
-DEFAULT_RS_PERIOD_MS = 160
-DEFAULT_UL_OFFSET_DB = 1.0
-DEFAULT_UL_TTT_MS = 32
+from .errors import InvalidParameter
 
 # Log-distance path loss: PL(d) = PL0 + 10 * exponent * log10(d / 1 m),
 # with d clamped below at 1 m.  Received power = P_tx - PL(d).
@@ -92,22 +89,10 @@ class CellGrid:
         d = np.maximum(self.distances(pos), MIN_DISTANCE_M)
         return self.ptx_dbm - (self.pl0_db + 10.0 * self.pl_exponent * np.log10(d))
 
-    def nearest_cell(self, pos) -> int:
-        return int(np.argmin(self.distances(np.asarray(pos, dtype=float))))
-
     def wrap_position(self, pos: np.ndarray) -> np.ndarray:
         if not self.wrap:
             return pos
         return np.mod(pos, self._extent_arr)
-
-
-@dataclass(frozen=True)
-class UeState:
-    ue_id: int
-    pos: tuple[float, float]
-    speed_mps: float
-    heading_rad: float
-    serving_cell: int
 
 
 @dataclass(frozen=True)
@@ -136,23 +121,6 @@ def advance(
     return grid.wrap_position(pos + dist[..., None] * dirs)
 
 
-def step(ue: UeState, dt_ms: float, grid: CellGrid) -> UeState:
-    """Advance one UE along its fixed heading, wrapping on the torus."""
-    heading = np.array([math.cos(ue.heading_rad), math.sin(ue.heading_rad)])
-    new = advance(np.array(ue.pos), heading, np.float64(ue.speed_mps), dt_ms, grid)
-    return replace(ue, pos=(float(new[0]), float(new[1])))
-
-
-def measure(
-    ue: UeState, grid: CellGrid, t: int, rs_period_ms: int = DEFAULT_RS_PERIOD_MS
-) -> Measurement:
-    if rs_period_ms <= 0:
-        raise InvalidParameter("RS periodicity must be positive")
-    if t % rs_period_ms != 0:
-        raise ScheduleError(f"t={t} ms is not on the {rs_period_ms} ms RS grid")
-    return Measurement(t, ue.ue_id, grid.rsrp(np.array(ue.pos)))
-
-
 def trigger_targets(
     window: np.ndarray, serving: np.ndarray, ul_offset_db: float
 ) -> np.ndarray:
@@ -173,27 +141,18 @@ def trigger_targets(
     return np.where(mask.any(axis=-1), best, -1)
 
 
-def ho_trigger(
-    history: Sequence[Measurement],
-    serving: int,
-    ul_offset_db: float = DEFAULT_UL_OFFSET_DB,
-    ul_ttt_ms: int = DEFAULT_UL_TTT_MS,
-) -> int | None:
-    """Target cell id if the trigger condition held through the TTT window.
+@dataclass
+class UeArrays:
+    """Per-UE state of a run, one row per UE id."""
 
-    ``history`` is time-ordered, newest last.  The condition for cell c
-    must hold at the newest measurement and at every earlier measurement
-    inside [t_newest - TTT, t_newest]; ``trigger_targets`` decides.
-    """
-    if not history:
-        return None
-    window_start = history[-1].t - ul_ttt_ms
-    first = len(history) - 1
-    while first > 0 and history[first - 1].t >= window_start:
-        first -= 1
-    window = np.stack([meas.rsrp_dbm for meas in history[first:]])
-    target = int(trigger_targets(window, serving, ul_offset_db))
-    return None if target < 0 else target
+    pos: np.ndarray  # (U, 2) metres
+    dirs: np.ndarray  # (U, 2) unit headings
+    speed: np.ndarray  # (U,) metres per second
+    serving: np.ndarray  # (U,) cell ids
+
+    @property
+    def count(self) -> int:
+        return len(self.serving)
 
 
 def place_ues(
@@ -201,20 +160,18 @@ def place_ues(
     count: int,
     speed_mps: float,
     rng: np.random.Generator,
-) -> list[UeState]:
-    """Uniform positions, uniform headings in [0, 2*pi), serving = nearest."""
-    ext = grid.extent
-    ues = []
-    for ue_id in range(count):
-        pos = (float(rng.uniform(0, ext[0])), float(rng.uniform(0, ext[1])))
-        heading = float(rng.uniform(0.0, 2.0 * math.pi))
-        ues.append(
-            UeState(
-                ue_id=ue_id,
-                pos=pos,
-                speed_mps=speed_mps,
-                heading_rad=heading,
-                serving_cell=grid.nearest_cell(pos),
-            )
-        )
-    return ues
+) -> UeArrays:
+    """Uniform positions, uniform headings in [0, 2*pi), serving = nearest.
+
+    Each UE takes three consecutive draws: x, y, heading.
+    """
+    ext_x, ext_y = grid.extent
+    draws = rng.uniform([0.0, 0.0, 0.0], [ext_x, ext_y, 2.0 * math.pi], size=(count, 3))
+    pos = draws[:, :2].copy()
+    headings = draws[:, 2]
+    return UeArrays(
+        pos=pos,
+        dirs=np.column_stack([np.cos(headings), np.sin(headings)]),
+        speed=np.full(count, float(speed_mps)),
+        serving=grid.distances(pos).argmin(axis=1),
+    )

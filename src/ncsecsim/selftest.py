@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RunConfig
 from .gf import GF256
-from .handover import run_handover
+from .handover import begin_handover, try_complete
 from .integrity import attach_tags, generate_domain_keys, verify_tags
 from .keydist import (
     Scheme,
@@ -62,9 +62,13 @@ def _check_mac_homomorphism() -> None:
 def _check_ledger_batching() -> None:
     led = SimulatedLedger({f"bsh{c}" for c in range(4)})
     key_sets = {c: (f"k{c}",) for c in range(4)}
-    p0 = run_handover(0, 0, 1, Scheme.BLOCKCHAIN, led, 160, t_cell_keys=key_sets[1])
-    p1 = run_handover(1, 2, 1, Scheme.BLOCKCHAIN, led, 2000, t_cell_keys=key_sets[1])
-    p2 = run_handover(2, 1, 3, Scheme.DOUBLE_RANDOM, None, 2000)
+    p0 = begin_handover(0, 0, 1, Scheme.BLOCKCHAIN, led, 160, led.trace, key_sets[1])
+    assert not p0.complete
+    led.tick(1000)
+    assert try_complete(p0, led, 1000)
+    p1 = begin_handover(1, 2, 1, Scheme.BLOCKCHAIN, led, 2000, led.trace, key_sets[1])
+    p2 = begin_handover(2, 1, 3, Scheme.DOUBLE_RANDOM, None, 2000, [])
+    assert p1.complete and p2.complete
     assert p0.key_signal_count == 3
     assert p1.key_signal_count == 1
     assert p2.key_signal_count == 2

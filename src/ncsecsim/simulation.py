@@ -19,7 +19,6 @@ differ only in key signaling, never in mobility.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +45,14 @@ from .ledger import (
     SimulatedLedger,
     per_window_signaling,
 )
-from .mobility import CellGrid, Measurement, advance, place_ues, trigger_targets
+from .mobility import (
+    CellGrid,
+    Measurement,
+    UeArrays,
+    advance,
+    place_ues,
+    trigger_targets,
+)
 
 _ALL_SCHEMES = (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE)
 
@@ -98,7 +104,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         config.ledger.collection_period_ms,
         trace,
     )
-    ues = UeArrays.place(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
+    ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
     # Ring buffer of the samples a TTT window can reach, all UEs at once.
     window_len = sc.ul_ttt_ms // sc.rs_period_ms + 1
     ring = np.empty((window_len, ues.count, grid.num_cells))
@@ -183,44 +189,6 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     )
 
 
-@dataclass
-class UeArrays:
-    """Per-UE state of a run, one row per UE id.
-
-    ``dirs`` hold the unit heading from ``math.cos``/``math.sin``, as
-    ``step`` computes it; ``forecast_dirs`` hold it from ``np.cos``/
-    ``np.sin``, as the prediction forecast always has.  The two may differ
-    in the last bit, and each path keeps its own so runs stay
-    byte-identical.
-    """
-
-    pos: np.ndarray  # (U, 2) metres
-    dirs: np.ndarray  # (U, 2)
-    forecast_dirs: np.ndarray  # (U, 2)
-    speed: np.ndarray  # (U,) metres per second
-    serving: np.ndarray  # (U,) cell ids
-
-    @classmethod
-    def place(
-        cls, grid: CellGrid, count: int, speed_mps: float, rng: np.random.Generator
-    ) -> "UeArrays":
-        ues = place_ues(grid, count, speed_mps, rng)
-        headings = [ue.heading_rad for ue in ues]
-        return cls(
-            pos=np.array([ue.pos for ue in ues], dtype=float).reshape(count, 2),
-            dirs=np.array([[math.cos(h), math.sin(h)] for h in headings]).reshape(count, 2),
-            forecast_dirs=np.array([[np.cos(h), np.sin(h)] for h in headings]).reshape(
-                count, 2
-            ),
-            speed=np.array([ue.speed_mps for ue in ues], dtype=float),
-            serving=np.array([ue.serving_cell for ue in ues], dtype=np.intp),
-        )
-
-    @property
-    def count(self) -> int:
-        return len(self.serving)
-
-
 def _forecast_and_prestage(
     config: RunConfig,
     grid: CellGrid,
@@ -245,7 +213,7 @@ def _forecast_and_prestage(
     sc = config.scenario
     lead_ms = np.arange(1, lead_ticks + 1) * sc.rs_period_ms
     future = advance(
-        ues.pos[:, None], ues.forecast_dirs[:, None], ues.speed[:, None], lead_ms, grid
+        ues.pos[:, None], ues.dirs[:, None], ues.speed[:, None], lead_ms, grid
     )
     targets = trigger_targets(grid.rsrp(future)[None], ues.serving[:, None], sc.ul_offset_db)
     fires = targets >= 0

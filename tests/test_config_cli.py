@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import filecmp
+import io
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.cli import main
 from ncsecsim.config import (
@@ -187,6 +191,49 @@ def test_cli_exit_code_2_on_runtime_error(tmp_path):
     blocker.write_text("x")
     # output dir path points through a regular file
     assert main(["run", "--horizon-ms", "1000", "--out", str(blocker / "sub")]) == 2
+
+
+FUZZ_KEYS = [key for key, _ in config_items(RunConfig())]
+FUZZ_VALUES = ["0", "-1", "1", "3", "7", "nan", "inf", "1e9", "x", "100000"]
+# Counts, dimensions and spans at 100000 would run for minutes or
+# allocate gigabytes (e.g. 100000 UEs, or 16 cells x l x n key symbols).
+SIZE_KEYS = {
+    "analyze.L", "analyze.c_max", "analyze.trials", "attack.l", "attack.m", "attack.n",
+    "attack.trials", "horizon_ms", "scenario.cols", "scenario.num_ues", "scenario.rows",
+    "scenario.ul_ttt_ms", "security.l", "security.n",
+}
+# Small work for each command, overridden by any fuzzed key.
+FUZZ_BASE = {
+    "run": {"horizon_ms": "320"},
+    "analyze": {"analyze.trials": "200"},
+    "attack": {"attack.trials": "1000"},
+}
+
+
+@st.composite
+def fuzz_settings(draw):
+    keys = draw(st.lists(st.sampled_from(FUZZ_KEYS), min_size=1, max_size=2, unique=True))
+    return {
+        key: draw(st.sampled_from(
+            [v for v in FUZZ_VALUES if not (key in SIZE_KEYS and v == "100000")]
+        ))
+        for key in keys
+    }
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_BASE)), fuzz_settings())
+def test_cli_exit_codes_under_fuzzed_settings(tmp_path_factory, command, fuzzed):
+    # any value of any one or two keys ends in a documented exit code
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "fuzz.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in {**FUZZ_BASE[command], **fuzzed}.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(work / "out")])
+    assert code in (0, 1, 2), (command, fuzzed, code)
+    if code == 2:
+        assert "error:" in err.getvalue()
 
 
 def test_cli_determinism_byte_identical(tmp_path):

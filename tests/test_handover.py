@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from ncsecsim.errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
 from ncsecsim.handover import (
     HoEvent,
-    HoPhase,
     KeyPath,
     PredictionConfig,
     begin_handover,
     cumulative_key_exchanges,
     predict_and_prestage,
     replay_key_signaling,
-    run_handover,
     try_complete,
 )
 from ncsecsim.keydist import Scheme
@@ -31,12 +29,26 @@ def kinds(proc):
     return [s.kind for s in proc.signals]
 
 
+def begin(led, ue, src, dst, now, **kw):
+    return begin_handover(ue, src, dst, Scheme.BLOCKCHAIN, led, now, led.trace,
+                          t_cell_keys=KEYS[dst], **kw)
+
+
+def complete_at(proc, led, boundary):
+    """Tick the ledger to ``boundary`` and finish ``proc`` there."""
+    led.tick(boundary)
+    assert try_complete(proc, led, boundary)
+    return proc
+
+
 def test_first_ho_emits_three_key_signals_in_order():
     led = fresh_ledger()
-    proc = run_handover(0, 1, 7, Scheme.BLOCKCHAIN, led, 480, t_cell_keys=KEYS[7])
+    proc = begin(led, 0, 1, 7, 480)
+    assert not proc.complete and proc.t_complete is None
+    complete_at(proc, led, 1000)
     assert proc.key_signal_count == 3
     assert proc.key_path is KeyPath.LEDGER_FIRST_HO
-    assert proc.phase is HoPhase.COMPLETE
+    assert proc.complete and proc.t_complete == 1000
     assert kinds(proc) == [
         SignalKind.HO_REQUEST,
         SignalKind.CANDIDATE_UPLOAD,
@@ -54,9 +66,10 @@ def test_first_ho_emits_three_key_signals_in_order():
 
 def test_subsequent_ho_costs_one_key_signal_regardless_of_source():
     led = fresh_ledger()
-    run_handover(0, 1, 7, Scheme.BLOCKCHAIN, led, 480, t_cell_keys=KEYS[7])
+    complete_at(begin(led, 0, 1, 7, 480), led, 1000)
     for src in (2, 9, 14):
-        proc = run_handover(1, src, 7, Scheme.BLOCKCHAIN, led, 2080, t_cell_keys=KEYS[7])
+        proc = begin(led, 1, src, 7, 2080)
+        assert proc.complete
         assert proc.key_signal_count == 1
         assert proc.key_path is KeyPath.LEDGER_STEADY_STATE
         assert proc.prep_wait_ms == 0
@@ -64,7 +77,8 @@ def test_subsequent_ho_costs_one_key_signal_regardless_of_source():
 
 def test_baseline_ho_costs_two_key_signals():
     for scheme in (Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE):
-        proc = run_handover(0, 3, 9, scheme, None, 160)
+        proc = begin_handover(0, 3, 9, scheme, None, 160, [])
+        assert proc.complete
         assert proc.key_signal_count == 2
         assert proc.key_path is KeyPath.BASELINE_PER_HO
         assert kinds(proc)[:2] == [SignalKind.HO_REQUEST, SignalKind.KEY_TO_SBS]
@@ -73,13 +87,65 @@ def test_baseline_ho_costs_two_key_signals():
 
 def test_intra_domain_ho_has_no_key_signals():
     led = fresh_ledger()
-    proc = run_handover(
-        0, 3, 9, Scheme.BLOCKCHAIN, led, 160,
-        t_cell_keys=KEYS[9], s_domain="domA", t_domain="domA",
-    )
+    proc = begin(led, 0, 3, 9, 160, s_domain="domA", t_domain="domA")
+    assert proc.complete
     assert proc.key_signal_count == 0
     assert proc.key_path is KeyPath.INTRA_DOMAIN
     assert SignalKind.KEY_TO_UE not in kinds(proc)
+
+
+def assert_complete_or_waiting(proc):
+    if proc.complete:
+        assert proc.prep_wait_ms == proc.t_complete - proc.t_trigger
+    else:
+        assert proc.key_path is KeyPath.LEDGER_FIRST_HO
+        assert proc.t_complete is None and proc.prep_wait_ms is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 5), st.integers(1, 5), st.sampled_from(list(Scheme)),
+              st.booleans(), st.integers(0, 8)),
+    min_size=1, max_size=30,
+))
+def test_begin_handover_returns_complete_or_waiting(calls):
+    # random streams of handovers on every scheme, shared and separate
+    # domains, with the ledger ticking between them
+    led = fresh_ledger()
+    now, waiting = 0, []
+    for ue, (src, hop, scheme, same_domain, ticks) in enumerate(calls):
+        dst = (src + hop) % 6
+        domain = "shared" if same_domain else None
+        proc = begin_handover(
+            ue, src, dst, scheme, led, now, led.trace, t_cell_keys=KEYS[dst],
+            s_domain=domain, t_domain=domain, timeout_ms=10**9,
+        )
+        assert_complete_or_waiting(proc)
+        if not proc.complete:
+            waiting.append(proc)
+        now += 160 * ticks
+        led.tick(now)
+        waiting = [p for p in waiting if not try_complete(p, led, now)]
+        for p in waiting:
+            assert_complete_or_waiting(p)
+
+
+def test_all_four_key_paths_return_complete_or_waiting():
+    led = fresh_ledger()
+    first = begin(led, 2, 1, 2, 160)
+    assert_complete_or_waiting(first)
+    assert not first.complete
+    complete_at(first, led, 1000)
+    procs = [
+        first,
+        begin(led, 3, 3, 2, 1160),
+        begin_handover(1, 1, 2, Scheme.C_COVER_FREE, None, 1160, []),
+        begin(led, 0, 1, 2, 1160, s_domain="d", t_domain="d"),
+    ]
+    assert [p.key_path for p in procs] == list(KeyPath)
+    for proc in procs:
+        assert_complete_or_waiting(proc)
+        assert proc.complete
 
 
 def test_noop_handover_rejected():
@@ -89,11 +155,10 @@ def test_noop_handover_rejected():
 
 def test_every_completed_procedure_delivers_keys_once():
     led = fresh_ledger()
-    procs = [
-        run_handover(i, i % 4, 5 + (i % 3), Scheme.BLOCKCHAIN, led, 2000 * (i + 1),
-                     t_cell_keys=KEYS[5 + (i % 3)])
-        for i in range(12)
-    ]
+    procs = []
+    for i in range(12):
+        now = 2000 * (i + 1)  # on a collection boundary
+        procs.append(complete_at(begin(led, i, i % 4, 5 + (i % 3), now), led, now))
     for proc in procs:
         delivered = [s for s in proc.signals if s.kind is SignalKind.KEY_TO_UE]
         assert len(delivered) == 1
@@ -132,7 +197,9 @@ def test_per_cell_upload_uniqueness_with_prestaging():
     # repeat prestage and a later first HO must not upload again
     again = predict_and_prestage(1, 7, pred, led, rng, 160, KEYS[7])
     assert again is not None and not again.uploaded
-    run_handover(2, 1, 7, Scheme.BLOCKCHAIN, led, 320, t_cell_keys=KEYS[7])
+    proc = begin(led, 2, 1, 7, 320)
+    assert not proc.did_upload
+    complete_at(proc, led, 1000)
     uploads = [r for r in led.trace if r.kind is SignalKind.CANDIDATE_UPLOAD]
     assert len(uploads) == 1
 
@@ -177,8 +244,7 @@ def test_cumulative_series_and_steady_state_slopes():
     base = key_exchange_count(led.trace)
     events = [HoEvent(i, 0, (i % 15) + 1, 20_000 + 160 * i) for i in range(10)]
     for ev in events:
-        run_handover(ev.ue_id, ev.s_cell, ev.t_cell, Scheme.BLOCKCHAIN, led,
-                     ev.t_trigger, t_cell_keys=KEYS[ev.t_cell])
+        assert begin(led, ev.ue_id, ev.s_cell, ev.t_cell, ev.t_trigger).complete
     assert key_exchange_count(led.trace) - base == len(events)  # 1 per HO
     baseline_trace = replay_key_signaling(events, Scheme.DOUBLE_RANDOM, KEYS, 30_000)
     assert key_exchange_count(baseline_trace) == 2 * len(events)  # 2 per HO

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsecsim.errors import InvalidParameter, ScheduleError
+from ncsecsim.config import RunConfig
+from ncsecsim.errors import InvalidParameter
 from ncsecsim.mobility import (
     CellGrid,
     Measurement,
-    UeState,
     advance,
-    ho_trigger,
-    measure,
     place_ues,
-    step,
     trigger_targets,
 )
+from ncsecsim.simulation import run_simulation
 from oracles import ho_trigger_oracle
 
 
@@ -25,27 +24,26 @@ def grid():
     return CellGrid()  # 4x4, ISD 100 m, torus
 
 
-def make_ue(pos, heading=0.0, speed=60 / 3.6, serving=0):
-    return UeState(0, pos, speed, heading, serving)
+def move_one(pos, heading, dt_ms, grid, speed=60 / 3.6):
+    """One UE moved by ``advance`` as a batch of one."""
+    dirs = np.array([[math.cos(heading), math.sin(heading)]])
+    return advance(np.array([pos], dtype=float), dirs, np.array([speed]), dt_ms, grid)[0]
 
 
 def test_step_kinematics_short_and_long(grid):
-    ue = make_ue((10.0, 10.0), heading=0.0)
-    moved = step(ue, 1, grid)
-    assert moved.pos[0] == pytest.approx(10.0 + 60 / 3.6 / 1000, rel=1e-12)
-    assert moved.pos[1] == 10.0
+    moved = move_one((10.0, 10.0), 0.0, 1, grid)
+    assert moved[0] == pytest.approx(10.0 + 60 / 3.6 / 1000, rel=1e-12)
+    assert moved[1] == 10.0
     # 6 s at 60 km/h covers one 100 m inter-site distance
-    far = step(ue, 6000, grid)
-    assert far.pos[0] == pytest.approx(110.0, rel=1e-12)
-    assert far.heading_rad == ue.heading_rad
+    far = move_one((10.0, 10.0), 0.0, 6000, grid)
+    assert far[0] == pytest.approx(110.0, rel=1e-12)
 
 
 def test_step_wraps_on_torus(grid):
-    ue = make_ue((395.0, 200.0), heading=0.0)
-    moved = step(ue, 600, grid)  # 10 m
-    assert moved.pos[0] == pytest.approx(5.0, rel=1e-9)
+    moved = move_one((395.0, 200.0), 0.0, 600, grid)  # 10 m
+    assert moved[0] == pytest.approx(5.0, rel=1e-9)
     with pytest.raises(InvalidParameter):
-        step(ue, 0, grid)
+        move_one((395.0, 200.0), 0.0, 0, grid)
 
 
 def test_grid_geometry(grid):
@@ -63,56 +61,81 @@ def test_bs_positions_cached_read_only(grid):
 
 
 def test_array_motion_matches_step_bit_for_bit(grid):
+    # all UEs in one call give the bits of one scalar update per UE
     ues = place_ues(grid, 30, 60 / 3.6, np.random.default_rng(9))
-    pos = np.array([ue.pos for ue in ues])
-    dirs = np.array([[math.cos(ue.heading_rad), math.sin(ue.heading_rad)] for ue in ues])
-    speed = np.array([ue.speed_mps for ue in ues])
+    pos = ues.pos
+    single = [tuple(p) for p in ues.pos.tolist()]
     for _ in range(25):
-        ues = [step(ue, 160, grid) for ue in ues]
-        pos = advance(pos, dirs, speed, 160, grid)
-        assert pos.tolist() == [list(ue.pos) for ue in ues]
+        pos = advance(pos, ues.dirs, ues.speed, 160, grid)
+        for u, (dx, dy) in enumerate(ues.dirs.tolist()):
+            dist = float(ues.speed[u]) * 160 / 1000.0
+            x, y = single[u]
+            single[u] = ((x + dist * dx) % 400.0, (y + dist * dy) % 400.0)
+        assert pos.tolist() == [list(p) for p in single]
     with pytest.raises(InvalidParameter):
-        advance(pos, dirs, speed, 0, grid)
+        advance(pos, ues.dirs, ues.speed, 0, grid)
 
 
 def test_batched_forecast_matches_per_tick_positions_and_powers(grid):
     # one call over (UE, lead tick) pairs gives the bits of one call per pair
     ues = place_ues(grid, 12, 60 / 3.6, np.random.default_rng(10))
-    pos = np.array([ue.pos for ue in ues])
-    dirs = np.array([[np.cos(ue.heading_rad), np.sin(ue.heading_rad)] for ue in ues])
-    speed = np.array([ue.speed_mps for ue in ues])
     lead_ms = np.arange(1, 8) * 160
-    future = advance(pos[:, None], dirs[:, None], speed[:, None], lead_ms, grid)
+    future = advance(ues.pos[:, None], ues.dirs[:, None], ues.speed[:, None], lead_ms, grid)
     powers = grid.rsrp(future)
-    for u, ue in enumerate(ues):
+    for u in range(ues.count):
         for j, dt in enumerate(lead_ms.tolist()):
-            dist = ue.speed_mps * dt / 1000.0
-            single = grid.wrap_position(
-                np.array(ue.pos)
-                + dist * np.array([np.cos(ue.heading_rad), np.sin(ue.heading_rad)])
-            )
+            dist = ues.speed[u] * dt / 1000.0
+            single = grid.wrap_position(ues.pos[u] + dist * ues.dirs[u])
             assert future[u, j].tolist() == single.tolist()
             assert powers[u, j].tolist() == grid.rsrp(single).tolist()
 
 
-def test_measure_requires_rs_grid(grid):
-    ue = make_ue((10.0, 10.0))
-    with pytest.raises(ScheduleError):
-        measure(ue, grid, 170)
-    meas = measure(ue, grid, 320)
-    assert meas.t == 320 and meas.rsrp_dbm.shape == (16,)
+def test_placement_draw_order(grid):
+    # three uniform draws per UE: x, y, heading; nothing else
+    for count in (0, 1, 7, 40):
+        rng = np.random.default_rng(11)
+        ues = place_ues(grid, count, 5.0, rng)
+        ref = np.random.default_rng(11)
+        ref.random(3 * count)
+        assert rng.random() == ref.random()
+        assert ues.pos.shape == (count, 2) and ues.dirs.shape == (count, 2)
+        assert ues.speed.tolist() == [5.0] * count
+
+
+def test_placement_matches_scalar_draws():
+    # the vectorised draw gives the bits of drawing x, y, heading UE by UE
+    for grid in (CellGrid(), CellGrid(rows=3, cols=5, isd_m=70.0, wrap=False)):
+        ues = place_ues(grid, 25, 1.0, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        ext_x, ext_y = grid.extent
+        for u in range(25):
+            x, y = rng.uniform(0, ext_x), rng.uniform(0, ext_y)
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            assert 0.0 <= heading < 2.0 * math.pi
+            assert ues.pos[u].tolist() == [x, y]
+            assert ues.dirs[u].tolist() == [np.cos(heading), np.sin(heading)]
+
+
+def test_measurement_dump_lies_on_rs_grid():
+    config = RunConfig(horizon_ms=1000)
+    config = dataclasses.replace(
+        config, scenario=dataclasses.replace(config.scenario, num_ues=2, dump_measurements=True)
+    )
+    result = run_simulation(config)
+    assert [(m.t, m.ue_id) for m in result.measurements] == [
+        (t, u) for t in range(0, 1001, 160) for u in range(2)
+    ]
+    assert all(m.rsrp_dbm.shape == (16,) for m in result.measurements)
 
 
 def test_colocated_ue_sees_strongest_cell(grid):
-    ue = make_ue((50.0, 50.0))  # on top of BS 0, distance clamped to 1 m
-    meas = measure(ue, grid, 0)
-    assert int(np.argmax(meas.rsrp_dbm)) == 0
+    rsrp = grid.rsrp(np.array([50.0, 50.0]))  # on top of BS 0, distance clamped to 1 m
+    assert int(np.argmax(rsrp)) == 0
 
 
 def test_equidistant_cells_have_equal_power(grid):
-    ue = make_ue((100.0, 50.0))  # midway between BS 0 and BS 1
-    meas = measure(ue, grid, 0)
-    assert meas.rsrp_dbm[0] == meas.rsrp_dbm[1]
+    rsrp = grid.rsrp(np.array([100.0, 50.0]))  # midway between BS 0 and BS 1
+    assert rsrp[0] == rsrp[1]
 
 
 def test_pathloss_slope_doubling_distance(grid):
@@ -146,6 +169,18 @@ def test_wraparound_translation_invariance(grid):
 
 def _meas(t, rsrp):
     return Measurement(t, 0, np.asarray(rsrp, dtype=float))
+
+
+def ho_trigger(history, serving, ul_offset_db, ul_ttt_ms, rs_period_ms=160):
+    """Target of one UE's RS-grid history, read as the event loop reads it:
+    the newest ``ul_ttt_ms // rs_period_ms + 1`` samples form the window.
+    Also checks the answer against the per-sample oracle."""
+    reach = min(len(history), ul_ttt_ms // rs_period_ms + 1)
+    window = np.stack([m.rsrp_dbm for m in history[-reach:]])
+    target = int(trigger_targets(window, serving, ul_offset_db))
+    got = None if target < 0 else target
+    assert got == ho_trigger_oracle(history, serving, ul_offset_db, ul_ttt_ms)
+    return got
 
 
 def test_trigger_none_when_no_cell_clears_offset():
@@ -199,21 +234,19 @@ def test_trigger_hysteresis_property():
 def test_place_ues_deterministic_and_nearest_serving(grid):
     a = place_ues(grid, 20, 60 / 3.6, np.random.default_rng(7))
     b = place_ues(grid, 20, 60 / 3.6, np.random.default_rng(7))
-    assert [(u.pos, u.heading_rad, u.serving_cell) for u in a] == [
-        (u.pos, u.heading_rad, u.serving_cell) for u in b
-    ]
-    for ue in a:
-        d = grid.distances(np.array(ue.pos))
-        assert d[ue.serving_cell] == d.min()
-        assert 0 <= ue.heading_rad < 2 * math.pi
+    for field in ("pos", "dirs", "speed", "serving"):
+        assert getattr(a, field).tolist() == getattr(b, field).tolist()
+    d = grid.distances(a.pos)
+    assert a.serving.tolist() == d.argmin(axis=1).tolist()
+    assert (d[np.arange(20), a.serving] == d.min(axis=1)).all()
+    assert np.allclose(np.hypot(a.dirs[:, 0], a.dirs[:, 1]), 1.0)
 
 
 def test_initial_measurement_never_triggers(grid):
     # serving the nearest cell means no candidate clears a positive offset
     ues = place_ues(grid, 50, 60 / 3.6, np.random.default_rng(8))
-    for ue in ues:
-        meas = measure(ue, grid, 0)
-        assert ho_trigger([meas], ue.serving_cell, 1.0, 32) is None
+    targets = trigger_targets(grid.rsrp(ues.pos)[None], ues.serving, 1.0)
+    assert (targets == -1).all()
 
 
 # Powers on a 0.5 dB grid, so exact ties between cells are common.
@@ -262,4 +295,3 @@ def test_array_trigger_rule_matches_oracle(case):
         ]
         expected = ho_trigger_oracle(history, int(serving[u]), offset, ttt)
         assert (None if targets[u] < 0 else int(targets[u])) == expected
-        assert ho_trigger(history, int(serving[u]), offset, ttt) == expected
