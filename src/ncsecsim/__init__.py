@@ -60,6 +60,7 @@ from .ledger import (
     LedgerBlock,
     SignalKind,
     SignalRecord,
+    SignalTrace,
     SimulatedLedger,
     key_exchange_count,
     per_window_signaling,

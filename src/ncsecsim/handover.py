@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,11 +41,14 @@ import numpy as np
 from .errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
 from .keydist import Scheme
 from .ledger import (
+    KIND_CODE,
     CandidateEntry,
     EntryKind,
     SignalKind,
     SignalRecord,
+    SignalTrace,
     SimulatedLedger,
+    as_trace,
 )
 
 
@@ -76,16 +80,22 @@ class HoProcedure:
     scheme: Scheme
     t_trigger: int
     timeout_ms: int
+    # The trace this procedure signals on; ``rows`` are its signals there.
+    trace: SignalTrace = field(repr=False, compare=False)
     t_complete: int | None = None
     prep_wait_ms: int | None = None
     key_path: KeyPath | None = None
-    signals: list[SignalRecord] = field(default_factory=list)
     did_upload: bool = False
     t_domain: str = ""
+    rows: list[int] = field(default_factory=list)
+
+    @property
+    def signals(self) -> list[SignalRecord]:
+        return [self.trace[i] for i in self.rows]
 
     @property
     def key_signal_count(self) -> int:
-        return sum(1 for s in self.signals if s.counts_as_key_exchange)
+        return self.trace.count_key_exchanges(self.rows)
 
     @property
     def complete(self) -> bool:
@@ -100,28 +110,50 @@ def _ue(ue_id: int) -> str:
     return f"ue{ue_id}"
 
 
-def _emit(
-    trace: list[SignalRecord],
-    proc: HoProcedure,
-    kind: SignalKind,
-    src: str,
-    dst: str,
-    t: int,
-) -> None:
-    rec = SignalRecord(kind, src, dst, t)
-    trace.append(rec)
-    proc.signals.append(rec)
+# Endpoint roles in a procedure's signals: serving BS, target BS, UE, core.
+_S, _T, _U, _CORE = range(4)
 
 
-def _finish(proc: HoProcedure, trace: list[SignalRecord], now: int, deliver_keys: bool) -> None:
+def _columns(*signals: tuple[SignalKind, int, int]) -> tuple[tuple[int, ...], ...]:
+    """A fixed signal sequence as columns: kind codes, source roles and
+    destination roles."""
+    kinds, srcs, dsts = zip(*signals)
+    return tuple(KIND_CODE[k] for k in kinds), srcs, dsts
+
+
+_REQUEST = _columns((SignalKind.HO_REQUEST, _S, _T))
+_KEY_TO_SBS = _columns((SignalKind.KEY_TO_SBS, _T, _S))
+_COMPLETION = {
+    deliver_keys: _columns(
+        (SignalKind.HO_ACK, _T, _S),
+        (SignalKind.HO_COMMAND, _S, _U),
+        (SignalKind.HO_CONFIRM, _U, _T),
+        *([(SignalKind.KEY_TO_UE, _S, _U)] if deliver_keys else []),
+        (SignalKind.PATH_SWITCH, _CORE, _T),
+        (SignalKind.HO_COMPLETE, _T, _S),
+    )
+    for deliver_keys in (False, True)
+}
+
+
+def _endpoints(proc: HoProcedure) -> tuple[int, int, int, int]:
+    """Name ids of the procedure's endpoints in its trace, indexed by role."""
+    name_id = proc.trace.name_id
     s, t, u = _bsh(proc.s_cell), _bsh(proc.t_cell), _ue(proc.ue_id)
-    _emit(trace, proc, SignalKind.HO_ACK, t, s, now)
-    _emit(trace, proc, SignalKind.HO_COMMAND, s, u, now)
-    _emit(trace, proc, SignalKind.HO_CONFIRM, u, t, now)
-    if deliver_keys:
-        _emit(trace, proc, SignalKind.KEY_TO_UE, s, u, now)
-    _emit(trace, proc, SignalKind.PATH_SWITCH, "core", t, now)
-    _emit(trace, proc, SignalKind.HO_COMPLETE, t, s, now)
+    return name_id(s), name_id(t), name_id(u), name_id("core")
+
+
+def _emit(proc: HoProcedure, ids: tuple[int, ...], now: int, columns: tuple) -> None:
+    """Append a fixed signal sequence (``_columns``) at ``now`` as rows of
+    the procedure; ``ids`` are its endpoints by role."""
+    kinds, srcs, dsts = columns
+    proc.rows.extend(proc.trace.extend(
+        kinds, [ids[r] for r in srcs], [ids[r] for r in dsts], (now,) * len(kinds)
+    ))
+
+
+def _finish(proc: HoProcedure, ids: tuple[int, ...], now: int, deliver_keys: bool) -> None:
+    _emit(proc, ids, now, _COMPLETION[deliver_keys])
     proc.t_complete = now
     proc.prep_wait_ms = now - proc.t_trigger
 
@@ -133,7 +165,7 @@ def begin_handover(
     scheme: Scheme,
     ledger: SimulatedLedger | None,
     now: int,
-    trace: list[SignalRecord],
+    trace: SignalTrace,
     t_cell_keys: Sequence | None = None,
     s_domain: str | None = None,
     t_domain: str | None = None,
@@ -145,10 +177,14 @@ def begin_handover(
     one with ``t_complete`` None that ``try_complete`` finishes.
 
     By default every cell is its own security domain, so every handover
-    crosses domains and needs key sharing.
+    crosses domains and needs key sharing.  With a ledger, ``trace`` must
+    be the ledger's own, since its uploads and broadcasts are rows of the
+    procedure too.
     """
     if t_cell == s_cell:
         raise NoOpHandover(f"ue{ue_id}: target equals serving cell {s_cell}")
+    if ledger is not None and trace is not ledger.trace:
+        raise InvalidParameter("a handover with a ledger signals on the ledger's trace")
     s_domain = str(s_cell) if s_domain is None else s_domain
     t_domain = str(t_cell) if t_domain is None else t_domain
     if timeout_ms is None:
@@ -161,25 +197,27 @@ def begin_handover(
         t_trigger=now,
         timeout_ms=timeout_ms,
         t_domain=t_domain,
+        trace=trace,
     )
-    _emit(trace, proc, SignalKind.HO_REQUEST, _bsh(s_cell), _bsh(t_cell), now)
+    ids = _endpoints(proc)
+    _emit(proc, ids, now, _REQUEST)
 
     if s_domain == t_domain:
         proc.key_path = KeyPath.INTRA_DOMAIN
-        _finish(proc, trace, now, deliver_keys=False)
+        _finish(proc, ids, now, deliver_keys=False)
         return proc
 
     if scheme is not Scheme.BLOCKCHAIN:
         proc.key_path = KeyPath.BASELINE_PER_HO
-        _emit(trace, proc, SignalKind.KEY_TO_SBS, _bsh(t_cell), _bsh(s_cell), now)
-        _finish(proc, trace, now, deliver_keys=True)
+        _emit(proc, ids, now, _KEY_TO_SBS)
+        _finish(proc, ids, now, deliver_keys=True)
         return proc
 
     if ledger is None:
         raise InvalidParameter("ledger scheme needs a ledger instance")
     if ledger.query_keys(_bsh(s_cell), t_domain) is not None:
         proc.key_path = KeyPath.LEDGER_STEADY_STATE
-        _finish(proc, trace, now, deliver_keys=True)
+        _finish(proc, ids, now, deliver_keys=True)
         return proc
 
     # First visit (or upload still pending): share keys via the ledger.
@@ -198,7 +236,7 @@ def begin_handover(
         )
         if receipt.accepted:
             proc.did_upload = True
-            proc.signals.append(ledger.trace[-1])  # the upload record
+            proc.rows.append(len(trace) - 1)  # the upload row
     return proc
 
 
@@ -214,10 +252,8 @@ def try_complete(proc: HoProcedure, ledger: SimulatedLedger, now: int) -> bool:
             )
         return False
     if proc.did_upload:
-        broadcast = ledger.broadcast_for(proc.t_domain, EntryKind.CELL_KEY_SET)
-        if broadcast is not None:
-            proc.signals.append(broadcast)
-    _finish(proc, trace=ledger.trace, now=now, deliver_keys=True)
+        proc.rows.append(ledger.broadcast_row(proc.t_domain, EntryKind.CELL_KEY_SET))
+    _finish(proc, _endpoints(proc), now, deliver_keys=True)
     return True
 
 
@@ -275,14 +311,9 @@ def cumulative_key_exchanges(
     trace: Sequence[SignalRecord], horizon_ms: int, step_ms: int = 1000
 ) -> list[tuple[int, int]]:
     """Running key-exchange count sampled every ``step_ms`` up to horizon."""
-    times = sorted(r.t for r in trace if r.counts_as_key_exchange)
-    series = []
-    idx = 0
-    for t in range(0, horizon_ms + 1, step_ms):
-        while idx < len(times) and times[idx] <= t:
-            idx += 1
-        series.append((t, idx))
-    return series
+    times = np.sort(as_trace(trace).key_exchange_times())
+    grid = np.arange(0, horizon_ms + 1, step_ms)
+    return list(zip(grid.tolist(), np.searchsorted(times, grid, side="right").tolist()))
 
 
 @dataclass(frozen=True)
@@ -295,6 +326,13 @@ class HoEvent:
     t_trigger: int
 
 
+def _name_ids(trace: SignalTrace, name, values: np.ndarray) -> np.ndarray:
+    """Name ids in ``trace`` of ``name(v)`` for every entry of ``values``."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    ids = np.array([trace.name_id(name(v)) for v in uniq.tolist()], dtype=np.int64)
+    return ids[inverse]
+
+
 def replay_key_signaling(
     events: Sequence[HoEvent],
     scheme: Scheme,
@@ -302,7 +340,7 @@ def replay_key_signaling(
     horizon_ms: int,
     rs_period_ms: int = 160,
     collection_period_ms: int = 1000,
-) -> list[SignalRecord]:
+) -> SignalTrace:
     """Key-exchange signals of a time-ordered HO event stream under one
     key-sharing policy, with no per-UE concurrency limits.
 
@@ -312,27 +350,38 @@ def replay_key_signaling(
     instant at or after its block verified, as in the event loop; blocks
     verify up to the last RS instant at or before the horizon.
     """
-    trace: list[SignalRecord] = []
+    trace = SignalTrace()
+    ue, s_cell, t_cell, t_trigger = (
+        np.fromiter(map(attrgetter(f), events), dtype=np.int64, count=len(events))
+        for f in ("ue_id", "s_cell", "t_cell", "t_trigger")
+    )
+    s_ids, ue_ids = _name_ids(trace, _bsh, s_cell), _name_ids(trace, _ue, ue)
     if scheme is not Scheme.BLOCKCHAIN:
-        for ev in events:
-            s, t = _bsh(ev.s_cell), ev.t_trigger
-            trace.append(SignalRecord(SignalKind.KEY_TO_SBS, _bsh(ev.t_cell), s, t))
-            trace.append(SignalRecord(SignalKind.KEY_TO_UE, s, _ue(ev.ue_id), t))
+        # Two rows per event: target to serving BS, then serving BS to UE.
+        trace.extend(
+            [KIND_CODE[SignalKind.KEY_TO_SBS], KIND_CODE[SignalKind.KEY_TO_UE]] * len(events),
+            np.column_stack([_name_ids(trace, _bsh, t_cell), s_ids]).ravel().tolist(),
+            np.column_stack([s_ids, ue_ids]).ravel().tolist(),
+            np.repeat(t_trigger, 2).tolist(),
+        )
         return trace
     led = SimulatedLedger({_bsh(c) for c in cell_keys}, collection_period_ms, trace)
-    for ev in events:  # resubmission is a no-op: one upload per cell
-        entry = CandidateEntry(
+    cells, first, inverse = np.unique(t_cell, return_index=True, return_inverse=True)
+    for i in np.sort(first).tolist():  # each cell's first trigger, in stream order
+        ev = events[i]
+        led.submit_candidate(CandidateEntry(
             EntryKind.CELL_KEY_SET, _bsh(ev.t_cell), tuple(cell_keys[ev.t_cell]),
             ev.t_trigger, str(ev.t_cell),
-        )
-        led.submit_candidate(entry)
+        ))
     # Every boundary takes all candidates submitted at or before it, so one
     # tick gives the blocks that ticking on every RS instant would.
     led.tick(horizon_ms // rs_period_ms * rs_period_ms)
     verified_at = {e.domain: b.verified_at for b in led.blocks for e in b.entries}
-    for ev in events:
-        b = verified_at.get(str(ev.t_cell))
-        if b is not None:
-            t = max(ev.t_trigger, -(-b // rs_period_ms) * rs_period_ms)
-            trace.append(SignalRecord(SignalKind.KEY_TO_UE, _bsh(ev.s_cell), _ue(ev.ue_id), t))
+    b = np.array([verified_at.get(str(c), -1) for c in cells.tolist()], dtype=np.int64)[inverse]
+    got = b >= 0
+    t_key = np.maximum(t_trigger[got], -(-b[got] // rs_period_ms) * rs_period_ms)
+    trace.extend(
+        [KIND_CODE[SignalKind.KEY_TO_UE]] * len(t_key),
+        s_ids[got].tolist(), ue_ids[got].tolist(), t_key.tolist(),
+    )
     return trace

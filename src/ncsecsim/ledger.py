@@ -17,9 +17,11 @@ no signal.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +68,135 @@ class SignalRecord:
         object.__setattr__(
             self, "counts_as_key_exchange", self.kind in KEY_EXCHANGE_KINDS
         )
+
+
+_KINDS = tuple(SignalKind)
+#: The code a ``SignalTrace`` stores for each kind.
+KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_KEY_FLAG = tuple(int(kind in KEY_EXCHANGE_KINDS) for kind in _KINDS)
+_KEY_MASK = np.array(_KEY_FLAG, dtype=bool)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` renders it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]
+
+
+class SignalTrace(Sequence[SignalRecord]):
+    """A signal log held as parallel int columns, one row per signal.
+
+    The columns are time (ms), kind code (``KIND_CODE``), source id and
+    destination id; ids index the trace's own table of endpoint names.
+    They are plain lists, where appending a handover's few rows costs
+    least, and accounting reads them as numpy arrays.  Indexing and
+    iteration yield ``SignalRecord``s, and a trace equals any sequence
+    of the same records, so code written for a list of records reads a
+    trace as is.
+    """
+
+    def __init__(self, records: Iterable[SignalRecord] = ()):
+        self._t: list[int] = []
+        self._kind: list[int] = []
+        self._src: list[int] = []
+        self._dst: list[int] = []
+        self._names: list[str] = []
+        self._ids: dict[str, int] = {}
+        for r in records:
+            self.append(r.kind, r.src, r.dst, r.t)
+
+    def name_id(self, name: str) -> int:
+        """Id of an endpoint name, added to the table on first use."""
+        i = self._ids.get(name)
+        if i is None:
+            i = self._ids[name] = len(self._names)
+            self._names.append(name)
+        return i
+
+    def append(self, kind: SignalKind, src: str, dst: str, t: int) -> int:
+        """Append one signal; returns its row index."""
+        return self.extend([KIND_CODE[kind]], [self.name_id(src)], [self.name_id(dst)], [t])[0]
+
+    def extend(
+        self,
+        kinds: Iterable[int],
+        srcs: Iterable[int],
+        dsts: Iterable[int],
+        times: Iterable[int],
+    ) -> range:
+        """Append rows given column-wise as kind codes, name ids and times
+        (equal lengths); returns their row indices."""
+        start = len(self._t)
+        self._kind.extend(kinds)
+        self._src.extend(srcs)
+        self._dst.extend(dsts)
+        self._t.extend(times)
+        return range(start, len(self._t))
+
+    # -- Sequence view ---------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def _record(self, i: int) -> SignalRecord:
+        names = self._names
+        kind = _KINDS[self._kind[i]]
+        return SignalRecord(kind, names[self._src[i]], names[self._dst[i]], self._t[i])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._record(j) for j in range(*i.indices(len(self)))]
+        return self._record(i)
+
+    def __iter__(self) -> Iterator[SignalRecord]:
+        names = self._names
+        for t, k, s, d in zip(self._t, self._kind, self._src, self._dst):
+            yield SignalRecord(_KINDS[k], names[s], names[d], t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SignalTrace({list(self)!r})"
+
+    # -- column reads ----------------------------------------------------
+    def key_exchange_times(self) -> np.ndarray:
+        """Times of the key-exchange rows, in row order."""
+        return np.array(self._t, dtype=np.int64)[_KEY_MASK[self._kind]]
+
+    def count_key_exchanges(self, rows: Iterable[int]) -> int:
+        """Key-exchange signals among the given rows."""
+        return sum(map(_KEY_FLAG.__getitem__, map(self._kind.__getitem__, rows)))
+
+    def sorted_by_time(self) -> SignalTrace:
+        """A copy with rows in time order, equal times kept in row order."""
+        order = np.argsort(np.array(self._t, dtype=np.int64), kind="stable").tolist()
+        out = SignalTrace()
+        out._names = list(self._names)
+        out._ids = dict(self._ids)
+        for name in ("_t", "_kind", "_src", "_dst"):  # the copy shares the int objects
+            setattr(out, name, list(map(getattr(self, name).__getitem__, order)))
+        return out
+
+    def write_csv(self, fh) -> None:
+        """Write the ``signals.csv`` layout: a header, then one row per
+        signal with its key-exchange flag, as ``csv.writer`` would."""
+        kind_txt = [_csv_field(k.value) for k in _KINDS]
+        names = [_csv_field(n) for n in self._names]
+        fh.write("t_ms,kind,src,dst,key_exchange_flag\r\n")
+        fh.writelines(
+            f"{t},{kind_txt[k]},{names[s]},{names[d]},{_KEY_FLAG[k]}\r\n"
+            for t, k, s, d in zip(self._t, self._kind, self._src, self._dst)
+        )
+
+
+def as_trace(records: Iterable[SignalRecord]) -> SignalTrace:
+    """``records`` as a ``SignalTrace``; a trace is returned as is."""
+    return records if isinstance(records, SignalTrace) else SignalTrace(records)
 
 
 class EntryKind(Enum):
@@ -115,18 +246,19 @@ class SimulatedLedger:
         self,
         controllers: Iterable[str],
         collection_period_ms: int = DEFAULT_COLLECTION_PERIOD_MS,
-        trace: list[SignalRecord] | None = None,
+        trace: SignalTrace | None = None,
     ):
         if collection_period_ms <= 0:
             raise InvalidParameter("collection period must be positive")
         self.controllers = set(controllers)
         self.period = int(collection_period_ms)
-        self.trace = trace if trace is not None else []
+        self.trace = trace if trace is not None else SignalTrace()
         self.blocks: list[LedgerBlock] = []
         # Pending entries by (domain, kind), in submission order.
         self._pending: dict[tuple[str, EntryKind], CandidateEntry] = {}
         self._ledgered: dict[tuple[str, EntryKind], CandidateEntry] = {}
-        self._broadcast_by_key: dict[tuple[str, EntryKind], SignalRecord] = {}
+        # Trace row of the broadcast that delivered each (domain, kind).
+        self._broadcast_row: dict[tuple[str, EntryKind], int] = {}
         self._last_boundary = -1  # index of the last inspected boundary
         self._last_now: int | None = None
         self.upload_log: list[tuple[int, str, str]] = []  # (t, origin, domain)
@@ -154,9 +286,7 @@ class SimulatedLedger:
         if key in self._ledgered or key in self._pending:
             return SubmitReceipt(accepted=False, duplicate=True, entry=None)
         self._pending[key] = entry
-        self.trace.append(
-            SignalRecord(SignalKind.CANDIDATE_UPLOAD, entry.origin, "ledger", entry.submitted_at)
-        )
+        self.trace.append(SignalKind.CANDIDATE_UPLOAD, entry.origin, "ledger", entry.submitted_at)
         self.upload_log.append((entry.submitted_at, entry.origin, entry.domain))
         return SubmitReceipt(accepted=True, duplicate=False, entry=entry)
 
@@ -184,11 +314,10 @@ class SimulatedLedger:
                 verified_at=b,
             )
             self.blocks.append(block)
-            broadcast = SignalRecord(SignalKind.BLOCK_BROADCAST, "ledger", "all_bsh", b)
-            self.trace.append(broadcast)
+            row = self.trace.append(SignalKind.BLOCK_BROADCAST, "ledger", "all_bsh", b)
             for e in ready:
                 self._ledgered[(e.domain, e.entry_kind)] = e
-                self._broadcast_by_key[(e.domain, e.entry_kind)] = broadcast
+                self._broadcast_row[(e.domain, e.entry_kind)] = row
             newest = block
         return newest
 
@@ -208,9 +337,9 @@ class SimulatedLedger:
         entry = self._ledgered.get((gen_id, EntryKind.GENERATION_TAG_SET))
         return None if entry is None else entry.payload
 
-    def broadcast_for(self, domain: str, kind: EntryKind) -> SignalRecord | None:
-        """The broadcast signal that delivered this (domain, kind), if any."""
-        return self._broadcast_by_key.get((domain, kind))
+    def broadcast_row(self, domain: str, kind: EntryKind) -> int | None:
+        """Trace row of the broadcast that delivered this (domain, kind), if any."""
+        return self._broadcast_row.get((domain, kind))
 
 
 # ----------------------------------------------------------------------
@@ -218,20 +347,16 @@ class SimulatedLedger:
 # ----------------------------------------------------------------------
 
 def per_window_signaling(
-    records: Sequence[SignalRecord], horizon_ms: int, window_len_ms: int = 1000
+    records: Iterable[SignalRecord], horizon_ms: int, window_len_ms: int = 1000
 ) -> list[int]:
     """Key-exchange signals in each window [k * len, (k + 1) * len) whose
     start lies in [0, horizon]."""
     windows = max(0, horizon_ms // window_len_ms + 1)
-    times = np.fromiter(
-        (r.t for r in records if r.counts_as_key_exchange and r.t >= 0), dtype=np.int64
-    )
+    times = as_trace(records).key_exchange_times()
+    times = times[times >= 0]
     return np.bincount(times // window_len_ms, minlength=windows)[:windows].tolist()
 
 
-def key_exchange_count(records: Sequence[SignalRecord], up_to_ms: int | None = None) -> int:
-    return sum(
-        1
-        for r in records
-        if r.counts_as_key_exchange and (up_to_ms is None or r.t <= up_to_ms)
-    )
+def key_exchange_count(records: Iterable[SignalRecord], up_to_ms: int | None = None) -> int:
+    times = as_trace(records).key_exchange_times()
+    return len(times) if up_to_ms is None else int(np.count_nonzero(times <= up_to_ms))

@@ -72,17 +72,22 @@ class CellGrid:
         """(num_cells, 2) lattice coordinates, cell ids row-major (read-only)."""
         return self._bs_positions
 
-    def torus_delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        d = np.abs(a - b)
-        if self.wrap:
-            d = np.minimum(d, self._extent_arr - d)
-        return d
-
     def distances(self, pos: np.ndarray) -> np.ndarray:
-        """Distances from positions (..., 2) to every BS, shape (..., cells)."""
+        """Distances from positions (..., 2) to every BS, shape (..., cells).
+
+        The x and y offsets are separate contiguous (..., cells) planes,
+        each folded onto the torus before one ``hypot`` reads both.
+        """
         pos = np.asarray(pos, dtype=float)
-        d = self.torus_delta(pos[..., None, :], self.bs_positions)
-        return np.hypot(d[..., 0], d[..., 1])
+        bs, ext = self._bs_positions, self._extent_arr
+        planes = []
+        for k in range(2):
+            d = pos[..., k, None] - bs[:, k]
+            np.abs(d, out=d)
+            if self.wrap:
+                np.minimum(d, ext[k] - d, out=d)
+            planes.append(d)
+        return np.hypot(*planes)
 
     def rsrp(self, pos: np.ndarray) -> np.ndarray:
         """Uplink received power per cell (dBm) for the given positions."""

@@ -24,7 +24,7 @@ from .keydist import (
     required_tags,
     security_level,
 )
-from .ledger import SimulatedLedger, SignalKind
+from .ledger import SignalKind, SignalTrace, SimulatedLedger
 from .rlnc import decode, encode, random_generation, recode
 from .simulation import run_simulation
 
@@ -67,7 +67,7 @@ def _check_ledger_batching() -> None:
     led.tick(1000)
     assert try_complete(p0, led, 1000)
     p1 = begin_handover(1, 2, 1, Scheme.BLOCKCHAIN, led, 2000, led.trace, key_sets[1])
-    p2 = begin_handover(2, 1, 3, Scheme.DOUBLE_RANDOM, None, 2000, [])
+    p2 = begin_handover(2, 1, 3, Scheme.DOUBLE_RANDOM, None, 2000, SignalTrace())
     assert p1.complete and p2.complete
     assert p0.key_signal_count == 3
     assert p1.key_signal_count == 1

@@ -41,7 +41,7 @@ from .keydist import Scheme
 from .ledger import (
     EntryKind,
     LedgerBlock,
-    SignalRecord,
+    SignalTrace,
     SimulatedLedger,
     per_window_signaling,
 )
@@ -61,13 +61,13 @@ _ALL_SCHEMES = (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE)
 class SimulationResult:
     config: RunConfig
     grid: CellGrid
-    trace: list[SignalRecord]
+    trace: SignalTrace
     procedures: list[HoProcedure]
     events: list[HoEvent]
     blocks: list[LedgerBlock]
     upload_log: list[tuple[int, str, str]]
     cell_keys: dict[int, tuple[MacKey, ...]]
-    scheme_traces: dict[str, list[SignalRecord]]
+    scheme_traces: dict[str, SignalTrace]
     measurements: list[Measurement]
 
     @property
@@ -98,7 +98,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         for cell in range(grid.num_cells)
     }
 
-    trace: list[SignalRecord] = []
+    trace = SignalTrace()
     ledger = SimulatedLedger(
         {f"bsh{c}" for c in range(grid.num_cells)},
         config.ledger.collection_period_ms,
@@ -161,15 +161,14 @@ def run_simulation(config: RunConfig) -> SimulationResult:
                     ues.serving[ue_id] = proc.t_cell
                     del inflight[ue_id]
 
-    own_trace = sorted(trace, key=lambda r: r.t)
+    own_trace = trace.sorted_by_time()
     # The baselines differ only in key assignment, not in signaling, so a
     # baseline run's own trace serves both and one replay serves the rest.
     own_uses_ledger = config.scheme is Scheme.BLOCKCHAIN
     replayed = replay_key_signaling(
         events, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN, cell_keys,
         config.horizon_ms, sc.rs_period_ms, config.ledger.collection_period_ms,
-    )
-    replayed.sort(key=lambda r: r.t)
+    ).sorted_by_time()
     scheme_traces = {
         scheme.label: own_trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
         for scheme in _ALL_SCHEMES
@@ -264,10 +263,7 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
 
     paths["signals"] = out / "signals.csv"
     with open(paths["signals"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_ms", "kind", "src", "dst", "key_exchange_flag"])
-        for rec in result.trace:
-            w.writerow([rec.t, rec.kind.value, rec.src, rec.dst, int(rec.counts_as_key_exchange)])
+        result.trace.write_csv(fh)
 
     paths["ho_summary"] = out / "ho_summary.csv"
     with open(paths["ho_summary"], "w", newline="") as fh:

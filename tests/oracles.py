@@ -7,6 +7,11 @@ package, so a table bug and an oracle bug cannot cancel out.
 
 from __future__ import annotations
 
+import csv
+import io
+
+import numpy as np
+
 
 def poly_mul_nored(a: int, b: int) -> int:
     """Carry-less product over GF(2)[x], no reduction."""
@@ -126,3 +131,47 @@ def per_second_signaling(records, window_start_ms: int, window_len_ms: int = 100
     return sum(
         1 for r in records if r.counts_as_key_exchange and window_start_ms <= r.t < end
     )
+
+
+def distances_oracle(grid, pos):
+    """Torus distances from positions (..., 2) to every BS of ``grid``.
+
+    Works on one interleaved (..., cells, 2) offset array and runs
+    ``hypot`` on its strided x and y views.
+    """
+    pos = np.asarray(pos, dtype=float)
+    d = np.abs(pos[..., None, :] - grid.bs_positions)
+    if grid.wrap:
+        d = np.minimum(d, np.array(grid.extent) - d)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def key_exchange_count_oracle(records, up_to_ms=None) -> int:
+    """Key-exchange signals at or before ``up_to_ms`` (all when None)."""
+    return sum(
+        1 for r in records
+        if r.counts_as_key_exchange and (up_to_ms is None or r.t <= up_to_ms)
+    )
+
+
+def cumulative_key_exchanges_oracle(records, horizon_ms: int, step_ms: int = 1000):
+    """Running key-exchange count every ``step_ms`` up to the horizon, one
+    scan over the sorted times."""
+    times = sorted(r.t for r in records if r.counts_as_key_exchange)
+    series = []
+    idx = 0
+    for t in range(0, horizon_ms + 1, step_ms):
+        while idx < len(times) and times[idx] <= t:
+            idx += 1
+        series.append((t, idx))
+    return series
+
+
+def signals_csv_oracle(records) -> str:
+    """The text of ``signals.csv``: one ``csv.writer`` row per record."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t_ms", "kind", "src", "dst", "key_exchange_flag"])
+    for rec in records:
+        w.writerow([rec.t, rec.kind.value, rec.src, rec.dst, int(rec.counts_as_key_exchange)])
+    return buf.getvalue()

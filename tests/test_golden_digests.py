@@ -6,7 +6,10 @@ those in ``golden_digests.json``.  The digests were recorded with the
 per-UE event loop that preceded the array-state loop, so any change to
 the bytes of a run (motion, trigger rule, forecast, ledger order, CSV
 accounting) shows up here.  A deliberate change of the bytes must re-record them and say so in
-CHANGES.md.
+CHANGES.md.  ``city_8x8_200ues`` pins the scaled geometry and many
+handovers per tick; it was recorded with the interleaved torus offsets
+and list-of-records trace that preceded the plane-split
+``CellGrid.distances`` and ``ledger.SignalTrace``.
 
 The command cases run ``analyze`` and ``attack`` through ``cli.main``.
 The ``analyze`` digests were recorded with the per-scheme safe-key
@@ -75,6 +78,14 @@ CASES: dict[str, dict[str, str]] = {
         "ledger.collection_period_ms": "1500",
         "ledger.ho_timeout_ms": "3000",
         "horizon_ms": "12345",
+    },
+    "city_8x8_200ues": {
+        "scenario.rows": "8",
+        "scenario.cols": "8",
+        "scenario.num_ues": "200",
+        "scenario.ue_speed_kmh": "60",
+        "horizon_ms": "30000",
+        "seed": "14",
     },
 }
 

@@ -15,7 +15,7 @@ from ncsecsim.handover import (
     try_complete,
 )
 from ncsecsim.keydist import Scheme
-from ncsecsim.ledger import SignalKind, SimulatedLedger, SignalRecord, key_exchange_count
+from ncsecsim.ledger import SignalKind, SignalTrace, SimulatedLedger, key_exchange_count
 
 CELLS = list(range(16))
 KEYS = {c: (f"key{c}",) for c in CELLS}
@@ -77,7 +77,7 @@ def test_subsequent_ho_costs_one_key_signal_regardless_of_source():
 
 def test_baseline_ho_costs_two_key_signals():
     for scheme in (Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE):
-        proc = begin_handover(0, 3, 9, scheme, None, 160, [])
+        proc = begin_handover(0, 3, 9, scheme, None, 160, SignalTrace())
         assert proc.complete
         assert proc.key_signal_count == 2
         assert proc.key_path is KeyPath.BASELINE_PER_HO
@@ -139,7 +139,7 @@ def test_all_four_key_paths_return_complete_or_waiting():
     procs = [
         first,
         begin(led, 3, 3, 2, 1160),
-        begin_handover(1, 1, 2, Scheme.C_COVER_FREE, None, 1160, []),
+        begin_handover(1, 1, 2, Scheme.C_COVER_FREE, None, 1160, SignalTrace()),
         begin(led, 0, 1, 2, 1160, s_domain="d", t_domain="d"),
     ]
     assert [p.key_path for p in procs] == list(KeyPath)
@@ -151,6 +151,12 @@ def test_all_four_key_paths_return_complete_or_waiting():
 def test_noop_handover_rejected():
     with pytest.raises(NoOpHandover):
         begin_handover(0, 4, 4, Scheme.BLOCKCHAIN, fresh_ledger(), 0, [])
+
+
+def test_handover_with_a_ledger_signals_on_its_trace():
+    with pytest.raises(InvalidParameter):
+        begin_handover(0, 1, 7, Scheme.BLOCKCHAIN, fresh_ledger(), 160, SignalTrace(),
+                       t_cell_keys=KEYS[7])
 
 
 def test_every_completed_procedure_delivers_keys_once():
@@ -272,7 +278,7 @@ def reference_replay(events, scheme, cell_keys, horizon_ms, rs_period_ms, collec
     """The protocol driven on the RS grid: every event starts a handover at
     its trigger instant, the ledger ticks at every instant, and blocked
     handovers complete at the first instant at or after their block verifies."""
-    trace: list[SignalRecord] = []
+    trace = SignalTrace()
     led = SimulatedLedger({f"bsh{c}" for c in cell_keys}, collection_period_ms, trace)
     by_tick: dict[int, list[HoEvent]] = {}
     for ev in events:

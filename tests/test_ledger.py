@@ -1,17 +1,29 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.errors import ClockError, InvalidParameter, UnknownController
+from ncsecsim.handover import cumulative_key_exchanges
 from ncsecsim.ledger import (
     CandidateEntry,
     EntryKind,
     SignalKind,
-    SimulatedLedger,
     SignalRecord,
+    SignalTrace,
+    SimulatedLedger,
+    key_exchange_count,
     per_window_signaling,
 )
 
-from oracles import per_second_signaling
+from oracles import (
+    cumulative_key_exchanges_oracle,
+    key_exchange_count_oracle,
+    per_second_signaling,
+    signals_csv_oracle,
+)
 
 
 def entry(origin="bsh3", domain="3", t=100, kind=EntryKind.CELL_KEY_SET, payload=("k",)):
@@ -220,3 +232,49 @@ def test_per_window_signaling_matches_window_scans():
     assert per_window_signaling(records, 6000, window_len_ms=1500) == [
         per_second_signaling(records, start, 1500) for start in range(0, 6001, 1500)
     ]
+
+
+# Endpoint names that csv.writer has to quote, and the empty name.
+signal_records = st.lists(st.builds(
+    SignalRecord,
+    st.sampled_from(list(SignalKind)),
+    st.text(alphabet='ab1_ ,"\r\n', max_size=4),
+    st.text(alphabet='ab1_ ,"\r\n', max_size=4),
+    st.integers(-2000, 9000),
+), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signal_records)
+def test_signal_trace_round_trip(records):
+    trace = SignalTrace()
+    for r in records:
+        trace.append(r.kind, r.src, r.dst, r.t)
+    assert len(trace) == len(records)
+    assert list(trace) == records
+    assert [trace[i] for i in range(-len(records), len(records))] == records + records
+    assert trace[1::2] == records[1::2]
+    assert trace == records and records == trace
+    assert SignalTrace(records) == trace
+    if records:
+        assert trace != records[:-1]
+    assert trace.sorted_by_time() == sorted(records, key=lambda r: r.t)
+    buf = io.StringIO(newline="")
+    trace.write_csv(buf)
+    assert buf.getvalue().encode() == signals_csv_oracle(records).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(signal_records, st.integers(-1000, 10_000), st.sampled_from([1, 700, 1000]))
+def test_trace_accounting_matches_scans(records, horizon, step):
+    for given_as in (records, SignalTrace(records)):
+        assert key_exchange_count(given_as) == key_exchange_count_oracle(records)
+        assert key_exchange_count(given_as, horizon) == key_exchange_count_oracle(
+            records, horizon
+        )
+        assert cumulative_key_exchanges(given_as, horizon, step) == (
+            cumulative_key_exchanges_oracle(records, horizon, step)
+        )
+        assert per_window_signaling(given_as, horizon, step) == [
+            per_second_signaling(records, start, step) for start in range(0, horizon + 1, step)
+        ]

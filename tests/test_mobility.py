@@ -16,7 +16,7 @@ from ncsecsim.mobility import (
     trigger_targets,
 )
 from ncsecsim.simulation import run_simulation
-from oracles import ho_trigger_oracle
+from oracles import distances_oracle, ho_trigger_oracle
 
 
 @pytest.fixture
@@ -146,14 +146,46 @@ def test_pathloss_slope_doubling_distance(grid):
 
 
 def test_torus_distance_symmetry_and_bound(grid):
+    # The torus distance from a to b is the distance from a - b + bs0 to BS 0.
     rng = np.random.default_rng(40)
     ext = np.array(grid.extent)
+    bs0 = grid.bs_positions[0]
     for _ in range(200):
         a, b = rng.uniform(0, 400, size=(2, 2))
-        dab = grid.torus_delta(a, b)
-        dba = grid.torus_delta(b, a)
-        assert np.allclose(dab, dba)
-        assert math.hypot(*dab) <= math.sqrt(2) * ext[0] / 2 + 1e-9
+        dab = grid.distances(grid.wrap_position(a - b + bs0))[0]
+        dba = grid.distances(grid.wrap_position(b - a + bs0))[0]
+        assert np.isclose(dab, dba)
+        assert dab <= math.sqrt(2) * ext[0] / 2 + 1e-9
+
+
+@st.composite
+def grids_and_positions(draw):
+    """A grid and a batch of positions of shape (0, 2), (U, 2) or (U, L, 2);
+    coordinates include 0, the extent edge and the midpoint."""
+    grid = CellGrid(
+        rows=draw(st.integers(1, 9)),
+        cols=draw(st.integers(1, 9)),
+        isd_m=draw(st.sampled_from([1.0, 37.5, 100.0, 333.3])),
+        wrap=draw(st.booleans()),
+    )
+    batch = draw(st.sampled_from([(0,), (draw(st.integers(1, 6)),),
+                                  (draw(st.integers(1, 4)), draw(st.integers(1, 4)))]))
+    coords = []
+    for ext in grid.extent:
+        coord = st.one_of(st.sampled_from([0.0, ext, ext / 2]), st.floats(0.0, ext))
+        n = math.prod(batch)
+        coords.append(draw(st.lists(coord, min_size=n, max_size=n)))
+    pos = np.array(coords, dtype=float).T.reshape(*batch, 2)
+    return grid, pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_positions())
+def test_distances_bit_identical_to_interleaved_oracle(case):
+    grid, pos = case
+    got, want = grid.distances(pos), distances_oracle(grid, pos)
+    assert got.shape == want.shape == pos.shape[:-1] + (grid.num_cells,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_wraparound_translation_invariance(grid):
