@@ -74,15 +74,13 @@ from .mobility import (
     trigger_targets,
 )
 from .handover import (
-    HoEvent,
-    HoProcedure,
+    HoTable,
+    HoView,
     KeyPath,
     PredictionConfig,
-    begin_handover,
     cumulative_key_exchanges,
-    predict_and_prestage,
     replay_key_signaling,
-    try_complete,
+    upload_key_set,
 )
 from .attack import (
     AdversaryConfig,

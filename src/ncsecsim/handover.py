@@ -1,4 +1,4 @@
-"""Uplink-triggered handover procedure with pluggable key sharing.
+"""Uplink-triggered handovers with pluggable key sharing.
 
 The control sequence follows the usual prepare/execute/complete shape:
 request, acknowledgement, command to the UE, confirm, key delivery, path
@@ -15,25 +15,25 @@ cell's MAC keys reach the serving side:
   the serving BS forwards keys to the UE, on every single handover (two
   signals).
 
-Handovers between cells of the same security domain skip key sharing
-entirely.  A shared block broadcast is attributed to the handover that
+Every cell is its own security domain, so every handover needs key
+sharing.  A shared block broadcast is attributed to the handover that
 caused the upload, which keeps per-handover costs at exactly {1, 3} for
 the ledger scheme and 2 for the baselines while the raw trace still
 records each broadcast once.
 
-``begin_handover`` returns a procedure that is either complete or, on
-the ledger scheme's first visit, waiting for its keys to be ledgered;
-``try_complete`` finishes a waiting one once the ledger has ticked past
-its block.  The event loop in ``simulation`` is the only driver of the
-two in a run; ``replay_key_signaling`` derives the other schemes' key
-signals from its trigger stream.
+A run's handovers live in one ``HoTable``: parallel columns, one row per
+trigger in start order.  ``HoTable.start`` starts a tick's handovers,
+which complete at once or, on the ledger scheme's first visit, wait for
+their keys; ``HoTable.finish_waiting`` completes the waiting ones once the
+ledger has ticked past their block.  The event loop in ``simulation`` is
+the only driver of the table in a run; ``replay_key_signaling`` derives
+the other schemes' key signals from its trigger columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,7 +56,6 @@ class KeyPath(Enum):
     LEDGER_FIRST_HO = "ledger_first_ho"
     LEDGER_STEADY_STATE = "ledger_steady_state"
     BASELINE_PER_HO = "baseline_per_ho"
-    INTRA_DOMAIN = "intra_domain"
 
 
 @dataclass(frozen=True)
@@ -72,36 +71,6 @@ class PredictionConfig:
             raise InvalidParameter("prediction lead must be >= 0")
 
 
-@dataclass
-class HoProcedure:
-    ue_id: int
-    s_cell: int
-    t_cell: int
-    scheme: Scheme
-    t_trigger: int
-    timeout_ms: int
-    # The trace this procedure signals on; ``rows`` are its signals there.
-    trace: SignalTrace = field(repr=False, compare=False)
-    t_complete: int | None = None
-    prep_wait_ms: int | None = None
-    key_path: KeyPath | None = None
-    did_upload: bool = False
-    t_domain: str = ""
-    rows: list[int] = field(default_factory=list)
-
-    @property
-    def signals(self) -> list[SignalRecord]:
-        return [self.trace[i] for i in self.rows]
-
-    @property
-    def key_signal_count(self) -> int:
-        return self.trace.count_key_exchanges(self.rows)
-
-    @property
-    def complete(self) -> bool:
-        return self.t_complete is not None
-
-
 def _bsh(cell: int) -> str:
     return f"bsh{cell}"
 
@@ -110,197 +79,259 @@ def _ue(ue_id: int) -> str:
     return f"ue{ue_id}"
 
 
-# Endpoint roles in a procedure's signals: serving BS, target BS, UE, core.
+def upload_key_set(ledger: SimulatedLedger, cell: int, keys: Sequence, now: int) -> bool:
+    """Submit ``cell``'s key set to ``ledger`` at ``now``; returns whether
+    it was accepted.  Submission is idempotent, so a cell whose key set is
+    already pending or ledgered is not uploaded again."""
+    entry = CandidateEntry(EntryKind.CELL_KEY_SET, _bsh(cell), tuple(keys), now, str(cell))
+    return ledger.submit_candidate(entry).accepted
+
+
+# Endpoint roles in a handover's signals: serving BS, target BS, UE, core.
 _S, _T, _U, _CORE = range(4)
 
 
-def _columns(*signals: tuple[SignalKind, int, int]) -> tuple[tuple[int, ...], ...]:
+def _block(*signals: tuple[SignalKind, int, int]) -> tuple[tuple[int, ...], ...]:
     """A fixed signal sequence as columns: kind codes, source roles and
     destination roles."""
     kinds, srcs, dsts = zip(*signals)
     return tuple(KIND_CODE[k] for k in kinds), srcs, dsts
 
 
-_REQUEST = _columns((SignalKind.HO_REQUEST, _S, _T))
-_KEY_TO_SBS = _columns((SignalKind.KEY_TO_SBS, _T, _S))
-_COMPLETION = {
-    deliver_keys: _columns(
-        (SignalKind.HO_ACK, _T, _S),
-        (SignalKind.HO_COMMAND, _S, _U),
-        (SignalKind.HO_CONFIRM, _U, _T),
-        *([(SignalKind.KEY_TO_UE, _S, _U)] if deliver_keys else []),
-        (SignalKind.PATH_SWITCH, _CORE, _T),
-        (SignalKind.HO_COMPLETE, _T, _S),
-    )
-    for deliver_keys in (False, True)
-}
+_REQUEST = (SignalKind.HO_REQUEST, _S, _T)
+_COMPLETION = (
+    (SignalKind.HO_ACK, _T, _S),
+    (SignalKind.HO_COMMAND, _S, _U),
+    (SignalKind.HO_CONFIRM, _U, _T),
+    (SignalKind.KEY_TO_UE, _S, _U),
+    (SignalKind.PATH_SWITCH, _CORE, _T),
+    (SignalKind.HO_COMPLETE, _T, _S),
+)
+
+# Start patterns.  A handover's pattern fixes its key path, its start
+# block (the request, then the baseline key transfer or the upload row
+# the ledger writes) and its key signals once complete.  The first two
+# complete at start, so their completion block follows the start block.
+_BASELINE, _STEADY, _UPLOAD, _JOIN = range(4)
+_KEY_PATH = (
+    KeyPath.BASELINE_PER_HO, KeyPath.LEDGER_STEADY_STATE,
+    KeyPath.LEDGER_FIRST_HO, KeyPath.LEDGER_FIRST_HO,
+)
+_START_LEN = (2, 1, 2, 1)
+_KEY_SIGNALS = (2, 1, 3, 1)
+_AT_START = (
+    _block(_REQUEST, (SignalKind.KEY_TO_SBS, _T, _S), *_COMPLETION),
+    _block(_REQUEST, *_COMPLETION),
+    _block(_REQUEST),
+    _block(_REQUEST),
+)
+_AT_FINISH = _block(*_COMPLETION)
+_COLUMNS = (
+    "ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern",
+    "start_row", "done_row", "broadcast_row",
+)
 
 
-def _endpoints(proc: HoProcedure) -> tuple[int, int, int, int]:
-    """Name ids of the procedure's endpoints in its trace, indexed by role."""
-    name_id = proc.trace.name_id
-    s, t, u = _bsh(proc.s_cell), _bsh(proc.t_cell), _ue(proc.ue_id)
-    return name_id(s), name_id(t), name_id(u), name_id("core")
+class HoTable(Sequence["HoView"]):
+    """Every handover of a run as parallel int columns, one row per
+    trigger in start order.
 
-
-def _emit(proc: HoProcedure, ids: tuple[int, ...], now: int, columns: tuple) -> None:
-    """Append a fixed signal sequence (``_columns``) at ``now`` as rows of
-    the procedure; ``ids`` are its endpoints by role."""
-    kinds, srcs, dsts = columns
-    proc.rows.extend(proc.trace.extend(
-        kinds, [ids[r] for r in srcs], [ids[r] for r in dsts], (now,) * len(kinds)
-    ))
-
-
-def _finish(proc: HoProcedure, ids: tuple[int, ...], now: int, deliver_keys: bool) -> None:
-    _emit(proc, ids, now, _COMPLETION[deliver_keys])
-    proc.t_complete = now
-    proc.prep_wait_ms = now - proc.t_trigger
-
-
-def begin_handover(
-    ue_id: int,
-    s_cell: int,
-    t_cell: int,
-    scheme: Scheme,
-    ledger: SimulatedLedger | None,
-    now: int,
-    trace: SignalTrace,
-    t_cell_keys: Sequence | None = None,
-    s_domain: str | None = None,
-    t_domain: str | None = None,
-    timeout_ms: int | None = None,
-) -> HoProcedure:
-    """Start a handover; completes immediately unless keys must be ledgered.
-
-    The returned procedure is complete, or it is a ``LEDGER_FIRST_HO``
-    one with ``t_complete`` None that ``try_complete`` finishes.
-
-    By default every cell is its own security domain, so every handover
-    crosses domains and needs key sharing.  With a ledger, ``trace`` must
-    be the ledger's own, since its uploads and broadcasts are rows of the
-    procedure too.
+    The columns are ``ue_id``, ``s_cell``, ``t_cell`` and ``t_trigger``;
+    ``t_complete`` (-1 while waiting); ``pattern``, the start pattern; and
+    the rows of the handover's signals in the ledger's trace:
+    ``start_row`` and ``done_row``, the first rows of its start and
+    completion blocks (-1 while waiting), and ``broadcast_row``, the block
+    broadcast that carried its upload (-1 if it uploaded nothing).
+    ``waiting`` maps each UE whose handover waits for its keys to its row.
+    The columns are lists while the run appends to them and int64 arrays
+    after ``sort_by_time``.  Indexing and iteration yield ``HoView``s.
     """
-    if t_cell == s_cell:
-        raise NoOpHandover(f"ue{ue_id}: target equals serving cell {s_cell}")
-    if ledger is not None and trace is not ledger.trace:
-        raise InvalidParameter("a handover with a ledger signals on the ledger's trace")
-    s_domain = str(s_cell) if s_domain is None else s_domain
-    t_domain = str(t_cell) if t_domain is None else t_domain
-    if timeout_ms is None:
-        timeout_ms = 2 * (ledger.period if ledger is not None else 1000)
-    proc = HoProcedure(
-        ue_id=ue_id,
-        s_cell=s_cell,
-        t_cell=t_cell,
-        scheme=scheme,
-        t_trigger=now,
-        timeout_ms=timeout_ms,
-        t_domain=t_domain,
-        trace=trace,
-    )
-    ids = _endpoints(proc)
-    _emit(proc, ids, now, _REQUEST)
 
-    if s_domain == t_domain:
-        proc.key_path = KeyPath.INTRA_DOMAIN
-        _finish(proc, ids, now, deliver_keys=False)
-        return proc
+    def __init__(
+        self,
+        ledger: SimulatedLedger,
+        scheme: Scheme,
+        cell_keys: Mapping[int, Sequence],
+        timeout_ms: int | None = None,
+    ):
+        self.ledger = ledger
+        self.trace = ledger.trace
+        self._uses_ledger = scheme is Scheme.BLOCKCHAIN
+        self.cell_keys = cell_keys
+        self.timeout_ms = 2 * ledger.period if timeout_ms is None else timeout_ms
+        for name in _COLUMNS:
+            setattr(self, name, [])
+        self.waiting: dict[int, int] = {}
+        self._core = self.trace.name_id("core")
 
-    if scheme is not Scheme.BLOCKCHAIN:
-        proc.key_path = KeyPath.BASELINE_PER_HO
-        _emit(proc, ids, now, _KEY_TO_SBS)
-        _finish(proc, ids, now, deliver_keys=True)
-        return proc
+    def _emit(self, block: tuple, ue: int, s: int, t: int, now: int) -> int:
+        """Append a fixed signal sequence (``_block``) of a handover at
+        ``now``; returns its first row."""
+        name_id = self.trace.name_id
+        ids = (name_id(_bsh(s)), name_id(_bsh(t)), name_id(_ue(ue)), self._core)
+        kinds, srcs, dsts = block
+        return self.trace.extend(
+            kinds, [ids[r] for r in srcs], [ids[r] for r in dsts], [now] * len(kinds)
+        ).start
 
-    if ledger is None:
-        raise InvalidParameter("ledger scheme needs a ledger instance")
-    if ledger.query_keys(_bsh(s_cell), t_domain) is not None:
-        proc.key_path = KeyPath.LEDGER_STEADY_STATE
-        _finish(proc, ids, now, deliver_keys=True)
-        return proc
+    def start(
+        self, ues: Sequence[int], s_cells: Sequence[int], t_cells: Sequence[int], now: int
+    ) -> np.ndarray:
+        """Start the handovers of UEs that fired at ``now``, given in UE id
+        order; returns which of them completed at once.
 
-    # First visit (or upload still pending): share keys via the ledger.
-    proc.key_path = KeyPath.LEDGER_FIRST_HO
-    if not ledger.is_pending(t_domain, EntryKind.CELL_KEY_SET):
-        if t_cell_keys is None:
-            raise InvalidParameter(f"no key set supplied for cell {t_cell}")
-        receipt = ledger.submit_candidate(
-            CandidateEntry(
-                entry_kind=EntryKind.CELL_KEY_SET,
-                origin=_bsh(t_cell),
-                payload=tuple(t_cell_keys),
-                submitted_at=now,
-                domain=t_domain,
-            )
+        A baseline handover, or a ledger one whose target cell is ledgered,
+        completes at once.  A ledger first visit uploads the target cell's
+        key set unless it is already pending, and waits.
+        """
+        ledger = self.ledger
+        completed = []
+        for ue, s, t in zip(ues, s_cells, t_cells):
+            if s == t:
+                raise NoOpHandover(f"ue{ue}: target equals serving cell {s}")
+            if not self._uses_ledger:
+                pattern = _BASELINE
+            elif ledger.query_keys(_bsh(s), str(t)) is not None:
+                pattern = _STEADY
+            elif ledger.is_pending(str(t), EntryKind.CELL_KEY_SET):
+                pattern = _JOIN
+            elif t not in self.cell_keys:
+                raise InvalidParameter(f"no key set supplied for cell {t}")
+            else:
+                pattern = _UPLOAD
+            row = self._emit(_AT_START[pattern], ue, s, t, now)
+            if pattern == _UPLOAD:
+                upload_key_set(ledger, t, self.cell_keys[t], now)
+            done = pattern <= _STEADY
+            if not done:
+                self.waiting[ue] = len(self.ue_id)
+            self.ue_id.append(ue)
+            self.s_cell.append(s)
+            self.t_cell.append(t)
+            self.t_trigger.append(now)
+            self.t_complete.append(now if done else -1)
+            self.pattern.append(pattern)
+            self.start_row.append(row)
+            self.done_row.append(row + _START_LEN[pattern] if done else -1)
+            self.broadcast_row.append(-1)
+            completed.append(done)
+        return np.array(completed, dtype=bool)
+
+    def finish_waiting(self, now: int) -> list[tuple[int, int]]:
+        """Complete, in UE id order, the waiting handovers whose target
+        cell is ledgered by ``now``; returns their (UE id, target cell).
+
+        Raises ``HoPreparationTimeout`` for one still without keys after
+        waiting longer than the timeout.
+        """
+        finished = []
+        for ue in sorted(self.waiting):
+            i = self.waiting[ue]
+            s, t = self.s_cell[i], self.t_cell[i]
+            if self.ledger.query_keys(_bsh(s), str(t)) is None:
+                if now - self.t_trigger[i] > self.timeout_ms:
+                    raise HoPreparationTimeout(
+                        f"ue{ue}: keys for domain {t} not ledgered within {self.timeout_ms} ms"
+                    )
+                continue
+            if self.pattern[i] == _UPLOAD:
+                self.broadcast_row[i] = self.ledger.broadcast_row(str(t), EntryKind.CELL_KEY_SET)
+            self.done_row[i] = self._emit(_AT_FINISH, ue, s, t, now)
+            self.t_complete[i] = now
+            del self.waiting[ue]
+            finished.append((ue, t))
+        return finished
+
+    def sort_by_time(self) -> None:
+        """Put the trace in time order (``SignalTrace.sort_by_time``) and
+        map the row columns onto it; the columns become int64 arrays.
+
+        A block's rows share one time and are adjacent, so they stay
+        adjacent and its first row still locates it.
+        """
+        order = self.trace.sort_by_time()
+        new_row = np.full(len(order) + 1, -1, dtype=np.int64)  # new_row[-1] keeps -1
+        new_row[order] = np.arange(len(order))
+        for name in _COLUMNS:
+            setattr(self, name, np.array(getattr(self, name), dtype=np.int64))
+        for name in ("start_row", "done_row", "broadcast_row"):
+            setattr(self, name, new_row[getattr(self, name)])
+
+    def summary_rows(self) -> list[tuple[int, ...]]:
+        """The ``ho_summary.csv`` rows of the completed handovers in start
+        order: UE id, cells, trigger and completion times, key signals and
+        preparation wait."""
+        ue, s, t, t0, t1, pattern = (
+            np.asarray(getattr(self, name), dtype=np.int64) for name in _COLUMNS[:6]
         )
-        if receipt.accepted:
-            proc.did_upload = True
-            proc.rows.append(len(trace) - 1)  # the upload row
-    return proc
+        cols = (ue, s, t, t0, t1, np.array(_KEY_SIGNALS)[pattern], t1 - t0)
+        return list(zip(*(c[t1 >= 0].tolist() for c in cols)))
+
+    def __len__(self) -> int:
+        return len(self.ue_id)
+
+    def __getitem__(self, i: int) -> HoView:
+        return HoView(self, range(len(self))[i])
 
 
-def try_complete(proc: HoProcedure, ledger: SimulatedLedger, now: int) -> bool:
-    """Finish a preparation-blocked handover once its keys are ledgered."""
-    if proc.complete:
-        return True
-    if ledger.query_keys(_bsh(proc.s_cell), proc.t_domain) is None:
-        if now - proc.t_trigger > proc.timeout_ms:
-            raise HoPreparationTimeout(
-                f"ue{proc.ue_id}: keys for domain {proc.t_domain} not ledgered "
-                f"within {proc.timeout_ms} ms"
-            )
-        return False
-    if proc.did_upload:
-        proc.rows.append(ledger.broadcast_row(proc.t_domain, EntryKind.CELL_KEY_SET))
-    _finish(proc, _endpoints(proc), now, deliver_keys=True)
-    return True
+def _column(name: str) -> property:
+    return property(lambda view: int(getattr(view.table, name)[view.row]))
 
 
-# ----------------------------------------------------------------------
-# prediction
-# ----------------------------------------------------------------------
+class HoView:
+    """One row of a ``HoTable`` read as a handover."""
 
-@dataclass(frozen=True)
-class PrestageAction:
-    cell: int
-    domain: str
-    t: int
-    uploaded: bool
+    __slots__ = ("table", "row")
 
+    def __init__(self, table: HoTable, row: int):
+        self.table = table
+        self.row = row
 
-def predict_and_prestage(
-    ue_id: int,
-    target_cell: int,
-    prediction: PredictionConfig,
-    ledger: SimulatedLedger,
-    rng: np.random.Generator,
-    now: int,
-    t_cell_keys: Sequence,
-    t_domain: str | None = None,
-) -> PrestageAction | None:
-    """Upload a forecast target cell's keys ahead of the projected trigger.
+    ue_id = _column("ue_id")
+    s_cell = _column("s_cell")
+    t_cell = _column("t_cell")
+    t_trigger = _column("t_trigger")
+    _pattern = _column("pattern")
 
-    Succeeds with probability ``accuracy``; a failed draw means the
-    handover later runs the unpredicted path.  Prestaging never uploads a
-    cell that is already pending or ledgered (submission is idempotent),
-    so prediction cannot inflate per-cell upload counts.
-    """
-    if not prediction.enabled:
-        return None
-    domain = str(target_cell) if t_domain is None else t_domain
-    if float(rng.random()) >= prediction.accuracy:
-        return None
-    receipt = ledger.submit_candidate(
-        CandidateEntry(
-            entry_kind=EntryKind.CELL_KEY_SET,
-            origin=_bsh(target_cell),
-            payload=tuple(t_cell_keys),
-            submitted_at=now,
-            domain=domain,
-        )
-    )
-    return PrestageAction(target_cell, domain, now, uploaded=receipt.accepted)
+    @property
+    def t_complete(self) -> int | None:
+        t = int(self.table.t_complete[self.row])
+        return None if t < 0 else t
+
+    @property
+    def complete(self) -> bool:
+        return self.t_complete is not None
+
+    @property
+    def prep_wait_ms(self) -> int | None:
+        t = self.t_complete
+        return None if t is None else t - self.t_trigger
+
+    @property
+    def key_path(self) -> KeyPath:
+        return _KEY_PATH[self._pattern]
+
+    @property
+    def did_upload(self) -> bool:
+        return self._pattern == _UPLOAD
+
+    @property
+    def key_signal_count(self) -> int:
+        """Key-exchange signals of the handover so far: those of its start
+        pattern once complete, its upload while it waits."""
+        return _KEY_SIGNALS[self._pattern] if self.complete else int(self.did_upload)
+
+    @property
+    def signals(self) -> list[SignalRecord]:
+        """The handover's signals in its trace: its start block, the
+        broadcast that carried its upload, then its completion block."""
+        tab, i = self.table, self.row
+        start = int(tab.start_row[i])
+        rows = list(range(start, start + _START_LEN[self._pattern]))
+        for first, count in ((tab.broadcast_row[i], 1), (tab.done_row[i], len(_COMPLETION))):
+            if first >= 0:
+                rows.extend(range(int(first), int(first) + count))
+        return [tab.trace[r] for r in rows]
 
 
 # ----------------------------------------------------------------------
@@ -316,16 +347,6 @@ def cumulative_key_exchanges(
     return list(zip(grid.tolist(), np.searchsorted(times, grid, side="right").tolist()))
 
 
-@dataclass(frozen=True)
-class HoEvent:
-    """One handover trigger, the scheme-independent unit of comparison."""
-
-    ue_id: int
-    s_cell: int
-    t_cell: int
-    t_trigger: int
-
-
 def _name_ids(trace: SignalTrace, name, values: np.ndarray) -> np.ndarray:
     """Name ids in ``trace`` of ``name(v)`` for every entry of ``values``."""
     uniq, inverse = np.unique(values, return_inverse=True)
@@ -334,15 +355,19 @@ def _name_ids(trace: SignalTrace, name, values: np.ndarray) -> np.ndarray:
 
 
 def replay_key_signaling(
-    events: Sequence[HoEvent],
+    events: HoTable,
     scheme: Scheme,
     cell_keys: Mapping[int, Sequence],
     horizon_ms: int,
     rs_period_ms: int = 160,
     collection_period_ms: int = 1000,
 ) -> SignalTrace:
-    """Key-exchange signals of a time-ordered HO event stream under one
+    """Key-exchange signals of a time-ordered trigger stream under one
     key-sharing policy, with no per-UE concurrency limits.
+
+    ``events`` is read through its trigger columns ``ue_id``, ``s_cell``,
+    ``t_cell`` and ``t_trigger`` (a run's ``HoTable``, or any object with
+    those four int sequences).
 
     Baseline handovers send keys to the serving BS and on to the UE at
     their trigger.  Under the ledger scheme each cell's key set is uploaded
@@ -352,14 +377,14 @@ def replay_key_signaling(
     """
     trace = SignalTrace()
     ue, s_cell, t_cell, t_trigger = (
-        np.fromiter(map(attrgetter(f), events), dtype=np.int64, count=len(events))
+        np.asarray(getattr(events, f), dtype=np.int64)
         for f in ("ue_id", "s_cell", "t_cell", "t_trigger")
     )
     s_ids, ue_ids = _name_ids(trace, _bsh, s_cell), _name_ids(trace, _ue, ue)
     if scheme is not Scheme.BLOCKCHAIN:
         # Two rows per event: target to serving BS, then serving BS to UE.
         trace.extend(
-            [KIND_CODE[SignalKind.KEY_TO_SBS], KIND_CODE[SignalKind.KEY_TO_UE]] * len(events),
+            [KIND_CODE[SignalKind.KEY_TO_SBS], KIND_CODE[SignalKind.KEY_TO_UE]] * len(ue),
             np.column_stack([_name_ids(trace, _bsh, t_cell), s_ids]).ravel().tolist(),
             np.column_stack([s_ids, ue_ids]).ravel().tolist(),
             np.repeat(t_trigger, 2).tolist(),
@@ -368,11 +393,8 @@ def replay_key_signaling(
     led = SimulatedLedger({_bsh(c) for c in cell_keys}, collection_period_ms, trace)
     cells, first, inverse = np.unique(t_cell, return_index=True, return_inverse=True)
     for i in np.sort(first).tolist():  # each cell's first trigger, in stream order
-        ev = events[i]
-        led.submit_candidate(CandidateEntry(
-            EntryKind.CELL_KEY_SET, _bsh(ev.t_cell), tuple(cell_keys[ev.t_cell]),
-            ev.t_trigger, str(ev.t_cell),
-        ))
+        cell = int(t_cell[i])
+        upload_key_set(led, cell, cell_keys[cell], int(t_trigger[i]))
     # Every boundary takes all candidates submitted at or before it, so one
     # tick gives the blocks that ticking on every RS instant would.
     led.tick(horizon_ms // rs_period_ms * rs_period_ms)

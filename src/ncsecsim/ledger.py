@@ -168,19 +168,14 @@ class SignalTrace(Sequence[SignalRecord]):
         """Times of the key-exchange rows, in row order."""
         return np.array(self._t, dtype=np.int64)[_KEY_MASK[self._kind]]
 
-    def count_key_exchanges(self, rows: Iterable[int]) -> int:
-        """Key-exchange signals among the given rows."""
-        return sum(map(_KEY_FLAG.__getitem__, map(self._kind.__getitem__, rows)))
-
-    def sorted_by_time(self) -> SignalTrace:
-        """A copy with rows in time order, equal times kept in row order."""
-        order = np.argsort(np.array(self._t, dtype=np.int64), kind="stable").tolist()
-        out = SignalTrace()
-        out._names = list(self._names)
-        out._ids = dict(self._ids)
-        for name in ("_t", "_kind", "_src", "_dst"):  # the copy shares the int objects
-            setattr(out, name, list(map(getattr(self, name).__getitem__, order)))
-        return out
+    def sort_by_time(self) -> np.ndarray:
+        """Put the rows in time order in place, equal times kept in row
+        order; returns the permutation (row i is former row ``order[i]``)."""
+        order = np.argsort(np.array(self._t, dtype=np.int64), kind="stable")
+        take = order.tolist()
+        for name in ("_t", "_kind", "_src", "_dst"):
+            setattr(self, name, list(map(getattr(self, name).__getitem__, take)))
+        return order
 
     def write_csv(self, fh) -> None:
         """Write the ``signals.csv`` layout: a header, then one row per

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RunConfig
 from .gf import GF256
-from .handover import begin_handover, try_complete
+from .handover import HoTable
 from .integrity import attach_tags, generate_domain_keys, verify_tags
 from .keydist import (
     Scheme,
@@ -24,7 +24,7 @@ from .keydist import (
     required_tags,
     security_level,
 )
-from .ledger import SignalKind, SignalTrace, SimulatedLedger
+from .ledger import SignalKind, SimulatedLedger
 from .rlnc import decode, encode, random_generation, recode
 from .simulation import run_simulation
 
@@ -60,18 +60,16 @@ def _check_mac_homomorphism() -> None:
 
 
 def _check_ledger_batching() -> None:
-    led = SimulatedLedger({f"bsh{c}" for c in range(4)})
     key_sets = {c: (f"k{c}",) for c in range(4)}
-    p0 = begin_handover(0, 0, 1, Scheme.BLOCKCHAIN, led, 160, led.trace, key_sets[1])
-    assert not p0.complete
+    led = SimulatedLedger({f"bsh{c}" for c in range(4)})
+    hos = HoTable(led, Scheme.BLOCKCHAIN, key_sets)
+    assert not hos.start([0], [0], [1], 160)[0]
     led.tick(1000)
-    assert try_complete(p0, led, 1000)
-    p1 = begin_handover(1, 2, 1, Scheme.BLOCKCHAIN, led, 2000, led.trace, key_sets[1])
-    p2 = begin_handover(2, 1, 3, Scheme.DOUBLE_RANDOM, None, 2000, SignalTrace())
-    assert p1.complete and p2.complete
-    assert p0.key_signal_count == 3
-    assert p1.key_signal_count == 1
-    assert p2.key_signal_count == 2
+    assert hos.finish_waiting(1000) == [(0, 1)]
+    assert hos.start([1], [2], [1], 2000)[0]
+    baseline = HoTable(SimulatedLedger(led.controllers), Scheme.DOUBLE_RANDOM, key_sets)
+    assert baseline.start([2], [1], [3], 2000)[0]
+    assert [h.key_signal_count for h in (*hos, *baseline)] == [3, 1, 2]
     broadcasts = [r for r in led.trace if r.kind == SignalKind.BLOCK_BROADCAST]
     assert len(broadcasts) == 1
 

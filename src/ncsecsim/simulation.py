@@ -5,14 +5,17 @@ Each reference-signal tick advances UE positions, measures uplink powers
 at every base station, optionally forecasts imminent handovers for key
 prestaging, starts triggered handovers, and then lets the ledger verify
 any collection-period boundary that has passed.  Handovers blocked on key
-sharing complete at the first tick after their block verifies.
+sharing complete at the first tick after their block verifies.  Every
+handover is a row of one ``handover.HoTable``, which signals on the
+ledger's trace; after the last tick the trace is put in time order in
+place and the table's row columns follow it.
 
 All randomness flows from one master seed through named substreams
 (placement, key material, prediction, fading), so identical seed and
 configuration give byte-identical artifacts.
 
-For scheme comparisons the run keeps its trigger stream and derives the
-other kind of scheme's key-exchange signals from it; the resulting curves
+For scheme comparisons the run derives the other kind of scheme's
+key-exchange signals from the table's trigger columns; the resulting curves
 differ only in key signaling, never in mobility.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +32,11 @@ from .config import RunConfig, write_config_echo
 from .errors import IoError
 from .gf import FieldSpec
 from .handover import (
-    HoEvent,
-    HoProcedure,
-    begin_handover,
+    HoTable,
+    HoView,
     cumulative_key_exchanges,
-    predict_and_prestage,
     replay_key_signaling,
-    try_complete,
+    upload_key_set,
 )
 from .integrity import MacKey, generate_domain_keys
 from .keydist import Scheme
@@ -62,17 +64,17 @@ class SimulationResult:
     config: RunConfig
     grid: CellGrid
     trace: SignalTrace
-    procedures: list[HoProcedure]
-    events: list[HoEvent]
+    events: HoTable
     blocks: list[LedgerBlock]
     upload_log: list[tuple[int, str, str]]
     cell_keys: dict[int, tuple[MacKey, ...]]
     scheme_traces: dict[str, SignalTrace]
     measurements: list[Measurement]
 
-    @property
-    def completed(self) -> list[HoProcedure]:
-        return [p for p in self.procedures if p.complete]
+    @cached_property
+    def completed(self) -> list[HoView]:
+        """Views of the completed handovers, in start order."""
+        return [view for view in self.events if view.complete]
 
 
 def run_simulation(config: RunConfig) -> SimulationResult:
@@ -98,19 +100,15 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         for cell in range(grid.num_cells)
     }
 
-    trace = SignalTrace()
     ledger = SimulatedLedger(
-        {f"bsh{c}" for c in range(grid.num_cells)},
-        config.ledger.collection_period_ms,
-        trace,
+        {f"bsh{c}" for c in range(grid.num_cells)}, config.ledger.collection_period_ms
     )
+    handovers = HoTable(ledger, config.scheme, cell_keys, config.ledger.ho_timeout_ms)
+    waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
     # Ring buffer of the samples a TTT window can reach, all UEs at once.
     window_len = sc.ul_ttt_ms // sc.rs_period_ms + 1
     ring = np.empty((window_len, ues.count, grid.num_cells))
-    inflight: dict[int, HoProcedure] = {}
-    procedures: list[HoProcedure] = []
-    events: list[HoEvent] = []
     measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
     predict = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
@@ -130,45 +128,34 @@ def run_simulation(config: RunConfig) -> SimulationResult:
 
             if predict:
                 _forecast_and_prestage(
-                    config, grid, ledger, ues, inflight, decided_forecasts,
+                    config, grid, ledger, ues, waiting, decided_forecasts,
                     cell_keys, rng_predict, t, lead_ticks,
                 )
 
             reach = min(tick + 1, window_len)
             window = ring[np.arange(tick + 1 - reach, tick + 1) % window_len]  # oldest first
             targets = trigger_targets(window, ues.serving, sc.ul_offset_db)
-            for ue_id in np.flatnonzero(targets >= 0).tolist():
-                if ue_id in inflight:
-                    continue
-                s_cell, target = int(ues.serving[ue_id]), int(targets[ue_id])
-                proc = begin_handover(
-                    ue_id, s_cell, target, config.scheme, ledger, t,
-                    trace, t_cell_keys=cell_keys[target],
-                    timeout_ms=config.ledger.ho_timeout_ms,
-                )
-                procedures.append(proc)
-                events.append(HoEvent(ue_id, s_cell, target, t))
-                if proc.complete:
-                    ues.serving[ue_id] = target
-                else:
-                    inflight[ue_id] = proc
+            fired = [u for u in np.flatnonzero(targets >= 0).tolist() if u not in waiting]
+            if fired:
+                t_cells = targets[fired]
+                done = handovers.start(fired, ues.serving[fired].tolist(), t_cells.tolist(), t)
+                ues.serving[np.array(fired)[done]] = t_cells[done]
 
             ledger.tick(t)
 
-            for ue_id in sorted(inflight):
-                proc = inflight[ue_id]
-                if try_complete(proc, ledger, t):
-                    ues.serving[ue_id] = proc.t_cell
-                    del inflight[ue_id]
+            for ue_id, target in handovers.finish_waiting(t):
+                ues.serving[ue_id] = target
 
-    own_trace = trace.sorted_by_time()
+    handovers.sort_by_time()
     # The baselines differ only in key assignment, not in signaling, so a
     # baseline run's own trace serves both and one replay serves the rest.
     own_uses_ledger = config.scheme is Scheme.BLOCKCHAIN
+    own_trace = ledger.trace
     replayed = replay_key_signaling(
-        events, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN, cell_keys,
+        handovers, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN, cell_keys,
         config.horizon_ms, sc.rs_period_ms, config.ledger.collection_period_ms,
-    ).sorted_by_time()
+    )
+    replayed.sort_by_time()
     scheme_traces = {
         scheme.label: own_trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
         for scheme in _ALL_SCHEMES
@@ -178,8 +165,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         config=config,
         grid=grid,
         trace=own_trace,
-        procedures=procedures,
-        events=events,
+        events=handovers,
         blocks=list(ledger.blocks),
         upload_log=list(ledger.upload_log),
         cell_keys=cell_keys,
@@ -193,7 +179,7 @@ def _forecast_and_prestage(
     grid: CellGrid,
     ledger: SimulatedLedger,
     ues: UeArrays,
-    inflight: dict[int, HoProcedure],
+    waiting: dict[int, int],
     decided: set[tuple[int, int, int]],
     cell_keys: dict[int, tuple[MacKey, ...]],
     rng: np.random.Generator,
@@ -204,10 +190,13 @@ def _forecast_and_prestage(
 
     Motion and the deterministic radio model make the forecast exact at
     the default settings; the accuracy knob then decides per upcoming
-    trigger whether the prestage actually happens.  Each (ue, cell,
-    trigger time) is decided at most once.  The forecast runs for all
-    UEs and lead ticks at once; the ledger checks and prestage draws then
-    go UE by UE in id order.
+    trigger whether the prestage actually happens: an accepted draw
+    uploads the target cell's key set, a failed one leaves the handover to
+    the unpredicted path.  Each (ue, cell, trigger time) is decided at
+    most once, and a cell already pending or ledgered is never uploaded
+    again.  The forecast runs for all UEs and lead ticks at once; the
+    ledger checks and prestage draws then go UE by UE in id order,
+    skipping UEs whose handover is ``waiting``.
     """
     sc = config.scenario
     lead_ms = np.arange(1, lead_ticks + 1) * sc.rs_period_ms
@@ -218,7 +207,7 @@ def _forecast_and_prestage(
     fires = targets >= 0
     earliest = fires.argmax(axis=1)  # only the earliest trigger is a valid forecast
     for ue_id in np.flatnonzero(fires.any(axis=1)).tolist():
-        if ue_id in inflight:
+        if ue_id in waiting:
             continue
         j = int(earliest[ue_id])
         target = int(targets[ue_id, j])
@@ -230,10 +219,8 @@ def _forecast_and_prestage(
         key = (ue_id, target, now + int(lead_ms[j]))
         if key not in decided:
             decided.add(key)
-            predict_and_prestage(
-                ue_id, target, config.prediction, ledger, rng, now,
-                t_cell_keys=cell_keys[target],
-            )
+            if float(rng.random()) < config.prediction.accuracy:
+                upload_key_set(ledger, target, cell_keys[target], now)
 
 
 # ----------------------------------------------------------------------
@@ -272,11 +259,7 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
             ["ue_id", "s_cell", "t_cell", "t_trigger_ms", "t_complete_ms",
              "key_signals", "prep_wait_ms"]
         )
-        for proc in result.completed:
-            w.writerow(
-                [proc.ue_id, proc.s_cell, proc.t_cell, proc.t_trigger,
-                 proc.t_complete, proc.key_signal_count, proc.prep_wait_ms]
-            )
+        w.writerows(result.events.summary_rows())
 
     labels = list(result.scheme_traces)
     paths["per_second"] = out / "per_second_signaling.csv"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 
 import numpy as np
 
@@ -175,3 +176,87 @@ def signals_csv_oracle(records) -> str:
     for rec in records:
         w.writerow([rec.t, rec.kind.value, rec.src, rec.dst, int(rec.counts_as_key_exchange)])
     return buf.getvalue()
+
+
+_KEY_KINDS = frozenset({"candidate_upload", "block_broadcast", "key_to_ue", "key_to_sbs"})
+_Kind = namedtuple("_Kind", "value")
+_Signal = namedtuple("_Signal", "t kind src dst counts_as_key_exchange")
+
+
+def handover_rows_oracle(ticks, uses_ledger: bool, collection_period_ms: int):
+    """``signals.csv`` text and ``ho_summary`` rows of handovers driven one
+    UE at a time against a dict ledger.
+
+    ``ticks`` lists (t, prestaged cells, triggers) in time order, each
+    trigger a (ue, s_cell, t_cell) and the triggers in UE id order.  At
+    each t the prestaged cells' key sets are uploaded, the triggers of UEs
+    not already waiting start a handover, every collection boundary up to
+    t verifies the uploads submitted at or before it in one broadcast, and
+    waiting handovers whose target cell is ledgered complete, in UE id
+    order.  Summary rows are (ue, s_cell, t_cell, t_trigger, t_complete,
+    key signals, prep wait) of the completed handovers in start order; an
+    upload's broadcast counts for the handover that uploaded.
+    """
+    signals = []  # (t, kind, src, dst) in emission order
+    pending = {}  # cell -> upload time
+    ledgered = set()
+    last_boundary = -1
+    handovers = []  # [ue, s_cell, t_cell, t_trigger, t_complete, key signals, uploaded]
+    waiting = {}  # ue -> its handover
+
+    def emit(t, kind, src, dst):
+        signals.append((t, kind, src, dst))
+        return int(kind in _KEY_KINDS)
+
+    def complete(ho, now):
+        s, t, u = f"bsh{ho[1]}", f"bsh{ho[2]}", f"ue{ho[0]}"
+        if ho[6]:
+            ho[5] += 1  # the broadcast that carried its upload
+        for kind, src, dst in (
+            ("ho_ack", t, s), ("ho_command", s, u), ("ho_confirm", u, t),
+            ("key_to_ue", s, u), ("path_switch", "core", t), ("ho_complete", t, s),
+        ):
+            ho[5] += emit(now, kind, src, dst)
+        ho[4] = now
+
+    for now, prestaged, triggers in ticks:
+        for cell in prestaged:
+            if cell not in pending and cell not in ledgered:
+                pending[cell] = now
+                emit(now, "candidate_upload", f"bsh{cell}", "ledger")
+        for ue, s_cell, t_cell in triggers:
+            if ue in waiting:
+                continue
+            ho = [ue, s_cell, t_cell, now, None, 0, False]
+            handovers.append(ho)
+            emit(now, "ho_request", f"bsh{s_cell}", f"bsh{t_cell}")
+            if not uses_ledger:
+                ho[5] += emit(now, "key_to_sbs", f"bsh{t_cell}", f"bsh{s_cell}")
+                complete(ho, now)
+            elif t_cell in ledgered:
+                complete(ho, now)
+            else:
+                if t_cell not in pending:
+                    pending[t_cell] = now
+                    ho[5] += emit(now, "candidate_upload", f"bsh{t_cell}", "ledger")
+                    ho[6] = True
+                waiting[ue] = ho
+        while last_boundary < now // collection_period_ms:
+            last_boundary += 1
+            boundary = last_boundary * collection_period_ms
+            ready = [cell for cell, t in pending.items() if t <= boundary]
+            if ready:
+                emit(boundary, "block_broadcast", "ledger", "all_bsh")
+            for cell in ready:
+                del pending[cell]
+                ledgered.add(cell)
+        for ue in sorted(waiting):
+            if waiting[ue][2] in ledgered:
+                complete(waiting.pop(ue), now)
+
+    records = [
+        _Signal(t, _Kind(kind), src, dst, kind in _KEY_KINDS)
+        for t, kind, src, dst in sorted(signals, key=lambda sig: sig[0])
+    ]
+    summary = [ho[:5] + [ho[5], ho[4] - ho[3]] for ho in handovers if ho[4] is not None]
+    return signals_csv_oracle(records), [tuple(row) for row in summary]

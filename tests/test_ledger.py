@@ -258,10 +258,12 @@ def test_signal_trace_round_trip(records):
     assert SignalTrace(records) == trace
     if records:
         assert trace != records[:-1]
-    assert trace.sorted_by_time() == sorted(records, key=lambda r: r.t)
     buf = io.StringIO(newline="")
     trace.write_csv(buf)
     assert buf.getvalue().encode() == signals_csv_oracle(records).encode()
+    order = trace.sort_by_time()
+    assert trace == sorted(records, key=lambda r: r.t)
+    assert [records[i] for i in order.tolist()] == trace
 
 
 @settings(max_examples=200, deadline=None)

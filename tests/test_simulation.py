@@ -1,11 +1,12 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from ncsecsim.config import RunConfig
+from ncsecsim.config import RunConfig, apply_settings
 from ncsecsim.handover import KeyPath, PredictionConfig, cumulative_key_exchanges
 from ncsecsim.keydist import Scheme
-from ncsecsim.ledger import SignalKind, key_exchange_count
+from ncsecsim.ledger import SignalKind, SignalRecord, key_exchange_count
 from ncsecsim.simulation import run_simulation
 
 
@@ -165,7 +166,7 @@ def test_measurement_dump_rows(tmp_path):
 
 def test_horizon_zero_produces_nothing():
     result = run_simulation(dataclasses.replace(RunConfig(seed=0), horizon_ms=0))
-    assert result.trace == [] and result.events == [] and result.blocks == []
+    assert result.trace == [] and len(result.events) == 0 and result.blocks == []
 
 
 def test_shadow_fading_keeps_determinism():
@@ -186,3 +187,53 @@ def test_scheme_traces_keep_label_order_and_baselines_agree(scheme):
     sig = lambda trace: [(r.t, r.kind, r.src, r.dst) for r in trace]
     assert result.events
     assert sig(result.scheme_traces["macsig"]) == sig(result.scheme_traces["hmac"])
+
+
+PARTITION_CASES = {
+    "reference_60s": {"horizon_ms": "60000", "seed": "0"},
+    "slow_ledger_predict": {
+        "ledger.collection_period_ms": "1500",
+        "ledger.ho_timeout_ms": "3000",
+        "prediction.enabled": "true",
+        "prediction.lead_ms": "1600",
+        "horizon_ms": "20000",
+        "seed": "13",
+    },
+    "city_8x8_200ues_5s": {
+        "scenario.rows": "8",
+        "scenario.cols": "8",
+        "scenario.num_ues": "200",
+        "horizon_ms": "5000",
+        "seed": "14",
+    },
+}
+
+
+@pytest.mark.parametrize("settings", PARTITION_CASES.values(), ids=list(PARTITION_CASES))
+def test_handover_rows_partition_the_trace(settings):
+    # after the run's time sort, every handover's signals are still its own
+    result = run_simulation(apply_settings(RunConfig(), settings))
+    broadcast = SignalKind.BLOCK_BROADCAST
+    verified_at = {e.domain: b.verified_at for b in result.blocks for e in b.entries}
+    claimed = Counter()
+    uploads = set()
+    for view in result.events:
+        signals = view.signals
+        s, t = f"bsh{view.s_cell}", f"bsh{view.t_cell}"
+        assert signals[0] == SignalRecord(SignalKind.HO_REQUEST, s, t, view.t_trigger)
+        if view.complete:
+            assert signals[-1] == SignalRecord(SignalKind.HO_COMPLETE, t, s, view.t_complete)
+            assert view.key_signal_count == sum(r.counts_as_key_exchange for r in signals)
+        own_broadcast = view.did_upload and view.complete
+        assert [r for r in signals if r.kind is broadcast] == (
+            [SignalRecord(broadcast, "ledger", "all_bsh", verified_at[str(view.t_cell)])]
+            if own_broadcast else []
+        )
+        claimed.update(r for r in signals if r.kind is not broadcast)
+        if view.did_upload:
+            uploads.add((view.t_trigger, str(view.t_cell)))
+    prestaged = Counter(
+        SignalRecord(SignalKind.CANDIDATE_UPLOAD, origin, "ledger", t)
+        for t, origin, domain in result.upload_log if (t, domain) not in uploads
+    )
+    assert claimed + prestaged == Counter(r for r in result.trace if r.kind is not broadcast)
