@@ -7,19 +7,37 @@ wrappers around numpy arrays so that bulk operations (recoding rows,
 inner products over long payloads, Monte-Carlo batches) run as table
 lookups instead of Python loops.
 
-Every field, k = 1..16, multiplies through one pair of log/antilog
-tables built at construction time from a searched generator.  Zero has a
-sentinel logarithm that lands every product with a zero factor in a
-zero-filled run of the antilog table, so no product needs a zero branch.
-Matrix products (``FieldSpec.matmul``) are xor-reductions of those
-elementwise products.
+Every field, k = 1..16, builds a pair of log/antilog tables at
+construction time from a searched generator.  Zero has a sentinel
+logarithm that lands every product with a zero factor in a zero-filled run
+of the antilog table, so no product needs a zero branch.  Scalar products
+and every inverse read these tables.  Elementwise products (``vec_mul``)
+read them too for k > 8; for k <= 8 the field also keeps a q*q product
+table (64 KiB at k = 8), built from the log/antilog tables, so a product is
+one gather at index ``(a << k) | b``.
+
+Matrix products (``FieldSpec.matmul``) are xor-reductions of ``vec_mul``
+products.  Where a product row is 2, 4 or 8 bytes wide and contiguous, as
+in the tag and verdict products at l = 8, the reduction xors one machine
+word per row.  The rows of the left operand go through in blocks of at
+most ``MATMUL_BLOCK`` products, so the index arrays of a gather stay well
+under a MiB whatever the shapes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, InversionOfZero
+
+#: Products per block in ``FieldSpec.matmul``.  The product-table gather
+#: widens its uint16 index to intp, about 11 bytes per product in all.
+MATMUL_BLOCK = 1 << 16
+
+# Reduction rows of these byte widths are xored as one machine word.
+_XOR_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 # Default irreducible polynomials, one per supported bit width.  The k=8
 # entry is 0x11B, the widely tabulated choice, so results can be checked
@@ -131,6 +149,8 @@ class FieldSpec:
         self.generator = gen
         self._exp = exp
         self._log = log
+        # prod[(a << k) | b] = a*b, for the fields whose table fits in 64 KiB
+        self._prod = exp[log[:, None] + log[None, :]].ravel() if self.k <= 8 else None
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -163,16 +183,36 @@ class FieldSpec:
         """Elementwise product; broadcasts, so a scalar times a vector works."""
         a = np.asarray(a, dtype=self.dtype)
         b = np.asarray(b, dtype=self.dtype)
-        return self._exp[self._log[a] + self._log[b]]
+        if self._prod is None:
+            return self._exp[self._log[a] + self._log[b]]
+        return np.take(self._prod, (a.astype(np.uint16) << self.k) | b)
 
     def matmul(self, a, b) -> np.ndarray:
         """Matrix product over the field: ``a`` is (..., r, m) or (m,), ``b``
-        is (m, c); sums of products are xor-reductions of ``vec_mul``."""
+        is (m, c); sums of products are xor-reductions of ``vec_mul``.
+
+        Rows of ``a`` go through in blocks of at most ``MATMUL_BLOCK``
+        products; a row longer than that is split along m as well (a block
+        holds at least one term of c products).
+        """
         a = np.asarray(a, dtype=self.dtype)
         b = np.asarray(b, dtype=self.dtype)
-        if b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        if b.ndim != 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
             raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-        return np.bitwise_xor.reduce(self.vec_mul(a[..., :, None], b), axis=-2)
+        m, c = b.shape
+        lead = a.shape[:-1]
+        rows = a.reshape(math.prod(lead), m)
+        inner = max(1, min(m, MATMUL_BLOCK // max(c, 1)))
+        step = max(1, MATMUL_BLOCK // (inner * max(c, 1)))
+        if inner == m and step >= len(rows):  # one block: the common case
+            return _xor_reduce(self.vec_mul(rows[:, :, None], b)).reshape(*lead, c)
+        out = np.zeros((len(rows), c), dtype=self.dtype)
+        for i in range(0, len(rows), step):
+            for j in range(0, m, inner):
+                out[i : i + step] ^= _xor_reduce(
+                    self.vec_mul(rows[i : i + step, j : j + inner, None], b[j : j + inner])
+                )
+        return out.reshape(*lead, c)
 
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.q, size=size, dtype=np.uint16).astype(self.dtype)
@@ -190,6 +230,15 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"FieldSpec(k={self.k}, poly={self.poly:#x})"
+
+
+def _xor_reduce(prod: np.ndarray) -> np.ndarray:
+    """XOR-sum of a (rows, terms, c) product over its terms axis, one word
+    per row when the product is contiguous and a row is 2, 4 or 8 bytes."""
+    word = _XOR_WORDS.get(prod.shape[-1] * prod.itemsize)
+    if word is not None and prod.flags.c_contiguous:
+        return np.bitwise_xor.reduce(prod.view(word), axis=-2).view(prod.dtype)
+    return np.bitwise_xor.reduce(prod, axis=-2)
 
 
 class FieldVector:

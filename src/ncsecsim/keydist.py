@@ -186,9 +186,13 @@ def sample_holdings(
     tags = np.zeros((trials, config.L), dtype=bool)
     held = np.zeros((nodes, trials, config.L), dtype=bool)
     if config.scheme is Scheme.DOUBLE_RANDOM:
-        _mark_uniform_subsets(tags, l, rng)
+        # One pair of draw buffers serves every mask: fresh per-node
+        # temporaries page-fault or not depending on what malloc last freed.
+        draws = np.empty(tags.shape)
+        order = np.empty_like(draws)
+        _mark_uniform_subsets(tags, l, rng, draws, order)
         for mask in held:
-            _mark_uniform_subsets(mask, config.s, rng)
+            _mark_uniform_subsets(mask, config.s, rng, draws, order)
         return tags, held
     # C_COVER_FREE
     tags[:, :l] = True
@@ -200,12 +204,18 @@ def sample_holdings(
     return tags, held
 
 
-def _mark_uniform_subsets(mask: np.ndarray, size: int, rng: np.random.Generator) -> None:
+def _mark_uniform_subsets(
+    mask: np.ndarray, size: int, rng: np.random.Generator,
+    draws: np.ndarray, order: np.ndarray,
+) -> None:
     """Mark a uniform size-subset in every row of the (trials, U) mask: the
     keys of the ``size`` smallest of U uniform draws.  The draws are 53-bit
-    floats, so two in a row coincide with probability about U**2 / 2**54."""
-    draws = rng.random(mask.shape)
-    np.less_equal(draws, np.partition(draws, size - 1, axis=1)[:, size - 1 : size], out=mask)
+    floats, so two in a row coincide with probability about U**2 / 2**54.
+    ``draws`` and ``order`` are float64 scratch of the mask's shape."""
+    rng.random(out=draws)
+    order[...] = draws
+    order.partition(size - 1, axis=1)
+    np.less_equal(draws, order[:, size - 1 : size], out=mask)
 
 
 # ----------------------------------------------------------------------

@@ -133,17 +133,19 @@ def trigger_targets(
 
     ``window`` holds the samples inside the time-to-trigger window, shape
     (W, *batch, cells), oldest first and newest last; ``serving`` gives
-    the serving cell per batch entry.  A cell qualifies when it beats the
-    serving cell by more than the offset in every sample.  The strongest
-    qualifying cell at the newest sample wins; equal powers break toward
-    the lowest cell id.
+    the serving cell per batch entry and broadcasts against the batch.  A
+    cell qualifies when it beats the serving cell by more than the offset
+    in every sample.  The strongest qualifying cell at the newest sample
+    wins; equal powers break toward the lowest cell id.
     """
-    serving = np.broadcast_to(np.asarray(serving), window.shape[1:-1])[..., None]
-    serving_power = np.take_along_axis(window, serving[None], axis=-1)
-    mask = np.all(window > serving_power + ul_offset_db, axis=0)
-    np.put_along_axis(mask, serving, False, axis=-1)
-    best = np.argmax(np.where(mask, window[-1], -np.inf), axis=-1)
-    return np.where(mask.any(axis=-1), best, -1)
+    batch = window.shape[1:-1]
+    flat = window.reshape(len(window), -1, window.shape[-1])  # (W, entries, cells)
+    col = (np.asarray(serving) + np.zeros(batch, dtype=np.intp)).ravel()
+    rows = np.arange(len(col))
+    mask = (flat > flat[:, rows, col, None] + ul_offset_db).all(axis=0)
+    mask[rows, col] = False
+    best = np.where(mask, flat[-1], -np.inf).argmax(axis=-1)
+    return np.where(mask.any(axis=-1), best, -1).reshape(batch)
 
 
 @dataclass

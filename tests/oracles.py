@@ -98,6 +98,14 @@ def matmul_oracle(a, b, k: int, poly: int) -> list[list[int]]:
     ]
 
 
+def mark_uniform_subsets_oracle(mask, size: int, rng) -> None:
+    """Mark the keys of the ``size`` smallest of U uniform draws in every
+    row of the (trials, U) mask, with fresh draw and partition arrays per
+    call (the sampler's original form; ``sample_holdings`` must match it)."""
+    draws = rng.random(mask.shape)
+    np.less_equal(draws, np.partition(draws, size - 1, axis=1)[:, size - 1 : size], out=mask)
+
+
 def ho_trigger_oracle(history, serving: int, ul_offset_db: float, ul_ttt_ms: int):
     """Per-UE handover trigger, one sample at a time.
 

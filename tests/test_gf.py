@@ -1,8 +1,13 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsecsim import gf
 from ncsecsim.errors import DimensionMismatch, InvalidParameter, InversionOfZero
 from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
 
@@ -41,35 +46,107 @@ def test_kernel_matches_oracle_at_every_k(case):
                 spec.inv(x)
 
 
+# Bytes per product row the matmul tests cover: 1, and the 2/4/8-byte rows
+# reduced a word at a time, and 16, wider than any word.
+ROW_BYTES = [1, 2, 4, 8, 16]
+
+
 @st.composite
 def matrix_pairs(draw):
-    """Operands of a product, inner and outer dimensions possibly empty."""
+    """Operands of a product and a block size, the row count on or next to
+    a multiple of the rows one block holds.  ``b`` may be contiguous, a
+    transposed view or a strided view; ``a`` may carry batch axes or be a
+    single 1-d row.  Inner and outer dimensions may be empty."""
     k = draw(st.sampled_from([1, 2, 4, 8, 12, 16]))
-    r, m, c = (draw(st.integers(0, 4)) for _ in range(3))
+    spec = SPECS[k]
+    itemsize = np.dtype(spec.dtype).itemsize
+    c = draw(st.sampled_from([0] + [w // itemsize for w in ROW_BYTES if w >= itemsize]))
+    m = draw(st.integers(0, 6))
+    block = draw(st.sampled_from([1, 2, 3, 7, 16, 64, gf.MATMUL_BLOCK]))
+    per_block = max(1, block // max(m * c, 1))
+    rows = per_block * draw(st.integers(0, 3)) + draw(st.sampled_from([-1, 0, 1]))
+    rows = max(0, min(rows, 24))
+    batch = draw(st.sampled_from([(), (2,), (1, 2)]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    spec = SPECS[k]
-    a = spec.random_elements(rng, (r, m))
-    b = spec.random_elements(rng, (m, c))
+    a = spec.random_elements(rng, batch + (rows, m))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    if layout == "contiguous":
+        b = spec.random_elements(rng, (m, c))
+    elif layout == "transposed":
+        b = spec.random_elements(rng, (c, m)).T
+    else:
+        b = spec.random_elements(rng, (2 * m, 2 * c + 1))[::2, 1::2]
     # plant zero rows/columns so the zero sentinel meets every position
-    if r and draw(st.booleans()):
-        a[draw(st.integers(0, r - 1))] = 0
+    if rows and draw(st.booleans()):
+        a[..., draw(st.integers(0, rows - 1)), :] = 0
     if c and draw(st.booleans()):
         b[:, draw(st.integers(0, c - 1))] = 0
-    return k, a, b
+    if rows == 1 and not batch and draw(st.booleans()):
+        a = a[0]  # a 1-d left operand
+    return k, a, b, block
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(matrix_pairs())
 def test_matmul_matches_loop_oracle(case):
-    k, a, b = case
+    k, a, b, block = case
     spec = SPECS[k]
-    got = spec.matmul(a, b)
-    assert got.shape == (a.shape[0], b.shape[1]) and got.dtype == spec.dtype
-    assert got.tolist() == matmul_oracle(a, b, k, spec.poly)
-    # a single row is the same product as a 1-d left operand
-    for i in range(a.shape[0]):
-        assert spec.matmul(a[i], b).tolist() == got[i].tolist()
+    with mock.patch.object(gf, "MATMUL_BLOCK", block):
+        got = spec.matmul(a, b)
+        assert got.shape == a.shape[:-1] + b.shape[1:] and got.dtype == spec.dtype
+        rows = math.prod(a.shape[:-1])
+        flat_a = a.reshape(rows, b.shape[0])
+        flat_got = got.reshape(rows, b.shape[1])
+        assert flat_got.tolist() == matmul_oracle(flat_a, b, k, spec.poly)
+        # a single row is the same product as a 1-d left operand
+        for i in range(len(flat_a)):
+            assert spec.matmul(flat_a[i], b).tolist() == flat_got[i].tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_product_table_exhaustive(k):
+    # every one of the q*q table products against log/antilog and the oracle
+    spec = SPECS[k]
+    a, b = np.divmod(np.arange(spec.q * spec.q), spec.q)
+    got = spec.vec_mul(a, b).tolist()
+    for x, y, z in zip(a.tolist(), b.tolist(), got):
+        assert z == spec.mul(x, y) == mul_oracle(x, y, k, spec.poly)
+
+
+@pytest.mark.parametrize("k, m, c", [(4, 32, 8), (8, 1024, 8), (8, 32, 1024), (16, 64, 4)])
+def test_matmul_at_block_boundaries(k, m, c):
+    # the module's own block size, row counts either side of a block edge,
+    # against one vec_mul row at a time
+    spec = SPECS[k]
+    per_block = max(1, gf.MATMUL_BLOCK // (m * c))
+    rng = np.random.default_rng(k + m + c)
+    b = spec.random_elements(rng, (c, m)).T
+    for rows in (per_block - 1, per_block, per_block + 1, 2 * per_block + 1):
+        a = spec.random_elements(rng, (rows, m))
+        expect = [np.bitwise_xor.reduce(spec.vec_mul(row[:, None], b), axis=0) for row in a]
+        assert np.array_equal(spec.matmul(a, b), np.array(expect, dtype=spec.dtype).reshape(rows, c))
+
+
+@pytest.mark.parametrize(
+    "spec, a_shape, b_shape",
+    [(GF256, (32, 1024), (1024, 8)), (GF16, (3000, 32), (32, 8))],
+)
+def test_matmul_working_set_is_bounded(spec, a_shape, b_shape):
+    # A block of products costs a uint16 index (2 B), its intp copy inside
+    # np.take (8 B) and the products (1 B); 12 B per product leaves slack.
+    # Without blocking these calls hold 4 and 12 blocks' worth at once.
+    rng = np.random.default_rng(9)
+    a = spec.random_elements(rng, a_shape)
+    b = spec.random_elements(rng, b_shape)
+    out_bytes = spec.matmul(a, b).nbytes
+    tracemalloc.start()
+    try:
+        spec.matmul(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * gf.MATMUL_BLOCK + out_bytes
 
 
 def test_matmul_rejects_mismatched_inner_dimension():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.errors import InvalidParameter
 from ncsecsim.keydist import (
@@ -18,6 +20,8 @@ from ncsecsim.keydist import (
     sample_holdings,
     security_level,
 )
+
+from oracles import mark_uniform_subsets_oracle
 
 
 def test_required_tags_frozen_values():
@@ -181,6 +185,36 @@ def test_double_random_overlap_is_hypergeometric():
         p = math.comb(l, x) * math.comb(L - l, s - x) / math.comb(L, s)
         sigma = math.sqrt(samples * p * (1 - p))
         assert abs(counts[x] - samples * p) <= 5 * sigma + 1e-9, (x, counts[x], samples * p)
+
+
+@st.composite
+def double_random_draws(draw):
+    L = draw(st.integers(1, 24))
+    s = draw(st.integers(1, L))
+    l = draw(st.integers(1, s))
+    nodes = draw(st.integers(1, 5))
+    trials = draw(st.integers(1, 40))
+    return SchemeConfig(Scheme.DOUBLE_RANDOM, l=l, L=L, s=s), nodes, trials, draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(double_random_draws())
+def test_double_random_holdings_match_fresh_buffer_oracle(case):
+    # reused draw buffers give the same masks, and consume the same draws,
+    # as fresh arrays per node
+    cfg, nodes, trials, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tags, held = sample_holdings(cfg, nodes, trials, rng)
+    expect_tags = np.zeros((trials, cfg.L), dtype=bool)
+    mark_uniform_subsets_oracle(expect_tags, cfg.l, oracle_rng)
+    expect_held = np.zeros((nodes, trials, cfg.L), dtype=bool)
+    for mask in expect_held:
+        mark_uniform_subsets_oracle(mask, cfg.s, oracle_rng)
+    assert np.array_equal(tags, expect_tags)
+    assert np.array_equal(held, expect_held)
+    assert rng.random() == oracle_rng.random()
 
 
 def test_colluder_sweep_curve_shapes():
