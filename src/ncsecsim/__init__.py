@@ -30,14 +30,12 @@ from .errors import (
 from .gf import GF16, GF256, FieldSpec, FieldVector
 from .rlnc import CodedPacket, DecodeResult, Generation, decode, encode, random_generation, recode
 from .integrity import (
-    MacKey,
+    KeyRing,
     TagSet,
     attach_tags,
     combine_tags,
     generate_domain_keys,
-    generate_key,
     ledger_check,
-    make_tag,
     tagset_for_generation,
     verify_tags,
 )

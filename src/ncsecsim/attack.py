@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -28,13 +27,12 @@ from ._stats import wilson_interval
 from .errors import InvalidParameter
 from .gf import FieldSpec, FieldVector
 from .integrity import (
-    MacKey,
+    KeyRing,
     attach_tags,
     combine_tags,
     generate_domain_keys,
     key_verdicts,
     tag_matrix,
-    tag_slots,
     tagset_for_generation,
 )
 from .keydist import Scheme, SchemeConfig, sample_holdings
@@ -72,19 +70,20 @@ class InjectionResult:
 def inject(
     pkt: CodedPacket,
     adversary: AdversaryConfig,
-    held_keys: Sequence[MacKey] = (),
+    held_keys: KeyRing | None = None,
     rng: np.random.Generator | None = None,
-    held_positions: Sequence[int] | None = None,
 ) -> InjectionResult:
     """Produce the polluted packet this adversary would emit.
 
-    ``held_keys``/``held_positions`` describe the colluders' joint key
-    knowledge (positions index the packet's tag slots).  A valid-tag forge
+    ``held_keys`` is the colluders' joint key knowledge, a sub-ring of the
+    source's keys whose slots index the packet's tags.  A valid-tag forge
     without any keys degenerates to a random forge, and the result says so.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    payloads, tags, strategy = _forge(pkt, adversary.strategy, held_keys, held_positions, 1, rng)
+    if held_keys is not None:
+        held_keys.check_field(pkt.spec)
+    payloads, tags, strategy = _forge(pkt, adversary.strategy, held_keys, 1, rng)
     spec = pkt.spec
     forged = CodedPacket(
         pkt.gen_id,
@@ -98,8 +97,7 @@ def inject(
 def _forge(
     pkt: CodedPacket,
     strategy: AttackStrategy,
-    held_keys: Sequence[MacKey],
-    held_positions: Sequence[int] | None,
+    held_keys: KeyRing | None,
     trials: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, AttackStrategy]:
@@ -123,8 +121,8 @@ def _forge(
     payloads[rows, symbols] ^= _nonzero_elements(spec, rng, trials)
     tags = spec.random_elements(rng, (trials, len(pkt.tags)))
     if strategy is AttackStrategy.VALID_TAG_FORGE:
-        slots = tag_slots(held_keys, held_positions, len(pkt.tags))
-        tags[:, slots] = tag_matrix(payloads, held_keys, spec)
+        held_keys.check_slots(len(pkt.tags))
+        tags[:, held_keys.slots] = tag_matrix(payloads, held_keys)
     return payloads, tags, strategy
 
 
@@ -203,18 +201,16 @@ def measure_bypass_rate(
     benign_positions = sorted(
         int(p) for p in rng.choice(config.l, size=l_prime, replace=False)
     ) if l_prime else []
-    benign_keys = [source_keys[p] for p in benign_positions]
-    colluder_positions = _colluder_positions(config, adversary, rng)
-    colluder_keys = [source_keys[p] for p in colluder_positions]
+    benign_keys = source_keys[benign_positions]
+    colluder_keys = source_keys[_colluder_positions(config, adversary, rng)]
 
     batch = max(1, _BATCH_ELEMENTS // (config.n * config.l))
     passes = 0
     for start in range(0, trials, batch):
         payloads, tags, _ = _forge(
-            base, adversary.strategy, colluder_keys, colluder_positions,
-            min(batch, trials - start), rng,
+            base, adversary.strategy, colluder_keys, min(batch, trials - start), rng
         )
-        passes += int(_accepts(payloads, tags, benign_keys, benign_positions, expected, spec).sum())
+        passes += int(_accepts(payloads, tags, benign_keys, expected).sum())
 
     low, high = wilson_interval(passes, trials)
     return BypassRateResult(
@@ -233,14 +229,12 @@ def measure_bypass_rate(
 def _accepts(
     payloads: np.ndarray,
     tags: np.ndarray,
-    keys: Sequence[MacKey],
-    positions: Sequence[int],
+    keys: KeyRing,
     expected_tags: np.ndarray | None,
-    spec: FieldSpec,
 ) -> np.ndarray:
     """Per-packet verdicts of a benign hop: every key it holds verifies
     and, on a ledgered hop, the carried tags equal the ledger's."""
-    ok = key_verdicts(payloads, tags, keys, positions, spec).all(axis=-1)
+    ok = key_verdicts(payloads, tags, keys).all(axis=-1)
     if expected_tags is not None:
         ok &= (tags == expected_tags).all(axis=-1)
     return ok

@@ -217,6 +217,21 @@ class FieldSpec:
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.q, size=size, dtype=np.uint16).astype(self.dtype)
 
+    def elements(self, data) -> np.ndarray:
+        """``data`` as a new array of field elements, any shape.
+
+        Raises ``InvalidParameter`` for non-integer data (a cast would
+        truncate it) or an element outside the field.  Empty data of any
+        dtype is accepted, since ``np.asarray([])`` is float64.
+        """
+        raw = np.asarray(data)
+        if raw.size:
+            if raw.dtype.kind not in "iu":
+                raise InvalidParameter(f"field elements must be integers, got {raw.dtype}")
+            if int(raw.min()) < 0 or int(raw.max()) >= self.q:
+                raise InvalidParameter(f"element outside GF({self.q})")
+        return raw.astype(self.dtype)
+
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
         return (
@@ -247,15 +262,7 @@ class FieldVector:
     __slots__ = ("elems", "spec")
 
     def __init__(self, elems, spec: FieldSpec, _checked: bool = False):
-        if _checked:
-            arr = np.asarray(elems, dtype=spec.dtype)
-        else:
-            raw = np.asarray(elems)
-            if raw.ndim != 1:
-                raise DimensionMismatch(f"expected 1-d data, got shape {raw.shape}")
-            if raw.size and (int(raw.min()) < 0 or int(raw.max()) >= spec.q):
-                raise InvalidParameter(f"element outside GF({spec.q})")
-            arr = raw.astype(spec.dtype)
+        arr = np.asarray(elems, dtype=spec.dtype) if _checked else spec.elements(elems)
         if arr.ndim != 1:
             raise DimensionMismatch(f"expected 1-d data, got shape {arr.shape}")
         self.elems = arr

@@ -39,6 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
+from .integrity import KeyRing
 from .keydist import Scheme
 from .ledger import (
     KIND_CODE,
@@ -79,11 +80,11 @@ def _ue(ue_id: int) -> str:
     return f"ue{ue_id}"
 
 
-def upload_key_set(ledger: SimulatedLedger, cell: int, keys: Sequence, now: int) -> bool:
+def upload_key_set(ledger: SimulatedLedger, cell: int, keys: KeyRing, now: int) -> bool:
     """Submit ``cell``'s key set to ``ledger`` at ``now``; returns whether
     it was accepted.  Submission is idempotent, so a cell whose key set is
     already pending or ledgered is not uploaded again."""
-    entry = CandidateEntry(EntryKind.CELL_KEY_SET, _bsh(cell), tuple(keys), now, str(cell))
+    entry = CandidateEntry(EntryKind.CELL_KEY_SET, _bsh(cell), keys, now, str(cell))
     return ledger.submit_candidate(entry).accepted
 
 
@@ -151,7 +152,7 @@ class HoTable(Sequence["HoView"]):
         self,
         ledger: SimulatedLedger,
         scheme: Scheme,
-        cell_keys: Mapping[int, Sequence],
+        cell_keys: Mapping[int, KeyRing],
         timeout_ms: int | None = None,
     ):
         self.ledger = ledger
@@ -357,7 +358,7 @@ def _name_ids(trace: SignalTrace, name, values: np.ndarray) -> np.ndarray:
 def replay_key_signaling(
     events: HoTable,
     scheme: Scheme,
-    cell_keys: Mapping[int, Sequence],
+    cell_keys: Mapping[int, KeyRing],
     horizon_ms: int,
     rs_period_ms: int = 160,
     collection_period_ms: int = 1000,

@@ -30,37 +30,69 @@ from .gf import FieldSpec, FieldVector
 from .rlnc import CodedPacket, Generation
 
 
-@dataclass(frozen=True)
-class MacKey:
-    """Secret vector in GF(q)^(n+1) defining one homomorphic MAC."""
+class KeyRing:
+    """MAC keys of one security domain, one key per row of a read-only
+    (count, n+1) matrix over ``spec``.
 
-    key_id: str
-    vec: FieldVector
-    domain_id: str
+    A key is a secret vector in GF(q)^(n+1) with a nonzero last element.
+    Row i checks the tag in slot ``slots[i]``; a ring built from a matrix
+    has row i own slot i.  Indexing by an int, a slice or a list of rows
+    gives the sub-ring of those rows with their slots, so ``keys[[2, 0]]``
+    checks slots 2 and 0.  A ring with no rows stands for a node that holds
+    no key.  The transposed key heads and the inverses of the last elements
+    are computed once, here, for every tag and verdict product.
+    """
 
-    def __post_init__(self):
-        if len(self.vec) < 2:
-            raise InvalidParameter("key vector needs at least 2 elements")
-        if self.vec[len(self.vec) - 1] == 0:
+    __slots__ = ("spec", "domain_id", "matrix", "slots", "heads_t", "last", "inv_last", "_slot_end")
+
+    def __init__(self, matrix, spec: FieldSpec, domain_id: str = ""):
+        mat = spec.elements(matrix)
+        if mat.ndim != 2 or mat.shape[1] < 2:
+            raise InvalidParameter(f"key matrix must be (count, n+1) with n >= 1, got {mat.shape}")
+        if not mat[:, -1].all():
             raise InvalidParameter("last key element must be nonzero")
+        inv_last = np.array([spec.inv(int(x)) for x in mat[:, -1]], dtype=spec.dtype)
+        self._set(spec, domain_id, mat, np.arange(len(mat)), inv_last)
 
-    @property
-    def payload_len(self) -> int:
-        return len(self.vec) - 1
+    def _set(self, spec, domain_id, matrix, slots, inv_last) -> None:
+        self.spec = spec
+        self.domain_id = domain_id
+        self.matrix = matrix
+        self.slots = slots
+        self.heads_t = np.ascontiguousarray(matrix[:, :-1].T)
+        self.last = matrix[:, -1]
+        self.inv_last = inv_last
+        self._slot_end = int(slots.max()) + 1 if len(slots) else 0
+        for arr in (matrix, slots, self.heads_t, inv_last):
+            arr.flags.writeable = False
 
+    def __len__(self) -> int:
+        return len(self.matrix)
 
-def generate_key(
-    n: int,
-    spec: FieldSpec,
-    rng: np.random.Generator,
-    key_id: str,
-    domain_id: str,
-) -> MacKey:
-    """Uniform random key; the last element is redrawn until nonzero."""
-    vec = spec.random_elements(rng, n + 1)
-    while vec[n] == 0:
-        vec[n] = spec.random_elements(rng, 1)[0]
-    return MacKey(key_id, FieldVector(vec, spec, _checked=True), domain_id)
+    def __getitem__(self, index) -> "KeyRing":
+        rows = np.atleast_1d(np.arange(len(self))[index])
+        ring = object.__new__(KeyRing)
+        ring._set(self.spec, self.domain_id, self.matrix[rows], self.slots[rows], self.inv_last[rows])
+        return ring
+
+    def check_slots(self, tag_count: int) -> None:
+        """Raise ``DimensionMismatch`` unless every key's slot is one of the
+        ``tag_count`` tags a packet carries."""
+        if self._slot_end > tag_count:
+            raise DimensionMismatch(
+                f"key slot {self._slot_end - 1} outside the {tag_count} tags a packet carries"
+            )
+
+    def check_field(self, spec: FieldSpec) -> None:
+        """Raise ``DimensionMismatch`` unless the keys are over ``spec``."""
+        if spec != self.spec:
+            raise DimensionMismatch(f"keys over {self.spec} used on data over {spec}")
+
+    def __repr__(self) -> str:
+        return (
+            f"KeyRing({self.domain_id!r}, {len(self)} keys, n={self.matrix.shape[1] - 1}, "
+            f"GF({self.spec.q}), slots={self.slots.tolist()})"
+        )
 
 
 def generate_domain_keys(
@@ -69,97 +101,62 @@ def generate_domain_keys(
     spec: FieldSpec,
     rng: np.random.Generator,
     domain_id: str,
-) -> tuple[MacKey, ...]:
-    return tuple(
-        generate_key(n, spec, rng, key_id=f"{domain_id}/k{i}", domain_id=domain_id)
-        for i in range(count)
-    )
+) -> KeyRing:
+    """``count`` uniform random keys of length n+1, drawn key by key; the
+    last element of each is redrawn until nonzero."""
+    rows = []
+    for _ in range(count):
+        vec = spec.random_elements(rng, n + 1)
+        while vec[n] == 0:
+            vec[n] = spec.random_elements(rng, 1)[0]
+        rows.append(vec)
+    return KeyRing(np.array(rows, dtype=spec.dtype).reshape(count, n + 1), spec, domain_id)
 
 
-def _key_matrix(keys: Sequence[MacKey], n: int, spec: FieldSpec) -> np.ndarray:
-    """The key vectors as rows of a (len(keys), n+1) matrix."""
-    for key in keys:
-        if key.payload_len != n:
-            raise DimensionMismatch(
-                f"payload length {n} does not match key dimension {key.payload_len}+1"
-            )
-    return np.array([key.vec.elems for key in keys], dtype=spec.dtype).reshape(len(keys), n + 1)
-
-
-def tag_matrix(payloads, keys: Sequence[MacKey], spec: FieldSpec) -> np.ndarray:
+def tag_matrix(payloads, keys: KeyRing) -> np.ndarray:
     """Tags of every payload under every key: dot(p, key[0..n)) / key[n].
 
     ``payloads`` is one payload (n,) or a stack (rows, n); the result is
-    (len(keys),) or (rows, len(keys)) respectively.
+    (len(keys),) or (rows, len(keys)) respectively, in row order.
     """
-    payloads = np.asarray(payloads, dtype=spec.dtype)
-    vecs = _key_matrix(keys, payloads.shape[-1], spec)
-    inv_last = [spec.inv(int(last)) for last in vecs[:, -1]]
-    return spec.vec_mul(spec.matmul(payloads, vecs[:, :-1].T), inv_last)
+    spec = keys.spec
+    return spec.vec_mul(spec.matmul(payloads, keys.heads_t), keys.inv_last)
 
 
-def make_tag(payload: FieldVector, key: MacKey) -> int:
-    """Tag t with dot((payload || t), key.vec) == 0."""
-    return int(tag_matrix(payload.elems, [key], key.vec.spec)[0])
-
-
-def attach_tags(pkt: CodedPacket, keys: Sequence[MacKey]) -> CodedPacket:
-    """Return a copy of pkt carrying one tag per key, in key order."""
-    spec = pkt.spec
+def attach_tags(pkt: CodedPacket, keys: KeyRing) -> CodedPacket:
+    """Return a copy of pkt carrying one tag per key, in row order."""
+    keys.check_field(pkt.spec)
     return CodedPacket(
         pkt.gen_id,
         pkt.coeffs.copy(),
         pkt.payload.copy(),
-        FieldVector(tag_matrix(pkt.payload.elems, keys, spec), spec, _checked=True),
+        FieldVector(tag_matrix(pkt.payload.elems, keys), pkt.spec, _checked=True),
     )
 
 
-def tag_slots(
-    keys: Sequence[MacKey], positions: Sequence[int] | None, tag_count: int
-) -> list[int]:
-    """The tag slot of each key (by default key i owns slot i), checked
-    against the number of tags a packet carries."""
-    positions = list(range(len(keys)) if positions is None else positions)
-    if len(positions) != len(keys):
-        raise DimensionMismatch("one tag position per key required")
-    if any(p < 0 or p >= tag_count for p in positions):
-        raise DimensionMismatch("tag position outside the packet's tag vector")
-    return positions
-
-
-def key_verdicts(
-    payloads,
-    tags,
-    keys: Sequence[MacKey],
-    positions: Sequence[int] | None,
-    spec: FieldSpec,
-) -> np.ndarray:
-    """Per-key verdicts over stacked packets: dot((p || t[pos]), key.vec) == 0.
+def key_verdicts(payloads, tags, keys: KeyRing) -> np.ndarray:
+    """Per-key verdicts over stacked packets: dot((p || t[slot]), key) == 0.
 
     ``payloads`` is (..., n) and ``tags`` (..., l); the result is
-    (..., len(keys)).  ``positions`` maps each key to its tag slot.
+    (..., len(keys)).  Each key checks the tag in its own slot, which
+    must be one of the l the packets carry.
     """
-    payloads = np.asarray(payloads, dtype=spec.dtype)
+    spec = keys.spec
     tags = np.asarray(tags, dtype=spec.dtype)
-    positions = tag_slots(keys, positions, tags.shape[-1])
-    vecs = _key_matrix(keys, payloads.shape[-1], spec)
-    acc = spec.matmul(payloads, vecs[:, :-1].T)
-    acc ^= spec.vec_mul(tags[..., positions], vecs[:, -1])
+    keys.check_slots(tags.shape[-1])
+    acc = spec.matmul(payloads, keys.heads_t)
+    acc ^= spec.vec_mul(tags[..., keys.slots], keys.last)
     return acc == 0
 
 
-def verify_tags(
-    pkt: CodedPacket,
-    keys: Sequence[MacKey],
-    positions: Sequence[int] | None = None,
-) -> list[bool]:
-    """Per-key verdicts: dot((payload || tags[pos]), key.vec) == 0.
+def verify_tags(pkt: CodedPacket, keys: KeyRing) -> list[bool]:
+    """Per-key verdicts: dot((payload || tags[slot]), key) == 0.
 
-    ``positions`` maps each supplied key to its tag slot; by default key i
-    checks tag i.  A node holding a subset of the source keys passes that
-    subset along with the slots those keys correspond to.
+    A node holding a subset of the source keys passes that sub-ring,
+    which carries the slots its keys check.
     """
-    return key_verdicts(pkt.payload.elems, pkt.tags.elems, keys, positions, pkt.spec).tolist()
+    keys.check_field(pkt.spec)
+    return key_verdicts(pkt.payload.elems, pkt.tags.elems, keys).tolist()
 
 
 def combine_tags(tag_rows: np.ndarray | Sequence[Sequence[int]], coeffs: FieldVector) -> FieldVector:
@@ -194,19 +191,13 @@ class TagSet:
         object.__setattr__(self, "native_tags", arr)
 
 
-def tagset_for_generation(
-    gen: Generation, keys: Sequence[MacKey], source_id: str
-) -> TagSet:
+def tagset_for_generation(gen: Generation, keys: KeyRing, source_id: str) -> TagSet:
     """Tags of every native payload, as uploaded by the source."""
-    return TagSet(gen.gen_id, source_id, tag_matrix(gen.natives, keys, gen.spec))
+    keys.check_field(gen.spec)
+    return TagSet(gen.gen_id, source_id, tag_matrix(gen.natives, keys))
 
 
-def ledger_check(
-    pkt: CodedPacket,
-    tagset: TagSet | None,
-    keys: Sequence[MacKey] = (),
-    positions: Sequence[int] | None = None,
-) -> bool:
+def ledger_check(pkt: CodedPacket, tagset: TagSet | None, keys: KeyRing | None = None) -> bool:
     """Accept iff the carried tags equal the ledger-derived expectation and
     every locally held key verifies.
 
@@ -220,9 +211,9 @@ def ledger_check(
         raise TagSetUnavailable(
             f"tag set covers {tagset.gen_id!r}, packet is {pkt.gen_id!r}"
         )
+    if keys is not None:
+        keys.check_field(pkt.spec)
     expected = combine_tags(tagset.native_tags, pkt.coeffs)
     if expected != pkt.tags:
         return False
-    if not keys:
-        return True
-    return bool(key_verdicts(pkt.payload.elems, pkt.tags.elems, keys, positions, pkt.spec).all())
+    return keys is None or bool(key_verdicts(pkt.payload.elems, pkt.tags.elems, keys).all())

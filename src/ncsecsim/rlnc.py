@@ -36,9 +36,7 @@ class Generation:
         raw = np.asarray(self.natives)
         if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
             raise InvalidParameter(f"natives must be a non-empty 2-d array, got {raw.shape}")
-        if int(raw.min()) < 0 or int(raw.max()) >= self.spec.q:
-            raise InvalidParameter("native symbol outside the field")
-        object.__setattr__(self, "natives", raw.astype(self.spec.dtype))
+        object.__setattr__(self, "natives", self.spec.elements(raw))
 
     @property
     def m(self) -> int:

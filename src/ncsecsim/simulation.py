@@ -38,7 +38,7 @@ from .handover import (
     replay_key_signaling,
     upload_key_set,
 )
-from .integrity import MacKey, generate_domain_keys
+from .integrity import KeyRing, generate_domain_keys
 from .keydist import Scheme
 from .ledger import (
     EntryKind,
@@ -67,7 +67,7 @@ class SimulationResult:
     events: HoTable
     blocks: list[LedgerBlock]
     upload_log: list[tuple[int, str, str]]
-    cell_keys: dict[int, tuple[MacKey, ...]]
+    cell_keys: dict[int, KeyRing]
     scheme_traces: dict[str, SignalTrace]
     measurements: list[Measurement]
 
@@ -181,7 +181,7 @@ def _forecast_and_prestage(
     ues: UeArrays,
     waiting: dict[int, int],
     decided: set[tuple[int, int, int]],
-    cell_keys: dict[int, tuple[MacKey, ...]],
+    cell_keys: dict[int, KeyRing],
     rng: np.random.Generator,
     now: int,
     lead_ticks: int,

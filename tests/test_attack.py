@@ -16,7 +16,7 @@ from ncsecsim.attack import (
     measure_bypass_rate,
 )
 from ncsecsim.errors import DimensionMismatch, InvalidParameter
-from ncsecsim.gf import GF16, FieldSpec
+from ncsecsim.gf import GF16, GF256, FieldSpec
 from ncsecsim.integrity import (
     attach_tags,
     combine_tags,
@@ -60,10 +60,11 @@ def test_valid_tag_forge_with_all_keys_passes_key_checks(tagged_packet):
 
 
 def test_valid_tag_forge_without_keys_degenerates(tagged_packet):
-    rng, _, _, pkt = tagged_packet
+    rng, _, keys, pkt = tagged_packet
     adv = AdversaryConfig(strategy=AttackStrategy.VALID_TAG_FORGE)
-    out = inject(pkt, adv, held_keys=(), rng=rng)
-    assert out.strategy_used is AttackStrategy.RANDOM_FORGE
+    for held in (None, keys[[]]):
+        out = inject(pkt, adv, held_keys=held, rng=rng)
+        assert out.strategy_used is AttackStrategy.RANDOM_FORGE
 
 
 def test_payload_perturbation_is_minimal(tagged_packet):
@@ -151,12 +152,16 @@ def test_tag_only_pollution_passes_unless_a_verified_slot_is_hit(config, l_prime
     assert abs(res.rate - expected) <= 5 * binomial_sigma(expected, res.trials)
 
 
-def test_inject_rejects_bad_held_positions(tagged_packet):
-    rng, _, keys, pkt = tagged_packet
+def test_inject_rejects_held_keys_it_cannot_use(tagged_packet):
+    rng, gen, keys, pkt = tagged_packet
     adv = AdversaryConfig(strategy=AttackStrategy.VALID_TAG_FORGE)
-    for positions in ([0], [0, 1, 2], [0, 4], [-1, 0]):
+    two_tags = attach_tags(encode(gen, rng), keys[:2])
+    assert inject(two_tags, adv, held_keys=keys[[1, 0]], rng=rng).packet.tags.elems.size == 2
+    for held in ([2], [0, 3]):  # slots past the packet's two tags
         with pytest.raises(DimensionMismatch):
-            inject(pkt, adv, held_keys=keys[:2], rng=rng, held_positions=positions)
+            inject(two_tags, adv, held_keys=keys[held], rng=rng)
+    with pytest.raises(DimensionMismatch):  # keys over another field
+        inject(pkt, adv, held_keys=generate_domain_keys(12, 4, GF256, rng, "d"), rng=rng)
 
 
 def test_negative_l_prime_rejected():
@@ -197,15 +202,15 @@ def test_bypass_verdicts_match_first_principles_checks(
     tagset = tagset_for_generation(gen, keys, "src")
     benign = sorted(int(p) for p in rng.choice(l, size=l_prime, replace=False))
     held = _colluder_positions(config, AdversaryConfig(count, knowledge, strategy), rng)
-    payloads, tags, _ = _forge(base, strategy, [keys[p] for p in held], held, 24, rng)
+    payloads, tags, _ = _forge(base, strategy, keys[held], 24, rng)
 
     expected = combine_tags(tagset.native_tags, base.coeffs).elems if ledger else None
-    verdicts = _accepts(payloads, tags, [keys[p] for p in benign], benign, expected, spec)
+    verdicts = _accepts(payloads, tags, keys[benign], expected)
 
     ledger_tags = matvec_oracle(base.coeffs.elems, tagset.native_tags, spec.k, spec.poly)
     for t in range(len(payloads)):
         ok = all(
-            dot_oracle(list(payloads[t]) + [tags[t, p]], keys[p].vec.elems, spec.k, spec.poly) == 0
+            dot_oracle(list(payloads[t]) + [tags[t, p]], keys.matrix[p], spec.k, spec.poly) == 0
             for p in benign
         )
         if ledger:

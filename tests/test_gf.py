@@ -304,6 +304,9 @@ def test_invalid_specs_rejected():
         FieldSpec(17)
     with pytest.raises(InvalidParameter):
         FieldVector([300], GF256)
+    with pytest.raises(InvalidParameter):  # a cast would truncate to [1, 2]
+        FieldVector([1.5, 2.9], GF256)
+    assert len(FieldVector([], GF256)) == 0  # float64 in numpy, but empty
 
 
 def test_all_default_polynomials_are_irreducible():

@@ -7,14 +7,14 @@ from ncsecsim._stats import binomial_sigma
 from ncsecsim.errors import DimensionMismatch, InvalidParameter, TagSetUnavailable
 from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
 from ncsecsim.integrity import (
-    MacKey,
+    KeyRing,
     TagSet,
     attach_tags,
     combine_tags,
     generate_domain_keys,
-    generate_key,
+    key_verdicts,
     ledger_check,
-    make_tag,
+    tag_matrix,
     tagset_for_generation,
     verify_tags,
 )
@@ -34,20 +34,19 @@ def setup():
 
 
 def test_key_invariants():
-    rng = np.random.default_rng(21)
-    for i in range(50):
-        key = generate_key(8, GF16, rng, f"k{i}", "d")
-        assert len(key.vec) == 9
-        assert key.vec[8] != 0
+    keys = generate_domain_keys(8, 50, GF16, np.random.default_rng(21), "d")
+    assert keys.matrix.shape == (50, 9) and len(keys) == 50
+    assert keys.matrix[:, 8].all()
+    assert keys.slots.tolist() == list(range(50))
+    with pytest.raises(ValueError):  # read-only
+        keys.matrix[0, 0] = 1
     with pytest.raises(InvalidParameter):
-        MacKey("bad", FieldVector([1, 2, 0], GF256), "d")
+        KeyRing([[1, 2, 0]], GF256)
 
 
 def test_zero_payload_has_zero_tag(setup):
     _, _, keys = setup
-    zero = FieldVector.zeros(16, GF256)
-    for key in keys:
-        assert make_tag(zero, key) == 0
+    assert not tag_matrix(np.zeros(16, dtype=np.uint8), keys).any()
 
 
 def test_tag_verifies_by_construction(setup):
@@ -56,18 +55,16 @@ def test_tag_verifies_by_construction(setup):
         pkt = attach_tags(encode(gen, rng), keys)
         assert all(verify_tags(pkt, keys))
         # the tag really zeroes the (payload || tag) inner product
-        for j, key in enumerate(keys):
+        for j, key in enumerate(keys.matrix):
             row = pkt.payload.tolist() + [pkt.tags[j]]
-            assert dot_oracle(row, key.vec.tolist(), 8, 0x11B) == 0
+            assert dot_oracle(row, key, 8, 0x11B) == 0
 
 
 def test_tag_of_sum_is_sum_of_tags(setup):
     rng, _, keys = setup
-    key = keys[0]
     for _ in range(100):
-        p1 = FieldVector.random(16, GF256, rng)
-        p2 = FieldVector.random(16, GF256, rng)
-        assert make_tag(p1 ^ p2, key) == make_tag(p1, key) ^ make_tag(p2, key)
+        p1, p2 = GF256.random_elements(rng, (2, 16))
+        assert (tag_matrix(p1 ^ p2, keys) == tag_matrix(p1, keys) ^ tag_matrix(p2, keys)).all()
 
 
 def test_single_tag_flip_fails_exactly_that_key(setup):
@@ -80,38 +77,54 @@ def test_single_tag_flip_fails_exactly_that_key(setup):
         assert verdicts == [i != j for i in range(len(keys))]
 
 
-def test_verify_with_key_subset_and_positions(setup):
+def test_verify_with_sub_ring(setup):
     rng, gen, keys = setup
     pkt = attach_tags(encode(gen, rng), keys)
-    assert verify_tags(pkt, [keys[2], keys[0]], positions=[2, 0]) == [True, True]
+    pkt.tags.elems[1] ^= 1
+    assert keys[[2, 0]].slots.tolist() == [2, 0]
+    assert verify_tags(pkt, keys[[2, 0]]) == [True, True]
+    assert verify_tags(pkt, keys[1:]) == [False, True, True]
+    assert verify_tags(pkt, keys[3]) == [True]
+    assert verify_tags(pkt, keys[[]]) == []
+    short = attach_tags(encode(gen, rng), keys[:2])
     with pytest.raises(DimensionMismatch):
-        verify_tags(pkt, [keys[0]], positions=[9])
+        verify_tags(short, keys[[0, 2]])
+
+
+def test_keys_from_another_field_are_rejected(setup):
+    # GF(16) key values in GF(256) arithmetic would give wrong verdicts
+    # and tags, not an error
+    rng, gen, keys = setup
+    pkt = attach_tags(encode(gen, rng), keys)
+    ts = tagset_for_generation(gen, keys, "src")
+    other = generate_domain_keys(16, 4, GF16, rng, "d")
     with pytest.raises(DimensionMismatch):
-        verify_tags(pkt, keys, positions=[0])
+        verify_tags(pkt, other)
+    with pytest.raises(DimensionMismatch):
+        attach_tags(pkt, other)
+    with pytest.raises(DimensionMismatch):
+        tagset_for_generation(gen, other, "src")
+    with pytest.raises(DimensionMismatch):
+        ledger_check(pkt, ts, other)
 
 
 def test_forged_random_tag_passes_at_one_over_q():
+    # One symbol of the payload changed, the tag guessed at random.
     spec = GF16
     rng = np.random.default_rng(22)
     gen = random_generation("s", 2, 8, spec, rng)
-    key = generate_key(8, spec, rng, "k", "d")
+    key = generate_domain_keys(8, 1, spec, rng, "d")
     base = encode(gen, rng)
-    trials, passes = 200_000, 0
+    trials = 200_000
     deltas = 1 + rng.integers(0, 15, size=trials)
     positions = rng.integers(0, 8, size=trials)
     forged_tags = rng.integers(0, 16, size=trials)
-    base_tag = make_tag(base.payload, key)
-    k_last = key.vec[8]
-    k_head = FieldVector(key.vec.elems[:-1], spec, _checked=True)
-    for i in range(trials):
-        payload = base.payload.copy()
-        payload.elems[positions[i]] ^= deltas[i]
-        acc = payload.dot(k_head)
-        acc ^= spec.mul(int(forged_tags[i]), k_last)
-        passes += int(acc == 0)
-    rate = passes / trials
-    assert abs(rate - 1 / 16) <= 3 * binomial_sigma(1 / 16, trials)
-    assert base_tag == make_tag(base.payload, key)  # base untouched
+    payloads = np.tile(base.payload.elems, (trials, 1))
+    payloads[np.arange(trials), positions] ^= deltas.astype(spec.dtype)
+    passes = int(key_verdicts(payloads, forged_tags[:, None], key).sum())
+    # the count a per-trial loop of scalar inner products gave on these draws
+    assert passes == 12_363
+    assert abs(passes / trials - 1 / 16) <= 3 * binomial_sigma(1 / 16, trials)
 
 
 def test_combine_tags_cases(setup):
@@ -203,10 +216,10 @@ def test_ledger_soundness_rejects_all_modifications():
     assert rejected == trials
 
 
-def test_make_tag_dimension_mismatch(setup):
+def test_tag_matrix_dimension_mismatch(setup):
     _, _, keys = setup
     with pytest.raises(DimensionMismatch):
-        make_tag(FieldVector.zeros(5, GF256), keys[0])
+        tag_matrix(np.zeros(5, dtype=np.uint8), keys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,3 +246,56 @@ def test_tags_survive_random_recode_trees(seed, k, m, n, l, tree):
         assert attach_tags(mixed, keys).tags == mixed.tags  # tag(sum) == sum(tags)
         assert ledger_check(mixed, ts, keys)
         pool.append(mixed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from(sorted(SPECS)),
+    n=st.integers(1, 8),
+    l=st.integers(1, 5),
+    data=st.data(),
+)
+def test_key_ring_rows_and_slots_match_oracle(seed, k, n, l, data):
+    # A sub-ring of any rows, repeats and the empty selection included:
+    # each row checks its own slot, by the oracle's inner product.
+    spec = SPECS[k]
+    rng = np.random.default_rng(seed)
+    keys = generate_domain_keys(n, l, spec, rng, "d")
+    rows = data.draw(st.lists(st.integers(0, l - 1), max_size=2 * l), label="rows")
+    ring = keys[rows]
+    assert ring.slots.tolist() == rows and len(ring) == len(rows)
+    payloads = spec.random_elements(rng, (3, n))
+    tags = tag_matrix(payloads, keys)
+    tags ^= spec.random_elements(rng, tags.shape) * rng.integers(0, 2, tags.shape).astype(spec.dtype)
+
+    def oracle(t, i, tag):
+        return dot_oracle(list(payloads[t]) + [tag], keys.matrix[rows[i]], spec.k, spec.poly)
+
+    verdicts = key_verdicts(payloads, tags, ring)
+    assert verdicts.shape == (3, len(rows))
+    for t in range(3):
+        pkt = CodedPacket("g", FieldVector([1], spec), FieldVector(payloads[t], spec),
+                          FieldVector(tags[t], spec))
+        expected = [oracle(t, i, tags[t, r]) == 0 for i, r in enumerate(rows)]
+        assert verdicts[t].tolist() == expected == verify_tags(pkt, ring)
+    ring_tags = tag_matrix(payloads, ring)
+    assert all(oracle(t, i, ring_tags[t, i]) == 0 for t in range(3) for i in range(len(rows)))
+
+    if rows:
+        with pytest.raises(DimensionMismatch):
+            key_verdicts(payloads, tags[:, : max(rows)], ring)
+        with pytest.raises(DimensionMismatch):
+            verify_tags(CodedPacket("g", FieldVector([1], spec), FieldVector(payloads[0], spec),
+                                    FieldVector(tags[0, : max(rows)], spec)), ring)
+    bad = keys.matrix.astype(np.int64)
+    bad[0, -1] = 0
+    with pytest.raises(InvalidParameter):  # zero last element
+        KeyRing(bad, spec)
+    bad[0, -1], bad[0, 0] = 1, spec.q
+    with pytest.raises(InvalidParameter):  # element outside the field
+        KeyRing(bad, spec)
+    with pytest.raises(InvalidParameter):  # no payload column
+        KeyRing(keys.matrix[:, -1:], spec)
+    with pytest.raises(InvalidParameter):  # non-integer elements
+        KeyRing(keys.matrix.astype(float), spec)

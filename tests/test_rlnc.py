@@ -7,6 +7,7 @@ from ncsecsim.errors import (
     DimensionMismatch,
     EmptyInput,
     GenerationMismatch,
+    InvalidParameter,
     PollutionDetectedAtDecode,
 )
 from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
@@ -187,6 +188,8 @@ def test_generation_validation():
         Generation("bad", np.zeros((0, 4), dtype=np.uint8), GF256)
     with pytest.raises(Exception):
         Generation("bad", np.full((2, 2), 999), GF256)
+    with pytest.raises(InvalidParameter):  # a cast would truncate to [[1, 2]]
+        Generation("bad", np.array([[1.7, 2.2]]), GF256)
 
 
 @st.composite
