@@ -163,22 +163,31 @@ def combine_tags(tag_rows: np.ndarray | Sequence[Sequence[int]], coeffs: FieldVe
     """Expected tag vector of a coded packet from ledgered native tags.
 
     ``tag_rows`` is the m x l native tag matrix; the result is the same
-    linear combination of rows that produced the packet's payload.
+    linear combination of rows that produced the packet's payload.  A tag
+    that is not an element of the coefficients' field (a float, or out of
+    range) raises ``InvalidParameter``.
     """
-    spec = coeffs.spec
-    rows = np.asarray(tag_rows, dtype=spec.dtype)
+    return _combine(coeffs.spec.elements(tag_rows), coeffs)
+
+
+def _combine(rows: np.ndarray, coeffs: FieldVector) -> FieldVector:
     if rows.ndim != 2:
         raise DimensionMismatch("tag rows must form a 2-d matrix")
     if rows.shape[0] != len(coeffs):
         raise DimensionMismatch(
             f"{rows.shape[0]} tag rows vs {len(coeffs)} coefficients"
         )
-    return FieldVector(spec.matmul(coeffs.elems, rows), spec, _checked=True)
+    return FieldVector(coeffs.spec.matmul(coeffs.elems, rows), coeffs.spec, _checked=True)
 
 
 @dataclass(frozen=True)
 class TagSet:
-    """Ledgered native tags for one generation: m rows of l tags."""
+    """Ledgered native tags for one generation: m rows of l tags.
+
+    The tags must be non-negative integers; a float or negative tag raises
+    ``InvalidParameter`` here, and a tag outside the field of the packet
+    it is checked against raises it in ``elements``.
+    """
 
     gen_id: str
     source_id: str
@@ -188,7 +197,16 @@ class TagSet:
         arr = np.asarray(self.native_tags)
         if arr.ndim != 2:
             raise InvalidParameter("native_tags must be m x l")
+        if arr.size and (arr.dtype.kind not in "iu" or int(arr.min()) < 0):
+            raise InvalidParameter(f"native tags must be non-negative integers, got {arr.dtype}")
         object.__setattr__(self, "native_tags", arr)
+        object.__setattr__(self, "_top", int(arr.max()) if arr.size else 0)
+
+    def elements(self, spec: FieldSpec) -> np.ndarray:
+        """The native tags as elements of ``spec``'s field."""
+        if self._top >= spec.q:
+            raise InvalidParameter(f"native tag {self._top} outside GF({spec.q})")
+        return self.native_tags.astype(spec.dtype, copy=False)
 
 
 def tagset_for_generation(gen: Generation, keys: KeyRing, source_id: str) -> TagSet:
@@ -213,7 +231,7 @@ def ledger_check(pkt: CodedPacket, tagset: TagSet | None, keys: KeyRing | None =
         )
     if keys is not None:
         keys.check_field(pkt.spec)
-    expected = combine_tags(tagset.native_tags, pkt.coeffs)
+    expected = _combine(tagset.elements(pkt.spec), pkt.coeffs)
     if expected != pkt.tags:
         return False
     return keys is None or bool(key_verdicts(pkt.payload.elems, pkt.tags.elems, keys).all())

@@ -2,9 +2,10 @@
 ledger ticks, and the CSV artifacts derived from one run.
 
 Each reference-signal tick advances UE positions, measures uplink powers
-at every base station, optionally forecasts imminent handovers for key
-prestaging, starts triggered handovers, and then lets the ledger verify
-any collection-period boundary that has passed.  Handovers blocked on key
+at the base stations that can take each UE over (at every one with
+shadowing or the measurement dump), optionally forecasts imminent
+handovers for key prestaging, starts triggered handovers, and then lets
+the ledger verify any collection-period boundary that has passed.  Handovers blocked on key
 sharing complete at the first tick after their block verifies.  Every
 handover is a row of one ``handover.HoTable``, which signals on the
 ledger's trace; after the last tick the trace is put in time order in
@@ -106,9 +107,14 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     handovers = HoTable(ledger, config.scheme, cell_keys, config.ledger.ho_timeout_ms)
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
-    # Ring buffer of the samples a TTT window can reach, all UEs at once.
+    # Ring buffer of the samples a TTT window can reach, all UEs at once:
+    # positions, from which ``CellGrid.trigger_targets`` computes only the
+    # powers that can decide a trigger, or the full rows of powers where
+    # shadowing (drawn per UE and cell) or the measurement dump needs them.
+    full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
+    trigger = trigger_targets if full_rows else grid.trigger_targets
     window_len = sc.ul_ttt_ms // sc.rs_period_ms + 1
-    ring = np.empty((window_len, ues.count, grid.num_cells))
+    ring = np.empty((window_len, ues.count, grid.num_cells if full_rows else 2))
     measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
     predict = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
@@ -119,12 +125,15 @@ def run_simulation(config: RunConfig) -> SimulationResult:
             if t > 0:
                 ues.pos = advance(ues.pos, ues.dirs, ues.speed, sc.rs_period_ms, grid)
 
-            rsrp = grid.rsrp(ues.pos)
-            if sc.shadow_sigma_db > 0 and ues.count:
-                rsrp = rsrp + rng_fading.normal(0.0, sc.shadow_sigma_db, rsrp.shape)
-            ring[tick % window_len] = rsrp
-            if sc.dump_measurements:
-                measurements.extend(Measurement(t, i, rsrp[i]) for i in range(ues.count))
+            if full_rows:
+                rsrp = grid.rsrp(ues.pos)
+                if sc.shadow_sigma_db > 0 and ues.count:
+                    rsrp = rsrp + rng_fading.normal(0.0, sc.shadow_sigma_db, rsrp.shape)
+                ring[tick % window_len] = rsrp
+                if sc.dump_measurements:
+                    measurements.extend(Measurement(t, i, rsrp[i]) for i in range(ues.count))
+            else:
+                ring[tick % window_len] = ues.pos
 
             if predict:
                 _forecast_and_prestage(
@@ -134,7 +143,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
 
             reach = min(tick + 1, window_len)
             window = ring[np.arange(tick + 1 - reach, tick + 1) % window_len]  # oldest first
-            targets = trigger_targets(window, ues.serving, sc.ul_offset_db)
+            targets = trigger(window, ues.serving, sc.ul_offset_db)
             fired = [u for u in np.flatnonzero(targets >= 0).tolist() if u not in waiting]
             if fired:
                 t_cells = targets[fired]
@@ -203,7 +212,7 @@ def _forecast_and_prestage(
     future = advance(
         ues.pos[:, None], ues.dirs[:, None], ues.speed[:, None], lead_ms, grid
     )
-    targets = trigger_targets(grid.rsrp(future)[None], ues.serving[:, None], sc.ul_offset_db)
+    targets = grid.trigger_targets(future[None], ues.serving[:, None], sc.ul_offset_db)
     fires = targets >= 0
     earliest = fires.argmax(axis=1)  # only the earliest trigger is a valid forecast
     for ue_id in np.flatnonzero(fires.any(axis=1)).tolist():

@@ -6,7 +6,13 @@ those in ``golden_digests.json``.  The digests were recorded with the
 per-UE event loop that preceded the array-state loop, so any change to
 the bytes of a run (motion, trigger rule, forecast, ledger order, CSV
 accounting) shows up here.  A deliberate change of the bytes must re-record them and say so in
-CHANGES.md.  ``city_8x8_200ues`` pins the scaled geometry and many
+CHANGES.md.  New cases are recorded with this module's command line,
+which prints the digests of the named cases as JSON and writes nothing::
+
+    PYTHONPATH=src python tests/test_golden_digests.py CASE [CASE ...]
+
+Paste its output into ``golden_digests.json`` by hand; it refuses a case
+that already has digests there.  ``city_8x8_200ues`` pins the scaled geometry and many
 handovers per tick; it was recorded with the interleaved torus offsets
 and list-of-records trace that preceded the plane-split
 ``CellGrid.distances`` and ``ledger.SignalTrace``.
@@ -22,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -87,6 +95,42 @@ CASES: dict[str, dict[str, str]] = {
         "horizon_ms": "30000",
         "seed": "14",
     },
+    # The cases below pin the lattice-local radio path: a grid far larger
+    # than a UE's 3x3 box, UEs walking off an unwrapped grid, TTT windows
+    # of three samples, and a negative offset (the reach fallback and the
+    # serving cell's own exclusion).
+    "metro_16x16_1000ues": {
+        "scenario.rows": "16",
+        "scenario.cols": "16",
+        "scenario.num_ues": "1000",
+        "horizon_ms": "4000",
+        "seed": "15",
+    },
+    "no_wrap_8x8": {
+        "scenario.rows": "8",
+        "scenario.cols": "8",
+        "scenario.wrap": "false",
+        "scenario.num_ues": "60",
+        "scenario.ue_speed_kmh": "120",
+        "horizon_ms": "30000",
+        "seed": "16",
+    },
+    "ttt320_8x8": {
+        "scenario.rows": "8",
+        "scenario.cols": "8",
+        "scenario.num_ues": "100",
+        "scenario.ul_ttt_ms": "320",
+        "horizon_ms": "20000",
+        "seed": "17",
+    },
+    "neg_offset_8x8": {
+        "scenario.rows": "8",
+        "scenario.cols": "8",
+        "scenario.num_ues": "60",
+        "scenario.ul_offset_db": "-2",
+        "horizon_ms": "10000",
+        "seed": "18",
+    },
 }
 
 # command -> dotted settings, run through the command line
@@ -131,3 +175,24 @@ def run_command_case(name: str, tmp: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(COMMAND_CASES))
 def test_command_artifacts_match_golden_digests(name, tmp_path):
     assert run_command_case(name, tmp_path) == GOLDEN[name]
+
+
+def _print_new_digests(names: list[str]) -> int:
+    """Print ``{case: {file: sha256}}`` for cases that have no digests yet."""
+    unknown = [n for n in names if n not in CASES and n not in COMMAND_CASES]
+    recorded = [n for n in names if n in GOLDEN]
+    if not names or unknown or recorded:
+        print(f"usage: {Path(__file__).name} CASE [CASE ...]; unknown: {unknown}, "
+              f"already recorded: {recorded}", file=sys.stderr)
+        return 1
+    digests = {}
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            run = run_case if name in CASES else run_command_case
+            digests[name] = run(name, Path(tmp))
+    print(json.dumps(digests, indent=4, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(_print_new_digests(sys.argv[1:]))

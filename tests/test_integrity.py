@@ -139,6 +139,30 @@ def test_combine_tags_cases(setup):
     assert combine_tags(ts.native_tags, mixed.coeffs) == mixed.tags
 
 
+def test_native_tags_outside_the_field_are_rejected(setup):
+    rng, gen, keys = setup
+    pkt = attach_tags(encode(gen, rng), keys)
+    one = FieldVector([1], GF256)
+    # floats and negative tags fail when the tag set is built
+    for bad in ([[1.7, 300.0]], [[1.0, 2.0]], [[1, -1]]):
+        with pytest.raises(InvalidParameter):
+            TagSet("g", "s", np.array(bad))
+        with pytest.raises(InvalidParameter):
+            combine_tags(np.array(bad), one)
+    # an integer tag is checked against the field it is combined over
+    wide = TagSet("g", "s", np.array([[1, 300]]))
+    for rows in (wide.native_tags, [[1, 300]]):
+        with pytest.raises(InvalidParameter):
+            combine_tags(rows, one)
+    assert combine_tags(wide.native_tags, FieldVector([1], SPECS[16])).tolist() == [1, 300]
+    ts = tagset_for_generation(gen, keys, "src")
+    too_big = ts.native_tags.astype(np.int64)
+    too_big[0, 0] = 256
+    with pytest.raises(InvalidParameter):
+        ledger_check(pkt, TagSet(gen.gen_id, "src", too_big), keys)
+    assert ledger_check(pkt, TagSet(gen.gen_id, "src", ts.native_tags.astype(np.int64)), keys)
+
+
 def test_ledger_check_accepts_honest_rejects_modified(setup):
     rng, gen, keys = setup
     ts = tagset_for_generation(gen, keys, "src")

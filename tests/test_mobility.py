@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsecsim import mobility
 from ncsecsim.config import RunConfig
 from ncsecsim.errors import InvalidParameter
 from ncsecsim.mobility import (
@@ -327,3 +329,77 @@ def test_array_trigger_rule_matches_oracle(case):
         ]
         expected = ho_trigger_oracle(history, int(serving[u]), offset, ttt)
         assert (None if targets[u] < 0 else int(targets[u])) == expected
+
+
+@st.composite
+def box_cases(draw):
+    """A grid, a TTT window of positions (W, *batch, 2), serving cells, an
+    offset, and whether to force the box path below ``BOX_MIN_CELLS``.
+
+    Coordinates fall inside the grid, exactly on square edges and corners
+    (planted ties) and, without wrap, outside the extent; serving cells are
+    the newest position's nearest cell, a cell of its box, or any cell, so
+    far serving cells take the reach fallback.
+    """
+    grid = CellGrid(
+        rows=draw(st.integers(1, 12)),
+        cols=draw(st.integers(1, 12)),
+        isd_m=draw(st.sampled_from([0.5, 1.0, 37.5, 100.0])),
+        wrap=draw(st.booleans()),
+    )
+    samples = draw(st.integers(1, 4))
+    ues = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([(ues,), (ues, draw(st.integers(1, 3)))]))
+    n = samples * math.prod(batch)
+    coords = []
+    for ext, squares in zip(grid.extent, (grid.cols, grid.rows)):
+        lo, hi = (0.0, ext) if grid.wrap else (-ext, 2 * ext)
+        edge = st.integers(0, 2 * squares).map(lambda k: k * grid.isd_m / 2)
+        coords.append(draw(st.lists(st.one_of(edge, st.floats(lo, hi)), min_size=n, max_size=n)))
+    window = np.array(coords).T.reshape(samples, *batch, 2)
+    newest = grid.distances(window[-1]).argmin(axis=-1)
+    box = grid.box_rsrp(window.reshape(samples, -1, 2), newest.ravel())[0]
+    serving = []
+    for k, near in enumerate(newest.ravel().tolist()):
+        mode = draw(st.sampled_from(["nearest", "box", "any"]))
+        if mode == "nearest":
+            serving.append(near)
+        elif mode == "box":
+            serving.append(draw(st.sampled_from(box[k].tolist())))
+        else:
+            serving.append(draw(st.integers(0, grid.num_cells - 1)))
+    serving = np.array(serving).reshape(batch)
+    if len(batch) == 2 and draw(st.booleans()):
+        serving = serving[:, :1]  # one serving cell per UE, as the forecast passes it
+    offset = draw(st.one_of(st.sampled_from([-3.0, -2.0, 0.0, 1.0, 6.0]), st.floats(-3.0, 6.0)))
+    return grid, window, serving, offset, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_cases())
+def test_box_trigger_matches_full_row(case):
+    grid, window, serving, offset, force_box = case
+    full = grid.rsrp(window)
+    with mock.patch.object(mobility, "BOX_MIN_CELLS", 1 if force_box else mobility.BOX_MIN_CELLS):
+        got = grid.trigger_targets(window, serving, offset)
+    want = trigger_targets(full, serving, offset)
+    assert got.dtype.kind == "i" and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    # every gathered power, the serving cell's included, has the full row's bits
+    entries = math.prod(window.shape[1:-1])
+    flat_serving = np.broadcast_to(serving, window.shape[1:-1]).ravel()
+    cells, power = grid.box_rsrp(window.reshape(len(window), -1, 2), flat_serving)
+    assert (cells[:, 9] == flat_serving).all()
+    gathered = full.reshape(len(window), entries, -1)[:, np.arange(entries)[:, None], cells]
+    assert np.array_equal(power.view(np.int64), gathered.view(np.int64))
+
+
+def test_small_grid_keeps_full_row(grid):
+    # the reference 4x4 grid never builds a box; 6x6 does
+    ues = place_ues(grid, 20, 60 / 3.6, np.random.default_rng(13))
+    with mock.patch.object(CellGrid, "box_rsrp", side_effect=AssertionError):
+        grid.trigger_targets(ues.pos[None], ues.serving, 1.0)
+    big = CellGrid(rows=6, cols=6)
+    with mock.patch.object(CellGrid, "box_rsrp", side_effect=AssertionError):
+        with pytest.raises(AssertionError):
+            big.trigger_targets(ues.pos[None], ues.serving, 1.0)
