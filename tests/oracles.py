@@ -2,11 +2,15 @@
 
 Everything here is deliberately written from first principles (bitwise
 polynomial arithmetic, plain Python loops) and shares no code with the
-package, so a table bug and an oracle bug cannot cancel out.
+package, so a table bug and an oracle bug cannot cancel out.  The one
+exception is ``run_oracle``, which takes motion and received power from
+``mobility`` (``place_ues``, ``advance``, ``CellGrid.rsrp``) and the
+config echo from ``config``, and models everything after that itself.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 from collections import namedtuple
@@ -268,3 +272,199 @@ def handover_rows_oracle(ticks, uses_ledger: bool, collection_period_ms: int):
     ]
     summary = [ho[:5] + [ho[5], ho[4] - ho[3]] for ho in handovers if ho[4] is not None]
     return signals_csv_oracle(records), [tuple(row) for row in summary]
+
+
+_Sample = namedtuple("_Sample", "t rsrp_dbm")
+
+
+def _csv_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _ledger_replay_times(triggers, horizon_ms, rs_period_ms, collection_period_ms):
+    """Key-exchange times of the ledger scheme on a trigger stream, the
+    protocol driven on the reference-signal grid with no per-UE limits:
+    each trigger uploads its cell's key set unless it is pending or
+    ledgered, and gets its keys at the first instant at which the cell
+    is ledgered."""
+    times = []
+    pending, ledgered, waiting = {}, set(), []
+    last_boundary = -1
+    for now in range(0, horizon_ms + 1, rs_period_ms):
+        for _, _, cell, t in triggers:
+            if t != now:
+                continue
+            if cell in ledgered:
+                times.append(now)  # key_to_ue
+                continue
+            if cell not in pending:
+                pending[cell] = now
+                times.append(now)  # candidate_upload
+            waiting.append(cell)
+        while last_boundary < now // collection_period_ms:
+            last_boundary += 1
+            boundary = last_boundary * collection_period_ms
+            ready = [cell for cell, t in pending.items() if t <= boundary]
+            if ready:
+                times.append(boundary)  # block_broadcast
+            for cell in ready:
+                del pending[cell]
+                ledgered.add(cell)
+        times.extend(now for cell in waiting if cell in ledgered)
+        waiting = [cell for cell in waiting if cell not in ledgered]
+    return times
+
+
+def run_oracle(config) -> dict[str, bytes]:
+    """The bytes of every artifact of a run, by file name, from a loop
+    over ticks and, inside each tick, over UEs one at a time.
+
+    Each tick on the reference-signal grid, up to and including the
+    horizon (no tick at all for a zero horizon): move every UE, measure
+    every cell's power (plus one shadowing draw per UE and cell), then
+    with prediction on (ledger scheme only) forecast each UE that is not
+    waiting: its earliest trigger within the lead, each lead instant a
+    single sample against its current serving cell, and, unless the
+    target cell is pending or ledgered or that (UE, cell, instant) was
+    decided before, one accuracy draw that may upload the cell's key set.
+    Then every UE not waiting whose time-to-trigger window fires starts a
+    handover, in UE id order; the collection boundaries up to the tick
+    verify what was submitted at or before them; and the waiting UEs
+    whose target cell is ledgered complete, in UE id order.
+    ``handover_rows_oracle`` renders the per-tick batches as
+    ``signals.csv`` and the summary rows.  The other kind of scheme gets
+    its key-exchange times from the trigger stream: two per trigger for
+    the baselines, ``_ledger_replay_times`` for the ledger.
+    """
+    from ncsecsim.config import config_items
+    from ncsecsim.errors import HoPreparationTimeout
+    from ncsecsim.mobility import CellGrid, advance, place_ues
+
+    sc, horizon = config.scenario, config.horizon_ms
+    rs, period = sc.rs_period_ms, config.ledger.collection_period_ms
+    grid = CellGrid(
+        rows=sc.rows, cols=sc.cols, isd_m=sc.isd_m, wrap=sc.wrap,
+        ptx_dbm=sc.ptx_dbm, pl0_db=sc.pl0_db, pl_exponent=sc.pl_exponent,
+    )
+    rng_place, _, rng_predict, rng_fading = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(4)
+    )
+    ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
+    pos, serving, count = ues.pos, ues.serving.tolist(), sc.num_ues
+    uses_ledger = config.scheme.label == "blockchain"
+    predict = config.prediction.enabled and uses_ledger
+    lead_ms = np.arange(1, max(1, -(-config.prediction.lead_ms // rs)) + 1) * rs
+
+    history = [[] for _ in range(count)]  # per UE, the samples inside the window
+    pending, ledgered, waiting, decided = {}, set(), {}, set()
+    last_boundary = -1
+    ticks, triggers, measurements = [], [], []
+    for now in range(0, horizon + 1, rs) if horizon > 0 else ():
+        if now > 0:
+            pos = advance(pos, ues.dirs, ues.speed, rs, grid)
+        rsrp = grid.rsrp(pos)
+        if sc.shadow_sigma_db > 0 and count:
+            rsrp = rsrp + rng_fading.normal(0.0, sc.shadow_sigma_db, rsrp.shape)
+        for ue, row in enumerate(rsrp.tolist()):
+            history[ue] = [s for s in history[ue] if s.t >= now - sc.ul_ttt_ms]
+            history[ue].append(_Sample(now, row))
+            if sc.dump_measurements:
+                measurements.extend((now, ue, c, f"{v:.12g}") for c, v in enumerate(row))
+
+        prestaged = []
+        if predict:
+            future = grid.rsrp(
+                advance(pos[:, None], ues.dirs[:, None], ues.speed[:, None], lead_ms, grid)
+            ).tolist()
+            for ue in range(count):
+                if ue in waiting:
+                    continue
+                for lead, row in zip(lead_ms.tolist(), future[ue]):
+                    target = ho_trigger_oracle([_Sample(0, row)], serving[ue], sc.ul_offset_db, 0)
+                    if target is not None:
+                        break
+                if target is None or target in pending or target in ledgered:
+                    continue
+                if (ue, target, now + lead) in decided:
+                    continue
+                decided.add((ue, target, now + lead))
+                if float(rng_predict.random()) < config.prediction.accuracy:
+                    pending[target] = now
+                    prestaged.append(target)
+
+        started = []
+        for ue in range(count):
+            if ue in waiting:
+                continue
+            target = ho_trigger_oracle(history[ue], serving[ue], sc.ul_offset_db, sc.ul_ttt_ms)
+            if target is None:
+                continue
+            started.append((ue, serving[ue], target))
+            triggers.append((ue, serving[ue], target, now))
+            if not uses_ledger or target in ledgered:
+                serving[ue] = target
+            else:
+                pending.setdefault(target, now)
+                waiting[ue] = (target, now)
+
+        while last_boundary < now // period:
+            last_boundary += 1
+            boundary = last_boundary * period
+            for cell in [c for c, t in pending.items() if t <= boundary]:
+                del pending[cell]
+                ledgered.add(cell)
+
+        for ue in sorted(waiting):
+            target, t_trigger = waiting[ue]
+            if target in ledgered:
+                serving[ue] = target
+                del waiting[ue]
+            elif now - t_trigger > config.ledger.ho_timeout_ms:
+                raise HoPreparationTimeout(f"ue{ue}: no keys for cell {target}")
+        ticks.append((now, prestaged, started))
+
+    signals, summary = handover_rows_oracle(ticks, uses_ledger, period)
+    own = [
+        int(t) for t, _, _, _, flag in csv.reader(io.StringIO(signals, newline=""))
+        if flag == "1"
+    ]
+    if uses_ledger:
+        replayed = [t for *_, t in triggers for _ in range(2)]
+    else:
+        replayed = _ledger_replay_times(triggers, horizon, rs, period)
+    times = {
+        label: sorted(own if (label == "blockchain") == uses_ledger else replayed)
+        for label in ("blockchain", "macsig", "hmac")
+    }
+    grid_ms = range(0, horizon + 1, 1000) if horizon > 0 else ()
+    per_second = [
+        (start, label, bisect.bisect_left(ts, start + 1000) - bisect.bisect_left(ts, start))
+        for start in grid_ms for label, ts in times.items()
+    ]
+    cumulative = [
+        (t, label, bisect.bisect_right(ts, t)) for t in grid_ms for label, ts in times.items()
+    ]
+
+    artifacts = {
+        "config.txt": "".join(f"{k}={v}\n" for k, v in config_items(config)).encode(),
+        "signals.csv": signals.encode(),
+        "ho_summary.csv": _csv_bytes(
+            ["ue_id", "s_cell", "t_cell", "t_trigger_ms", "t_complete_ms",
+             "key_signals", "prep_wait_ms"], summary,
+        ),
+        "per_second_signaling.csv": _csv_bytes(
+            ["window_start_ms", "scheme", "key_exchanges"], per_second
+        ),
+        "cumulative_key_exchanges.csv": _csv_bytes(
+            ["t_ms", "scheme", "cumulative_key_exchanges"], cumulative
+        ),
+    }
+    if sc.dump_measurements:
+        artifacts["measurements.csv"] = _csv_bytes(
+            ["t_ms", "ue_id", "cell", "rsrp_dbm"], measurements
+        )
+    return artifacts

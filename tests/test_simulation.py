@@ -1,13 +1,19 @@
 import dataclasses
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsecsim.config import RunConfig, apply_settings
 from ncsecsim.handover import KeyPath, PredictionConfig, cumulative_key_exchanges
 from ncsecsim.keydist import Scheme
 from ncsecsim.ledger import SignalKind, SignalRecord, key_exchange_count
-from ncsecsim.simulation import run_simulation
+from ncsecsim.simulation import run_simulation, write_run_artifacts
+
+from oracles import run_oracle
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +243,48 @@ def test_handover_rows_partition_the_trace(settings):
         for t, origin, domain in result.upload_log if (t, domain) not in uploads
     )
     assert claimed + prestaged == Counter(r for r in result.trace if r.kind is not broadcast)
+
+
+@st.composite
+def run_configs(draw):
+    """Small runs across the configuration space: grids of 1-8 rows and
+    columns (half of them at least 6x6, so the lattice-box radio path
+    runs), wrap on and off, 0-30 UEs, offsets in [-3, 6] dB, TTT windows
+    of 0-480 ms, reference-signal and collection periods that do and do
+    not divide each other, shadowing, prediction, every scheme and
+    horizons on and off the reference-signal grid."""
+    dims = st.integers(6, 8) if draw(st.booleans()) else st.integers(1, 8)
+    rows, cols, ues = draw(dims), draw(dims), draw(st.integers(0, 30))
+    period = draw(st.one_of(st.sampled_from([500, 1000, 2000]), st.integers(100, 2000)))
+    rs = draw(st.one_of(st.sampled_from([100, 160, 250, 500]), st.integers(40, 1500)))
+    values = {
+        "scenario.rows": rows,
+        "scenario.cols": cols,
+        "scenario.wrap": draw(st.booleans()),
+        "scenario.isd_m": draw(st.sampled_from([40.0, 40.0, 100.0])),
+        "scenario.num_ues": ues,
+        "scenario.ue_speed_kmh": draw(st.sampled_from([0.0, 120.0, 250.0, 250.0])),
+        "scenario.rs_period_ms": rs,
+        "scenario.ul_offset_db": draw(st.integers(-6, 12)) / 2,
+        "scenario.ul_ttt_ms": draw(st.integers(0, 480)),
+        "scenario.shadow_sigma_db": draw(st.sampled_from([0.0, 0.0, 3.0])),
+        "scenario.dump_measurements": rows * cols * ues <= 64 and draw(st.booleans()),
+        "ledger.collection_period_ms": period,
+        "ledger.ho_timeout_ms": period * draw(st.integers(1, 3)),
+        "prediction.enabled": draw(st.sampled_from([False, True, True])),
+        "prediction.accuracy": draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+        "prediction.lead_ms": draw(st.integers(0, 1600)),
+        "scheme": draw(st.sampled_from(["blockchain", "blockchain", "macsig", "hmac"])),
+        "horizon_ms": draw(st.integers(0, 12_000)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    return apply_settings(RunConfig(), {k: str(v).lower() for k, v in values.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_configs())
+def test_run_matches_the_whole_run_oracle(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_run_artifacts(run_simulation(config), tmp)
+        got = {Path(p).name: Path(p).read_bytes() for p in paths.values()}
+    assert got == run_oracle(config)
