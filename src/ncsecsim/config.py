@@ -217,6 +217,8 @@ def validate(config: RunConfig) -> None:
         raise ConfigError("scenario.rs_period_ms: must be positive")
     if sc.ul_ttt_ms < 0:
         raise ConfigError("scenario.ul_ttt_ms: must be >= 0")
+    if sc.shadow_sigma_db < 0:
+        raise ConfigError("scenario.shadow_sigma_db: must be >= 0")
     sec = config.security
     if not _is_field_order(sec.q):
         raise ConfigError("security.q: must be a power of two, at most 2^16")

@@ -26,8 +26,13 @@ trigger in start order.  ``HoTable.start`` starts a tick's handovers,
 which complete at once or, on the ledger scheme's first visit, wait for
 their keys; ``HoTable.finish_waiting`` completes the waiting ones once the
 ledger has ticked past their block.  The event loop in ``simulation`` is
-the only driver of the table in a run; ``replay_key_signaling`` derives
-the other schemes' key signals from its trigger columns.
+the only driver of the table in a run.
+
+Signals are not logged as they happen.  Every row of a trace follows
+from a table's columns and the ledger's ``upload_log`` and ``blocks``, so
+one builder makes the trace after the run: ``HoTable.trace`` for the
+run's own scheme, and ``replay_key_signaling`` for another scheme, from
+the patterns and completion times that the trigger columns imply.
 """
 
 from __future__ import annotations
@@ -76,10 +81,6 @@ def _bsh(cell: int) -> str:
     return f"bsh{cell}"
 
 
-def _ue(ue_id: int) -> str:
-    return f"ue{ue_id}"
-
-
 def upload_key_set(ledger: SimulatedLedger, cell: int, keys: KeyRing, now: int) -> bool:
     """Submit ``cell``'s key set to ``ledger`` at ``now``; returns whether
     it was accepted.  Submission is idempotent, so a cell whose key set is
@@ -88,18 +89,13 @@ def upload_key_set(ledger: SimulatedLedger, cell: int, keys: KeyRing, now: int) 
     return ledger.submit_candidate(entry).accepted
 
 
-# Endpoint roles in a handover's signals: serving BS, target BS, UE, core.
-_S, _T, _U, _CORE = range(4)
-
-
-def _block(*signals: tuple[SignalKind, int, int]) -> tuple[tuple[int, ...], ...]:
-    """A fixed signal sequence as columns: kind codes, source roles and
-    destination roles."""
-    kinds, srcs, dsts = zip(*signals)
-    return tuple(KIND_CODE[k] for k in kinds), srcs, dsts
-
+# Endpoint roles in a trace block: serving BS, target BS (or the uploading
+# cell), UE, and the fixed endpoints, whose names take the first ids.
+_S, _T, _U, _CORE, _LEDGER, _ALL = range(6)
+_FIXED_NAMES = ("core", "ledger", "all_bsh")
 
 _REQUEST = (SignalKind.HO_REQUEST, _S, _T)
+_UPLOAD_ROW = (SignalKind.CANDIDATE_UPLOAD, _T, _LEDGER)
 _COMPLETION = (
     (SignalKind.HO_ACK, _T, _S),
     (SignalKind.HO_COMMAND, _S, _U),
@@ -110,27 +106,101 @@ _COMPLETION = (
 )
 
 # Start patterns.  A handover's pattern fixes its key path, its start
-# block (the request, then the baseline key transfer or the upload row
-# the ledger writes) and its key signals once complete.  The first two
-# complete at start, so their completion block follows the start block.
+# block and its key signals once complete.  The first two complete at
+# start, so their start block ends with the completion signals; the other
+# two wait, and their completion block follows once the keys arrive.
 _BASELINE, _STEADY, _UPLOAD, _JOIN = range(4)
 _KEY_PATH = (
     KeyPath.BASELINE_PER_HO, KeyPath.LEDGER_STEADY_STATE,
     KeyPath.LEDGER_FIRST_HO, KeyPath.LEDGER_FIRST_HO,
 )
-_START_LEN = (2, 1, 2, 1)
 _KEY_SIGNALS = (2, 1, 3, 1)
-_AT_START = (
-    _block(_REQUEST, (SignalKind.KEY_TO_SBS, _T, _S), *_COMPLETION),
-    _block(_REQUEST, *_COMPLETION),
-    _block(_REQUEST),
-    _block(_REQUEST),
+# Trace block templates, indexed by pattern for start blocks, then the
+# completion block, a prestaged upload and a block broadcast.
+_FINISH, _PRESTAGE, _BROADCAST = range(4, 7)
+_TEMPLATES = (
+    (_REQUEST, (SignalKind.KEY_TO_SBS, _T, _S), *_COMPLETION),
+    (_REQUEST, *_COMPLETION),
+    (_REQUEST, _UPLOAD_ROW),
+    (_REQUEST,),
+    _COMPLETION,
+    (_UPLOAD_ROW,),
+    ((SignalKind.BLOCK_BROADCAST, _LEDGER, _ALL),),
 )
-_AT_FINISH = _block(*_COMPLETION)
-_COLUMNS = (
-    "ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern",
-    "start_row", "done_row", "broadcast_row",
-)
+_TEMPLATE_LEN = np.array([len(block) for block in _TEMPLATES])
+# (template, row in block) -> (kind code, source role, destination role)
+_TEMPLATE_ROWS = np.array([
+    [(KIND_CODE[k], src, dst) for k, src, dst in block]
+    + [(0, 0, 0)] * (_TEMPLATE_LEN.max() - len(block))
+    for block in _TEMPLATES
+])
+_COLUMNS = ("ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern")
+
+
+def _signal_trace(
+    columns: Sequence[Sequence[int]],
+    uploads: Sequence[tuple[int, int]] = (),
+    broadcasts: Sequence[int] = (),
+) -> SignalTrace:
+    """The signal trace of a set of handovers, in time order.
+
+    ``columns`` are the handovers' ``_COLUMNS``, ``uploads`` the ledger's
+    uploads as (time, cell) in submission order and ``broadcasts`` the
+    times of its blocks.  Each handover has a start block at its trigger
+    (its pattern's template), and one that waited and completed has a
+    completion block at its completion; an upload that no handover made
+    is a prestaged upload row, and every block one broadcast row.
+
+    Within one tick the loop signals in four phases: prestaged uploads,
+    in submission order; each starting UE's start block (with its upload
+    row), in UE order; the broadcasts of the boundaries the ledger
+    passes, each stamped with its boundary; and completion blocks, in UE
+    order.  One stable lexsort of the blocks on (time, phase, UE), then
+    expanding each block into its template's rows, gives that order.
+    """
+    ue, s_cell, t_cell, t_trigger, t_complete, pattern = (
+        np.asarray(c, dtype=np.int64) for c in columns
+    )
+    up_t, up_cell = np.asarray(uploads, dtype=np.int64).reshape(-1, 2).T
+    prestaged = ~np.isin(up_cell, t_cell[pattern == _UPLOAD])
+    up_t, up_cell = up_t[prestaged], up_cell[prestaged]
+    done = np.flatnonzero((pattern >= _UPLOAD) & (t_complete >= 0))
+
+    n, fixed = len(ue), len(_FIXED_NAMES)
+    cells, cell_ids = np.unique(np.concatenate([s_cell, t_cell, up_cell]), return_inverse=True)
+    ues, ue_ids = np.unique(ue, return_inverse=True)
+    s_ids, t_ids, up_ids = np.split(cell_ids + fixed, [n, 2 * n])
+    u_ids = ue_ids + fixed + len(cells)
+    # Per block: time, phase, UE, template, and the serving, target and UE ids.
+    parts = (
+        (up_t, 0, 0, _PRESTAGE, 0, up_ids, 0),
+        (t_trigger, 1, ue, pattern, s_ids, t_ids, u_ids),
+        (np.asarray(broadcasts, dtype=np.int64), 2, 0, _BROADCAST, 0, 0, 0),
+        (t_complete[done], 3, ue[done], _FINISH, s_ids[done], t_ids[done], u_ids[done]),
+    )
+    time, phase, who, template, *ends = (
+        np.concatenate([np.broadcast_to(part[k], len(part[0])) for part in parts])
+        for k in range(7)
+    )
+    order = np.lexsort((who, phase, time))  # stable: ties keep part and row order
+    time, template = time[order], template[order]
+    ends = np.column_stack([*ends, *(np.full(len(time), i) for i in range(fixed))])[order]
+
+    # Expand the blocks row position by row position into the trace's
+    # columns: time, then kind code, source id and destination id.
+    lengths = _TEMPLATE_LEN[template]
+    first = np.cumsum(lengths) - lengths
+    times = np.empty(lengths.sum(), dtype=np.int64)
+    rows = np.empty((3, len(times)), dtype=np.int32)
+    for j in range(_TEMPLATE_ROWS.shape[1]):
+        has = np.flatnonzero(lengths > j)
+        kind, src, dst = _TEMPLATE_ROWS[template[has], j].T
+        times[first[has] + j] = time[has]
+        rows[:, first[has] + j] = kind, ends[has, src], ends[has, dst]
+    names = [
+        *_FIXED_NAMES, *(_bsh(c) for c in cells.tolist()), *(f"ue{u}" for u in ues.tolist())
+    ]
+    return SignalTrace.from_columns(times, *rows, names)
 
 
 class HoTable(Sequence["HoView"]):
@@ -138,14 +208,10 @@ class HoTable(Sequence["HoView"]):
     trigger in start order.
 
     The columns are ``ue_id``, ``s_cell``, ``t_cell`` and ``t_trigger``;
-    ``t_complete`` (-1 while waiting); ``pattern``, the start pattern; and
-    the rows of the handover's signals in the ledger's trace:
-    ``start_row`` and ``done_row``, the first rows of its start and
-    completion blocks (-1 while waiting), and ``broadcast_row``, the block
-    broadcast that carried its upload (-1 if it uploaded nothing).
+    ``t_complete`` (-1 while waiting); and ``pattern``, the start pattern.
     ``waiting`` maps each UE whose handover waits for its keys to its row.
-    The columns are lists while the run appends to them and int64 arrays
-    after ``sort_by_time``.  Indexing and iteration yield ``HoView``s.
+    The columns are lists, to which the run appends.  Indexing and
+    iteration yield ``HoView``s, and ``trace`` builds the signal trace.
     """
 
     def __init__(
@@ -156,24 +222,12 @@ class HoTable(Sequence["HoView"]):
         timeout_ms: int | None = None,
     ):
         self.ledger = ledger
-        self.trace = ledger.trace
         self._uses_ledger = scheme is Scheme.BLOCKCHAIN
         self.cell_keys = cell_keys
         self.timeout_ms = 2 * ledger.period if timeout_ms is None else timeout_ms
         for name in _COLUMNS:
             setattr(self, name, [])
         self.waiting: dict[int, int] = {}
-        self._core = self.trace.name_id("core")
-
-    def _emit(self, block: tuple, ue: int, s: int, t: int, now: int) -> int:
-        """Append a fixed signal sequence (``_block``) of a handover at
-        ``now``; returns its first row."""
-        name_id = self.trace.name_id
-        ids = (name_id(_bsh(s)), name_id(_bsh(t)), name_id(_ue(ue)), self._core)
-        kinds, srcs, dsts = block
-        return self.trace.extend(
-            kinds, [ids[r] for r in srcs], [ids[r] for r in dsts], [now] * len(kinds)
-        ).start
 
     def start(
         self, ues: Sequence[int], s_cells: Sequence[int], t_cells: Sequence[int], now: int
@@ -200,8 +254,6 @@ class HoTable(Sequence["HoView"]):
                 raise InvalidParameter(f"no key set supplied for cell {t}")
             else:
                 pattern = _UPLOAD
-            row = self._emit(_AT_START[pattern], ue, s, t, now)
-            if pattern == _UPLOAD:
                 upload_key_set(ledger, t, self.cell_keys[t], now)
             done = pattern <= _STEADY
             if not done:
@@ -212,9 +264,6 @@ class HoTable(Sequence["HoView"]):
             self.t_trigger.append(now)
             self.t_complete.append(now if done else -1)
             self.pattern.append(pattern)
-            self.start_row.append(row)
-            self.done_row.append(row + _START_LEN[pattern] if done else -1)
-            self.broadcast_row.append(-1)
             completed.append(done)
         return np.array(completed, dtype=bool)
 
@@ -235,35 +284,24 @@ class HoTable(Sequence["HoView"]):
                         f"ue{ue}: keys for domain {t} not ledgered within {self.timeout_ms} ms"
                     )
                 continue
-            if self.pattern[i] == _UPLOAD:
-                self.broadcast_row[i] = self.ledger.broadcast_row(str(t), EntryKind.CELL_KEY_SET)
-            self.done_row[i] = self._emit(_AT_FINISH, ue, s, t, now)
             self.t_complete[i] = now
             del self.waiting[ue]
             finished.append((ue, t))
         return finished
 
-    def sort_by_time(self) -> None:
-        """Put the trace in time order (``SignalTrace.sort_by_time``) and
-        map the row columns onto it; the columns become int64 arrays.
-
-        A block's rows share one time and are adjacent, so they stay
-        adjacent and its first row still locates it.
-        """
-        order = self.trace.sort_by_time()
-        new_row = np.full(len(order) + 1, -1, dtype=np.int64)  # new_row[-1] keeps -1
-        new_row[order] = np.arange(len(order))
-        for name in _COLUMNS:
-            setattr(self, name, np.array(getattr(self, name), dtype=np.int64))
-        for name in ("start_row", "done_row", "broadcast_row"):
-            setattr(self, name, new_row[getattr(self, name)])
+    def trace(self) -> SignalTrace:
+        """The signal trace of the table's handovers and its ledger's
+        uploads and blocks, in time order."""
+        uploads = [(t, int(domain)) for t, _, domain in self.ledger.upload_log]
+        broadcasts = [block.verified_at for block in self.ledger.blocks]
+        return _signal_trace([getattr(self, name) for name in _COLUMNS], uploads, broadcasts)
 
     def summary_rows(self) -> list[tuple[int, ...]]:
         """The ``ho_summary.csv`` rows of the completed handovers in start
         order: UE id, cells, trigger and completion times, key signals and
         preparation wait."""
         ue, s, t, t0, t1, pattern = (
-            np.asarray(getattr(self, name), dtype=np.int64) for name in _COLUMNS[:6]
+            np.asarray(getattr(self, name), dtype=np.int64) for name in _COLUMNS
         )
         cols = (ue, s, t, t0, t1, np.array(_KEY_SIGNALS)[pattern], t1 - t0)
         return list(zip(*(c[t1 >= 0].tolist() for c in cols)))
@@ -324,15 +362,16 @@ class HoView:
 
     @property
     def signals(self) -> list[SignalRecord]:
-        """The handover's signals in its trace: its start block, the
-        broadcast that carried its upload, then its completion block."""
-        tab, i = self.table, self.row
-        start = int(tab.start_row[i])
-        rows = list(range(start, start + _START_LEN[self._pattern]))
-        for first, count in ((tab.broadcast_row[i], 1), (tab.done_row[i], len(_COMPLETION))):
-            if first >= 0:
-                rows.extend(range(int(first), int(first) + count))
-        return [tab.trace[r] for r in rows]
+        """The handover's signals: its start block, the broadcast that
+        carried its upload, then its completion block."""
+        tab, domain = self.table, str(self.t_cell)
+        carried = self.did_upload and self.complete
+        broadcasts = [
+            block.verified_at for block in tab.ledger.blocks
+            if carried and any(e.domain == domain for e in block.entries)
+        ]
+        row = [[getattr(tab, name)[self.row]] for name in _COLUMNS]
+        return list(_signal_trace(row, (), broadcasts))
 
 
 # ----------------------------------------------------------------------
@@ -348,63 +387,43 @@ def cumulative_key_exchanges(
     return list(zip(grid.tolist(), np.searchsorted(times, grid, side="right").tolist()))
 
 
-def _name_ids(trace: SignalTrace, name, values: np.ndarray) -> np.ndarray:
-    """Name ids in ``trace`` of ``name(v)`` for every entry of ``values``."""
-    uniq, inverse = np.unique(values, return_inverse=True)
-    ids = np.array([trace.name_id(name(v)) for v in uniq.tolist()], dtype=np.int64)
-    return ids[inverse]
-
-
 def replay_key_signaling(
     events: HoTable,
     scheme: Scheme,
-    cell_keys: Mapping[int, KeyRing],
     horizon_ms: int,
     rs_period_ms: int = 160,
     collection_period_ms: int = 1000,
 ) -> SignalTrace:
-    """Key-exchange signals of a time-ordered trigger stream under one
+    """Signal trace of a time-ordered trigger stream under one
     key-sharing policy, with no per-UE concurrency limits.
 
     ``events`` is read through its trigger columns ``ue_id``, ``s_cell``,
     ``t_cell`` and ``t_trigger`` (a run's ``HoTable``, or any object with
-    those four int sequences).
+    those four int sequences).  The patterns and completion times follow
+    from them as in the event loop, and the trace from those as in
+    ``HoTable.trace``.
 
-    Baseline handovers send keys to the serving BS and on to the UE at
-    their trigger.  Under the ledger scheme each cell's key set is uploaded
-    at its first trigger, and every handover gets its keys at the first RS
-    instant at or after its block verified, as in the event loop; blocks
-    verify up to the last RS instant at or before the horizon.
+    Baseline handovers complete at their trigger.  Under the ledger
+    scheme each cell's first trigger uploads its key set, which verifies
+    at the first collection boundary at or after it; blocks verify up to
+    the last RS instant at or before the horizon, and the loop sees a
+    block at the first RS instant at or after its boundary.  A trigger up
+    to that instant joins the upload and a later one is steady; each
+    completes at the later of its trigger and that instant.
     """
-    trace = SignalTrace()
     ue, s_cell, t_cell, t_trigger = (
-        np.asarray(getattr(events, f), dtype=np.int64)
-        for f in ("ue_id", "s_cell", "t_cell", "t_trigger")
+        np.asarray(getattr(events, name), dtype=np.int64) for name in _COLUMNS[:4]
     )
-    s_ids, ue_ids = _name_ids(trace, _bsh, s_cell), _name_ids(trace, _ue, ue)
     if scheme is not Scheme.BLOCKCHAIN:
-        # Two rows per event: target to serving BS, then serving BS to UE.
-        trace.extend(
-            [KIND_CODE[SignalKind.KEY_TO_SBS], KIND_CODE[SignalKind.KEY_TO_UE]] * len(ue),
-            np.column_stack([_name_ids(trace, _bsh, t_cell), s_ids]).ravel().tolist(),
-            np.column_stack([s_ids, ue_ids]).ravel().tolist(),
-            np.repeat(t_trigger, 2).tolist(),
-        )
-        return trace
-    led = SimulatedLedger({_bsh(c) for c in cell_keys}, collection_period_ms, trace)
-    cells, first, inverse = np.unique(t_cell, return_index=True, return_inverse=True)
-    for i in np.sort(first).tolist():  # each cell's first trigger, in stream order
-        cell = int(t_cell[i])
-        upload_key_set(led, cell, cell_keys[cell], int(t_trigger[i]))
-    # Every boundary takes all candidates submitted at or before it, so one
-    # tick gives the blocks that ticking on every RS instant would.
-    led.tick(horizon_ms // rs_period_ms * rs_period_ms)
-    verified_at = {e.domain: b.verified_at for b in led.blocks for e in b.entries}
-    b = np.array([verified_at.get(str(c), -1) for c in cells.tolist()], dtype=np.int64)[inverse]
-    got = b >= 0
-    t_key = np.maximum(t_trigger[got], -(-b[got] // rs_period_ms) * rs_period_ms)
-    trace.extend(
-        [KIND_CODE[SignalKind.KEY_TO_UE]] * len(t_key),
-        s_ids[got].tolist(), ue_ids[got].tolist(), t_key.tolist(),
+        pattern = np.full(len(ue), _BASELINE)
+        return _signal_trace((ue, s_cell, t_cell, t_trigger, t_trigger, pattern))
+    _, first, cell = np.unique(t_cell, return_index=True, return_inverse=True)
+    boundary = -(-t_trigger[first] // collection_period_ms) * collection_period_ms
+    verified = boundary <= horizon_ms // rs_period_ms * rs_period_ms
+    seen = (-(-boundary // rs_period_ms) * rs_period_ms)[cell]
+    pattern = np.where(t_trigger > seen, _STEADY, _JOIN)
+    pattern[first] = _UPLOAD
+    t_complete = np.where(verified[cell], np.maximum(t_trigger, seen), -1)
+    return _signal_trace(
+        (ue, s_cell, t_cell, t_trigger, t_complete, pattern), (), np.unique(boundary[verified])
     )
-    return trace

@@ -6,13 +6,18 @@ collect into blocks that verify at most once per collection period
 period, every pending candidate submitted at or before the boundary lands
 in that block, and the block becomes visible to all registered
 controllers atomically.  Boundaries with nothing pending produce no block
-and no broadcast.  One broadcast signal is emitted per verified block
-regardless of how many candidates it carries; that single shared signal
-is what makes the scheme's steady-state signaling cheap.
+and no broadcast.  A verified block costs one broadcast signal however
+many candidates it carries; that single shared signal is what makes the
+scheme's steady-state signaling cheap.
 
 Candidate submission is idempotent per (domain, entry kind): once a
 cell's key set is pending or ledgered, resubmissions are no-ops and cost
 no signal.
+
+The ledger keeps two logs, ``upload_log`` (one row per accepted
+candidate) and ``blocks``; it writes no trace.  ``handover`` turns them
+into signal rows after a run: an upload per accepted candidate and a
+broadcast per block.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ _KINDS = tuple(SignalKind)
 KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _KEY_FLAG = tuple(int(kind in KEY_EXCHANGE_KINDS) for kind in _KINDS)
 _KEY_MASK = np.array(_KEY_FLAG, dtype=bool)
+# Rows a trace converts to Python ints at a time when it is read row by row.
+_CHUNK = 4096
 
 
 def _csv_field(text: str) -> str:
@@ -85,54 +92,34 @@ def _csv_field(text: str) -> str:
 
 
 class SignalTrace(Sequence[SignalRecord]):
-    """A signal log held as parallel int columns, one row per signal.
+    """A signal log held as parallel int arrays, one row per signal.
 
     The columns are time (ms), kind code (``KIND_CODE``), source id and
     destination id; ids index the trace's own table of endpoint names.
-    They are plain lists, where appending a handover's few rows costs
-    least, and accounting reads them as numpy arrays.  Indexing and
-    iteration yield ``SignalRecord``s, and a trace equals any sequence
-    of the same records, so code written for a list of records reads a
-    trace as is.
+    ``from_columns`` takes the columns as built (``handover`` builds a
+    run's traces that way) and ``SignalTrace(records)`` takes records.
+    Indexing and iteration yield ``SignalRecord``s, and a trace equals any
+    sequence of the same records, so code written for a list of records
+    reads a trace as is.
     """
 
     def __init__(self, records: Iterable[SignalRecord] = ()):
-        self._t: list[int] = []
-        self._kind: list[int] = []
-        self._src: list[int] = []
-        self._dst: list[int] = []
-        self._names: list[str] = []
-        self._ids: dict[str, int] = {}
-        for r in records:
-            self.append(r.kind, r.src, r.dst, r.t)
+        ids: dict[str, int] = {}
+        rows = [
+            (r.t, KIND_CODE[r.kind], ids.setdefault(r.src, len(ids)), ids.setdefault(r.dst, len(ids)))
+            for r in records
+        ]
+        self._t, self._kind, self._src, self._dst = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        self._names = list(ids)
 
-    def name_id(self, name: str) -> int:
-        """Id of an endpoint name, added to the table on first use."""
-        i = self._ids.get(name)
-        if i is None:
-            i = self._ids[name] = len(self._names)
-            self._names.append(name)
-        return i
-
-    def append(self, kind: SignalKind, src: str, dst: str, t: int) -> int:
-        """Append one signal; returns its row index."""
-        return self.extend([KIND_CODE[kind]], [self.name_id(src)], [self.name_id(dst)], [t])[0]
-
-    def extend(
-        self,
-        kinds: Iterable[int],
-        srcs: Iterable[int],
-        dsts: Iterable[int],
-        times: Iterable[int],
-    ) -> range:
-        """Append rows given column-wise as kind codes, name ids and times
-        (equal lengths); returns their row indices."""
-        start = len(self._t)
-        self._kind.extend(kinds)
-        self._src.extend(srcs)
-        self._dst.extend(dsts)
-        self._t.extend(times)
-        return range(start, len(self._t))
+    @classmethod
+    def from_columns(cls, t, kinds, srcs, dsts, names: Sequence[str]) -> SignalTrace:
+        """A trace of the rows given column-wise as int arrays of times,
+        kind codes and ids into ``names`` (equal lengths), kept as given."""
+        trace = cls()
+        trace._t, trace._kind, trace._src, trace._dst = t, kinds, srcs, dsts
+        trace._names = list(names)
+        return trace
 
     # -- Sequence view ---------------------------------------------------
     def __len__(self) -> int:
@@ -141,16 +128,22 @@ class SignalTrace(Sequence[SignalRecord]):
     def _record(self, i: int) -> SignalRecord:
         names = self._names
         kind = _KINDS[self._kind[i]]
-        return SignalRecord(kind, names[self._src[i]], names[self._dst[i]], self._t[i])
+        return SignalRecord(kind, names[self._src[i]], names[self._dst[i]], int(self._t[i]))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self._record(j) for j in range(*i.indices(len(self)))]
-        return self._record(i)
+        return self._record(range(len(self))[i])
+
+    def _rows(self) -> Iterator[tuple[int, int, int, int]]:
+        """The rows as (t, kind, src, dst) ints, read ``_CHUNK`` at a time."""
+        for start in range(0, len(self), _CHUNK):
+            cols = (self._t, self._kind, self._src, self._dst)
+            yield from zip(*(c[start : start + _CHUNK].tolist() for c in cols))
 
     def __iter__(self) -> Iterator[SignalRecord]:
         names = self._names
-        for t, k, s, d in zip(self._t, self._kind, self._src, self._dst):
+        for t, k, s, d in self._rows():
             yield SignalRecord(_KINDS[k], names[s], names[d], t)
 
     def __eq__(self, other) -> bool:
@@ -166,16 +159,7 @@ class SignalTrace(Sequence[SignalRecord]):
     # -- column reads ----------------------------------------------------
     def key_exchange_times(self) -> np.ndarray:
         """Times of the key-exchange rows, in row order."""
-        return np.array(self._t, dtype=np.int64)[_KEY_MASK[self._kind]]
-
-    def sort_by_time(self) -> np.ndarray:
-        """Put the rows in time order in place, equal times kept in row
-        order; returns the permutation (row i is former row ``order[i]``)."""
-        order = np.argsort(np.array(self._t, dtype=np.int64), kind="stable")
-        take = order.tolist()
-        for name in ("_t", "_kind", "_src", "_dst"):
-            setattr(self, name, list(map(getattr(self, name).__getitem__, take)))
-        return order
+        return self._t[_KEY_MASK[self._kind]]
 
     def write_csv(self, fh) -> None:
         """Write the ``signals.csv`` layout: a header, then one row per
@@ -185,7 +169,7 @@ class SignalTrace(Sequence[SignalRecord]):
         fh.write("t_ms,kind,src,dst,key_exchange_flag\r\n")
         fh.writelines(
             f"{t},{kind_txt[k]},{names[s]},{names[d]},{_KEY_FLAG[k]}\r\n"
-            for t, k, s, d in zip(self._t, self._kind, self._src, self._dst)
+            for t, k, s, d in self._rows()
         )
 
 
@@ -241,19 +225,15 @@ class SimulatedLedger:
         self,
         controllers: Iterable[str],
         collection_period_ms: int = DEFAULT_COLLECTION_PERIOD_MS,
-        trace: SignalTrace | None = None,
     ):
         if collection_period_ms <= 0:
             raise InvalidParameter("collection period must be positive")
         self.controllers = set(controllers)
         self.period = int(collection_period_ms)
-        self.trace = trace if trace is not None else SignalTrace()
         self.blocks: list[LedgerBlock] = []
         # Pending entries by (domain, kind), in submission order.
         self._pending: dict[tuple[str, EntryKind], CandidateEntry] = {}
         self._ledgered: dict[tuple[str, EntryKind], CandidateEntry] = {}
-        # Trace row of the broadcast that delivered each (domain, kind).
-        self._broadcast_row: dict[tuple[str, EntryKind], int] = {}
         self._last_boundary = -1  # index of the last inspected boundary
         self._last_now: int | None = None
         self.upload_log: list[tuple[int, str, str]] = []  # (t, origin, domain)
@@ -274,14 +254,13 @@ class SimulatedLedger:
         """Queue an entry for the next verification.
 
         Re-submitting a (domain, kind) that is already pending or ledgered
-        is a no-op and emits no signal.
+        is a no-op and is not logged.
         """
         self._require_registered(entry.origin)
         key = (entry.domain, entry.entry_kind)
         if key in self._ledgered or key in self._pending:
             return SubmitReceipt(accepted=False, duplicate=True, entry=None)
         self._pending[key] = entry
-        self.trace.append(SignalKind.CANDIDATE_UPLOAD, entry.origin, "ledger", entry.submitted_at)
         self.upload_log.append((entry.submitted_at, entry.origin, entry.domain))
         return SubmitReceipt(accepted=True, duplicate=False, entry=entry)
 
@@ -309,10 +288,8 @@ class SimulatedLedger:
                 verified_at=b,
             )
             self.blocks.append(block)
-            row = self.trace.append(SignalKind.BLOCK_BROADCAST, "ledger", "all_bsh", b)
             for e in ready:
                 self._ledgered[(e.domain, e.entry_kind)] = e
-                self._broadcast_row[(e.domain, e.entry_kind)] = row
             newest = block
         return newest
 
@@ -331,10 +308,6 @@ class SimulatedLedger:
         self._require_registered(controller)
         entry = self._ledgered.get((gen_id, EntryKind.GENERATION_TAG_SET))
         return None if entry is None else entry.payload
-
-    def broadcast_row(self, domain: str, kind: EntryKind) -> int | None:
-        """Trace row of the broadcast that delivered this (domain, kind), if any."""
-        return self._broadcast_row.get((domain, kind))
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,8 @@ def _check_ledger_batching() -> None:
     baseline = HoTable(SimulatedLedger(led.controllers), Scheme.DOUBLE_RANDOM, key_sets)
     assert baseline.start([2], [1], [3], 2000)[0]
     assert [h.key_signal_count for h in (*hos, *baseline)] == [3, 1, 2]
-    broadcasts = [r for r in led.trace if r.kind == SignalKind.BLOCK_BROADCAST]
+    assert len(led.upload_log) == len(led.blocks) == 1
+    broadcasts = [r for r in hos.trace() if r.kind == SignalKind.BLOCK_BROADCAST]
     assert len(broadcasts) == 1
 
 

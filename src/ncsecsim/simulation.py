@@ -5,19 +5,19 @@ Each reference-signal tick advances UE positions, measures uplink powers
 at the base stations that can take each UE over (at every one with
 shadowing or the measurement dump), optionally forecasts imminent
 handovers for key prestaging, starts triggered handovers, and then lets
-the ledger verify any collection-period boundary that has passed.  Handovers blocked on key
-sharing complete at the first tick after their block verifies.  Every
-handover is a row of one ``handover.HoTable``, which signals on the
-ledger's trace; after the last tick the trace is put in time order in
-place and the table's row columns follow it.
+the ledger verify any collection-period boundary that has passed.
+Handovers blocked on key sharing complete at the first tick after their
+block verifies.  Every handover is a row of one ``handover.HoTable``; the
+loop records only the table's columns and the ledger's uploads and
+blocks, and the signal trace is built from them after the last tick.
 
 All randomness flows from one master seed through named substreams
 (placement, key material, prediction, fading), so identical seed and
 configuration give byte-identical artifacts.
 
 For scheme comparisons the run derives the other kind of scheme's
-key-exchange signals from the table's trigger columns; the resulting curves
-differ only in key signaling, never in mobility.
+trace from the table's trigger columns; the resulting curves differ only
+in key signaling, never in mobility.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     # shadowing (drawn per UE and cell) or the measurement dump needs them.
     full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
     trigger = trigger_targets if full_rows else grid.trigger_targets
-    window_len = sc.ul_ttt_ms // sc.rs_period_ms + 1
+    # A window reaches back at most to the run's first tick.
+    window_len = min(sc.ul_ttt_ms, config.horizon_ms) // sc.rs_period_ms + 1
     ring = np.empty((window_len, ues.count, grid.num_cells if full_rows else 2))
     measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
@@ -155,16 +156,14 @@ def run_simulation(config: RunConfig) -> SimulationResult:
             for ue_id, target in handovers.finish_waiting(t):
                 ues.serving[ue_id] = target
 
-    handovers.sort_by_time()
     # The baselines differ only in key assignment, not in signaling, so a
     # baseline run's own trace serves both and one replay serves the rest.
     own_uses_ledger = config.scheme is Scheme.BLOCKCHAIN
-    own_trace = ledger.trace
+    own_trace = handovers.trace()
     replayed = replay_key_signaling(
-        handovers, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN, cell_keys,
+        handovers, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN,
         config.horizon_ms, sc.rs_period_ms, config.ledger.collection_period_ms,
     )
-    replayed.sort_by_time()
     scheme_traces = {
         scheme.label: own_trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
         for scheme in _ALL_SCHEMES

@@ -151,6 +151,8 @@ def test_cli_exit_code_1_on_config_errors(tmp_path, capsys):
         ("analyze", "analyze.epsilon=-inf", ("analyze.epsilon",)),
         # numpy seeds must be non-negative
         ("run", "seed=-1", ("seed",)),
+        # a standard deviation is never negative
+        ("run", "scenario.shadow_sigma_db=-3", ("scenario.shadow_sigma_db",)),
     ],
 )
 def test_cli_rejects_inconsistent_settings_as_config_errors(
@@ -200,7 +202,7 @@ FUZZ_VALUES = ["0", "-1", "1", "3", "7", "nan", "inf", "1e9", "x", "100000"]
 SIZE_KEYS = {
     "analyze.L", "analyze.c_max", "analyze.trials", "attack.l", "attack.m", "attack.n",
     "attack.trials", "horizon_ms", "scenario.cols", "scenario.num_ues", "scenario.rows",
-    "scenario.ul_ttt_ms", "security.l", "security.n",
+    "security.l", "security.n",
 }
 # Small work for each command, overridden by any fuzzed key.
 FUZZ_BASE = {
@@ -234,6 +236,21 @@ def test_cli_exit_codes_under_fuzzed_settings(tmp_path_factory, command, fuzzed)
     assert code in (0, 1, 2), (command, fuzzed, code)
     if code == 2:
         assert "error:" in err.getvalue()
+
+
+def test_cli_ttt_longer_than_the_run_reaches_back_to_its_start(tmp_path):
+    # the window holds the samples since the run started, as with a TTT
+    # equal to the horizon
+    outs = {}
+    for ttt in ("1000000000000", "2000"):
+        cfg = tmp_path / f"ttt{ttt}.cfg"
+        cfg.write_text(f"scenario.ul_ttt_ms={ttt}\n")
+        outs[ttt] = tmp_path / f"out{ttt}"
+        argv = ["run", "--config", str(cfg), "--horizon-ms", "2000", "--out", str(outs[ttt])]
+        assert main(argv) == 0
+    for name in ("signals.csv", "ho_summary.csv", "per_second_signaling.csv",
+                 "cumulative_key_exchanges.csv"):
+        assert filecmp.cmp(*(out / name for out in outs.values()), shallow=False), name
 
 
 def test_cli_determinism_byte_identical(tmp_path):

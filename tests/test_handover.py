@@ -166,10 +166,9 @@ def test_missing_key_set_rejected():
 def test_handover_with_a_ledger_signals_on_its_trace():
     led = fresh_ledger()
     hos = table(led=led)
-    assert hos.trace is led.trace
     view = complete_at(hos, begin(hos, 0, 1, 7, 160), 1000)
-    hos.sort_by_time()
-    assert list(led.trace) == view.signals
+    assert list(hos.trace()) == view.signals
+    assert [r.kind for r in view.signals].count(SignalKind.BLOCK_BROADCAST) == len(led.blocks)
 
 
 def test_every_completed_procedure_delivers_keys_once():
@@ -193,7 +192,7 @@ def test_pending_joiner_waits_but_costs_one():
     assert first.key_signal_count == 3
     assert joiner.key_signal_count == 1
     assert joiner.prep_wait_ms == 800
-    uploads = [r for r in hos.trace if r.kind is SignalKind.CANDIDATE_UPLOAD]
+    uploads = [r for r in hos.trace() if r.kind is SignalKind.CANDIDATE_UPLOAD]
     assert len(uploads) == 1
 
 
@@ -214,7 +213,7 @@ def test_per_cell_upload_uniqueness_with_prestaging():
     view = begin(hos, 2, 1, 7, 320)
     assert not view.did_upload
     complete_at(hos, view, 1000)
-    uploads = [r for r in hos.trace if r.kind is SignalKind.CANDIDATE_UPLOAD]
+    uploads = [r for r in hos.trace() if r.kind is SignalKind.CANDIDATE_UPLOAD]
     assert len(uploads) == 1
 
 
@@ -246,7 +245,7 @@ def test_prestaged_first_ho_completes_without_waiting():
     assert view.complete and view.prep_wait_ms == 0
     assert view.key_signal_count == 1
     # upload + broadcast + delivery: still three key signals end to end
-    assert key_exchange_count(hos.trace) == 3
+    assert key_exchange_count(hos.trace()) == 3
 
 
 def test_cumulative_series_and_steady_state_slopes():
@@ -257,25 +256,25 @@ def test_cumulative_series_and_steady_state_slopes():
     hos.start(range(len(others)), [0] * len(others), others, 160)
     hos.ledger.tick(1000)
     assert len(hos.finish_waiting(1120)) == len(others)
-    base = key_exchange_count(hos.trace)
+    base = key_exchange_count(hos.trace())
     rows = [(i, 0, (i % 15) + 1, 20_000 + 160 * i) for i in range(10)]
     for row in rows:
         assert begin(hos, *row).complete
-    assert key_exchange_count(hos.trace) - base == len(rows)  # 1 per HO
-    baseline_trace = replay_key_signaling(triggers(rows), Scheme.DOUBLE_RANDOM, KEYS, 30_000)
+    assert key_exchange_count(hos.trace()) - base == len(rows)  # 1 per HO
+    baseline_trace = replay_key_signaling(triggers(rows), Scheme.DOUBLE_RANDOM, 30_000)
     assert key_exchange_count(baseline_trace) == 2 * len(rows)  # 2 per HO
 
 
 def test_replay_blockchain_matches_direct_engine_semantics():
     events = triggers([(0, 0, 5, 160), (1, 2, 6, 320), (2, 1, 5, 3200), (3, 4, 6, 3200)])
-    trace = replay_key_signaling(events, Scheme.BLOCKCHAIN, KEYS, 10_000)
+    trace = replay_key_signaling(events, Scheme.BLOCKCHAIN, 10_000)
     uploads = [r for r in trace if r.kind is SignalKind.CANDIDATE_UPLOAD]
     broadcasts = [r for r in trace if r.kind is SignalKind.BLOCK_BROADCAST]
     deliveries = [r for r in trace if r.kind is SignalKind.KEY_TO_UE]
     assert len(uploads) == 2  # cells 5 and 6 once each
     assert len(broadcasts) == 1  # both uploads share the boundary at 1000
     assert len(deliveries) == 4
-    hmac_trace = replay_key_signaling(events, Scheme.C_COVER_FREE, KEYS, 10_000)
+    hmac_trace = replay_key_signaling(events, Scheme.C_COVER_FREE, 10_000)
     assert key_exchange_count(hmac_trace) == 8
 
 
@@ -283,8 +282,9 @@ def reference_replay(rows, scheme, cell_keys, horizon_ms, rs_period_ms, collecti
     """The protocol driven on the RS grid: every trigger starts a handover
     at its instant, the ledger ticks at every instant, and blocked handovers
     complete at the first instant at or after their block verifies.  Each
-    trigger is its own UE in the table, so a stream's UE may have several
-    handovers in flight, as in the replay."""
+    trigger is its own UE in the table while it runs, so a stream's UE may
+    have several handovers in flight, as in the replay; the trace is built
+    with the stream's UE ids."""
     led = SimulatedLedger({f"bsh{c}" for c in cell_keys}, collection_period_ms)
     hos = HoTable(led, scheme, cell_keys, timeout_ms=10 * collection_period_ms)
     by_tick: dict[int, list[int]] = {}
@@ -295,7 +295,8 @@ def reference_replay(rows, scheme, cell_keys, horizon_ms, rs_period_ms, collecti
         hos.start(batch, [rows[i][1] for i in batch], [rows[i][2] for i in batch], t)
         led.tick(t)
         hos.finish_waiting(t)
-    return led.trace
+    hos.ue_id = [rows[i][0] for i in hos.ue_id]
+    return hos.trace()
 
 
 @st.composite
@@ -323,14 +324,11 @@ def event_streams(draw):
 def test_replay_matches_the_protocol_driven_on_the_rs_grid(stream, scheme):
     rows, horizon, rs, period = stream
     keys = {c: (f"key{c}",) for c in range(6)}
-    key_signals = lambda trace: sorted(
-        (r.t, r.kind.value) for r in trace if r.counts_as_key_exchange
-    )
     expected = reference_replay(rows, scheme, keys, horizon, rs, period)
     got = replay_key_signaling(
-        triggers(rows), scheme, keys, horizon, rs_period_ms=rs, collection_period_ms=period
+        triggers(rows), scheme, horizon, rs_period_ms=rs, collection_period_ms=period
     )
-    assert key_signals(got) == key_signals(expected)
+    assert got == expected
 
 
 @st.composite
@@ -370,9 +368,8 @@ def test_table_matches_the_scalar_oracle(case, scheme):
         hos.start([r[0] for r in batch], [r[1] for r in batch], [r[2] for r in batch], now)
         led.tick(now)
         hos.finish_waiting(now)
-    hos.sort_by_time()
     buf = io.StringIO(newline="")
-    hos.trace.write_csv(buf)
+    hos.trace().write_csv(buf)
     assert (buf.getvalue(), hos.summary_rows()) == handover_rows_oracle(
         ticks, scheme is Scheme.BLOCKCHAIN, period
     )

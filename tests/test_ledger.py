@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncsecsim.errors import ClockError, InvalidParameter, UnknownController
 from ncsecsim.handover import cumulative_key_exchanges
 from ncsecsim.ledger import (
+    _CHUNK,
     CandidateEntry,
     EntryKind,
     SignalKind,
@@ -35,12 +36,11 @@ def led():
     return SimulatedLedger({f"bsh{i}" for i in range(6)})
 
 
-def test_submit_queues_and_signals(led):
+def test_submit_queues_and_logs(led):
     receipt = led.submit_candidate(entry())
     assert receipt.accepted and not receipt.duplicate
-    assert len(led.trace) == 1
-    assert led.trace[0].kind is SignalKind.CANDIDATE_UPLOAD
-    assert led.trace[0].counts_as_key_exchange
+    assert led.upload_log == [(100, "bsh3", "3")]
+    assert led.is_pending("3", EntryKind.CELL_KEY_SET)
 
 
 def test_submit_unknown_controller_rejected(led):
@@ -61,11 +61,11 @@ def test_duplicate_while_pending_and_after_verification(led):
     assert led.submit_candidate(entry(t=100)).accepted
     dup_pending = led.submit_candidate(entry(origin="bsh4", t=200))
     assert dup_pending.duplicate
-    assert len(led.trace) == 1  # no signal for the no-op
+    assert len(led.upload_log) == 1  # no upload for the no-op
     led.tick(1000)
     dup_ledgered = led.submit_candidate(entry(t=1500))
     assert dup_ledgered.duplicate
-    assert len([r for r in led.trace if r.kind is SignalKind.CANDIDATE_UPLOAD]) == 1
+    assert led.upload_log == [(100, "bsh3", "3")]
 
 
 def test_batch_verification_single_broadcast(led):
@@ -75,14 +75,13 @@ def test_batch_verification_single_broadcast(led):
     assert block is not None
     assert len(block.entries) == 5
     assert block.verified_at == 1000
-    broadcasts = [r for r in led.trace if r.kind is SignalKind.BLOCK_BROADCAST]
-    assert len(broadcasts) == 1
+    assert led.blocks == [block]  # one block, so one broadcast
 
 
 def test_empty_period_produces_nothing(led):
     assert led.tick(1000) is None
     assert led.tick(5000) is None
-    assert led.trace == [] and led.blocks == []
+    assert led.upload_log == [] and led.blocks == []
 
 
 def test_latency_example_and_window_bounds(led):
@@ -177,10 +176,10 @@ def test_query_keys_before_and_after(led):
     assert led.query_keys("bsh0", "3") is None  # pending is not ledgered
     led.tick(1000)
     # consensus: every registered controller sees the same copy, no signals
-    before = len(led.trace)
+    before = (list(led.upload_log), list(led.blocks))
     views = {c: led.query_keys(c, "3") for c in sorted(led.controllers)}
     assert all(v == ("key1", "key2") for v in views.values())
-    assert len(led.trace) == before
+    assert (led.upload_log, led.blocks) == before
 
 
 def test_query_tagset(led):
@@ -197,8 +196,8 @@ def test_broadcast_count_equals_nonempty_periods(led):
     led.submit_candidate(entry(origin="bsh1", domain="b", t=2500))
     led.submit_candidate(entry(origin="bsh2", domain="c", t=2600))
     led.tick(10_000)  # catches up on all boundaries at once
-    broadcasts = [r for r in led.trace if r.kind is SignalKind.BLOCK_BROADCAST]
-    assert len(broadcasts) == len(led.blocks) == 2
+    # one block, and so one broadcast, per non-empty period only
+    assert [b.verified_at for b in led.blocks] == [1000, 3000]
 
 
 def test_per_second_signaling_eq4_instance():
@@ -247,9 +246,7 @@ signal_records = st.lists(st.builds(
 @settings(max_examples=200, deadline=None)
 @given(signal_records)
 def test_signal_trace_round_trip(records):
-    trace = SignalTrace()
-    for r in records:
-        trace.append(r.kind, r.src, r.dst, r.t)
+    trace = SignalTrace(records)
     assert len(trace) == len(records)
     assert list(trace) == records
     assert [trace[i] for i in range(-len(records), len(records))] == records + records
@@ -261,9 +258,20 @@ def test_signal_trace_round_trip(records):
     buf = io.StringIO(newline="")
     trace.write_csv(buf)
     assert buf.getvalue().encode() == signals_csv_oracle(records).encode()
-    order = trace.sort_by_time()
-    assert trace == sorted(records, key=lambda r: r.t)
-    assert [records[i] for i in order.tolist()] == trace
+
+
+def test_signal_trace_reads_rows_in_chunks():
+    # more rows than one read converts at a time
+    kinds = list(SignalKind)
+    records = [
+        SignalRecord(kinds[i % len(kinds)], f"bsh{i % 17}", f"ue{i % 300}", 160 * (i // 3))
+        for i in range(2 * _CHUNK + 5)
+    ]
+    trace = SignalTrace(records)
+    assert list(trace) == records
+    buf = io.StringIO(newline="")
+    trace.write_csv(buf)
+    assert buf.getvalue() == signals_csv_oracle(records)
 
 
 @settings(max_examples=200, deadline=None)
