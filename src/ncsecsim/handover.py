@@ -291,7 +291,8 @@ class HoTable(Sequence["HoView"]):
 
     def trace(self) -> SignalTrace:
         """The signal trace of the table's handovers and its ledger's
-        uploads and blocks, in time order."""
+        uploads and blocks, in time order.  The ledger's uploads are cell
+        key sets, whose domain is the cell id."""
         uploads = [(t, int(domain)) for t, _, domain in self.ledger.upload_log]
         broadcasts = [block.verified_at for block in self.ledger.blocks]
         return _signal_trace([getattr(self, name) for name in _COLUMNS], uploads, broadcasts)

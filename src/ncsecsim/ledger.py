@@ -80,7 +80,8 @@ _KINDS = tuple(SignalKind)
 KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _KEY_FLAG = tuple(int(kind in KEY_EXCHANGE_KINDS) for kind in _KINDS)
 _KEY_MASK = np.array(_KEY_FLAG, dtype=bool)
-# Rows a trace converts to Python ints at a time when it is read row by row.
+# Rows a trace converts to Python ints at a time when it is read row by
+# row, so that iterating or writing a large trace holds no full-length lists.
 _CHUNK = 4096
 
 

@@ -36,7 +36,7 @@ def led():
     return SimulatedLedger({f"bsh{i}" for i in range(6)})
 
 
-def test_submit_queues_and_logs(led):
+def test_submit_queues_and_signals(led):
     receipt = led.submit_candidate(entry())
     assert receipt.accepted and not receipt.duplicate
     assert led.upload_log == [(100, "bsh3", "3")]
