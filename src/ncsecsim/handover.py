@@ -151,12 +151,13 @@ def _signal_trace(
     completion block at its completion; an upload that no handover made
     is a prestaged upload row, and every block one broadcast row.
 
-    Within one tick the loop signals in four phases: prestaged uploads,
-    in submission order; each starting UE's start block (with its upload
-    row), in UE order; the broadcasts of the boundaries the ledger
-    passes, each stamped with its boundary; and completion blocks, in UE
-    order.  One stable lexsort of the blocks on (time, phase, UE), then
-    expanding each block into its template's rows, gives that order.
+    Within one tick the loop acts in four phases, and its signals follow
+    them: prestaged uploads, in submission order; each starting UE's start
+    block (with its upload row), in UE order; the broadcasts of the
+    boundaries the ledger passes, each stamped with its boundary; and
+    completion blocks, in UE order.  One stable lexsort of the blocks on
+    (time, phase, UE), then expanding each block into its template's
+    rows, gives that order.
     """
     ue, s_cell, t_cell, t_trigger, t_complete, pattern = (
         np.asarray(c, dtype=np.int64) for c in columns
