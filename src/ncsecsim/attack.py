@@ -25,7 +25,7 @@ import numpy as np
 
 from ._stats import wilson_interval
 from .errors import InvalidParameter
-from .gf import FieldSpec, FieldVector
+from .gf import FieldSpec, FieldVector, field
 from .integrity import (
     KeyRing,
     attach_tags,
@@ -147,7 +147,7 @@ def _field_for_order(q: int) -> FieldSpec:
     k = q.bit_length() - 1
     if 1 << k != q:
         raise InvalidParameter(f"field order {q} is not a power of two")
-    return FieldSpec(k)
+    return field(k)
 
 
 def _colluder_positions(
@@ -162,7 +162,9 @@ def _colluder_positions(
 
 
 # Elements per batch of (trials x payload symbols x keys): bounds the
-# temporaries of the forge's and the checks' field products.
+# forge's temporaries.  The batch also fixes the order of the forge's
+# draws, so changing it changes every rate; the checks' field products
+# bound their own working set (``gf.PRODUCT_BLOCK``).
 _BATCH_ELEMENTS = 1 << 19
 
 

@@ -22,10 +22,18 @@ in the tag and verdict products at l = 8, the reduction xors one machine
 word per row.  The rows of the left operand go through in blocks of at
 most ``MATMUL_BLOCK`` products, so the index arrays of a gather stay well
 under a MiB whatever the shapes.
+
+A product by a right-hand matrix that stays fixed over many calls, as a
+key ring's is, has a faster path (``FixedProduct``): split-nibble tables of
+the fixed matrix, one word gathered per 4-bit digit of the left operand.
+
+``field(k)`` returns one shared ``FieldSpec`` per bit width; the tables of
+a field are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,8 +44,14 @@ from .errors import DimensionMismatch, InvalidParameter, InversionOfZero
 #: widens its uint16 index to intp, about 11 bytes per product in all.
 MATMUL_BLOCK = 1 << 16
 
+#: Table words gathered per block in ``FixedProduct``: the gather's intp
+#: index and the words it reads take 16 bytes per word, 256 KiB a block.
+PRODUCT_BLOCK = 1 << 14
+
 # Reduction rows of these byte widths are xored as one machine word.
 _XOR_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+# Words of ``FixedProduct``'s tables, by byte width.
+_TABLE_WORDS = {1: np.uint8, **_XOR_WORDS}
 
 # Default irreducible polynomials, one per supported bit width.  The k=8
 # entry is 0x11B, the widely tabulated choice, so results can be checked
@@ -151,6 +165,9 @@ class FieldSpec:
         self._log = log
         # prod[(a << k) | b] = a*b, for the fields whose table fits in 64 KiB
         self._prod = exp[log[:, None] + log[None, :]].ravel() if self.k <= 8 else None
+        for table in (exp, log, self._prod):
+            if table is not None:
+                table.flags.writeable = False  # fields are shared, see ``field``
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -247,6 +264,91 @@ class FieldSpec:
         return f"FieldSpec(k={self.k}, poly={self.poly:#x})"
 
 
+@functools.cache
+def field(k: int) -> FieldSpec:
+    """The field GF(2^k) with the default reduction polynomial, built once
+    per bit width and shared."""
+    return FieldSpec(k)
+
+
+class FixedProduct:
+    """``a @ b`` over ``spec`` for any number of ``a`` and one fixed ``b``
+    (m, c), as for the heads of a key ring.
+
+    Where a row of ``b`` fits in one machine word (c elements of at most 8
+    bytes, padded with zero columns to 1, 2, 4 or 8 bytes), the product
+    reads split-nibble tables (Plank, Greenan and Miller, FAST 2013): for
+    each row j of ``b``, 4-bit digit position s of an element and digit
+    value v, the word-packed row ``(v << 4s) * b[j]``.  A field of k bits
+    has ceil(k/4) digit positions, so the tables hold ceil(k/4) * m * 16
+    words, 256 KiB for a GF(256) matrix of 1024 x 8.  ``a @ b`` is then the
+    xor, over j and s, of one word gathered per (row of ``a``, j, s).  The
+    tables are built with ``vec_mul`` on the first product and read-only;
+    rows of ``a`` go through in blocks of at most ``PRODUCT_BLOCK`` words.
+    Wider rows go through ``FieldSpec.matmul``.
+    """
+
+    __slots__ = ("spec", "b", "tables", "_word", "_offsets")
+
+    def __init__(self, spec: FieldSpec, b):
+        b = np.array(b, dtype=spec.dtype)  # a copy, so it stays fixed
+        if b.ndim != 2:
+            raise DimensionMismatch(f"fixed operand must be 2-d, got shape {b.shape}")
+        b.flags.writeable = False
+        self.spec = spec
+        self.b = b
+        row_bytes = max(b.shape[1], 1) * b.itemsize
+        self._word = next((w for w in _TABLE_WORDS if w >= row_bytes), None)
+        self.tables = None
+
+    def _build(self) -> None:
+        spec, b = self.spec, self.b
+        m, c = b.shape
+        digits = -(-spec.k // 4)
+        tables = np.zeros((digits, m, 16, self._word // b.itemsize), dtype=spec.dtype)
+        # at most MATMUL_BLOCK products per vec_mul, as in matmul; digit
+        # values past the field's top bit stay zero and are never read
+        step = max(1, MATMUL_BLOCK // (16 * max(c, 1)))
+        for s in range(digits):
+            values = np.arange(min(16, spec.q >> 4 * s)) << 4 * s
+            for j in range(0, m, step):
+                tables[s, j : j + step, : len(values), :c] = spec.vec_mul(
+                    values[:, None], b[j : j + step, None, :]
+                )
+        self.tables = tables.view(_TABLE_WORDS[self._word]).reshape(-1)
+        self.tables.flags.writeable = False
+        # flat index of digit s of row j's table: (s*m + j) * 16
+        self._offsets = (np.arange(digits * m, dtype=np.intp) * 16).reshape(digits, m)
+
+    def __call__(self, a) -> np.ndarray:
+        """The product of ``a`` (..., m) or (m,) by ``b``: (..., c) or (c,)."""
+        spec, b = self.spec, self.b
+        a = np.asarray(a, dtype=spec.dtype)
+        if a.ndim < 1 or a.shape[-1] != b.shape[0]:
+            raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
+        if self._word is None:
+            return spec.matmul(a, b)
+        if self.tables is None:
+            self._build()
+        m, c = b.shape
+        lead = a.shape[:-1]
+        rows = a.reshape(math.prod(lead), m)
+        offsets = self._offsets
+        digits = len(offsets)
+        words = np.empty(len(rows), dtype=self.tables.dtype)
+        step = max(1, PRODUCT_BLOCK // max(digits * m, 1))
+        for i in range(0, len(rows), step):
+            block = rows[i : i + step]
+            index = np.empty((len(block), digits, m), dtype=np.intp)
+            for s in range(digits):
+                digit = block >> 4 * s if s else block
+                np.add(digit & 15 if s < digits - 1 else digit, offsets[s], out=index[:, s])
+            gathered = np.take(self.tables, index.reshape(len(block), digits * m))
+            np.bitwise_xor.reduce(gathered, axis=1, out=words[i : i + step])
+        out = words.view(spec.dtype).reshape(len(rows), self._word // b.itemsize)
+        return (out if out.shape[1] == c else out[:, :c].copy()).reshape(*lead, c)
+
+
 def _xor_reduce(prod: np.ndarray) -> np.ndarray:
     """XOR-sum of a (rows, terms, c) product over its terms axis, one word
     per row when the product is contiguous and a row is 2, 4 or 8 bytes."""
@@ -324,6 +426,6 @@ class FieldVector:
         return f"FieldVector({self.tolist()}, GF({self.spec.q}))"
 
 
-#: Shared default fields.  Construction is cheap but these save repetition.
-GF256 = FieldSpec(8)
-GF16 = FieldSpec(4)
+#: Shared default fields, the instances ``field`` returns.
+GF256 = field(8)
+GF16 = field(4)

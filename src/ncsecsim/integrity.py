@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, TagSetUnavailable
-from .gf import FieldSpec, FieldVector
+from .gf import FieldSpec, FieldVector, FixedProduct
 from .rlnc import CodedPacket, Generation
 
 
@@ -39,11 +39,16 @@ class KeyRing:
     has row i own slot i.  Indexing by an int, a slice or a list of rows
     gives the sub-ring of those rows with their slots, so ``keys[[2, 0]]``
     checks slots 2 and 0.  A ring with no rows stands for a node that holds
-    no key.  The transposed key heads and the inverses of the last elements
-    are computed once, here, for every tag and verdict product.
+    no key.
+
+    Every tag and verdict product is one ``tag_product``: the product by
+    the (n, count) transposed key heads, each divided by its key's last
+    element, so that ``tag_product(p)`` holds the tags of payload p.  A
+    ring builds it (``gf.FixedProduct``, with its tables) on its first
+    product and keeps it; a sub-ring builds its own.
     """
 
-    __slots__ = ("spec", "domain_id", "matrix", "slots", "heads_t", "last", "inv_last", "_slot_end")
+    __slots__ = ("spec", "domain_id", "matrix", "slots", "inv_last", "_slot_end", "_product")
 
     def __init__(self, matrix, spec: FieldSpec, domain_id: str = ""):
         mat = spec.elements(matrix)
@@ -59,12 +64,18 @@ class KeyRing:
         self.domain_id = domain_id
         self.matrix = matrix
         self.slots = slots
-        self.heads_t = np.ascontiguousarray(matrix[:, :-1].T)
-        self.last = matrix[:, -1]
         self.inv_last = inv_last
         self._slot_end = int(slots.max()) + 1 if len(slots) else 0
-        for arr in (matrix, slots, self.heads_t, inv_last):
+        self._product = None
+        for arr in (matrix, slots, inv_last):
             arr.flags.writeable = False
+
+    @property
+    def tag_product(self) -> FixedProduct:
+        if self._product is None:
+            heads = self.spec.vec_mul(self.matrix[:, :-1].T, self.inv_last)
+            self._product = FixedProduct(self.spec, heads)
+        return self._product
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -119,8 +130,7 @@ def tag_matrix(payloads, keys: KeyRing) -> np.ndarray:
     ``payloads`` is one payload (n,) or a stack (rows, n); the result is
     (len(keys),) or (rows, len(keys)) respectively, in row order.
     """
-    spec = keys.spec
-    return spec.vec_mul(spec.matmul(payloads, keys.heads_t), keys.inv_last)
+    return keys.tag_product(payloads)
 
 
 def attach_tags(pkt: CodedPacket, keys: KeyRing) -> CodedPacket:
@@ -139,14 +149,12 @@ def key_verdicts(payloads, tags, keys: KeyRing) -> np.ndarray:
 
     ``payloads`` is (..., n) and ``tags`` (..., l); the result is
     (..., len(keys)).  Each key checks the tag in its own slot, which
-    must be one of the l the packets carry.
+    must be one of the l the packets carry.  The key's last element is
+    nonzero, so the check is that the tag equals the one the key gives p.
     """
-    spec = keys.spec
-    tags = np.asarray(tags, dtype=spec.dtype)
+    tags = np.asarray(tags, dtype=keys.spec.dtype)
     keys.check_slots(tags.shape[-1])
-    acc = spec.matmul(payloads, keys.heads_t)
-    acc ^= spec.vec_mul(tags[..., keys.slots], keys.last)
-    return acc == 0
+    return keys.tag_product(payloads) == tags[..., keys.slots]
 
 
 def verify_tags(pkt: CodedPacket, keys: KeyRing) -> list[bool]:

@@ -23,6 +23,7 @@ in key signaling, never in mobility.
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from .config import RunConfig, write_config_echo
 from .errors import IoError
-from .gf import FieldSpec
+from .gf import FieldSpec, field
 from .handover import (
     HoTable,
     HoView,
@@ -68,7 +69,7 @@ class SimulationResult:
     events: HoTable
     blocks: list[LedgerBlock]
     upload_log: list[tuple[int, str, str]]
-    cell_keys: dict[int, KeyRing]
+    cell_keys: CellKeys
     scheme_traces: dict[str, SignalTrace]
     measurements: list[Measurement]
 
@@ -76,6 +77,35 @@ class SimulationResult:
     def completed(self) -> list[HoView]:
         """Views of the completed handovers, in start order."""
         return [view for view in self.events if view.complete]
+
+
+class CellKeys(Mapping[int, KeyRing]):
+    """The MAC key ring of each cell 0..cells-1, drawn from ``rng`` when
+    the cell's ring is first looked up, which is at its first key upload.
+    Rings are drawn in lookup order, so a cell that never uploads draws
+    none; membership is by cell id and draws nothing."""
+
+    def __init__(self, cells: int, n: int, l: int, spec: FieldSpec, rng: np.random.Generator):
+        self._cells = range(cells)
+        self._draw = (n, l, spec, rng)
+        self._rings: dict[int, KeyRing] = {}
+
+    def __getitem__(self, cell: int) -> KeyRing:
+        ring = self._rings.get(cell)
+        if ring is None:
+            if cell not in self._cells:
+                raise KeyError(cell)
+            ring = self._rings[cell] = generate_domain_keys(*self._draw, domain_id=str(cell))
+        return ring
+
+    def __contains__(self, cell) -> bool:
+        return cell in self._cells
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
 
 
 def run_simulation(config: RunConfig) -> SimulationResult:
@@ -93,13 +123,10 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     rng_place, rng_keys, rng_predict, rng_fading = (
         np.random.default_rng(s) for s in seq.spawn(4)
     )
-    spec = FieldSpec(config.security.q.bit_length() - 1)
-    cell_keys = {
-        cell: generate_domain_keys(
-            config.security.n, config.security.l, spec, rng_keys, domain_id=str(cell)
-        )
-        for cell in range(grid.num_cells)
-    }
+    cell_keys = CellKeys(
+        grid.num_cells, config.security.n, config.security.l,
+        field(config.security.q.bit_length() - 1), rng_keys,
+    )
 
     ledger = SimulatedLedger(
         {f"bsh{c}" for c in range(grid.num_cells)}, config.ledger.collection_period_ms
@@ -189,7 +216,7 @@ def _forecast_and_prestage(
     ues: UeArrays,
     waiting: dict[int, int],
     decided: set[tuple[int, int, int]],
-    cell_keys: dict[int, KeyRing],
+    cell_keys: CellKeys,
     rng: np.random.Generator,
     now: int,
     lead_ticks: int,

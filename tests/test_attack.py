@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from ncsecsim.attack import (
     inject,
     measure_bypass_rate,
 )
+from ncsecsim import gf
 from ncsecsim.errors import DimensionMismatch, InvalidParameter
 from ncsecsim.gf import GF16, GF256, FieldSpec
 from ncsecsim.integrity import (
@@ -128,6 +131,36 @@ def test_grid_rows_cover_documented_cases():
     assert by_key[("hmac", "random_forge", 0)].rate == 1.0
     lp1 = by_key[("hmac", "random_forge", 1)]
     assert abs(lp1.rate - 1 / 16) <= 4 * binomial_sigma(1 / 16, lp1.trials)
+
+
+@pytest.mark.parametrize("seed", [71, 72])
+@pytest.mark.parametrize("q", [16, 256])
+def test_bypass_counts_equal_through_tables_and_matmul(seed, q):
+    # Every strategy, knowledge level, scheme and l' = 0 (the empty ring),
+    # 1 and 2: the same passes through the key rings' tables as with every
+    # product forced through ``FieldSpec.matmul``.
+    cases = [
+        (config, AdversaryConfig(count=3, knowledge=knowledge, strategy=strategy), l_prime)
+        for config in (SchemeConfig(Scheme.C_COVER_FREE, l=8, L=16, q=q, m=4, n=32),
+                       SchemeConfig(Scheme.BLOCKCHAIN, l=8, q=q, m=4, n=32))
+        for strategy in AttackStrategy
+        for knowledge in AdversaryKnowledge
+        for l_prime in (0, 1, 2)
+    ]
+
+    def measure():
+        rng = np.random.default_rng(seed)
+        return [measure_bypass_rate(c, adv, 1_000, rng, l_prime=lp) for c, adv, lp in cases]
+
+    through_tables = measure()
+    with mock.patch.dict(gf._TABLE_WORDS, clear=True):
+        forced = gf.FixedProduct(gf.field(4), np.ones((2, 1)))
+        forced(np.ones(2))
+        assert forced.tables is None
+        through_matmul = measure()
+    assert [r.passes for r in through_tables] == [r.passes for r in through_matmul]
+    assert through_tables == through_matmul
+    assert 0 < sum(r.passes for r in through_tables) < sum(r.trials for r in through_tables)
 
 
 MACSIG = SchemeConfig(Scheme.DOUBLE_RANDOM, l=8, L=16, s=8, q=16, m=4, n=32)

@@ -149,6 +149,92 @@ def test_matmul_working_set_is_bounded(spec, a_shape, b_shape):
     assert peak <= 12 * gf.MATMUL_BLOCK + out_bytes
 
 
+@st.composite
+def fixed_products(draw):
+    """A field, a fixed right-hand matrix of 0-9 columns (every word width
+    and the fallback to ``matmul``) whose columns may repeat and come in
+    any order, a left operand shaped (m,), (r, m) or (a, b, m) with empty
+    stacks allowed, and a block size."""
+    k = draw(st.integers(1, 16))
+    spec = SPECS[k]
+    m = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = spec.random_elements(rng, (m, draw(st.integers(1, 9))))
+    cols = draw(st.lists(st.integers(0, base.shape[1] - 1), max_size=9))
+    b = base[:, cols]
+    if cols and draw(st.booleans()):
+        b[:, draw(st.integers(0, len(cols) - 1))] = 0
+    lead = draw(st.sampled_from([(), (0,), (1,), (5,), (0, 3), (2, 3)]))
+    a = spec.random_elements(rng, lead + (m,))
+    if a.size and draw(st.booleans()):
+        a.flat[draw(st.integers(0, a.size - 1))] = spec.q - 1  # every digit set
+    block = draw(st.sampled_from([1, 2, 5, 16, gf.PRODUCT_BLOCK]))
+    return spec, a, b, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed_products())
+def test_fixed_product_matches_oracle_and_matmul(case):
+    spec, a, b, block = case
+    product = gf.FixedProduct(spec, b)
+    with mock.patch.object(gf, "PRODUCT_BLOCK", block):
+        got = product(a)
+    assert got.shape == a.shape[:-1] + b.shape[1:] and got.dtype == spec.dtype
+    assert np.array_equal(got, spec.matmul(a, b))
+    rows = a.reshape(math.prod(a.shape[:-1]), b.shape[0])
+    assert got.reshape(len(rows), b.shape[1]).tolist() == matmul_oracle(rows, b, spec.k, spec.poly)
+    itemsize = np.dtype(spec.dtype).itemsize
+    assert (product.tables is None) == (b.shape[1] * itemsize > 8)
+    with pytest.raises(DimensionMismatch):
+        product(np.zeros(a.shape[:-1] + (b.shape[0] + 1,), dtype=spec.dtype))
+
+
+@pytest.mark.parametrize("k, c", [(3, 3), (4, 8), (6, 5), (8, 1), (12, 3), (16, 4)])
+def test_fixed_product_tables_hold_digit_products(k, c):
+    # entry (s, j, v) is the row (v << 4s) * b[j], zero-padded to its word;
+    # digit values past the field's top bit are never read and stay zero
+    spec = SPECS[k]
+    b = spec.random_elements(np.random.default_rng(k), (5, c))
+    product = gf.FixedProduct(spec, b)
+    product(b[:, 0])
+    digits = -(-k // 4)
+    width = product.tables.itemsize // np.dtype(spec.dtype).itemsize
+    tables = product.tables.view(spec.dtype).reshape(digits, 5, 16, width)
+    assert not product.tables.flags.writeable
+    for s in range(digits):
+        for j in range(5):
+            for v in range(16):
+                x = v << 4 * s
+                expect = [mul_oracle(x, int(y), k, spec.poly) if x < spec.q else 0 for y in b[j]]
+                assert tables[s, j, v].tolist() == expect + [0] * (width - c)
+
+
+def test_fixed_product_tables_are_nibble_sized():
+    # one GF(256) ring's tables at n=1024, l=8: 2 digits x 1024 rows x 16
+    # words of 8 bytes, 256 KiB, where per-byte tables would take 2 MiB
+    rng = np.random.default_rng(5)
+    product = gf.FixedProduct(GF256, GF256.random_elements(rng, (1024, 8)))
+    a = GF256.random_elements(rng, 1024)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        product(a)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert product.tables.nbytes == 2 * 1024 * 16 * 8
+    assert kept - before <= 300_000
+
+
+def test_field_is_shared_and_read_only():
+    assert gf.field(8) is gf.field(8) is GF256
+    assert gf.field(4) is GF16
+    assert gf.field(12) is gf.field(12) and gf.field(12) == FieldSpec(12)
+    for table in (GF256._exp, GF256._log, GF256._prod, gf.field(12)._exp):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
 def test_matmul_rejects_mismatched_inner_dimension():
     with pytest.raises(DimensionMismatch):
         GF256.matmul(np.zeros((2, 3)), np.zeros((4, 2)))

@@ -2,11 +2,13 @@ import dataclasses
 import io
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsecsim.config import RunConfig
+from ncsecsim.gf import GF16
 from ncsecsim.errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
 from ncsecsim.handover import (
     HoTable,
@@ -18,7 +20,7 @@ from ncsecsim.handover import (
 )
 from ncsecsim.keydist import Scheme
 from ncsecsim.ledger import SignalKind, SimulatedLedger, key_exchange_count
-from ncsecsim.simulation import run_simulation
+from ncsecsim.simulation import CellKeys, run_simulation
 
 from oracles import handover_rows_oracle
 
@@ -161,6 +163,21 @@ def test_missing_key_set_rejected():
     hos = HoTable(fresh_ledger(), Scheme.BLOCKCHAIN, {})
     with pytest.raises(InvalidParameter):
         hos.start([0], [1], [7], 160)
+
+
+def test_cell_without_a_ring_rejected_and_rings_drawn_on_upload():
+    # Lazily drawn rings: a cell outside the grid has none and draws none;
+    # a cell's first upload draws its ring, a join or a steady visit does not.
+    keys = CellKeys(8, 4, 2, GF16, np.random.default_rng(0))
+    hos = HoTable(fresh_ledger(), Scheme.BLOCKCHAIN, keys)
+    assert 9 not in keys and 7 in keys and len(keys) == 8 and not keys._rings
+    with pytest.raises(InvalidParameter):
+        hos.start([0], [1], [9], 160)
+    assert not keys._rings
+    hos.start([0, 1], [1, 2], [7, 7], 160)
+    assert list(keys._rings) == [7]
+    with pytest.raises(KeyError):
+        keys[9]
 
 
 def test_handover_with_a_ledger_signals_on_its_trace():

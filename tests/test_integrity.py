@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ncsecsim._stats import binomial_sigma
 from ncsecsim.errors import DimensionMismatch, InvalidParameter, TagSetUnavailable
-from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
+from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector, field
 from ncsecsim.integrity import (
     KeyRing,
     TagSet,
@@ -323,3 +323,43 @@ def test_key_ring_rows_and_slots_match_oracle(seed, k, n, l, data):
         KeyRing(keys.matrix[:, -1:], spec)
     with pytest.raises(InvalidParameter):  # non-integer elements
         KeyRing(keys.matrix.astype(float), spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 16),
+    n=st.integers(1, 12),
+    count=st.integers(0, 9),
+    lead=st.sampled_from([(), (0,), (4,), (0, 2), (2, 3)]),
+    data=st.data(),
+)
+def test_ring_products_match_matmul_and_oracle(seed, k, n, count, lead, data):
+    # Tags and verdicts of a ring and of a sub-ring with repeated and
+    # reordered rows, parent products first, against the key-by-key
+    # formula through ``matmul`` and the oracle's inner product.
+    spec = field(k)
+    rng = np.random.default_rng(seed)
+    keys = generate_domain_keys(n, count, spec, rng, "d")
+    rows = data.draw(st.lists(st.integers(0, max(count - 1, 0)), max_size=9), label="rows")
+    rings = [keys, keys[rows]] if count else [keys]
+    payloads = spec.random_elements(rng, lead + (n,))
+    tags = tag_matrix(payloads, keys)
+    noisy = tags ^ spec.random_elements(rng, tags.shape) * rng.integers(0, 2, tags.shape).astype(spec.dtype)
+    for ring in rings:
+        heads, last = ring.matrix[:, :-1].T, ring.matrix[:, -1]
+        inv_last = np.array([spec.inv(int(x)) for x in last], dtype=spec.dtype)
+        expect = spec.vec_mul(spec.matmul(payloads, heads), inv_last)
+        assert np.array_equal(tag_matrix(payloads, ring), expect)
+        acc = spec.matmul(payloads, heads) ^ spec.vec_mul(noisy[..., ring.slots], last)
+        assert np.array_equal(key_verdicts(payloads, noisy, ring), acc == 0)
+        flat = payloads.reshape(-1, n)
+        for t, row in enumerate(tag_matrix(flat, ring).tolist()):
+            assert row == [
+                spec.mul(dot_oracle(list(flat[t]), key[:-1], k, spec.poly), spec.inv(int(key[-1])))
+                for key in ring.matrix
+            ]
+        with pytest.raises(DimensionMismatch):
+            tag_matrix(np.zeros(lead + (n + 1,), dtype=spec.dtype), ring)
+        with pytest.raises(DimensionMismatch):
+            key_verdicts(np.zeros(lead + (n + 1,), dtype=spec.dtype), noisy, ring)

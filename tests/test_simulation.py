@@ -2,13 +2,17 @@ import dataclasses
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsecsim.config import RunConfig, apply_settings
+from ncsecsim.gf import field
 from ncsecsim.handover import KeyPath, PredictionConfig, cumulative_key_exchanges
+from ncsecsim.integrity import generate_domain_keys
 from ncsecsim.keydist import Scheme
 from ncsecsim.ledger import SignalKind, SignalRecord, key_exchange_count
 from ncsecsim.simulation import run_simulation, write_run_artifacts
@@ -31,6 +35,28 @@ def first_ho_by_cell(result):
     for proc in sorted(result.completed, key=lambda p: p.t_trigger):
         first.setdefault(proc.t_cell, proc)
     return first
+
+
+def test_cell_rings_are_drawn_at_first_upload():
+    # One ring per uploading cell, prestaged or not, drawn from the key
+    # substream in first-upload order; other cells draw none.
+    config = dataclasses.replace(
+        RunConfig(seed=3), horizon_ms=8_000,
+        prediction=PredictionConfig(enabled=True, accuracy=0.5, lead_ms=1000),
+    )
+    with mock.patch("ncsecsim.simulation.generate_domain_keys", wraps=generate_domain_keys) as draw:
+        result = run_simulation(config)
+    uploaded = list(dict.fromkeys(int(domain) for _, _, domain in result.upload_log))
+    cells = result.grid.num_cells
+    assert 0 < len(uploaded) < cells
+    assert [call.kwargs["domain_id"] for call in draw.call_args_list] == [str(c) for c in uploaded]
+    sec = config.security
+    rng_keys = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[1])
+    for cell in uploaded:
+        ring = generate_domain_keys(sec.n, sec.l, field(sec.q.bit_length() - 1), rng_keys, str(cell))
+        assert np.array_equal(result.cell_keys[cell].matrix, ring.matrix)
+    assert draw.call_count == len(uploaded)
+    assert list(result.cell_keys) == list(range(cells)) and cells not in result.cell_keys
 
 
 def test_blockchain_key_signal_costs(run10):
