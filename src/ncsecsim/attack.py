@@ -25,7 +25,7 @@ import numpy as np
 
 from ._stats import wilson_interval
 from .errors import InvalidParameter
-from .gf import FieldSpec, FieldVector, field
+from .gf import FieldSpec, field
 from .integrity import (
     KeyRing,
     attach_tags,
@@ -84,13 +84,7 @@ def inject(
     if held_keys is not None:
         held_keys.check_field(pkt.spec)
     payloads, tags, strategy = _forge(pkt, adversary.strategy, held_keys, 1, rng)
-    spec = pkt.spec
-    forged = CodedPacket(
-        pkt.gen_id,
-        pkt.coeffs.copy(),
-        FieldVector(payloads[0], spec, _checked=True),
-        FieldVector(tags[0], spec, _checked=True),
-    )
+    forged = pkt.with_row(np.concatenate([pkt.row[: pkt.m], payloads[0], tags[0]]))
     return InjectionResult(forged, strategy)
 
 

@@ -50,8 +50,9 @@ PRODUCT_BLOCK = 1 << 14
 
 # Reduction rows of these byte widths are xored as one machine word.
 _XOR_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
-# Words of ``FixedProduct``'s tables, by byte width.
-_TABLE_WORDS = {1: np.uint8, **_XOR_WORDS}
+# Words of ``FixedProduct``'s tables, by byte width: none of one byte, since
+# ``matmul`` is faster for a one-column product than one-byte or padded tables.
+_TABLE_WORDS = dict(_XOR_WORDS)
 
 # Default irreducible polynomials, one per supported bit width.  The k=8
 # entry is 0x11B, the widely tabulated choice, so results can be checked
@@ -275,8 +276,8 @@ class FixedProduct:
     """``a @ b`` over ``spec`` for any number of ``a`` and one fixed ``b``
     (m, c), as for the heads of a key ring.
 
-    Where a row of ``b`` fits in one machine word (c elements of at most 8
-    bytes, padded with zero columns to 1, 2, 4 or 8 bytes), the product
+    Where a row of ``b`` fits in one machine word (c >= 2 elements of at
+    most 8 bytes, padded with zero columns to 2, 4 or 8 bytes), the product
     reads split-nibble tables (Plank, Greenan and Miller, FAST 2013): for
     each row j of ``b``, 4-bit digit position s of an element and digit
     value v, the word-packed row ``(v << 4s) * b[j]``.  A field of k bits
@@ -285,7 +286,7 @@ class FixedProduct:
     xor, over j and s, of one word gathered per (row of ``a``, j, s).  The
     tables are built with ``vec_mul`` on the first product and read-only;
     rows of ``a`` go through in blocks of at most ``PRODUCT_BLOCK`` words.
-    Wider rows go through ``FieldSpec.matmul``.
+    Wider rows, and a ``b`` of 0 or 1 columns, go through ``FieldSpec.matmul``.
     """
 
     __slots__ = ("spec", "b", "tables", "_word", "_offsets")
@@ -297,7 +298,7 @@ class FixedProduct:
         b.flags.writeable = False
         self.spec = spec
         self.b = b
-        row_bytes = max(b.shape[1], 1) * b.itemsize
+        row_bytes = b.shape[1] * b.itemsize if b.shape[1] > 1 else math.inf
         self._word = next((w for w in _TABLE_WORDS if w >= row_bytes), None)
         self.tables = None
 
@@ -308,7 +309,7 @@ class FixedProduct:
         tables = np.zeros((digits, m, 16, self._word // b.itemsize), dtype=spec.dtype)
         # at most MATMUL_BLOCK products per vec_mul, as in matmul; digit
         # values past the field's top bit stay zero and are never read
-        step = max(1, MATMUL_BLOCK // (16 * max(c, 1)))
+        step = max(1, MATMUL_BLOCK // (16 * c))
         for s in range(digits):
             values = np.arange(min(16, spec.q >> 4 * s)) << 4 * s
             for j in range(0, m, step):

@@ -136,12 +136,8 @@ def tag_matrix(payloads, keys: KeyRing) -> np.ndarray:
 def attach_tags(pkt: CodedPacket, keys: KeyRing) -> CodedPacket:
     """Return a copy of pkt carrying one tag per key, in row order."""
     keys.check_field(pkt.spec)
-    return CodedPacket(
-        pkt.gen_id,
-        pkt.coeffs.copy(),
-        pkt.payload.copy(),
-        FieldVector(tag_matrix(pkt.payload.elems, keys), pkt.spec, _checked=True),
-    )
+    tags = tag_matrix(pkt.payload.elems, keys)
+    return pkt.with_row(np.concatenate([pkt.row[: pkt.m + pkt.n], tags]))
 
 
 def key_verdicts(payloads, tags, keys: KeyRing) -> np.ndarray:
@@ -239,7 +235,6 @@ def ledger_check(pkt: CodedPacket, tagset: TagSet | None, keys: KeyRing | None =
         )
     if keys is not None:
         keys.check_field(pkt.spec)
-    expected = _combine(tagset.elements(pkt.spec), pkt.coeffs)
-    if expected != pkt.tags:
+    if _combine(tagset.elements(pkt.spec), pkt.coeffs) != pkt.tags:
         return False
-    return keys is None or bool(key_verdicts(pkt.payload.elems, pkt.tags.elems, keys).all())
+    return keys is None or all(verify_tags(pkt, keys))

@@ -10,7 +10,7 @@ with the same coefficients so the MAC homomorphism survives recoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,33 +53,54 @@ def random_generation(
     return Generation(gen_id, spec.random_elements(rng, (m, n)), spec)
 
 
-@dataclass
 class CodedPacket:
-    """One in-transit packet: coding coefficients, payload, attached tags."""
+    """One in-transit packet: one row ``[coeffs | payload | tags]`` of m + n + l
+    elements over ``spec``.
 
-    gen_id: str
-    coeffs: FieldVector
-    payload: FieldVector
-    tags: FieldVector = field(default=None)  # type: ignore[assignment]
+    ``coeffs``, ``payload`` and ``tags`` are writable ``FieldVector`` views of
+    the row.  The constructor copies its vectors into a new row and raises
+    ``DimensionMismatch`` for vectors over different fields; assigning
+    ``tags`` rebuilds the row.  Packets compare by identity; compare rows.
+    """
 
-    def __post_init__(self):
-        if self.tags is None:
-            self.tags = FieldVector.zeros(0, self.coeffs.spec)
+    __slots__ = ("gen_id", "row", "spec", "m", "n")
+
+    def __init__(self, gen_id: str, coeffs: FieldVector, payload: FieldVector, tags=None):
+        tags = FieldVector.zeros(0, coeffs.spec) if tags is None else tags
+        if not coeffs.spec == payload.spec == tags.spec:
+            raise DimensionMismatch("coefficients, payload and tags over different fields")
+        self.gen_id, self.spec, self.m, self.n = gen_id, coeffs.spec, len(coeffs), len(payload)
+        self.row = np.concatenate([coeffs.elems, payload.elems, tags.elems])
+
+    def with_row(self, row: np.ndarray) -> "CodedPacket":
+        """A packet of this generation, field, m and n over ``row``, kept as
+        is; its elements past m + n are the tags."""
+        pkt = object.__new__(CodedPacket)
+        pkt.gen_id, pkt.spec, pkt.m, pkt.n, pkt.row = self.gen_id, self.spec, self.m, self.n, row
+        return pkt
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.coeffs.spec
+    def coeffs(self) -> FieldVector:
+        return FieldVector(self.row[: self.m], self.spec, _checked=True)
+
+    @property
+    def payload(self) -> FieldVector:
+        return FieldVector(self.row[self.m : self.m + self.n], self.spec, _checked=True)
+
+    @property
+    def tags(self) -> FieldVector:
+        return FieldVector(self.row[self.m + self.n :], self.spec, _checked=True)
+
+    @tags.setter
+    def tags(self, tags: FieldVector) -> None:
+        self.row = CodedPacket(self.gen_id, self.coeffs, self.payload, tags).row
 
 
 def encode(gen: Generation, rng: np.random.Generator) -> CodedPacket:
     """Source encoding: uniform random coefficients over the whole field."""
-    coeffs = gen.spec.random_elements(rng, gen.m)
-    payload = gen.spec.matmul(coeffs, gen.natives)
-    return CodedPacket(
-        gen.gen_id,
-        FieldVector(coeffs, gen.spec, _checked=True),
-        FieldVector(payload, gen.spec, _checked=True),
-    )
+    coeffs = FieldVector.random(gen.m, gen.spec, rng)
+    payload = FieldVector(gen.spec.matmul(coeffs.elems, gen.natives), gen.spec, _checked=True)
+    return CodedPacket(gen.gen_id, coeffs, payload)
 
 
 def _check_same_shape(packets: list[CodedPacket]) -> None:
@@ -87,43 +108,28 @@ def _check_same_shape(packets: list[CodedPacket]) -> None:
     for p in packets[1:]:
         if p.gen_id != first.gen_id:
             raise GenerationMismatch(f"mixed generations {first.gen_id!r}, {p.gen_id!r}")
-        if (
-            len(p.coeffs) != len(first.coeffs)
-            or len(p.payload) != len(first.payload)
-            or p.spec != first.spec
-        ):
+        if (p.m, p.n, p.spec) != (first.m, first.n, first.spec):
             raise DimensionMismatch("packets with different dimensions")
 
 
 def recode(packets: list[CodedPacket], rng: np.random.Generator) -> CodedPacket:
     """Recode at an intermediate node.
 
-    Applies one set of fresh uniform local coefficients to coefficients,
-    payloads, and tags alike.  An all-zero local draw is redrawn once and
-    then accepted, so a fixed seed still gives a reproducible stream.
+    Applies one set of fresh uniform local coefficients to the packets'
+    rows: coefficients, payloads and tags alike.  An all-zero local draw is
+    redrawn once and then accepted, so a fixed seed gives one stream.
     """
     if not packets:
         raise EmptyInput("recode needs at least one packet")
     _check_same_shape(packets)
-    tag_len = len(packets[0].tags)
-    for p in packets:
-        if len(p.tags) != tag_len:
-            raise DimensionMismatch("packets carry different tag counts")
-    spec = packets[0].spec
+    first = packets[0]
+    if any(p.row.size != first.row.size for p in packets):
+        raise DimensionMismatch("packets carry different tag counts")
+    spec = first.spec
     local = spec.random_elements(rng, len(packets))
     if not local.any():
         local = spec.random_elements(rng, len(packets))
-    m, n = len(packets[0].coeffs), len(packets[0].payload)
-    rows = np.vstack(
-        [np.concatenate([p.coeffs.elems, p.payload.elems, p.tags.elems]) for p in packets]
-    )
-    mixed = spec.matmul(local, rows)
-    return CodedPacket(
-        packets[0].gen_id,
-        FieldVector(mixed[:m], spec, _checked=True),
-        FieldVector(mixed[m : m + n], spec, _checked=True),
-        FieldVector(mixed[m + n :], spec, _checked=True),
-    )
+    return first.with_row(spec.matmul(local, np.stack([p.row for p in packets])))
 
 
 @dataclass(frozen=True)
@@ -144,11 +150,8 @@ def decode(packets: list[CodedPacket]) -> DecodeResult:
     if not packets:
         raise EmptyInput("decode needs at least one packet")
     _check_same_shape(packets)
-    spec = packets[0].spec
-    m = len(packets[0].coeffs)
-    aug = np.vstack(
-        [np.concatenate([p.coeffs.elems, p.payload.elems]) for p in packets]
-    ).astype(spec.dtype)
+    spec, m, n = packets[0].spec, packets[0].m, packets[0].n
+    aug = np.stack([p.row[: m + n] for p in packets])
     rank = _row_reduce(aug, m, spec)
     # A row with zero coefficients but nonzero payload means the received
     # packets were not all combinations of one native set.
@@ -161,10 +164,13 @@ def decode(packets: list[CodedPacket]) -> DecodeResult:
 
 
 def in_row_space(payload: FieldVector, gen: Generation) -> bool:
-    """Rank test for row-space membership of a payload vector."""
-    stacked = np.vstack([gen.natives, payload.elems[None, :]])
+    """Rank test for row-space membership of a payload vector of ``gen``'s
+    field and length."""
+    if payload.spec != gen.spec or len(payload) != gen.n:
+        raise DimensionMismatch(f"payload of {len(payload)} over {payload.spec} vs "
+                                f"{gen.n} over {gen.spec}")
     rank = _row_reduce(gen.natives.copy(), gen.n, gen.spec)
-    return _row_reduce(stacked, gen.n, gen.spec) == rank
+    return _row_reduce(np.vstack([gen.natives, payload.elems]), gen.n, gen.spec) == rank
 
 
 def _row_reduce(work: np.ndarray, cols: int, spec: FieldSpec) -> int:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncsecsim.errors import (
@@ -11,6 +11,7 @@ from ncsecsim.errors import (
     PollutionDetectedAtDecode,
 )
 from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
+from ncsecsim.integrity import attach_tags, generate_domain_keys
 from ncsecsim.rlnc import (
     CodedPacket,
     Generation,
@@ -21,7 +22,7 @@ from ncsecsim.rlnc import (
     recode,
 )
 
-from oracles import matvec_oracle
+from oracles import matmul_oracle, matvec_oracle
 
 SPECS = {k: FieldSpec(k) for k in (1, 2, 4, 8, 16)}
 
@@ -239,3 +240,104 @@ def test_pollution_flagged_at_decode_property(case, data):
     at = data.draw(st.integers(0, len(packets)))
     with pytest.raises(PollutionDetectedAtDecode):
         decode(packets[:at] + [bad] + packets[at:])
+
+
+def test_in_row_space_rejects_payloads_of_another_shape_or_field(gen):
+    rng = np.random.default_rng(19)
+    with pytest.raises(DimensionMismatch):
+        in_row_space(FieldVector.random(gen.n + 1, GF256, rng), gen)
+    with pytest.raises(DimensionMismatch):
+        in_row_space(FieldVector.random(gen.n, GF16, rng), gen)
+    assert in_row_space(encode(gen, rng).payload, gen)
+
+
+ROW_FIELDS = [SPECS[k] for k in (1, 4, 8, 16)]
+
+
+@st.composite
+def packet_shapes(draw):
+    """A field, a generation's m and n, a tag count l and a seeded rng."""
+    spec = draw(st.sampled_from(ROW_FIELDS))
+    m, n, l = draw(st.integers(1, 6)), draw(st.integers(1, 20)), draw(st.integers(0, 9))
+    return spec, m, n, l, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(packet_shapes())
+def test_packet_is_one_row_with_views_of_its_parts(case):
+    spec, m, n, l, rng = case
+    parts = [FieldVector.random(size, spec, rng) for size in (m, n, l)]
+    pkt = CodedPacket("g", *parts)
+    assert pkt.row.tolist() == parts[0].tolist() + parts[1].tolist() + parts[2].tolist()
+    assert (pkt.gen_id, pkt.spec, pkt.m, pkt.n) == ("g", spec, m, n)
+    assert [pkt.coeffs, pkt.payload, pkt.tags] == parts
+    # the constructor copies its vectors
+    row = pkt.row.copy()
+    for part in parts:
+        part.elems ^= 1
+    assert np.array_equal(pkt.row, row)
+    # a write through a view is a write to the row, and recoding sees it
+    pos = int(rng.integers(0, n))
+    pkt.payload.elems[pos] ^= 1
+    row[m + pos] ^= 1
+    if l:
+        pkt.tags.elems[l - 1] ^= 1
+        row[-1] ^= 1
+    assert np.array_equal(pkt.row, row)
+    assert np.array_equal(recode([pkt], StubRng([1])).row, row)
+    # assigning tags rebuilds the row
+    pkt.tags = FieldVector.zeros(l + 1, spec)
+    assert pkt.row.tolist() == row[: m + n].tolist() + [0] * (l + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packet_shapes(), st.sampled_from(ROW_FIELDS), st.integers(0, 3))
+def test_packet_parts_over_different_fields_are_rejected(case, other, which):
+    spec, m, n, l, rng = case
+    assume(other != spec)
+    parts = [FieldVector.random(size, spec, rng) for size in (m, n, l)]
+    pkt = CodedPacket("g", *parts)
+    with pytest.raises(DimensionMismatch):
+        if which == 3:
+            pkt.tags = FieldVector.zeros(l, other)
+        else:
+            parts[which] = FieldVector.zeros(len(parts[which]), other)
+            CodedPacket("g", *parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packet_shapes(), st.integers(1, 4))
+def test_recode_row_is_the_product_of_the_stacked_rows(case, count):
+    spec, m, n, l, rng = case
+    gen = random_generation("g", m, n, spec, rng)
+    packets = [encode(gen, rng) for _ in range(count)]
+    for p in packets:
+        p.tags = FieldVector.random(l, spec, rng)
+    local = spec.random_elements(rng, count)
+    if not local.any():
+        local[0] = 1
+    out = recode(packets, StubRng(local))
+    expect = matmul_oracle(local[None, :], np.stack([p.row for p in packets]), spec.k, spec.poly)
+    assert out.row.tolist() == expect[0]
+    assert (out.gen_id, out.spec, out.m, out.n, len(out.tags)) == ("g", spec, m, n, l)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packet_shapes(), st.data())
+def test_decode_ignores_the_tag_columns(case, data):
+    # m unit lower triangular packets (full rank) and one more, all
+    # honestly tagged; tampering with one packet's tags changes nothing
+    spec, m, n, l, rng = case
+    l = max(l, 1)
+    gen = random_generation("g", m, n, spec, rng)
+    keys = generate_domain_keys(n, l, spec, rng, "d")
+    packets = []
+    for i in range(m + 1):
+        row = spec.random_elements(rng, m)
+        if i < m:
+            row[i], row[i + 1 :] = 1, 0
+        packets.append(attach_tags(encode(gen, StubRng(row)), keys))
+    bad = packets[data.draw(st.integers(0, m))]
+    bad.tags.elems[data.draw(st.integers(0, l - 1))] ^= data.draw(st.integers(1, spec.q - 1))
+    result = decode(packets)
+    assert result.complete and np.array_equal(result.natives, gen.natives)
