@@ -115,9 +115,9 @@ def _check_same_shape(packets: list[CodedPacket]) -> None:
 def recode(packets: list[CodedPacket], rng: np.random.Generator) -> CodedPacket:
     """Recode at an intermediate node.
 
-    Applies one set of fresh uniform local coefficients to the packets'
-    rows: coefficients, payloads and tags alike.  An all-zero local draw is
-    redrawn once and then accepted, so a fixed seed gives one stream.
+    Applies one set of fresh uniform local coefficients to coefficients,
+    payloads, and tags alike.  An all-zero local draw is redrawn once and
+    then accepted, so a fixed seed still gives a reproducible stream.
     """
     if not packets:
         raise EmptyInput("recode needs at least one packet")
@@ -169,8 +169,9 @@ def in_row_space(payload: FieldVector, gen: Generation) -> bool:
     if payload.spec != gen.spec or len(payload) != gen.n:
         raise DimensionMismatch(f"payload of {len(payload)} over {payload.spec} vs "
                                 f"{gen.n} over {gen.spec}")
+    stacked = np.vstack([gen.natives, payload.elems[None, :]])
     rank = _row_reduce(gen.natives.copy(), gen.n, gen.spec)
-    return _row_reduce(np.vstack([gen.natives, payload.elems]), gen.n, gen.spec) == rank
+    return _row_reduce(stacked, gen.n, gen.spec) == rank
 
 
 def _row_reduce(work: np.ndarray, cols: int, spec: FieldSpec) -> int:
