@@ -268,6 +268,8 @@ class SimulatedLedger:
     def tick(self, now: int) -> LedgerBlock | None:
         """Advance the clock; verify one block per elapsed non-empty boundary.
 
+        Empty boundaries are skipped in one step: the next boundary
+        inspected is the first at or after the earliest pending submission.
         Returns the newest block produced by this call, if any.
         """
         if self._last_now is not None and now < self._last_now:
@@ -276,11 +278,14 @@ class SimulatedLedger:
         newest = None
         boundary_index = now // self.period
         while self._last_boundary < boundary_index:
-            self._last_boundary += 1
+            # Boundaries before the earliest pending submission are empty.
+            earliest = min((e.submitted_at for e in self._pending.values()), default=None)
+            if earliest is None or -(-earliest // self.period) > boundary_index:
+                self._last_boundary = boundary_index
+                break
+            self._last_boundary = max(self._last_boundary + 1, -(-earliest // self.period))
             b = self._last_boundary * self.period
             ready = [e for e in self._pending.values() if e.submitted_at <= b]
-            if not ready:
-                continue
             for e in ready:
                 del self._pending[(e.domain, e.entry_kind)]
             block = LedgerBlock(

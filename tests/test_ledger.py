@@ -119,6 +119,48 @@ def test_same_instant_submission_joins_boundary_block(led):
     assert block is not None and block.verified_at == 2000
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3000),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 30_000)), max_size=30),
+)
+def test_tick_matches_stepwise_boundaries(period, ops):
+    # Reference: inspect every boundary up to the clock one at a time and
+    # verify what was submitted at or before it, deduplicated by domain.
+    led = SimulatedLedger({"bsh0"}, period)
+    pending, ledgered, blocks = {}, set(), []
+    last, now = -1, 0
+    for is_tick, domain, t in ops:
+        if not is_tick:
+            led.submit_candidate(entry(origin="bsh0", domain=str(domain), t=t))
+            if domain not in pending and domain not in ledgered:
+                pending[domain] = t
+            continue
+        now = max(now, t)
+        made = len(blocks)
+        while last < now // period:
+            last += 1
+            ready = [d for d, at in pending.items() if at <= last * period]
+            if ready:
+                blocks.append((len(blocks) + 1, [str(d) for d in ready], last * period))
+                ledgered.update(ready)
+                for d in ready:
+                    del pending[d]
+        newest = led.tick(now)
+        assert newest == (led.blocks[-1] if len(blocks) > made else None)
+        got = [(b.block_height, [e.domain for e in b.entries], b.verified_at) for b in led.blocks]
+        assert got == blocks
+
+
+def test_tick_jumps_over_empty_boundaries():
+    # A far clock costs no walk over the empty boundaries before it.
+    led = SimulatedLedger({"bsh0"}, 1)
+    assert led.tick(10**15) is None
+    led.submit_candidate(entry(origin="bsh0", t=10**15 + 1))
+    assert led.tick(10**18).verified_at == 10**15 + 1
+    assert led.tick(10**18 + 5) is None and len(led.blocks) == 1
+
+
 def test_clock_regression_raises(led):
     led.tick(1000)
     with pytest.raises(ClockError):

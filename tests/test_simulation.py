@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncsecsim.config import RunConfig, apply_settings
@@ -314,3 +314,73 @@ def test_run_matches_the_whole_run_oracle(config):
         paths = write_run_artifacts(run_simulation(config), tmp)
         got = {Path(p).name: Path(p).read_bytes() for p in paths.values()}
     assert got == run_oracle(config)
+
+
+@st.composite
+def chain_configs(draw):
+    """Ledger runs whose serving chains break inside blocks: few UEs on
+    grids of up to 64 cells, so blocks run long and cells stay without
+    keys; offsets in [-3, 6] dB (ping-pong below 0), TTT windows up to
+    three RS periods, speed 0 or fast, collection periods that make
+    first-visit handovers wait several ticks, prediction with leads of
+    up to 12 ticks, wrap on and off and horizons off the RS grid."""
+    rs = draw(st.sampled_from([40, 100, 160]))
+    period = draw(st.sampled_from([300, 1000, 2500]))
+    values = {
+        "scenario.rows": draw(st.integers(2, 8)),
+        "scenario.cols": draw(st.integers(2, 8)),
+        "scenario.wrap": draw(st.booleans()),
+        "scenario.isd_m": 40.0,
+        "scenario.num_ues": draw(st.integers(1, 12)),
+        "scenario.ue_speed_kmh": draw(st.sampled_from([0.0, *[150.0, 250.0] * 4])),
+        "scenario.rs_period_ms": rs,
+        "scenario.ul_offset_db": draw(st.integers(-6, 12)) / 2,
+        "scenario.ul_ttt_ms": draw(st.integers(0, 3 * rs)),
+        "ledger.collection_period_ms": period,
+        "ledger.ho_timeout_ms": 2 * period,
+        "prediction.enabled": draw(st.sampled_from([False, *[True] * 7])),
+        "prediction.accuracy": draw(st.sampled_from([0.3, 0.7, 1.0])),
+        "prediction.lead_ms": draw(st.integers(0, 12 * rs)),
+        "horizon_ms": draw(st.integers(1, 8_000)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    return apply_settings(RunConfig(), {k: str(v).lower() for k, v in values.items()})
+
+
+def _artifacts(config) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_run_artifacts(run_simulation(config), tmp)
+        return {Path(p).name: Path(p).read_bytes() for p in paths.values()}
+
+
+def _chain_example(rows, cols, wrap, ues, rs, offset, ttt, period, accuracy, lead, horizon, seed):
+    values = {
+        "scenario.rows": rows, "scenario.cols": cols, "scenario.wrap": wrap,
+        "scenario.isd_m": 40.0, "scenario.num_ues": ues, "scenario.ue_speed_kmh": 250.0,
+        "scenario.rs_period_ms": rs, "scenario.ul_offset_db": offset, "scenario.ul_ttt_ms": ttt,
+        "ledger.collection_period_ms": period, "ledger.ho_timeout_ms": 2 * period,
+        "prediction.enabled": True, "prediction.accuracy": accuracy, "prediction.lead_ms": lead,
+        "horizon_ms": horizon, "seed": seed,
+    }
+    return apply_settings(RunConfig(), {k: str(v).lower() for k, v in values.items()})
+
+
+# Runs whose bytes change if a wait does not end its UE's chain, if a UE
+# is not evaluated afresh once its wait ends, or if its forecast rows are
+# not (the first two); and if the first windows reach before tick 0 (the
+# third, whose 100 ms window spans three ticks).
+@example(_chain_example(2, 7, False, 2, 40, 2.5, 107, 1000, 0.7, 14, 3443, 91))
+@example(_chain_example(5, 2, True, 7, 40, 0.0, 4, 300, 0.3, 256, 735, 2444))
+@example(_chain_example(6, 6, False, 12, 40, -2.5, 100, 1000, 0.7, 370, 283, 136))
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(run_configs(), chain_configs()))
+def test_block_length_does_not_change_a_byte(config):
+    # Blocks of 1, 2 and 3 ticks and the derived lengths resolve the same
+    # serving chains: a handover that waits ends its UE's chain, one that
+    # finishes waiting restarts it (forecast rows included), and the
+    # windows at the run's start reach back to tick 0 only.
+    derived = _artifacts(config)
+    assert derived == run_oracle(config)
+    for length in (1, 2, 3):
+        with mock.patch("ncsecsim.simulation._block_length", lambda *args, n=length: n):
+            assert _artifacts(config) == derived, f"block length {length}"

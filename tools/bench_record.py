@@ -14,7 +14,9 @@ under ``perfbench/``.  The file has the schema of ``perfbench/BENCH_1.json``
 seconds per operation, per-layer metrics of seed 1), plus the commit
 measured and every run's metrics with its ``attempted`` and ``failed``
 counts.  The script refuses to run while ``src/`` has uncommitted changes,
-since the point would then name a commit that is not what was measured.
+since the point would then name a commit that is not what was measured,
+and it writes no point once any run reports failed operations or
+``correct: false``; the error names the workload and the seed.
 A point takes about 15 minutes.
 """
 
@@ -60,6 +62,16 @@ def run_bench(workload: str, seed: int, trace: int) -> tuple[dict, float | None]
     return json.loads(lines[-1]), float(cpu.group(1)) if cpu else None
 
 
+def check(workload: str, seed: int, result: dict) -> None:
+    """Refuse to record a run that reports failed operations or wrong
+    output: a point must not hold the speed of a broken program."""
+    if result["failed"] or not result["correct"]:
+        raise SystemExit(
+            f"error: {workload} seed {seed} reported failed {result['failed']} of "
+            f"{result['attempted']}, correct {str(result['correct']).lower()}; no point written"
+        )
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {
@@ -92,6 +104,7 @@ def main() -> int:
     for workload in WORKLOADS:
         for seed in SEEDS:
             result, cpu = run_bench(workload, seed, trace=0)
+            check(workload, seed, result)
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
             runs[workload].append({
                 "seed": seed,
@@ -114,6 +127,7 @@ def main() -> int:
     per_layer = {}
     for workload in WORKLOADS:
         result, _ = run_bench(workload, 1, trace=1)
+        check(workload, 1, result)
         per_layer[workload] = {
             "correct": result["correct"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
