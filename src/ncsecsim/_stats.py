@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.96
     if trials <= 0:
         return (0.0, 1.0)
     phat = successes / trials

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._stats import wilson_interval
 from .errors import InvalidParameter
-from .gf import FieldSpec, field
+from .gf import FieldSpec, field_of_order
 from .integrity import (
     KeyRing,
     attach_tags,
@@ -137,13 +137,6 @@ class BypassRateResult:
     ci_high: float
 
 
-def _field_for_order(q: int) -> FieldSpec:
-    k = q.bit_length() - 1
-    if 1 << k != q:
-        raise InvalidParameter(f"field order {q} is not a power of two")
-    return field(k)
-
-
 def _colluder_positions(
     config: SchemeConfig, adversary: AdversaryConfig, rng: np.random.Generator
 ) -> list[int]:
@@ -168,7 +161,6 @@ def measure_bypass_rate(
     trials: int,
     rng: np.random.Generator,
     l_prime: int | None = None,
-    use_ledger: bool | None = None,
 ) -> BypassRateResult:
     """Fraction of injected packets a benign next hop accepts.
 
@@ -179,19 +171,18 @@ def measure_bypass_rate(
     """
     if trials < 1000:
         raise InvalidParameter("rate measurement needs at least 10^3 trials")
-    use_ledger = config.scheme is Scheme.BLOCKCHAIN if use_ledger is None else use_ledger
     if l_prime is None:
         l_prime = config.l if config.scheme is Scheme.BLOCKCHAIN else 1
     if not 0 <= l_prime <= config.l:
         raise InvalidParameter(f"l_prime={l_prime} outside 0..{config.l}, the tags a packet carries")
 
-    spec = _field_for_order(config.q)
+    spec = field_of_order(config.q)
     gen = random_generation("harness", config.m, config.n, spec, rng)
     source_keys = generate_domain_keys(config.n, config.l, spec, rng, "harness")
     base = attach_tags(encode(gen, rng), source_keys)
     expected = (
         combine_tags(tagset_for_generation(gen, source_keys, "src").native_tags, base.coeffs).elems
-        if use_ledger else None
+        if config.scheme is Scheme.BLOCKCHAIN else None
     )
 
     benign_positions = sorted(

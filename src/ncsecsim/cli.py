@@ -159,12 +159,6 @@ def _cmd_attack(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_selftest(config: RunConfig) -> int:
-    from .selftest import run_selftest
-
-    return run_selftest(config)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -181,7 +175,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_analyze(config)
         if args.command == "attack":
             return _cmd_attack(config)
-        return _cmd_selftest(config)
+        from .selftest import run_selftest
+
+        return run_selftest()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
+from .gf import field_of_order
 from .handover import PredictionConfig
 from .keydist import SCHEME_BY_LABEL, Scheme
 
@@ -220,8 +221,7 @@ def validate(config: RunConfig) -> None:
     if sc.shadow_sigma_db < 0:
         raise ConfigError("scenario.shadow_sigma_db: must be >= 0")
     sec = config.security
-    if not _is_field_order(sec.q):
-        raise ConfigError("security.q: must be a power of two, at most 2^16")
+    _check_field_order("security.q", sec.q)
     if sec.n < 1 or sec.m < 1 or sec.l < 1:
         raise ConfigError("security.n/m/l: must be >= 1")
     if config.ledger.collection_period_ms <= 0:
@@ -267,8 +267,7 @@ def validate_command(command: str, config: RunConfig) -> None:
         if az.trials < 1:
             raise ConfigError("analyze.trials: must be >= 1")
     if command == "attack":
-        if not _is_field_order(at.q):
-            raise ConfigError("attack.q: must be a power of two, at most 2^16")
+        _check_field_order("attack.q", at.q)
         if at.n < 1 or at.m < 1:
             raise ConfigError("attack.n/m: must be >= 1")
         if at.l < 2:
@@ -279,9 +278,11 @@ def validate_command(command: str, config: RunConfig) -> None:
             )
 
 
-def _is_field_order(q: int) -> bool:
-    k = q.bit_length() - 1
-    return q >= 2 and (1 << k) == q and k <= 16
+def _check_field_order(key: str, q: int) -> None:
+    try:
+        field_of_order(q)
+    except InvalidParameter:
+        raise ConfigError(f"{key}: must be a power of two, at most 2^16") from None
 
 
 def _format_value(value) -> str:
@@ -294,11 +295,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def config_items(config: RunConfig, include_output_dir: bool = False) -> list[tuple[str, str]]:
+def config_items(config: RunConfig) -> list[tuple[str, str]]:
     """Flat, sorted (key, value) view of the effective configuration.
 
-    ``output_dir`` is excluded by default: it decides where artifacts
-    land, not what they contain.
+    ``output_dir`` is left out: it decides where artifacts land, not what
+    they contain.
     """
     items: list[tuple[str, str]] = []
     for section, cls in _SECTIONS.items():
@@ -308,8 +309,6 @@ def config_items(config: RunConfig, include_output_dir: bool = False) -> list[tu
     items.append(("scheme", _format_value(config.scheme)))
     items.append(("horizon_ms", str(config.horizon_ms)))
     items.append(("seed", str(config.seed)))
-    if include_output_dir:
-        items.append(("output_dir", config.output_dir))
     return sorted(items)
 
 

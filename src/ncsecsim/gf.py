@@ -1,11 +1,11 @@
 """GF(2^k) arithmetic underlying packets, MAC keys, and tags.
 
 Field elements are plain ints in [0, 2^k); their binary digits are the
-coefficients of a polynomial over GF(2), reduced modulo an irreducible
-polynomial of degree k.  Addition is XOR.  Vectors of elements are thin
-wrappers around numpy arrays so that bulk operations (recoding rows,
-inner products over long payloads, Monte-Carlo batches) run as table
-lookups instead of Python loops.
+coefficients of a polynomial over GF(2), reduced modulo the one irreducible
+polynomial of degree k that each width has.  Addition is XOR.  Vectors of
+elements are thin wrappers around numpy arrays so that bulk operations
+(recoding rows, inner products over long payloads, Monte-Carlo batches)
+run as table lookups instead of Python loops.
 
 Every field, k = 1..16, builds a pair of log/antilog tables at
 construction time from a searched generator.  Zero has a sentinel
@@ -27,8 +27,9 @@ A product by a right-hand matrix that stays fixed over many calls, as a
 key ring's is, has a faster path (``FixedProduct``): split-nibble tables of
 the fixed matrix, one word gathered per 4-bit digit of the left operand.
 
-``field(k)`` returns one shared ``FieldSpec`` per bit width; the tables of
-a field are read-only.
+``field(k)`` returns one shared ``FieldSpec`` per bit width, and
+``field_of_order(q)`` the one of order q; the tables of a field are
+read-only.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _XOR_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 # ``matmul`` is faster for a one-column product than one-byte or padded tables.
 _TABLE_WORDS = dict(_XOR_WORDS)
 
-# Default irreducible polynomials, one per supported bit width.  The k=8
+# The irreducible reduction polynomial of each supported bit width.  The k=8
 # entry is 0x11B, the widely tabulated choice, so results can be checked
 # against published GF(256) tables.
 _DEFAULT_POLY = {
@@ -77,45 +78,17 @@ _DEFAULT_POLY = {
 }
 
 
-def _poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def _poly_mod(a: int, m: int) -> int:
-    """Remainder of carry-less division of a by m."""
-    dm = _poly_degree(m)
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _is_irreducible(poly: int, k: int) -> bool:
-    # Exhaustive trial division by every polynomial of degree 1..k//2.
-    for deg in range(1, k // 2 + 1):
-        for div in range(1 << deg, 1 << (deg + 1)):
-            if _poly_mod(poly, div) == 0:
-                return False
-    return True
-
-
 class FieldSpec:
-    """A binary extension field GF(2^k) with a fixed reduction polynomial.
+    """A binary extension field GF(2^k), reduced by ``_DEFAULT_POLY[k]``.
 
     Immutable after construction; all methods are safe for concurrent use.
     """
 
-    def __init__(self, k: int = 8, reduction_polynomial: int | None = None):
+    def __init__(self, k: int = 8):
         if not isinstance(k, int) or not 1 <= k <= 16:
             raise InvalidParameter(f"field bit width k={k!r} must be an integer in 1..16")
-        poly = _DEFAULT_POLY[k] if reduction_polynomial is None else reduction_polynomial
-        if _poly_degree(poly) != k:
-            raise InvalidParameter(
-                f"reduction polynomial {poly:#x} does not have degree {k}"
-            )
-        if not _is_irreducible(poly, k):
-            raise InvalidParameter(f"reduction polynomial {poly:#x} is reducible")
         self.k = k
-        self.poly = poly
+        self.poly = _DEFAULT_POLY[k]
         self.q = 1 << k
         self.dtype = np.uint8 if k <= 8 else np.uint16
         self._build_tables()
@@ -147,8 +120,8 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         q = self.q
-        # x need not be primitive for an arbitrary irreducible polynomial
-        # (it is not for 0x11B), so search for an element of order q-1:
+        # x need not be primitive for an irreducible polynomial (it is not
+        # for 0x11B), so search for an element of order q-1:
         # its powers hit 1 exactly once.
         for gen in range(1, q):
             powers = self._powers(gen)
@@ -180,9 +153,6 @@ class FieldSpec:
         if a == 0:
             raise InversionOfZero("0 has no multiplicative inverse")
         return int(self._exp[self.q - 1 - self._log[a]])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         result = 1
@@ -267,9 +237,17 @@ class FieldSpec:
 
 @functools.cache
 def field(k: int) -> FieldSpec:
-    """The field GF(2^k) with the default reduction polynomial, built once
-    per bit width and shared."""
+    """The field GF(2^k), built once per bit width and shared."""
     return FieldSpec(k)
+
+
+def field_of_order(q: int) -> FieldSpec:
+    """The field GF(q), ``field(k)`` for q = 2^k; raises ``InvalidParameter``
+    unless 1 <= k <= 16."""
+    k = q.bit_length() - 1
+    if q < 2 or 1 << k != q or k > 16:
+        raise InvalidParameter(f"field order {q} is not 2^k for k in 1..16")
+    return field(k)
 
 
 class FixedProduct:

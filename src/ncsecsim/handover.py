@@ -48,6 +48,7 @@ from .integrity import KeyRing
 from .keydist import Scheme
 from .ledger import (
     KIND_CODE,
+    SIGNALING_WINDOW_MS,
     CandidateEntry,
     EntryKind,
     SignalKind,
@@ -381,11 +382,11 @@ class HoView:
 # ----------------------------------------------------------------------
 
 def cumulative_key_exchanges(
-    trace: Sequence[SignalRecord], horizon_ms: int, step_ms: int = 1000
+    trace: Sequence[SignalRecord], horizon_ms: int
 ) -> list[tuple[int, int]]:
-    """Running key-exchange count sampled every ``step_ms`` up to horizon."""
+    """Running key-exchange count at the start of every signaling window."""
     times = np.sort(as_trace(trace).key_exchange_times())
-    grid = np.arange(0, horizon_ms + 1, step_ms)
+    grid = np.arange(0, horizon_ms + 1, SIGNALING_WINDOW_MS)
     return list(zip(grid.tolist(), np.searchsorted(times, grid, side="right").tolist()))
 
 

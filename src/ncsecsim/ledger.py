@@ -34,6 +34,9 @@ from .errors import ClockError, InvalidParameter, UnknownController
 
 DEFAULT_COLLECTION_PERIOD_MS = 1000
 
+#: Length of the windows [k * len, (k + 1) * len) of the per-second curves.
+SIGNALING_WINDOW_MS = 1000
+
 
 class SignalKind(Enum):
     CANDIDATE_UPLOAD = "candidate_upload"
@@ -320,15 +323,13 @@ class SimulatedLedger:
 # trace accounting
 # ----------------------------------------------------------------------
 
-def per_window_signaling(
-    records: Iterable[SignalRecord], horizon_ms: int, window_len_ms: int = 1000
-) -> list[int]:
-    """Key-exchange signals in each window [k * len, (k + 1) * len) whose
+def per_window_signaling(records: Iterable[SignalRecord], horizon_ms: int) -> list[int]:
+    """Key-exchange signals in each ``SIGNALING_WINDOW_MS`` window whose
     start lies in [0, horizon]."""
-    windows = max(0, horizon_ms // window_len_ms + 1)
+    windows = max(0, horizon_ms // SIGNALING_WINDOW_MS + 1)
     times = as_trace(records).key_exchange_times()
     times = times[times >= 0]
-    return np.bincount(times // window_len_ms, minlength=windows)[:windows].tolist()
+    return np.bincount(times // SIGNALING_WINDOW_MS, minlength=windows)[:windows].tolist()
 
 
 def key_exchange_count(records: Iterable[SignalRecord], up_to_ms: int | None = None) -> int:

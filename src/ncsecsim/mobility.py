@@ -227,7 +227,8 @@ def advance(
     argument broadcasts against the others, so one call moves all UEs one
     tick, or one UE (or all) to several future instants at once.
     """
-    if np.any(np.asarray(dt_ms) <= 0):
+    # one comparison for the loop's scalar tick, a reduction for lead times
+    if (dt_ms <= 0).any() if isinstance(dt_ms, np.ndarray) else dt_ms <= 0:
         raise InvalidParameter("dt must be positive")
     dist = speed_mps * dt_ms / 1000.0
     return grid.wrap_position(pos + dist[..., None] * dirs)

@@ -24,7 +24,7 @@ from .keydist import (
     required_tags,
     security_level,
 )
-from .ledger import SignalKind, SimulatedLedger
+from .ledger import SIGNALING_WINDOW_MS, SignalKind, SimulatedLedger
 from .rlnc import decode, encode, random_generation, recode
 from .simulation import run_simulation
 
@@ -89,17 +89,15 @@ def _check_run_audit() -> None:
     for proc in result.completed:
         assert proc.key_signal_count in (1, 3)
         assert proc.prep_wait_ms < 1000
-    for start in range(0, config.horizon_ms + 1, 1000):
-        counted = sum(
-            1 for r in result.trace
-            if r.counts_as_key_exchange and start <= r.t < start + 1000
-        )
-        n_bsh = sum(1 for (t, _, _) in result.upload_log if start <= t < start + 1000)
+    for start in range(0, config.horizon_ms + 1, SIGNALING_WINDOW_MS):
+        end = start + SIGNALING_WINDOW_MS
+        counted = sum(1 for r in result.trace if r.counts_as_key_exchange and start <= r.t < end)
+        n_bsh = sum(1 for (t, _, _) in result.upload_log if start <= t < end)
         n_ue = sum(
             1 for p in result.completed
-            if p.t_complete is not None and start <= p.t_complete < start + 1000
+            if p.t_complete is not None and start <= p.t_complete < end
         )
-        verified = sum(1 for b in result.blocks if start <= b.verified_at < start + 1000)
+        verified = sum(1 for b in result.blocks if start <= b.verified_at < end)
         assert counted == n_bsh + n_ue + verified
 
 
@@ -122,7 +120,7 @@ _CHECKS = [
 ]
 
 
-def run_selftest(config: RunConfig | None = None) -> int:
+def run_selftest() -> int:
     failures = 0
     for name, check in _CHECKS:
         try:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .config import RunConfig, write_config_echo
 from .errors import IoError
-from .gf import FieldSpec, field
+from .gf import FieldSpec, field_of_order
 from .handover import (
     HoTable,
     HoView,
@@ -60,6 +60,7 @@ from .handover import (
 from .integrity import KeyRing, generate_domain_keys
 from .keydist import Scheme
 from .ledger import (
+    SIGNALING_WINDOW_MS,
     EntryKind,
     LedgerBlock,
     SignalTrace,
@@ -141,7 +142,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     )
     cell_keys = CellKeys(
         grid.num_cells, config.security.n, config.security.l,
-        field(config.security.q.bit_length() - 1), rng_keys,
+        field_of_order(config.security.q), rng_keys,
     )
 
     ledger = SimulatedLedger(
@@ -497,7 +498,7 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
                 label: per_window_signaling(tr, horizon)
                 for label, tr in result.scheme_traces.items()
             }
-            for i, start in enumerate(range(0, horizon + 1, 1000)):
+            for i, start in enumerate(range(0, horizon + 1, SIGNALING_WINDOW_MS)):
                 for label in labels:
                     w.writerow([start, label, counts[label][i]])
 

@@ -39,6 +39,12 @@ def poly_divmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
+def is_irreducible_oracle(poly: int) -> bool:
+    """Trial division by every polynomial of degree 1 .. deg(poly) // 2."""
+    half = (poly.bit_length() - 1) // 2
+    return all(poly_divmod(poly, d)[1] for d in range(2, 1 << (half + 1)))
+
+
 def mul_oracle(a: int, b: int, k: int, poly: int) -> int:
     """Shift-and-accumulate multiply, then one reduction pass."""
     acc = 0
@@ -138,9 +144,9 @@ def ho_trigger_oracle(history, serving: int, ul_offset_db: float, ul_ttt_ms: int
     return best
 
 
-def per_second_signaling(records, window_start_ms: int, window_len_ms: int = 1000) -> int:
-    """Key-exchange signals inside [window_start, window_start + window_len)."""
-    end = window_start_ms + window_len_ms
+def per_second_signaling(records, window_start_ms: int) -> int:
+    """Key-exchange signals inside [window_start, window_start + 1000)."""
+    end = window_start_ms + 1000
     return sum(
         1 for r in records if r.counts_as_key_exchange and window_start_ms <= r.t < end
     )
@@ -167,13 +173,13 @@ def key_exchange_count_oracle(records, up_to_ms=None) -> int:
     )
 
 
-def cumulative_key_exchanges_oracle(records, horizon_ms: int, step_ms: int = 1000):
-    """Running key-exchange count every ``step_ms`` up to the horizon, one
-    scan over the sorted times."""
+def cumulative_key_exchanges_oracle(records, horizon_ms: int):
+    """Running key-exchange count every 1000 ms up to the horizon, one scan
+    over the sorted times."""
     times = sorted(r.t for r in records if r.counts_as_key_exchange)
     series = []
     idx = 0
-    for t in range(0, horizon_ms + 1, step_ms):
+    for t in range(0, horizon_ms + 1, 1000):
         while idx < len(times) and times[idx] <= t:
             idx += 1
         series.append((t, idx))

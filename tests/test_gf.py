@@ -11,7 +11,14 @@ from ncsecsim import gf
 from ncsecsim.errors import DimensionMismatch, InvalidParameter, InversionOfZero
 from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector
 
-from oracles import axpy_oracle, dot_oracle, inv_oracle, matmul_oracle, mul_oracle
+from oracles import (
+    axpy_oracle,
+    dot_oracle,
+    inv_oracle,
+    is_irreducible_oracle,
+    matmul_oracle,
+    mul_oracle,
+)
 
 SPECS = {k: FieldSpec(k) for k in range(1, 17)}
 
@@ -381,10 +388,6 @@ def test_length_and_spec_mismatches_raise():
 
 def test_invalid_specs_rejected():
     with pytest.raises(InvalidParameter):
-        FieldSpec(8, reduction_polynomial=0x1B)  # degree 4, not 8
-    with pytest.raises(InvalidParameter):
-        FieldSpec(8, reduction_polynomial=0x100)  # x^8, divisible by x
-    with pytest.raises(InvalidParameter):
         FieldSpec(0)
     with pytest.raises(InvalidParameter):
         FieldSpec(17)
@@ -396,9 +399,21 @@ def test_invalid_specs_rejected():
 
 
 def test_all_default_polynomials_are_irreducible():
+    for k, spec in SPECS.items():
+        assert spec.q == 1 << k and spec.poly.bit_length() - 1 == k
+        assert is_irreducible_oracle(spec.poly), f"k={k}: {spec.poly:#x}"
+        # the generator's powers are the q-1 nonzero elements, and log inverts them
+        powers = spec._exp[: spec.q - 1].astype(np.int64)
+        assert np.array_equal(np.sort(powers), np.arange(1, spec.q))
+        assert np.array_equal(spec._log[powers], np.arange(spec.q - 1))
+
+
+def test_field_of_order_maps_q_to_its_width():
     for k in range(1, 17):
-        spec = FieldSpec(k)
-        assert spec.q == 1 << k
+        assert gf.field_of_order(1 << k) is gf.field(k)
+    for q in (-4, 0, 1, 3, 100, 200, 255, 1 << 17):
+        with pytest.raises(InvalidParameter):
+            gf.field_of_order(q)
 
 
 @pytest.mark.parametrize("k", [12, 16])

@@ -78,6 +78,16 @@ def test_array_motion_matches_step_bit_for_bit(grid):
         advance(pos, ues.dirs, ues.speed, 0, grid)
 
 
+@pytest.mark.parametrize(
+    "dt_ms", [0, -160, np.float64(-1.0), np.array([160, 0]), np.array([[320], [-1]])]
+)
+def test_advance_rejects_non_positive_dt(grid, dt_ms):
+    # the loop passes a scalar step, the forecast an array of lead times
+    ues = place_ues(grid, 3, 60 / 3.6, np.random.default_rng(11))
+    with pytest.raises(InvalidParameter):
+        advance(ues.pos[:, None], ues.dirs[:, None], ues.speed[:, None], dt_ms, grid)
+
+
 def test_batched_forecast_matches_per_tick_positions_and_powers(grid):
     # one call over (UE, lead tick) pairs gives the bits of one call per pair
     ues = place_ues(grid, 12, 60 / 3.6, np.random.default_rng(10))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncsecsim.config import RunConfig, apply_settings
+from ncsecsim.config import RunConfig, SecurityConfig, apply_settings
+from ncsecsim.errors import InvalidParameter
 from ncsecsim.gf import field
 from ncsecsim.handover import KeyPath, PredictionConfig, cumulative_key_exchanges
 from ncsecsim.integrity import generate_domain_keys
@@ -199,6 +200,13 @@ def test_measurement_dump_rows(tmp_path):
 def test_horizon_zero_produces_nothing():
     result = run_simulation(dataclasses.replace(RunConfig(seed=0), horizon_ms=0))
     assert result.trace == [] and len(result.events) == 0 and result.blocks == []
+
+
+def test_run_rejects_a_field_order_that_is_not_a_power_of_two():
+    # a library run is not validated like a CLI run; q=200 must not floor to GF(128)
+    config = dataclasses.replace(RunConfig(seed=0), security=SecurityConfig(q=200))
+    with pytest.raises(InvalidParameter):
+        run_simulation(config)
 
 
 def test_shadow_fading_keeps_determinism():
