@@ -17,6 +17,7 @@ from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
 from .keydist import SCHEME_BY_LABEL, Scheme
+from .mobility import BOX_REACH_ISD
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,11 @@ def validate(config: RunConfig) -> None:
         raise ConfigError("scenario.ul_ttt_ms: must be >= 0")
     if sc.shadow_sigma_db < 0:
         raise ConfigError("scenario.shadow_sigma_db: must be >= 0")
+    # finite distances: the grid's diagonal and box reach, a tick's step
+    if not math.isfinite(math.sqrt(2) * max(sc.rows, sc.cols, BOX_REACH_ISD) * sc.isd_m):
+        raise ConfigError(f"scenario.isd_m: {sc.isd_m} m overflows the grid's extent")
+    if not math.isfinite(sc.ue_speed_mps * sc.rs_period_ms):
+        raise ConfigError(f"scenario.ue_speed_kmh: {sc.ue_speed_kmh} km/h overflows a tick's step")
     sec = config.security
     _check_field_order("security.q", sec.q)
     if sec.n < 1 or sec.m < 1 or sec.l < 1:

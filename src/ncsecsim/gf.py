@@ -154,16 +154,6 @@ class FieldSpec:
             raise InversionOfZero("0 has no multiplicative inverse")
         return int(self._exp[self.q - 1 - self._log[a]])
 
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
     # ------------------------------------------------------------------
     # vectorised kernels (arrays of field elements)
     # ------------------------------------------------------------------
@@ -389,9 +379,6 @@ class FieldVector:
 
     def tolist(self) -> list[int]:
         return [int(x) for x in self.elems]
-
-    def is_zero(self) -> bool:
-        return not self.elems.any()
 
     def _check_compatible(self, other: "FieldVector") -> None:
         if self.spec != other.spec:

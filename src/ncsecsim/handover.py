@@ -22,24 +22,24 @@ the ledger scheme and 2 for the baselines while the raw trace still
 records each broadcast once.
 
 A run's handovers live in one ``HoTable``: parallel columns, one row per
-trigger in start order.  ``HoTable.start`` starts a tick's handovers,
-which complete at once or, on the ledger scheme's first visit, wait for
-their keys; ``HoTable.finish_waiting`` completes the waiting ones once the
-ledger has ticked past their block.  The event loop in ``simulation`` is
-the only driver of the table in a run.
+trigger in start order, and each cell's key-set upload time.  ``start``
+starts a tick's handovers, which complete at once or, on the ledger
+scheme's first visit, wait for their keys; ``finish_waiting`` completes
+the waiting ones once the clock reaches their block's ``key_boundary``.
+The event loop in ``simulation`` is the only driver of the table.
 
 Signals are not logged as they happen.  Every row of a trace follows
-from a table's columns and the ledger's ``upload_log`` and ``blocks``, so
-one builder makes the trace after the run: ``HoTable.trace`` for the
-run's own scheme, and ``replay_key_signaling`` for another scheme, from
-the patterns and completion times that the trigger columns imply.
+from a table's columns and upload times, so one builder makes the trace
+after the run: ``HoTable.trace`` for the run's own scheme, and
+``replay_key_signaling`` for another scheme, from the patterns and
+completion times that the trigger columns imply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,6 +80,12 @@ class PredictionConfig:
 
 def _bsh(cell: int) -> str:
     return f"bsh{cell}"
+
+
+def key_boundary(upload_ms, collection_period_ms: int):
+    """The collection boundary whose block carries an upload at
+    ``upload_ms`` (an int or an int array): the first at or after it."""
+    return -(-upload_ms // collection_period_ms) * collection_period_ms
 
 
 def upload_key_set(ledger: SimulatedLedger, cell: int, keys: KeyRing, now: int) -> bool:
@@ -145,17 +151,17 @@ def _signal_trace(
 ) -> SignalTrace:
     """The signal trace of a set of handovers, in time order.
 
-    ``columns`` are the handovers' ``_COLUMNS``, ``uploads`` the ledger's
-    uploads as (time, cell) in submission order and ``broadcasts`` the
-    times of its blocks.  Each handover has a start block at its trigger
+    ``columns`` are the handovers' ``_COLUMNS``, ``uploads`` the key-set
+    uploads as (time, cell) in upload order and ``broadcasts`` the times
+    of the blocks.  Each handover has a start block at its trigger
     (its pattern's template), and one that waited and completed has a
     completion block at its completion; an upload that no handover made
     is a prestaged upload row, and every block one broadcast row.
 
     Within one tick the loop acts in four phases, and its signals follow
-    them: prestaged uploads, in submission order; each starting UE's start
+    them: prestaged uploads, in upload order; each starting UE's start
     block (with its upload row), in UE order; the broadcasts of the
-    boundaries the ledger passes, each stamped with its boundary; and
+    boundaries the clock passes, each stamped with its boundary; and
     completion blocks, in UE order.  One stable lexsort of the blocks on
     (time, phase, UE), then expanding each block into its template's
     rows, gives that order.
@@ -212,24 +218,38 @@ class HoTable(Sequence["HoView"]):
     The columns are ``ue_id``, ``s_cell``, ``t_cell`` and ``t_trigger``;
     ``t_complete`` (-1 while waiting); and ``pattern``, the start pattern.
     ``waiting`` maps each UE whose handover waits for its keys to its row.
-    The columns are lists, to which the run appends.  Indexing and
+    The columns are lists, to which the run appends.  ``uploaded_at`` is
+    each cell's upload time (-1 for none) and ``uploads`` the cells in
+    upload order; keys are visible from ``key_boundary`` on, judged by
+    ``clock``, the last ``finish_waiting`` time.  Indexing and
     iteration yield ``HoView``s, and ``trace`` builds the signal trace.
     """
 
     def __init__(
-        self,
-        ledger: SimulatedLedger,
-        scheme: Scheme,
-        cell_keys: Mapping[int, KeyRing],
-        timeout_ms: int | None = None,
+        self, scheme: Scheme, cells: int, collection_period_ms: int, timeout_ms: int | None = None
     ):
-        self.ledger = ledger
+        if collection_period_ms <= 0:
+            raise InvalidParameter("collection period must be positive")
         self._uses_ledger = scheme is Scheme.BLOCKCHAIN
-        self.cell_keys = cell_keys
-        self.timeout_ms = 2 * ledger.period if timeout_ms is None else timeout_ms
+        self.period = int(collection_period_ms)
+        self.timeout_ms = 2 * self.period if timeout_ms is None else timeout_ms
         for name in _COLUMNS:
             setattr(self, name, [])
         self.waiting: dict[int, int] = {}
+        self.uploaded_at = [-1] * cells
+        self.uploads: list[int] = []
+        self.clock = -1
+
+    def upload(self, cell: int, now: int) -> bool:
+        """Record ``cell``'s key-set upload at ``now`` unless it has one;
+        returns whether it was recorded."""
+        if not 0 <= cell < len(self.uploaded_at):
+            raise InvalidParameter(f"cell {cell} is outside the grid's {len(self.uploaded_at)} cells")
+        if self.uploaded_at[cell] >= 0:
+            return False
+        self.uploaded_at[cell] = now
+        self.uploads.append(cell)
+        return True
 
     def start(
         self, ues: Sequence[int], s_cells: Sequence[int], t_cells: Sequence[int], now: int
@@ -237,26 +257,22 @@ class HoTable(Sequence["HoView"]):
         """Start the handovers of UEs that fired at ``now``, given in UE id
         order; returns which of them completed at once.
 
-        A baseline handover, or a ledger one whose target cell is ledgered,
-        completes at once.  A ledger first visit uploads the target cell's
-        key set unless it is already pending, and waits.
+        A baseline handover, or a ledger one whose target cell's keys are
+        visible, completes at once.  A ledger first visit uploads the
+        target cell's key set, or joins its upload, and waits.
         """
-        ledger = self.ledger
         completed = []
         for ue, s, t in zip(ues, s_cells, t_cells):
             if s == t:
                 raise NoOpHandover(f"ue{ue}: target equals serving cell {s}")
             if not self._uses_ledger:
                 pattern = _BASELINE
-            elif ledger.query_keys(_bsh(s), str(t)) is not None:
-                pattern = _STEADY
-            elif ledger.is_pending(str(t), EntryKind.CELL_KEY_SET):
-                pattern = _JOIN
-            elif t not in self.cell_keys:
-                raise InvalidParameter(f"no key set supplied for cell {t}")
-            else:
+            elif self.upload(t, now):
                 pattern = _UPLOAD
-                upload_key_set(ledger, t, self.cell_keys[t], now)
+            elif key_boundary(self.uploaded_at[t], self.period) > self.clock:
+                pattern = _JOIN
+            else:
+                pattern = _STEADY
             done = pattern <= _STEADY
             if not done:
                 self.waiting[ue] = len(self.ue_id)
@@ -270,17 +286,19 @@ class HoTable(Sequence["HoView"]):
         return np.array(completed, dtype=bool)
 
     def finish_waiting(self, now: int) -> list[tuple[int, int]]:
-        """Complete, in UE id order, the waiting handovers whose target
-        cell is ledgered by ``now``; returns their (UE id, target cell).
+        """Advance the clock to ``now`` and complete, in UE id order, the
+        waiting handovers whose keys are visible; returns their (UE id,
+        target cell).
 
         Raises ``HoPreparationTimeout`` for one still without keys after
         waiting longer than the timeout.
         """
+        self.clock = now
         finished = []
         for ue in sorted(self.waiting):
             i = self.waiting[ue]
-            s, t = self.s_cell[i], self.t_cell[i]
-            if self.ledger.query_keys(_bsh(s), str(t)) is None:
+            t = self.t_cell[i]
+            if key_boundary(self.uploaded_at[t], self.period) > now:
                 if now - self.t_trigger[i] > self.timeout_ms:
                     raise HoPreparationTimeout(
                         f"ue{ue}: keys for domain {t} not ledgered within {self.timeout_ms} ms"
@@ -292,12 +310,13 @@ class HoTable(Sequence["HoView"]):
         return finished
 
     def trace(self) -> SignalTrace:
-        """The signal trace of the table's handovers and its ledger's
-        uploads and blocks, in time order.  The ledger's uploads are cell
-        key sets, whose domain is the cell id."""
-        uploads = [(t, int(domain)) for t, _, domain in self.ledger.upload_log]
-        broadcasts = [block.verified_at for block in self.ledger.blocks]
-        return _signal_trace([getattr(self, name) for name in _COLUMNS], uploads, broadcasts)
+        """The signal trace of the table's handovers, uploads and the
+        blocks up to the clock, in time order."""
+        cells = np.array(self.uploads, dtype=np.int64)
+        times = np.array(self.uploaded_at, dtype=np.int64)[cells]
+        blocks = key_boundary(times, self.period)
+        columns = [getattr(self, name) for name in _COLUMNS]
+        return _signal_trace(columns, np.c_[times, cells], np.unique(blocks[blocks <= self.clock]))
 
     def summary_rows(self) -> list[tuple[int, ...]]:
         """The ``ho_summary.csv`` rows of the completed handovers in start
@@ -367,12 +386,9 @@ class HoView:
     def signals(self) -> list[SignalRecord]:
         """The handover's signals: its start block, the broadcast that
         carried its upload, then its completion block."""
-        tab, domain = self.table, str(self.t_cell)
+        tab = self.table
         carried = self.did_upload and self.complete
-        broadcasts = [
-            block.verified_at for block in tab.ledger.blocks
-            if carried and any(e.domain == domain for e in block.entries)
-        ]
+        broadcasts = [key_boundary(tab.uploaded_at[self.t_cell], tab.period)] if carried else []
         row = [[getattr(tab, name)[self.row]] for name in _COLUMNS]
         return list(_signal_trace(row, (), broadcasts))
 
@@ -421,7 +437,7 @@ def replay_key_signaling(
         pattern = np.full(len(ue), _BASELINE)
         return _signal_trace((ue, s_cell, t_cell, t_trigger, t_trigger, pattern))
     _, first, cell = np.unique(t_cell, return_index=True, return_inverse=True)
-    boundary = -(-t_trigger[first] // collection_period_ms) * collection_period_ms
+    boundary = key_boundary(t_trigger[first], collection_period_ms)
     verified = boundary <= horizon_ms // rs_period_ms * rs_period_ms
     seen = (-(-boundary // rs_period_ms) * rs_period_ms)[cell]
     pattern = np.where(t_trigger > seen, _STEADY, _JOIN)

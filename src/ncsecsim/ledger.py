@@ -15,9 +15,9 @@ cell's key set is pending or ledgered, resubmissions are no-ops and cost
 no signal.
 
 The ledger keeps two logs, ``upload_log`` (one row per accepted
-candidate) and ``blocks``; it writes no trace.  ``handover`` turns them
-into signal rows after a run: an upload per accepted candidate and a
-broadcast per block.
+candidate) and ``blocks``; it writes no trace.  A run drives no ledger:
+it derives logs of the same shape from its ``handover.HoTable``, and
+``handover`` builds the signal rows from the table after the run.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ class SubmitReceipt:
 
 
 class SimulatedLedger:
-    """Single-writer ledger state machine advanced by the event loop."""
+    """Single-writer ledger state machine, advanced by ``tick``."""
 
     def __init__(
         self,
@@ -246,12 +246,6 @@ class SimulatedLedger:
     def _require_registered(self, controller: str) -> None:
         if controller not in self.controllers:
             raise UnknownController(f"controller {controller!r} is not registered")
-
-    def is_pending(self, domain: str, kind: EntryKind) -> bool:
-        return (domain, kind) in self._pending
-
-    def is_ledgered(self, domain: str, kind: EntryKind) -> bool:
-        return (domain, kind) in self._ledgered
 
     # ------------------------------------------------------------------
     def submit_candidate(self, entry: CandidateEntry) -> SubmitReceipt:
@@ -303,17 +297,9 @@ class SimulatedLedger:
         return newest
 
     # ------------------------------------------------------------------
-    def query_keys(self, controller: str, domain: str):
-        """The domain's ledgered key set, or None if not yet ledgered.
-
-        Reads come from the controller's local replica, so they cost no
-        signal.
-        """
-        self._require_registered(controller)
-        entry = self._ledgered.get((domain, EntryKind.CELL_KEY_SET))
-        return None if entry is None else entry.payload
-
     def query_tagset(self, controller: str, gen_id: str):
+        """The generation's ledgered tag set, or None; reads come from the
+        controller's local replica, so they cost no signal."""
         self._require_registered(controller)
         entry = self._ledgered.get((gen_id, EntryKind.GENERATION_TAG_SET))
         return None if entry is None else entry.payload

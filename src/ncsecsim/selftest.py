@@ -24,7 +24,7 @@ from .keydist import (
     required_tags,
     security_level,
 )
-from .ledger import SIGNALING_WINDOW_MS, SignalKind, SimulatedLedger
+from .ledger import SIGNALING_WINDOW_MS, SignalKind
 from .rlnc import decode, encode, random_generation, recode
 from .simulation import run_simulation
 
@@ -60,19 +60,17 @@ def _check_mac_homomorphism() -> None:
 
 
 def _check_ledger_batching() -> None:
-    key_sets = {c: (f"k{c}",) for c in range(4)}
-    led = SimulatedLedger({f"bsh{c}" for c in range(4)})
-    hos = HoTable(led, Scheme.BLOCKCHAIN, key_sets)
-    assert not hos.start([0], [0], [1], 160)[0]
-    led.tick(1000)
-    assert hos.finish_waiting(1000) == [(0, 1)]
-    assert hos.start([1], [2], [1], 2000)[0]
-    baseline = HoTable(SimulatedLedger(led.controllers), Scheme.DOUBLE_RANDOM, key_sets)
-    assert baseline.start([2], [1], [3], 2000)[0]
-    assert [h.key_signal_count for h in (*hos, *baseline)] == [3, 1, 2]
-    assert len(led.upload_log) == len(led.blocks) == 1
+    # two first visits in one collection period share one block
+    hos = HoTable(Scheme.BLOCKCHAIN, 4, 1000)
+    assert not hos.start([0, 1], [0, 0], [1, 2], 160).any()
+    assert hos.finish_waiting(1000) == [(0, 1), (1, 2)]
+    assert hos.start([2], [3], [1], 2000)[0]
+    baseline = HoTable(Scheme.DOUBLE_RANDOM, 4, 1000)
+    assert baseline.start([3], [1], [3], 2000)[0]
+    assert [h.key_signal_count for h in (*hos, *baseline)] == [3, 3, 1, 2]
+    assert hos.uploads == [1, 2] and baseline.uploads == []
     broadcasts = [r for r in hos.trace() if r.kind == SignalKind.BLOCK_BROADCAST]
-    assert len(broadcasts) == 1
+    assert [r.t for r in broadcasts] == [1000]
 
 
 def _check_analytics() -> None:

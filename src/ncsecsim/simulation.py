@@ -1,15 +1,15 @@
 """Deterministic event loop: motion, measurements, triggers, handovers,
-ledger ticks, and the CSV artifacts derived from one run.
+key-set uploads, and the CSV artifacts derived from one run.
 
 Each reference-signal tick advances UE positions, measures uplink powers
 at the base stations that can take each UE over (at every one with
 shadowing or the measurement dump), optionally forecasts imminent
-handovers for key prestaging, starts triggered handovers, and then lets
-the ledger verify any collection-period boundary that has passed.
-Handovers blocked on key sharing complete at the first tick after their
-block verifies.  Every handover is a row of one ``handover.HoTable``; the
-loop records only the table's columns and the ledger's uploads and
-blocks, and the signal trace is built from them after the last tick.
+handovers for key prestaging, starts triggered handovers, and then
+completes those blocked on key sharing whose block has verified.  Every
+handover is a row of one ``handover.HoTable``, which also holds each
+cell's key-set upload time; the loop drives no ledger.  After the last
+tick the ledger's uploads and blocks, and the signal trace, are built
+from the table.
 
 The loop runs over blocks of ticks.  Motion does not depend on handover
 state, so a block first makes the positions (and power rows) of all its
@@ -20,7 +20,7 @@ cell holds until it fires, and its target serves from the next tick on
 (``_Chains``).  The forecast then runs once over every tick, UE and lead
 tick of the block on that serving timeline.  A walk over the block's
 ticks does the ordered work: prestage draws in UE order, handover
-starts, the ledger tick and the completions.  A handover that waits
+starts, and the completions of waiting handovers.  A handover that waits
 ends its UE's chain; a UE whose wait ends is evaluated afresh from the
 next tick, forecast included.  Blocks grow while re-evaluating chains
 costs less than the calls they save and shrink toward one tick when
@@ -43,6 +43,7 @@ import csv
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -54,17 +55,17 @@ from .handover import (
     HoTable,
     HoView,
     cumulative_key_exchanges,
+    key_boundary,
     replay_key_signaling,
-    upload_key_set,
 )
 from .integrity import KeyRing, generate_domain_keys
 from .keydist import Scheme
 from .ledger import (
     SIGNALING_WINDOW_MS,
+    CandidateEntry,
     EntryKind,
     LedgerBlock,
     SignalTrace,
-    SimulatedLedger,
     per_window_signaling,
 )
 from .mobility import (
@@ -98,9 +99,9 @@ class SimulationResult:
 
 class CellKeys(Mapping[int, KeyRing]):
     """The MAC key ring of each cell 0..cells-1, drawn from ``rng`` when
-    the cell's ring is first looked up, which is at its first key upload.
-    Rings are drawn in lookup order, so a cell that never uploads draws
-    none; membership is by cell id and draws nothing."""
+    first looked up; a run looks up the uploaded cells' rings in upload
+    order, so a cell that never uploads draws none.  Membership is by cell
+    id and draws nothing."""
 
     def __init__(self, cells: int, n: int, l: int, spec: FieldSpec, rng: np.random.Generator):
         self._cells = range(cells)
@@ -145,10 +146,10 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         field_of_order(config.security.q), rng_keys,
     )
 
-    ledger = SimulatedLedger(
-        {f"bsh{c}" for c in range(grid.num_cells)}, config.ledger.collection_period_ms
+    handovers = HoTable(
+        config.scheme, grid.num_cells, config.ledger.collection_period_ms,
+        config.ledger.ho_timeout_ms,
     )
-    handovers = HoTable(ledger, config.scheme, cell_keys, config.ledger.ho_timeout_ms)
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
     full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
@@ -178,9 +179,8 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         size = min(_block_length(chains, cap, 3 if forecasting else 1), ticks - tick)
         block = np.empty((window - 1 + size, *tail.shape[1:]))
         block[: window - 1] = tail
-        # A forecast can prestage only while some cell's key set is neither
-        # pending nor ledgered, that is, while some cell has not uploaded.
-        forecasting = predict and len(ledger.upload_log) < grid.num_cells
+        # A forecast can prestage only while some cell has not uploaded.
+        forecasting = predict and len(handovers.uploads) < grid.num_cells
         block_pos = np.empty((size, ues.count, 2)) if forecasting else None
         for k in range(size):
             t = (tick + k) * sc.rs_period_ms
@@ -210,7 +210,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
             t = (tick + k) * sc.rs_period_ms
             if forecasting:
                 _prestage(
-                    config, ledger, waiting, decided_forecasts, cell_keys, rng_predict,
+                    config, handovers, decided_forecasts, rng_predict,
                     t, forecast[0][k], forecast[1][k],
                 )
             fired = np.flatnonzero(chains.fires[k] >= 0)
@@ -222,8 +222,6 @@ def run_simulation(config: RunConfig) -> SimulationResult:
                 ues.serving[fired[done]] = t_cells[done]
                 if k + 1 < size:
                     chains.fires[k + 1 :, fired[~done]] = -1  # a waiting UE fires no more
-
-            ledger.tick(t)
 
             finished = handovers.finish_waiting(t)
             if finished:
@@ -255,13 +253,24 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         for scheme in _ALL_SCHEMES
     }
 
+    # The ledger's uploads, drawing the rings in upload order, and a block
+    # per boundary up to the last tick; uploads come in time order.
+    uploaded_at, period = handovers.uploaded_at, handovers.period
+    entries = [
+        CandidateEntry(EntryKind.CELL_KEY_SET, f"bsh{c}", cell_keys[c], uploaded_at[c], str(c))
+        for c in handovers.uploads
+    ]
+    grouped = groupby(entries, key=lambda e: key_boundary(e.submitted_at, period))
+    verified = [(b, tuple(held)) for b, held in grouped if b <= handovers.clock]
+    blocks = [LedgerBlock(h, held, b) for h, (b, held) in enumerate(verified, start=1)]
+
     return SimulationResult(
         config=config,
         grid=grid,
         trace=own_trace,
         events=handovers,
-        blocks=list(ledger.blocks),
-        upload_log=list(ledger.upload_log),
+        blocks=blocks,
+        upload_log=[(e.submitted_at, e.origin, e.domain) for e in entries],
         cell_keys=cell_keys,
         scheme_traces=scheme_traces,
         measurements=measurements,
@@ -270,10 +279,8 @@ def run_simulation(config: RunConfig) -> SimulationResult:
 
 def _prestage(
     config: RunConfig,
-    ledger: SimulatedLedger,
-    waiting: dict[int, int],
+    handovers: HoTable,
     decided: set[tuple[int, int, int]],
-    cell_keys: CellKeys,
     rng: np.random.Generator,
     now: int,
     targets: np.ndarray,
@@ -288,23 +295,21 @@ def _prestage(
     the prestage actually happens: an accepted draw uploads the target
     cell's key set, a failed one leaves the handover to the unpredicted
     path.  Each (ue, cell, trigger time) is decided at most once, and a
-    cell already pending or ledgered is never uploaded again.  UEs go in
-    id order, skipping those whose handover is ``waiting``.
+    cell that has uploaded is never uploaded again.  UEs go in id order,
+    skipping those whose handover waits for its keys.
     """
+    uploaded_at, waiting = handovers.uploaded_at, handovers.waiting
     for ue_id in np.flatnonzero(targets >= 0).tolist():
         if ue_id in waiting:
             continue
         target = int(targets[ue_id])
-        domain = str(target)
-        if ledger.is_ledgered(domain, EntryKind.CELL_KEY_SET) or ledger.is_pending(
-            domain, EntryKind.CELL_KEY_SET
-        ):
+        if uploaded_at[target] >= 0:
             continue  # nothing left to hide for the nearest trigger
         key = (ue_id, target, now + int(leads[ue_id]))
         if key not in decided:
             decided.add(key)
             if float(rng.random()) < config.prediction.accuracy:
-                upload_key_set(ledger, target, cell_keys[target], now)
+                handovers.upload(target, now)
 
 
 # ----------------------------------------------------------------------

@@ -153,6 +153,9 @@ def test_cli_exit_code_1_on_config_errors(tmp_path, capsys):
         ("run", "seed=-1", ("seed",)),
         # a standard deviation is never negative
         ("run", "scenario.shadow_sigma_db=-3", ("scenario.shadow_sigma_db",)),
+        # finite floats whose distances overflow: a tick's step, the grid
+        ("run", "scenario.ue_speed_kmh=1e308", ("scenario.ue_speed_kmh",)),
+        ("run", "scenario.isd_m=1e308", ("scenario.isd_m",)),
     ],
 )
 def test_cli_rejects_inconsistent_settings_as_config_errors(

@@ -318,7 +318,10 @@ def test_commutativity_and_associativity_random():
 def test_nonzero_elements_form_group_of_order_q_minus_1(k):
     spec = FieldSpec(k)
     for a in range(1, spec.q):
-        assert spec.pow(a, spec.q - 1) == 1
+        power = a  # a^(q-1) through repeated multiplication
+        for _ in range(spec.q - 2):
+            power = spec.mul(power, a)
+        assert power == 1
     # the searched generator really has full order
     seen = set()
     val = 1
@@ -368,7 +371,7 @@ def test_axpy_cases():
     x = FieldVector.random(6, GF256, rng)
     y = FieldVector.random(6, GF256, rng)
     assert x.scale(0) + y == y
-    assert (x.scale(1) + x).is_zero()  # characteristic 2
+    assert not (x.scale(1) + x).elems.any()  # characteristic 2
     got = x.scale(0x37) + y
     assert got.tolist() == axpy_oracle(0x37, x.tolist(), y.tolist(), 8, 0x11B)
 

@@ -16,28 +16,22 @@ from ncsecsim.handover import (
     PredictionConfig,
     cumulative_key_exchanges,
     replay_key_signaling,
-    upload_key_set,
 )
 from ncsecsim.keydist import Scheme
-from ncsecsim.ledger import SignalKind, SimulatedLedger, key_exchange_count
+from ncsecsim.ledger import SignalKind, key_exchange_count
 from ncsecsim.simulation import CellKeys, run_simulation
 
 from oracles import handover_rows_oracle
 
 CELLS = list(range(16))
-KEYS = {c: (f"key{c}",) for c in CELLS}
-
-
-def fresh_ledger():
-    return SimulatedLedger({f"bsh{c}" for c in CELLS})
 
 
 def kinds(view):
     return [s.kind for s in view.signals]
 
 
-def table(scheme=Scheme.BLOCKCHAIN, led=None, **kw):
-    return HoTable(fresh_ledger() if led is None else led, scheme, KEYS, **kw)
+def table(scheme=Scheme.BLOCKCHAIN, period=1000, **kw):
+    return HoTable(scheme, len(CELLS), period, **kw)
 
 
 def begin(hos, ue, src, dst, now):
@@ -47,8 +41,7 @@ def begin(hos, ue, src, dst, now):
 
 
 def complete_at(hos, view, boundary):
-    """Tick the ledger to ``boundary`` and finish ``view`` there."""
-    hos.ledger.tick(boundary)
+    """Advance the table's clock to ``boundary`` and finish ``view`` there."""
     hos.finish_waiting(boundary)
     assert view.complete
     return view
@@ -122,10 +115,9 @@ def assert_complete_or_waiting(view):
     min_size=1, max_size=30,
 ))
 def test_start_returns_complete_or_waiting(calls):
-    # random streams of handovers on every scheme, one table per scheme on
-    # one ledger, with the ledger ticking between them
-    led = fresh_ledger()
-    tables = {scheme: table(scheme, led, timeout_ms=10**9) for scheme in Scheme}
+    # random streams of handovers on every scheme, one table per scheme,
+    # with every table's clock advancing between them
+    tables = {scheme: table(scheme, timeout_ms=10**9) for scheme in Scheme}
     now = 0
     for ue, (src, hop, scheme, ticks) in enumerate(calls):
         hos = tables[scheme]
@@ -133,7 +125,6 @@ def test_start_returns_complete_or_waiting(calls):
         assert done.tolist() == [hos[-1].complete]
         assert_complete_or_waiting(hos[-1])
         now += 160 * ticks
-        led.tick(now)
         for each in tables.values():
             finished = each.finish_waiting(now)
             assert finished == sorted(finished)
@@ -160,32 +151,36 @@ def test_noop_handover_rejected():
 
 
 def test_missing_key_set_rejected():
-    hos = HoTable(fresh_ledger(), Scheme.BLOCKCHAIN, {})
+    hos = HoTable(Scheme.BLOCKCHAIN, 0, 1000)  # no cell has a key set
     with pytest.raises(InvalidParameter):
         hos.start([0], [1], [7], 160)
 
 
-def test_cell_without_a_ring_rejected_and_rings_drawn_on_upload():
-    # Lazily drawn rings: a cell outside the grid has none and draws none;
-    # a cell's first upload draws its ring, a join or a steady visit does not.
+def test_cell_outside_the_grid_rejected_and_uploaded_once():
+    # A cell outside the grid has no ring and no upload; a cell's first
+    # visit uploads it, a join does not upload again.  Lazily drawn rings:
+    # membership draws none.
     keys = CellKeys(8, 4, 2, GF16, np.random.default_rng(0))
-    hos = HoTable(fresh_ledger(), Scheme.BLOCKCHAIN, keys)
+    hos = HoTable(Scheme.BLOCKCHAIN, len(keys), 1000)
     assert 9 not in keys and 7 in keys and len(keys) == 8 and not keys._rings
-    with pytest.raises(InvalidParameter):
-        hos.start([0], [1], [9], 160)
-    assert not keys._rings
+    for cell in (9, -1):
+        with pytest.raises(InvalidParameter):
+            hos.start([0], [1], [cell], 160)
+        with pytest.raises(InvalidParameter):
+            hos.upload(cell, 160)
+    assert hos.uploads == [] and len(hos) == 0
     hos.start([0, 1], [1, 2], [7, 7], 160)
-    assert list(keys._rings) == [7]
+    assert hos.uploads == [7] and hos.uploaded_at[7] == 160
+    assert [view.did_upload for view in hos] == [True, False]
     with pytest.raises(KeyError):
         keys[9]
 
 
 def test_handover_with_a_ledger_signals_on_its_trace():
-    led = fresh_ledger()
-    hos = table(led=led)
+    hos = table()
     view = complete_at(hos, begin(hos, 0, 1, 7, 160), 1000)
     assert list(hos.trace()) == view.signals
-    assert [r.kind for r in view.signals].count(SignalKind.BLOCK_BROADCAST) == len(led.blocks)
+    assert [r.kind for r in view.signals].count(SignalKind.BLOCK_BROADCAST) == 1
 
 
 def test_every_completed_procedure_delivers_keys_once():
@@ -204,7 +199,6 @@ def test_pending_joiner_waits_but_costs_one():
     first = begin(hos, 0, 1, 7, 160)
     joiner = begin(hos, 1, 3, 7, 320)
     assert first.did_upload and not joiner.did_upload
-    hos.ledger.tick(1000)
     assert hos.finish_waiting(1120) == [(0, 7), (1, 7)]
     assert first.key_signal_count == 3
     assert joiner.key_signal_count == 1
@@ -216,7 +210,7 @@ def test_pending_joiner_waits_but_costs_one():
 def test_preparation_timeout_raises():
     hos = table(timeout_ms=500)
     view = begin(hos, 0, 1, 7, 160)
-    # the ledger never ticks, so keys never arrive
+    # the clock never reaches the boundary, so keys never arrive
     assert hos.finish_waiting(400) == [] and not view.complete
     with pytest.raises(HoPreparationTimeout):
         hos.finish_waiting(700)
@@ -224,9 +218,9 @@ def test_preparation_timeout_raises():
 
 def test_per_cell_upload_uniqueness_with_prestaging():
     hos = table()
-    assert upload_key_set(hos.ledger, 7, KEYS[7], 0)
+    assert hos.upload(7, 0)
     # a repeat prestage and a later first HO must not upload again
-    assert not upload_key_set(hos.ledger, 7, KEYS[7], 160)
+    assert not hos.upload(7, 160)
     view = begin(hos, 2, 1, 7, 320)
     assert not view.did_upload
     complete_at(hos, view, 1000)
@@ -256,8 +250,8 @@ def test_prestage_accuracy_gate():
 
 def test_prestaged_first_ho_completes_without_waiting():
     hos = table()
-    assert upload_key_set(hos.ledger, 7, KEYS[7], 160)
-    hos.ledger.tick(1000)  # block verifies ahead of the trigger
+    assert hos.upload(7, 160)
+    hos.finish_waiting(1000)  # block verifies ahead of the trigger
     view = begin(hos, 0, 1, 7, 1120)
     assert view.complete and view.prep_wait_ms == 0
     assert view.key_signal_count == 1
@@ -271,7 +265,6 @@ def test_cumulative_series_and_steady_state_slopes():
     # ledger all cells first: concurrent first-HOs batch into one block
     others = [c for c in CELLS if c != 0]
     hos.start(range(len(others)), [0] * len(others), others, 160)
-    hos.ledger.tick(1000)
     assert len(hos.finish_waiting(1120)) == len(others)
     base = key_exchange_count(hos.trace())
     rows = [(i, 0, (i % 15) + 1, 20_000 + 160 * i) for i in range(10)]
@@ -295,31 +288,32 @@ def test_replay_blockchain_matches_direct_engine_semantics():
     assert key_exchange_count(hmac_trace) == 8
 
 
-def reference_replay(rows, scheme, cell_keys, horizon_ms, rs_period_ms, collection_period_ms):
-    """The protocol driven on the RS grid: every trigger starts a handover
-    at its instant, the ledger ticks at every instant, and blocked handovers
-    complete at the first instant at or after their block verifies.  Each
-    trigger is its own UE in the table while it runs, so a stream's UE may
-    have several handovers in flight, as in the replay; the trace is built
-    with the stream's UE ids."""
-    led = SimulatedLedger({f"bsh{c}" for c in cell_keys}, collection_period_ms)
-    hos = HoTable(led, scheme, cell_keys, timeout_ms=10 * collection_period_ms)
-    by_tick: dict[int, list[int]] = {}
-    for i, (_, _, _, t) in enumerate(rows):
-        by_tick.setdefault(t, []).append(i)
-    for t in range(0, horizon_ms + 1, rs_period_ms):
-        batch = by_tick.get(t, [])
-        hos.start(batch, [rows[i][1] for i in batch], [rows[i][2] for i in batch], t)
-        led.tick(t)
-        hos.finish_waiting(t)
-    hos.ue_id = [rows[i][0] for i in hos.ue_id]
-    return hos.trace()
+def reference_replay(rows, uses_ledger, horizon_ms, rs_period_ms, collection_period_ms):
+    """``signals.csv`` text of the protocol driven one UE at a time on the
+    RS grid (``handover_rows_oracle``): every trigger starts a handover at
+    its instant, every boundary up to an instant verifies there, and
+    blocked handovers complete at the first instant at or after their
+    block verifies.  Each trigger is its own oracle UE, numbered in
+    (stream UE, row) order, so a stream's UE may have several handovers
+    in flight, as in the replay; the text names the stream's UE ids."""
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][0], i))
+    by_tick: dict[int, list[tuple[int, int, int]]] = {}
+    for own, i in enumerate(order):
+        by_tick.setdefault(rows[i][3], []).append((own, rows[i][1], rows[i][2]))
+    ticks = [(t, [], by_tick.get(t, [])) for t in range(0, horizon_ms + 1, rs_period_ms)]
+    text, _ = handover_rows_oracle(ticks, uses_ledger, collection_period_ms)
+    names = {f"ue{own}": f"ue{rows[i][0]}" for own, i in enumerate(order)}
+    return "".join(
+        ",".join(names.get(field, field) for field in line.split(",")) + "\r\n"
+        for line in text.splitlines()
+    )
 
 
 @st.composite
 def event_streams(draw):
-    """Time-ordered trigger streams on the RS grid up to an off-grid horizon,
-    with the RS period both below and above the collection period."""
+    """Trigger streams on the RS grid up to an off-grid horizon, in start
+    order as a run's table holds them (by instant, then UE id), with the
+    RS period both below and above the collection period."""
     rs = draw(st.integers(40, 3000))
     period = draw(st.integers(100, 2000))
     horizon = draw(st.integers(0, 30_000))
@@ -331,7 +325,7 @@ def event_streams(draw):
     ))
     rows = sorted(
         ((ue, s, (s + step) % 6, tick * rs) for ue, s, step, tick in raw),
-        key=lambda row: row[3],
+        key=lambda row: (row[3], row[0]),
     )
     return rows, horizon, rs, period
 
@@ -340,12 +334,12 @@ def event_streams(draw):
 @given(event_streams(), st.sampled_from([Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM]))
 def test_replay_matches_the_protocol_driven_on_the_rs_grid(stream, scheme):
     rows, horizon, rs, period = stream
-    keys = {c: (f"key{c}",) for c in range(6)}
-    expected = reference_replay(rows, scheme, keys, horizon, rs, period)
-    got = replay_key_signaling(
+    expected = reference_replay(rows, scheme is Scheme.BLOCKCHAIN, horizon, rs, period)
+    buf = io.StringIO(newline="")
+    replay_key_signaling(
         triggers(rows), scheme, horizon, rs_period_ms=rs, collection_period_ms=period
-    )
-    assert got == expected
+    ).write_csv(buf)
+    assert buf.getvalue() == expected
 
 
 @st.composite
@@ -376,14 +370,12 @@ def handover_ticks(draw):
 @given(handover_ticks(), st.sampled_from(list(Scheme)))
 def test_table_matches_the_scalar_oracle(case, scheme):
     ticks, period = case
-    led = SimulatedLedger({f"bsh{c}" for c in CELLS}, period)
-    hos = HoTable(led, scheme, KEYS, timeout_ms=10**9)
+    hos = table(scheme, period, timeout_ms=10**9)
     for now, prestaged, batch in ticks:
         for cell in prestaged:
-            upload_key_set(led, cell, KEYS[cell], now)
+            hos.upload(cell, now)
         batch = [row for row in batch if row[0] not in hos.waiting]
         hos.start([r[0] for r in batch], [r[1] for r in batch], [r[2] for r in batch], now)
-        led.tick(now)
         hos.finish_waiting(now)
     buf = io.StringIO(newline="")
     hos.trace().write_csv(buf)

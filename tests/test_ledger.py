@@ -40,14 +40,15 @@ def test_submit_queues_and_signals(led):
     receipt = led.submit_candidate(entry())
     assert receipt.accepted and not receipt.duplicate
     assert led.upload_log == [(100, "bsh3", "3")]
-    assert led.is_pending("3", EntryKind.CELL_KEY_SET)
+    assert led.blocks == []  # pending until its boundary
+    assert [e.domain for e in led.tick(1000).entries] == ["3"]
 
 
 def test_submit_unknown_controller_rejected(led):
     with pytest.raises(UnknownController):
         led.submit_candidate(entry(origin="bsh99"))
     with pytest.raises(UnknownController):
-        led.query_keys("bsh99", "3")
+        led.query_tagset("bsh99", "3")
 
 
 def test_candidate_validation():
@@ -201,27 +202,22 @@ def test_block_entries_keep_submission_order(led):
     for origin, domain, t in (("bsh0", "z", 100), ("bsh1", "a", 1200), ("bsh2", "m", 300),
                               ("bsh3", "b", 1100)):
         led.submit_candidate(entry(origin=origin, domain=domain, t=t))
-    assert led.is_pending("a", EntryKind.CELL_KEY_SET)
+    assert [d for _, _, d in led.upload_log] == ["z", "a", "m", "b"] and led.blocks == []
     block1 = led.tick(1000)
     assert [e.domain for e in block1.entries] == ["z", "m"]
-    assert not led.is_pending("z", EntryKind.CELL_KEY_SET)
     assert led.submit_candidate(entry(origin="bsh4", domain="z", t=1300)).duplicate
     led.submit_candidate(entry(origin="bsh4", domain="c", t=1050))
     block2 = led.tick(2000)
     assert [e.domain for e in block2.entries] == ["a", "b", "c"]
-    assert not any(led.is_pending(d, EntryKind.CELL_KEY_SET) for d in "zambc")
+    assert led.tick(10_000) is None  # nothing is left pending
 
 
-def test_query_keys_before_and_after(led):
-    assert led.query_keys("bsh0", "3") is None
+def test_key_set_is_ledgered_at_its_boundary(led):
     led.submit_candidate(entry(domain="3", payload=("key1", "key2"), t=50))
-    assert led.query_keys("bsh0", "3") is None  # pending is not ledgered
-    led.tick(1000)
-    # consensus: every registered controller sees the same copy, no signals
-    before = (list(led.upload_log), list(led.blocks))
-    views = {c: led.query_keys(c, "3") for c in sorted(led.controllers)}
-    assert all(v == ("key1", "key2") for v in views.values())
-    assert (led.upload_log, led.blocks) == before
+    assert led.tick(999) is None and led.blocks == []  # pending is not ledgered
+    block = led.tick(1000)
+    assert [(e.domain, e.payload) for e in block.entries] == [("3", ("key1", "key2"))]
+    assert led.upload_log == [(50, "bsh3", "3")]
 
 
 def test_query_tagset(led):

@@ -56,7 +56,7 @@ def test_encode_unit_coefficients_reproduce_natives(gen):
 
 def test_encode_zero_coefficients_give_zero_payload(gen):
     pkt = encode(gen, StubRng([0] * gen.m))
-    assert pkt.payload.is_zero()
+    assert not pkt.payload.elems.any()
 
 
 def test_encode_matches_matrix_product_oracle(gen):
@@ -82,7 +82,7 @@ def test_recode_same_packet_twice_cancels(gen):
     pkt = encode(gen, rng)
     pkt.tags = FieldVector([9], GF256)
     out = recode([pkt, pkt], StubRng([1, 1]))
-    assert out.coeffs.is_zero() and out.payload.is_zero() and out.tags.is_zero()
+    assert not (out.coeffs.elems.any() or out.payload.elems.any() or out.tags.elems.any())
 
 
 def test_recode_zero_draw_is_redrawn_once(gen):

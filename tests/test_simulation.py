@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -15,7 +17,14 @@ from ncsecsim.gf import field
 from ncsecsim.handover import KeyPath, PredictionConfig, cumulative_key_exchanges
 from ncsecsim.integrity import generate_domain_keys
 from ncsecsim.keydist import Scheme
-from ncsecsim.ledger import SignalKind, SignalRecord, key_exchange_count
+from ncsecsim.ledger import (
+    CandidateEntry,
+    EntryKind,
+    SignalKind,
+    SignalRecord,
+    SimulatedLedger,
+    key_exchange_count,
+)
 from ncsecsim.simulation import run_simulation, write_run_artifacts
 
 from oracles import run_oracle
@@ -315,13 +324,56 @@ def run_configs(draw):
     return apply_settings(RunConfig(), {k: str(v).lower() for k, v in values.items()})
 
 
+def upload_rows(signals_csv: bytes) -> list[tuple[int, str, str]]:
+    """The ``candidate_upload`` rows of ``signals.csv`` bytes as upload-log
+    rows (time, origin, cell), in file order."""
+    rows = csv.reader(io.StringIO(signals_csv.decode()))
+    return [(int(t), src, src[3:]) for t, kind, src, *_ in rows if kind == "candidate_upload"]
+
+
+def ledger_blocks(result):
+    """Height, entry domains and verification time of each block that a
+    ``SimulatedLedger`` makes of the run's upload log, ticked once at the
+    run's last RS instant."""
+    config, rs = result.config, result.config.scenario.rs_period_ms
+    led = SimulatedLedger(
+        {f"bsh{c}" for c in range(result.grid.num_cells)}, config.ledger.collection_period_ms
+    )
+    for t, origin, domain in result.upload_log:
+        entry = CandidateEntry(EntryKind.CELL_KEY_SET, origin, ("keys",), t, domain)
+        assert led.submit_candidate(entry).accepted
+    if config.horizon_ms > 0:
+        led.tick(config.horizon_ms // rs * rs)
+    return [(b.block_height, [e.domain for e in b.entries], b.verified_at) for b in led.blocks]
+
+
 @settings(max_examples=150, deadline=None)
 @given(run_configs())
 def test_run_matches_the_whole_run_oracle(config):
+    result = run_simulation(config)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_run_artifacts(run_simulation(config), tmp)
+        paths = write_run_artifacts(result, tmp)
         got = {Path(p).name: Path(p).read_bytes() for p in paths.values()}
-    assert got == run_oracle(config)
+    expected = run_oracle(config)
+    assert got == expected
+    # The upload log holds the oracle's uploads, and the blocks are what a
+    # ledger makes of that log.
+    assert result.upload_log == upload_rows(expected["signals.csv"])
+    assert [
+        (b.block_height, [e.domain for e in b.entries], b.verified_at) for b in result.blocks
+    ] == ledger_blocks(result)
+
+
+def test_run_builds_no_ledger():
+    # key visibility comes from the table's upload times alone
+    config = dataclasses.replace(
+        RunConfig(seed=4), horizon_ms=10_000,
+        prediction=PredictionConfig(enabled=True, accuracy=0.8, lead_ms=1000),
+    )
+    with mock.patch.object(SimulatedLedger, "__init__", side_effect=AssertionError("built")):
+        result = run_simulation(config)
+    assert result.blocks and result.upload_log
+    assert not hasattr(result.events, "ledger")
 
 
 @st.composite
