@@ -88,6 +88,14 @@ def key_boundary(upload_ms, collection_period_ms: int):
     return -(-upload_ms // collection_period_ms) * collection_period_ms
 
 
+def key_seen(upload_ms, collection_period_ms: int, rs_period_ms: int):
+    """The RS instant at which a run sees the block that carries an upload
+    at ``upload_ms`` (an int or an int array): the first at or after its
+    ``key_boundary``."""
+    boundary = key_boundary(upload_ms, collection_period_ms)
+    return -(-boundary // rs_period_ms) * rs_period_ms
+
+
 def upload_key_set(ledger: SimulatedLedger, cell: int, keys: KeyRing, now: int) -> bool:
     """Submit ``cell``'s key set to ``ledger`` at ``now``; returns whether
     it was accepted.  Submission is idempotent, so a cell whose key set is
@@ -259,12 +267,16 @@ class HoTable(Sequence["HoView"]):
 
         A baseline handover, or a ledger one whose target cell's keys are
         visible, completes at once.  A ledger first visit uploads the
-        target cell's key set, or joins its upload, and waits.
+        target cell's key set, or joins its upload, and waits.  A bad
+        handover raises before any of the batch is recorded.
         """
-        completed = []
         for ue, s, t in zip(ues, s_cells, t_cells):
             if s == t:
                 raise NoOpHandover(f"ue{ue}: target equals serving cell {s}")
+            if not 0 <= t < len(self.uploaded_at):
+                raise InvalidParameter(f"ue{ue}: target cell {t} is outside the grid")
+        completed = []
+        for ue, s, t in zip(ues, s_cells, t_cells):
             if not self._uses_ledger:
                 pattern = _BASELINE
             elif self.upload(t, now):
@@ -290,19 +302,21 @@ class HoTable(Sequence["HoView"]):
         waiting handovers whose keys are visible; returns their (UE id,
         target cell).
 
-        Raises ``HoPreparationTimeout`` for one still without keys after
-        waiting longer than the timeout.
+        Raises ``HoPreparationTimeout`` once ``now`` is past the timeout
+        of one whose keys verify after it, so the outcome does not depend
+        on which instants advance the clock.
         """
         self.clock = now
         finished = []
         for ue in sorted(self.waiting):
             i = self.waiting[ue]
-            t = self.t_cell[i]
-            if key_boundary(self.uploaded_at[t], self.period) > now:
-                if now - self.t_trigger[i] > self.timeout_ms:
-                    raise HoPreparationTimeout(
-                        f"ue{ue}: keys for domain {t} not ledgered within {self.timeout_ms} ms"
-                    )
+            t, deadline = self.t_cell[i], self.t_trigger[i] + self.timeout_ms
+            boundary = key_boundary(self.uploaded_at[t], self.period)
+            if now > deadline and boundary > deadline:
+                raise HoPreparationTimeout(
+                    f"ue{ue}: keys for domain {t} not ledgered within {self.timeout_ms} ms"
+                )
+            if boundary > now:
                 continue
             self.t_complete[i] = now
             del self.waiting[ue]
@@ -439,7 +453,7 @@ def replay_key_signaling(
     _, first, cell = np.unique(t_cell, return_index=True, return_inverse=True)
     boundary = key_boundary(t_trigger[first], collection_period_ms)
     verified = boundary <= horizon_ms // rs_period_ms * rs_period_ms
-    seen = (-(-boundary // rs_period_ms) * rs_period_ms)[cell]
+    seen = key_seen(t_trigger[first], collection_period_ms, rs_period_ms)[cell]
     pattern = np.where(t_trigger > seen, _STEADY, _JOIN)
     pattern[first] = _UPLOAD
     t_complete = np.where(verified[cell], np.maximum(t_trigger, seen), -1)

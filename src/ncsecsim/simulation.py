@@ -19,10 +19,11 @@ follow from batched trigger calls over (tick, UE) entries: its serving
 cell holds until it fires, and its target serves from the next tick on
 (``_Chains``).  The forecast then runs once over every tick, UE and lead
 tick of the block on that serving timeline.  A walk over the block's
-ticks does the ordered work: prestage draws in UE order, handover
-starts, and the completions of waiting handovers.  A handover that waits
-ends its UE's chain; a UE whose wait ends is evaluated afresh from the
-next tick, forecast included.  Blocks grow while re-evaluating chains
+ticks does the ordered work: prestage draws in UE order and handover
+starts.  A handover that waits ends its UE's chain.  Waits end only at
+ticks that see a block (``handover.key_seen``); while some cell's keys
+are not yet visible, a block ends at the first such tick and completes
+its waits there.  Blocks grow while re-evaluating chains
 costs less than the calls they save and shrink toward one tick when
 UEs fire densely (``_block_length``); a block holds at most
 ``BLOCK_SAMPLES`` samples, so large runs go one tick at a time.  The
@@ -56,6 +57,7 @@ from .handover import (
     HoView,
     cumulative_key_exchanges,
     key_boundary,
+    key_seen,
     replay_key_signaling,
 )
 from .integrity import KeyRing, generate_domain_keys
@@ -71,6 +73,7 @@ from .ledger import (
 from .mobility import (
     CellGrid,
     Measurement,
+    UeArrays,
     advance,
     place_ues,
     trigger_targets,
@@ -128,6 +131,7 @@ class CellKeys(Mapping[int, KeyRing]):
 
 def run_simulation(config: RunConfig) -> SimulationResult:
     sc = config.scenario
+    rs, period = sc.rs_period_ms, config.ledger.collection_period_ms
     grid = CellGrid(
         rows=sc.rows,
         cols=sc.cols,
@@ -146,22 +150,21 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         field_of_order(config.security.q), rng_keys,
     )
 
-    handovers = HoTable(
-        config.scheme, grid.num_cells, config.ledger.collection_period_ms,
-        config.ledger.ho_timeout_ms,
-    )
+    handovers = HoTable(config.scheme, grid.num_cells, period, config.ledger.ho_timeout_ms)
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
+    uploaded_at, uploads = handovers.uploaded_at, handovers.uploads
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
     full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
     trigger = trigger_targets if full_rows else grid.trigger_targets
     # A window reaches back at most to the run's first tick.
-    window = min(sc.ul_ttt_ms, config.horizon_ms) // sc.rs_period_ms + 1
+    window = min(sc.ul_ttt_ms, config.horizon_ms) // rs + 1
     measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
-    predict = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
-    lead_ticks = max(1, -(-config.prediction.lead_ms // sc.rs_period_ms))
-    lead_ms = np.arange(1, lead_ticks + 1) * sc.rs_period_ms
-    ticks = config.horizon_ms // sc.rs_period_ms + 1 if config.horizon_ms > 0 else 0
+    own_uses_ledger = config.scheme is Scheme.BLOCKCHAIN
+    predict = config.prediction.enabled and own_uses_ledger
+    lead_ticks = max(1, -(-config.prediction.lead_ms // rs))
+    lead_ms = np.arange(1, lead_ticks + 1) * rs
+    ticks = config.horizon_ms // rs + 1 if config.horizon_ms > 0 else 0
     # Per UE, a tick's trigger reads a window of samples and, with
     # prediction, its forecast one sample per lead tick.
     samples = ues.count * (window + lead_ticks if predict else window)
@@ -177,15 +180,23 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         # A block makes once what one tick at a time makes per tick: the
         # trigger call, and the forecast's ``advance`` and trigger.
         size = min(_block_length(chains, cap, 3 if forecasting else 1), ticks - tick)
+        # Waits end only at ticks that see a block.  While some cell's keys
+        # are not yet visible, the block ends at the first tick that sees
+        # a block verified after the previous tick.
+        if own_uses_ledger and (
+            len(uploads) < grid.num_cells
+            or key_seen(uploaded_at[uploads[-1]], period, rs) >= tick * rs
+        ):
+            size = min(size, key_seen((tick - 1) * rs + 1, period, rs) // rs - tick + 1)
         block = np.empty((window - 1 + size, *tail.shape[1:]))
         block[: window - 1] = tail
         # A forecast can prestage only while some cell has not uploaded.
-        forecasting = predict and len(handovers.uploads) < grid.num_cells
+        forecasting = predict and len(uploads) < grid.num_cells
         block_pos = np.empty((size, ues.count, 2)) if forecasting else None
         for k in range(size):
-            t = (tick + k) * sc.rs_period_ms
+            t = (tick + k) * rs
             if t > 0:
-                ues.pos = advance(ues.pos, ues.dirs, ues.speed, sc.rs_period_ms, grid)
+                ues.pos = advance(ues.pos, ues.dirs, ues.speed, rs, grid)
             if forecasting:
                 block_pos[k] = ues.pos
             if full_rows:
@@ -203,11 +214,10 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         chains = _Chains(trigger, block, window, ues.serving, list(waiting), sc.ul_offset_db)
         if forecasting:
             forecast = _forecast(
-                grid, block_pos, ues.dirs, ues.speed,
-                chains.serving(0, np.arange(ues.count), ues.serving), lead_ms, sc.ul_offset_db,
+                grid, block_pos, ues, chains.serving(ues.serving), lead_ms, sc.ul_offset_db
             )
         for k in range(size):
-            t = (tick + k) * sc.rs_period_ms
+            t = (tick + k) * rs
             if forecasting:
                 _prestage(
                     config, handovers, decided_forecasts, rng_predict,
@@ -222,31 +232,18 @@ def run_simulation(config: RunConfig) -> SimulationResult:
                 ues.serving[fired[done]] = t_cells[done]
                 if k + 1 < size:
                     chains.fires[k + 1 :, fired[~done]] = -1  # a waiting UE fires no more
-
-            finished = handovers.finish_waiting(t)
-            if finished:
-                back, targets = (np.array(c) for c in zip(*finished))
-                ues.serving[back] = targets
-                if k + 1 < size:
-                    chains.again(back, k + 1, targets)
-                    if forecasting:
-                        rows = _forecast(
-                            grid, block_pos[k + 1 :, back], ues.dirs[back], ues.speed[back],
-                            chains.serving(k + 1, back, targets), lead_ms, sc.ul_offset_db,
-                        )
-                        for held, row in zip(forecast, rows):
-                            held[k + 1 :, back] = row
+        for ue, cell in handovers.finish_waiting(t):
+            ues.serving[ue] = cell
 
         tail = block[size:]
         tick += size
 
     # The baselines differ only in key assignment, not in signaling, so a
     # baseline run's own trace serves both and one replay serves the rest.
-    own_uses_ledger = config.scheme is Scheme.BLOCKCHAIN
     own_trace = handovers.trace()
     replayed = replay_key_signaling(
         handovers, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN,
-        config.horizon_ms, sc.rs_period_ms, config.ledger.collection_period_ms,
+        config.horizon_ms, rs, period,
     )
     scheme_traces = {
         scheme.label: own_trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
@@ -255,10 +252,9 @@ def run_simulation(config: RunConfig) -> SimulationResult:
 
     # The ledger's uploads, drawing the rings in upload order, and a block
     # per boundary up to the last tick; uploads come in time order.
-    uploaded_at, period = handovers.uploaded_at, handovers.period
     entries = [
         CandidateEntry(EntryKind.CELL_KEY_SET, f"bsh{c}", cell_keys[c], uploaded_at[c], str(c))
-        for c in handovers.uploads
+        for c in uploads
     ]
     grouped = groupby(entries, key=lambda e: key_boundary(e.submitted_at, period))
     verified = [(b, tuple(held)) for b, held in grouped if b <= handovers.clock]
@@ -337,7 +333,8 @@ class _Chains:
     and ``skip`` (UEs waiting for their keys) fire nothing.  Each later
     round evaluates, in one call on gathers, the rest of the block for the
     UEs that fired in the round before.  ``calls`` and ``entries`` count
-    the trigger calls and the (tick, UE) entries they evaluated.
+    the trigger calls and the (tick, UE) entries they evaluated.  Waits
+    end only at a block's last tick, so no chain resumes inside a block.
     """
 
     def __init__(self, trigger, samples, window, serving, skip, offset):
@@ -359,12 +356,6 @@ class _Chains:
             self.fires = np.full((ticks, ues), -1)
             self.fires[first, fired] = chained
             self._chain(fired, first + 1, chained)
-
-    def again(self, ues: np.ndarray, start: int, serving: np.ndarray) -> None:
-        """Evaluate ``ues`` afresh from block tick ``start`` on, with
-        serving cells ``serving``."""
-        self.fires[start:, ues] = -1
-        self._chain(ues, np.full(len(ues), start), serving)
 
     def _chain(self, ues, starts, serving):
         """Fire each UE's chain from its tick in ``starts`` on, one round
@@ -390,25 +381,20 @@ class _Chains:
             ues, starts, serving = ues[fired], at[hit] + 1, targets[hit]
             self.fires[at[hit], ues] = serving
 
-    def serving(self, start: int, ues: np.ndarray, serving: np.ndarray) -> np.ndarray:
-        """The serving cells of ``ues`` at each block tick from ``start`` on,
-        given ``serving`` at ``start``: the target of each UE's last fire
-        at an earlier tick, or ``serving`` before its first."""
-        fires = self.fires[start:, ues]
-        last = np.where(fires >= 0, np.arange(1, len(fires) + 1)[:, None], 0)
+    def serving(self, serving: np.ndarray) -> np.ndarray:
+        """Each UE's serving cell at each block tick, given ``serving`` at
+        the first: the target of its last fire at an earlier tick, or
+        ``serving`` before its first."""
+        held = np.vstack([serving, self.fires[:-1]])  # row k: the fires of tick k - 1
+        last = np.where(held >= 0, np.arange(len(held))[:, None], 0)
         np.maximum.accumulate(last, axis=0, out=last)
-        out = np.empty_like(fires)
-        out[0] = serving
-        prev = last[:-1]
-        out[1:] = np.where(prev > 0, fires[prev - 1, np.arange(len(ues))], serving)
-        return out
+        return np.take_along_axis(held, last, axis=0)
 
 
 def _forecast(
     grid: CellGrid,
     pos: np.ndarray,
-    dirs: np.ndarray,
-    speed: np.ndarray,
+    ues: UeArrays,
     serving: np.ndarray,
     lead_ms: np.ndarray,
     offset: float,
@@ -420,7 +406,7 @@ def _forecast(
     (ticks, UEs) their serving cells; each lead instant is a single sample
     of the position ``advance`` gives after ``lead_ms`` from there.
     """
-    future = advance(pos[:, :, None], dirs[:, None], speed[:, None], lead_ms, grid)
+    future = advance(pos[:, :, None], ues.dirs[:, None], ues.speed[:, None], lead_ms, grid)
     targets = grid.trigger_targets(future[None], serving[:, :, None], offset)
     earliest = (targets >= 0).argmax(axis=2)
     target = np.take_along_axis(targets, earliest[..., None], axis=2)[..., 0]

@@ -176,6 +176,19 @@ def test_cell_outside_the_grid_rejected_and_uploaded_once():
         keys[9]
 
 
+@pytest.mark.parametrize(
+    "targets, error",
+    [([3, 2], NoOpHandover), ([3, 9], InvalidParameter)],
+    ids=["noop", "off-grid"],
+)
+def test_start_checks_the_whole_batch_before_recording(targets, error):
+    # ue1's bad handover leaves no trace of ue0's good one before it
+    hos = HoTable(Scheme.BLOCKCHAIN, 8, 1000)
+    with pytest.raises(error):
+        hos.start([0, 1], [1, 2], targets, 160)
+    assert len(hos) == 0 and hos.uploads == [] and hos.waiting == {}
+
+
 def test_handover_with_a_ledger_signals_on_its_trace():
     hos = table()
     view = complete_at(hos, begin(hos, 0, 1, 7, 160), 1000)
@@ -214,6 +227,17 @@ def test_preparation_timeout_raises():
     assert hos.finish_waiting(400) == [] and not view.complete
     with pytest.raises(HoPreparationTimeout):
         hos.finish_waiting(700)
+
+
+@pytest.mark.parametrize("steps", [[400, 1000], [1000], [660, 2000]])
+def test_preparation_timeout_does_not_depend_on_the_clock_steps(steps):
+    # keys verified at 1000, 840 ms after the trigger: late, however the
+    # clock gets past the 660 ms deadline
+    hos = table(timeout_ms=500)
+    begin(hos, 0, 1, 7, 160)
+    with pytest.raises(HoPreparationTimeout):
+        for now in steps:
+            hos.finish_waiting(now)
 
 
 def test_per_cell_upload_uniqueness_with_prestaging():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -11,8 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncsecsim.config import RunConfig, SecurityConfig, apply_settings
-from ncsecsim.errors import InvalidParameter
+from ncsecsim import simulation
+from ncsecsim.config import (
+    LedgerConfig,
+    RunConfig,
+    ScenarioConfig,
+    SecurityConfig,
+    apply_settings,
+)
+from ncsecsim.errors import HoPreparationTimeout, InvalidParameter
 from ncsecsim.gf import field
 from ncsecsim.handover import KeyPath, PredictionConfig, cumulative_key_exchanges
 from ncsecsim.integrity import generate_domain_keys
@@ -347,21 +355,29 @@ def ledger_blocks(result):
     return [(b.block_height, [e.domain for e in b.entries], b.verified_at) for b in led.blocks]
 
 
+def _written(result) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_run_artifacts(result, tmp)
+        return {Path(p).name: Path(p).read_bytes() for p in paths.values()}
+
+
 @settings(max_examples=150, deadline=None)
 @given(run_configs())
 def test_run_matches_the_whole_run_oracle(config):
     result = run_simulation(config)
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_run_artifacts(result, tmp)
-        got = {Path(p).name: Path(p).read_bytes() for p in paths.values()}
     expected = run_oracle(config)
-    assert got == expected
+    assert _written(result) == expected
     # The upload log holds the oracle's uploads, and the blocks are what a
     # ledger makes of that log.
     assert result.upload_log == upload_rows(expected["signals.csv"])
     assert [
         (b.block_height, [e.domain for e in b.entries], b.verified_at) for b in result.blocks
     ] == ledger_blocks(result)
+    # An upload at or before a trigger verifies within a collection period
+    # of it and is seen within an RS period after that; validation keeps
+    # ``ledger.ho_timeout_ms`` at least one period, so it cannot fire.
+    period, rs = config.ledger.collection_period_ms, config.scenario.rs_period_ms
+    assert all(view.prep_wait_ms < period + rs for view in result.completed)
 
 
 def test_run_builds_no_ledger():
@@ -378,12 +394,13 @@ def test_run_builds_no_ledger():
 
 @st.composite
 def chain_configs(draw):
-    """Ledger runs whose serving chains break inside blocks: few UEs on
-    grids of up to 64 cells, so blocks run long and cells stay without
-    keys; offsets in [-3, 6] dB (ping-pong below 0), TTT windows up to
-    three RS periods, speed 0 or fast, collection periods that make
-    first-visit handovers wait several ticks, prediction with leads of
-    up to 12 ticks, wrap on and off and horizons off the RS grid."""
+    """Ledger runs whose handovers wait inside blocks: few UEs on grids of
+    up to 64 cells, so blocks run up to the ticks that see a block and
+    cells stay without keys; offsets in [-3, 6] dB (ping-pong below 0),
+    TTT windows up to three RS periods, speed 0 or fast, collection
+    periods that make first-visit handovers wait several ticks,
+    prediction with leads of up to 12 ticks, wrap on and off and horizons
+    off the RS grid."""
     rs = draw(st.sampled_from([40, 100, 160]))
     period = draw(st.sampled_from([300, 1000, 2500]))
     values = {
@@ -408,9 +425,7 @@ def chain_configs(draw):
 
 
 def _artifacts(config) -> dict[str, bytes]:
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_run_artifacts(run_simulation(config), tmp)
-        return {Path(p).name: Path(p).read_bytes() for p in paths.values()}
+    return _written(run_simulation(config))
 
 
 def _chain_example(rows, cols, wrap, ues, rs, offset, ttt, period, accuracy, lead, horizon, seed):
@@ -425,10 +440,12 @@ def _chain_example(rows, cols, wrap, ues, rs, offset, ttt, period, accuracy, lea
     return apply_settings(RunConfig(), {k: str(v).lower() for k, v in values.items()})
 
 
-# Runs whose bytes change if a wait does not end its UE's chain, if a UE
-# is not evaluated afresh once its wait ends, or if its forecast rows are
-# not (the first two); and if the first windows reach before tick 0 (the
-# third, whose 100 ms window spans three ticks).
+# Runs found by a search to reach the block loop's rarer paths, kept as
+# byte-equality inputs.  Their bytes change if a wait does not end its
+# UE's chain (the first and third), if a block runs on past the tick that
+# sees a block while keys are not yet visible (all three), and if the
+# first windows reach before tick 0 (the third, whose 100 ms window spans
+# three ticks).
 @example(_chain_example(2, 7, False, 2, 40, 2.5, 107, 1000, 0.7, 14, 3443, 91))
 @example(_chain_example(5, 2, True, 7, 40, 0.0, 4, 300, 0.3, 256, 735, 2444))
 @example(_chain_example(6, 6, False, 12, 40, -2.5, 100, 1000, 0.7, 370, 283, 136))
@@ -436,11 +453,66 @@ def _chain_example(rows, cols, wrap, ues, rs, offset, ttt, period, accuracy, lea
 @given(st.one_of(run_configs(), chain_configs()))
 def test_block_length_does_not_change_a_byte(config):
     # Blocks of 1, 2 and 3 ticks and the derived lengths resolve the same
-    # serving chains: a handover that waits ends its UE's chain, one that
-    # finishes waiting restarts it (forecast rows included), and the
-    # windows at the run's start reach back to tick 0 only.
+    # serving chains: a handover that waits ends its UE's chain, waits end
+    # on a block's last tick so the next block starts the chain afresh,
+    # and the windows at the run's start reach back to tick 0 only.
     derived = _artifacts(config)
     assert derived == run_oracle(config)
     for length in (1, 2, 3):
         with mock.patch("ncsecsim.simulation._block_length", lambda *args, n=length: n):
             assert _artifacts(config) == derived, f"block length {length}"
+
+
+@contextmanager
+def recorded_chains():
+    """Record the ``_Chains`` of every block a run makes, in block order."""
+    made = []
+
+    class Recording(simulation._Chains):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(simulation, "_Chains", Recording):
+        yield made
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(run_configs(), chain_configs()))
+def test_waits_end_where_blocks_end(config):
+    # With long blocks, every handover that waited for its keys completes
+    # on the last tick of a block, and the bytes stay the oracle's.
+    long_blocks = mock.patch.object(simulation, "_block_length", lambda *_: 16)
+    with recorded_chains() as chains, long_blocks:
+        result = run_simulation(config)
+    sizes = [len(c.fires) for c in chains]
+    rs = config.scenario.rs_period_ms
+    last_ticks = set(((np.cumsum(sizes) - 1) * rs).tolist())
+    waited = [view for view in result.completed if view.key_path is KeyPath.LEDGER_FIRST_HO]
+    assert [view.t_complete for view in waited if view.t_complete not in last_ticks] == []
+    assert _written(result) == run_oracle(config)
+
+
+def test_sparse_ledger_run_evaluates_few_trigger_entries():
+    # 16x16 cells and 20 UEs over 300 s: cells stay without keys for long
+    # and blocks run long.  The chains evaluate at most 1.25 trigger
+    # entries per UE-tick; counts, unlike timings, do not vary by host.
+    config = RunConfig(
+        scenario=ScenarioConfig(rows=16, cols=16, num_ues=20), horizon_ms=300_000, seed=1
+    )
+    with recorded_chains() as chains:
+        run_simulation(config)
+    ue_ticks = 20 * (300_000 // 160 + 1)
+    assert sum(len(c.fires) for c in chains) == 300_000 // 160 + 1
+    assert sum(c.entries for c in chains) <= 1.25 * ue_ticks
+
+
+def test_a_timeout_below_the_period_fires_at_any_block_length():
+    # Only a configuration that skips validation can set one; whether it
+    # fires must not depend on where blocks end.  The run's last tick sees
+    # a block, so every wait ends at a block's end.
+    config = RunConfig(seed=0, horizon_ms=8000, ledger=LedgerConfig(1000, 500))
+    for length in (1, 16):
+        with mock.patch.object(simulation, "_block_length", lambda *_, n=length: n):
+            with pytest.raises(HoPreparationTimeout):
+                run_simulation(config)
