@@ -78,7 +78,6 @@ from .handover import (
     PredictionConfig,
     cumulative_key_exchanges,
     replay_key_signaling,
-    upload_key_set,
 )
 from .attack import (
     AdversaryConfig,

@@ -17,7 +17,11 @@ from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
 from .keydist import SCHEME_BY_LABEL, Scheme
-from .mobility import BOX_REACH_ISD
+from .mobility import BOX_MIN_CELLS, BOX_REACH_ISD
+
+# The most received powers one forecast call may compute: 32 MiB per
+# float64 array of them.
+FORECAST_POWERS = 2**22
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,17 @@ def validate(config: RunConfig) -> None:
             f"ledger.ho_timeout_ms={config.ledger.ho_timeout_ms} is below "
             f"ledger.collection_period_ms={config.ledger.collection_period_ms}: "
             "a first-visit handover can wait a whole period for its keys"
+        )
+    # A ledger run's forecast computes, per UE and lead tick, the powers
+    # that ``CellGrid.trigger_targets`` computes: a box's 10, or a full row.
+    lead_ticks = max(1, -(-config.prediction.lead_ms // sc.rs_period_ms))
+    box = sc.num_cells >= BOX_MIN_CELLS and sc.pl_exponent > 0
+    powers = sc.num_ues * lead_ticks * (10 if box else sc.num_cells)
+    forecasts = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
+    if forecasts and powers > FORECAST_POWERS:
+        raise ConfigError(
+            f"prediction.lead_ms: a forecast of {lead_ticks} lead ticks for {sc.num_ues} UEs "
+            f"computes {powers} powers at once, above {FORECAST_POWERS}"
         )
     if config.horizon_ms < 0:
         raise ConfigError("horizon_ms: must be >= 0")

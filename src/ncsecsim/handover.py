@@ -24,19 +24,21 @@ records each broadcast once.
 A run's handovers live in one ``HoTable``: parallel columns, one row per
 trigger in start order, and each cell's key-set upload time.  ``start``
 starts a tick's handovers, which complete at once or, on the ledger
-scheme's first visit, wait for their keys; ``finish_waiting`` completes
-the waiting ones once the clock reaches their block's ``key_boundary``.
-The event loop in ``simulation`` is the only driver of the table.
+scheme's first visit, wait for their keys until the RS instant that sees
+their block (``key_outcome``, decided at start); ``finish_waiting``
+completes them once the clock reaches it.  The event loop in
+``simulation`` is the only driver of the table.
 
 Signals are not logged as they happen.  Every row of a trace follows
 from a table's columns and upload times, so one builder makes the trace
 after the run: ``HoTable.trace`` for the run's own scheme, and
 ``replay_key_signaling`` for another scheme, from the patterns and
-completion times that the trigger columns imply.
+completion times that ``key_outcome`` gives on the trigger columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -44,17 +46,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
-from .integrity import KeyRing
 from .keydist import Scheme
 from .ledger import (
     KIND_CODE,
     SIGNALING_WINDOW_MS,
-    CandidateEntry,
-    EntryKind,
     SignalKind,
     SignalRecord,
     SignalTrace,
-    SimulatedLedger,
     as_trace,
 )
 
@@ -78,10 +76,6 @@ class PredictionConfig:
             raise InvalidParameter("prediction lead must be >= 0")
 
 
-def _bsh(cell: int) -> str:
-    return f"bsh{cell}"
-
-
 def key_boundary(upload_ms, collection_period_ms: int):
     """The collection boundary whose block carries an upload at
     ``upload_ms`` (an int or an int array): the first at or after it."""
@@ -96,12 +90,21 @@ def key_seen(upload_ms, collection_period_ms: int, rs_period_ms: int):
     return -(-boundary // rs_period_ms) * rs_period_ms
 
 
-def upload_key_set(ledger: SimulatedLedger, cell: int, keys: KeyRing, now: int) -> bool:
-    """Submit ``cell``'s key set to ``ledger`` at ``now``; returns whether
-    it was accepted.  Submission is idempotent, so a cell whose key set is
-    already pending or ledgered is not uploaded again."""
-    entry = CandidateEntry(EntryKind.CELL_KEY_SET, _bsh(cell), keys, now, str(cell))
-    return ledger.submit_candidate(entry).accepted
+def key_outcome(t_trigger, seen_ms):
+    """The start pattern and completion instant of a ledger handover
+    triggered at ``t_trigger`` whose target's upload is seen at ``seen_ms``
+    (``key_seen``; ints or int arrays alike): up to that instant it joins
+    the upload and completes there, later it is steady and completes at
+    its trigger."""
+    late = t_trigger > seen_ms
+    return _JOIN - late * (_JOIN - _STEADY), seen_ms + late * (t_trigger - seen_ms)
+
+
+def key_blocks(upload_ms, end_ms: int, collection_period_ms: int):
+    """The boundaries of the blocks verified by ``end_ms`` that carry
+    uploads at ``upload_ms``, and how many of the uploads each carries."""
+    boundary = key_boundary(np.asarray(upload_ms, dtype=np.int64), collection_period_ms)
+    return np.unique(boundary[boundary <= end_ms], return_counts=True)
 
 
 # Endpoint roles in a trace block: serving BS, target BS (or the uploading
@@ -154,17 +157,18 @@ _COLUMNS = ("ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern")
 
 def _signal_trace(
     columns: Sequence[Sequence[int]],
-    uploads: Sequence[tuple[int, int]] = (),
-    broadcasts: Sequence[int] = (),
+    uploads: Sequence[tuple[int, int]],
+    end_ms: int,
+    collection_period_ms: int,
 ) -> SignalTrace:
     """The signal trace of a set of handovers, in time order.
 
-    ``columns`` are the handovers' ``_COLUMNS``, ``uploads`` the key-set
-    uploads as (time, cell) in upload order and ``broadcasts`` the times
-    of the blocks.  Each handover has a start block at its trigger
-    (its pattern's template), and one that waited and completed has a
-    completion block at its completion; an upload that no handover made
-    is a prestaged upload row, and every block one broadcast row.
+    ``columns`` are the handovers' ``_COLUMNS`` and ``uploads`` the
+    key-set uploads as (time, cell) in upload order.  Each handover has a
+    start block at its trigger (its pattern's template), and one that
+    waited and completed has a completion block at its completion; an
+    upload that no handover made is a prestaged upload row, and every
+    block verified by ``end_ms`` one broadcast row.
 
     Within one tick the loop acts in four phases, and its signals follow
     them: prestaged uploads, in upload order; each starting UE's start
@@ -178,6 +182,7 @@ def _signal_trace(
         np.asarray(c, dtype=np.int64) for c in columns
     )
     up_t, up_cell = np.asarray(uploads, dtype=np.int64).reshape(-1, 2).T
+    broadcasts, _ = key_blocks(up_t, end_ms, collection_period_ms)
     prestaged = ~np.isin(up_cell, t_cell[pattern == _UPLOAD])
     up_t, up_cell = up_t[prestaged], up_cell[prestaged]
     done = np.flatnonzero((pattern >= _UPLOAD) & (t_complete >= 0))
@@ -191,7 +196,7 @@ def _signal_trace(
     parts = (
         (up_t, 0, 0, _PRESTAGE, 0, up_ids, 0),
         (t_trigger, 1, ue, pattern, s_ids, t_ids, u_ids),
-        (np.asarray(broadcasts, dtype=np.int64), 2, 0, _BROADCAST, 0, 0, 0),
+        (broadcasts, 2, 0, _BROADCAST, 0, 0, 0),
         (t_complete[done], 3, ue[done], _FINISH, s_ids[done], t_ids[done], u_ids[done]),
     )
     time, phase, who, template, *ends = (
@@ -214,7 +219,7 @@ def _signal_trace(
         times[first[has] + j] = time[has]
         rows[:, first[has] + j] = kind, ends[has, src], ends[has, dst]
     names = [
-        *_FIXED_NAMES, *(_bsh(c) for c in cells.tolist()), *(f"ue{u}" for u in ues.tolist())
+        *_FIXED_NAMES, *(f"bsh{c}" for c in cells.tolist()), *(f"ue{u}" for u in ues.tolist())
     ]
     return SignalTrace.from_columns(times, *rows, names)
 
@@ -227,24 +232,29 @@ class HoTable(Sequence["HoView"]):
     ``t_complete`` (-1 while waiting); and ``pattern``, the start pattern.
     ``waiting`` maps each UE whose handover waits for its keys to its row.
     The columns are lists, to which the run appends.  ``uploaded_at`` is
-    each cell's upload time (-1 for none) and ``uploads`` the cells in
-    upload order; keys are visible from ``key_boundary`` on, judged by
-    ``clock``, the last ``finish_waiting`` time.  Indexing and
-    iteration yield ``HoView``s, and ``trace`` builds the signal trace.
+    each cell's upload time (-1 for none), ``seen_at`` the RS instant that
+    sees its block (``key_seen``) and ``uploads`` the cells in upload
+    order.  ``start`` decides each outcome from ``seen_at``
+    (``key_outcome``), and ``clock``, the last ``finish_waiting`` time,
+    says which have happened.  Indexing and iteration yield ``HoView``s,
+    and ``trace`` builds the signal trace.
     """
 
     def __init__(
-        self, scheme: Scheme, cells: int, collection_period_ms: int, timeout_ms: int | None = None
+        self, scheme: Scheme, cells: int, collection_period_ms: int, rs_period_ms: int,
+        timeout_ms: int | None = None,
     ):
-        if collection_period_ms <= 0:
-            raise InvalidParameter("collection period must be positive")
+        if collection_period_ms <= 0 or rs_period_ms <= 0:
+            raise InvalidParameter("collection and RS periods must be positive")
         self._uses_ledger = scheme is Scheme.BLOCKCHAIN
-        self.period = int(collection_period_ms)
+        self.period, self.rs = int(collection_period_ms), int(rs_period_ms)
         self.timeout_ms = 2 * self.period if timeout_ms is None else timeout_ms
         for name in _COLUMNS:
             setattr(self, name, [])
         self.waiting: dict[int, int] = {}
+        self._late = (math.inf, -1, -1)  # the earliest missed deadline: (t, UE, cell)
         self.uploaded_at = [-1] * cells
+        self.seen_at = [-1] * cells
         self.uploads: list[int] = []
         self.clock = -1
 
@@ -256,6 +266,7 @@ class HoTable(Sequence["HoView"]):
         if self.uploaded_at[cell] >= 0:
             return False
         self.uploaded_at[cell] = now
+        self.seen_at[cell] = key_seen(now, self.period, self.rs)
         self.uploads.append(cell)
         return True
 
@@ -265,10 +276,11 @@ class HoTable(Sequence["HoView"]):
         """Start the handovers of UEs that fired at ``now``, given in UE id
         order; returns which of them completed at once.
 
-        A baseline handover, or a ledger one whose target cell's keys are
-        visible, completes at once.  A ledger first visit uploads the
-        target cell's key set, or joins its upload, and waits.  A bad
-        handover raises before any of the batch is recorded.
+        A baseline handover, or a ledger one after the RS instant that
+        sees its target's block, completes at once.  A ledger first visit
+        uploads the target cell's key set, or joins its upload, and waits
+        for that instant.  A bad handover raises before any of the batch
+        is recorded.
         """
         for ue, s, t in zip(ues, s_cells, t_cells):
             if s == t:
@@ -278,59 +290,72 @@ class HoTable(Sequence["HoView"]):
         completed = []
         for ue, s, t in zip(ues, s_cells, t_cells):
             if not self._uses_ledger:
-                pattern = _BASELINE
-            elif self.upload(t, now):
-                pattern = _UPLOAD
-            elif key_boundary(self.uploaded_at[t], self.period) > self.clock:
-                pattern = _JOIN
+                pattern, t_done = _BASELINE, now
             else:
-                pattern = _STEADY
+                uploaded = self.upload(t, now)
+                pattern, t_done = key_outcome(now, self.seen_at[t])
+                if uploaded:
+                    pattern = _UPLOAD
             done = pattern <= _STEADY
             if not done:
                 self.waiting[ue] = len(self.ue_id)
+                deadline = now + self.timeout_ms
+                verified = key_boundary(self.uploaded_at[t], self.period)
+                if verified > deadline and deadline < self._late[0]:
+                    self._late = (deadline, ue, t)
+                t_done = -1
             self.ue_id.append(ue)
             self.s_cell.append(s)
             self.t_cell.append(t)
             self.t_trigger.append(now)
-            self.t_complete.append(now if done else -1)
+            self.t_complete.append(t_done)
             self.pattern.append(pattern)
             completed.append(done)
         return np.array(completed, dtype=bool)
 
     def finish_waiting(self, now: int) -> list[tuple[int, int]]:
         """Advance the clock to ``now`` and complete, in UE id order, the
-        waiting handovers whose keys are visible; returns their (UE id,
-        target cell).
+        waiting handovers whose completion instant has come; returns their
+        (UE id, target cell).
 
         Raises ``HoPreparationTimeout`` once ``now`` is past the timeout
         of one whose keys verify after it, so the outcome does not depend
         on which instants advance the clock.
         """
         self.clock = now
+        deadline, late_ue, cell = self._late
+        if now > deadline:
+            raise HoPreparationTimeout(
+                f"ue{late_ue}: keys for domain {cell} not ledgered within {self.timeout_ms} ms"
+            )
         finished = []
         for ue in sorted(self.waiting):
             i = self.waiting[ue]
-            t, deadline = self.t_cell[i], self.t_trigger[i] + self.timeout_ms
-            boundary = key_boundary(self.uploaded_at[t], self.period)
-            if now > deadline and boundary > deadline:
-                raise HoPreparationTimeout(
-                    f"ue{ue}: keys for domain {t} not ledgered within {self.timeout_ms} ms"
-                )
-            if boundary > now:
+            t = self.t_cell[i]
+            if self.seen_at[t] > now:
                 continue
-            self.t_complete[i] = now
+            self.t_complete[i] = self.seen_at[t]
             del self.waiting[ue]
             finished.append((ue, t))
         return finished
 
+    def next_seen(self, now: int) -> int | None:
+        """While some cell's keys are not seen before ``now``, the first RS
+        instant at or after ``now`` that sees a block, where waits can end;
+        None once all are seen, and on the baseline schemes."""
+        uploads = self.uploads
+        if self._uses_ledger and (
+            len(uploads) < len(self.seen_at) or (uploads and self.seen_at[uploads[-1]] >= now)
+        ):
+            return key_seen(now - self.rs + 1, self.period, self.rs)
+        return None
+
     def trace(self) -> SignalTrace:
         """The signal trace of the table's handovers, uploads and the
         blocks up to the clock, in time order."""
-        cells = np.array(self.uploads, dtype=np.int64)
-        times = np.array(self.uploaded_at, dtype=np.int64)[cells]
-        blocks = key_boundary(times, self.period)
+        uploads = [(self.uploaded_at[c], c) for c in self.uploads]
         columns = [getattr(self, name) for name in _COLUMNS]
-        return _signal_trace(columns, np.c_[times, cells], np.unique(blocks[blocks <= self.clock]))
+        return _signal_trace(columns, uploads, self.clock, self.period)
 
     def summary_rows(self) -> list[tuple[int, ...]]:
         """The ``ho_summary.csv`` rows of the completed handovers in start
@@ -401,10 +426,9 @@ class HoView:
         """The handover's signals: its start block, the broadcast that
         carried its upload, then its completion block."""
         tab = self.table
-        carried = self.did_upload and self.complete
-        broadcasts = [key_boundary(tab.uploaded_at[self.t_cell], tab.period)] if carried else []
+        uploads = [(tab.uploaded_at[self.t_cell], self.t_cell)] if self.did_upload else []
         row = [[getattr(tab, name)[self.row]] for name in _COLUMNS]
-        return list(_signal_trace(row, (), broadcasts))
+        return list(_signal_trace(row, uploads, tab.t_complete[self.row], tab.period))
 
 
 # ----------------------------------------------------------------------
@@ -437,26 +461,23 @@ def replay_key_signaling(
     ``HoTable.trace``.
 
     Baseline handovers complete at their trigger.  Under the ledger
-    scheme each cell's first trigger uploads its key set, which verifies
-    at the first collection boundary at or after it; blocks verify up to
-    the last RS instant at or before the horizon, and the loop sees a
-    block at the first RS instant at or after its boundary.  A trigger up
-    to that instant joins the upload and a later one is steady; each
-    completes at the later of its trigger and that instant.
+    scheme each cell's first trigger uploads its key set, and every
+    trigger takes its pattern and completion instant from the RS instant
+    that sees that upload (``key_seen``, then ``key_outcome``); blocks
+    verify up to the last RS instant at or before the horizon, and a
+    handover whose block does not stays incomplete.
     """
     ue, s_cell, t_cell, t_trigger = (
         np.asarray(getattr(events, name), dtype=np.int64) for name in _COLUMNS[:4]
     )
-    if scheme is not Scheme.BLOCKCHAIN:
-        pattern = np.full(len(ue), _BASELINE)
-        return _signal_trace((ue, s_cell, t_cell, t_trigger, t_trigger, pattern))
-    _, first, cell = np.unique(t_cell, return_index=True, return_inverse=True)
-    boundary = key_boundary(t_trigger[first], collection_period_ms)
-    verified = boundary <= horizon_ms // rs_period_ms * rs_period_ms
-    seen = key_seen(t_trigger[first], collection_period_ms, rs_period_ms)[cell]
-    pattern = np.where(t_trigger > seen, _STEADY, _JOIN)
-    pattern[first] = _UPLOAD
-    t_complete = np.where(verified[cell], np.maximum(t_trigger, seen), -1)
-    return _signal_trace(
-        (ue, s_cell, t_cell, t_trigger, t_complete, pattern), (), np.unique(boundary[verified])
-    )
+    end = horizon_ms // rs_period_ms * rs_period_ms
+    uploads, pattern, t_complete = (), np.full(len(ue), _BASELINE), t_trigger
+    if scheme is Scheme.BLOCKCHAIN:
+        _, first, cell = np.unique(t_cell, return_index=True, return_inverse=True)
+        uploads = np.c_[t_trigger[first], t_cell[first]]
+        seen = key_seen(uploads[:, 0], collection_period_ms, rs_period_ms)
+        pattern, t_complete = key_outcome(t_trigger, seen[cell])
+        pattern[first] = _UPLOAD
+    t_complete = np.where(t_complete <= end, t_complete, -1)
+    columns = (ue, s_cell, t_cell, t_trigger, t_complete, pattern)
+    return _signal_trace(columns, uploads, end, collection_period_ms)

@@ -61,11 +61,11 @@ def _check_mac_homomorphism() -> None:
 
 def _check_ledger_batching() -> None:
     # two first visits in one collection period share one block
-    hos = HoTable(Scheme.BLOCKCHAIN, 4, 1000)
+    hos = HoTable(Scheme.BLOCKCHAIN, 4, 1000, 160)
     assert not hos.start([0, 1], [0, 0], [1, 2], 160).any()
-    assert hos.finish_waiting(1000) == [(0, 1), (1, 2)]
+    assert hos.finish_waiting(1120) == [(0, 1), (1, 2)]  # the RS instant that sees 1000
     assert hos.start([2], [3], [1], 2000)[0]
-    baseline = HoTable(Scheme.DOUBLE_RANDOM, 4, 1000)
+    baseline = HoTable(Scheme.DOUBLE_RANDOM, 4, 1000, 160)
     assert baseline.start([3], [1], [3], 2000)[0]
     assert [h.key_signal_count for h in (*hos, *baseline)] == [3, 3, 1, 2]
     assert hos.uploads == [1, 2] and baseline.uploads == []

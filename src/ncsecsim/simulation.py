@@ -20,14 +20,15 @@ cell holds until it fires, and its target serves from the next tick on
 (``_Chains``).  The forecast then runs once over every tick, UE and lead
 tick of the block on that serving timeline.  A walk over the block's
 ticks does the ordered work: prestage draws in UE order and handover
-starts.  A handover that waits ends its UE's chain.  Waits end only at
-ticks that see a block (``handover.key_seen``); while some cell's keys
-are not yet visible, a block ends at the first such tick and completes
-its waits there.  Blocks grow while re-evaluating chains
-costs less than the calls they save and shrink toward one tick when
-UEs fire densely (``_block_length``); a block holds at most
-``BLOCK_SAMPLES`` samples, so large runs go one tick at a time.  The
-block length changes no byte and no draw.
+starts.  A handover that waits ends its UE's chain.  A wait ends at the
+tick that sees its block, decided when the handover starts; while some
+cell's keys are not yet visible, a block ends at the first tick that
+sees a block (``HoTable.next_seen``) and completes its waits there.
+Blocks grow while re-evaluating chains costs less than the calls they
+save and shrink toward one tick when UEs fire densely
+(``_block_length``); a block holds at most ``BLOCK_SAMPLES`` samples, so
+large runs go one tick at a time.  The block length changes no byte and
+no draw.
 
 All randomness flows from one master seed through named substreams
 (placement, key material, prediction, fading), so identical seed and
@@ -44,7 +45,7 @@ import csv
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,7 @@ from .handover import (
     HoTable,
     HoView,
     cumulative_key_exchanges,
-    key_boundary,
-    key_seen,
+    key_blocks,
     replay_key_signaling,
 )
 from .integrity import KeyRing, generate_domain_keys
@@ -150,7 +150,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         field_of_order(config.security.q), rng_keys,
     )
 
-    handovers = HoTable(config.scheme, grid.num_cells, period, config.ledger.ho_timeout_ms)
+    handovers = HoTable(config.scheme, grid.num_cells, period, rs, config.ledger.ho_timeout_ms)
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
     uploaded_at, uploads = handovers.uploaded_at, handovers.uploads
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
@@ -181,13 +181,10 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         # trigger call, and the forecast's ``advance`` and trigger.
         size = min(_block_length(chains, cap, 3 if forecasting else 1), ticks - tick)
         # Waits end only at ticks that see a block.  While some cell's keys
-        # are not yet visible, the block ends at the first tick that sees
-        # a block verified after the previous tick.
-        if own_uses_ledger and (
-            len(uploads) < grid.num_cells
-            or key_seen(uploaded_at[uploads[-1]], period, rs) >= tick * rs
-        ):
-            size = min(size, key_seen((tick - 1) * rs + 1, period, rs) // rs - tick + 1)
+        # are not yet visible, the block ends at the first such tick.
+        seen = handovers.next_seen(tick * rs)
+        if seen is not None:
+            size = min(size, seen // rs - tick + 1)
         block = np.empty((window - 1 + size, *tail.shape[1:]))
         block[: window - 1] = tail
         # A forecast can prestage only while some cell has not uploaded.
@@ -250,15 +247,18 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         for scheme in _ALL_SCHEMES
     }
 
-    # The ledger's uploads, drawing the rings in upload order, and a block
-    # per boundary up to the last tick; uploads come in time order.
+    # The ledger's uploads, drawing the rings in upload order, and the
+    # blocks verified by the last tick; uploads come in time order.
     entries = [
         CandidateEntry(EntryKind.CELL_KEY_SET, f"bsh{c}", cell_keys[c], uploaded_at[c], str(c))
         for c in uploads
     ]
-    grouped = groupby(entries, key=lambda e: key_boundary(e.submitted_at, period))
-    verified = [(b, tuple(held)) for b, held in grouped if b <= handovers.clock]
-    blocks = [LedgerBlock(h, held, b) for h, (b, held) in enumerate(verified, start=1)]
+    held = iter(entries)
+    boundaries, sizes = key_blocks([e.submitted_at for e in entries], handovers.clock, period)
+    blocks = [
+        LedgerBlock(h, tuple(islice(held, n)), b)
+        for h, (b, n) in enumerate(zip(boundaries.tolist(), sizes.tolist()), start=1)
+    ]
 
     return SimulationResult(
         config=config,

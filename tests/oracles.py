@@ -14,6 +14,8 @@ import bisect
 import csv
 import io
 from collections import namedtuple
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -114,6 +116,27 @@ def mark_uniform_subsets_oracle(mask, size: int, rng) -> None:
     call (the sampler's original form; ``sample_holdings`` must match it)."""
     draws = rng.random(mask.shape)
     np.less_equal(draws, np.partition(draws, size - 1, axis=1)[:, size - 1 : size], out=mask)
+
+
+def double_random_safe_oracle(L: int, s: int, l: int, c: int) -> Fraction:
+    """Exact probability that a benign hop holding a uniform s-subset of
+    the L keys holds a source tag key (one of a uniform l-subset) that
+    none of c colluders, each with its own uniform s-subset, holds.
+
+    The hop's tag keys number X ~ Hypergeometric(L, l, s).  Given X = x,
+    inclusion-exclusion over the j of them that every colluder misses,
+    each colluder missing j given keys with probability
+    C(L - j, s) / C(L, s), gives the chance that some key is left."""
+    hands = comb(L, s)
+    safe = Fraction(0)
+    for x in range(1, min(l, s) + 1):
+        p_x = Fraction(comb(l, x) * comb(L - l, s - x), hands)
+        left = sum(
+            (-1) ** (j + 1) * comb(x, j) * Fraction(comb(L - j, s), hands) ** c
+            for j in range(1, x + 1)
+        )
+        safe += p_x * left
+    return safe
 
 
 def ho_trigger_oracle(history, serving: int, ul_offset_db: float, ul_ttt_ms: int):

@@ -39,6 +39,20 @@ def test_records_a_point_when_every_run_is_clean(recorder, tmp_path):
     assert [r["failed"] for r in point["runs"]["city"]] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("value, recorded", [(None, False), ("", False), ("1", True)])
+def test_records_whether_bytecode_writing_is_off(
+    recorder, tmp_path, monkeypatch, value, recorded
+):
+    # Python turns bytecode writing off for any non-empty value.
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert recorder.main() == 0
+    point = json.loads((tmp_path / "BENCH_1.json").read_text())
+    assert point["machine"]["pythondontwritebytecode"] is recorded
+
+
 @pytest.mark.parametrize(
     "workload, seed, trace, report",
     [

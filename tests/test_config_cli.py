@@ -192,6 +192,27 @@ def test_ho_timeout_equal_to_collection_period_is_accepted():
     assert cfg.ledger.ho_timeout_ms == cfg.ledger.collection_period_ms
 
 
+@pytest.mark.parametrize(
+    "grid, longest",
+    # 20 UEs: full rows of 16 powers on the 4x4 grid, a box's 10 on 8x8
+    [({}, 13_107), ({"scenario.rows": "8", "scenario.cols": "8"}, 20_971)],
+    ids=["full-row", "box"],
+)
+def test_a_forecast_too_large_to_allocate_is_a_config_error(grid, longest):
+    # Validation only: no run starts, so nothing of this size is allocated.
+    def with_lead(ms, **extra):
+        settings = {**grid, "prediction.enabled": "true", "prediction.lead_ms": str(ms), **extra}
+        return apply_settings(RunConfig(), settings)
+
+    assert with_lead(longest * 160).prediction.lead_ms == longest * 160
+    for ms in (longest * 160 + 1, 10**9):
+        with pytest.raises(ConfigError, match=r"^prediction\.lead_ms: "):
+            with_lead(ms)
+    # a run that does not forecast allocates nothing for it
+    with_lead(10**9, **{"prediction.enabled": "false"})
+    with_lead(10**9, scheme="hmac")
+
+
 def test_cli_exit_code_2_on_runtime_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -30,8 +30,8 @@ def kinds(view):
     return [s.kind for s in view.signals]
 
 
-def table(scheme=Scheme.BLOCKCHAIN, period=1000, **kw):
-    return HoTable(scheme, len(CELLS), period, **kw)
+def table(scheme=Scheme.BLOCKCHAIN, period=1000, rs=160, **kw):
+    return HoTable(scheme, len(CELLS), period, rs, **kw)
 
 
 def begin(hos, ue, src, dst, now):
@@ -40,9 +40,9 @@ def begin(hos, ue, src, dst, now):
     return hos[-1]
 
 
-def complete_at(hos, view, boundary):
-    """Advance the table's clock to ``boundary`` and finish ``view`` there."""
-    hos.finish_waiting(boundary)
+def complete_at(hos, view, now):
+    """Advance the table's clock to ``now`` and finish ``view`` by then."""
+    hos.finish_waiting(now)
     assert view.complete
     return view
 
@@ -58,10 +58,10 @@ def test_first_ho_emits_three_key_signals_in_order():
     hos = table()
     view = begin(hos, 0, 1, 7, 480)
     assert not view.complete and view.t_complete is None
-    complete_at(hos, view, 1000)
+    complete_at(hos, view, 1120)  # the RS instant that sees the block at 1000
     assert view.key_signal_count == 3
     assert view.key_path is KeyPath.LEDGER_FIRST_HO
-    assert view.complete and view.t_complete == 1000
+    assert view.complete and view.t_complete == 1120
     assert kinds(view) == [
         SignalKind.HO_REQUEST,
         SignalKind.CANDIDATE_UPLOAD,
@@ -79,7 +79,7 @@ def test_first_ho_emits_three_key_signals_in_order():
 
 def test_subsequent_ho_costs_one_key_signal_regardless_of_source():
     hos = table()
-    complete_at(hos, begin(hos, 0, 1, 7, 480), 1000)
+    complete_at(hos, begin(hos, 0, 1, 7, 480), 1120)
     for ue, src in enumerate((2, 9, 14), start=1):
         view = begin(hos, ue, src, 7, 2080)
         assert view.complete
@@ -137,7 +137,7 @@ def test_all_three_key_paths_return_complete_or_waiting():
     first = begin(hos, 2, 1, 2, 160)
     assert_complete_or_waiting(first)
     assert not first.complete
-    complete_at(hos, first, 1000)
+    complete_at(hos, first, 1120)
     views = [first, begin(hos, 3, 3, 2, 1160), begin(table(Scheme.C_COVER_FREE), 1, 1, 2, 1160)]
     assert [v.key_path for v in views] == list(KeyPath)
     for view in views:
@@ -151,7 +151,7 @@ def test_noop_handover_rejected():
 
 
 def test_missing_key_set_rejected():
-    hos = HoTable(Scheme.BLOCKCHAIN, 0, 1000)  # no cell has a key set
+    hos = HoTable(Scheme.BLOCKCHAIN, 0, 1000, 160)  # no cell has a key set
     with pytest.raises(InvalidParameter):
         hos.start([0], [1], [7], 160)
 
@@ -161,7 +161,7 @@ def test_cell_outside_the_grid_rejected_and_uploaded_once():
     # visit uploads it, a join does not upload again.  Lazily drawn rings:
     # membership draws none.
     keys = CellKeys(8, 4, 2, GF16, np.random.default_rng(0))
-    hos = HoTable(Scheme.BLOCKCHAIN, len(keys), 1000)
+    hos = HoTable(Scheme.BLOCKCHAIN, len(keys), 1000, 160)
     assert 9 not in keys and 7 in keys and len(keys) == 8 and not keys._rings
     for cell in (9, -1):
         with pytest.raises(InvalidParameter):
@@ -183,7 +183,7 @@ def test_cell_outside_the_grid_rejected_and_uploaded_once():
 )
 def test_start_checks_the_whole_batch_before_recording(targets, error):
     # ue1's bad handover leaves no trace of ue0's good one before it
-    hos = HoTable(Scheme.BLOCKCHAIN, 8, 1000)
+    hos = HoTable(Scheme.BLOCKCHAIN, 8, 1000, 160)
     with pytest.raises(error):
         hos.start([0, 1], [1, 2], targets, 160)
     assert len(hos) == 0 and hos.uploads == [] and hos.waiting == {}
@@ -191,7 +191,7 @@ def test_start_checks_the_whole_batch_before_recording(targets, error):
 
 def test_handover_with_a_ledger_signals_on_its_trace():
     hos = table()
-    view = complete_at(hos, begin(hos, 0, 1, 7, 160), 1000)
+    view = complete_at(hos, begin(hos, 0, 1, 7, 160), 1120)
     assert list(hos.trace()) == view.signals
     assert [r.kind for r in view.signals].count(SignalKind.BLOCK_BROADCAST) == 1
 
@@ -200,7 +200,7 @@ def test_every_completed_procedure_delivers_keys_once():
     hos = table()
     views = []
     for i in range(12):
-        now = 2000 * (i + 1)  # on a collection boundary
+        now = 4000 * (i + 1)  # on a collection boundary and an RS instant
         views.append(complete_at(hos, begin(hos, i, i % 4, 5 + (i % 3), now), now))
     for view in views:
         delivered = [s for s in view.signals if s.kind is SignalKind.KEY_TO_UE]
@@ -276,7 +276,7 @@ def test_prestaged_first_ho_completes_without_waiting():
     hos = table()
     assert hos.upload(7, 160)
     hos.finish_waiting(1000)  # block verifies ahead of the trigger
-    view = begin(hos, 0, 1, 7, 1120)
+    view = begin(hos, 0, 1, 7, 1280)  # after 1120, the RS instant that sees it
     assert view.complete and view.prep_wait_ms == 0
     assert view.key_signal_count == 1
     # upload + broadcast + delivery: still three key signals end to end
@@ -387,14 +387,14 @@ def handover_ticks(draw):
         ticks.append((k * rs, prestaged, batch))
     idle = draw(st.integers(0, period // rs + 2))
     ticks += [((n + j) * rs, [], []) for j in range(idle)]
-    return ticks, period
+    return ticks, period, rs
 
 
 @settings(max_examples=300, deadline=None)
 @given(handover_ticks(), st.sampled_from(list(Scheme)))
 def test_table_matches_the_scalar_oracle(case, scheme):
-    ticks, period = case
-    hos = table(scheme, period, timeout_ms=10**9)
+    ticks, period, rs = case
+    hos = table(scheme, period, rs, timeout_ms=10**9)
     for now, prestaged, batch in ticks:
         for cell in prestaged:
             hos.upload(cell, now)

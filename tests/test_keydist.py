@@ -21,7 +21,8 @@ from ncsecsim.keydist import (
     security_level,
 )
 
-from oracles import mark_uniform_subsets_oracle
+from ncsecsim._stats import binomial_sigma
+from oracles import double_random_safe_oracle, mark_uniform_subsets_oracle
 
 
 def test_required_tags_frozen_values():
@@ -93,6 +94,33 @@ def test_safe_keys_cover_free_matches_closed_form():
         est = safe_key_probability(cfg, c=c, rng=rng, trials=100_000)
         expect = (7 / 8) ** c
         assert est.ci_low <= expect <= est.ci_high
+
+
+# (L, s, l, c): the fig5 defaults at c = 0..7, then universes from 6 to 32
+# keys with hands and tag sets from sparse to nearly full.
+SAFE_KEY_CASES = [(16, 8, 8, c) for c in range(8)] + [
+    (6, 3, 2, 1), (8, 4, 4, 1), (8, 4, 4, 3), (10, 5, 3, 2),
+    (12, 6, 1, 1), (12, 10, 6, 2), (12, 10, 6, 5), (16, 4, 2, 1),
+    (16, 12, 4, 3), (20, 6, 4, 1), (20, 6, 4, 3), (24, 8, 8, 2),
+    (32, 16, 8, 2), (32, 16, 8, 6), (32, 4, 4, 1), (32, 24, 16, 4),
+]
+
+
+def test_safe_keys_double_random_matches_the_exact_law():
+    # Every estimate lies within 4 sigma of the exact value.  A 95 %
+    # Wilson interval misses it about once in 20 cases, so the intervals
+    # miss at most 4 of the 24: more happens with probability 0.6 %.
+    rng = np.random.default_rng(30)
+    missed = []
+    for L, s, l, c in SAFE_KEY_CASES:
+        cfg = SchemeConfig(Scheme.DOUBLE_RANDOM, l=l, L=L, s=s)
+        est = safe_key_probability(cfg, c=c, rng=rng, trials=100_000)
+        exact = double_random_safe_oracle(L, s, l, c)
+        sigma = binomial_sigma(float(exact), est.trials)
+        assert abs(est.value - exact) <= 4 * sigma, (L, s, l, c, est.value, float(exact))
+        if not est.ci_low <= exact <= est.ci_high:
+            missed.append((L, s, l, c))
+    assert len(missed) <= 4, missed
 
 
 def test_safe_keys_baselines_monotone_non_increasing():

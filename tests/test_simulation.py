@@ -22,7 +22,12 @@ from ncsecsim.config import (
 )
 from ncsecsim.errors import HoPreparationTimeout, InvalidParameter
 from ncsecsim.gf import field
-from ncsecsim.handover import KeyPath, PredictionConfig, cumulative_key_exchanges
+from ncsecsim.handover import (
+    KeyPath,
+    PredictionConfig,
+    cumulative_key_exchanges,
+    replay_key_signaling,
+)
 from ncsecsim.integrity import generate_domain_keys
 from ncsecsim.keydist import Scheme
 from ncsecsim.ledger import (
@@ -378,6 +383,21 @@ def test_run_matches_the_whole_run_oracle(config):
     # ``ledger.ho_timeout_ms`` at least one period, so it cannot fire.
     period, rs = config.ledger.collection_period_ms, config.scenario.rs_period_ms
     assert all(view.prep_wait_ms < period + rs for view in result.completed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_configs())
+def test_a_ledger_run_is_the_replay_of_its_own_triggers(config):
+    # One model decides a ledger handover's pattern and completion, in the
+    # run and in the replay.  Without prediction every upload is a
+    # trigger's, so the replay of a run's triggers is the run's own trace.
+    config = dataclasses.replace(config, scheme=Scheme.BLOCKCHAIN, prediction=PredictionConfig())
+    result = run_simulation(config)
+    replayed = replay_key_signaling(
+        result.events, Scheme.BLOCKCHAIN, config.horizon_ms,
+        config.scenario.rs_period_ms, config.ledger.collection_period_ms,
+    )
+    assert list(replayed) == list(result.trace)
 
 
 def test_run_builds_no_ledger():

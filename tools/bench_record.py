@@ -12,8 +12,10 @@ one process at a time, then one ``--trace 1`` run of seed 1 per workload.
 under ``perfbench/``.  The file has the schema of ``perfbench/BENCH_1.json``
 (median, q1, q3, spread = (q3 - q1) / median and n per metric, raw CPU
 seconds per operation, per-layer metrics of seed 1), plus the commit
-measured and every run's metrics with its ``attempted`` and ``failed``
-counts.  The script refuses to run while ``src/`` has uncommitted changes,
+measured, every run's metrics with its ``attempted`` and ``failed``
+counts, and under ``machine`` the CPU count, the Python and numpy
+versions and whether ``PYTHONDONTWRITEBYTECODE`` is set.  The script
+refuses to run while ``src/`` has uncommitted changes,
 since the point would then name a commit that is not what was measured,
 and it writes no point once any run reports failed operations or
 ``correct: false``; the error names the workload and the seed.
@@ -141,6 +143,9 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
+            # Without bytecode every set-up process compiles ``src/``,
+            # which shows in ``setup_s``.
+            "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         },
         "command": COMMAND,
         "seeds": SEEDS,
