@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NcSecError, OSError, MemoryError) as exc:
+    except (NcSecError, OSError, MemoryError, OverflowError, FloatingPointError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

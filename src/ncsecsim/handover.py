@@ -448,8 +448,8 @@ def replay_key_signaling(
     events: HoTable,
     scheme: Scheme,
     horizon_ms: int,
-    rs_period_ms: int = 160,
-    collection_period_ms: int = 1000,
+    rs_period_ms: int,
+    collection_period_ms: int,
 ) -> SignalTrace:
     """Signal trace of a time-ordered trigger stream under one
     key-sharing policy, with no per-UE concurrency limits.
@@ -458,7 +458,8 @@ def replay_key_signaling(
     ``t_cell`` and ``t_trigger`` (a run's ``HoTable``, or any object with
     those four int sequences).  The patterns and completion times follow
     from them as in the event loop, and the trace from those as in
-    ``HoTable.trace``.
+    ``HoTable.trace``.  A run's table replays at its own ``rs`` and
+    ``period``.
 
     Baseline handovers complete at their trigger.  Under the ledger
     scheme each cell's first trigger uploads its key set, and every

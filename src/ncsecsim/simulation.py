@@ -7,9 +7,10 @@ shadowing or the measurement dump), optionally forecasts imminent
 handovers for key prestaging, starts triggered handovers, and then
 completes those blocked on key sharing whose block has verified.  Every
 handover is a row of one ``handover.HoTable``, which also holds each
-cell's key-set upload time; the loop drives no ledger.  After the last
-tick the ledger's uploads and blocks, and the signal trace, are built
-from the table.
+cell's key-set upload time; the loop drives no ledger.  The run's result
+is that table: the signal traces, the ledger's uploads and blocks, and
+the uploaded cells' key rings are built from the table and the config
+when first read (``SimulationResult``).
 
 The loop runs over blocks of ticks.  Motion does not depend on handover
 state, so a block first makes the positions (and power rows) of all its
@@ -34,7 +35,7 @@ All randomness flows from one master seed through named substreams
 (placement, key material, prediction, fading), so identical seed and
 configuration give byte-identical artifacts.
 
-For scheme comparisons the run derives the other kind of scheme's
+For scheme comparisons the result derives the other kind of scheme's
 trace from the table's trigger columns; the resulting curves differ only
 in key signaling, never in mobility.
 """
@@ -42,7 +43,6 @@ in key signaling, never in mobility.
 from __future__ import annotations
 
 import csv
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -52,7 +52,7 @@ import numpy as np
 
 from .config import RunConfig, write_config_echo
 from .errors import IoError
-from .gf import FieldSpec, field_of_order
+from .gf import field_of_order
 from .handover import (
     HoTable,
     HoView,
@@ -82,16 +82,25 @@ from .mobility import (
 _ALL_SCHEMES = (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE)
 
 
+def _substreams(seed: int) -> dict[str, np.random.Generator]:
+    """The run's generators, one per child of its master ``seed``, named
+    in spawn order: placement, key material, prediction, fading."""
+    children = np.random.SeedSequence(seed).spawn(4)
+    return dict(zip(("place", "keys", "predict", "fading"), map(np.random.default_rng, children)))
+
+
 @dataclass
 class SimulationResult:
+    """One run: its config, grid, handover table and measurement dump.
+
+    Everything else is built from the table and the config when first
+    read, and kept: the signal traces, the ledger's uploads and blocks,
+    and the uploaded cells' key rings.
+    """
+
     config: RunConfig
     grid: CellGrid
-    trace: SignalTrace
     events: HoTable
-    blocks: list[LedgerBlock]
-    upload_log: list[tuple[int, str, str]]
-    cell_keys: CellKeys
-    scheme_traces: dict[str, SignalTrace]
     measurements: list[Measurement]
 
     @cached_property
@@ -99,34 +108,62 @@ class SimulationResult:
         """Views of the completed handovers, in start order."""
         return [view for view in self.events if view.complete]
 
+    @cached_property
+    def trace(self) -> SignalTrace:
+        """The run's own signal trace."""
+        return self.events.trace()
 
-class CellKeys(Mapping[int, KeyRing]):
-    """The MAC key ring of each cell 0..cells-1, drawn from ``rng`` when
-    first looked up; a run looks up the uploaded cells' rings in upload
-    order, so a cell that never uploads draws none.  Membership is by cell
-    id and draws nothing."""
+    @cached_property
+    def scheme_traces(self) -> dict[str, SignalTrace]:
+        """The signal trace of each scheme on the run's triggers, by label.
 
-    def __init__(self, cells: int, n: int, l: int, spec: FieldSpec, rng: np.random.Generator):
-        self._cells = range(cells)
-        self._draw = (n, l, spec, rng)
-        self._rings: dict[int, KeyRing] = {}
+        The baselines differ only in key assignment, not in signaling, so
+        the run's own trace serves its kind of scheme and one replay the
+        other kind.
+        """
+        own_uses_ledger, events = self.config.scheme is Scheme.BLOCKCHAIN, self.events
+        replayed = replay_key_signaling(
+            events, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN,
+            self.config.horizon_ms, events.rs, events.period,
+        )
+        return {
+            scheme.label: self.trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
+            for scheme in _ALL_SCHEMES
+        }
 
-    def __getitem__(self, cell: int) -> KeyRing:
-        ring = self._rings.get(cell)
-        if ring is None:
-            if cell not in self._cells:
-                raise KeyError(cell)
-            ring = self._rings[cell] = generate_domain_keys(*self._draw, domain_id=str(cell))
-        return ring
+    @cached_property
+    def upload_log(self) -> list[tuple[int, str, str]]:
+        """The ledger's uploads as (time, origin, domain), in upload
+        order, which is time order."""
+        at = self.events.uploaded_at
+        return [(at[c], f"bsh{c}", str(c)) for c in self.events.uploads]
 
-    def __contains__(self, cell) -> bool:
-        return cell in self._cells
+    @cached_property
+    def cell_keys(self) -> dict[int, KeyRing]:
+        """The MAC key ring of each uploaded cell, drawn from the run's key
+        substream in upload order; a cell that never uploads has none."""
+        sec = self.config.security
+        spec, rng = field_of_order(sec.q), _substreams(self.config.seed)["keys"]
+        return {
+            c: generate_domain_keys(sec.n, sec.l, spec, rng, domain_id=str(c))
+            for c in self.events.uploads
+        }
 
-    def __iter__(self):
-        return iter(self._cells)
-
-    def __len__(self) -> int:
-        return len(self._cells)
+    @cached_property
+    def blocks(self) -> list[LedgerBlock]:
+        """The ledger blocks verified by the run's last tick, each holding
+        its uploads' key sets in upload order."""
+        held = (
+            CandidateEntry(EntryKind.CELL_KEY_SET, origin, ring, t, domain)
+            for (t, origin, domain), ring in zip(self.upload_log, self.cell_keys.values())
+        )
+        boundaries, sizes = key_blocks(
+            [t for t, _, _ in self.upload_log], self.events.clock, self.events.period
+        )
+        return [
+            LedgerBlock(h, tuple(islice(held, n)), b)
+            for h, (b, n) in enumerate(zip(boundaries.tolist(), sizes.tolist()), start=1)
+        ]
 
 
 def run_simulation(config: RunConfig) -> SimulationResult:
@@ -141,27 +178,19 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         pl0_db=sc.pl0_db,
         pl_exponent=sc.pl_exponent,
     )
-    seq = np.random.SeedSequence(config.seed)
-    rng_place, rng_keys, rng_predict, rng_fading = (
-        np.random.default_rng(s) for s in seq.spawn(4)
-    )
-    cell_keys = CellKeys(
-        grid.num_cells, config.security.n, config.security.l,
-        field_of_order(config.security.q), rng_keys,
-    )
+    field_of_order(config.security.q)  # a bad field order fails before the run
+    rng = _substreams(config.seed)
 
     handovers = HoTable(config.scheme, grid.num_cells, period, rs, config.ledger.ho_timeout_ms)
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
-    uploaded_at, uploads = handovers.uploaded_at, handovers.uploads
-    ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng_place)
+    ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng["place"])
     full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
     trigger = trigger_targets if full_rows else grid.trigger_targets
     # A window reaches back at most to the run's first tick.
     window = min(sc.ul_ttt_ms, config.horizon_ms) // rs + 1
     measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
-    own_uses_ledger = config.scheme is Scheme.BLOCKCHAIN
-    predict = config.prediction.enabled and own_uses_ledger
+    predict = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
     lead_ticks = max(1, -(-config.prediction.lead_ms // rs))
     lead_ms = np.arange(1, lead_ticks + 1) * rs
     ticks = config.horizon_ms // rs + 1 if config.horizon_ms > 0 else 0
@@ -188,7 +217,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         block = np.empty((window - 1 + size, *tail.shape[1:]))
         block[: window - 1] = tail
         # A forecast can prestage only while some cell has not uploaded.
-        forecasting = predict and len(uploads) < grid.num_cells
+        forecasting = predict and len(handovers.uploads) < grid.num_cells
         block_pos = np.empty((size, ues.count, 2)) if forecasting else None
         for k in range(size):
             t = (tick + k) * rs
@@ -199,7 +228,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
             if full_rows:
                 rsrp = grid.rsrp(ues.pos)
                 if sc.shadow_sigma_db > 0 and ues.count:
-                    rsrp = rsrp + rng_fading.normal(0.0, sc.shadow_sigma_db, rsrp.shape)
+                    rsrp = rsrp + rng["fading"].normal(0.0, sc.shadow_sigma_db, rsrp.shape)
                 block[window - 1 + k] = rsrp
                 if sc.dump_measurements:
                     measurements.extend(Measurement(t, i, rsrp[i]) for i in range(ues.count))
@@ -217,7 +246,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
             t = (tick + k) * rs
             if forecasting:
                 _prestage(
-                    config, handovers, decided_forecasts, rng_predict,
+                    config, handovers, decided_forecasts, rng["predict"],
                     t, forecast[0][k], forecast[1][k],
                 )
             fired = np.flatnonzero(chains.fires[k] >= 0)
@@ -235,42 +264,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         tail = block[size:]
         tick += size
 
-    # The baselines differ only in key assignment, not in signaling, so a
-    # baseline run's own trace serves both and one replay serves the rest.
-    own_trace = handovers.trace()
-    replayed = replay_key_signaling(
-        handovers, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN,
-        config.horizon_ms, rs, period,
-    )
-    scheme_traces = {
-        scheme.label: own_trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
-        for scheme in _ALL_SCHEMES
-    }
-
-    # The ledger's uploads, drawing the rings in upload order, and the
-    # blocks verified by the last tick; uploads come in time order.
-    entries = [
-        CandidateEntry(EntryKind.CELL_KEY_SET, f"bsh{c}", cell_keys[c], uploaded_at[c], str(c))
-        for c in uploads
-    ]
-    held = iter(entries)
-    boundaries, sizes = key_blocks([e.submitted_at for e in entries], handovers.clock, period)
-    blocks = [
-        LedgerBlock(h, tuple(islice(held, n)), b)
-        for h, (b, n) in enumerate(zip(boundaries.tolist(), sizes.tolist()), start=1)
-    ]
-
-    return SimulationResult(
-        config=config,
-        grid=grid,
-        trace=own_trace,
-        events=handovers,
-        blocks=blocks,
-        upload_log=[(e.submitted_at, e.origin, e.domain) for e in entries],
-        cell_keys=cell_keys,
-        scheme_traces=scheme_traces,
-        measurements=measurements,
-    )
+    return SimulationResult(config, grid, handovers, measurements)
 
 
 def _prestage(

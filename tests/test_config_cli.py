@@ -220,10 +220,16 @@ def test_cli_exit_code_2_on_runtime_error(tmp_path):
     assert main(["run", "--horizon-ms", "1000", "--out", str(blocker / "sub")]) == 2
 
 
-@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.28 TiB"), MemoryError()])
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 7.28 TiB"),
+    MemoryError(),
+    OverflowError("Python int too large to convert to C long"),
+    FloatingPointError("overflow encountered in multiply"),
+])
 def test_cli_reports_running_out_of_memory_as_a_runtime_error(tmp_path, capsys, exc):
-    # A run too large for memory exits 2 with one line, not a traceback;
-    # the run is patched, so nothing is allocated.
+    # A run too large for memory, or one whose numbers overflow, exits 2
+    # with one line, not a traceback; the run is patched, so nothing is
+    # allocated.
     with mock.patch("ncsecsim.cli.run_simulation", side_effect=exc):
         assert main(["run", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {str(exc) or 'MemoryError'}\n"

@@ -2,13 +2,11 @@ import dataclasses
 import io
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsecsim.config import RunConfig
-from ncsecsim.gf import GF16
 from ncsecsim.errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
 from ncsecsim.handover import (
     HoTable,
@@ -19,7 +17,7 @@ from ncsecsim.handover import (
 )
 from ncsecsim.keydist import Scheme
 from ncsecsim.ledger import SignalKind, key_exchange_count
-from ncsecsim.simulation import CellKeys, run_simulation
+from ncsecsim.simulation import run_simulation
 
 from oracles import handover_rows_oracle
 
@@ -157,12 +155,9 @@ def test_missing_key_set_rejected():
 
 
 def test_cell_outside_the_grid_rejected_and_uploaded_once():
-    # A cell outside the grid has no ring and no upload; a cell's first
-    # visit uploads it, a join does not upload again.  Lazily drawn rings:
-    # membership draws none.
-    keys = CellKeys(8, 4, 2, GF16, np.random.default_rng(0))
-    hos = HoTable(Scheme.BLOCKCHAIN, len(keys), 1000, 160)
-    assert 9 not in keys and 7 in keys and len(keys) == 8 and not keys._rings
+    # A cell outside the grid has no upload; a cell's first visit uploads
+    # it, a join does not upload again.
+    hos = HoTable(Scheme.BLOCKCHAIN, 8, 1000, 160)
     for cell in (9, -1):
         with pytest.raises(InvalidParameter):
             hos.start([0], [1], [cell], 160)
@@ -172,8 +167,6 @@ def test_cell_outside_the_grid_rejected_and_uploaded_once():
     hos.start([0, 1], [1, 2], [7, 7], 160)
     assert hos.uploads == [7] and hos.uploaded_at[7] == 160
     assert [view.did_upload for view in hos] == [True, False]
-    with pytest.raises(KeyError):
-        keys[9]
 
 
 @pytest.mark.parametrize(
@@ -295,21 +288,23 @@ def test_cumulative_series_and_steady_state_slopes():
     for row in rows:
         assert begin(hos, *row).complete
     assert key_exchange_count(hos.trace()) - base == len(rows)  # 1 per HO
-    baseline_trace = replay_key_signaling(triggers(rows), Scheme.DOUBLE_RANDOM, 30_000)
+    baseline_trace = replay_key_signaling(triggers(rows), Scheme.DOUBLE_RANDOM, 30_000, 160, 1000)
     assert key_exchange_count(baseline_trace) == 2 * len(rows)  # 2 per HO
 
 
 def test_replay_blockchain_matches_direct_engine_semantics():
     events = triggers([(0, 0, 5, 160), (1, 2, 6, 320), (2, 1, 5, 3200), (3, 4, 6, 3200)])
-    trace = replay_key_signaling(events, Scheme.BLOCKCHAIN, 10_000)
+    trace = replay_key_signaling(events, Scheme.BLOCKCHAIN, 10_000, 160, 1000)
     uploads = [r for r in trace if r.kind is SignalKind.CANDIDATE_UPLOAD]
     broadcasts = [r for r in trace if r.kind is SignalKind.BLOCK_BROADCAST]
     deliveries = [r for r in trace if r.kind is SignalKind.KEY_TO_UE]
     assert len(uploads) == 2  # cells 5 and 6 once each
     assert len(broadcasts) == 1  # both uploads share the boundary at 1000
     assert len(deliveries) == 4
-    hmac_trace = replay_key_signaling(events, Scheme.C_COVER_FREE, 10_000)
+    hmac_trace = replay_key_signaling(events, Scheme.C_COVER_FREE, 10_000, 160, 1000)
     assert key_exchange_count(hmac_trace) == 8
+    with pytest.raises(TypeError):  # the periods have no default
+        replay_key_signaling(events, Scheme.BLOCKCHAIN, 10_000)
 
 
 def reference_replay(rows, uses_ledger, horizon_ms, rs_period_ms, collection_period_ms):

@@ -69,6 +69,7 @@ def test_cell_rings_are_drawn_at_first_upload():
     )
     with mock.patch("ncsecsim.simulation.generate_domain_keys", wraps=generate_domain_keys) as draw:
         result = run_simulation(config)
+        result.blocks  # reading the blocks draws the rings
     uploaded = list(dict.fromkeys(int(domain) for _, _, domain in result.upload_log))
     cells = result.grid.num_cells
     assert 0 < len(uploaded) < cells
@@ -79,7 +80,37 @@ def test_cell_rings_are_drawn_at_first_upload():
         ring = generate_domain_keys(sec.n, sec.l, field(sec.q.bit_length() - 1), rng_keys, str(cell))
         assert np.array_equal(result.cell_keys[cell].matrix, ring.matrix)
     assert draw.call_count == len(uploaded)
-    assert list(result.cell_keys) == list(range(cells)) and cells not in result.cell_keys
+    assert list(result.cell_keys) == uploaded
+
+
+def test_a_run_draws_no_ring_until_its_keys_are_read(tmp_path):
+    # No artifact shows a key, so neither the run nor its artifacts draw
+    # one; reading the blocks draws the uploaded cells' rings in upload
+    # order, and a cell that never uploads has none.
+    config = dataclasses.replace(
+        RunConfig(seed=3), horizon_ms=8_000,
+        prediction=PredictionConfig(enabled=True, accuracy=0.5, lead_ms=1000),
+    )
+    no_draw = AssertionError("drew a key ring")
+    with mock.patch("ncsecsim.simulation.generate_domain_keys", side_effect=no_draw):
+        result = run_simulation(config)
+        write_run_artifacts(result, tmp_path)
+    uploaded = [int(domain) for _, _, domain in result.upload_log]
+    sec = config.security
+    rng_keys = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[1])
+    rings = {
+        cell: generate_domain_keys(sec.n, sec.l, field(sec.q.bit_length() - 1), rng_keys, str(cell))
+        for cell in uploaded
+    }
+    entries = [e for b in result.blocks for e in b.entries]
+    assert entries and [e.domain for e in entries] == [str(c) for c in uploaded[: len(entries)]]
+    for e in entries:
+        assert np.array_equal(e.payload.matrix, rings[int(e.domain)].matrix)
+    assert list(result.cell_keys) == uploaded
+    for cell in uploaded:
+        assert np.array_equal(result.cell_keys[cell].matrix, rings[cell].matrix)
+    with pytest.raises(KeyError):
+        result.cell_keys[min(set(range(result.grid.num_cells)) - set(uploaded))]
 
 
 def test_blockchain_key_signal_costs(run10):
