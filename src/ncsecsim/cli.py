@@ -23,6 +23,7 @@ from . import __version__
 from .attack import bypass_rate_grid
 from .config import RunConfig, apply_settings, load_config, validate_command, write_config_echo
 from .errors import ConfigError, NcSecError
+from .handover import key_blocks
 from .keydist import SCHEME_BY_LABEL, Scheme, SchemeConfig, colluder_sweep
 from .simulation import run_simulation, write_run_artifacts
 
@@ -83,11 +84,15 @@ def _fmt(value) -> str:
 def _cmd_run(config: RunConfig) -> int:
     result = run_simulation(config)
     paths = write_run_artifacts(result, config.output_dir)
-    completed = result.completed
+    events = result.events
+    # the count needs only the upload times, not the blocks' key rings
+    boundaries, _ = key_blocks(
+        [events.uploaded_at[c] for c in events.uploads], events.clock, events.period
+    )
     print(
         f"run: scheme={config.scheme.label} seed={config.seed} "
-        f"horizon={config.horizon_ms} ms: {len(result.events)} HO triggers, "
-        f"{len(completed)} completed, {len(result.blocks)} ledger blocks"
+        f"horizon={config.horizon_ms} ms: {len(events)} HO triggers, "
+        f"{len(result.completed)} completed, {len(boundaries)} ledger blocks"
     )
     for name in sorted(paths):
         print(f"  {name}: {paths[name]}")

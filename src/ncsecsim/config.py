@@ -17,11 +17,15 @@ from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
 from .keydist import SCHEME_BY_LABEL, Scheme
-from .mobility import BOX_MIN_CELLS, BOX_REACH_ISD
+from .mobility import BOX_MIN_CELLS, BOX_REACH_ISD, PREFILTER_SLACK_DB
 
 # The most received powers one forecast call may compute: 32 MiB per
 # float64 array of them.
 FORECAST_POWERS = 2**22
+# The coarsest rounding of a received power that a run accepts: a
+# hundredth of the box prefilter's slack (``CellGrid.may_fire``), and so
+# far finer than any offset.
+POWER_RESOLUTION_DB = PREFILTER_SLACK_DB / 100
 
 
 @dataclass(frozen=True)
@@ -226,10 +230,12 @@ def validate(config: RunConfig) -> None:
     if sc.shadow_sigma_db < 0:
         raise ConfigError("scenario.shadow_sigma_db: must be >= 0")
     # finite distances: the grid's diagonal and box reach, a tick's step
-    if not math.isfinite(math.sqrt(2) * max(sc.rows, sc.cols, BOX_REACH_ISD) * sc.isd_m):
+    reach = math.sqrt(2) * max(sc.rows, sc.cols, BOX_REACH_ISD) * sc.isd_m
+    if not math.isfinite(reach):
         raise ConfigError(f"scenario.isd_m: {sc.isd_m} m overflows the grid's extent")
     if not math.isfinite(sc.ue_speed_mps * sc.rs_period_ms):
         raise ConfigError(f"scenario.ue_speed_kmh: {sc.ue_speed_kmh} km/h overflows a tick's step")
+    _check_power_resolution(sc, reach)
     sec = config.security
     _check_field_order("security.q", sec.q)
     if sec.n < 1 or sec.m < 1 or sec.l < 1:
@@ -296,6 +302,29 @@ def validate_command(command: str, config: RunConfig) -> None:
         if at.trials != 0 and at.trials < 1000:
             raise ConfigError(
                 f"attack.trials={at.trials}: must be 0 (empty grid) or at least 1000"
+            )
+
+
+def _check_power_resolution(sc: ScenarioConfig, reach: float) -> None:
+    """Reject power settings that round a received power over distances
+    from 1 m to ``reach`` more coarsely than ``POWER_RESOLUTION_DB``.
+
+    A power is ptx - pl0 - 10 * exponent * log10(d), so it rounds at the
+    float spacing of ``ptx_dbm`` and of ``pl0_db``, and the rounding of a
+    distance, up to about one spacing of ``reach`` in metres, moves it by
+    the exponent's slope 10 * |exponent| / (ln 10 * d), most at d = 1 m.
+    """
+    spacing = 2.0**-52
+    rounding = {
+        "scenario.ptx_dbm": abs(sc.ptx_dbm) * spacing,
+        "scenario.pl0_db": abs(sc.pl0_db) * spacing,
+        "scenario.pl_exponent": 10 * abs(sc.pl_exponent) / math.log(10) * max(reach, 1) * spacing,
+    }
+    for key, db in rounding.items():
+        if not db <= POWER_RESOLUTION_DB:
+            raise ConfigError(
+                f"{key}: rounds received powers to about {db:.3g} dB, coarser than "
+                f"{POWER_RESOLUTION_DB:g} dB"
             )
 
 

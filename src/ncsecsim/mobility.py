@@ -17,7 +17,9 @@ its serving distance and the offset can trigger: ``CellGrid.trigger_targets``
 computes powers for the serving cell and the 3x3 lattice box around the
 UE, and the full row (``CellGrid.rsrp``) only where the reach may leave
 the box, on small grids, or where every power is needed (shadowing, the
-measurement dump).
+measurement dump).  At a positive offset it first drops the entries
+whose nearest cell, the strongest, does not beat the serving cell by the
+offset (``CellGrid.may_fire``): those cannot fire.
 
 UE state is one set of arrays (``UeArrays``, drawn by ``place_ues``).
 Motion (``advance``), measurement (``CellGrid.rsrp``) and the trigger
@@ -49,6 +51,9 @@ BOX_MIN_CELLS = 36
 # Reach, in ISDs, that a UE's box must cover to decide its trigger; the
 # box guarantees 1.5 ISD, the rest is margin.
 BOX_REACH_ISD = 1.4
+# Slack, in dB, of the box prefilter (``CellGrid.may_fire``): far above the
+# rounding of two powers, far below any offset that matters.
+PREFILTER_SLACK_DB = 1e-6
 
 
 @dataclass(frozen=True)
@@ -145,24 +150,51 @@ class CellGrid:
         """Uplink received power per cell (dBm) for the given positions."""
         return self._power(self.distances(pos))
 
+    def _square_cells(self, pos: np.ndarray) -> np.ndarray:
+        """The cell of the lattice square holding each position (..., 2):
+        its nearest cell, or the nearest edge cell off an unwrapped grid."""
+        square = pos / self.isd_m
+        np.minimum(square, self._last_square, out=square)
+        np.maximum(square, 0.0, out=square)
+        square = square.astype(np.intp)
+        return square[..., 1] * self.cols + square[..., 0]
+
     def box_rsrp(self, pos: np.ndarray, serving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Powers for each entry's lattice box and serving cell.
 
         ``pos`` is (W, entries, 2), oldest sample first, and ``serving``
         (entries,).  The box is the 3x3 neighbourhood of the lattice square
-        holding the newest position (the square of its nearest cell, or the
-        nearest edge square off an unwrapped grid), ids ascending.  Returns
-        ``cells`` (entries, 10), the box and then the serving cell, and
-        their powers (W, entries, 10), computed with the operations of
+        holding the newest position (``_square_cells``), ids ascending.
+        Returns ``cells`` (entries, 10), the box and then the serving cell,
+        and their powers (W, entries, 10), computed with the operations of
         ``rsrp`` and so the same bits.
         """
-        square = pos[-1] / self.isd_m
-        np.minimum(square, self._last_square, out=square)
-        np.maximum(square, 0.0, out=square)
-        square = square.astype(np.intp)
-        cells = self._box[square[:, 1] * self.cols + square[:, 0]]
+        cells = self._box[self._square_cells(pos[-1])]
         cells[:, 9] = serving
         return cells, self._power(self._distances(pos, self._bs_x[cells], self._bs_y[cells]))
+
+    def may_fire(self, newest: np.ndarray, serving: np.ndarray, ul_offset_db: float) -> np.ndarray:
+        """Whether each entry's newest position (entries, 2) can trigger
+        away from its ``serving`` cell (entries,).
+
+        The lattice square holding a position is the Voronoi cell of its
+        base station, so that cell n is the nearest and, with a positive
+        exponent, the strongest.  A target must beat the serving cell by
+        the offset at the newest sample, so an entry can fire only where
+        p_n > p_s + offset.  ``PREFILTER_SLACK_DB`` covers a square that
+        disagrees with the float argmin at an edge; an entry that serves n
+        is then dropped at every offset of at least the slack.  Since
+        p_n >= p_s, a negative offset drops nothing.
+        """
+        cells = np.column_stack([self._square_cells(newest), serving])
+        power = self._power(self._distances(newest, self._bs_x[cells], self._bs_y[cells]))
+        return power[:, 0] - power[:, 1] > ul_offset_db - PREFILTER_SLACK_DB
+
+    def prefilters(self, ul_offset_db: float) -> bool:
+        """Whether ``trigger_targets`` drops entries through ``may_fire``:
+        on the box path, at the offsets where it can drop some."""
+        box = self.num_cells >= BOX_MIN_CELLS and self.pl_exponent > 0
+        return box and ul_offset_db >= PREFILTER_SLACK_DB
 
     def trigger_targets(
         self, window_pos: np.ndarray, serving: np.ndarray, ul_offset_db: float
@@ -171,9 +203,11 @@ class CellGrid:
         computing powers only for the cells that can win.
 
         ``window_pos`` holds the positions inside the time-to-trigger
-        window, shape (W, *batch, 2), oldest first.  Received power falls
-        strictly with ``max(d, 1 m)``, so a cell can beat the serving cell
-        by the offset only within the reach
+        window, shape (W, *batch, 2), oldest first, inside the extent on a
+        wrapped grid.  Where it ``prefilters``, entries that ``may_fire``
+        rejects take -1 from two powers at the newest sample.  Received
+        power falls strictly with ``max(d, 1 m)``, so a cell can beat the
+        serving cell by the offset only within the reach
         r = max(d_s, 1 m) * 10**(-offset / (10 * exponent)) of the newest
         position, and a cell must qualify at the newest sample.  Every cell
         outside the newest position's box (``box_rsrp``) is at least 1.5 ISD
@@ -188,6 +222,18 @@ class CellGrid:
         batch = window_pos.shape[1:-1]
         pos = window_pos.reshape(len(window_pos), -1, 2)  # (W, entries, 2)
         serving = (np.asarray(serving) + np.zeros(batch, dtype=np.intp)).ravel()
+        if not self.prefilters(ul_offset_db):
+            return self._box_targets(pos, serving, ul_offset_db).reshape(batch)
+        targets = np.full(len(serving), -1)
+        live = np.flatnonzero(self.may_fire(pos[-1], serving, ul_offset_db))
+        if len(live):
+            targets[live] = self._box_targets(pos[:, live], serving[live], ul_offset_db)
+        return targets.reshape(batch)
+
+    def _box_targets(
+        self, pos: np.ndarray, serving: np.ndarray, ul_offset_db: float
+    ) -> np.ndarray:
+        """The box path of ``trigger_targets`` over (W, entries, 2) positions."""
         cells, power = self.box_rsrp(pos, serving)
         bar = power[:, :, 9:] + ul_offset_db  # (W, entries, 1): the power to beat
         mask = (power[:, :, :9] > bar).all(axis=0)
@@ -199,7 +245,7 @@ class CellGrid:
             targets[far] = trigger_targets(
                 self.rsrp(pos[:, far]), serving[far], ul_offset_db
             )
-        return targets.reshape(batch)
+        return targets
 
     def wrap_position(self, pos: np.ndarray) -> np.ndarray:
         if not self.wrap:

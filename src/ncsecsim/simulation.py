@@ -26,10 +26,13 @@ tick that sees its block, decided when the handover starts; while some
 cell's keys are not yet visible, a block ends at the first tick that
 sees a block (``HoTable.next_seen``) and completes its waits there.
 Blocks grow while re-evaluating chains costs less than the calls they
-save and shrink toward one tick when UEs fire densely
-(``_block_length``); a block holds at most ``BLOCK_SAMPLES`` samples, so
-large runs go one tick at a time.  The block length changes no byte and
-no draw.
+save and shrink toward one tick when that costs more (``_block_length``).
+Where the trigger's prefilter drops most re-evaluated entries
+(``CellGrid.may_fire``), those entries are cheap, so a one-tick block
+may jump to the longest length even when UEs fire densely; elsewhere
+dense firing keeps blocks one tick long.  A block holds at most
+``BLOCK_SAMPLES`` samples, so large runs go one tick at a time.  The
+block length changes no byte and no draw.
 
 All randomness flows from one master seed through named substreams
 (placement, key material, prediction, fading), so identical seed and
@@ -186,6 +189,8 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng["place"])
     full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
     trigger = trigger_targets if full_rows else grid.trigger_targets
+    # whether the trigger drops most entries a chain re-evaluates (``_block_length``)
+    prefiltered = not full_rows and grid.prefilters(sc.ul_offset_db)
     # A window reaches back at most to the run's first tick.
     window = min(sc.ul_ttt_ms, config.horizon_ms) // rs + 1
     measurements: list[Measurement] = []
@@ -208,7 +213,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     while tick < ticks:
         # A block makes once what one tick at a time makes per tick: the
         # trigger call, and the forecast's ``advance`` and trigger.
-        size = min(_block_length(chains, cap, 3 if forecasting else 1), ticks - tick)
+        size = min(_block_length(chains, cap, 3 if forecasting else 1, prefiltered), ticks - tick)
         # Waits end only at ticks that see a block.  While some cell's keys
         # are not yet visible, the block ends at the first such tick.
         seen = handovers.next_seen(tick * rs)
@@ -312,6 +317,9 @@ BLOCK_SAMPLES = 4096
 # The fixed cost of one trigger call in (tick, UE) entries: about 60 us,
 # against about 0.5 us per entry of the 8x8 and 16x16 box path.
 CALL_ENTRIES = 100
+# The cost of an entry where the box prefilter applies (``CellGrid.may_fire``),
+# in box entries: most entries a chain re-evaluates are dropped by it.
+PREFILTERED_ENTRY_COST = 0.2
 
 
 class _Chains:
@@ -407,29 +415,39 @@ def _forecast(
     return target, np.where(target >= 0, lead_ms[earliest], -1)
 
 
-def _block_length(last: _Chains | None, cap: int, calls_per_tick: int) -> int:
+def _block_length(last: _Chains | None, cap: int, calls_per_tick: int, prefiltered: bool) -> int:
     """The next block's length in ticks: 1 for the first block, then from
     what re-evaluating the chains cost in the ``last`` one.
 
     Against one call over the whole block, the rounds after the first
-    waste their calls and entries; against one tick at a time, a block
-    saves ``calls_per_tick`` calls on each tick after its first.  The
-    length doubles (up to ``cap``) while the waste is under half the
-    saving, and halves once it exceeds the saving.  A one-tick block
-    wastes nothing, so it doubles only if a two-tick block would have:
+    waste their calls and their entries; against one tick at a time, a
+    block saves ``calls_per_tick`` calls on each tick after its first.
+    Where the trigger call ``prefiltered`` its entries, it drops most of
+    those the chains re-evaluate, so each is charged
+    ``PREFILTERED_ENTRY_COST`` box entries.  The length doubles (up to
+    ``cap``) while the waste is under half the saving, and halves once it
+    exceeds the saving.  A one-tick block wastes nothing, so it predicts
+    from its f fires.  With the prefilter it jumps to ``cap`` if a block
+    that long, with two more calls and f fires per tick each
+    re-evaluating the rest of the block, would waste under half the
+    saving.  Otherwise it doubles only if a two-tick block would have:
     with no fire, or with its fires costing one more call and their
     entries, under half the saving.
     """
     if last is None:
         return 1
     size, ues = last.fires.shape
+    entry_cost = PREFILTERED_ENTRY_COST if prefiltered else 1
     if size == 1:
         fires = int(np.count_nonzero(last.fires >= 0))
+        waste = 2 * CALL_ENTRIES + entry_cost * fires * cap * (cap - 1) / 2
+        if prefiltered and 2 * waste < (cap - 1) * calls_per_tick * CALL_ENTRIES:
+            return cap
         saving = calls_per_tick * CALL_ENTRIES
-        waste = CALL_ENTRIES + fires if fires else 0
+        waste = CALL_ENTRIES + entry_cost * fires if fires else 0
     else:
         saving = (size - 1) * calls_per_tick * CALL_ENTRIES
-        waste = (last.calls - 1) * CALL_ENTRIES + last.entries - size * ues
+        waste = (last.calls - 1) * CALL_ENTRIES + entry_cost * (last.entries - size * ues)
     if 2 * waste < saving:
         return min(cap, 2 * size)
     return max(1, size // 2) if waste > saving else size

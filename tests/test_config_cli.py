@@ -20,6 +20,7 @@ from ncsecsim.config import (
 )
 from ncsecsim.errors import ConfigError
 from ncsecsim.keydist import Scheme
+from ncsecsim.simulation import run_simulation
 
 
 def test_defaults_match_reference_scenario():
@@ -119,6 +120,17 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     assert "HO triggers" in capsys.readouterr().out
 
 
+def test_cli_run_counts_blocks_without_drawing_a_key_ring(tmp_path, capsys):
+    # The block count follows from the upload times; no artifact or
+    # summary line needs a cell's key ring.
+    argv = ["run", "--seed", "1", "--horizon-ms", "8000", "--out", str(tmp_path)]
+    no_draw = AssertionError("drew a key ring")
+    with mock.patch("ncsecsim.simulation.generate_domain_keys", side_effect=no_draw):
+        assert main(argv) == 0
+    blocks = len(run_simulation(load_config(tmp_path / "config.txt")).blocks)
+    assert blocks and f", {blocks} ledger blocks" in capsys.readouterr().out
+
+
 def test_cli_exit_code_1_on_config_errors(tmp_path, capsys):
     assert main(["run", "--scheme", "bogus"]) == 1
     bad = tmp_path / "bad.cfg"
@@ -157,6 +169,11 @@ def test_cli_exit_code_1_on_config_errors(tmp_path, capsys):
         # finite floats whose distances overflow: a tick's step, the grid
         ("run", "scenario.ue_speed_kmh=1e308", ("scenario.ue_speed_kmh",)),
         ("run", "scenario.isd_m=1e308", ("scenario.isd_m",)),
+        # finite power settings whose powers round too coarsely to order cells
+        ("run", "scenario.ptx_dbm=1e308", ("scenario.ptx_dbm",)),
+        ("run", "scenario.pl0_db=-1e9", ("scenario.pl0_db",)),
+        ("run", "scenario.pl_exponent=1e308", ("scenario.pl_exponent",)),
+        ("run", "scenario.pl_exponent=-1e6", ("scenario.pl_exponent",)),
     ],
 )
 def test_cli_rejects_inconsistent_settings_as_config_errors(

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncsecsim import mobility
@@ -402,6 +402,36 @@ def test_box_trigger_matches_full_row(case):
     assert (cells[:, 9] == flat_serving).all()
     gathered = full.reshape(len(window), entries, -1)[:, np.arange(entries)[:, None], cells]
     assert np.array_equal(power.view(np.int64), gathered.view(np.int64))
+
+
+@st.composite
+def nudged_box_cases(draw):
+    """``box_cases`` at non-negative offsets, each coordinate moved one ulp
+    down, up or not at all, so positions fall on both sides of square
+    edges and corners, where the square and the float argmin can disagree;
+    some entries serve their square's cell."""
+    grid, window, serving, offset, _ = draw(box_cases())
+    steps = np.array(draw(st.lists(st.sampled_from([-np.inf, 0.0, np.inf]),
+                                   min_size=window.size, max_size=window.size)))
+    steps = steps.reshape(window.shape)
+    window = np.where(steps == 0, window, np.nextafter(window, steps))
+    serving = np.broadcast_to(serving, window.shape[1:-1]).ravel()
+    square = grid._square_cells(window[-1].reshape(-1, 2))
+    own = np.array(draw(st.lists(st.booleans(), min_size=len(serving), max_size=len(serving))))
+    return grid, window, np.where(own, square, serving), max(offset, 0.0)
+
+
+# One ulp past a torus's edge the clamped square (cell 56) is one ulp of
+# distance farther than the torus argmin (cell 0): the slack keeps it.
+@example((CellGrid(rows=8, cols=8), np.array([[[50.0, np.nextafter(800.0, 900.0)]]]),
+          np.array([56]), 0.0))
+@settings(max_examples=400, deadline=None)
+@given(nudged_box_cases())
+def test_prefilter_drops_only_entries_that_cannot_fire(case):
+    grid, window, serving, offset = case
+    full = trigger_targets(grid.rsrp(window), serving.reshape(window.shape[1:-1]), offset)
+    drop = ~grid.may_fire(window[-1].reshape(-1, 2), serving, offset)
+    assert full.ravel()[drop].tolist() == [-1] * int(drop.sum())
 
 
 def test_small_grid_keeps_full_row(grid):

@@ -558,6 +558,36 @@ def test_sparse_ledger_run_evaluates_few_trigger_entries():
     assert sum(c.entries for c in chains) <= 1.25 * ue_ticks
 
 
+def test_dense_firing_with_the_prefilter_runs_long_blocks():
+    # 8x8 cells, 200 UEs over 300 s fire about 6.5 handovers per tick.
+    # The box prefilter makes re-evaluated entries cheap, so blocks grow
+    # to the cap: one trigger call per tick would make 1,876.
+    config = RunConfig(
+        scenario=ScenarioConfig(rows=8, cols=8, num_ues=200), horizon_ms=300_000, seed=1
+    )
+    with recorded_chains() as chains:
+        run_simulation(config)
+    assert sum(c.calls for c in chains) <= 400
+
+
+@pytest.mark.parametrize("seed, one_tick_entries", [(1, 37_603), (2, 37_600), (3, 37_600)])
+def test_ping_pong_without_the_prefilter_stays_near_one_tick_blocks(seed, one_tick_entries):
+    # A negative offset on an unwrapped 7x9 grid: the prefilter drops
+    # nothing, so the blocks stay short.  At one call per tick the run
+    # makes 376 calls over the entries given.
+    config = RunConfig(
+        scenario=ScenarioConfig(
+            rows=7, cols=9, wrap=False, num_ues=100, ul_offset_db=-2.0, ul_ttt_ms=480
+        ),
+        horizon_ms=60_000,
+        seed=seed,
+    )
+    with recorded_chains() as chains:
+        run_simulation(config)
+    assert sum(c.calls for c in chains) <= 376
+    assert sum(c.entries for c in chains) <= 1.05 * one_tick_entries
+
+
 def test_a_timeout_below_the_period_fires_at_any_block_length():
     # Only a configuration that skips validation can set one; whether it
     # fires must not depend on where blocks end.  The run's last tick sees
