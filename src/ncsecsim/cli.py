@@ -23,8 +23,8 @@ from . import __version__
 from .attack import bypass_rate_grid
 from .config import RunConfig, apply_settings, load_config, validate_command, write_config_echo
 from .errors import ConfigError, NcSecError
-from .handover import key_blocks
 from .keydist import SCHEME_BY_LABEL, Scheme, SchemeConfig, colluder_sweep
+from .ledger import key_blocks
 from .simulation import run_simulation, write_run_artifacts
 
 

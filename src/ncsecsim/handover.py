@@ -25,9 +25,9 @@ A run's handovers live in one ``HoTable``: parallel columns, one row per
 trigger in start order, and each cell's key-set upload time.  ``start``
 starts a tick's handovers, which complete at once or, on the ledger
 scheme's first visit, wait for their keys until the RS instant that sees
-their block (``key_outcome``, decided at start); ``finish_waiting``
-completes them once the clock reaches it.  The event loop in
-``simulation`` is the only driver of the table.
+their block (``ledger.key_seen``, then ``key_outcome``, decided at
+start); ``finish_waiting`` completes them once the clock reaches it.
+The event loop in ``simulation`` is the only driver of the table.
 
 Signals are not logged as they happen.  Every row of a trace follows
 from a table's columns and upload times, so one builder makes the trace
@@ -54,6 +54,9 @@ from .ledger import (
     SignalRecord,
     SignalTrace,
     as_trace,
+    key_blocks,
+    key_boundary,
+    key_seen,
 )
 
 
@@ -76,20 +79,6 @@ class PredictionConfig:
             raise InvalidParameter("prediction lead must be >= 0")
 
 
-def key_boundary(upload_ms, collection_period_ms: int):
-    """The collection boundary whose block carries an upload at
-    ``upload_ms`` (an int or an int array): the first at or after it."""
-    return -(-upload_ms // collection_period_ms) * collection_period_ms
-
-
-def key_seen(upload_ms, collection_period_ms: int, rs_period_ms: int):
-    """The RS instant at which a run sees the block that carries an upload
-    at ``upload_ms`` (an int or an int array): the first at or after its
-    ``key_boundary``."""
-    boundary = key_boundary(upload_ms, collection_period_ms)
-    return -(-boundary // rs_period_ms) * rs_period_ms
-
-
 def key_outcome(t_trigger, seen_ms):
     """The start pattern and completion instant of a ledger handover
     triggered at ``t_trigger`` whose target's upload is seen at ``seen_ms``
@@ -98,13 +87,6 @@ def key_outcome(t_trigger, seen_ms):
     its trigger."""
     late = t_trigger > seen_ms
     return _JOIN - late * (_JOIN - _STEADY), seen_ms + late * (t_trigger - seen_ms)
-
-
-def key_blocks(upload_ms, end_ms: int, collection_period_ms: int):
-    """The boundaries of the blocks verified by ``end_ms`` that carry
-    uploads at ``upload_ms``, and how many of the uploads each carries."""
-    boundary = key_boundary(np.asarray(upload_ms, dtype=np.int64), collection_period_ms)
-    return np.unique(boundary[boundary <= end_ms], return_counts=True)
 
 
 # Endpoint roles in a trace block: serving BS, target BS (or the uploading

@@ -15,9 +15,11 @@ cell's key set is pending or ledgered, resubmissions are no-ops and cost
 no signal.
 
 The ledger keeps two logs, ``upload_log`` (one row per accepted
-candidate) and ``blocks``; it writes no trace.  A run drives no ledger:
-it derives logs of the same shape from its ``handover.HoTable``, and
-``handover`` builds the signal rows from the table after the run.
+candidate) and ``blocks``; it writes no trace.  ``key_boundary``,
+``key_seen`` and ``key_blocks`` state the collection-boundary rule once,
+for ``tick`` and for a run.  A run drives no ledger: ``handover`` builds
+its signal rows from its ``HoTable`` after the run, and its ``blocks``
+are what a ledger makes of its uploads then.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -182,6 +185,26 @@ def as_trace(records: Iterable[SignalRecord]) -> SignalTrace:
     return records if isinstance(records, SignalTrace) else SignalTrace(records)
 
 
+def key_boundary(upload_ms, collection_period_ms: int):
+    """The collection boundary whose block carries an upload at
+    ``upload_ms`` (an int or an int array): the first at or after it."""
+    return -(-upload_ms // collection_period_ms) * collection_period_ms
+
+
+def key_seen(upload_ms, collection_period_ms: int, rs_period_ms: int):
+    """The RS instant at which a run sees the block that carries an upload
+    at ``upload_ms`` (an int or an int array): the first at or after its
+    ``key_boundary``, which is the same ceiling taken on the RS grid."""
+    return key_boundary(key_boundary(upload_ms, collection_period_ms), rs_period_ms)
+
+
+def key_blocks(upload_ms, end_ms: int, collection_period_ms: int):
+    """The boundaries of the blocks verified by ``end_ms`` that carry
+    uploads at ``upload_ms``, and how many of the uploads each carries."""
+    boundary = key_boundary(np.asarray(upload_ms, dtype=np.int64), collection_period_ms)
+    return np.unique(boundary[boundary <= end_ms], return_counts=True)
+
+
 class EntryKind(Enum):
     CELL_KEY_SET = "cell_key_set"
     GENERATION_TAG_SET = "generation_tag_set"
@@ -238,7 +261,6 @@ class SimulatedLedger:
         # Pending entries by (domain, kind), in submission order.
         self._pending: dict[tuple[str, EntryKind], CandidateEntry] = {}
         self._ledgered: dict[tuple[str, EntryKind], CandidateEntry] = {}
-        self._last_boundary = -1  # index of the last inspected boundary
         self._last_now: int | None = None
         self.upload_log: list[tuple[int, str, str]] = []  # (t, origin, domain)
 
@@ -263,38 +285,28 @@ class SimulatedLedger:
         return SubmitReceipt(accepted=True, duplicate=False, entry=entry)
 
     def tick(self, now: int) -> LedgerBlock | None:
-        """Advance the clock; verify one block per elapsed non-empty boundary.
-
-        Empty boundaries are skipped in one step: the next boundary
-        inspected is the first at or after the earliest pending submission.
-        Returns the newest block produced by this call, if any.
+        """Advance the clock; verify one block per elapsed non-empty boundary
+        (``key_blocks``), an entry counting as uploaded no earlier than the
+        instant after the last tick.  Entries keep submission order within
+        a block.  Returns the newest block produced by this call, if any.
         """
         if self._last_now is not None and now < self._last_now:
             raise ClockError(f"time moved backwards: {now} < {self._last_now}")
+        floor = 0 if self._last_now is None else self._last_now + 1
         self._last_now = now
-        newest = None
-        boundary_index = now // self.period
-        while self._last_boundary < boundary_index:
-            # Boundaries before the earliest pending submission are empty.
-            earliest = min((e.submitted_at for e in self._pending.values()), default=None)
-            if earliest is None or -(-earliest // self.period) > boundary_index:
-                self._last_boundary = boundary_index
-                break
-            self._last_boundary = max(self._last_boundary + 1, -(-earliest // self.period))
-            b = self._last_boundary * self.period
-            ready = [e for e in self._pending.values() if e.submitted_at <= b]
-            for e in ready:
-                del self._pending[(e.domain, e.entry_kind)]
-            block = LedgerBlock(
-                block_height=len(self.blocks) + 1,
-                entries=tuple(ready),
-                verified_at=b,
-            )
-            self.blocks.append(block)
-            for e in ready:
-                self._ledgered[(e.domain, e.entry_kind)] = e
-            newest = block
-        return newest
+        pending = list(self._pending.values())
+        uploads = np.array([max(e.submitted_at, floor) for e in pending], dtype=np.int64)
+        boundaries, sizes = key_blocks(uploads, now, self.period)
+        # stable, so each block's entries keep submission order
+        order = np.argsort(key_boundary(uploads, self.period), kind="stable")
+        ready = (pending[i] for i in order.tolist())
+        for boundary, size in zip(boundaries.tolist(), sizes.tolist()):
+            entries = tuple(islice(ready, size))
+            for e in entries:
+                key = (e.domain, e.entry_kind)
+                self._ledgered[key] = self._pending.pop(key)
+            self.blocks.append(LedgerBlock(len(self.blocks) + 1, entries, boundary))
+        return self.blocks[-1] if len(boundaries) else None
 
     # ------------------------------------------------------------------
     def query_tagset(self, controller: str, gen_id: str):

@@ -152,8 +152,16 @@ class CellGrid:
 
     def _square_cells(self, pos: np.ndarray) -> np.ndarray:
         """The cell of the lattice square holding each position (..., 2):
-        its nearest cell, or the nearest edge cell off an unwrapped grid."""
+        its nearest cell, or the nearest edge cell off an unwrapped grid.
+        Positions past a torus's extent, which no run passes, wrap first.
+        One min and one max find them, taken against the shorter side, so
+        on an oblong torus some calls wrap positions that wrapping leaves
+        as they are."""
         square = pos / self.isd_m
+        if self.wrap and (
+            square.min(initial=0.0) < 0.0 or square.max(initial=0.0) >= min(self.rows, self.cols)
+        ):
+            square = self.wrap_position(pos) / self.isd_m
         np.minimum(square, self._last_square, out=square)
         np.maximum(square, 0.0, out=square)
         square = square.astype(np.intp)
@@ -203,11 +211,11 @@ class CellGrid:
         computing powers only for the cells that can win.
 
         ``window_pos`` holds the positions inside the time-to-trigger
-        window, shape (W, *batch, 2), oldest first, inside the extent on a
-        wrapped grid.  Where it ``prefilters``, entries that ``may_fire``
-        rejects take -1 from two powers at the newest sample.  Received
-        power falls strictly with ``max(d, 1 m)``, so a cell can beat the
-        serving cell by the offset only within the reach
+        window, shape (W, *batch, 2), oldest first.  Where it
+        ``prefilters``, entries that ``may_fire`` rejects take -1 from two
+        powers at the newest sample.  Received power falls strictly with
+        ``max(d, 1 m)``, so a cell can beat the serving cell by the offset
+        only within the reach
         r = max(d_s, 1 m) * 10**(-offset / (10 * exponent)) of the newest
         position, and a cell must qualify at the newest sample.  Every cell
         outside the newest position's box (``box_rsrp``) is at least 1.5 ISD

@@ -8,9 +8,9 @@ handovers for key prestaging, starts triggered handovers, and then
 completes those blocked on key sharing whose block has verified.  Every
 handover is a row of one ``handover.HoTable``, which also holds each
 cell's key-set upload time; the loop drives no ledger.  The run's result
-is that table: the signal traces, the ledger's uploads and blocks, and
-the uploaded cells' key rings are built from the table and the config
-when first read (``SimulationResult``).
+is that table: the signal traces, the ledger's uploads, the uploaded
+cells' key rings and the blocks a ledger makes of them are built from
+the table and the config when first read (``SimulationResult``).
 
 The loop runs over blocks of ticks.  Motion does not depend on handover
 state, so a block first makes the positions (and power rows) of all its
@@ -48,7 +48,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +59,6 @@ from .handover import (
     HoTable,
     HoView,
     cumulative_key_exchanges,
-    key_blocks,
     replay_key_signaling,
 )
 from .integrity import KeyRing, generate_domain_keys
@@ -71,6 +69,7 @@ from .ledger import (
     EntryKind,
     LedgerBlock,
     SignalTrace,
+    SimulatedLedger,
     per_window_signaling,
 )
 from .mobility import (
@@ -154,19 +153,14 @@ class SimulationResult:
 
     @cached_property
     def blocks(self) -> list[LedgerBlock]:
-        """The ledger blocks verified by the run's last tick, each holding
-        its uploads' key sets in upload order."""
-        held = (
-            CandidateEntry(EntryKind.CELL_KEY_SET, origin, ring, t, domain)
-            for (t, origin, domain), ring in zip(self.upload_log, self.cell_keys.values())
-        )
-        boundaries, sizes = key_blocks(
-            [t for t, _, _ in self.upload_log], self.events.clock, self.events.period
-        )
-        return [
-            LedgerBlock(h, tuple(islice(held, n)), b)
-            for h, (b, n) in enumerate(zip(boundaries.tolist(), sizes.tolist()), start=1)
-        ]
+        """The blocks a ``SimulatedLedger`` fed the run's uploads, each
+        with its cell's key ring, verifies when ticked at the run's last
+        tick."""
+        led = SimulatedLedger({origin for _, origin, _ in self.upload_log}, self.events.period)
+        for (t, origin, domain), ring in zip(self.upload_log, self.cell_keys.values()):
+            led.submit_candidate(CandidateEntry(EntryKind.CELL_KEY_SET, origin, ring, t, domain))
+        led.tick(self.events.clock)
+        return led.blocks
 
 
 def run_simulation(config: RunConfig) -> SimulationResult:

@@ -319,9 +319,11 @@ def test_cli_determinism_byte_identical(tmp_path):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
 
 
-def test_cli_horizon_zero_header_only(tmp_path):
+def test_cli_horizon_zero_header_only(tmp_path, capsys):
     out = tmp_path / "empty"
     assert main(["run", "--horizon-ms", "0", "--out", str(out)]) == 0
+    # no tick runs, so the clock stays at -1 and no block verifies
+    assert "0 HO triggers, 0 completed, 0 ledger blocks" in capsys.readouterr().out
     for name in ("signals.csv", "ho_summary.csv", "per_second_signaling.csv",
                  "cumulative_key_exchanges.csv"):
         lines = (out / name).read_text().strip().splitlines()

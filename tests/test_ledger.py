@@ -162,6 +162,22 @@ def test_tick_jumps_over_empty_boundaries():
     assert led.tick(10**18 + 5) is None and len(led.blocks) == 1
 
 
+def test_late_submission_joins_the_first_boundary_after_the_clock(led):
+    # submitted behind the clock: its own boundary (2000) has passed
+    assert led.tick(2000) is None
+    led.submit_candidate(entry(t=1500))
+    block = led.tick(3000)
+    assert block is not None and block.verified_at == 3000
+    assert [b.verified_at for b in led.blocks] == [3000]
+
+
+def test_first_tick_at_a_negative_instant_is_a_no_op(led):
+    # a run with no tick reads its blocks at clock -1; earlier must not raise
+    assert led.tick(-1000) is None
+    led.submit_candidate(entry(t=0))
+    assert led.tick(0).verified_at == 0
+
+
 def test_clock_regression_raises(led):
     led.tick(1000)
     with pytest.raises(ClockError):

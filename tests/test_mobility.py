@@ -421,8 +421,9 @@ def nudged_box_cases(draw):
     return grid, window, np.where(own, square, serving), max(offset, 0.0)
 
 
-# One ulp past a torus's edge the clamped square (cell 56) is one ulp of
-# distance farther than the torus argmin (cell 0): the slack keeps it.
+# One ulp past a torus's edge the square wraps to the torus argmin (cell 0);
+# clamped instead, it would be cell 56, one ulp of distance farther, and
+# only the slack would keep the entry.
 @example((CellGrid(rows=8, cols=8), np.array([[[50.0, np.nextafter(800.0, 900.0)]]]),
           np.array([56]), 0.0))
 @settings(max_examples=400, deadline=None)
@@ -432,6 +433,17 @@ def test_prefilter_drops_only_entries_that_cannot_fire(case):
     full = trigger_targets(grid.rsrp(window), serving.reshape(window.shape[1:-1]), offset)
     drop = ~grid.may_fire(window[-1].reshape(-1, 2), serving, offset)
     assert full.ravel()[drop].tolist() == [-1] * int(drop.sum())
+
+
+@pytest.mark.parametrize("offset", [1.0, 0.0, -1.0])
+def test_box_trigger_wraps_positions_past_a_torus_extent(offset):
+    # The box path takes the square of the wrapped position, so it agrees
+    # with the full row where a clamped square's box misses the winner.
+    grid = CellGrid(rows=8, cols=8)
+    window = np.array([[[950.0, 50.0], [-150.0, 50.0], [-250.0, 350.0]]])
+    want = trigger_targets(grid.rsrp(window), 0, offset)
+    assert want.tolist() == [1, 6, 29]
+    assert grid.trigger_targets(window, 0, offset).tolist() == want.tolist()
 
 
 def test_small_grid_keeps_full_row(grid):

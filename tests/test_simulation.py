@@ -253,6 +253,8 @@ def test_measurement_dump_rows(tmp_path):
 def test_horizon_zero_produces_nothing():
     result = run_simulation(dataclasses.replace(RunConfig(seed=0), horizon_ms=0))
     assert result.trace == [] and len(result.events) == 0 and result.blocks == []
+    # no tick ran, so the blocks come from one ledger tick at -1
+    assert result.events.clock == -1
 
 
 def test_run_rejects_a_field_order_that_is_not_a_power_of_two():
@@ -375,6 +377,13 @@ def upload_rows(signals_csv: bytes) -> list[tuple[int, str, str]]:
     return [(int(t), src, src[3:]) for t, kind, src, *_ in rows if kind == "candidate_upload"]
 
 
+def broadcast_times(signals_csv: bytes) -> list[int]:
+    """The times of the ``block_broadcast`` rows of ``signals.csv`` bytes,
+    in file order."""
+    rows = csv.reader(io.StringIO(signals_csv.decode()))
+    return [int(t) for t, kind, *_ in rows if kind == "block_broadcast"]
+
+
 def ledger_blocks(result):
     """Height, entry domains and verification time of each block that a
     ``SimulatedLedger`` makes of the run's upload log, ticked once at the
@@ -409,6 +418,9 @@ def test_run_matches_the_whole_run_oracle(config):
     assert [
         (b.block_height, [e.domain for e in b.entries], b.verified_at) for b in result.blocks
     ] == ledger_blocks(result)
+    # The blocks come from a ledger too, so check them against the
+    # broadcasts of the oracle's own boundary walk as well.
+    assert [b.verified_at for b in result.blocks] == broadcast_times(expected["signals.csv"])
     # An upload at or before a trigger verifies within a collection period
     # of it and is seen within an RS period after that; validation keeps
     # ``ledger.ho_timeout_ms`` at least one period, so it cannot fire.
