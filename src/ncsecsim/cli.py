@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .config import RunConfig, apply_settings, load_config, validate_command, wr
 from .errors import ConfigError, NcSecError
 from .keydist import SCHEME_BY_LABEL, Scheme, SchemeConfig, colluder_sweep
 from .ledger import key_blocks
-from .simulation import run_simulation, write_run_artifacts
+from .simulation import _fmt, output_dir, run_simulation, write_run_artifacts, write_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,52 +31,42 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# A flag's ``dest`` is the setting it overrides; ``--config`` names the file.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="key=value config file"),
+    "--seed": dict(dest="seed", type=int, metavar="N", help="master random seed"),
+    "--scheme": dict(dest="scheme", choices=sorted(SCHEME_BY_LABEL),
+                     help="key distribution scheme for the run"),
+    "--predict": dict(dest="prediction.enabled", choices=("on", "off"), help="HO prediction"),
+    "--horizon-ms": dict(dest="horizon_ms", type=int, metavar="N", help="simulated time span"),
+    "--out": dict(dest="output_dir", metavar="DIR", help="output directory"),
+}
+# Each subcommand takes only the flags whose settings it reads.
+_COMMANDS = (
+    ("run", "run one seeded simulation", tuple(_FLAGS)),
+    ("analyze", "colluder sweep analytics (bandwidth, safe keys)", ("--config", "--seed", "--out")),
+    ("attack", "empirical bypass-rate measurements", ("--config", "--seed", "--out")),
+    ("selftest", "execute the built-in invariant suite", ()),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ncsecsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("run", "run one seeded simulation"),
-        ("analyze", "colluder sweep analytics (bandwidth, safe keys)"),
-        ("attack", "empirical bypass-rate measurements"),
-        ("selftest", "execute the built-in invariant suite"),
-    ):
+    for name, descr, flags in _COMMANDS:
         p = sub.add_parser(name, help=descr)
-        p.add_argument("--config", metavar="PATH", help="key=value config file")
-        p.add_argument("--seed", type=int, metavar="N", help="master random seed")
-        p.add_argument(
-            "--scheme",
-            choices=sorted(SCHEME_BY_LABEL),
-            help="key distribution scheme for the run",
-        )
-        p.add_argument("--predict", choices=("on", "off"), help="HO prediction")
-        p.add_argument("--horizon-ms", type=int, metavar="N", help="simulated time span")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        config = load_config(args.config, base=config)
-    overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.predict is not None:
-        overrides["prediction.enabled"] = args.predict
-    if args.horizon_ms is not None:
-        overrides["horizon_ms"] = str(args.horizon_ms)
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if overrides:
-        config = apply_settings(config, overrides)
-    return config
-
-
-def _fmt(value) -> str:
-    return f"{float(value):.12g}"
+    settings = {k: v for k, v in vars(args).items() if k != "command"}
+    path = settings.pop("config", None)
+    config = load_config(path, base=RunConfig()) if path else RunConfig()
+    overrides = {key: str(value) for key, value in settings.items() if value is not None}
+    return apply_settings(config, overrides) if overrides else config
 
 
 def _cmd_run(config: RunConfig) -> int:
@@ -100,47 +88,27 @@ def _cmd_run(config: RunConfig) -> int:
 
 
 def _cmd_analyze(config: RunConfig) -> int:
-    az = config.analyze
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    c_values = range(az.c_min, az.c_max + 1)
-    seq = np.random.SeedSequence(config.seed)
+    az, sec = config.analyze, config.security
+    out = output_dir(config.output_dir)
     rows = []
     for scheme, child in zip(
-        (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE), seq.spawn(3)
+        (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE),
+        np.random.SeedSequence(config.seed).spawn(3),
     ):
-        base = SchemeConfig(
-            scheme,
-            l=config.security.l,
-            L=az.L,
-            s=az.s,
-            epsilon=az.epsilon,
-            d=az.d,
-            q=config.security.q,
-            m=config.security.m,
-            n=config.security.n,
-        )
+        base = SchemeConfig(scheme, l=sec.l, L=az.L, s=az.s, epsilon=az.epsilon, d=az.d,
+                            q=sec.q, m=sec.m, n=sec.n)
+        sweep = colluder_sweep(base, range(az.c_min, az.c_max + 1),
+                               rng=np.random.default_rng(child), trials=az.trials)
         rows.extend(
-            colluder_sweep(base, c_values, rng=np.random.default_rng(child), trials=az.trials)
+            [r.scheme, r.c, r.l, *map(_fmt, (r.bandwidth, r.safe_key_prob, r.ci_low, r.ci_high))]
+            for r in sweep
         )
-
-    with open(out / "fig4.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "c", "l", "bandwidth"])
-        for r in rows:
-            w.writerow([r.scheme, r.c, r.l, _fmt(r.bandwidth)])
-    with open(out / "fig5.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "c", "l", "safe_key_prob", "ci_low", "ci_high"])
-        for r in rows:
-            w.writerow([r.scheme, r.c, config.security.l, _fmt(r.safe_key_prob),
-                        _fmt(r.ci_low), _fmt(r.ci_high)])
-    with open(out / "analytics.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "c", "l", "bandwidth", "safe_key_prob", "ci_low", "ci_high"])
-        for r in rows:
-            w.writerow([r.scheme, r.c, r.l, _fmt(r.bandwidth), _fmt(r.safe_key_prob),
-                        _fmt(r.ci_low), _fmt(r.ci_high)])
+    # fig4: bandwidth at each scheme's own tag count; fig5: safe-key
+    # probability, which every scheme takes at security.l
+    header = ["scheme", "c", "l", "bandwidth", "safe_key_prob", "ci_low", "ci_high"]
+    write_table(out / "fig4.csv", header[:4], (r[:4] for r in rows))
+    write_table(out / "fig5.csv", header[:3] + header[4:], ([*r[:2], sec.l, *r[4:]] for r in rows))
+    write_table(out / "analytics.csv", header, rows)
     write_config_echo(config, out / "config.txt")
     print(f"analyze: {len(rows)} rows over c={az.c_min}..{az.c_max} -> {out}/fig4.csv, fig5.csv")
     return 0
@@ -148,32 +116,26 @@ def _cmd_analyze(config: RunConfig) -> int:
 
 def _cmd_attack(config: RunConfig) -> int:
     at = config.attack
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(config.output_dir)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     # trials=0 selects an empty measurement grid (header-only CSV)
     rows = [] if at.trials == 0 else bypass_rate_grid(at.q, at.trials, rng, n=at.n, m=at.m, l=at.l)
-    with open(out / "bypass_rates.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "strategy", "q", "l_prime", "trials", "rate", "ci_low", "ci_high"])
-        for r in rows:
-            w.writerow([r.scheme, r.strategy, r.q, r.l_prime, r.trials,
-                        _fmt(r.rate), _fmt(r.ci_low), _fmt(r.ci_high)])
+    write_table(
+        out / "bypass_rates.csv",
+        ["scheme", "strategy", "q", "l_prime", "trials", "rate", "ci_low", "ci_high"],
+        ([r.scheme, r.strategy, r.q, r.l_prime, r.trials, *map(_fmt, (r.rate, r.ci_low, r.ci_high))]
+         for r in rows),
+    )
     write_config_echo(config, out / "config.txt")
     print(f"attack: {len(rows)} measurements -> {out}/bypass_rates.csv")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         config = _effective_config(args)
         validate_command(args.command, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "run":
             return _cmd_run(config)
         if args.command == "analyze":

@@ -17,7 +17,7 @@ from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
 from .keydist import SCHEME_BY_LABEL, Scheme
-from .mobility import BOX_MIN_CELLS, BOX_REACH_ISD, PREFILTER_SLACK_DB
+from .mobility import BOX_REACH_ISD, PREFILTER_SLACK_DB, uses_box
 
 # The most received powers one forecast call may compute: 32 MiB per
 # float64 array of them.
@@ -252,8 +252,8 @@ def validate(config: RunConfig) -> None:
         )
     # A ledger run's forecast computes, per UE and lead tick, the powers
     # that ``CellGrid.trigger_targets`` computes: a box's 10, or a full row.
-    lead_ticks = max(1, -(-config.prediction.lead_ms // sc.rs_period_ms))
-    box = sc.num_cells >= BOX_MIN_CELLS and sc.pl_exponent > 0
+    lead_ticks = config.prediction.lead_ticks(sc.rs_period_ms)
+    box = uses_box(sc.num_cells, sc.pl_exponent)
     powers = sc.num_ues * lead_ticks * (10 if box else sc.num_cells)
     forecasts = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
     if forecasts and powers > FORECAST_POWERS:

@@ -56,6 +56,12 @@ BOX_REACH_ISD = 1.4
 PREFILTER_SLACK_DB = 1e-6
 
 
+def uses_box(num_cells: int, pl_exponent: float) -> bool:
+    """Whether ``CellGrid.trigger_targets`` computes box powers, not full
+    rows, on a grid of ``num_cells`` cells with path-loss ``pl_exponent``."""
+    return num_cells >= BOX_MIN_CELLS and pl_exponent > 0
+
+
 @dataclass(frozen=True)
 class CellGrid:
     rows: int = 4
@@ -201,8 +207,7 @@ class CellGrid:
     def prefilters(self, ul_offset_db: float) -> bool:
         """Whether ``trigger_targets`` drops entries through ``may_fire``:
         on the box path, at the offsets where it can drop some."""
-        box = self.num_cells >= BOX_MIN_CELLS and self.pl_exponent > 0
-        return box and ul_offset_db >= PREFILTER_SLACK_DB
+        return uses_box(self.num_cells, self.pl_exponent) and ul_offset_db >= PREFILTER_SLACK_DB
 
     def trigger_targets(
         self, window_pos: np.ndarray, serving: np.ndarray, ul_offset_db: float
@@ -225,7 +230,7 @@ class CellGrid:
         non-positive exponents take the full row.
         """
         window_pos = np.asarray(window_pos, dtype=float)
-        if self.num_cells < BOX_MIN_CELLS or not self.pl_exponent > 0:
+        if not uses_box(self.num_cells, self.pl_exponent):
             return trigger_targets(self.rsrp(window_pos), serving, ul_offset_db)
         batch = window_pos.shape[1:-1]
         pos = window_pos.reshape(len(window_pos), -1, 2)  # (W, entries, 2)

@@ -190,7 +190,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
     predict = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
-    lead_ticks = max(1, -(-config.prediction.lead_ms // rs))
+    lead_ticks = config.prediction.lead_ticks(rs)
     lead_ms = np.arange(1, lead_ticks + 1) * rs
     ticks = config.horizon_ms // rs + 1 if config.horizon_ms > 0 else 0
     # Per UE, a tick's trigger reads a window of samples and, with
@@ -452,73 +452,69 @@ def _block_length(last: _Chains | None, cap: int, calls_per_tick: int, prefilter
 # ----------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    """A number as every CSV artifact writes it: 12 significant digits."""
+    return f"{float(value):.12g}"
+
+
+def output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, created with its parents if it is missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out}: {exc}") from None
+    return out
+
+
+def write_table(path: Path, header: list[str], rows) -> None:
+    """Write a table CSV: the ``header`` row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[str, Path]:
     """Write the signal trace, per-HO summary, per-second and cumulative
     signaling CSVs, plus the canonical config echo."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out}: {exc}") from None
-
-    paths: dict[str, Path] = {}
-    horizon = result.config.horizon_ms
-
-    paths["config"] = out / "config.txt"
+    out = output_dir(out_dir)
+    paths = {"config": out / "config.txt", "signals": out / "signals.csv"}
     write_config_echo(result.config, paths["config"])
-
-    paths["signals"] = out / "signals.csv"
+    # signals.csv has its own, faster writer (``SignalTrace.write_csv``)
     with open(paths["signals"], "w", newline="") as fh:
         result.trace.write_csv(fh)
 
     paths["ho_summary"] = out / "ho_summary.csv"
-    with open(paths["ho_summary"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["ue_id", "s_cell", "t_cell", "t_trigger_ms", "t_complete_ms",
-             "key_signals", "prep_wait_ms"]
-        )
-        w.writerows(result.events.summary_rows())
+    header = ["ue_id", "s_cell", "t_cell", "t_trigger_ms", "t_complete_ms", "key_signals",
+              "prep_wait_ms"]
+    write_table(paths["ho_summary"], header, result.events.summary_rows())
 
-    labels = list(result.scheme_traces)
+    # per scheme, the key exchanges in and before each window starting in [0, horizon]
+    horizon = result.config.horizon_ms
+    traces = result.scheme_traces if horizon > 0 else {}
+    counts = [per_window_signaling(tr, horizon) for tr in traces.values()]
+    curves = [cumulative_key_exchanges(tr, horizon) for tr in traces.values()]
     paths["per_second"] = out / "per_second_signaling.csv"
-    with open(paths["per_second"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_start_ms", "scheme", "key_exchanges"])
-        if horizon > 0:
-            counts = {
-                label: per_window_signaling(tr, horizon)
-                for label, tr in result.scheme_traces.items()
-            }
-            for i, start in enumerate(range(0, horizon + 1, SIGNALING_WINDOW_MS)):
-                for label in labels:
-                    w.writerow([start, label, counts[label][i]])
-
+    write_table(
+        paths["per_second"],
+        ["window_start_ms", "scheme", "key_exchanges"],
+        ([start, label, n]
+         for start, ns in zip(range(0, horizon + 1, SIGNALING_WINDOW_MS), zip(*counts))
+         for label, n in zip(traces, ns)),
+    )
     paths["cumulative"] = out / "cumulative_key_exchanges.csv"
-    with open(paths["cumulative"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_ms", "scheme", "cumulative_key_exchanges"])
-        if horizon > 0:
-            series = {
-                label: cumulative_key_exchanges(tr, horizon)
-                for label, tr in result.scheme_traces.items()
-            }
-            for i, (t, _) in enumerate(series[labels[0]]):
-                for label in labels:
-                    w.writerow([t, label, series[label][i][1]])
+    write_table(
+        paths["cumulative"],
+        ["t_ms", "scheme", "cumulative_key_exchanges"],
+        ([t, label, n] for points in zip(*curves) for label, (t, n) in zip(traces, points)),
+    )
 
     if result.config.scenario.dump_measurements:
         paths["measurements"] = out / "measurements.csv"
-        with open(paths["measurements"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_ms", "ue_id", "cell", "rsrp_dbm"])
-            for meas in result.measurements:
-                for cell, value in enumerate(meas.rsrp_dbm):
-                    w.writerow([meas.t, meas.ue_id, cell, _fmt(float(value))])
-
+        write_table(
+            paths["measurements"],
+            ["t_ms", "ue_id", "cell", "rsrp_dbm"],
+            ([m.t, m.ue_id, cell, _fmt(v)] for m in result.measurements
+             for cell, v in enumerate(m.rsrp_dbm)),
+        )
     return paths

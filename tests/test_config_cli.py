@@ -2,7 +2,9 @@ import contextlib
 import csv
 import filecmp
 import io
+import shlex
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -230,11 +232,52 @@ def test_a_forecast_too_large_to_allocate_is_a_config_error(grid, longest):
     with_lead(10**9, scheme="hmac")
 
 
-def test_cli_exit_code_2_on_runtime_error(tmp_path):
+@pytest.mark.parametrize("command", ["run", "analyze", "attack"])
+def test_cli_exit_code_2_on_runtime_error(tmp_path, capsys, command):
     blocker = tmp_path / "file"
     blocker.write_text("x")
     # output dir path points through a regular file
-    assert main(["run", "--horizon-ms", "1000", "--out", str(blocker / "sub")]) == 2
+    out = blocker / "sub"
+    short = ["--horizon-ms", "1000"] if command == "run" else []
+    assert main([command, *short, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
+
+
+def _readme_invocations() -> list[list[str]]:
+    """The argument lists of the commands the README's "Command line"
+    section shows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.strip()]
+
+
+# Each argument list with the flag it is refused for (None: it parses).
+FLAG_CASES = [
+    (["selftest", "--seed", "1"], "--seed"),
+    (["attack", "--predict", "on"], "--predict"),
+    (["attack", "--scheme", "hmac"], "--scheme"),
+    (["analyze", "--horizon-ms", "5"], "--horizon-ms"),
+    (["analyze", "--scheme", "macsig"], "--scheme"),
+    *((argv, None) for argv in _readme_invocations()),
+]
+
+
+@pytest.mark.parametrize("argv, flag", FLAG_CASES, ids=[" ".join(a) for a, _ in FLAG_CASES])
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, monkeypatch, capsys, argv, flag):
+    # A flag a command does not read is a config error naming it; every
+    # invocation the README shows parses.  The commands' work is patched
+    # out: only the flags are under test.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "myrun.cfg").write_text("")
+    for name in ("_cmd_run", "_cmd_analyze", "_cmd_attack"):
+        monkeypatch.setattr(f"ncsecsim.cli.{name}", lambda config: 0)
+    monkeypatch.setattr("ncsecsim.selftest.run_selftest", lambda: 0)
+    if flag is None:
+        assert main(argv) == 0
+    else:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
 
 
 @pytest.mark.parametrize("exc", [

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -248,6 +249,21 @@ def test_measurement_dump_rows(tmp_path):
     lines = paths["measurements"].read_text().strip().splitlines()
     assert lines[0] == "t_ms,ue_id,cell,rsrp_dbm"
     assert len(lines) == 1 + 4 * 3 * 16  # one row per (tick, ue, cell)
+
+
+def test_csv_writer_is_called_only_by_the_table_writer_and_the_signal_quoting_rule():
+    # Every table CSV goes through ``simulation.write_table``; signals.csv
+    # has its own writer, which takes its quoting from ``ledger._csv_field``.
+    sites = []
+    for path in sorted(Path(simulation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "csv.writer":
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+                sites.append(f"{path.stem}.{owner}")
+    assert sites == ["ledger._csv_field", "simulation.write_table"]
 
 
 def test_horizon_zero_produces_nothing():
