@@ -68,6 +68,7 @@ from .mobility import (
     Measurement,
     UeArrays,
     advance,
+    first_fires,
     place_ues,
     trigger_targets,
 )

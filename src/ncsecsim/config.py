@@ -22,6 +22,9 @@ from .mobility import BOX_REACH_ISD, PREFILTER_SLACK_DB, uses_box
 # The most received powers one forecast call may compute: 32 MiB per
 # float64 array of them.
 FORECAST_POWERS = 2**22
+# The most cells a grid may have: its box table alone holds 10 ints per
+# cell, 320 MiB at this bound.
+GRID_CELLS = 2**22
 # The coarsest rounding of a received power that a run accepts: a
 # hundredth of the box prefilter's slack (``CellGrid.may_fire``), and so
 # far finer than any offset.
@@ -217,6 +220,11 @@ def validate(config: RunConfig) -> None:
     sc = config.scenario
     if sc.rows < 1 or sc.cols < 1:
         raise ConfigError("scenario.rows/cols: must be >= 1")
+    if sc.num_cells > GRID_CELLS:
+        raise ConfigError(
+            f"scenario.rows/cols: a {sc.rows}x{sc.cols} grid has {sc.num_cells} cells, "
+            f"above {GRID_CELLS}"
+        )
     if sc.isd_m <= 0:
         raise ConfigError("scenario.isd_m: must be positive")
     if sc.num_ues < 0:
@@ -251,7 +259,7 @@ def validate(config: RunConfig) -> None:
             "a first-visit handover can wait a whole period for its keys"
         )
     # A ledger run's forecast computes, per UE and lead tick, the powers
-    # that ``CellGrid.trigger_targets`` computes: a box's 10, or a full row.
+    # that ``CellGrid.first_fires`` computes at most: a box's 10, or a full row.
     lead_ticks = config.prediction.lead_ticks(sc.rs_period_ms)
     box = uses_box(sc.num_cells, sc.pl_exponent)
     powers = sc.num_ues * lead_ticks * (10 if box else sc.num_cells)

@@ -12,19 +12,26 @@ A handover to candidate cell c triggers when its measured power exceeds
 the serving cell's by the configured offset and no sample inside the
 trailing time-to-trigger window contradicts that.  With the default
 160 ms periodicity and 32 ms TTT a single satisfying measurement decides.
-Power falls with distance, so only cells within a reach of the UE set by
-its serving distance and the offset can trigger: ``CellGrid.trigger_targets``
-computes powers for the serving cell and the 3x3 lattice box around the
-UE, and the full row (``CellGrid.rsrp``) only where the reach may leave
-the box, on small grids, or where every power is needed (shadowing, the
-measurement dump).  At a positive offset it first drops the entries
-whose nearest cell, the strongest, does not beat the serving cell by the
-offset (``CellGrid.may_fire``): those cannot fire.
+The event loop asks only for the first fire of each sequence of entries
+(a UE's ticks, or a forecast's lead ticks), and one call returns it
+(``first_fires``, ``CellGrid.first_fires``).  Power falls with distance,
+so only cells within a reach of the UE set by its serving distance and
+the offset can trigger: ``CellGrid.first_fires`` computes powers for the
+serving cell and the 3x3 lattice box around the UE, and the full row
+(``CellGrid.rsrp``) only where the reach may leave the box, on small
+grids, or where every power is needed (shadowing, the measurement dump).
+At a positive offset it first drops the entries whose nearest cell, the
+strongest, does not beat the serving cell by the offset
+(``CellGrid.may_fire``): those cannot fire.  The box then sees only each
+sequence's first surviving entry, and the next one where that did not
+fire.
 
 UE state is one set of arrays (``UeArrays``, drawn by ``place_ues``).
 Motion (``advance``), measurement (``CellGrid.rsrp``) and the trigger
-rule (``trigger_targets``, ``CellGrid.trigger_targets``) take every UE at
-once; a single UE is a batch of one.
+rule (``trigger_targets``, ``first_fires`` and their ``CellGrid``
+methods) take every UE at once; a single UE is a batch of one.  On a
+torus the public ``CellGrid`` methods wrap positions past the extent
+first.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ DEFAULT_PL0_DB = 38.5
 DEFAULT_PL_EXPONENT = 3.5
 MIN_DISTANCE_M = 1.0
 
-# ``CellGrid.trigger_targets`` computes powers for a UE's 3x3 lattice box
+# ``CellGrid.first_fires`` computes powers for a UE's 3x3 lattice box
 # only on grids of at least this many cells; on smaller grids the box's
 # gathers cost about as much as the full row or more (measured on 4x4 to
 # 8x8 grids with 20 and 140 UEs).
@@ -57,7 +64,7 @@ PREFILTER_SLACK_DB = 1e-6
 
 
 def uses_box(num_cells: int, pl_exponent: float) -> bool:
-    """Whether ``CellGrid.trigger_targets`` computes box powers, not full
+    """Whether ``CellGrid.first_fires`` computes box powers, not full
     rows, on a grid of ``num_cells`` cells with path-loss ``pl_exponent``."""
     return num_cells >= BOX_MIN_CELLS and pl_exponent > 0
 
@@ -104,6 +111,7 @@ class CellGrid:
         for name, arr in cached.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_short_side", float(min(self.extent)))
         # A UE whose serving power plus the offset reaches this floor has no
         # candidate outside its box (see ``trigger_targets``).
         object.__setattr__(
@@ -148,26 +156,36 @@ class CellGrid:
         p += self.pl0_db
         return np.subtract(self.ptx_dbm, p, out=p)
 
+    def _wrapped(self, pos: np.ndarray) -> np.ndarray:
+        """``pos`` as floats, each coordinate past a torus's extent wrapped
+        onto it (no run passes one: ``advance`` wraps).  A coordinate on
+        the extent stays, so its distances keep their bits.  One min and
+        one max over all coordinates, against the shorter side, decide
+        whether to look, so on an oblong torus some calls compare every
+        coordinate.  The public methods wrap once; the private ones take
+        wrapped positions."""
+        pos = np.asarray(pos, dtype=float)
+        if self.wrap and (pos.min(initial=0.0) < 0.0 or pos.max(initial=0.0) > self._short_side):
+            ext = self._extent_arr
+            return np.where((pos < 0.0) | (pos > ext), np.mod(pos, ext), pos)
+        return pos
+
     def distances(self, pos: np.ndarray) -> np.ndarray:
         """Distances from positions (..., 2) to every BS, shape (..., cells)."""
-        return self._distances(np.asarray(pos, dtype=float), self._bs_x, self._bs_y)
+        return self._distances(self._wrapped(pos), self._bs_x, self._bs_y)
 
     def rsrp(self, pos: np.ndarray) -> np.ndarray:
         """Uplink received power per cell (dBm) for the given positions."""
         return self._power(self.distances(pos))
 
+    def _rsrp(self, pos: np.ndarray) -> np.ndarray:
+        return self._power(self._distances(pos, self._bs_x, self._bs_y))
+
     def _square_cells(self, pos: np.ndarray) -> np.ndarray:
-        """The cell of the lattice square holding each position (..., 2):
-        its nearest cell, or the nearest edge cell off an unwrapped grid.
-        Positions past a torus's extent, which no run passes, wrap first.
-        One min and one max find them, taken against the shorter side, so
-        on an oblong torus some calls wrap positions that wrapping leaves
-        as they are."""
+        """The cell of the lattice square holding each wrapped position
+        (..., 2): its nearest cell, or the nearest edge cell off an
+        unwrapped grid."""
         square = pos / self.isd_m
-        if self.wrap and (
-            square.min(initial=0.0) < 0.0 or square.max(initial=0.0) >= min(self.rows, self.cols)
-        ):
-            square = self.wrap_position(pos) / self.isd_m
         np.minimum(square, self._last_square, out=square)
         np.maximum(square, 0.0, out=square)
         square = square.astype(np.intp)
@@ -176,7 +194,8 @@ class CellGrid:
     def box_rsrp(self, pos: np.ndarray, serving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Powers for each entry's lattice box and serving cell.
 
-        ``pos`` is (W, entries, 2), oldest sample first, and ``serving``
+        ``pos`` is (W, entries, 2), oldest sample first, inside the extent
+        of a torus (as ``wrap_position`` leaves it), and ``serving``
         (entries,).  The box is the 3x3 neighbourhood of the lattice square
         holding the newest position (``_square_cells``), ids ascending.
         Returns ``cells`` (entries, 10), the box and then the serving cell,
@@ -196,57 +215,95 @@ class CellGrid:
         exponent, the strongest.  A target must beat the serving cell by
         the offset at the newest sample, so an entry can fire only where
         p_n > p_s + offset.  ``PREFILTER_SLACK_DB`` covers a square that
-        disagrees with the float argmin at an edge; an entry that serves n
-        is then dropped at every offset of at least the slack.  Since
-        p_n >= p_s, a negative offset drops nothing.
+        disagrees with the float argmin at an edge.  An entry that serves
+        n has p_n - p_s = 0 exactly, so one int compare decides it, before
+        any power: it is dropped at every offset of at least the slack.
+        Since p_n >= p_s, a negative offset drops nothing.
         """
-        cells = np.column_stack([self._square_cells(newest), serving])
-        power = self._power(self._distances(newest, self._bs_x[cells], self._bs_y[cells]))
-        return power[:, 0] - power[:, 1] > ul_offset_db - PREFILTER_SLACK_DB
+        return self._may_fire(self._wrapped(newest), np.asarray(serving), ul_offset_db)
+
+    def _may_fire(self, newest: np.ndarray, serving: np.ndarray, ul_offset_db: float) -> np.ndarray:
+        square = self._square_cells(newest)
+        fire = np.full(len(square), ul_offset_db < PREFILTER_SLACK_DB)  # where n serves
+        other = np.flatnonzero(square != serving)
+        cells = np.column_stack([square[other], serving[other]])
+        power = self._power(self._distances(newest[other], self._bs_x[cells], self._bs_y[cells]))
+        fire[other] = power[:, 0] - power[:, 1] > ul_offset_db - PREFILTER_SLACK_DB
+        return fire
 
     def prefilters(self, ul_offset_db: float) -> bool:
-        """Whether ``trigger_targets`` drops entries through ``may_fire``:
-        on the box path, at the offsets where it can drop some."""
+        """Whether ``first_fires`` drops entries through ``may_fire``: on
+        the box path, at the offsets where it can drop some."""
         return uses_box(self.num_cells, self.pl_exponent) and ul_offset_db >= PREFILTER_SLACK_DB
 
-    def trigger_targets(
-        self, window_pos: np.ndarray, serving: np.ndarray, ul_offset_db: float
-    ) -> np.ndarray:
-        """``trigger_targets(self.rsrp(window_pos), serving, ul_offset_db)``,
-        computing powers only for the cells that can win.
+    def first_fires(
+        self, window_pos: np.ndarray, serving: np.ndarray, starts: np.ndarray, ul_offset_db: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``first_fires(self.rsrp(window_pos), serving, starts,
+        ul_offset_db)``, computing powers only for the cells that can win
+        and, where it ``prefilters``, only for the entries that can decide.
 
         ``window_pos`` holds the positions inside the time-to-trigger
-        window, shape (W, *batch, 2), oldest first.  Where it
-        ``prefilters``, entries that ``may_fire`` rejects take -1 from two
-        powers at the newest sample.  Received power falls strictly with
-        ``max(d, 1 m)``, so a cell can beat the serving cell by the offset
-        only within the reach
+        window, shape (W, entries, 2), oldest first, and ``serving`` the
+        entries' serving cells (entries,).  Received power falls strictly
+        with ``max(d, 1 m)``, so a cell can beat the serving cell by the
+        offset only within the reach
         r = max(d_s, 1 m) * 10**(-offset / (10 * exponent)) of the newest
         position, and a cell must qualify at the newest sample.  Every cell
         outside the newest position's box (``box_rsrp``) is at least 1.5 ISD
         away.  Where the serving power plus the offset reaches the power at
         ``BOX_REACH_ISD`` ISDs, r is inside that with margin and the box
         decides; other entries, grids under ``BOX_MIN_CELLS`` cells and
-        non-positive exponents take the full row.
+        non-positive exponents take the full row.  Where it prefilters,
+        entries that ``may_fire`` rejects do not fire, and the box sees
+        only each sequence's first surviving entry, then its next one
+        where that did not fire, until the sequence fires or has no
+        survivor left.
+        """
+        pos, serving, starts = self._wrapped(window_pos), np.asarray(serving), np.asarray(starts)
+        if not uses_box(self.num_cells, self.pl_exponent):
+            return first_fires(self._rsrp(pos), serving, starts, ul_offset_db)
+        if not self.prefilters(ul_offset_db):
+            targets = self._box_targets(pos, serving, ul_offset_db)
+            index = _first_true(targets >= 0, starts)
+            return index, np.append(targets, -1)[index]
+        entries = len(serving)
+        index, target = np.full(len(starts), entries), np.full(len(starts), -1)
+        live = np.flatnonzero(self._may_fire(pos[-1], serving, ul_offset_db))
+        seq = starts.searchsorted(live, side="right") - 1  # each survivor's sequence
+        # positions in ``live`` of each sequence's first survivor
+        at = np.flatnonzero(seq != np.concatenate(([-1], seq[:-1])))
+        while len(at):
+            entry = live[at]
+            boxed = self._box_targets(pos[:, entry], serving[entry], ul_offset_db)
+            hit = boxed >= 0
+            index[seq[at[hit]]], target[seq[at[hit]]] = entry[hit], boxed[hit]
+            at = at[~hit] + 1  # the next survivor, where it is in the same sequence
+            at = at[at < len(live)]
+            at = at[seq[at] == seq[at - 1]]
+        return index, target
+
+    def trigger_targets(
+        self, window_pos: np.ndarray, serving: np.ndarray, ul_offset_db: float
+    ) -> np.ndarray:
+        """``trigger_targets(self.rsrp(window_pos), serving, ul_offset_db)``:
+        ``first_fires`` with every entry a sequence of its own.
+
+        ``window_pos`` has shape (W, *batch, 2), oldest first, and
+        ``serving`` broadcasts against the batch.
         """
         window_pos = np.asarray(window_pos, dtype=float)
-        if not uses_box(self.num_cells, self.pl_exponent):
-            return trigger_targets(self.rsrp(window_pos), serving, ul_offset_db)
         batch = window_pos.shape[1:-1]
-        pos = window_pos.reshape(len(window_pos), -1, 2)  # (W, entries, 2)
         serving = (np.asarray(serving) + np.zeros(batch, dtype=np.intp)).ravel()
-        if not self.prefilters(ul_offset_db):
-            return self._box_targets(pos, serving, ul_offset_db).reshape(batch)
-        targets = np.full(len(serving), -1)
-        live = np.flatnonzero(self.may_fire(pos[-1], serving, ul_offset_db))
-        if len(live):
-            targets[live] = self._box_targets(pos[:, live], serving[live], ul_offset_db)
+        pos = window_pos.reshape(len(window_pos), -1, 2)  # (W, entries, 2)
+        _, targets = self.first_fires(pos, serving, np.arange(len(serving)), ul_offset_db)
         return targets.reshape(batch)
 
     def _box_targets(
         self, pos: np.ndarray, serving: np.ndarray, ul_offset_db: float
     ) -> np.ndarray:
-        """The box path of ``trigger_targets`` over (W, entries, 2) positions."""
+        """Each entry's target on the box path over wrapped (W, entries, 2)
+        positions, -1 where none qualifies."""
         cells, power = self.box_rsrp(pos, serving)
         bar = power[:, :, 9:] + ul_offset_db  # (W, entries, 1): the power to beat
         mask = (power[:, :, :9] > bar).all(axis=0)
@@ -255,9 +312,7 @@ class CellGrid:
         targets = np.where(mask.any(axis=1), cells[np.arange(len(serving)), best], -1)
         far = np.flatnonzero(bar[-1, :, 0] < self._box_floor_dbm)
         if len(far):
-            targets[far] = trigger_targets(
-                self.rsrp(pos[:, far]), serving[far], ul_offset_db
-            )
+            targets[far] = trigger_targets(self._rsrp(pos[:, far]), serving[far], ul_offset_db)
         return targets
 
     def wrap_position(self, pos: np.ndarray) -> np.ndarray:
@@ -303,16 +358,48 @@ def trigger_targets(
     the serving cell per batch entry and broadcasts against the batch.  A
     cell qualifies when it beats the serving cell by more than the offset
     in every sample.  The strongest qualifying cell at the newest sample
-    wins; equal powers break toward the lowest cell id.
+    wins; equal powers break toward the lowest cell id.  This is
+    ``first_fires`` with every entry a sequence of its own.
     """
     batch = window.shape[1:-1]
     flat = window.reshape(len(window), -1, window.shape[-1])  # (W, entries, cells)
     col = (np.asarray(serving) + np.zeros(batch, dtype=np.intp)).ravel()
-    rows = np.arange(len(col))
-    mask = (flat > flat[:, rows, col, None] + ul_offset_db).all(axis=0)
-    mask[rows, col] = False
-    best = np.where(mask, flat[-1], -np.inf).argmax(axis=-1)
-    return np.where(mask.any(axis=-1), best, -1).reshape(batch)
+    return first_fires(flat, col, np.arange(len(col)), ul_offset_db)[1].reshape(batch)
+
+
+def first_fires(
+    window: np.ndarray, serving: np.ndarray, starts: np.ndarray, ul_offset_db: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's first fire under the trigger rule (``trigger_targets``).
+
+    ``window`` (W, entries, cells) holds the entries' samples, oldest
+    first, and ``serving`` (entries,) their serving cells.  The entries
+    are cut into sequences at ``starts``, ascending (a sequence may be
+    empty).  Returns, per sequence, the index of its first entry that
+    fires and that entry's target: len(entries) and -1 where none fires.
+    Only the first fires pick their strongest cell.
+    """
+    entries = len(serving)
+    rows = np.arange(entries)
+    mask = (window > window[:, rows, serving, None] + ul_offset_db).all(axis=0)
+    mask[rows, serving] = False
+    index = _first_true(mask.any(axis=-1), np.asarray(starts))
+    target = np.full(len(index), -1)
+    found = (index < entries).nonzero()[0]
+    hit = index[found]
+    target[found] = np.where(mask[hit], window[-1, hit], -np.inf).argmax(axis=-1)
+    return index, target
+
+
+def _first_true(fire: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The index of each sequence's first entry where ``fire`` holds,
+    len(fire) where none does."""
+    entries = len(fire)
+    # a fire past the last entry ends every search
+    fired = np.concatenate((fire, [True])).nonzero()[0]
+    index = fired[fired.searchsorted(starts)]
+    index[index >= np.concatenate((starts[1:], [entries]))] = entries
+    return index
 
 
 @dataclass

@@ -18,19 +18,20 @@ ticks, tick by tick as one tick at a time would.  A UE's serving cell
 changes only through its own handover, so each UE's fires in the block
 follow from batched trigger calls over (tick, UE) entries: its serving
 cell holds until it fires, and its target serves from the next tick on
-(``_Chains``).  The forecast then runs once over every tick, UE and lead
-tick of the block on that serving timeline.  A walk over the block's
-ticks does the ordered work: prestage draws in UE order and handover
-starts.  A handover that waits ends its UE's chain.  A wait ends at the
-tick that sees its block, decided when the handover starts; while some
-cell's keys are not yet visible, a block ends at the first tick that
-sees a block (``HoTable.next_seen``) and completes its waits there.
-Blocks grow while re-evaluating chains costs less than the calls they
-save and shrink toward one tick when that costs more (``_block_length``).
-Where the trigger's prefilter drops most re-evaluated entries
-(``CellGrid.may_fire``), those entries are cheap, so a one-tick block
-may jump to the longest length even when UEs fire densely; elsewhere
-dense firing keeps blocks one tick long.  A block holds at most
+(``_Chains``), one call per round returning each UE's first fire
+(``CellGrid.first_fires``).  The forecast then makes one such call over
+every tick, UE and lead tick of the block on that serving timeline.  A
+walk over the block's ticks does the ordered work: prestage draws in UE
+order and handover starts.  A handover that waits ends its UE's chain.
+A wait ends at the tick that sees its block, decided when the handover
+starts; while some cell's keys are not yet visible, a block ends at the
+first tick that sees a block (``HoTable.next_seen``) and completes its
+waits there.  Blocks grow while re-evaluating chains costs less than the
+calls they save and shrink toward one tick when that costs more
+(``_block_length``).  Where the trigger's prefilter drops most entries
+(``CellGrid.may_fire``), those entries are cheap, so a one-tick block may
+jump to the longest length even when UEs fire densely; elsewhere dense
+firing keeps blocks one tick long.  A block holds at most
 ``BLOCK_SAMPLES`` samples, so large runs go one tick at a time.  The
 block length changes no byte and no draw.
 
@@ -77,8 +78,8 @@ from .mobility import (
     Measurement,
     UeArrays,
     advance,
+    first_fires,
     place_ues,
-    trigger_targets,
 )
 
 _ALL_SCHEMES = (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE)
@@ -182,7 +183,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng["place"])
     full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
-    trigger = trigger_targets if full_rows else grid.trigger_targets
+    trigger = first_fires if full_rows else grid.first_fires
     # whether the trigger drops most entries a chain re-evaluates (``_block_length``)
     prefiltered = not full_rows and grid.prefilters(sc.ul_offset_db)
     # A window reaches back at most to the run's first tick.
@@ -199,7 +200,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     cap = max(1, BLOCK_SAMPLES // max(1, samples))
     # Each block holds the window samples of the ``window - 1`` ticks
     # before it, then of its own ticks: positions, from which
-    # ``CellGrid.trigger_targets`` computes only the powers that can decide
+    # ``CellGrid.first_fires`` computes only the powers that can decide
     # a trigger, or the full rows of powers where shadowing (drawn per UE
     # and cell) or the measurement dump needs them.
     tail = np.empty((window - 1, ues.count, grid.num_cells if full_rows else 2))
@@ -308,12 +309,12 @@ def _prestage(
 # A block holds at most this many trigger and forecast samples, so a run
 # whose ticks hold more than half as many goes one tick at a time.
 BLOCK_SAMPLES = 4096
-# The fixed cost of one trigger call in (tick, UE) entries: about 60 us,
-# against about 0.5 us per entry of the 8x8 and 16x16 box path.
-CALL_ENTRIES = 100
+# The fixed cost of one chain round in (tick, UE) entries: about 100 us,
+# against about 0.3 us per entry of the 8x8 box path.
+CALL_ENTRIES = 300
 # The cost of an entry where the box prefilter applies (``CellGrid.may_fire``),
-# in box entries: most entries a chain re-evaluates are dropped by it.
-PREFILTERED_ENTRY_COST = 0.2
+# in box entries: about 0.05 us, as the prefilter drops most entries.
+PREFILTERED_ENTRY_COST = 0.15
 
 
 class _Chains:
@@ -324,58 +325,40 @@ class _Chains:
 
     ``samples`` holds the window samples (positions, or rows of powers) of
     the ``window - 1`` ticks before the block and then of its ticks, so the
-    window of block tick k is ``samples[k : k + window]``.  The first round
-    evaluates every UE at every tick of the block in one call on slices,
-    and ``skip`` (UEs waiting for their keys) fire nothing.  Each later
-    round evaluates, in one call on gathers, the rest of the block for the
-    UEs that fired in the round before.  ``calls`` and ``entries`` count
-    the trigger calls and the (tick, UE) entries they evaluated.  Waits
-    end only at a block's last tick, so no chain resumes inside a block.
+    window of block tick k is ``samples[k : k + window]``.  Each round is
+    one ``first_fires`` call on gathers, a UE's rest of the block being
+    one sequence.  Every UE but ``skip`` (UEs waiting for their keys)
+    starts at tick 0; a UE that fires goes on from the next tick.
+    ``calls``, ``entries`` and ``chains`` count the calls, the (tick, UE)
+    entries they took and the UEs that start.  Waits end only at a
+    block's last tick, so no chain resumes inside a block.
     """
 
     def __init__(self, trigger, samples, window, serving, skip, offset):
-        ticks, ues = len(samples) - window + 1, samples.shape[1]
-        self._trigger, self._samples, self._window, self._offset = trigger, samples, window, offset
-        windows = samples if ticks == 1 else np.stack(
-            [samples[w : w + ticks] for w in range(window)]
-        )
-        targets = trigger(windows, serving, offset).reshape(ticks, ues)
-        if skip:
-            targets[:, skip] = -1
-        self.calls, self.entries = 1, ticks * ues
-        self.fires = targets
-        if ticks > 1:
-            hit = targets >= 0
-            fired = np.flatnonzero(hit.any(axis=0))
-            first = hit[:, fired].argmax(axis=0)
-            chained = targets[first, fired]
-            self.fires = np.full((ticks, ues), -1)
-            self.fires[first, fired] = chained
-            self._chain(fired, first + 1, chained)
-
-    def _chain(self, ues, starts, serving):
-        """Fire each UE's chain from its tick in ``starts`` on, one round
-        per call, until no UE fires before the block's end."""
-        ticks = len(self.fires)
-        while True:
-            go_on = starts < ticks
-            ues, starts, serving = ues[go_on], starts[go_on], serving[go_on]
-            if not len(ues):
-                return
+        ticks, count = len(samples) - window + 1, samples.shape[1]
+        self.fires = np.full((ticks, count), -1)
+        go = np.ones(count, dtype=bool)
+        go[skip] = False
+        ues = go.nonzero()[0]
+        starts, serving = np.zeros(len(ues), dtype=np.intp), serving[ues]
+        self.calls, self.entries, self.chains = 0, 0, len(ues)
+        flat = samples.reshape(-1, samples.shape[2])  # row t * count + ue
+        window_rows = np.arange(window)[:, None] * count
+        while len(ues):
             span = ticks - starts
-            owner = np.repeat(np.arange(len(ues)), span)
-            first = np.cumsum(span) - span
-            at = np.arange(len(owner)) - first[owner] + starts[owner]
-            windows = self._samples[at + np.arange(self._window)[:, None], ues[owner]]
-            targets = self._trigger(windows, serving[owner], self._offset)
+            first = span.cumsum() - span
+            at = np.arange(first[-1] + span[-1]) + (starts - first).repeat(span)  # entry ticks
+            hit, targets = trigger(
+                np.take(flat, at * count + ues.repeat(span) + window_rows, axis=0),
+                serving.repeat(span), first, offset,
+            )
             self.calls += 1
-            self.entries += len(owner)
-            hit = np.where(targets >= 0, np.arange(len(owner)), len(owner))
-            hit = np.minimum.reduceat(hit, first)
-            fired = hit < first + span
-            hit = hit[fired]
-            ues, starts, serving = ues[fired], at[hit] + 1, targets[hit]
-            self.fires[at[hit], ues] = serving
+            self.entries += len(at)
+            fired = targets >= 0
+            ues, serving, at = ues[fired], targets[fired], at[hit[fired]]
+            self.fires[at, ues] = serving
+            go_on = at + 1 < ticks
+            ues, starts, serving = ues[go_on], at[go_on] + 1, serving[go_on]
 
     def serving(self, serving: np.ndarray) -> np.ndarray:
         """Each UE's serving cell at each block tick, given ``serving`` at
@@ -400,13 +383,15 @@ def _forecast(
 
     ``pos`` (ticks, UEs, 2) are the entries' positions and ``serving``
     (ticks, UEs) their serving cells; each lead instant is a single sample
-    of the position ``advance`` gives after ``lead_ms`` from there.
+    of the position ``advance`` gives after ``lead_ms`` from there, and
+    the lead ticks of an entry are one sequence of ``first_fires``.
     """
     future = advance(pos[:, :, None], ues.dirs[:, None], ues.speed[:, None], lead_ms, grid)
-    targets = grid.trigger_targets(future[None], serving[:, :, None], offset)
-    earliest = (targets >= 0).argmax(axis=2)
-    target = np.take_along_axis(targets, earliest[..., None], axis=2)[..., 0]
-    return target, np.where(target >= 0, lead_ms[earliest], -1)
+    leads = len(lead_ms)
+    index, target = grid.first_fires(future.reshape(1, -1, 2), serving.repeat(leads),
+                                     np.arange(0, future.size // 2, leads), offset)
+    lead = np.where(target >= 0, lead_ms[index % leads], -1)
+    return target.reshape(serving.shape), lead.reshape(serving.shape)
 
 
 def _block_length(last: _Chains | None, cap: int, calls_per_tick: int, prefiltered: bool) -> int:
@@ -417,20 +402,22 @@ def _block_length(last: _Chains | None, cap: int, calls_per_tick: int, prefilter
     waste their calls and their entries; against one tick at a time, a
     block saves ``calls_per_tick`` calls on each tick after its first.
     Where the trigger call ``prefiltered`` its entries, it drops most of
-    those the chains re-evaluate, so each is charged
-    ``PREFILTERED_ENTRY_COST`` box entries.  The length doubles (up to
-    ``cap``) while the waste is under half the saving, and halves once it
-    exceeds the saving.  A one-tick block wastes nothing, so it predicts
-    from its f fires.  With the prefilter it jumps to ``cap`` if a block
-    that long, with two more calls and f fires per tick each
-    re-evaluating the rest of the block, would waste under half the
-    saving.  Otherwise it doubles only if a two-tick block would have:
+    them and boxes only each UE's first survivors, so each re-evaluated
+    entry is charged ``PREFILTERED_ENTRY_COST`` box entries.  The length
+    doubles (up to ``cap``) while the waste is under half the saving, and
+    halves once it exceeds the saving.  A one-tick block wastes nothing,
+    so it predicts from its f fires.  With the prefilter it jumps to
+    ``cap`` if a block that long, with two more calls and f fires per tick
+    each re-evaluating the rest of the block, would waste under half the
+    saving: a two-tick block with a fire costs a round, one call, and
+    saves at most one, so doubling alone would keep densely firing runs at
+    one tick.  Otherwise it doubles only if a two-tick block would have:
     with no fire, or with its fires costing one more call and their
     entries, under half the saving.
     """
     if last is None:
         return 1
-    size, ues = last.fires.shape
+    size = len(last.fires)
     entry_cost = PREFILTERED_ENTRY_COST if prefiltered else 1
     if size == 1:
         fires = int(np.count_nonzero(last.fires >= 0))
@@ -441,7 +428,7 @@ def _block_length(last: _Chains | None, cap: int, calls_per_tick: int, prefilter
         waste = CALL_ENTRIES + entry_cost * fires if fires else 0
     else:
         saving = (size - 1) * calls_per_tick * CALL_ENTRIES
-        waste = (last.calls - 1) * CALL_ENTRIES + entry_cost * (last.entries - size * ues)
+        waste = (last.calls - 1) * CALL_ENTRIES + entry_cost * (last.entries - size * last.chains)
     if 2 * waste < saving:
         return min(cap, 2 * size)
     return max(1, size // 2) if waste > saving else size

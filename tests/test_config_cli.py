@@ -232,6 +232,15 @@ def test_a_forecast_too_large_to_allocate_is_a_config_error(grid, longest):
     with_lead(10**9, scheme="hmac")
 
 
+@pytest.mark.parametrize("rows, cols", [(10**5, 10**5), (10**6, 10**6), (2048, 2049)])
+def test_a_grid_too_large_to_allocate_names_its_size(rows, cols):
+    # Validation only: no grid of this size is built.  Such grids used to
+    # fail on the power resolution and name scenario.pl_exponent.
+    with pytest.raises(ConfigError, match=r"^scenario\.rows/cols: "):
+        apply_settings(RunConfig(), {"scenario.rows": str(rows), "scenario.cols": str(cols)})
+    assert apply_settings(RunConfig(), {"scenario.rows": "2048", "scenario.cols": "2048"})
+
+
 @pytest.mark.parametrize("command", ["run", "analyze", "attack"])
 def test_cli_exit_code_2_on_runtime_error(tmp_path, capsys, command):
     blocker = tmp_path / "file"

@@ -446,6 +446,64 @@ def test_box_trigger_wraps_positions_past_a_torus_extent(offset):
     assert grid.trigger_targets(window, 0, offset).tolist() == want.tolist()
 
 
+def test_public_methods_wrap_positions_past_a_torus_extent():
+    # (-700, 50) is (100, 50) on an 8x8 torus of 100 m cells, so cell 7 is
+    # 150 m from both; folding the offset without wrapping put it at 650 m.
+    grid = CellGrid(rows=8, cols=8)
+    past, inside = np.array([-700.0, 50.0]), np.array([100.0, 50.0])
+    assert grid.distances(past)[7] == grid.distances(inside)[7] == 150.0
+    assert np.array_equal(grid.distances(past), grid.distances(inside))
+    window = np.array([[past, inside]])  # (1, 2, 2): both points as entries
+    for offset in (1.0, 0.0, -1.0):
+        for serving in range(grid.num_cells):
+            want = trigger_targets(grid.rsrp(window), serving, offset)
+            assert want[0] == want[1]
+            assert grid.trigger_targets(window, serving, offset).tolist() == want.tolist()
+            fires = grid.may_fire(window[-1], np.array([serving, serving]), offset)
+            assert fires[0] == fires[1]
+
+
+@st.composite
+def sequence_cases(draw):
+    """``box_cases`` with the batch flattened into entries (W, entries, 2)
+    and cut into sequences at ascending ``starts``: ragged, some empty,
+    some at the end, entries before the first start in none.  Some
+    entries hold still over the window, so that they fire almost wherever
+    their newest sample survives the prefilter, while entries that moved
+    often survive and do not fire."""
+    grid, window, serving, offset, force_box = draw(box_cases())
+    pos = window.reshape(len(window), -1, 2)
+    serving = np.array(np.broadcast_to(serving, window.shape[1:-1])).ravel()
+    still = draw(st.lists(st.booleans(), min_size=len(serving), max_size=len(serving)))
+    pos = np.where(np.array(still)[:, None], pos[-1], pos)
+    cuts = draw(st.lists(st.integers(0, len(serving)), max_size=8))
+    return grid, pos, serving, np.array(sorted(cuts), dtype=np.intp), offset, force_box
+
+
+# Serving cell 0 at offset 1: entry 0 survives the prefilter (its newest
+# sample is in cell 1's square) but does not fire (its oldest is in cell
+# 0's); entries 1 and 2 fire, to cells 1 and 8.  The second sequence takes
+# all three, the others are empty.
+@example((CellGrid(rows=8, cols=8),
+          np.array([[[50.0, 50.0], [150.0, 50.0], [50.0, 150.0]],
+                    [[150.0, 50.0], [150.0, 50.0], [50.0, 150.0]]]),
+          np.array([0, 0, 0]), np.array([0, 0, 3, 3]), 1.0, False))
+@settings(max_examples=400, deadline=None)
+@given(sequence_cases())
+def test_first_fires_is_the_first_fire_of_the_full_row_rule(case):
+    grid, pos, serving, starts, offset, force_box = case
+    targets = trigger_targets(grid.rsrp(pos), serving, offset).tolist()
+    want = []
+    for start, end in zip(starts.tolist(), [*starts[1:].tolist(), len(targets)]):
+        fired = [k for k in range(start, end) if targets[k] >= 0]
+        want.append((fired[0], targets[fired[0]]) if fired else (len(targets), -1))
+    with mock.patch.object(mobility, "BOX_MIN_CELLS", 1 if force_box else mobility.BOX_MIN_CELLS):
+        got = grid.first_fires(pos, serving, starts, offset)
+    assert list(zip(*(a.tolist() for a in got))) == want
+    got = mobility.first_fires(grid.rsrp(pos), serving, starts, offset)
+    assert list(zip(*(a.tolist() for a in got))) == want
+
+
 def test_small_grid_keeps_full_row(grid):
     # the reference 4x4 grid never builds a box; 6x6 does
     ues = place_ues(grid, 20, 60 / 3.6, np.random.default_rng(13))
