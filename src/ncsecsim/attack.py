@@ -35,7 +35,7 @@ from .integrity import (
     tag_matrix,
     tagset_for_generation,
 )
-from .keydist import Scheme, SchemeConfig, sample_holdings
+from .keydist import Scheme, SchemeConfig, _holdings
 from .rlnc import CodedPacket, encode, random_generation
 
 
@@ -143,9 +143,13 @@ def _colluder_positions(
     """Tag positions whose keys the colluders jointly hold."""
     if adversary.knowledge is AdversaryKnowledge.ALL_KEYS:
         return list(range(config.l))
-    tags, held = sample_holdings(config, adversary.count, 1, rng)
+    masks = _holdings(config, adversary.count, 1, rng)
+    tags = next(masks)[0].copy()
+    union = np.zeros_like(tags)
+    for held in masks:
+        union |= held[0]
     # slot i carries the tag of the i-th tag key
-    return np.flatnonzero(held.any(axis=0)[0, tags[0]]).tolist()
+    return np.flatnonzero(union[tags]).tolist()
 
 
 # Elements per batch of (trials x payload symbols x keys): bounds the

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
-from .keydist import SCHEME_BY_LABEL, Scheme
+from .keydist import SCHEME_BY_LABEL, Scheme, safe_key_bytes
 from .mobility import BOX_REACH_ISD, PREFILTER_SLACK_DB, uses_box
 
 # The most received powers one forecast call may compute: 32 MiB per
@@ -25,6 +25,9 @@ FORECAST_POWERS = 2**22
 # The most cells a grid may have: its box table alone holds 10 ints per
 # cell, 320 MiB at this bound.
 GRID_CELLS = 2**22
+# The most bytes one safe-key estimate of ``analyze`` may hold at once
+# (``keydist.safe_key_bytes``): 13 MB at the defaults.
+SAFE_KEY_BYTES = 2**30
 # The coarsest rounding of a received power that a run accepts: a
 # hundredth of the box prefilter's slack (``CellGrid.may_fire``), and so
 # far finer than any offset.
@@ -301,6 +304,12 @@ def validate_command(command: str, config: RunConfig) -> None:
             )
         if az.trials < 1:
             raise ConfigError("analyze.trials: must be >= 1")
+        held = safe_key_bytes(az.L, az.trials, az.c_max)
+        if held > SAFE_KEY_BYTES:
+            raise ConfigError(
+                f"analyze.trials/L/c_max: an estimate of {az.trials} trials over {az.L} keys "
+                f"against {az.c_max} colluders holds {held} bytes at once, above {SAFE_KEY_BYTES}"
+            )
     if command == "attack":
         _check_field_order("attack.q", at.q)
         if at.n < 1 or at.m < 1:

@@ -35,6 +35,7 @@ verify anything).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -175,40 +176,79 @@ def sample_holdings(
     holds a uniform s-subset.  C-cover-free: by symmetry the tag keys are
     0..l-1 of the L, and every node holds one of them.  Draws run in node
     order: the tag keys, node 0, then the others.
+
+    This is the stacked form, for small counts; ``safe_key_probability``
+    folds the same masks as they are drawn and holds no (nodes, trials, U)
+    array.
     """
+    masks = _holdings(config, nodes, trials, rng)
+    tags = next(masks).copy()
+    held = np.empty((nodes,) + tags.shape, dtype=bool)
+    for out, mask in zip(held, masks):
+        out[...] = mask
+    return tags, held
+
+
+# Elements per row block of a node's (trials, L) uniform draws: bounds the
+# double-random sampler's float scratch to two (block, L) arrays.  A node's
+# blocks are consecutive in the stream, so the block size changes no draw.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_rows(L: int, trials: int) -> int:
+    return min(trials, max(1, _BLOCK_ELEMENTS // L))
+
+
+def _holdings(
+    config: SchemeConfig, nodes: int, trials: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Yield the (trials, U) masks of ``sample_holdings`` one at a time, in
+    draw order: the tag keys, node 0, then the other nodes.  Every yield is
+    the same buffer, which the next one overwrites, so a consumer that keeps
+    a mask copies it."""
     if nodes < 1 or trials < 1:
         raise InvalidParameter("need at least one node and one trial")
     l = config.l
     if config.scheme is Scheme.BLOCKCHAIN:
-        return np.ones((trials, l), dtype=bool), np.ones((nodes, trials, l), dtype=bool)
+        mask = np.empty((trials, l), dtype=bool)
+        for _ in range(nodes + 1):
+            mask.fill(True)
+            yield mask
+        return
     if config.scheme is Scheme.DOUBLE_RANDOM and l > config.s:
         raise InvalidParameter("source cannot tag with more keys than it holds")
-    tags = np.zeros((trials, config.L), dtype=bool)
-    held = np.zeros((nodes, trials, config.L), dtype=bool)
+    mask = np.empty((trials, config.L), dtype=bool)
     if config.scheme is Scheme.DOUBLE_RANDOM:
         # One pair of draw buffers serves every mask: fresh per-node
         # temporaries page-fault or not depending on what malloc last freed.
-        draws = np.empty(tags.shape)
+        rows = _block_rows(config.L, trials)
+        draws = np.empty((rows, config.L))
         order = np.empty_like(draws)
-        _mark_uniform_subsets(tags, l, rng, draws, order)
-        for mask in held:
-            _mark_uniform_subsets(mask, config.s, rng, draws, order)
-        return tags, held
+        for size in [l] + [config.s] * nodes:
+            for start in range(0, trials, rows):
+                block = mask[start : start + rows]
+                _mark_uniform_subsets(block, size, rng, draws[: len(block)], order[: len(block)])
+            yield mask
+        return
     # C_COVER_FREE
-    tags[:, :l] = True
+    mask.fill(False)
+    mask[:, :l] = True
+    yield mask
     rows = np.arange(trials)
-    held[0, rows, rng.integers(0, l, size=trials)] = True
+    picks = [rng.integers(0, l, size=trials)]
     if nodes > 1:
-        picks = rng.integers(0, l, size=(trials, nodes - 1))
-        held[np.arange(1, nodes)[:, None], rows, picks.T] = True
-    return tags, held
+        picks.extend(rng.integers(0, l, size=(trials, nodes - 1)).T)
+    for pick in picks:
+        mask.fill(False)
+        mask[rows, pick] = True
+        yield mask
 
 
 def _mark_uniform_subsets(
     mask: np.ndarray, size: int, rng: np.random.Generator,
     draws: np.ndarray, order: np.ndarray,
 ) -> None:
-    """Mark a uniform size-subset in every row of the (trials, U) mask: the
+    """Mark a uniform size-subset in every row of the (rows, U) mask: the
     keys of the ``size`` smallest of U uniform draws.  The draws are 53-bit
     floats, so two in a row coincide with probability about U**2 / 2**54.
     ``draws`` and ``order`` are float64 scratch of the mask's shape."""
@@ -261,11 +301,25 @@ def safe_key_probability(
         rng = np.random.default_rng(0)
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    tags, held = sample_holdings(config, c + 1, trials, rng)
-    # node 0 is the benign hop, the others the colluders
-    safe = int((held[0] & tags & ~held[1:].any(axis=0)).any(axis=1).sum())
+    # node 0 is the benign hop, the others the colluders; each mask is
+    # folded as it is drawn, and the tag keys' mask is copied because the
+    # next draw overwrites it
+    masks = _holdings(config, c + 1, trials, rng)
+    live = next(masks).copy()
+    live &= next(masks)
+    for colluder in masks:
+        live &= ~colluder
+    safe = int(live.any(axis=1).sum())
     low, high = wilson_interval(safe, trials)
     return SafeKeyEstimate(safe / trials, low, high, trials, exact=False)
+
+
+def safe_key_bytes(L: int, trials: int, c: int) -> int:
+    """Bytes a baseline ``safe_key_probability`` holds at once, at most:
+    three (trials, L) bool masks (the drawn one, the fold and a colluder's
+    complement), the double-random sampler's two float64 row blocks, and
+    the cover-free sampler's int64 row index and c + 1 picks per trial."""
+    return 3 * trials * L + 16 * _block_rows(L, trials) * L + 8 * trials * (c + 2)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from ncsecsim.integrity import (
     tagset_for_generation,
     verify_tags,
 )
-from ncsecsim.keydist import Scheme, SchemeConfig
+from ncsecsim.keydist import Scheme, SchemeConfig, sample_holdings
 from ncsecsim.rlnc import encode, random_generation
 
 from oracles import dot_oracle, matvec_oracle
@@ -249,3 +249,24 @@ def test_bypass_verdicts_match_first_principles_checks(
         if ledger:
             ok = ok and tags[t].tolist() == ledger_tags
         assert bool(verdicts[t]) == ok, (t, strategy, benign, held)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(list(Scheme)),
+    count=st.integers(1, 5),
+    l=st.integers(1, 6),
+    data=st.data(),
+)
+def test_colluder_positions_are_the_union_of_sampled_holdings(seed, scheme, count, l, data):
+    # the union folded as the colluders' masks are drawn equals the one
+    # taken over the stacked holdings, and consumes the same draws
+    L = data.draw(st.integers(l, 2 * l), label="L")
+    s = data.draw(st.integers(l, L), label="s")
+    config = SchemeConfig(scheme, l=l, L=L, s=s)
+    rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    held = _colluder_positions(config, AdversaryConfig(count), rng)
+    tags, holdings = sample_holdings(config, count, 1, stacked_rng)
+    assert held == np.flatnonzero(holdings.any(axis=0)[0, tags[0]]).tolist()
+    assert rng.random() == stacked_rng.random()

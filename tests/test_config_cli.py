@@ -241,6 +241,28 @@ def test_a_grid_too_large_to_allocate_names_its_size(rows, cols):
     assert apply_settings(RunConfig(), {"scenario.rows": "2048", "scenario.cols": "2048"})
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"analyze.trials": str(10**12)},
+        {"analyze.trials": str(10**7)},
+        {"analyze.L": str(10**9), "analyze.trials": "1"},
+        {"analyze.L": str(2**20)},
+        {"analyze.c_max": str(10**5)},
+    ],
+)
+def test_a_safe_key_estimate_too_large_to_allocate_is_a_config_error(settings):
+    # Validation only: no estimate of this size is drawn.
+    with pytest.raises(ConfigError, match=r"^analyze\.trials/L/c_max: "):
+        validate_command("analyze", apply_settings(RunConfig(), settings))
+
+
+def test_safe_key_estimates_below_the_bound_are_accepted():
+    validate_command("analyze", RunConfig())
+    validate_command("analyze", apply_settings(RunConfig(), {"analyze.trials": str(10**6)}))
+    validate_command("analyze", apply_settings(RunConfig(), {"analyze.L": "1024", "analyze.s": "64"}))
+
+
 @pytest.mark.parametrize("command", ["run", "analyze", "attack"])
 def test_cli_exit_code_2_on_runtime_error(tmp_path, capsys, command):
     blocker = tmp_path / "file"

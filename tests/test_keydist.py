@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsecsim import keydist
 from ncsecsim.errors import InvalidParameter
 from ncsecsim.keydist import (
     SCHEME_BY_LABEL,
@@ -243,6 +246,58 @@ def test_double_random_holdings_match_fresh_buffer_oracle(case):
     assert np.array_equal(tags, expect_tags)
     assert np.array_equal(held, expect_held)
     assert rng.random() == oracle_rng.random()
+
+
+@st.composite
+def safe_key_cases(draw):
+    scheme = draw(st.sampled_from(Scheme))
+    L = draw(st.integers(1, 24))
+    l = draw(st.integers(1, L))
+    s = draw(st.integers(l, L))
+    c = draw(st.integers(0, 5))
+    trials = draw(st.integers(1, 40))
+    block_rows = draw(st.integers(1, 4))
+    return SchemeConfig(scheme, l=l, L=L, s=s), c, trials, block_rows, draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(safe_key_cases())
+def test_streamed_safe_keys_match_stacked_holdings(case):
+    # the estimate folds the masks in row blocks of a few rows; the stacked
+    # holdings draw each node's (trials, L) block in one piece, as the
+    # fresh-buffer oracle does, and must give the same count and rng state
+    cfg, c, trials, block_rows, seed = case
+    rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(keydist, "_BLOCK_ELEMENTS", block_rows * cfg.L):
+        est = safe_key_probability(cfg, c=c, rng=rng, trials=trials)
+        blocked = sample_holdings(cfg, c + 1, trials, np.random.default_rng(seed))
+    tags, held = sample_holdings(cfg, c + 1, trials, stacked_rng)
+    # a count is blind to rows drawn in another order; the masks are not
+    assert np.array_equal(blocked[0], tags) and np.array_equal(blocked[1], held)
+    if cfg.scheme is Scheme.BLOCKCHAIN:
+        assert est.exact and est.trials == 0
+    else:
+        safe = int((held[0] & tags & ~held[1:].any(axis=0)).any(axis=1).sum())
+        assert est.value == safe / trials
+    assert rng.random() == stacked_rng.random()
+
+
+@pytest.mark.parametrize("scheme, limit_mib", [(Scheme.DOUBLE_RANDOM, 6), (Scheme.C_COVER_FREE, 8)])
+def test_safe_key_estimate_holds_no_per_node_array(scheme, limit_mib):
+    # one (c+1, trials, L) bool array alone is 6.1 MiB here
+    cfg = SchemeConfig(scheme, l=8, L=16, s=8)
+    rng = np.random.default_rng(39)
+    tracemalloc.start()
+    try:
+        safe_key_probability(cfg, c=7, rng=rng, trials=50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20, peak / 2**20
+    # the size bound that analyze's settings are checked against holds too
+    assert peak <= keydist.safe_key_bytes(cfg.L, 50_000, 7)
 
 
 def test_colluder_sweep_curve_shapes():
