@@ -30,10 +30,19 @@ every source key held by a uniformly sampled benign next hop (the
 colluders can then forge a packet that passes every check that node can
 apply; a node holding no source key counts as covered, since it cannot
 verify anything).
+
+A double-random hand (the source's l tag keys, a node's s keys) is a
+uniform size-subset of the L keys.  Where the table of every size-subset
+holds at most ``_TABLE_BYTES`` = 1 MiB (comb(L, size) * L bytes: every size
+at L <= 18), each hand is one uniform rank into that table, which is built
+on first use and cached; larger hands are the ``size`` smallest of L
+uniforms.  Both give the same law, but the rank draw costs one integer per
+hand where the other costs L floats and a partition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -173,9 +182,12 @@ def sample_holdings(
     node holds all of them (nothing is drawn).  Double random: the
     universe is the L keys, the tag keys are a uniform l-subset (the
     source tags with l keys of its uniform s-key hand) and every node
-    holds a uniform s-subset.  C-cover-free: by symmetry the tag keys are
-    0..l-1 of the L, and every node holds one of them.  Draws run in node
-    order: the tag keys, node 0, then the others.
+    holds a uniform s-subset.  Each uniform size-subset is one uniform
+    rank into the table of every size-subset where that table holds at
+    most ``_TABLE_BYTES`` (every size at L <= 18), and the ``size``
+    smallest of L uniforms otherwise.  C-cover-free: by symmetry the tag
+    keys are 0..l-1 of the L, and every node holds one of them.  Draws
+    run in node order: the tag keys, node 0, then the others.
 
     This is the stacked form, for small counts; ``safe_key_probability``
     folds the same masks as they are drawn and holds no (nodes, trials, U)
@@ -189,10 +201,16 @@ def sample_holdings(
     return tags, held
 
 
-# Elements per row block of a node's (trials, L) uniform draws: bounds the
-# double-random sampler's float scratch to two (block, L) arrays.  A node's
-# blocks are consecutive in the stream, so the block size changes no draw.
+# Elements per row block of a node's draws: bounds the double-random
+# sampler's scratch to two (block, L) float arrays or one rank per row, and
+# the cover-free picks' int64 draws to one block.  A node's blocks are
+# consecutive in the stream, so the block size changes no draw.
 _BLOCK_ELEMENTS = 1 << 16
+
+# The largest table of every size-subset of the L keys that the
+# double-random sampler draws from, in bytes: every size at L <= 18 fits
+# (comb(18, 9) * 18 is 0.83 MiB).  Larger hands draw by partition.
+_TABLE_BYTES = 1 << 20
 
 
 def _block_rows(L: int, trials: int) -> int:
@@ -205,7 +223,15 @@ def _holdings(
     """Yield the (trials, U) masks of ``sample_holdings`` one at a time, in
     draw order: the tag keys, node 0, then the other nodes.  Every yield is
     the same buffer, which the next one overwrites, so a consumer that keeps
-    a mask copies it."""
+    a mask copies it.
+
+    A double-random mask of ``size`` keys is drawn in row blocks.  Where
+    comb(L, size) * L <= ``_TABLE_BYTES`` (every size at L <= 18), each row
+    is one rank ``rng.integers(0, comb(L, size))`` gathered from
+    ``_subset_table(L, size)``; otherwise it is L uniforms
+    (``_mark_uniform_subsets``).  The tag keys and the hands may take
+    different samplers.  Cover-free picks are drawn as int64 in row blocks
+    and kept in the narrowest unsigned dtype that holds l - 1."""
     if nodes < 1 or trials < 1:
         raise InvalidParameter("need at least one node and one trial")
     l = config.l
@@ -219,29 +245,79 @@ def _holdings(
         raise InvalidParameter("source cannot tag with more keys than it holds")
     mask = np.empty((trials, config.L), dtype=bool)
     if config.scheme is Scheme.DOUBLE_RANDOM:
-        # One pair of draw buffers serves every mask: fresh per-node
-        # temporaries page-fault or not depending on what malloc last freed.
         rows = _block_rows(config.L, trials)
-        draws = np.empty((rows, config.L))
-        order = np.empty_like(draws)
+        tables = {size: _subset_table(config.L, size) for size in (l, config.s)}
+        if any(table is None for table in tables.values()):
+            # One pair of draw buffers serves every partition-drawn mask:
+            # fresh per-node temporaries page-fault or not depending on
+            # what malloc last freed.
+            draws = np.empty((rows, config.L))
+            order = np.empty_like(draws)
         for size in [l] + [config.s] * nodes:
+            table = tables[size]
             for start in range(0, trials, rows):
                 block = mask[start : start + rows]
-                _mark_uniform_subsets(block, size, rng, draws[: len(block)], order[: len(block)])
+                if table is None:
+                    _mark_uniform_subsets(block, size, rng, draws[: len(block)], order[: len(block)])
+                else:
+                    # the ranks are in range; mode="raise" would copy
+                    # through a buffer
+                    ranks = rng.integers(0, len(table), size=len(block))
+                    np.take(table, ranks, axis=0, out=block, mode="clip")
             yield mask
         return
     # C_COVER_FREE
     mask.fill(False)
     mask[:, :l] = True
     yield mask
+    # node 0's picks, then the colluders' (trials, nodes - 1) picks row by
+    # row: the order of one call each, cut into row blocks
+    picks = np.empty((nodes, trials), dtype=np.min_scalar_type(l - 1))
+    for group in (picks[:1], picks[1:]):
+        step = _block_rows(max(len(group), 1), trials)
+        for start in range(0, trials, step):
+            block = group[:, start : start + step]
+            block[...] = rng.integers(0, l, size=block.shape[::-1]).T
     rows = np.arange(trials)
-    picks = [rng.integers(0, l, size=trials)]
-    if nodes > 1:
-        picks.extend(rng.integers(0, l, size=(trials, nodes - 1)).T)
     for pick in picks:
         mask.fill(False)
         mask[rows, pick] = True
         yield mask
+
+
+def _subset_table(L: int, size: int) -> np.ndarray | None:
+    """The read-only (comb(L, size), L) bool table whose rows are the
+    size-subsets of range(L) in ``itertools.combinations`` order, or None
+    where it would hold more than ``_TABLE_BYTES``.  Built on first use and
+    cached."""
+    # comb(L, i) grows with i up to L / 2: stop at the first that overflows,
+    # so a large universe never computes a huge binomial
+    count = 1
+    for i in range(min(size, L - size)):
+        count = count * (L - i) // (i + 1)
+        if count * L > _TABLE_BYTES:
+            return None
+    return _cached_subset_table(L, size) if L <= _TABLE_BYTES else None
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_subset_table(L: int, size: int) -> np.ndarray:
+    if 2 * size > L:
+        # complements of the (L - size)-subsets, in reverse order
+        table = ~_cached_subset_table(L, L - size)[::-1]
+    else:
+        # extend each prefix, in order, by every key after its last that
+        # leaves room for the rest: lexicographic order, no dead prefix
+        table = np.zeros((1, L), dtype=bool)
+        last = np.full(1, -1)
+        for position in range(size):
+            counts = L - size + position - last
+            ends = np.cumsum(counts)
+            table = np.repeat(table, counts, axis=0)
+            last = np.arange(ends[-1]) + np.repeat(last + 1 - ends + counts, counts)
+            table[np.arange(len(table)), last] = True
+    table.flags.writeable = False
+    return table
 
 
 def _mark_uniform_subsets(
@@ -317,9 +393,17 @@ def safe_key_probability(
 def safe_key_bytes(L: int, trials: int, c: int) -> int:
     """Bytes a baseline ``safe_key_probability`` holds at once, at most:
     three (trials, L) bool masks (the drawn one, the fold and a colluder's
-    complement), the double-random sampler's two float64 row blocks, and
-    the cover-free sampler's int64 row index and c + 1 picks per trial."""
-    return 3 * trials * L + 16 * _block_rows(L, trials) * L + 8 * trials * (c + 2)
+    complement), plus the larger of the two samplers' own.  Double random:
+    two float64 row blocks, a row block of int64 ranks and two subset
+    tables (the tag keys' and the hands'), each at most ``_TABLE_BYTES``.
+    Cover-free: an int64 row index, c + 1 picks per trial in the narrowest
+    dtype that holds L - 1, and one row block of int64 draws."""
+    rows = _block_rows(L, trials)
+    double_random = 16 * rows * L + 8 * rows + 2 * _TABLE_BYTES
+    width = max(c, 1)
+    cover_free = 8 * trials + (c + 1) * trials * np.min_scalar_type(L - 1).itemsize
+    cover_free += 8 * _block_rows(width, trials) * width
+    return 3 * trials * L + max(double_random, cover_free)
 
 
 # ----------------------------------------------------------------------

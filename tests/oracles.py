@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
@@ -116,6 +117,20 @@ def mark_uniform_subsets_oracle(mask, size: int, rng) -> None:
     call (the sampler's original form; ``sample_holdings`` must match it)."""
     draws = rng.random(mask.shape)
     np.less_equal(draws, np.partition(draws, size - 1, axis=1)[:, size - 1 : size], out=mask)
+
+
+def mark_ranked_subsets_oracle(mask, size: int, rng) -> None:
+    """Mark, in every row of the (trials, U) mask, the size-subset of the U
+    keys whose rank in ``itertools.combinations`` order is one uniform draw
+    ``rng.integers(0, comb(U, size))`` per row, all rows in one call (the
+    table sampler's draws; ``sample_holdings`` must match it where its
+    table exists)."""
+    trials, keys = mask.shape
+    ranks = rng.integers(0, comb(keys, size), size=trials)
+    subsets = list(itertools.islice(itertools.combinations(range(keys), size), int(ranks.max()) + 1))
+    mask[...] = False
+    for row, rank in enumerate(ranks):
+        mask[row, list(subsets[rank])] = True
 
 
 def double_random_safe_oracle(L: int, s: int, l: int, c: int) -> Fraction:

@@ -12,16 +12,24 @@ which prints the digests of the named cases as JSON and writes nothing::
     PYTHONPATH=src python tests/test_golden_digests.py CASE [CASE ...]
 
 Paste its output into ``golden_digests.json`` by hand; it refuses a case
-that already has digests there.  ``city_8x8_200ues`` pins the scaled geometry and many
-handovers per tick; it was recorded with the interleaved torus offsets
-and list-of-records trace that preceded the plane-split
-``CellGrid.distances`` and ``ledger.SignalTrace``.
+that already has digests there, so re-recording one means deleting its
+entry first.  A demo's name (``03_key_scheme_analytics``) prints the
+digest of its stdout, the ``demos`` entry that ``test_demos.py`` checks.
+
+``city_8x8_200ues`` pins the scaled geometry and many handovers per tick;
+it was recorded with the interleaved torus offsets and list-of-records
+trace that preceded the plane-split ``CellGrid.distances`` and
+``ledger.SignalTrace``.
 
 The command cases run ``analyze`` and ``attack`` through ``cli.main``.
 The ``analyze`` digests were recorded with the per-scheme safe-key
 samplers that preceded ``keydist.sample_holdings``; the ``attack``
 digests with the batched bypass harness, whose draw order differs from
-the per-trial loop before it.
+the per-trial loop before it.  ``analyze_L24_s12_c0`` lies above the
+double-random subset tables' cap (``keydist._TABLE_BYTES``), so its
+macsig rows still come from the partition sampler and kept their bytes
+when hands at L <= 18 became one rank into a table; the demo
+``03_key_scheme_analytics`` (L = 16) was re-recorded then.
 """
 
 from __future__ import annotations
@@ -177,19 +185,36 @@ def test_command_artifacts_match_golden_digests(name, tmp_path):
     assert run_command_case(name, tmp_path) == GOLDEN[name]
 
 
+def run_demo_case(demo: Path, tmp: Path) -> str:
+    """Run one demo as ``test_demos.py`` does; SHA-256 of its stdout."""
+    from test_demos import run_demo
+
+    proc = run_demo(demo, tmp)
+    if proc.returncode:
+        raise SystemExit(proc.stderr.decode())
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
 def _print_new_digests(names: list[str]) -> int:
-    """Print ``{case: {file: sha256}}`` for cases that have no digests yet."""
-    unknown = [n for n in names if n not in CASES and n not in COMMAND_CASES]
-    recorded = [n for n in names if n in GOLDEN]
+    """Print ``{case: {file: sha256}}`` for cases that have no digests yet,
+    and ``{"demos": {demo: sha256}}`` for demos that have none."""
+    from test_demos import DEMOS
+
+    demos = {d.stem: d for d in DEMOS}
+    unknown = [n for n in names if n not in CASES and n not in COMMAND_CASES and n not in demos]
+    recorded = [n for n in names if n in GOLDEN or n in GOLDEN.get("demos", {})]
     if not names or unknown or recorded:
-        print(f"usage: {Path(__file__).name} CASE [CASE ...]; unknown: {unknown}, "
+        print(f"usage: {Path(__file__).name} CASE|DEMO [...]; unknown: {unknown}, "
               f"already recorded: {recorded}", file=sys.stderr)
         return 1
     digests = {}
     for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            run = run_case if name in CASES else run_command_case
-            digests[name] = run(name, Path(tmp))
+            if name in demos:
+                digests.setdefault("demos", {})[name] = run_demo_case(demos[name], Path(tmp))
+            else:
+                run = run_case if name in CASES else run_command_case
+                digests[name] = run(name, Path(tmp))
     print(json.dumps(digests, indent=4, sort_keys=True))
     return 0
 

@@ -25,7 +25,11 @@ from ncsecsim.keydist import (
 )
 
 from ncsecsim._stats import binomial_sigma
-from oracles import double_random_safe_oracle, mark_uniform_subsets_oracle
+from oracles import (
+    double_random_safe_oracle,
+    mark_ranked_subsets_oracle,
+    mark_uniform_subsets_oracle,
+)
 
 
 def test_required_tags_frozen_values():
@@ -234,10 +238,12 @@ def double_random_draws(draw):
 @given(double_random_draws())
 def test_double_random_holdings_match_fresh_buffer_oracle(case):
     # reused draw buffers give the same masks, and consume the same draws,
-    # as fresh arrays per node
+    # as fresh arrays per node; no subset table, so every hand is drawn by
+    # partition
     cfg, nodes, trials, seed = case
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    tags, held = sample_holdings(cfg, nodes, trials, rng)
+    with mock.patch.object(keydist, "_TABLE_BYTES", 0):
+        tags, held = sample_holdings(cfg, nodes, trials, rng)
     expect_tags = np.zeros((trials, cfg.L), dtype=bool)
     mark_uniform_subsets_oracle(expect_tags, cfg.l, oracle_rng)
     expect_held = np.zeros((nodes, trials, cfg.L), dtype=bool)
@@ -246,6 +252,62 @@ def test_double_random_holdings_match_fresh_buffer_oracle(case):
     assert np.array_equal(tags, expect_tags)
     assert np.array_equal(held, expect_held)
     assert rng.random() == oracle_rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(double_random_draws())
+def test_double_random_holdings_match_ranked_oracle(case):
+    # a hand whose subset table exists is one rank per trial, mapped to its
+    # subset in combinations order; a larger one is drawn by partition; the
+    # draws are the same, and leave the generator in the same state
+    cfg, nodes, trials, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tags, held = sample_holdings(cfg, nodes, trials, rng)
+    expect = np.zeros((nodes + 1, trials, cfg.L), dtype=bool)
+    for mask, size in zip(expect, [cfg.l] + [cfg.s] * nodes):
+        if math.comb(cfg.L, size) * cfg.L <= keydist._TABLE_BYTES:
+            mark_ranked_subsets_oracle(mask, size, oracle_rng)
+        else:
+            mark_uniform_subsets_oracle(mask, size, oracle_rng)
+    assert np.array_equal(tags, expect[0])
+    assert np.array_equal(held, expect[1:])
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 300), st.integers(1, 6), st.integers(1, 40), st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_cover_free_picks_match_one_call_per_group(l, nodes, trials, block, seed):
+    # narrow picks drawn in row blocks of a few elements are what two whole
+    # calls draw: node 0's picks, then the others' (trials, nodes - 1)
+    cfg = SchemeConfig(Scheme.C_COVER_FREE, l=l, L=l + 3)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(keydist, "_BLOCK_ELEMENTS", block):
+        _, held = sample_holdings(cfg, nodes, trials, rng)
+    first = oracle_rng.integers(0, l, size=trials)
+    picks = np.column_stack([first, oracle_rng.integers(0, l, size=(trials, nodes - 1))])
+    assert (held.sum(axis=-1) == 1).all()
+    assert np.array_equal(held.argmax(axis=-1), picks.T)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_subset_tables_hold_every_subset_once_and_are_read_only():
+    # every size at L <= 18 has a table; each row is a size-subset, and no
+    # row repeats, so comb(L, size) rows hold every subset exactly once
+    for L in range(1, 19):
+        for size in range(L + 1):
+            table = keydist._subset_table(L, size)
+            assert table.shape == (math.comb(L, size), L), (L, size)
+            assert (table.sum(axis=1) == size).all(), (L, size)
+            codes = table @ (1 << np.arange(L))
+            assert len(np.unique(codes)) == len(codes), (L, size)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = not table[0, 0]
+    assert keydist._subset_table(19, 9) is None
+    assert keydist._subset_table(24, 12) is None
 
 
 @st.composite
@@ -284,11 +346,21 @@ def test_streamed_safe_keys_match_stacked_holdings(case):
     assert rng.random() == stacked_rng.random()
 
 
-@pytest.mark.parametrize("scheme, limit_mib", [(Scheme.DOUBLE_RANDOM, 6), (Scheme.C_COVER_FREE, 8)])
-def test_safe_key_estimate_holds_no_per_node_array(scheme, limit_mib):
-    # one (c+1, trials, L) bool array alone is 6.1 MiB here
-    cfg = SchemeConfig(scheme, l=8, L=16, s=8)
+@pytest.mark.parametrize(
+    "scheme, L, s, limit_mib",
+    [
+        (Scheme.DOUBLE_RANDOM, 16, 8, 6),
+        # above the subset tables' cap: every hand is drawn by partition
+        (Scheme.DOUBLE_RANDOM, 24, 12, 9),
+        (Scheme.C_COVER_FREE, 16, 8, 8),
+    ],
+    ids=["Scheme.DOUBLE_RANDOM-6", "Scheme.DOUBLE_RANDOM-L24-9", "Scheme.C_COVER_FREE-8"],
+)
+def test_safe_key_estimate_holds_no_per_node_array(scheme, L, s, limit_mib):
+    # one (c+1, trials, L) bool array alone is 6.1 MiB at L=16, 9.2 at L=24
+    cfg = SchemeConfig(scheme, l=8, L=L, s=s)
     rng = np.random.default_rng(39)
+    keydist._cached_subset_table.cache_clear()  # count the table built here
     tracemalloc.start()
     try:
         safe_key_probability(cfg, c=7, rng=rng, trials=50_000)
