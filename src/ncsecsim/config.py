@@ -264,8 +264,7 @@ def validate(config: RunConfig) -> None:
     # A ledger run's forecast computes, per UE and lead tick, the powers
     # that ``CellGrid.first_fires`` computes at most: a box's 10, or a full row.
     lead_ticks = config.prediction.lead_ticks(sc.rs_period_ms)
-    box = uses_box(sc.num_cells, sc.pl_exponent)
-    powers = sc.num_ues * lead_ticks * (10 if box else sc.num_cells)
+    powers = sc.num_ues * lead_ticks * (10 if uses_box(sc.pl_exponent) else sc.num_cells)
     forecasts = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
     if forecasts and powers > FORECAST_POWERS:
         raise ConfigError(

@@ -384,7 +384,7 @@ def safe_key_probability(
     live = next(masks).copy()
     live &= next(masks)
     for colluder in masks:
-        live &= ~colluder
+        np.greater(live, colluder, out=live)  # live and not colluder
     safe = int(live.any(axis=1).sum())
     low, high = wilson_interval(safe, trials)
     return SafeKeyEstimate(safe / trials, low, high, trials, exact=False)
@@ -392,12 +392,13 @@ def safe_key_probability(
 
 def safe_key_bytes(L: int, trials: int, c: int) -> int:
     """Bytes a baseline ``safe_key_probability`` holds at once, at most:
-    three (trials, L) bool masks (the drawn one, the fold and a colluder's
-    complement), plus the larger of the two samplers' own.  Double random:
-    two float64 row blocks, a row block of int64 ranks and two subset
-    tables (the tag keys' and the hands'), each at most ``_TABLE_BYTES``.
-    Cover-free: an int64 row index, c + 1 picks per trial in the narrowest
-    dtype that holds L - 1, and one row block of int64 draws."""
+    three (trials, L) bool masks (the drawn one, the fold, which takes each
+    colluder in place, and a third as margin), plus the larger of the two
+    samplers' own.  Double random: two float64 row blocks, a row block of
+    int64 ranks and two subset tables (the tag keys' and the hands'), each
+    at most ``_TABLE_BYTES``.  Cover-free: an int64 row index, c + 1 picks
+    per trial in the narrowest dtype that holds L - 1, and one row block
+    of int64 draws."""
     rows = _block_rows(L, trials)
     double_random = 16 * rows * L + 8 * rows + 2 * _TABLE_BYTES
     width = max(c, 1)

@@ -18,8 +18,9 @@ The event loop asks only for the first fire of each sequence of entries
 so only cells within a reach of the UE set by its serving distance and
 the offset can trigger: ``CellGrid.first_fires`` computes powers for the
 serving cell and the 3x3 lattice box around the UE, and the full row
-(``CellGrid.rsrp``) only where the reach may leave the box, on small
-grids, or where every power is needed (shadowing, the measurement dump).
+(``CellGrid.rsrp``) only where the reach may leave the box, at a
+non-positive exponent, or where every power is needed (shadowing, the
+measurement dump).
 At a positive offset it first drops the entries whose nearest cell, the
 strongest, does not beat the serving cell by the offset
 (``CellGrid.may_fire``): those cannot fire.  The box then sees only each
@@ -50,11 +51,6 @@ DEFAULT_PL0_DB = 38.5
 DEFAULT_PL_EXPONENT = 3.5
 MIN_DISTANCE_M = 1.0
 
-# ``CellGrid.first_fires`` computes powers for a UE's 3x3 lattice box
-# only on grids of at least this many cells; on smaller grids the box's
-# gathers cost about as much as the full row or more (measured on 4x4 to
-# 8x8 grids with 20 and 140 UEs).
-BOX_MIN_CELLS = 36
 # Reach, in ISDs, that a UE's box must cover to decide its trigger; the
 # box guarantees 1.5 ISD, the rest is margin.
 BOX_REACH_ISD = 1.4
@@ -63,10 +59,11 @@ BOX_REACH_ISD = 1.4
 PREFILTER_SLACK_DB = 1e-6
 
 
-def uses_box(num_cells: int, pl_exponent: float) -> bool:
+def uses_box(pl_exponent: float) -> bool:
     """Whether ``CellGrid.first_fires`` computes box powers, not full
-    rows, on a grid of ``num_cells`` cells with path-loss ``pl_exponent``."""
-    return num_cells >= BOX_MIN_CELLS and pl_exponent > 0
+    rows, at path-loss ``pl_exponent``: only where power falls with
+    distance can a box decide a trigger."""
+    return pl_exponent > 0
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,7 @@ class CellGrid:
     def prefilters(self, ul_offset_db: float) -> bool:
         """Whether ``first_fires`` drops entries through ``may_fire``: on
         the box path, at the offsets where it can drop some."""
-        return uses_box(self.num_cells, self.pl_exponent) and ul_offset_db >= PREFILTER_SLACK_DB
+        return uses_box(self.pl_exponent) and ul_offset_db >= PREFILTER_SLACK_DB
 
     def first_fires(
         self, window_pos: np.ndarray, serving: np.ndarray, starts: np.ndarray, ul_offset_db: float
@@ -253,15 +250,14 @@ class CellGrid:
         outside the newest position's box (``box_rsrp``) is at least 1.5 ISD
         away.  Where the serving power plus the offset reaches the power at
         ``BOX_REACH_ISD`` ISDs, r is inside that with margin and the box
-        decides; other entries, grids under ``BOX_MIN_CELLS`` cells and
-        non-positive exponents take the full row.  Where it prefilters,
-        entries that ``may_fire`` rejects do not fire, and the box sees
-        only each sequence's first surviving entry, then its next one
-        where that did not fire, until the sequence fires or has no
-        survivor left.
+        decides; other entries, and every entry at a non-positive
+        exponent, take the full row.  Where it prefilters, entries that
+        ``may_fire`` rejects do not fire, and the box sees only each
+        sequence's first surviving entry, then its next one where that did
+        not fire, until the sequence fires or has no survivor left.
         """
         pos, serving, starts = self._wrapped(window_pos), np.asarray(serving), np.asarray(starts)
-        if not uses_box(self.num_cells, self.pl_exponent):
+        if not uses_box(self.pl_exponent):
             return first_fires(self._rsrp(pos), serving, starts, ul_offset_db)
         if not self.prefilters(ul_offset_db):
             targets = self._box_targets(pos, serving, ul_offset_db)

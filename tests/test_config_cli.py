@@ -213,9 +213,14 @@ def test_ho_timeout_equal_to_collection_period_is_accepted():
 
 @pytest.mark.parametrize(
     "grid, longest",
-    # 20 UEs: full rows of 16 powers on the 4x4 grid, a box's 10 on 8x8
-    [({}, 13_107), ({"scenario.rows": "8", "scenario.cols": "8"}, 20_971)],
-    ids=["full-row", "box"],
+    # 20 UEs: full rows of 16 powers on the flat 4x4 grid, a box's 10 at
+    # any positive exponent
+    [
+        ({"scenario.pl_exponent": "0"}, 13_107),
+        ({}, 20_971),
+        ({"scenario.rows": "8", "scenario.cols": "8"}, 20_971),
+    ],
+    ids=["full-row", "small-box", "box"],
 )
 def test_a_forecast_too_large_to_allocate_is_a_config_error(grid, longest):
     # Validation only: no run starts, so nothing of this size is allocated.

@@ -343,8 +343,8 @@ def test_array_trigger_rule_matches_oracle(case):
 
 @st.composite
 def box_cases(draw):
-    """A grid, a TTT window of positions (W, *batch, 2), serving cells, an
-    offset, and whether to force the box path below ``BOX_MIN_CELLS``.
+    """A grid, a TTT window of positions (W, *batch, 2), serving cells and
+    an offset.
 
     Coordinates fall inside the grid, exactly on square edges and corners
     (planted ties) and, without wrap, outside the extent; serving cells are
@@ -382,16 +382,15 @@ def box_cases(draw):
     if len(batch) == 2 and draw(st.booleans()):
         serving = serving[:, :1]  # one serving cell per UE, as the forecast passes it
     offset = draw(st.one_of(st.sampled_from([-3.0, -2.0, 0.0, 1.0, 6.0]), st.floats(-3.0, 6.0)))
-    return grid, window, serving, offset, draw(st.booleans())
+    return grid, window, serving, offset
 
 
 @settings(max_examples=400, deadline=None)
 @given(box_cases())
 def test_box_trigger_matches_full_row(case):
-    grid, window, serving, offset, force_box = case
+    grid, window, serving, offset = case
     full = grid.rsrp(window)
-    with mock.patch.object(mobility, "BOX_MIN_CELLS", 1 if force_box else mobility.BOX_MIN_CELLS):
-        got = grid.trigger_targets(window, serving, offset)
+    got = grid.trigger_targets(window, serving, offset)
     want = trigger_targets(full, serving, offset)
     assert got.dtype.kind == "i" and got.shape == want.shape
     assert got.tolist() == want.tolist()
@@ -410,7 +409,7 @@ def nudged_box_cases(draw):
     down, up or not at all, so positions fall on both sides of square
     edges and corners, where the square and the float argmin can disagree;
     some entries serve their square's cell."""
-    grid, window, serving, offset, _ = draw(box_cases())
+    grid, window, serving, offset = draw(box_cases())
     steps = np.array(draw(st.lists(st.sampled_from([-np.inf, 0.0, np.inf]),
                                    min_size=window.size, max_size=window.size)))
     steps = steps.reshape(window.shape)
@@ -471,13 +470,13 @@ def sequence_cases(draw):
     entries hold still over the window, so that they fire almost wherever
     their newest sample survives the prefilter, while entries that moved
     often survive and do not fire."""
-    grid, window, serving, offset, force_box = draw(box_cases())
+    grid, window, serving, offset = draw(box_cases())
     pos = window.reshape(len(window), -1, 2)
     serving = np.array(np.broadcast_to(serving, window.shape[1:-1])).ravel()
     still = draw(st.lists(st.booleans(), min_size=len(serving), max_size=len(serving)))
     pos = np.where(np.array(still)[:, None], pos[-1], pos)
     cuts = draw(st.lists(st.integers(0, len(serving)), max_size=8))
-    return grid, pos, serving, np.array(sorted(cuts), dtype=np.intp), offset, force_box
+    return grid, pos, serving, np.array(sorted(cuts), dtype=np.intp), offset
 
 
 # Serving cell 0 at offset 1: entry 0 survives the prefilter (its newest
@@ -487,29 +486,38 @@ def sequence_cases(draw):
 @example((CellGrid(rows=8, cols=8),
           np.array([[[50.0, 50.0], [150.0, 50.0], [50.0, 150.0]],
                     [[150.0, 50.0], [150.0, 50.0], [50.0, 150.0]]]),
-          np.array([0, 0, 0]), np.array([0, 0, 3, 3]), 1.0, False))
+          np.array([0, 0, 0]), np.array([0, 0, 3, 3]), 1.0))
 @settings(max_examples=400, deadline=None)
 @given(sequence_cases())
 def test_first_fires_is_the_first_fire_of_the_full_row_rule(case):
-    grid, pos, serving, starts, offset, force_box = case
+    grid, pos, serving, starts, offset = case
     targets = trigger_targets(grid.rsrp(pos), serving, offset).tolist()
     want = []
     for start, end in zip(starts.tolist(), [*starts[1:].tolist(), len(targets)]):
         fired = [k for k in range(start, end) if targets[k] >= 0]
         want.append((fired[0], targets[fired[0]]) if fired else (len(targets), -1))
-    with mock.patch.object(mobility, "BOX_MIN_CELLS", 1 if force_box else mobility.BOX_MIN_CELLS):
-        got = grid.first_fires(pos, serving, starts, offset)
+    got = grid.first_fires(pos, serving, starts, offset)
     assert list(zip(*(a.tolist() for a in got))) == want
     got = mobility.first_fires(grid.rsrp(pos), serving, starts, offset)
     assert list(zip(*(a.tolist() for a in got))) == want
 
 
-def test_small_grid_keeps_full_row(grid):
-    # the reference 4x4 grid never builds a box; 6x6 does
-    ues = place_ues(grid, 20, 60 / 3.6, np.random.default_rng(13))
+def test_only_a_flat_grid_keeps_full_rows(grid):
+    # At exponent 0 every cell has the same power, so no box holds every
+    # candidate: at -1 dB each UE fires to the lowest cell it does not serve.
+    flat = CellGrid(pl_exponent=0.0)
+    ues = place_ues(flat, 20, 60 / 3.6, np.random.default_rng(13))
     with mock.patch.object(CellGrid, "box_rsrp", side_effect=AssertionError):
-        grid.trigger_targets(ues.pos[None], ues.serving, 1.0)
-    big = CellGrid(rows=6, cols=6)
-    with mock.patch.object(CellGrid, "box_rsrp", side_effect=AssertionError):
-        with pytest.raises(AssertionError):
-            big.trigger_targets(ues.pos[None], ues.serving, 1.0)
+        targets = flat.trigger_targets(ues.pos[None], ues.serving, -1.0)
+    assert targets.tolist() == np.where(ues.serving == 0, 1, 0).tolist()
+    # The reference 4x4 grid at 1 dB boxes the entry in cell 1's square,
+    # which survives the prefilter, and not the one in its serving square.
+    window = np.array([[[140.0, 60.0], [40.0, 60.0]]])
+    serving = np.array([0, 0])
+    assert grid.may_fire(window[-1], serving, 1.0).tolist() == [True, False]
+    spy = mock.patch.object(CellGrid, "box_rsrp", autospec=True, side_effect=CellGrid.box_rsrp)
+    with spy as box_rsrp:
+        assert grid.trigger_targets(window, serving, 1.0).tolist() == [1, -1]
+    assert box_rsrp.call_count == 1
+    (_, pos, boxed), _ = box_rsrp.call_args
+    assert pos.tolist() == [[[140.0, 60.0]]] and boxed.tolist() == [0]
