@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import mobility
 from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
 from .keydist import SCHEME_BY_LABEL, Scheme, safe_key_bytes
-from .mobility import BOX_REACH_ISD, PREFILTER_SLACK_DB, uses_box
+from .ledger import DEFAULT_COLLECTION_PERIOD_MS
 
 # The most received powers one forecast call may compute: 32 MiB per
 # float64 array of them.
@@ -31,7 +32,7 @@ SAFE_KEY_BYTES = 2**30
 # The coarsest rounding of a received power that a run accepts: a
 # hundredth of the box prefilter's slack (``CellGrid.may_fire``), and so
 # far finer than any offset.
-POWER_RESOLUTION_DB = PREFILTER_SLACK_DB / 100
+POWER_RESOLUTION_DB = mobility.PREFILTER_SLACK_DB / 100
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,9 @@ class ScenarioConfig:
     rs_period_ms: int = 160
     ul_offset_db: float = 1.0
     ul_ttt_ms: int = 32
-    ptx_dbm: float = 23.0
-    pl0_db: float = 38.5
-    pl_exponent: float = 3.5
+    ptx_dbm: float = mobility.DEFAULT_PTX_DBM
+    pl0_db: float = mobility.DEFAULT_PL0_DB
+    pl_exponent: float = mobility.DEFAULT_PL_EXPONENT
     shadow_sigma_db: float = 0.0
     dump_measurements: bool = False
 
@@ -73,7 +74,7 @@ class SecurityConfig:
 
 @dataclass(frozen=True)
 class LedgerConfig:
-    collection_period_ms: int = 1000
+    collection_period_ms: int = DEFAULT_COLLECTION_PERIOD_MS
     ho_timeout_ms: int = 2000  # two collection periods
 
 
@@ -241,7 +242,7 @@ def validate(config: RunConfig) -> None:
     if sc.shadow_sigma_db < 0:
         raise ConfigError("scenario.shadow_sigma_db: must be >= 0")
     # finite distances: the grid's diagonal and box reach, a tick's step
-    reach = math.sqrt(2) * max(sc.rows, sc.cols, BOX_REACH_ISD) * sc.isd_m
+    reach = math.sqrt(2) * max(sc.rows, sc.cols, mobility.BOX_REACH_ISD) * sc.isd_m
     if not math.isfinite(reach):
         raise ConfigError(f"scenario.isd_m: {sc.isd_m} m overflows the grid's extent")
     if not math.isfinite(sc.ue_speed_mps * sc.rs_period_ms):
@@ -262,9 +263,12 @@ def validate(config: RunConfig) -> None:
             "a first-visit handover can wait a whole period for its keys"
         )
     # A ledger run's forecast computes, per UE and lead tick, the powers
-    # that ``CellGrid.first_fires`` computes at most: a box's 10, or a full row.
+    # that ``CellGrid.first_fires`` holds at most in one array: a box's 10,
+    # or a full row where it does not prefilter (far entries, a flat grid).
     lead_ticks = config.prediction.lead_ticks(sc.rs_period_ms)
-    powers = sc.num_ues * lead_ticks * (10 if uses_box(sc.pl_exponent) else sc.num_cells)
+    box = 10 if mobility.uses_box(sc.pl_exponent) else 0
+    row = 0 if mobility.prefilters(sc.pl_exponent, sc.ul_offset_db) else sc.num_cells
+    powers = sc.num_ues * lead_ticks * max(box, row)
     forecasts = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
     if forecasts and powers > FORECAST_POWERS:
         raise ConfigError(

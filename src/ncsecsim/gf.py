@@ -49,11 +49,10 @@ MATMUL_BLOCK = 1 << 16
 #: index and the words it reads take 16 bytes per word, 256 KiB a block.
 PRODUCT_BLOCK = 1 << 14
 
-# Reduction rows of these byte widths are xored as one machine word.
-_XOR_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
-# Words of ``FixedProduct``'s tables, by byte width: none of one byte, since
+# Reduction rows of these byte widths are xored as one machine word, and
+# ``FixedProduct``'s tables use the same words: none of one byte, since
 # ``matmul`` is faster for a one-column product than one-byte or padded tables.
-_TABLE_WORDS = dict(_XOR_WORDS)
+_XOR_WORDS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 # The irreducible reduction polynomial of each supported bit width.  The k=8
 # entry is 0x11B, the widely tabulated choice, so results can be checked
@@ -267,7 +266,7 @@ class FixedProduct:
         self.spec = spec
         self.b = b
         row_bytes = b.shape[1] * b.itemsize if b.shape[1] > 1 else math.inf
-        self._word = next((w for w in _TABLE_WORDS if w >= row_bytes), None)
+        self._word = next((w for w in _XOR_WORDS if w >= row_bytes), None)
         self.tables = None
 
     def _build(self) -> None:
@@ -284,7 +283,7 @@ class FixedProduct:
                 tables[s, j : j + step, : len(values), :c] = spec.vec_mul(
                     values[:, None], b[j : j + step, None, :]
                 )
-        self.tables = tables.view(_TABLE_WORDS[self._word]).reshape(-1)
+        self.tables = tables.view(_XOR_WORDS[self._word]).reshape(-1)
         self.tables.flags.writeable = False
         # flat index of digit s of row j's table: (s*m + j) * 16
         self._offsets = (np.arange(digits * m, dtype=np.intp) * 16).reshape(digits, m)

@@ -66,6 +66,13 @@ def uses_box(pl_exponent: float) -> bool:
     return pl_exponent > 0
 
 
+def prefilters(pl_exponent: float, ul_offset_db: float) -> bool:
+    """Whether ``CellGrid.first_fires`` drops entries through ``may_fire``:
+    on the box path, at the offsets where it can drop some.  Below those
+    the box sees every entry and sends each far one to a full row."""
+    return uses_box(pl_exponent) and ul_offset_db >= PREFILTER_SLACK_DB
+
+
 @dataclass(frozen=True)
 class CellGrid:
     rows: int = 4
@@ -229,9 +236,8 @@ class CellGrid:
         return fire
 
     def prefilters(self, ul_offset_db: float) -> bool:
-        """Whether ``first_fires`` drops entries through ``may_fire``: on
-        the box path, at the offsets where it can drop some."""
-        return uses_box(self.pl_exponent) and ul_offset_db >= PREFILTER_SLACK_DB
+        """``mobility.prefilters`` at this grid's exponent."""
+        return prefilters(self.pl_exponent, ul_offset_db)
 
     def first_fires(
         self, window_pos: np.ndarray, serving: np.ndarray, starts: np.ndarray, ul_offset_db: float

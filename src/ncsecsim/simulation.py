@@ -26,14 +26,14 @@ order and handover starts.  A handover that waits ends its UE's chain.
 A wait ends at the tick that sees its block, decided when the handover
 starts; while some cell's keys are not yet visible, a block ends at the
 first tick that sees a block (``HoTable.next_seen``) and completes its
-waits there.  Blocks grow while re-evaluating chains costs less than the
-calls they save and shrink toward one tick when that costs more
-(``_block_length``).  Where the trigger's prefilter drops most entries
-(``CellGrid.may_fire``), those entries are cheap, so a one-tick block may
-jump to the longest length even when UEs fire densely; elsewhere dense
-firing keeps blocks one tick long.  A block holds at most
-``BLOCK_SAMPLES`` samples, so large runs go one tick at a time.  The
-block length changes no byte and no draw.
+waits there.  Where the trigger's prefilter drops most entries
+(``CellGrid.may_fire``), re-evaluated entries are cheap and every block
+takes the longest length; elsewhere blocks grow while re-evaluating
+chains costs less than the calls they save and shrink toward one tick
+when that costs more, so dense firing keeps them one tick long
+(``_block_length``).  A block holds at most ``BLOCK_SAMPLES`` samples,
+so large runs go one tick at a time.  The block length changes no byte
+and no draw.
 
 All randomness flows from one master seed through named substreams
 (placement, key material, prediction, fading), so identical seed and
@@ -312,9 +312,6 @@ BLOCK_SAMPLES = 4096
 # The fixed cost of one chain round in (tick, UE) entries: about 100 us,
 # against about 0.3 us per entry of the 8x8 box path.
 CALL_ENTRIES = 300
-# The cost of an entry where the box prefilter applies (``CellGrid.may_fire``),
-# in box entries: about 0.05 us, as the prefilter drops most entries.
-PREFILTERED_ENTRY_COST = 0.15
 
 
 class _Chains:
@@ -395,40 +392,32 @@ def _forecast(
 
 
 def _block_length(last: _Chains | None, cap: int, calls_per_tick: int, prefiltered: bool) -> int:
-    """The next block's length in ticks: 1 for the first block, then from
-    what re-evaluating the chains cost in the ``last`` one.
+    """The next block's length in ticks: ``cap`` where the trigger call
+    ``prefiltered`` its entries, which makes re-evaluating them cheap.
 
-    Against one call over the whole block, the rounds after the first
-    waste their calls and their entries; against one tick at a time, a
-    block saves ``calls_per_tick`` calls on each tick after its first.
-    Where the trigger call ``prefiltered`` its entries, it drops most of
-    them and boxes only each UE's first survivors, so each re-evaluated
-    entry is charged ``PREFILTERED_ENTRY_COST`` box entries.  The length
+    Elsewhere it is 1 for the first block, then follows from what
+    re-evaluating the chains cost in the ``last`` one.  Against one call
+    over the whole block, the rounds after the first waste their calls
+    and their entries; against one tick at a time, a block saves
+    ``calls_per_tick`` calls on each tick after its first.  The length
     doubles (up to ``cap``) while the waste is under half the saving, and
     halves once it exceeds the saving.  A one-tick block wastes nothing,
-    so it predicts from its f fires.  With the prefilter it jumps to
-    ``cap`` if a block that long, with two more calls and f fires per tick
-    each re-evaluating the rest of the block, would waste under half the
-    saving: a two-tick block with a fire costs a round, one call, and
-    saves at most one, so doubling alone would keep densely firing runs at
-    one tick.  Otherwise it doubles only if a two-tick block would have:
-    with no fire, or with its fires costing one more call and their
-    entries, under half the saving.
+    so it doubles only if a two-tick block would have: with no fire, or
+    with its f fires costing one more call and f entries, under half the
+    saving.
     """
+    if prefiltered:
+        return cap
     if last is None:
         return 1
     size = len(last.fires)
-    entry_cost = PREFILTERED_ENTRY_COST if prefiltered else 1
     if size == 1:
         fires = int(np.count_nonzero(last.fires >= 0))
-        waste = 2 * CALL_ENTRIES + entry_cost * fires * cap * (cap - 1) / 2
-        if prefiltered and 2 * waste < (cap - 1) * calls_per_tick * CALL_ENTRIES:
-            return cap
         saving = calls_per_tick * CALL_ENTRIES
-        waste = CALL_ENTRIES + entry_cost * fires if fires else 0
+        waste = CALL_ENTRIES + fires if fires else 0
     else:
         saving = (size - 1) * calls_per_tick * CALL_ENTRIES
-        waste = (last.calls - 1) * CALL_ENTRIES + entry_cost * (last.entries - size * last.chains)
+        waste = (last.calls - 1) * CALL_ENTRIES + last.entries - size * last.chains
     if 2 * waste < saving:
         return min(cap, 2 * size)
     return max(1, size // 2) if waste > saving else size

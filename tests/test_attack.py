@@ -138,7 +138,8 @@ def test_grid_rows_cover_documented_cases():
 def test_bypass_counts_equal_through_tables_and_matmul(seed, q):
     # Every strategy, knowledge level, scheme and l' = 0 (the empty ring),
     # 1 and 2: the same passes through the key rings' tables as with every
-    # product forced through ``FieldSpec.matmul``.
+    # product forced through ``FieldSpec.matmul`` (with no table words, and
+    # no xor words for its reductions either).
     cases = [
         (config, AdversaryConfig(count=3, knowledge=knowledge, strategy=strategy), l_prime)
         for config in (SchemeConfig(Scheme.C_COVER_FREE, l=8, L=16, q=q, m=4, n=32),
@@ -153,7 +154,7 @@ def test_bypass_counts_equal_through_tables_and_matmul(seed, q):
         return [measure_bypass_rate(c, adv, 1_000, rng, l_prime=lp) for c, adv, lp in cases]
 
     through_tables = measure()
-    with mock.patch.dict(gf._TABLE_WORDS, clear=True):
+    with mock.patch.dict(gf._XOR_WORDS, clear=True):
         forced = gf.FixedProduct(gf.field(4), np.ones((2, 1)))
         forced(np.ones(2))
         assert forced.tables is None

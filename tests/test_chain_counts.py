@@ -45,6 +45,7 @@ def test_chain_counts_prints_every_count_of_a_run(capsys):
     counts = {name: int(value) for name, value in (line.split() for line in lines)}
     assert list(counts) == list(tool.FIELDS)
     # 126 ticks, each fire boxed
+    assert counts["ticks"] == 126
     assert 1 <= counts["blocks"] <= 126 and counts["calls"] >= 1
     assert counts["boxed_no_fire"] <= counts["boxed"]
     assert 0 < counts["fires"] <= counts["boxed"] - counts["boxed_no_fire"]

@@ -213,14 +213,17 @@ def test_ho_timeout_equal_to_collection_period_is_accepted():
 
 @pytest.mark.parametrize(
     "grid, longest",
-    # 20 UEs: full rows of 16 powers on the flat 4x4 grid, a box's 10 at
-    # any positive exponent
+    # 20 UEs: full rows of 16 powers on the flat 4x4 grid, a box's 10 where
+    # the prefilter applies, and a full row (for far entries) where it does
+    # not, below its slack
     [
         ({"scenario.pl_exponent": "0"}, 13_107),
         ({}, 20_971),
         ({"scenario.rows": "8", "scenario.cols": "8"}, 20_971),
+        ({"scenario.ul_offset_db": "0"}, 13_107),
+        ({"scenario.rows": "8", "scenario.cols": "8", "scenario.ul_offset_db": "0"}, 3_276),
     ],
-    ids=["full-row", "small-box", "box"],
+    ids=["full-row", "small-box", "box", "small-box-unfiltered", "box-unfiltered"],
 )
 def test_a_forecast_too_large_to_allocate_is_a_config_error(grid, longest):
     # Validation only: no run starts, so nothing of this size is allocated.

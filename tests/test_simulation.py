@@ -598,6 +598,19 @@ def test_dense_firing_with_the_prefilter_runs_long_blocks():
     assert sum(c.calls for c in chains) <= 400
 
 
+def test_dense_firing_with_the_prefilter_runs_long_blocks_from_a_short_cap():
+    # 8x8 cells, 800 UEs over 60 s: blocks of at most 5 ticks, and about
+    # 26 handovers per tick.  Where the prefilter applies every block is
+    # the cap long, so the run makes fewer trigger calls than its 376
+    # ticks: 177 at seed 1.
+    config = RunConfig(
+        scenario=ScenarioConfig(rows=8, cols=8, num_ues=800), horizon_ms=60_000, seed=1
+    )
+    with recorded_chains() as chains:
+        run_simulation(config)
+    assert sum(c.calls for c in chains) <= 200
+
+
 @pytest.mark.parametrize("seed, one_tick_entries", [(1, 37_603), (2, 37_600), (3, 37_600)])
 def test_ping_pong_without_the_prefilter_stays_near_one_tick_blocks(seed, one_tick_entries):
     # A negative offset on an unwrapped 7x9 grid: the prefilter drops

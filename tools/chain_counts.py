@@ -1,6 +1,6 @@
-"""Print how much trigger work one run does: its blocks, its trigger calls,
-the (tick, UE) entries they took, the fires they found and the entries the
-box path computed powers for.
+"""Print how much trigger work one run does: its blocks and their ticks,
+its trigger calls, the (tick, UE) entries they took, the fires they found
+and the entries the box path computed powers for.
 
     PYTHONPATH=src python3 tools/chain_counts.py scenario.rows=8 scenario.cols=8 \\
         scenario.num_ues=200 horizon_ms=300000 seed=1
@@ -10,6 +10,8 @@ file.  The run is ``ncsecsim run``'s ``run_simulation``, with
 ``simulation._Chains`` and ``CellGrid._box_targets`` wrapped to count:
 
 - ``blocks``: the blocks of ticks, one ``_Chains`` each;
+- ``ticks``: the sum of their lengths, so ``ticks / blocks`` is the mean
+  block length;
 - ``calls`` and ``entries``: the chain rounds' trigger calls and entries;
 - ``fires``: the handovers the chains found, before waits cut them;
 - ``boxed``: the entries the box computed powers for, chains and forecast;
@@ -32,7 +34,7 @@ from ncsecsim import simulation  # noqa: E402
 from ncsecsim.config import RunConfig, apply_settings  # noqa: E402
 from ncsecsim.mobility import CellGrid  # noqa: E402
 
-FIELDS = ("blocks", "calls", "entries", "fires", "boxed", "boxed_no_fire")
+FIELDS = ("blocks", "ticks", "calls", "entries", "fires", "boxed", "boxed_no_fire")
 
 
 def chain_counts(settings: dict[str, str]) -> Counter:
@@ -45,6 +47,7 @@ def chain_counts(settings: dict[str, str]) -> Counter:
         def __init__(self, *args):
             super().__init__(*args)
             counts["blocks"] += 1
+            counts["ticks"] += len(self.fires)
             counts["calls"] += self.calls
             counts["entries"] += self.entries
             counts["fires"] += int(np.count_nonzero(self.fires >= 0))
