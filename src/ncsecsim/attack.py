@@ -35,7 +35,7 @@ from .integrity import (
     tag_matrix,
     tagset_for_generation,
 )
-from .keydist import Scheme, SchemeConfig, _holdings
+from .keydist import Scheme, SchemeConfig, _holdings, _unpack
 from .rlnc import CodedPacket, encode, random_generation
 
 
@@ -143,13 +143,13 @@ def _colluder_positions(
     """Tag positions whose keys the colluders jointly hold."""
     if adversary.knowledge is AdversaryKnowledge.ALL_KEYS:
         return list(range(config.l))
-    masks = _holdings(config, adversary.count, 1, rng)
-    tags = next(masks)[0].copy()
+    words = _holdings(config, adversary.count, 1, rng)
+    tags = next(words)[0].copy()
     union = np.zeros_like(tags)
-    for held in masks:
+    for held in words:
         union |= held[0]
     # slot i carries the tag of the i-th tag key
-    return np.flatnonzero(union[tags]).tolist()
+    return np.flatnonzero(_unpack(union)[_unpack(tags)]).tolist()
 
 
 # Elements per batch of (trials x payload symbols x keys): bounds the

@@ -27,7 +27,7 @@ FORECAST_POWERS = 2**22
 # cell, 320 MiB at this bound.
 GRID_CELLS = 2**22
 # The most bytes one safe-key estimate of ``analyze`` may hold at once
-# (``keydist.safe_key_bytes``): 8 MB at the defaults.
+# (``keydist.safe_key_bytes``): 4.9 MB at the defaults.
 SAFE_KEY_BYTES = 2**30
 # The coarsest rounding of a received power that a run accepts: a
 # hundredth of the box prefilter's slack (``CellGrid.may_fire``), and so

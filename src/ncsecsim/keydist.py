@@ -31,13 +31,21 @@ colluders can then forge a packet that passes every check that node can
 apply; a node holding no source key counts as covered, since it cannot
 verify anything).
 
+A hand of keys is held as packed words: (trials, W) little-endian uint64
+words, W = ceil(U / 64) for a universe of U keys, where key j is bit
+j % 64 of word j // 64.  At U <= 64 a hand is one word per trial, so the
+estimate folds 8 bytes per trial with in-place word operations.
+
 A double-random hand (the source's l tag keys, a node's s keys) is a
-uniform size-subset of the L keys.  Where the table of every size-subset
-holds at most ``_TABLE_BYTES`` = 1 MiB (comb(L, size) * L bytes: every size
-at L <= 18), each hand is one uniform rank into that table, which is built
-on first use and cached; larger hands are the ``size`` smallest of L
-uniforms.  Both give the same law, but the rank draw costs one integer per
-hand where the other costs L floats and a partition.
+uniform size-subset of the L keys.  Where comb(L, size) * L <=
+``_TABLE_BYTES`` = 1 MiB (every size at L <= 18), each hand is one uniform
+rank into a cached table of every size-subset's words; larger hands are
+the ``size`` smallest of L uniforms, packed into words.  Both give the
+same law, but the rank draw costs one integer per hand where the other
+costs L floats and a partition.  The word table is smaller than the bool
+table that rule was written for, so it would fit at larger L too; the
+rule is kept so that every L takes the sampler, and so the draws, that it
+always has.
 """
 
 from __future__ import annotations
@@ -183,21 +191,22 @@ def sample_holdings(
     universe is the L keys, the tag keys are a uniform l-subset (the
     source tags with l keys of its uniform s-key hand) and every node
     holds a uniform s-subset.  Each uniform size-subset is one uniform
-    rank into the table of every size-subset where that table holds at
-    most ``_TABLE_BYTES`` (every size at L <= 18), and the ``size``
-    smallest of L uniforms otherwise.  C-cover-free: by symmetry the tag
-    keys are 0..l-1 of the L, and every node holds one of them.  Draws
-    run in node order: the tag keys, node 0, then the others.
+    rank into the table of every size-subset where comb(L, size) * L <=
+    ``_TABLE_BYTES`` (every size at L <= 18), and the ``size`` smallest
+    of L uniforms otherwise.  C-cover-free: by symmetry the tag keys are
+    0..l-1 of the L, and every node holds one of them.  Draws run in node
+    order: the tag keys, node 0, then the others.
 
-    This is the stacked form, for small counts; ``safe_key_probability``
-    folds the same masks as they are drawn and holds no (nodes, trials, U)
-    array.
+    This is the stacked form, for small counts, unpacked from the words
+    that ``safe_key_probability`` folds as they are drawn without holding
+    a (nodes, trials, W) array.
     """
-    masks = _holdings(config, nodes, trials, rng)
-    tags = next(masks).copy()
+    words = _holdings(config, nodes, trials, rng)
+    keys = config.l if config.scheme is Scheme.BLOCKCHAIN else config.L
+    tags = _unpack(next(words), keys)
     held = np.empty((nodes,) + tags.shape, dtype=bool)
-    for out, mask in zip(held, masks):
-        out[...] = mask
+    for out, hand in zip(held, words):
+        out[...] = _unpack(hand, keys)
     return tags, held
 
 
@@ -207,69 +216,101 @@ def sample_holdings(
 # consecutive in the stream, so the block size changes no draw.
 _BLOCK_ELEMENTS = 1 << 16
 
-# The largest table of every size-subset of the L keys that the
-# double-random sampler draws from, in bytes: every size at L <= 18 fits
-# (comb(18, 9) * 18 is 0.83 MiB).  Larger hands draw by partition.
+# The double-random sampler draws a hand of ``size`` keys as a rank into
+# the table of every size-subset where comb(L, size) * L bytes, the size
+# of that table as bool rows, is at most this: every size at L <= 18
+# (comb(18, 9) * 18 is 0.83 MiB).  Larger hands are drawn by partition.
+# The word table is at most as large (L >= 8) or tiny (L < 8).
 _TABLE_BYTES = 1 << 20
+
+# A hand is (trials, W) of these: key j is bit j % 64 of word j // 64, and
+# the little-endian byte order lets the words be packed and unpacked as
+# bytes.
+_WORD = np.dtype("<u8")
 
 
 def _block_rows(L: int, trials: int) -> int:
     return min(trials, max(1, _BLOCK_ELEMENTS // L))
 
 
+def _words(keys: int) -> int:
+    return -(-keys // 64)
+
+
+def _low_bits(keys: int, width: int) -> np.ndarray:
+    """The ``width`` words of the hand that holds keys 0..keys-1."""
+    bits = np.zeros(width * 64, dtype=bool)
+    bits[:keys] = True
+    return np.packbits(bits, bitorder="little").view(_WORD)
+
+
+def _unpack(words: np.ndarray, keys: int | None = None) -> np.ndarray:
+    """The (..., keys) bool masks of (..., W) words; every 64W keys by
+    default."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=keys, bitorder="little").view(bool)
+
+
 def _holdings(
     config: SchemeConfig, nodes: int, trials: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """Yield the (trials, U) masks of ``sample_holdings`` one at a time, in
-    draw order: the tag keys, node 0, then the other nodes.  Every yield is
-    the same buffer, which the next one overwrites, so a consumer that keeps
-    a mask copies it.
+    """Yield the (trials, W) words of ``sample_holdings``' masks one at a
+    time, in draw order: the tag keys, node 0, then the other nodes.  Every
+    yield is the same buffer, which the next one overwrites in full, so a
+    consumer may change the words in place, and one that keeps them copies
+    them.
 
-    A double-random mask of ``size`` keys is drawn in row blocks.  Where
+    A double-random hand of ``size`` keys is drawn in row blocks.  Where
     comb(L, size) * L <= ``_TABLE_BYTES`` (every size at L <= 18), each row
     is one rank ``rng.integers(0, comb(L, size))`` gathered from
     ``_subset_table(L, size)``; otherwise it is L uniforms
-    (``_mark_uniform_subsets``).  The tag keys and the hands may take
-    different samplers.  Cover-free picks are drawn as int64 in row blocks
-    and kept in the narrowest unsigned dtype that holds l - 1."""
+    (``_mark_uniform_subsets``) packed into the row's words.  The tag keys
+    and the hands may take different samplers.  Cover-free picks are drawn
+    as int64 in row blocks and kept in the narrowest unsigned dtype that
+    holds l - 1; a node's words are the one bit of its pick."""
     if nodes < 1 or trials < 1:
         raise InvalidParameter("need at least one node and one trial")
     l = config.l
     if config.scheme is Scheme.BLOCKCHAIN:
-        mask = np.empty((trials, l), dtype=bool)
+        words = np.empty((trials, _words(l)), dtype=_WORD)
         for _ in range(nodes + 1):
-            mask.fill(True)
-            yield mask
+            words[...] = _low_bits(l, words.shape[1])
+            yield words
         return
     if config.scheme is Scheme.DOUBLE_RANDOM and l > config.s:
         raise InvalidParameter("source cannot tag with more keys than it holds")
-    mask = np.empty((trials, config.L), dtype=bool)
+    L = config.L
+    words = np.empty((trials, _words(L)), dtype=_WORD)
     if config.scheme is Scheme.DOUBLE_RANDOM:
-        rows = _block_rows(config.L, trials)
-        tables = {size: _subset_table(config.L, size) for size in (l, config.s)}
+        rows = _block_rows(L, trials)
+        tables = {size: _subset_table(L, size) for size in (l, config.s)}
         if any(table is None for table in tables.values()):
-            # One pair of draw buffers serves every partition-drawn mask:
+            # One set of draw buffers serves every partition-drawn hand:
             # fresh per-node temporaries page-fault or not depending on
             # what malloc last freed.
-            draws = np.empty((rows, config.L))
+            draws = np.empty((rows, L))
             order = np.empty_like(draws)
+            # a row of marks per bit of the row's words; the keys past L
+            # stay unmarked
+            marks = np.zeros((rows, 64 * words.shape[1]), dtype=bool)
         for size in [l] + [config.s] * nodes:
             table = tables[size]
             for start in range(0, trials, rows):
-                block = mask[start : start + rows]
+                block = words[start : start + rows]
+                n = len(block)
                 if table is None:
-                    _mark_uniform_subsets(block, size, rng, draws[: len(block)], order[: len(block)])
+                    _mark_uniform_subsets(marks[:n, :L], size, rng, draws[:n], order[:n])
+                    packed = np.packbits(marks[:n].reshape(-1), bitorder="little")
+                    block[...] = packed.view(_WORD).reshape(block.shape)
                 else:
                     # the ranks are in range; mode="raise" would copy
                     # through a buffer
-                    ranks = rng.integers(0, len(table), size=len(block))
+                    ranks = rng.integers(0, len(table), size=n)
                     np.take(table, ranks, axis=0, out=block, mode="clip")
-            yield mask
+            yield words
         return
     # C_COVER_FREE
-    mask.fill(False)
-    mask[:, :l] = True
-    yield mask
+    words[...] = _low_bits(l, words.shape[1])
+    yield words
     # node 0's picks, then the colluders' (trials, nodes - 1) picks row by
     # row: the order of one call each, cut into row blocks
     picks = np.empty((nodes, trials), dtype=np.min_scalar_type(l - 1))
@@ -278,17 +319,25 @@ def _holdings(
         for start in range(0, trials, step):
             block = group[:, start : start + step]
             block[...] = rng.integers(0, l, size=block.shape[::-1]).T
+    one = np.ones(1, dtype=_WORD)
+    # one word: a shift per trial; the row scatter below gives the same
+    # words at about half the speed
+    if words.shape[1] == 1:
+        for pick in picks:
+            np.left_shift(one, pick, out=words[:, 0])
+            yield words
+        return
     rows = np.arange(trials)
     for pick in picks:
-        mask.fill(False)
-        mask[rows, pick] = True
-        yield mask
+        words.fill(0)
+        words[rows, pick >> 6] = np.left_shift(one, pick & 63)
+        yield words
 
 
 def _subset_table(L: int, size: int) -> np.ndarray | None:
-    """The read-only (comb(L, size), L) bool table whose rows are the
-    size-subsets of range(L) in ``itertools.combinations`` order, or None
-    where it would hold more than ``_TABLE_BYTES``.  Built on first use and
+    """The read-only (comb(L, size), W) table of the words of every
+    size-subset of range(L), in ``itertools.combinations`` order, or None
+    where comb(L, size) * L > ``_TABLE_BYTES``.  Built on first use and
     cached."""
     # comb(L, i) grows with i up to L / 2: stop at the first that overflows,
     # so a large universe never computes a huge binomial
@@ -305,17 +354,19 @@ def _cached_subset_table(L: int, size: int) -> np.ndarray:
     if 2 * size > L:
         # complements of the (L - size)-subsets, in reverse order
         table = ~_cached_subset_table(L, L - size)[::-1]
+        table &= _low_bits(L, table.shape[1])
     else:
         # extend each prefix, in order, by every key after its last that
         # leaves room for the rest: lexicographic order, no dead prefix
-        table = np.zeros((1, L), dtype=bool)
+        table = np.zeros((1, _words(L)), dtype=_WORD)
         last = np.full(1, -1)
         for position in range(size):
             counts = L - size + position - last
             ends = np.cumsum(counts)
             table = np.repeat(table, counts, axis=0)
             last = np.arange(ends[-1]) + np.repeat(last + 1 - ends + counts, counts)
-            table[np.arange(len(table)), last] = True
+            bits = np.left_shift(np.ones(1, dtype=_WORD), (last & 63).astype(_WORD))
+            table[np.arange(len(table)), last >> 6] |= bits
     table.flags.writeable = False
     return table
 
@@ -377,34 +428,41 @@ def safe_key_probability(
         rng = np.random.default_rng(0)
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    # node 0 is the benign hop, the others the colluders; each mask is
-    # folded as it is drawn, and the tag keys' mask is copied because the
-    # next draw overwrites it
-    masks = _holdings(config, c + 1, trials, rng)
-    live = next(masks).copy()
-    live &= next(masks)
-    for colluder in masks:
-        np.greater(live, colluder, out=live)  # live and not colluder
-    safe = int(live.any(axis=1).sum())
+    # node 0 is the benign hop, the others the colluders; each hand is
+    # folded as it is drawn, and the tag keys' words are copied because the
+    # next draw overwrites them
+    words = _holdings(config, c + 1, trials, rng)
+    live = next(words).copy()
+    live &= next(words)
+    for colluder in words:
+        live &= np.invert(colluder, out=colluder)  # live and not colluder
+    # a trial is safe when any of its words is nonzero
+    for word in live.T[1:]:
+        live[:, 0] |= word
+    safe = int(np.count_nonzero(live[:, 0]))
     low, high = wilson_interval(safe, trials)
     return SafeKeyEstimate(safe / trials, low, high, trials, exact=False)
 
 
 def safe_key_bytes(L: int, trials: int, c: int) -> int:
     """Bytes a baseline ``safe_key_probability`` holds at once, at most:
-    three (trials, L) bool masks (the drawn one, the fold, which takes each
-    colluder in place, and a third as margin), plus the larger of the two
-    samplers' own.  Double random: two float64 row blocks, a row block of
-    int64 ranks and two subset tables (the tag keys' and the hands'), each
-    at most ``_TABLE_BYTES``.  Cover-free: an int64 row index, c + 1 picks
-    per trial in the narrowest dtype that holds L - 1, and one row block
-    of int64 draws."""
+    two (trials, W) word arrays (the drawn one, which each colluder is
+    inverted in, and the fold), plus the larger of the two samplers' own.
+    Double random: two float64 row blocks, a bool row block of a mark per
+    bit of the words and its packed words, a row block of int64 ranks and
+    two subset tables (the tag keys' and the hands'), each at most
+    ``_TABLE_BYTES``.  Cover-free: c + 1 picks per trial in the narrowest
+    dtype that holds L - 1 and one row block of int64 draws; above 64 keys
+    also an int64 row index, a word per trial and two narrow temporaries
+    of the picks."""
     rows = _block_rows(L, trials)
-    double_random = 16 * rows * L + 8 * rows + 2 * _TABLE_BYTES
+    double_random = 16 * rows * L + 72 * rows * _words(L) + 8 * rows + 2 * _TABLE_BYTES
     width = max(c, 1)
-    cover_free = 8 * trials + (c + 1) * trials * np.min_scalar_type(L - 1).itemsize
+    cover_free = (c + 1) * trials * np.min_scalar_type(L - 1).itemsize
     cover_free += 8 * _block_rows(width, trials) * width
-    return 3 * trials * L + max(double_random, cover_free)
+    if L > 64:
+        cover_free += 32 * trials
+    return 16 * _words(L) * trials + max(double_random, cover_free)
 
 
 # ----------------------------------------------------------------------

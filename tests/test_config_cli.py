@@ -253,8 +253,8 @@ def test_a_grid_too_large_to_allocate_names_its_size(rows, cols):
     "settings",
     [
         {"analyze.trials": str(10**12)},
-        # 1.7 GB at the defaults; 10**7 trials hold 0.56 GB, under the bound
-        {"analyze.trials": str(3 * 10**7)},
+        # 1.2 GB at the defaults; 10**7 trials hold 0.24 GB, under the bound
+        {"analyze.trials": str(5 * 10**7)},
         {"analyze.L": str(10**9), "analyze.trials": "1"},
         {"analyze.L": str(2**20)},
         {"analyze.c_max": str(10**5)},
@@ -269,7 +269,8 @@ def test_a_safe_key_estimate_too_large_to_allocate_is_a_config_error(settings):
 def test_safe_key_estimates_below_the_bound_are_accepted():
     validate_command("analyze", RunConfig())
     validate_command("analyze", apply_settings(RunConfig(), {"analyze.trials": str(10**6)}))
-    # one byte per cover-free pick: 0.56 GB
+    # one word per trial for the drawn hand and the fold, one byte per
+    # cover-free pick: 0.24 GB
     validate_command("analyze", apply_settings(RunConfig(), {"analyze.trials": str(10**7)}))
     validate_command("analyze", apply_settings(RunConfig(), {"analyze.L": "1024", "analyze.s": "64"}))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncsecsim import keydist
@@ -294,28 +295,37 @@ def test_cover_free_picks_match_one_call_per_group(l, nodes, trials, block, seed
 
 
 def test_subset_tables_hold_every_subset_once_and_are_read_only():
-    # every size at L <= 18 has a table; each row is a size-subset, and no
-    # row repeats, so comb(L, size) rows hold every subset exactly once
+    # every size at L <= 18 has a table of one word per subset: comb(L,
+    # size) distinct words of size bits each, in combinations order, so it
+    # holds every subset exactly once
     for L in range(1, 19):
         for size in range(L + 1):
             table = keydist._subset_table(L, size)
-            assert table.shape == (math.comb(L, size), L), (L, size)
-            assert (table.sum(axis=1) == size).all(), (L, size)
-            codes = table @ (1 << np.arange(L))
-            assert len(np.unique(codes)) == len(codes), (L, size)
+            assert table.shape == (math.comb(L, size), 1), (L, size)
+            words = table[:, 0]
+            assert (keydist._unpack(table, L).sum(axis=1) == size).all(), (L, size)
+            assert len(np.unique(words)) == len(words), (L, size)
+            expect = [
+                sum(1 << key for key in subset)
+                for subset in itertools.combinations(range(L), size)
+            ]
+            assert words.tolist() == expect, (L, size)
             assert not table.flags.writeable
             with pytest.raises(ValueError):
-                table[0, 0] = not table[0, 0]
+                table[0, 0] = ~table[0, 0]
     assert keydist._subset_table(19, 9) is None
     assert keydist._subset_table(24, 12) is None
 
 
 @st.composite
 def safe_key_cases(draw):
+    # L up to 130 takes one, two or three words per hand; hand sizes near 0
+    # or near L keep a subset table above L = 18 (W = 2 at L <= 128), the
+    # others are drawn by partition
     scheme = draw(st.sampled_from(Scheme))
-    L = draw(st.integers(1, 24))
-    l = draw(st.integers(1, L))
-    s = draw(st.integers(l, L))
+    L = draw(st.integers(1, 130))
+    l = draw(st.integers(1, L) | st.integers(1, min(2, L)))
+    s = draw(st.integers(l, L) | st.integers(max(l, L - 2), L))
     c = draw(st.integers(0, 5))
     trials = draw(st.integers(1, 40))
     block_rows = draw(st.integers(1, 4))
@@ -326,10 +336,21 @@ def safe_key_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(safe_key_cases())
+# keys on either side of a word boundary, by table and by partition
+@example((SchemeConfig(Scheme.DOUBLE_RANDOM, l=1, L=64, s=63), 3, 17, 2, 1))
+@example((SchemeConfig(Scheme.DOUBLE_RANDOM, l=2, L=65, s=64), 3, 17, 3, 2))
+@example((SchemeConfig(Scheme.DOUBLE_RANDOM, l=2, L=128, s=127), 4, 23, 1, 3))
+@example((SchemeConfig(Scheme.DOUBLE_RANDOM, l=40, L=128, s=64), 5, 31, 4, 4))
+@example((SchemeConfig(Scheme.C_COVER_FREE, l=64, L=64), 5, 40, 2, 5))
+@example((SchemeConfig(Scheme.C_COVER_FREE, l=65, L=65), 5, 40, 3, 6))
+@example((SchemeConfig(Scheme.C_COVER_FREE, l=128, L=128), 5, 40, 1, 7))
+@example((SchemeConfig(Scheme.BLOCKCHAIN, l=65, L=128), 2, 9, 1, 8))
 def test_streamed_safe_keys_match_stacked_holdings(case):
-    # the estimate folds the masks in row blocks of a few rows; the stacked
-    # holdings draw each node's (trials, L) block in one piece, as the
-    # fresh-buffer oracle does, and must give the same count and rng state
+    # the estimate folds each hand's packed words in row blocks of a few
+    # rows; the stacked holdings draw each node's (trials, W) block in one
+    # piece, as the fresh-buffer oracle does, and the count recomputed from
+    # their unpacked bool masks must equal the estimate, with the generator
+    # in the same state
     cfg, c, trials, block_rows, seed = case
     rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with mock.patch.object(keydist, "_BLOCK_ELEMENTS", block_rows * cfg.L):
@@ -340,10 +361,12 @@ def test_streamed_safe_keys_match_stacked_holdings(case):
     assert np.array_equal(blocked[0], tags) and np.array_equal(blocked[1], held)
     if cfg.scheme is Scheme.BLOCKCHAIN:
         assert est.exact and est.trials == 0
+        assert tags.shape == (trials, cfg.l) and tags.all() and held.all()
     else:
+        assert tags.shape == (trials, cfg.L)
         safe = int((held[0] & tags & ~held[1:].any(axis=0)).any(axis=1).sum())
         assert est.value == safe / trials
-    assert rng.random() == stacked_rng.random()
+    assert rng.bit_generator.state == stacked_rng.bit_generator.state
 
 
 @pytest.mark.parametrize(
