@@ -251,13 +251,14 @@ def _unpack(words: np.ndarray, keys: int | None = None) -> np.ndarray:
 
 
 def _holdings(
-    config: SchemeConfig, nodes: int, trials: int, rng: np.random.Generator
+    config: SchemeConfig, nodes: int, trials: int, rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield the (trials, W) words of ``sample_holdings``' masks one at a
     time, in draw order: the tag keys, node 0, then the other nodes.  Every
-    yield is the same buffer, which the next one overwrites in full, so a
-    consumer may change the words in place, and one that keeps them copies
-    them.
+    yield is the same buffer, ``out`` if given, which the next one
+    overwrites in full, so a consumer may change the words in place, and
+    one that keeps them copies them.
 
     A double-random hand of ``size`` keys is drawn in row blocks.  Where
     comb(L, size) * L <= ``_TABLE_BYTES`` (every size at L <= 18), each row
@@ -271,7 +272,7 @@ def _holdings(
         raise InvalidParameter("need at least one node and one trial")
     l = config.l
     if config.scheme is Scheme.BLOCKCHAIN:
-        words = np.empty((trials, _words(l)), dtype=_WORD)
+        words = np.empty((trials, _words(l)), dtype=_WORD) if out is None else out
         for _ in range(nodes + 1):
             words[...] = _low_bits(l, words.shape[1])
             yield words
@@ -279,7 +280,7 @@ def _holdings(
     if config.scheme is Scheme.DOUBLE_RANDOM and l > config.s:
         raise InvalidParameter("source cannot tag with more keys than it holds")
     L = config.L
-    words = np.empty((trials, _words(L)), dtype=_WORD)
+    words = np.empty((trials, _words(L)), dtype=_WORD) if out is None else out
     if config.scheme is Scheme.DOUBLE_RANDOM:
         rows = _block_rows(L, trials)
         tables = {size: _subset_table(L, size) for size in (l, config.s)}
@@ -428,13 +429,30 @@ def safe_key_probability(
         rng = np.random.default_rng(0)
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
+    return _monte_carlo(config, c, rng, _fold_buffers(config.L, trials))
+
+
+def _fold_buffers(L: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two (trials, W) word arrays of ``_monte_carlo``: the drawn
+    hands' and the fold's."""
+    return np.empty((trials, _words(L)), dtype=_WORD), np.empty((trials, _words(L)), dtype=_WORD)
+
+
+def _monte_carlo(
+    config: SchemeConfig, c: int, rng: np.random.Generator,
+    buffers: tuple[np.ndarray, np.ndarray],
+) -> SafeKeyEstimate:
+    """A baseline's safe-key estimate over ``len(buffers[0])`` trials,
+    folded in ``_fold_buffers``' words."""
+    words, live = buffers
+    trials = len(words)
     # node 0 is the benign hop, the others the colluders; each hand is
     # folded as it is drawn, and the tag keys' words are copied because the
     # next draw overwrites them
-    words = _holdings(config, c + 1, trials, rng)
-    live = next(words).copy()
-    live &= next(words)
-    for colluder in words:
+    hands = _holdings(config, c + 1, trials, rng, out=words)
+    live[...] = next(hands)
+    live &= next(hands)
+    for colluder in hands:
         live &= np.invert(colluder, out=colluder)  # live and not colluder
     # a trial is safe when any of its words is nonzero
     for word in live.T[1:]:
@@ -495,6 +513,11 @@ def colluder_sweep(
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    # every estimate of the sweep folds in one pair of word arrays: arrays
+    # made afresh per estimate page-fault or not depending on what malloc
+    # last freed
+    monte_carlo = base.scheme is not Scheme.BLOCKCHAIN and trials >= 1
+    buffers = _fold_buffers(base.L, trials) if monte_carlo else None
     rows = []
     for c in c_values:
         if base.scheme is Scheme.BLOCKCHAIN:
@@ -502,7 +525,11 @@ def colluder_sweep(
         else:
             l_c = required_tags(c, base.epsilon, base.d)
         bw = bandwidth(base, l=l_c)
-        est = safe_key_probability(replace(base, c=c), rng=rng, trials=trials)
+        config = replace(base, c=c)
+        if monte_carlo:
+            est = _monte_carlo(config, c, rng, buffers)
+        else:
+            est = safe_key_probability(config, rng=rng, trials=trials)
         rows.append(
             ColluderSweepRow(
                 scheme=base.scheme.label,

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsecsim._stats import binomial_sigma
+from ncsecsim import attack
 from ncsecsim.attack import (
     AdversaryConfig,
     AdversaryKnowledge,
@@ -19,11 +21,13 @@ from ncsecsim.attack import (
 )
 from ncsecsim import gf
 from ncsecsim.errors import DimensionMismatch, InvalidParameter
-from ncsecsim.gf import GF16, GF256, FieldSpec
+from ncsecsim.gf import GF16, GF256, FieldSpec, field_of_order
 from ncsecsim.integrity import (
     attach_tags,
     combine_tags,
     generate_domain_keys,
+    key_verdicts,
+    tag_matrix,
     tagset_for_generation,
     verify_tags,
 )
@@ -60,6 +64,21 @@ def test_valid_tag_forge_with_all_keys_passes_key_checks(tagged_packet):
     assert out.strategy_used is AttackStrategy.VALID_TAG_FORGE
     assert out.packet.payload != pkt.payload
     assert all(verify_tags(out.packet, keys))
+
+
+@pytest.mark.parametrize("held", [[0, 1, 2, 3], [3, 1]])
+def test_valid_tag_forge_ignores_wrong_carried_tags(tagged_packet, held):
+    # the forged tags follow from the payload's own tags under the held
+    # keys, not from the tags the packet happens to carry
+    rng, _, keys, pkt = tagged_packet
+    wrong = pkt.with_row(np.concatenate([pkt.row[: pkt.m + pkt.n], pkt.tags.elems ^ 5]))
+    adv = AdversaryConfig(strategy=AttackStrategy.VALID_TAG_FORGE)
+    for _ in range(20):
+        forged = inject(wrong, adv, held_keys=keys[held], rng=rng).packet
+        assert int((forged.payload.elems != pkt.payload.elems).sum()) == 1
+        assert forged.coeffs == pkt.coeffs
+        assert np.array_equal(forged.tags.elems[held], tag_matrix(forged.payload.elems, keys[held]))
+        assert all(verify_tags(forged, keys[held]))
 
 
 def test_valid_tag_forge_without_keys_degenerates(tagged_packet):
@@ -133,14 +152,10 @@ def test_grid_rows_cover_documented_cases():
     assert abs(lp1.rate - 1 / 16) <= 4 * binomial_sigma(1 / 16, lp1.trials)
 
 
-@pytest.mark.parametrize("seed", [71, 72])
-@pytest.mark.parametrize("q", [16, 256])
-def test_bypass_counts_equal_through_tables_and_matmul(seed, q):
+def bypass_cases(q):
     # Every strategy, knowledge level, scheme and l' = 0 (the empty ring),
-    # 1 and 2: the same passes through the key rings' tables as with every
-    # product forced through ``FieldSpec.matmul`` (with no table words, and
-    # no xor words for its reductions either).
-    cases = [
+    # 1 and 2.
+    return [
         (config, AdversaryConfig(count=3, knowledge=knowledge, strategy=strategy), l_prime)
         for config in (SchemeConfig(Scheme.C_COVER_FREE, l=8, L=16, q=q, m=4, n=32),
                        SchemeConfig(Scheme.BLOCKCHAIN, l=8, q=q, m=4, n=32))
@@ -148,6 +163,15 @@ def test_bypass_counts_equal_through_tables_and_matmul(seed, q):
         for knowledge in AdversaryKnowledge
         for l_prime in (0, 1, 2)
     ]
+
+
+@pytest.mark.parametrize("seed", [71, 72])
+@pytest.mark.parametrize("q", [16, 256])
+def test_bypass_counts_equal_through_tables_and_matmul(seed, q):
+    # The same passes through the key rings' tables as with every product
+    # forced through ``FieldSpec.matmul`` (with no table words, and no xor
+    # words for its reductions either).
+    cases = bypass_cases(q)
 
     def measure():
         rng = np.random.default_rng(seed)
@@ -162,6 +186,75 @@ def test_bypass_counts_equal_through_tables_and_matmul(seed, q):
     assert [r.passes for r in through_tables] == [r.passes for r in through_matmul]
     assert through_tables == through_matmul
     assert 0 < sum(r.passes for r in through_tables) < sum(r.trials for r in through_tables)
+
+
+def payload_path_passes(config, adversary, trials, rng, l_prime):
+    """``measure_bypass_rate``'s passes with every forged payload formed:
+    the same draws, each batch's (trials, n) payloads tagged by
+    ``tag_matrix`` for the valid-tag forge and judged by ``key_verdicts``."""
+    spec = field_of_order(config.q)
+    gen = random_generation("harness", config.m, config.n, spec, rng)
+    source_keys = generate_domain_keys(config.n, config.l, spec, rng, "harness")
+    base = attach_tags(encode(gen, rng), source_keys)
+    expected = (
+        combine_tags(tagset_for_generation(gen, source_keys, "src").native_tags, base.coeffs).elems
+        if config.scheme is Scheme.BLOCKCHAIN else None
+    )
+    benign = sorted(int(p) for p in rng.choice(config.l, size=l_prime, replace=False)) if l_prime else []
+    held = source_keys[_colluder_positions(config, adversary, rng)]
+    strategy = adversary.strategy
+    if strategy is AttackStrategy.VALID_TAG_FORGE and not held:
+        strategy = AttackStrategy.RANDOM_FORGE
+
+    batch = max(1, attack._BATCH_ELEMENTS // (config.n * config.l))
+    passes = 0
+    for start in range(0, trials, batch):
+        size = min(batch, trials - start)
+        rows = np.arange(size)
+        payloads = np.tile(base.payload.elems, (size, 1))
+        if strategy is AttackStrategy.TAG_ONLY_POLLUTION:
+            tags = np.tile(base.tags.elems, (size, 1))
+            slots = rng.integers(0, config.l, size=size)
+            tags[rows, slots] ^= (1 + rng.integers(0, config.q - 1, size=size)).astype(spec.dtype)
+        else:
+            symbols = rng.integers(0, config.n, size=size)
+            payloads[rows, symbols] ^= (1 + rng.integers(0, config.q - 1, size=size)).astype(spec.dtype)
+            tags = spec.random_elements(rng, (size, config.l))
+            if strategy is AttackStrategy.VALID_TAG_FORGE:
+                tags[:, held.slots] = tag_matrix(payloads, held)
+        ok = key_verdicts(payloads, tags, source_keys[benign]).all(axis=-1)
+        if expected is not None:
+            ok &= (tags == expected).all(axis=-1)
+        passes += int(ok.sum())
+    return passes
+
+
+@pytest.mark.parametrize("seed", [71, 72])
+@pytest.mark.parametrize("q", [16, 256])
+def test_bypass_counts_equal_through_the_payload_path(seed, q):
+    # Judging each forgery by its one-symbol flip gives the passes of
+    # forming its payload and running the key checks on it.  3000 trials
+    # take two batches at n = 32, l = 8.
+    cases = bypass_cases(q)
+    flips, payloads = np.random.default_rng(seed), np.random.default_rng(seed)
+    for config, adv, l_prime in cases:
+        got = measure_bypass_rate(config, adv, 3_000, flips, l_prime=l_prime).passes
+        assert got == payload_path_passes(config, adv, 3_000, payloads, l_prime), (config, adv, l_prime)
+    assert flips.random() == payloads.random()
+
+
+def test_bypass_grid_holds_no_payload_stack():
+    # A batch is 2048 forgeries at n = 32, l = 8.  Forming their (trials, n)
+    # payloads and the key checks' products over them peaks near 800 KiB;
+    # a batch's (trials, l) tags and (trials, keys) flips stay under half.
+    bypass_rate_grid(16, 3_000, np.random.default_rng(0))  # field and table caches
+    tracemalloc.start()
+    try:
+        bypass_rate_grid(16, 3_000, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 2**10, peak / 2**10
 
 
 MACSIG = SchemeConfig(Scheme.DOUBLE_RANDOM, l=8, L=16, s=8, q=16, m=4, n=32)
@@ -236,13 +329,17 @@ def test_bypass_verdicts_match_first_principles_checks(
     tagset = tagset_for_generation(gen, keys, "src")
     benign = sorted(int(p) for p in rng.choice(l, size=l_prime, replace=False))
     held = _colluder_positions(config, AdversaryConfig(count, knowledge, strategy), rng)
-    payloads, tags, _ = _forge(base, strategy, keys[held], 24, rng)
+    symbols, deltas, tags, _ = _forge(base, strategy, keys[held], 24, rng)
+    payloads = np.tile(base.payload.elems, (len(tags), 1))
+    payloads[np.arange(len(tags)), symbols] ^= deltas
 
     expected = combine_tags(tagset.native_tags, base.coeffs).elems if ledger else None
-    verdicts = _accepts(payloads, tags, keys[benign], expected)
+    verdicts = _accepts(symbols, deltas, tags, keys[benign], base.tags.elems[benign], expected)
 
     ledger_tags = matvec_oracle(base.coeffs.elems, tagset.native_tags, spec.k, spec.poly)
     for t in range(len(payloads)):
+        changed = int((payloads[t] != base.payload.elems).sum())
+        assert changed == (strategy is not AttackStrategy.TAG_ONLY_POLLUTION)
         ok = all(
             dot_oracle(list(payloads[t]) + [tags[t, p]], keys.matrix[p], spec.k, spec.poly) == 0
             for p in benign

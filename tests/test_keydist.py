@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -408,6 +409,27 @@ def test_colluder_sweep_curve_shapes():
         assert all(b > a for a, b in zip(bws, bws[1:]))
     safe_bc = {r.safe_key_prob for r in sweeps[Scheme.BLOCKCHAIN]}
     assert len(safe_bc) == 1
+
+
+@pytest.mark.parametrize("L", [16, 70])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_colluder_sweep_folds_every_estimate_in_one_pair_of_word_arrays(scheme, L):
+    # one pair of word arrays serves the whole sweep, and its rows are the
+    # estimates made one at a time on the same generator, whatever c the
+    # previous estimate folded (c = 0 folds no colluder; L = 70 takes two
+    # words per hand)
+    base = SchemeConfig(scheme, l=8, L=L, s=12)
+    c_values = [3, 0, 5, 1]
+    rng, single_rng = np.random.default_rng(41), np.random.default_rng(41)
+    with mock.patch.object(keydist, "_fold_buffers", wraps=keydist._fold_buffers) as made:
+        rows = colluder_sweep(base, c_values, rng=rng, trials=3_000)
+    assert made.call_count == (scheme is not Scheme.BLOCKCHAIN)
+    for row, c in zip(rows, c_values):
+        est = safe_key_probability(replace(base, c=c), rng=single_rng, trials=3_000)
+        assert (row.c, row.safe_key_prob, row.ci_low, row.ci_high) == (
+            c, est.value, est.ci_low, est.ci_high
+        )
+    assert rng.bit_generator.state == single_rng.bit_generator.state
 
 
 def test_scheme_labels_roundtrip():
