@@ -38,6 +38,7 @@ from .integrity import (
     attach_tags,
     combine_tags,
     generate_domain_keys,
+    key_ring_bytes,
     tag_matrix,
     tagset_for_generation,
 )
@@ -176,6 +177,15 @@ def _colluder_positions(
 # It bounds no array now that a forgery is its one-symbol flip; it fixes
 # the order of the forge's draws, so changing it changes every rate.
 _BATCH_ELEMENTS = 1 << 19
+
+
+def grid_bytes(q: int, n: int, m: int, l: int) -> int:
+    """Bytes ``bypass_rate_grid`` holds at once, at most: a generation of
+    m natives of n symbols (drawn, cast and checked, 6 bytes a symbol),
+    three rings of at most l keys with their products
+    (``key_ring_bytes``), and one batch of forgeries, 32 bytes per tag."""
+    batch = max(1, _BATCH_ELEMENTS // (n * l))
+    return 6 * m * n + 3 * key_ring_bytes(n, l, field_of_order(q)) + 32 * batch * (l + 1)
 
 
 def measure_bypass_rate(

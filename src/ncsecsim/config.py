@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import mobility
+from .attack import grid_bytes
 from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
+from .integrity import key_ring_bytes
 from .keydist import SCHEME_BY_LABEL, Scheme, safe_key_bytes
 from .ledger import DEFAULT_COLLECTION_PERIOD_MS
 
@@ -29,6 +31,17 @@ GRID_CELLS = 2**22
 # The most bytes one safe-key estimate of ``analyze`` may hold at once
 # (``keydist.safe_key_bytes``): 4.9 MB at the defaults.
 SAFE_KEY_BYTES = 2**30
+# The most bytes one key ring at ``security.n`` and ``l`` may hold with its
+# tag product (``integrity.key_ring_bytes``): 1.8 MB at the defaults.  A
+# run draws one per uploaded cell, and only when its blocks are read.
+KEY_RING_BYTES = 2**30
+# The most bytes ``attack``'s bypass grid may hold at once
+# (``attack.grid_bytes``): 3.8 MB at the defaults.
+BYPASS_GRID_BYTES = 2**30
+# The most trials a bypass-grid row may take.  A row's batches hold the
+# same bytes at any count, so this bounds time: about five minutes a row
+# at 3.4M trials/s.
+BYPASS_TRIALS = 10**9
 # The coarsest rounding of a received power that a run accepts: a
 # hundredth of the box prefilter's slack (``CellGrid.may_fire``), and so
 # far finer than any offset.
@@ -252,6 +265,12 @@ def validate(config: RunConfig) -> None:
     _check_field_order("security.q", sec.q)
     if sec.n < 1 or sec.m < 1 or sec.l < 1:
         raise ConfigError("security.n/m/l: must be >= 1")
+    ring = key_ring_bytes(sec.n, sec.l, field_of_order(sec.q))
+    if ring > KEY_RING_BYTES:
+        raise ConfigError(
+            f"security.n={sec.n}, security.l={sec.l}: a ring of l keys over n symbols "
+            f"holds {ring} bytes with its tag product, above {KEY_RING_BYTES}"
+        )
     if config.ledger.collection_period_ms <= 0:
         raise ConfigError("ledger.collection_period_ms: must be positive")
     if config.ledger.ho_timeout_ms <= 0:
@@ -322,6 +341,14 @@ def validate_command(command: str, config: RunConfig) -> None:
         if at.trials != 0 and at.trials < 1000:
             raise ConfigError(
                 f"attack.trials={at.trials}: must be 0 (empty grid) or at least 1000"
+            )
+        if at.trials > BYPASS_TRIALS:
+            raise ConfigError(f"attack.trials={at.trials}: above {BYPASS_TRIALS} per grid row")
+        held = grid_bytes(at.q, at.n, at.m, at.l)
+        if held > BYPASS_GRID_BYTES:
+            raise ConfigError(
+                f"attack.n={at.n}, attack.m={at.m}, attack.l={at.l}: a grid of m natives of "
+                f"n symbols with l tags holds {held} bytes at once, above {BYPASS_GRID_BYTES}"
             )
 
 

@@ -19,13 +19,17 @@ one gather at index ``(a << k) | b``.
 Matrix products (``FieldSpec.matmul``) are xor-reductions of ``vec_mul``
 products.  Where a product row is 2, 4 or 8 bytes wide and contiguous, as
 in the tag and verdict products at l = 8, the reduction xors one machine
-word per row.  The rows of the left operand go through in blocks of at
-most ``MATMUL_BLOCK`` products, so the index arrays of a gather stay well
-under a MiB whatever the shapes.
+word per row.  A product of at most ``MATMUL_BLOCK`` terms, as a recode,
+an encode or a ledger check is, is one ``vec_mul`` over the left operand
+of any shape, broadcast against the right, and one reduction.  Larger
+ones go through in row blocks of at most that many products, so the index
+arrays of a gather stay well under a MiB whatever the shapes.
 
 A product by a right-hand matrix that stays fixed over many calls, as a
 key ring's is, has a faster path (``FixedProduct``): split-nibble tables of
-the fixed matrix, one word gathered per 4-bit digit of the left operand.
+the fixed matrix, one word gathered per 4-bit digit of the left operand,
+for all digits of a left operand of any shape at once where it fits in
+one block of ``PRODUCT_BLOCK`` words.
 
 ``field(k)`` returns one shared ``FieldSpec`` per bit width, and
 ``field_of_order(q)`` the one of order q; the tables of a field are
@@ -46,7 +50,8 @@ from .errors import DimensionMismatch, InvalidParameter, InversionOfZero
 MATMUL_BLOCK = 1 << 16
 
 #: Table words gathered per block in ``FixedProduct``: the gather's intp
-#: index and the words it reads take 16 bytes per word, 256 KiB a block.
+#: index and the words it reads take 16 bytes per word, 256 KiB a block,
+#: and its shifted and masked digits up to 4 bytes more.
 PRODUCT_BLOCK = 1 << 14
 
 # Reduction rows of these byte widths are xored as one machine word, and
@@ -168,7 +173,9 @@ class FieldSpec:
         """Matrix product over the field: ``a`` is (..., r, m) or (m,), ``b``
         is (m, c); sums of products are xor-reductions of ``vec_mul``.
 
-        Rows of ``a`` go through in blocks of at most ``MATMUL_BLOCK``
+        A product of at most ``MATMUL_BLOCK`` terms is one ``vec_mul`` of
+        ``a[..., None]`` by ``b`` and one reduction, whatever the shape of
+        ``a``.  Larger ones go through in row blocks of at most that many
         products; a row longer than that is split along m as well (a block
         holds at least one term of c products).
         """
@@ -177,12 +184,12 @@ class FieldSpec:
         if b.ndim != 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
             raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
         m, c = b.shape
+        if a.size * c <= MATMUL_BLOCK:  # one block: the common case
+            return _xor_reduce(self.vec_mul(a[..., None], b))
         lead = a.shape[:-1]
-        rows = a.reshape(math.prod(lead), m)
+        rows = a.reshape(-1, m)
         inner = max(1, min(m, MATMUL_BLOCK // max(c, 1)))
         step = max(1, MATMUL_BLOCK // (inner * max(c, 1)))
-        if inner == m and step >= len(rows):  # one block: the common case
-            return _xor_reduce(self.vec_mul(rows[:, :, None], b)).reshape(*lead, c)
         out = np.zeros((len(rows), c), dtype=self.dtype)
         for i in range(0, len(rows), step):
             for j in range(0, m, inner):
@@ -251,12 +258,14 @@ class FixedProduct:
     has ceil(k/4) digit positions, so the tables hold ceil(k/4) * m * 16
     words, 256 KiB for a GF(256) matrix of 1024 x 8.  ``a @ b`` is then the
     xor, over j and s, of one word gathered per (row of ``a``, j, s).  The
-    tables are built with ``vec_mul`` on the first product and read-only;
-    rows of ``a`` go through in blocks of at most ``PRODUCT_BLOCK`` words.
+    tables are built with ``vec_mul`` on the first product and read-only.
+    An ``a`` of at most ``PRODUCT_BLOCK`` gathered words, of any shape, is
+    one gather; a larger one goes through in row blocks of at most that
+    many words.
     Wider rows, and a ``b`` of 0 or 1 columns, go through ``FieldSpec.matmul``.
     """
 
-    __slots__ = ("spec", "b", "tables", "_word", "_offsets")
+    __slots__ = ("spec", "b", "tables", "_word", "_offsets", "_shifts")
 
     def __init__(self, spec: FieldSpec, b):
         b = np.array(b, dtype=spec.dtype)  # a copy, so it stays fixed
@@ -265,9 +274,15 @@ class FixedProduct:
         b.flags.writeable = False
         self.spec = spec
         self.b = b
-        row_bytes = b.shape[1] * b.itemsize if b.shape[1] > 1 else math.inf
-        self._word = next((w for w in _XOR_WORDS if w >= row_bytes), None)
+        self._word = _table_word(b.shape[1], b.itemsize)
         self.tables = None
+
+    @staticmethod
+    def table_bytes(spec: FieldSpec, m: int, c: int) -> int:
+        """Bytes of the tables of a fixed (m, c) operand over ``spec``: 0
+        where its products go through ``FieldSpec.matmul``."""
+        word = _table_word(c, np.dtype(spec.dtype).itemsize)
+        return 0 if word is None else -(-spec.k // 4) * m * 16 * word
 
     def _build(self) -> None:
         spec, b = self.spec, self.b
@@ -287,6 +302,7 @@ class FixedProduct:
         self.tables.flags.writeable = False
         # flat index of digit s of row j's table: (s*m + j) * 16
         self._offsets = (np.arange(digits * m, dtype=np.intp) * 16).reshape(digits, m)
+        self._shifts = (4 * np.arange(digits, dtype=spec.dtype))[:, None]
 
     def __call__(self, a) -> np.ndarray:
         """The product of ``a`` (..., m) or (m,) by ``b``: (..., c) or (c,)."""
@@ -299,22 +315,29 @@ class FixedProduct:
         if self.tables is None:
             self._build()
         m, c = b.shape
-        lead = a.shape[:-1]
-        rows = a.reshape(math.prod(lead), m)
-        offsets = self._offsets
-        digits = len(offsets)
-        words = np.empty(len(rows), dtype=self.tables.dtype)
-        step = max(1, PRODUCT_BLOCK // max(digits * m, 1))
-        for i in range(0, len(rows), step):
-            block = rows[i : i + step]
-            index = np.empty((len(block), digits, m), dtype=np.intp)
-            for s in range(digits):
-                digit = block >> 4 * s if s else block
-                np.add(digit & 15 if s < digits - 1 else digit, offsets[s], out=index[:, s])
-            gathered = np.take(self.tables, index.reshape(len(block), digits * m))
-            np.bitwise_xor.reduce(gathered, axis=1, out=words[i : i + step])
-        out = words.view(spec.dtype).reshape(len(rows), self._word // b.itemsize)
-        return (out if out.shape[1] == c else out[:, :c].copy()).reshape(*lead, c)
+        step = max(1, PRODUCT_BLOCK // max(self._offsets.size, 1))  # rows per block
+        if a.size <= step * m:  # one block: the common case
+            words = self._gather(a)
+        else:
+            rows = a.reshape(-1, m)
+            blocks = [self._gather(rows[i : i + step]) for i in range(0, len(rows), step)]
+            words = np.concatenate(blocks).reshape(a.shape[:-1])
+        out = words[..., None].view(spec.dtype)
+        return out if out.shape[-1] == c else out[..., :c].copy()
+
+    def _gather(self, a: np.ndarray) -> np.ndarray:
+        """The packed product words of ``a`` (..., m): the xor of one table
+        word per digit of each element."""
+        index = ((a[..., None, :] >> self._shifts) & 15) + self._offsets
+        gathered = np.take(self.tables, index.reshape(*a.shape[:-1], self._offsets.size))
+        return np.bitwise_xor.reduce(gathered, axis=-1)
+
+
+def _table_word(c: int, itemsize: int) -> int | None:
+    """The bytes of ``FixedProduct``'s table word for rows of c elements,
+    or None where a row takes no table."""
+    row_bytes = c * itemsize if c > 1 else math.inf
+    return next((w for w in _XOR_WORDS if w >= row_bytes), None)
 
 
 def _xor_reduce(prod: np.ndarray) -> np.ndarray:

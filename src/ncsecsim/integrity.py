@@ -124,6 +124,16 @@ def generate_domain_keys(
     return KeyRing(np.array(rows, dtype=spec.dtype).reshape(count, n + 1), spec, domain_id)
 
 
+def key_ring_bytes(n: int, count: int, spec: FieldSpec) -> int:
+    """Bytes ``generate_domain_keys`` and a first tag product hold at once
+    for a ring of ``count`` keys of n+1 elements, at most: 24 per key
+    element (the drawn rows, the key matrix and its checked copy, the
+    heads, their copy and their product's temporaries), twice the
+    product's tables (``FixedProduct.table_bytes``; the gather of one
+    payload takes at most as much), and 1 MiB for blocked temporaries."""
+    return 24 * count * (n + 1) + 2 * FixedProduct.table_bytes(spec, n, count) + 2**20
+
+
 def tag_matrix(payloads, keys: KeyRing) -> np.ndarray:
     """Tags of every payload under every key: dot(p, key[0..n)) / key[n].
 
@@ -136,8 +146,8 @@ def tag_matrix(payloads, keys: KeyRing) -> np.ndarray:
 def attach_tags(pkt: CodedPacket, keys: KeyRing) -> CodedPacket:
     """Return a copy of pkt carrying one tag per key, in row order."""
     keys.check_field(pkt.spec)
-    tags = tag_matrix(pkt.payload.elems, keys)
-    return pkt.with_row(np.concatenate([pkt.row[: pkt.m + pkt.n], tags]))
+    body = pkt.row[: pkt.m + pkt.n]
+    return pkt.with_row(np.concatenate([body, tag_matrix(body[pkt.m :], keys)]))
 
 
 def key_verdicts(payloads, tags, keys: KeyRing) -> np.ndarray:
@@ -160,7 +170,8 @@ def verify_tags(pkt: CodedPacket, keys: KeyRing) -> list[bool]:
     which carries the slots its keys check.
     """
     keys.check_field(pkt.spec)
-    return key_verdicts(pkt.payload.elems, pkt.tags.elems, keys).tolist()
+    end = pkt.m + pkt.n
+    return key_verdicts(pkt.row[pkt.m : end], pkt.row[end:], keys).tolist()
 
 
 def combine_tags(tag_rows: np.ndarray | Sequence[Sequence[int]], coeffs: FieldVector) -> FieldVector:
@@ -169,19 +180,11 @@ def combine_tags(tag_rows: np.ndarray | Sequence[Sequence[int]], coeffs: FieldVe
     ``tag_rows`` is the m x l native tag matrix; the result is the same
     linear combination of rows that produced the packet's payload.  A tag
     that is not an element of the coefficients' field (a float, or out of
-    range) raises ``InvalidParameter``.
+    range) raises ``InvalidParameter``, and rows that are not m x l raise
+    ``DimensionMismatch``.
     """
-    return _combine(coeffs.spec.elements(tag_rows), coeffs)
-
-
-def _combine(rows: np.ndarray, coeffs: FieldVector) -> FieldVector:
-    if rows.ndim != 2:
-        raise DimensionMismatch("tag rows must form a 2-d matrix")
-    if rows.shape[0] != len(coeffs):
-        raise DimensionMismatch(
-            f"{rows.shape[0]} tag rows vs {len(coeffs)} coefficients"
-        )
-    return FieldVector(coeffs.spec.matmul(coeffs.elems, rows), coeffs.spec, _checked=True)
+    spec = coeffs.spec
+    return FieldVector(spec.matmul(coeffs.elems, spec.elements(tag_rows)), spec, _checked=True)
 
 
 @dataclass(frozen=True)
@@ -235,6 +238,7 @@ def ledger_check(pkt: CodedPacket, tagset: TagSet | None, keys: KeyRing | None =
         )
     if keys is not None:
         keys.check_field(pkt.spec)
-    if _combine(tagset.elements(pkt.spec), pkt.coeffs) != pkt.tags:
+    expected = pkt.spec.matmul(pkt.row[: pkt.m], tagset.elements(pkt.spec))
+    if not np.array_equal(expected, pkt.row[pkt.m + pkt.n :]):
         return False
     return keys is None or all(verify_tags(pkt, keys))

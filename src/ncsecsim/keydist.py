@@ -252,7 +252,7 @@ def _unpack(words: np.ndarray, keys: int | None = None) -> np.ndarray:
 
 def _holdings(
     config: SchemeConfig, nodes: int, trials: int, rng: np.random.Generator,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, picks: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield the (trials, W) words of ``sample_holdings``' masks one at a
     time, in draw order: the tag keys, node 0, then the other nodes.  Every
@@ -267,7 +267,8 @@ def _holdings(
     (``_mark_uniform_subsets``) packed into the row's words.  The tag keys
     and the hands may take different samplers.  Cover-free picks are drawn
     as int64 in row blocks and kept in the narrowest unsigned dtype that
-    holds l - 1; a node's words are the one bit of its pick."""
+    holds l - 1, in the first ``nodes`` rows of ``picks`` if given; a
+    node's words are the one bit of its pick."""
     if nodes < 1 or trials < 1:
         raise InvalidParameter("need at least one node and one trial")
     l = config.l
@@ -314,7 +315,9 @@ def _holdings(
     yield words
     # node 0's picks, then the colluders' (trials, nodes - 1) picks row by
     # row: the order of one call each, cut into row blocks
-    picks = np.empty((nodes, trials), dtype=np.min_scalar_type(l - 1))
+    if picks is None:
+        picks = np.empty((nodes, trials), dtype=np.min_scalar_type(l - 1))
+    picks = picks[:nodes]
     for group in (picks[:1], picks[1:]):
         step = _block_rows(max(len(group), 1), trials)
         for start in range(0, trials, step):
@@ -429,27 +432,37 @@ def safe_key_probability(
         rng = np.random.default_rng(0)
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    return _monte_carlo(config, c, rng, _fold_buffers(config.L, trials))
+    return _monte_carlo(config, c, rng, _fold_buffers(config, trials, c))
 
 
-def _fold_buffers(L: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two (trials, W) word arrays of ``_monte_carlo``: the drawn
-    hands' and the fold's."""
-    return np.empty((trials, _words(L)), dtype=_WORD), np.empty((trials, _words(L)), dtype=_WORD)
+def _fold_buffers(config: SchemeConfig, trials: int, c_max: int) -> tuple:
+    """The buffers of ``_monte_carlo`` for up to ``c_max`` colluders, as
+    views of one block: the two (trials, W) word arrays, the drawn hands'
+    and the fold's, and the cover-free picks' (c_max + 1, trials) array
+    (None for double random).  One block, since each array alone is
+    smaller than the draws' int64 blocks: glibc would trim and regrow its
+    heap, and so page-fault, on every sweep, where freeing one block of
+    all three raises its trim threshold above a sweep's peak."""
+    words_bytes = 16 * trials * _words(config.L)
+    pick = np.min_scalar_type(config.l - 1)
+    nodes = max(c_max, 0) + 1 if config.scheme is Scheme.C_COVER_FREE else 0
+    block = np.empty(words_bytes + nodes * trials * pick.itemsize, dtype=np.uint8)
+    words, live = block[:words_bytes].view(_WORD).reshape(2, trials, _words(config.L))
+    return words, live, block[words_bytes:].view(pick).reshape(nodes, trials) if nodes else None
 
 
 def _monte_carlo(
     config: SchemeConfig, c: int, rng: np.random.Generator,
-    buffers: tuple[np.ndarray, np.ndarray],
+    buffers: tuple,
 ) -> SafeKeyEstimate:
     """A baseline's safe-key estimate over ``len(buffers[0])`` trials,
     folded in ``_fold_buffers``' words."""
-    words, live = buffers
+    words, live, picks = buffers
     trials = len(words)
     # node 0 is the benign hop, the others the colluders; each hand is
     # folded as it is drawn, and the tag keys' words are copied because the
     # next draw overwrites them
-    hands = _holdings(config, c + 1, trials, rng, out=words)
+    hands = _holdings(config, c + 1, trials, rng, out=words, picks=picks)
     live[...] = next(hands)
     live &= next(hands)
     for colluder in hands:
@@ -513,11 +526,12 @@ def colluder_sweep(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    # every estimate of the sweep folds in one pair of word arrays: arrays
-    # made afresh per estimate page-fault or not depending on what malloc
-    # last freed
+    # every estimate of the sweep folds in one pair of word arrays and
+    # draws its picks into one array sized for the largest c: arrays made
+    # afresh per estimate page-fault or not depending on what malloc last
+    # freed
     monte_carlo = base.scheme is not Scheme.BLOCKCHAIN and trials >= 1
-    buffers = _fold_buffers(base.L, trials) if monte_carlo else None
+    buffers = _fold_buffers(base, trials, max(c_values, default=0)) if monte_carlo else None
     rows = []
     for c in c_values:
         if base.scheme is Scheme.BLOCKCHAIN:

@@ -75,9 +75,7 @@ class CodedPacket:
     def with_row(self, row: np.ndarray) -> "CodedPacket":
         """A packet of this generation, field, m and n over ``row``, kept as
         is; its elements past m + n are the tags."""
-        pkt = object.__new__(CodedPacket)
-        pkt.gen_id, pkt.spec, pkt.m, pkt.n, pkt.row = self.gen_id, self.spec, self.m, self.n, row
-        return pkt
+        return _packet(self.gen_id, self.spec, self.m, self.n, row)
 
     @property
     def coeffs(self) -> FieldVector:
@@ -96,11 +94,18 @@ class CodedPacket:
         self.row = CodedPacket(self.gen_id, self.coeffs, self.payload, tags).row
 
 
+def _packet(gen_id: str, spec: FieldSpec, m: int, n: int, row: np.ndarray) -> CodedPacket:
+    pkt = object.__new__(CodedPacket)
+    pkt.gen_id, pkt.spec, pkt.m, pkt.n, pkt.row = gen_id, spec, m, n, row
+    return pkt
+
+
 def encode(gen: Generation, rng: np.random.Generator) -> CodedPacket:
     """Source encoding: uniform random coefficients over the whole field."""
-    coeffs = FieldVector.random(gen.m, gen.spec, rng)
-    payload = FieldVector(gen.spec.matmul(coeffs.elems, gen.natives), gen.spec, _checked=True)
-    return CodedPacket(gen.gen_id, coeffs, payload)
+    spec = gen.spec
+    coeffs = spec.random_elements(rng, gen.m)
+    row = np.concatenate([coeffs, spec.matmul(coeffs, gen.natives)])
+    return _packet(gen.gen_id, spec, gen.m, gen.n, row)
 
 
 def _check_same_shape(packets: list[CodedPacket]) -> None:
@@ -129,7 +134,7 @@ def recode(packets: list[CodedPacket], rng: np.random.Generator) -> CodedPacket:
     local = spec.random_elements(rng, len(packets))
     if not local.any():
         local = spec.random_elements(rng, len(packets))
-    return first.with_row(spec.matmul(local, np.stack([p.row for p in packets])))
+    return first.with_row(spec.matmul(local, np.array([p.row for p in packets])))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from ncsecsim.attack import (
     _colluder_positions,
     _forge,
     bypass_rate_grid,
+    grid_bytes,
     inject,
     measure_bypass_rate,
 )
@@ -255,6 +256,19 @@ def test_bypass_grid_holds_no_payload_stack():
     finally:
         tracemalloc.stop()
     assert peak <= 400 * 2**10, peak / 2**10
+
+
+@pytest.mark.parametrize(
+    "q, n, m, l", [(16, 32, 4, 8), (256, 1024, 32, 8), (65536, 3000, 3, 4), (256, 2, 2, 40)]
+)
+def test_grid_bytes_bounds_what_a_grid_holds(q, n, m, l):
+    tracemalloc.start()
+    try:
+        bypass_rate_grid(q, 1_000, np.random.default_rng(2), n=n, m=m, l=l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid_bytes(q, n, m, l)
 
 
 MACSIG = SchemeConfig(Scheme.DOUBLE_RANDOM, l=8, L=16, s=8, q=16, m=4, n=32)

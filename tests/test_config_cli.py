@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsecsim.attack import grid_bytes
 from ncsecsim.cli import main
 from ncsecsim.config import (
+    BYPASS_GRID_BYTES,
+    BYPASS_TRIALS,
+    KEY_RING_BYTES,
     RunConfig,
     apply_settings,
     config_items,
@@ -21,6 +25,8 @@ from ncsecsim.config import (
     write_config_echo,
 )
 from ncsecsim.errors import ConfigError
+from ncsecsim.gf import GF256
+from ncsecsim.integrity import key_ring_bytes
 from ncsecsim.keydist import Scheme
 from ncsecsim.simulation import run_simulation
 
@@ -190,6 +196,37 @@ def test_cli_rejects_inconsistent_settings_as_config_errors(
         assert key in err
     with pytest.raises(ConfigError):
         validate_command(command, load_config(cfg))
+
+
+@pytest.mark.parametrize(
+    "command, setting, keys",
+    [
+        # a ring of 8 keys over 10^12 symbols, or of 10^5 keys over 1024
+        ("run", {"security.n": str(10**12)}, ("security.n",)),
+        ("run", {"security.l": str(10**5)}, ("security.l",)),
+        ("attack", {"security.l": str(10**5)}, ("security.l",)),
+        ("run", {"security.q": "65536", "security.n": str(2**25)}, ("security.n",)),
+        # the grid's generation, rings and batches
+        ("attack", {"attack.n": str(10**12)}, ("attack.n",)),
+        ("attack", {"attack.l": str(10**12)}, ("attack.l",)),
+        ("attack", {"attack.m": str(10**9)}, ("attack.m",)),
+        ("attack", {"attack.trials": str(10**12)}, ("attack.trials",)),
+    ],
+)
+def test_sizes_a_run_cannot_hold_are_config_errors(command, setting, keys):
+    # checked through validate only: nothing of the size is allocated
+    with pytest.raises(ConfigError) as raised:
+        validate_command(command, apply_settings(RunConfig(), setting))
+    for key in keys:
+        assert key in str(raised.value)
+
+
+def test_the_size_bounds_admit_the_defaults_and_their_edges():
+    validate_command("attack", apply_settings(RunConfig(), {"attack.trials": str(BYPASS_TRIALS)}))
+    default = RunConfig()
+    assert key_ring_bytes(default.security.n, default.security.l, GF256) < KEY_RING_BYTES / 500
+    at = default.attack
+    assert grid_bytes(at.q, at.n, at.m, at.l) < BYPASS_GRID_BYTES / 200
 
 
 def test_cli_checks_only_the_settings_a_command_reads(tmp_path, capsys):

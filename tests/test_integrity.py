@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncsecsim._stats import binomial_sigma
-from ncsecsim.errors import DimensionMismatch, InvalidParameter, TagSetUnavailable
+from ncsecsim.errors import (
+    DimensionMismatch,
+    EmptyInput,
+    GenerationMismatch,
+    InvalidParameter,
+    TagSetUnavailable,
+)
 from ncsecsim.gf import GF16, GF256, FieldSpec, FieldVector, field
 from ncsecsim.integrity import (
     KeyRing,
@@ -12,6 +20,7 @@ from ncsecsim.integrity import (
     attach_tags,
     combine_tags,
     generate_domain_keys,
+    key_ring_bytes,
     key_verdicts,
     ledger_check,
     tag_matrix,
@@ -20,7 +29,7 @@ from ncsecsim.integrity import (
 )
 from ncsecsim.rlnc import CodedPacket, encode, random_generation, recode
 
-from oracles import dot_oracle
+from oracles import dot_oracle, matvec_oracle
 
 SPECS = {k: FieldSpec(k) for k in (1, 2, 4, 8, 16)}
 
@@ -363,3 +372,90 @@ def test_ring_products_match_matmul_and_oracle(seed, k, n, count, lead, data):
             tag_matrix(np.zeros(lead + (n + 1,), dtype=spec.dtype), ring)
         with pytest.raises(DimensionMismatch):
             key_verdicts(np.zeros(lead + (n + 1,), dtype=spec.dtype), noisy, ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([4, 8, 16]),
+    m=st.integers(1, 4),
+    n=st.integers(1, 12),
+    l=st.integers(1, 5),
+    order=st.permutations(range(5)),
+    keep=st.integers(0, 5),
+    position=st.integers(0, 2**20),
+    delta=st.integers(0, 2**16),
+)
+# a flip of a coefficient alone leaves every key check passing: only the
+# ledger comparison covers the coefficients
+@example(seed=3, k=8, m=3, n=5, l=2, order=[1, 0, 2, 3, 4], keep=2, position=0, delta=0)
+def test_one_flipped_element_of_a_recoded_row_matches_the_oracles(
+    seed, k, m, n, l, order, keep, position, delta
+):
+    spec = field(k)
+    rng = np.random.default_rng(seed)
+    gen = random_generation("g", m, n, spec, rng)
+    keys = generate_domain_keys(n, l, spec, rng, "d")
+    tagset = tagset_for_generation(gen, keys, "src")
+    window = [attach_tags(encode(gen, rng), keys) for _ in range(3)]
+    coded = recode(window, rng)
+    row = coded.row.copy()
+    at = position % len(row)
+    row[at] ^= 1 + delta % (spec.q - 1)
+    pkt = coded.with_row(row)
+    ring = keys[[r for r in order if r < l][:keep]]
+
+    coeffs, payload, tags = row[:m], row[m : m + n], row[m + n :]
+    by_key = [
+        dot_oracle(list(payload) + [tags[slot]], keys.matrix[slot], k, spec.poly) == 0
+        for slot in ring.slots
+    ]
+    pinned = tags.tolist() == matvec_oracle(coeffs, tagset.native_tags, k, spec.poly)
+    assert verify_tags(pkt, ring) == by_key
+    assert ledger_check(pkt, tagset) == pinned
+    assert ledger_check(pkt, tagset, ring) == (pinned and all(by_key))
+    if at < m:
+        assert all(by_key)
+
+
+def test_every_error_of_the_relay_calls(setup):
+    rng, gen, keys = setup
+    ts = tagset_for_generation(gen, keys, "src")
+    pkt = attach_tags(encode(gen, rng), keys)
+    other = random_generation("other", 4, 16, GF256, rng)
+    with pytest.raises(EmptyInput):
+        recode([], rng)
+    with pytest.raises(GenerationMismatch):
+        recode([pkt, attach_tags(encode(other, rng), keys)], rng)
+    with pytest.raises(DimensionMismatch):  # a wrong tag count
+        recode([pkt, attach_tags(encode(gen, rng), keys[:3])], rng)
+    with pytest.raises(DimensionMismatch):  # a key's slot past the carried tags
+        verify_tags(attach_tags(pkt, keys[:2]), keys)
+    with pytest.raises(DimensionMismatch):  # a wrong tag-row count
+        ledger_check(pkt, TagSet(gen.gen_id, "src", ts.native_tags[:3]))
+    with pytest.raises(TagSetUnavailable):
+        ledger_check(pkt, None)
+    with pytest.raises(TagSetUnavailable):
+        ledger_check(pkt, TagSet("other", "src", ts.native_tags))
+    with pytest.raises(InvalidParameter):  # native tags outside GF(256)
+        ledger_check(pkt, TagSet(gen.gen_id, "src", ts.native_tags.astype(np.int64) + 256))
+    # a tag set of another width is no error: the carried tags differ
+    assert not ledger_check(pkt, TagSet(gen.gen_id, "src", ts.native_tags[:, :3]))
+    # the ledger comparison comes first, and a key past the tags raises after it
+    short = attach_tags(pkt, keys[:2])
+    with pytest.raises(DimensionMismatch):
+        ledger_check(short, TagSet(gen.gen_id, "src", ts.native_tags[:, :2]), keys)
+
+
+@pytest.mark.parametrize("k, n, count", [(8, 1024, 8), (8, 3000, 1), (16, 2000, 4), (4, 500, 16)])
+def test_key_ring_bytes_bounds_a_ring_and_its_first_product(k, n, count):
+    spec = field(k)
+    rng = np.random.default_rng(5)
+    payload = spec.random_elements(rng, n)
+    tracemalloc.start()
+    try:
+        generate_domain_keys(n, count, spec, rng, "d").tag_product(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= key_ring_bytes(n, count, spec)

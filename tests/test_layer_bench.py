@@ -1,0 +1,34 @@
+import importlib.util
+import json
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("layer_bench", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_bench_times_every_case_at_tiny_sizes(capsys):
+    tool = _tool()
+    argv = ["--m", "3", "--n", "8", "--l", "2", "--repeat", "2", "--number", "2"]
+    assert tool.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["settings"] == {"m": 3, "n": 8, "l": 2, "repeat": 2, "number": 2, "seed": 1}
+    timed = report["us_per_call"]
+    widths = [f"gf.{op}.k{k}" for k in tool.WIDTHS for op in ("vec_mul", "dot")]
+    layers = ["rlnc.encode", "rlnc.recode", "rlnc.decode", "integrity.attach_tags",
+              "integrity.verify_tags", "integrity.tagset_for_generation",
+              "integrity.ledger_check", "relay.hop"]
+    assert sorted(timed) == sorted(widths + layers)
+    assert all(us > 0 for us in timed.values())
+
+
+def test_layer_bench_hop_passes_both_checks():
+    # the timed hop recodes honest packets, so both checks accept it
+    cases = _tool().cases(3, 8, 2, seed=4)
+    assert all(cases["relay.hop"]() for _ in range(5))
+    assert cases["integrity.ledger_check"]()
