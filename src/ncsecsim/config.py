@@ -18,26 +18,13 @@ from .attack import grid_bytes
 from .errors import ConfigError, InvalidParameter
 from .gf import field_of_order
 from .handover import PredictionConfig
-from .integrity import key_ring_bytes
 from .keydist import SCHEME_BY_LABEL, Scheme, safe_key_bytes
 from .ledger import DEFAULT_COLLECTION_PERIOD_MS
 
-# The most received powers one forecast call may compute: 32 MiB per
-# float64 array of them.
-FORECAST_POWERS = 2**22
-# The most cells a grid may have: its box table alone holds 10 ints per
-# cell, 320 MiB at this bound.
-GRID_CELLS = 2**22
-# The most bytes one safe-key estimate of ``analyze`` may hold at once
-# (``keydist.safe_key_bytes``): 4.9 MB at the defaults.
-SAFE_KEY_BYTES = 2**30
-# The most bytes one key ring at ``security.n`` and ``l`` may hold with its
-# tag product (``integrity.key_ring_bytes``): 1.8 MB at the defaults.  A
-# run draws one per uploaded cell, and only when its blocks are read.
-KEY_RING_BYTES = 2**30
-# The most bytes ``attack``'s bypass grid may hold at once
-# (``attack.grid_bytes``): 3.8 MB at the defaults.
-BYPASS_GRID_BYTES = 2**30
+# The most bytes a config may make one command hold at once: the sum of its
+# layers' peaks (``simulation.run_bytes`` for every command, then its own:
+# ``keydist.safe_key_bytes`` for ``analyze``, ``attack.grid_bytes`` for ``attack``).
+BYTE_BOUND = 2**30
 # The most trials a bypass-grid row may take.  A row's batches hold the
 # same bytes at any count, so this bounds time: about five minutes a row
 # at 3.4M trials/s.
@@ -126,12 +113,8 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "scenario": ScenarioConfig,
-    "security": SecurityConfig,
-    "ledger": LedgerConfig,
-    "prediction": PredictionConfig,
-    "analyze": AnalyzeConfig,
-    "attack": AttackSweepConfig,
+    f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+    if dataclasses.is_dataclass(f.default_factory)
 }
 
 _TOP_LEVEL = {"scheme", "horizon_ms", "seed", "output_dir"}
@@ -151,7 +134,11 @@ def _convert(raw: str, target_type, key: str):
         if target_type is bool:
             return _parse_bool(raw, key)
         if target_type is int:
-            return int(raw)
+            value = int(raw)
+            # numpy seeds any int; every other int setting meets int64 arrays
+            if key != "seed" and not -(2**63) <= value < 2**63:
+                raise ConfigError(f"{key}: {value} is outside the int64 range")
+            return value
         if target_type is not float:
             return raw
         value = float(raw)
@@ -193,23 +180,17 @@ def apply_settings(config: RunConfig, settings: dict[str, str]) -> RunConfig:
         fields = {f.name: f for f in dataclasses.fields(cls)}
         if name not in fields:
             raise ConfigError(f"unknown configuration key {key!r}")
-        target_type = fields[name].type
-        if isinstance(target_type, str):
-            target_type = {"int": int, "float": float, "bool": bool, "str": str}.get(
-                target_type, str
-            )
+        # the sections' annotations are strings (``from __future__ import annotations``)
+        target_type = {"int": int, "float": float, "bool": bool}.get(fields[name].type, str)
         section_updates.setdefault(section, {})[name] = _convert(raw, target_type, key)
     updates: dict[str, object] = dict(top_updates)
     for section, values in section_updates.items():
         current = getattr(config, section)
         try:
             updates[section] = dataclasses.replace(current, **values)
-        except Exception as exc:  # dataclass __post_init__ validation
-            raise ConfigError(f"{section}: {exc}") from None
-    try:
-        out = dataclasses.replace(config, **updates)
-    except Exception as exc:
-        raise ConfigError(str(exc)) from None
+        except InvalidParameter as exc:  # a section's own checks (``__post_init__``)
+            raise ConfigError(f"{', '.join(section + '.' + k for k in values)}: {exc}") from None
+    out = dataclasses.replace(config, **updates)
     validate(out)
     return out
 
@@ -233,15 +214,10 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
 
 
 def validate(config: RunConfig) -> None:
-    """Check the settings every command reads (see ``validate_command``)."""
+    """Check the settings every command reads, and that their run fits ``BYTE_BOUND``."""
     sc = config.scenario
     if sc.rows < 1 or sc.cols < 1:
         raise ConfigError("scenario.rows/cols: must be >= 1")
-    if sc.num_cells > GRID_CELLS:
-        raise ConfigError(
-            f"scenario.rows/cols: a {sc.rows}x{sc.cols} grid has {sc.num_cells} cells, "
-            f"above {GRID_CELLS}"
-        )
     if sc.isd_m <= 0:
         raise ConfigError("scenario.isd_m: must be positive")
     if sc.num_ues < 0:
@@ -254,6 +230,24 @@ def validate(config: RunConfig) -> None:
         raise ConfigError("scenario.ul_ttt_ms: must be >= 0")
     if sc.shadow_sigma_db < 0:
         raise ConfigError("scenario.shadow_sigma_db: must be >= 0")
+    sec = config.security
+    _check_field_order("security.q", sec.q)
+    if sec.n < 1 or sec.m < 1 or sec.l < 1:
+        raise ConfigError("security.n/m/l: must be >= 1")
+    if config.ledger.collection_period_ms <= 0:
+        raise ConfigError("ledger.collection_period_ms: must be positive")
+    if config.ledger.ho_timeout_ms < config.ledger.collection_period_ms:
+        raise ConfigError(
+            f"ledger.ho_timeout_ms={config.ledger.ho_timeout_ms} is below "
+            f"ledger.collection_period_ms={config.ledger.collection_period_ms}: "
+            "a first-visit handover can wait a whole period for its keys"
+        )
+    if config.horizon_ms < 0:
+        raise ConfigError("horizon_ms: must be >= 0")
+    if config.seed < 0:
+        raise ConfigError("seed: must be >= 0")
+    from .simulation import run_bytes  # which imports this module
+    _check_bytes("a run", run_bytes(config))
     # finite distances: the grid's diagonal and box reach, a tick's step
     reach = math.sqrt(2) * max(sc.rows, sc.cols, mobility.BOX_REACH_ISD) * sc.isd_m
     if not math.isfinite(reach):
@@ -261,43 +255,6 @@ def validate(config: RunConfig) -> None:
     if not math.isfinite(sc.ue_speed_mps * sc.rs_period_ms):
         raise ConfigError(f"scenario.ue_speed_kmh: {sc.ue_speed_kmh} km/h overflows a tick's step")
     _check_power_resolution(sc, reach)
-    sec = config.security
-    _check_field_order("security.q", sec.q)
-    if sec.n < 1 or sec.m < 1 or sec.l < 1:
-        raise ConfigError("security.n/m/l: must be >= 1")
-    ring = key_ring_bytes(sec.n, sec.l, field_of_order(sec.q))
-    if ring > KEY_RING_BYTES:
-        raise ConfigError(
-            f"security.n={sec.n}, security.l={sec.l}: a ring of l keys over n symbols "
-            f"holds {ring} bytes with its tag product, above {KEY_RING_BYTES}"
-        )
-    if config.ledger.collection_period_ms <= 0:
-        raise ConfigError("ledger.collection_period_ms: must be positive")
-    if config.ledger.ho_timeout_ms <= 0:
-        raise ConfigError("ledger.ho_timeout_ms: must be positive")
-    if config.ledger.ho_timeout_ms < config.ledger.collection_period_ms:
-        raise ConfigError(
-            f"ledger.ho_timeout_ms={config.ledger.ho_timeout_ms} is below "
-            f"ledger.collection_period_ms={config.ledger.collection_period_ms}: "
-            "a first-visit handover can wait a whole period for its keys"
-        )
-    # A ledger run's forecast computes, per UE and lead tick, the powers
-    # that ``CellGrid.first_fires`` holds at most in one array: a box's 10,
-    # or a full row where it does not prefilter (far entries, a flat grid).
-    lead_ticks = config.prediction.lead_ticks(sc.rs_period_ms)
-    box = 10 if mobility.uses_box(sc.pl_exponent) else 0
-    row = 0 if mobility.prefilters(sc.pl_exponent, sc.ul_offset_db) else sc.num_cells
-    powers = sc.num_ues * lead_ticks * max(box, row)
-    forecasts = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
-    if forecasts and powers > FORECAST_POWERS:
-        raise ConfigError(
-            f"prediction.lead_ms: a forecast of {lead_ticks} lead ticks for {sc.num_ues} UEs "
-            f"computes {powers} powers at once, above {FORECAST_POWERS}"
-        )
-    if config.horizon_ms < 0:
-        raise ConfigError("horizon_ms: must be >= 0")
-    if config.seed < 0:
-        raise ConfigError("seed: must be >= 0")
 
 
 def validate_command(command: str, config: RunConfig) -> None:
@@ -305,8 +262,8 @@ def validate_command(command: str, config: RunConfig) -> None:
     ``analyze`` and ``attack.*`` for ``attack``."""
     az, at, sec = config.analyze, config.attack, config.security
     if command == "analyze":
-        if not 0 < az.epsilon < 1 or not 0 <= az.d < 1:
-            raise ConfigError("analyze.epsilon/d: epsilon in (0,1), d in [0,1)")
+        if not 0 < az.epsilon < 1 or not 0 <= az.d < 1 or 1 / az.epsilon == math.inf:
+            raise ConfigError("analyze.epsilon, analyze.d: need 1 < 1/epsilon < inf, 0 <= d < 1")
         if az.c_min < 0 or az.c_max < az.c_min:
             raise ConfigError("analyze.c_min/c_max: need 0 <= c_min <= c_max")
         if az.L < sec.l:
@@ -327,11 +284,7 @@ def validate_command(command: str, config: RunConfig) -> None:
         if az.trials < 1:
             raise ConfigError("analyze.trials: must be >= 1")
         held = safe_key_bytes(az.L, az.trials, az.c_max)
-        if held > SAFE_KEY_BYTES:
-            raise ConfigError(
-                f"analyze.trials/L/c_max: an estimate of {az.trials} trials over {az.L} keys "
-                f"against {az.c_max} colluders holds {held} bytes at once, above {SAFE_KEY_BYTES}"
-            )
+        _check_bytes("analyze", [("analyze.trials, analyze.L, analyze.c_max", held)])
     if command == "attack":
         _check_field_order("attack.q", at.q)
         if at.n < 1 or at.m < 1:
@@ -345,11 +298,16 @@ def validate_command(command: str, config: RunConfig) -> None:
         if at.trials > BYPASS_TRIALS:
             raise ConfigError(f"attack.trials={at.trials}: above {BYPASS_TRIALS} per grid row")
         held = grid_bytes(at.q, at.n, at.m, at.l)
-        if held > BYPASS_GRID_BYTES:
-            raise ConfigError(
-                f"attack.n={at.n}, attack.m={at.m}, attack.l={at.l}: a grid of m natives of "
-                f"n symbols with l tags holds {held} bytes at once, above {BYPASS_GRID_BYTES}"
-            )
+        _check_bytes("attack", [("attack.n, attack.m, attack.l", held)])
+
+
+def _check_bytes(holder: str, terms: list[tuple[str, int]]) -> None:
+    """Reject (keys, bytes) ``terms`` summing past ``BYTE_BOUND``, naming the largest's keys."""
+    total = sum(held for _, held in terms)
+    if total > BYTE_BOUND:
+        keys, held = max(terms, key=lambda term: term[1])
+        raise ConfigError(f"{keys}: {held} of the {total} bytes {holder} holds at once, "
+                          f"above {BYTE_BOUND}")
 
 
 def _check_power_resolution(sc: ScenarioConfig, reach: float) -> None:
@@ -365,7 +323,8 @@ def _check_power_resolution(sc: ScenarioConfig, reach: float) -> None:
     rounding = {
         "scenario.ptx_dbm": abs(sc.ptx_dbm) * spacing,
         "scenario.pl0_db": abs(sc.pl0_db) * spacing,
-        "scenario.pl_exponent": 10 * abs(sc.pl_exponent) / math.log(10) * max(reach, 1) * spacing,
+        "scenario.pl_exponent, scenario.isd_m, scenario.rows, scenario.cols":
+            10 * abs(sc.pl_exponent) / math.log(10) * max(reach, 1) * spacing,
     }
     for key, db in rounding.items():
         if not db <= POWER_RESOLUTION_DB:
@@ -387,9 +346,7 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Scheme):
         return value.label
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr
 
 
 def config_items(config: RunConfig) -> list[tuple[str, str]]:

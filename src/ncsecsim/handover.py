@@ -78,11 +78,6 @@ class PredictionConfig:
         if self.lead_ms < 0:
             raise InvalidParameter("prediction lead must be >= 0")
 
-    def lead_ticks(self, rs_period_ms: int) -> int:
-        """Lead ticks a forecast looks ahead: ``lead_ms`` in RS periods,
-        rounded up, and at least one."""
-        return max(1, -(-self.lead_ms // rs_period_ms))
-
 
 def key_outcome(t_trigger, seen_ms):
     """The start pattern and completion instant of a ledger handover

@@ -59,18 +59,31 @@ BOX_REACH_ISD = 1.4
 PREFILTER_SLACK_DB = 1e-6
 
 
-def uses_box(pl_exponent: float) -> bool:
-    """Whether ``CellGrid.first_fires`` computes box powers, not full
-    rows, at path-loss ``pl_exponent``: only where power falls with
-    distance can a box decide a trigger."""
-    return pl_exponent > 0
-
-
 def prefilters(pl_exponent: float, ul_offset_db: float) -> bool:
     """Whether ``CellGrid.first_fires`` drops entries through ``may_fire``:
-    on the box path, at the offsets where it can drop some.  Below those
-    the box sees every entry and sends each far one to a full row."""
-    return uses_box(pl_exponent) and ul_offset_db >= PREFILTER_SLACK_DB
+    on the box path, at a positive exponent, where the offset lets it drop
+    some.  Elsewhere the box sees every entry and sends far ones to full rows."""
+    return pl_exponent > 0 and ul_offset_db >= PREFILTER_SLACK_DB
+
+
+def first_fires_bytes(
+    entries: int, sequences: int, window: int, cells: int, pl_exponent: float, ul_offset_db: float
+) -> int:
+    """Bytes one ``CellGrid.first_fires`` call over ``entries`` entries of
+    ``window`` samples in ``sequences`` holds with its positions, at most.
+    Its box sees one entry a sequence at a time where it ``prefilters``,
+    every entry elsewhere: 400 bytes a sample, and a far one a full row of
+    24 bytes a cell.  A non-positive exponent takes full rows, no box."""
+    box = 400 if pl_exponent > 0 else 0
+    boxed = min(entries, sequences) if prefilters(pl_exponent, ul_offset_db) else entries
+    return entries * (16 * window + 160) + boxed * (window * (24 * cells + box) + box)
+
+
+def cell_grid_bytes(cells: int, ues: int) -> int:
+    """Bytes a ``CellGrid`` holds while it builds its tables, 272 a cell (it
+    keeps 112), and ``place_ues`` for ``ues`` UEs: 48 a UE, each UE's full
+    row of distances to its nearest cell, and 64 KiB of numpy's buffers."""
+    return 272 * cells + ues * (24 * cells + 80) + 2**16
 
 
 @dataclass(frozen=True)
@@ -235,10 +248,6 @@ class CellGrid:
         fire[other] = power[:, 0] - power[:, 1] > ul_offset_db - PREFILTER_SLACK_DB
         return fire
 
-    def prefilters(self, ul_offset_db: float) -> bool:
-        """``mobility.prefilters`` at this grid's exponent."""
-        return prefilters(self.pl_exponent, ul_offset_db)
-
     def first_fires(
         self, window_pos: np.ndarray, serving: np.ndarray, starts: np.ndarray, ul_offset_db: float
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,9 +272,9 @@ class CellGrid:
         not fire, until the sequence fires or has no survivor left.
         """
         pos, serving, starts = self._wrapped(window_pos), np.asarray(serving), np.asarray(starts)
-        if not uses_box(self.pl_exponent):
+        if self.pl_exponent <= 0:  # no box holds every candidate
             return first_fires(self._rsrp(pos), serving, starts, ul_offset_db)
-        if not self.prefilters(ul_offset_db):
+        if not prefilters(self.pl_exponent, ul_offset_db):
             targets = self._box_targets(pos, serving, ul_offset_db)
             index = _first_true(targets >= 0, starts)
             return index, np.append(targets, -1)[index]

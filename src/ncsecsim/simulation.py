@@ -62,7 +62,7 @@ from .handover import (
     cumulative_key_exchanges,
     replay_key_signaling,
 )
-from .integrity import KeyRing, generate_domain_keys
+from .integrity import KeyRing, generate_domain_keys, key_ring_bytes
 from .keydist import Scheme
 from .ledger import (
     SIGNALING_WINDOW_MS,
@@ -78,8 +78,11 @@ from .mobility import (
     Measurement,
     UeArrays,
     advance,
+    cell_grid_bytes,
     first_fires,
+    first_fires_bytes,
     place_ues,
+    prefilters,
 )
 
 _ALL_SCHEMES = (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE)
@@ -182,22 +185,14 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     handovers = HoTable(config.scheme, grid.num_cells, period, rs, config.ledger.ho_timeout_ms)
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng["place"])
-    full_rows = sc.shadow_sigma_db > 0 or sc.dump_measurements
+    window, lead_ticks, cap, full_rows = _block_shape(config)
     trigger = first_fires if full_rows else grid.first_fires
     # whether the trigger drops most entries a chain re-evaluates (``_block_length``)
-    prefiltered = not full_rows and grid.prefilters(sc.ul_offset_db)
-    # A window reaches back at most to the run's first tick.
-    window = min(sc.ul_ttt_ms, config.horizon_ms) // rs + 1
+    prefiltered = not full_rows and prefilters(sc.pl_exponent, sc.ul_offset_db)
     measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
-    predict = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
-    lead_ticks = config.prediction.lead_ticks(rs)
     lead_ms = np.arange(1, lead_ticks + 1) * rs
     ticks = config.horizon_ms // rs + 1 if config.horizon_ms > 0 else 0
-    # Per UE, a tick's trigger reads a window of samples and, with
-    # prediction, its forecast one sample per lead tick.
-    samples = ues.count * (window + lead_ticks if predict else window)
-    cap = max(1, BLOCK_SAMPLES // max(1, samples))
     # Each block holds the window samples of the ``window - 1`` ticks
     # before it, then of its own ticks: positions, from which
     # ``CellGrid.first_fires`` computes only the powers that can decide
@@ -217,7 +212,7 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         block = np.empty((window - 1 + size, *tail.shape[1:]))
         block[: window - 1] = tail
         # A forecast can prestage only while some cell has not uploaded.
-        forecasting = predict and len(handovers.uploads) < grid.num_cells
+        forecasting = lead_ticks > 0 and len(handovers.uploads) < grid.num_cells
         block_pos = np.empty((size, ues.count, 2)) if forecasting else None
         for k in range(size):
             t = (tick + k) * rs
@@ -312,6 +307,48 @@ BLOCK_SAMPLES = 4096
 # The fixed cost of one chain round in (tick, UE) entries: about 100 us,
 # against about 0.3 us per entry of the 8x8 box path.
 CALL_ENTRIES = 300
+
+
+def _block_shape(config: RunConfig) -> tuple[int, int, int, bool]:
+    """A run's window, forecast lead (0: none) and longest block in ticks,
+    and whether its samples are full rows of powers, not positions:
+    shadowing is drawn per UE and cell, and the measurement dump writes them."""
+    sc = config.scenario
+    # A window reaches back at most to the run's first tick.
+    window = min(sc.ul_ttt_ms, config.horizon_ms) // sc.rs_period_ms + 1
+    # Only a ledger run forecasts: ``lead_ms`` in RS periods, rounded up, at least one.
+    predict = config.prediction.enabled and config.scheme is Scheme.BLOCKCHAIN
+    leads = max(1, -(-config.prediction.lead_ms // sc.rs_period_ms)) if predict else 0
+    # Per UE, a tick's trigger reads a window of samples and its forecast
+    # one sample per lead tick.
+    cap = max(1, BLOCK_SAMPLES // max(1, sc.num_ues * (window + leads)))
+    return window, leads, cap, sc.shadow_sigma_db > 0 or sc.dump_measurements
+
+
+def run_bytes(config: RunConfig) -> list[tuple[str, int]]:
+    """The peak bytes of each part of a run of ``config`` that grows with its settings, with
+    the keys that size it: their sum bounds the run's peak, but for what grows with handovers."""
+    sc, sec = config.scenario, config.security
+    window, leads, cap, full_rows = _block_shape(config)
+    cells, ues, entries = sc.num_cells, sc.num_ues, cap * sc.num_ues
+    # The grid and UEs; a block and the one before it (``tail`` keeps it),
+    # their entries' arrays, a tick's full rows with their noise; a chain
+    # round, whose trigger over full rows costs no more than computing them.
+    grid = cell_grid_bytes(cells, ues) + 16 * (window - 1 + cap) * ues * (cells if full_rows else 2)
+    grid += (8 * window + 96) * entries + 32 * ues * cells * full_rows
+    exponent = 0.0 if full_rows else sc.pl_exponent
+    grid += first_fires_bytes(entries, ues, window, cells, exponent, sc.ul_offset_db)
+    return [
+        ("scenario.rows, scenario.cols, scenario.num_ues", grid),
+        ("prediction.lead_ms",
+         first_fires_bytes(entries * leads, entries, 1, cells, sc.pl_exponent, sc.ul_offset_db)),
+        ("security.n, security.l", key_ring_bytes(sec.n, sec.l, field_of_order(sec.q))),
+        # each scheme's per-window counts and curve (``write_run_artifacts``)
+        ("horizon_ms", 200 * len(_ALL_SCHEMES) * (config.horizon_ms // SIGNALING_WINDOW_MS + 1)),
+        # every tick's rows, and an object a row
+        ("scenario.dump_measurements", sc.dump_measurements * ues * (8 * cells + 320)
+         * (config.horizon_ms // sc.rs_period_ms + 1)),
+    ]
 
 
 class _Chains:

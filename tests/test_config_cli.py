@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import dataclasses
 import filecmp
 import io
 import shlex
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -14,9 +16,8 @@ from hypothesis import strategies as st
 from ncsecsim.attack import grid_bytes
 from ncsecsim.cli import main
 from ncsecsim.config import (
-    BYPASS_GRID_BYTES,
     BYPASS_TRIALS,
-    KEY_RING_BYTES,
+    BYTE_BOUND,
     RunConfig,
     apply_settings,
     config_items,
@@ -211,6 +212,17 @@ def test_cli_rejects_inconsistent_settings_as_config_errors(
         ("attack", {"attack.l": str(10**12)}, ("attack.l",)),
         ("attack", {"attack.m": str(10**9)}, ("attack.m",)),
         ("attack", {"attack.trials": str(10**12)}, ("attack.trials",)),
+        # a chain round over full rows: about 98 KB a cell at 20 UEs
+        ("run", {"scenario.pl_exponent": "0", "scenario.rows": "2048", "scenario.cols": "2048",
+                 "scheme": "hmac"}, ("scenario.rows", "scenario.cols")),
+        ("run", {"scenario.num_ues": str(10**9)}, ("scenario.num_ues",)),
+        # the signaling windows: 9.2 * 10**15 of them, each scheme's counts and curve
+        ("run", {"horizon_ms": str(2**63 - 1), "scenario.rs_period_ms": str(2**62)},
+         ("horizon_ms",)),
+        # int settings past int64
+        ("run", {"scenario.rs_period_ms": str(10**19)}, ("scenario.rs_period_ms",)),
+        ("run", {"ledger.collection_period_ms": str(10**19), "ledger.ho_timeout_ms": str(10**19)},
+         ("ledger.collection_period_ms",)),
     ],
 )
 def test_sizes_a_run_cannot_hold_are_config_errors(command, setting, keys):
@@ -224,9 +236,9 @@ def test_sizes_a_run_cannot_hold_are_config_errors(command, setting, keys):
 def test_the_size_bounds_admit_the_defaults_and_their_edges():
     validate_command("attack", apply_settings(RunConfig(), {"attack.trials": str(BYPASS_TRIALS)}))
     default = RunConfig()
-    assert key_ring_bytes(default.security.n, default.security.l, GF256) < KEY_RING_BYTES / 500
+    assert key_ring_bytes(default.security.n, default.security.l, GF256) < BYTE_BOUND / 500
     at = default.attack
-    assert grid_bytes(at.q, at.n, at.m, at.l) < BYPASS_GRID_BYTES / 200
+    assert grid_bytes(at.q, at.n, at.m, at.l) < BYTE_BOUND / 200
 
 
 def test_cli_checks_only_the_settings_a_command_reads(tmp_path, capsys):
@@ -250,15 +262,15 @@ def test_ho_timeout_equal_to_collection_period_is_accepted():
 
 @pytest.mark.parametrize(
     "grid, longest",
-    # 20 UEs: full rows of 16 powers on the flat 4x4 grid, a box's 10 where
-    # the prefilter applies, and a full row (for far entries) where it does
-    # not, below its slack
+    # 20 UEs: full rows of 16 powers on the flat 4x4 grid, a box where the
+    # prefilter applies, and a box and a full row (for far entries) for
+    # every entry where it does not, below its slack
     [
-        ({"scenario.pl_exponent": "0"}, 13_107),
-        ({}, 20_971),
-        ({"scenario.rows": "8", "scenario.cols": "8"}, 20_971),
-        ({"scenario.ul_offset_db": "0"}, 13_107),
-        ({"scenario.rows": "8", "scenario.cols": "8", "scenario.ul_offset_db": "0"}, 3_276),
+        ({"scenario.pl_exponent": "0"}, 95_702),
+        ({}, 304_497),
+        ({"scenario.rows": "8", "scenario.cols": "8"}, 304_474),
+        ({"scenario.ul_offset_db": "0"}, 39_406),
+        ({"scenario.rows": "8", "scenario.cols": "8", "scenario.ul_offset_db": "0"}, 21_333),
     ],
     ids=["full-row", "small-box", "box", "small-box-unfiltered", "box-unfiltered"],
 )
@@ -281,9 +293,13 @@ def test_a_forecast_too_large_to_allocate_is_a_config_error(grid, longest):
 def test_a_grid_too_large_to_allocate_names_its_size(rows, cols):
     # Validation only: no grid of this size is built.  Such grids used to
     # fail on the power resolution and name scenario.pl_exponent.
-    with pytest.raises(ConfigError, match=r"^scenario\.rows/cols: "):
+    with pytest.raises(ConfigError, match=r"^scenario\.rows, scenario\.cols"):
         apply_settings(RunConfig(), {"scenario.rows": str(rows), "scenario.cols": str(cols)})
-    assert apply_settings(RunConfig(), {"scenario.rows": "2048", "scenario.cols": "2048"})
+    # the largest square grid at 20 UEs: its tables, the placement's rows
+    # and a chain round's far rows
+    assert apply_settings(RunConfig(), {"scenario.rows": "932", "scenario.cols": "932"})
+    with pytest.raises(ConfigError, match=r"^scenario\.rows, scenario\.cols"):
+        apply_settings(RunConfig(), {"scenario.rows": "933", "scenario.cols": "933"})
 
 
 @pytest.mark.parametrize(
@@ -299,7 +315,7 @@ def test_a_grid_too_large_to_allocate_names_its_size(rows, cols):
 )
 def test_a_safe_key_estimate_too_large_to_allocate_is_a_config_error(settings):
     # Validation only: no estimate of this size is drawn.
-    with pytest.raises(ConfigError, match=r"^analyze\.trials/L/c_max: "):
+    with pytest.raises(ConfigError, match=r"^analyze\.trials, analyze\.L, analyze\.c_max: "):
         validate_command("analyze", apply_settings(RunConfig(), settings))
 
 
@@ -416,6 +432,42 @@ def test_cli_exit_codes_under_fuzzed_settings(tmp_path_factory, command, fuzzed)
     assert code in (0, 1, 2), (command, fuzzed, code)
     if code == 2:
         assert "error:" in err.getvalue()
+
+
+FLOAT_KEYS = [
+    f"{section.name}.{f.name}"
+    for section in dataclasses.fields(RunConfig)
+    if dataclasses.is_dataclass(section.default_factory)
+    for f in dataclasses.fields(section.default_factory)
+    if f.type == "float"
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FLOAT_KEYS), st.floats(allow_nan=False, allow_infinity=False))
+def test_any_finite_float_setting_runs_cleanly_or_names_its_key(tmp_path_factory, key, value):
+    # each float key over the whole finite range: exit 1 naming the key,
+    # or a clean exit 0 with no numpy overflow or invalid value
+    command = "analyze" if key.startswith("analyze.") else "run"
+    base = {"run": "horizon_ms=320", "analyze": "analyze.trials=200"}[command]
+    work = tmp_path_factory.mktemp("floats")
+    cfg = work / "floats.cfg"
+    cfg.write_text(f"{base}\n{key}={value!r}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(cfg), "--out", str(work / "out")])
+    assert code in (0, 1), (key, value, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("config error:") and key in err.getvalue()
+
+
+def test_a_seed_past_int64_still_runs(tmp_path):
+    # numpy seeds any non-negative int; only the other int settings meet
+    # int64 arrays
+    argv = ["run", "--seed", str(10**23), "--horizon-ms", "320", "--out", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_cli_ttt_longer_than_the_run_reaches_back_to_its_start(tmp_path):

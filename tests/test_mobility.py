@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,8 @@ from ncsecsim.mobility import (
     CellGrid,
     Measurement,
     advance,
+    cell_grid_bytes,
+    first_fires_bytes,
     place_ues,
     trigger_targets,
 )
@@ -521,3 +524,48 @@ def test_only_a_flat_grid_keeps_full_rows(grid):
     assert box_rsrp.call_count == 1
     (_, pos, boxed), _ = box_rsrp.call_args
     assert pos.tolist() == [[[140.0, 60.0]]] and boxed.tolist() == [0]
+
+
+def _peak(call) -> int:
+    """The most bytes ``call`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("far", [True, False], ids=["far", "near"])
+@pytest.mark.parametrize(
+    "pl_exponent, offset", [(0.0, 1.0), (3.5, 0.0), (3.5, 1.0)],
+    ids=["full-rows", "box", "prefiltered-box"],
+)
+@pytest.mark.parametrize(
+    "entries, sequences, window", [(4000, 20, 1), (4000, 4000, 1), (2000, 20, 3), (600, 600, 4)]
+)
+def test_first_fires_bytes_bounds_a_trigger_call(entries, sequences, window, pl_exponent, offset,
+                                                 far):
+    # With each serving cell across the torus, every entry the box sees is
+    # far and takes a full row: the case the bound counts, within twice
+    # the peak.  Near entries take less.
+    grid = CellGrid(16, 16, pl_exponent=pl_exponent)
+    rng = np.random.default_rng(0)
+    pos = rng.uniform(0, 1, (window, entries, 2)) * grid.extent
+    serving = grid._square_cells(pos[-1])
+    if far:
+        row, col = np.divmod(serving, 16)
+        serving = (row + 8) % 16 * 16 + (col + 8) % 16
+    starts = np.linspace(0, entries, sequences, endpoint=False).astype(np.intp)
+    grid.first_fires(pos, serving, starts, offset)  # cached tables
+    peak = _peak(lambda: grid.first_fires(pos.copy(), serving.copy(), starts.copy(), offset))
+    bound = first_fires_bytes(entries, sequences, window, grid.num_cells, pl_exponent, offset)
+    assert peak <= bound
+    assert bound <= 2 * peak or not far
+
+
+@pytest.mark.parametrize("rows, cols, ues", [(4, 4, 2000), (8, 8, 200), (100, 37, 20), (64, 64, 0)])
+def test_cell_grid_bytes_bound_building_a_grid_and_placing_its_ues(rows, cols, ues):
+    rng = np.random.default_rng(1)
+    peak = _peak(lambda: place_ues(CellGrid(rows, cols), ues, 16.7, rng))
+    assert peak <= cell_grid_bytes(rows * cols, ues) <= 2 * peak

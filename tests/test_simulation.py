@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -38,8 +39,10 @@ from ncsecsim.ledger import (
     SignalRecord,
     SimulatedLedger,
     key_exchange_count,
+    per_window_signaling,
 )
-from ncsecsim.simulation import run_simulation, write_run_artifacts
+from ncsecsim.mobility import CellGrid, place_ues
+from ncsecsim.simulation import run_bytes, run_simulation, write_run_artifacts
 
 from oracles import run_oracle
 
@@ -638,3 +641,72 @@ def test_a_timeout_below_the_period_fires_at_any_block_length():
         with mock.patch.object(simulation, "_block_length", lambda *_, n=length: n):
             with pytest.raises(HoPreparationTimeout):
                 run_simulation(config)
+
+
+def _peak(call) -> int:
+    """The most bytes ``call`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "settings", [{"scenario.pl_exponent": "0"}, {"scenario.ul_offset_db": "0"}, {}],
+    ids=["full-rows", "box", "prefiltered-box"],
+)
+def test_the_forecast_term_bounds_a_forecast_within_twice_its_peak(settings):
+    # One block's forecast on 8x8 cells: 20 UEs, 100 lead ticks and two
+    # ticks.  Each serving cell is across the torus, so every entry the box
+    # sees takes a full row: the case the term counts.
+    cfg = apply_settings(RunConfig(), {
+        **settings, "scenario.rows": "8", "scenario.cols": "8",
+        "prediction.enabled": "true", "prediction.lead_ms": "16000",
+    })
+    sc = cfg.scenario
+    _, leads, ticks, _ = simulation._block_shape(cfg)
+    assert (leads, ticks) == (100, 2)
+    grid = CellGrid(8, 8, pl_exponent=sc.pl_exponent)
+    ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, np.random.default_rng(3))
+    row, col = np.divmod(ues.serving, 8)
+    serving = np.tile((row + 4) % 8 * 8 + (col + 4) % 8, (ticks, 1))
+    pos, lead_ms = np.tile(ues.pos, (ticks, 1, 1)), np.arange(1, leads + 1) * sc.rs_period_ms
+
+    def forecast():
+        return simulation._forecast(grid, pos, ues, serving, lead_ms, sc.ul_offset_db)
+
+    forecast()  # cached tables
+    peak = _peak(forecast)
+    assert peak <= dict(run_bytes(cfg))["prediction.lead_ms"] <= 2 * peak
+
+
+def test_the_window_term_bounds_the_signaling_windows_within_twice_their_peak():
+    result = run_simulation(RunConfig(horizon_ms=20_000))
+    horizon, traces = 10**7, result.scheme_traces.values()  # 10,001 windows
+
+    def windows():
+        return ([per_window_signaling(trace, horizon) for trace in traces],
+                [cumulative_key_exchanges(trace, horizon) for trace in traces])
+
+    peak = _peak(windows)
+    term = dict(run_bytes(dataclasses.replace(result.config, horizon_ms=horizon)))["horizon_ms"]
+    assert peak <= term <= 2 * peak
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"scenario.rows": "8", "scenario.cols": "8", "scenario.num_ues": "200", "horizon_ms": "30000"},
+    {"scenario.rows": "16", "scenario.cols": "16", "scenario.pl_exponent": "0", "scheme": "hmac"},
+    {"scenario.rows": "16", "scenario.cols": "16", "scenario.shadow_sigma_db": "4"},
+    {"scenario.rows": "8", "scenario.cols": "8", "scenario.dump_measurements": "true"},
+    {"prediction.enabled": "true", "prediction.lead_ms": "16000", "horizon_ms": "20000"},
+    {"scenario.ul_ttt_ms": "1000", "scenario.ul_offset_db": "0", "scenario.num_ues": "100"},
+], ids=["defaults", "city", "flat", "shadowing", "dump", "forecast", "long-ttt-unfiltered"])
+def test_run_bytes_bound_what_a_run_and_its_artifacts_hold(tmp_path, settings):
+    # The terms are each a peak, so their sum bounds a run's peak, but for
+    # what grows with its handovers: these runs make few.
+    cfg = apply_settings(RunConfig(), settings)
+    peak = _peak(lambda: write_run_artifacts(run_simulation(cfg), tmp_path))
+    assert peak <= sum(held for _, held in run_bytes(cfg))
