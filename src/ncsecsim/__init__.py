@@ -65,7 +65,6 @@ from .ledger import (
 )
 from .mobility import (
     CellGrid,
-    Measurement,
     UeArrays,
     advance,
     first_fires,

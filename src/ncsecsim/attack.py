@@ -36,11 +36,9 @@ from .gf import FieldSpec, field_of_order
 from .integrity import (
     KeyRing,
     attach_tags,
-    combine_tags,
     generate_domain_keys,
     key_ring_bytes,
     tag_matrix,
-    tagset_for_generation,
 )
 from .keydist import Scheme, SchemeConfig, _holdings, _unpack
 from .rlnc import CodedPacket, encode, random_generation
@@ -213,10 +211,6 @@ def measure_bypass_rate(
     gen = random_generation("harness", config.m, config.n, spec, rng)
     source_keys = generate_domain_keys(config.n, config.l, spec, rng, "harness")
     base = attach_tags(encode(gen, rng), source_keys)
-    expected = (
-        combine_tags(tagset_for_generation(gen, source_keys, "src").native_tags, base.coeffs).elems
-        if config.scheme is Scheme.BLOCKCHAIN else None
-    )
 
     benign_positions = sorted(
         int(p) for p in rng.choice(config.l, size=l_prime, replace=False)
@@ -225,8 +219,10 @@ def measure_bypass_rate(
     colluder_keys = source_keys[_colluder_positions(config, adversary, rng)]
 
     # the base was tagged with the source keys, so the tags it carries
-    # are its payload's tags under the benign keys
+    # are its payload's tags under the benign keys, and, tags being linear,
+    # those the ledger's tag set gives its coefficients
     benign_tags = base.tags.elems[benign_keys.slots]
+    expected = base.tags.elems if config.scheme is Scheme.BLOCKCHAIN else None
 
     batch = max(1, _BATCH_ELEMENTS // (config.n * config.l))
     passes = 0

@@ -355,22 +355,17 @@ def _subset_table(L: int, size: int) -> np.ndarray | None:
 
 @functools.lru_cache(maxsize=4)
 def _cached_subset_table(L: int, size: int) -> np.ndarray:
-    if 2 * size > L:
-        # complements of the (L - size)-subsets, in reverse order
-        table = ~_cached_subset_table(L, L - size)[::-1]
-        table &= _low_bits(L, table.shape[1])
-    else:
-        # extend each prefix, in order, by every key after its last that
-        # leaves room for the rest: lexicographic order, no dead prefix
-        table = np.zeros((1, _words(L)), dtype=_WORD)
-        last = np.full(1, -1)
-        for position in range(size):
-            counts = L - size + position - last
-            ends = np.cumsum(counts)
-            table = np.repeat(table, counts, axis=0)
-            last = np.arange(ends[-1]) + np.repeat(last + 1 - ends + counts, counts)
-            bits = np.left_shift(np.ones(1, dtype=_WORD), (last & 63).astype(_WORD))
-            table[np.arange(len(table)), last >> 6] |= bits
+    # extend each prefix, in order, by every key after its last that
+    # leaves room for the rest: lexicographic order, no dead prefix
+    table = np.zeros((1, _words(L)), dtype=_WORD)
+    last = np.full(1, -1)
+    for position in range(size):
+        counts = L - size + position - last
+        ends = np.cumsum(counts)
+        table = np.repeat(table, counts, axis=0)
+        last = np.arange(ends[-1]) + np.repeat(last + 1 - ends + counts, counts)
+        bits = np.left_shift(np.ones(1, dtype=_WORD), (last & 63).astype(_WORD))
+        table[np.arange(len(table)), last >> 6] |= bits
     table.flags.writeable = False
     return table
 

@@ -19,8 +19,7 @@ so only cells within a reach of the UE set by its serving distance and
 the offset can trigger: ``CellGrid.first_fires`` computes powers for the
 serving cell and the 3x3 lattice box around the UE, and the full row
 (``CellGrid.rsrp``) only where the reach may leave the box, at a
-non-positive exponent, or where every power is needed (shadowing, the
-measurement dump).
+non-positive exponent, or where shadowing needs every power.
 At a positive offset it first drops the entries whose nearest cell, the
 strongest, does not beat the serving cell by the offset
 (``CellGrid.may_fire``): those cannot fire.  The box then sees only each
@@ -81,9 +80,9 @@ def first_fires_bytes(
 
 def cell_grid_bytes(cells: int, ues: int) -> int:
     """Bytes a ``CellGrid`` holds while it builds its tables, 272 a cell (it
-    keeps 112), and ``place_ues`` for ``ues`` UEs: 48 a UE, each UE's full
-    row of distances to its nearest cell, and 64 KiB of numpy's buffers."""
-    return 272 * cells + ues * (24 * cells + 80) + 2**16
+    keeps 112), and ``place_ues`` for ``ues`` UEs: 80 a UE, and 32 KiB of
+    numpy's buffers and the boxes of 64 UEs' nearest cells."""
+    return 272 * cells + 80 * ues + 2**15
 
 
 @dataclass(frozen=True)
@@ -207,6 +206,15 @@ class CellGrid:
         np.maximum(square, 0.0, out=square)
         square = square.astype(np.intp)
         return square[..., 1] * self.cols + square[..., 0]
+
+    def _nearest_cells(self, pos: np.ndarray) -> np.ndarray:
+        """The nearest cell to each wrapped position (..., 2): the argmin of
+        ``_distances`` over its lattice square's box, which holds every cell
+        within 1.5 ISD.  The box's ids ascend and its distances have the bits
+        of ``distances``, so a tie keeps the lowest id, as a full row's does."""
+        cells = self._box[self._square_cells(pos), :9]
+        near = self._distances(pos, self._bs_x[cells], self._bs_y[cells]).argmin(axis=-1)
+        return np.take_along_axis(cells, near[..., None], axis=-1)[..., 0]
 
     def box_rsrp(self, pos: np.ndarray, serving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Powers for each entry's lattice box and serving cell.
@@ -332,13 +340,6 @@ class CellGrid:
         return np.mod(pos, self._extent_arr)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    t: int
-    ue_id: int
-    rsrp_dbm: np.ndarray  # one entry per cell
-
-
 def advance(
     pos: np.ndarray,
     dirs: np.ndarray,
@@ -440,10 +441,13 @@ def place_ues(
     ext_x, ext_y = grid.extent
     draws = rng.uniform([0.0, 0.0, 0.0], [ext_x, ext_y, 2.0 * math.pi], size=(count, 3))
     pos = draws[:, :2].copy()
+    serving = np.empty(count, dtype=np.intp)
+    for start in range(0, count, 64):  # 64 UEs' boxes at a time, 27 KiB at most
+        serving[start : start + 64] = grid._nearest_cells(pos[start : start + 64])
     headings = draws[:, 2]
     return UeArrays(
         pos=pos,
         dirs=np.column_stack([np.cos(headings), np.sin(headings)]),
         speed=np.full(count, float(speed_mps)),
-        serving=grid.distances(pos).argmin(axis=1),
+        serving=serving,
     )

@@ -3,7 +3,7 @@ key-set uploads, and the CSV artifacts derived from one run.
 
 Each reference-signal tick advances UE positions, measures uplink powers
 at the base stations that can take each UE over (at every one with
-shadowing or the measurement dump), optionally forecasts imminent
+shadowing, or for the measurement dump), optionally forecasts imminent
 handovers for key prestaging, starts triggered handovers, and then
 completes those blocked on key sharing whose block has verified.  Every
 handover is a row of one ``handover.HoTable``, which also holds each
@@ -75,7 +75,6 @@ from .ledger import (
 )
 from .mobility import (
     CellGrid,
-    Measurement,
     UeArrays,
     advance,
     cell_grid_bytes,
@@ -97,7 +96,8 @@ def _substreams(seed: int) -> dict[str, np.random.Generator]:
 
 @dataclass
 class SimulationResult:
-    """One run: its config, grid, handover table and measurement dump.
+    """One run: its config, grid, handover table and measurement dump (the
+    powers (ticks, UEs, cells), tick k at row k; no rows without the dump).
 
     Everything else is built from the table and the config when first
     read, and kept: the signal traces, the ledger's uploads and blocks,
@@ -107,7 +107,7 @@ class SimulationResult:
     config: RunConfig
     grid: CellGrid
     events: HoTable
-    measurements: list[Measurement]
+    measurements: np.ndarray
 
     @cached_property
     def completed(self) -> list[HoView]:
@@ -189,15 +189,15 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     trigger = first_fires if full_rows else grid.first_fires
     # whether the trigger drops most entries a chain re-evaluates (``_block_length``)
     prefiltered = not full_rows and prefilters(sc.pl_exponent, sc.ul_offset_db)
-    measurements: list[Measurement] = []
     decided_forecasts: set[tuple[int, int, int]] = set()
     lead_ms = np.arange(1, lead_ticks + 1) * rs
     ticks = config.horizon_ms // rs + 1 if config.horizon_ms > 0 else 0
+    measurements = np.empty((ticks if sc.dump_measurements else 0, ues.count, grid.num_cells))
     # Each block holds the window samples of the ``window - 1`` ticks
     # before it, then of its own ticks: positions, from which
     # ``CellGrid.first_fires`` computes only the powers that can decide
     # a trigger, or the full rows of powers where shadowing (drawn per UE
-    # and cell) or the measurement dump needs them.
+    # and cell) needs them.
     tail = np.empty((window - 1, ues.count, grid.num_cells if full_rows else 2))
     chains, forecasting, tick = None, False, 0
     while tick < ticks:
@@ -215,20 +215,16 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         forecasting = lead_ticks > 0 and len(handovers.uploads) < grid.num_cells
         block_pos = np.empty((size, ues.count, 2)) if forecasting else None
         for k in range(size):
-            t = (tick + k) * rs
-            if t > 0:
+            if tick + k:
                 ues.pos = advance(ues.pos, ues.dirs, ues.speed, rs, grid)
             if forecasting:
                 block_pos[k] = ues.pos
-            if full_rows:
+            if full_rows:  # shadowing, drawn per UE and cell
                 rsrp = grid.rsrp(ues.pos)
-                if sc.shadow_sigma_db > 0 and ues.count:
-                    rsrp = rsrp + rng["fading"].normal(0.0, sc.shadow_sigma_db, rsrp.shape)
-                block[window - 1 + k] = rsrp
-                if sc.dump_measurements:
-                    measurements.extend(Measurement(t, i, rsrp[i]) for i in range(ues.count))
-            else:
-                block[window - 1 + k] = ues.pos
+                rsrp += rng["fading"].normal(0.0, sc.shadow_sigma_db, rsrp.shape)
+            block[window - 1 + k] = rsrp if full_rows else ues.pos
+            if sc.dump_measurements:
+                measurements[tick + k] = rsrp if full_rows else grid.rsrp(ues.pos)
         if tick == 0:
             block[: window - 1] = block[window - 1]  # windows start at tick 0
 
@@ -312,7 +308,7 @@ CALL_ENTRIES = 300
 def _block_shape(config: RunConfig) -> tuple[int, int, int, bool]:
     """A run's window, forecast lead (0: none) and longest block in ticks,
     and whether its samples are full rows of powers, not positions:
-    shadowing is drawn per UE and cell, and the measurement dump writes them."""
+    shadowing is drawn per UE and cell."""
     sc = config.scenario
     # A window reaches back at most to the run's first tick.
     window = min(sc.ul_ttt_ms, config.horizon_ms) // sc.rs_period_ms + 1
@@ -322,7 +318,7 @@ def _block_shape(config: RunConfig) -> tuple[int, int, int, bool]:
     # Per UE, a tick's trigger reads a window of samples and its forecast
     # one sample per lead tick.
     cap = max(1, BLOCK_SAMPLES // max(1, sc.num_ues * (window + leads)))
-    return window, leads, cap, sc.shadow_sigma_db > 0 or sc.dump_measurements
+    return window, leads, cap, sc.shadow_sigma_db > 0
 
 
 def run_bytes(config: RunConfig) -> list[tuple[str, int]]:
@@ -345,9 +341,10 @@ def run_bytes(config: RunConfig) -> list[tuple[str, int]]:
         ("security.n, security.l", key_ring_bytes(sec.n, sec.l, field_of_order(sec.q))),
         # each scheme's per-window counts and curve (``write_run_artifacts``)
         ("horizon_ms", 200 * len(_ALL_SCHEMES) * (config.horizon_ms // SIGNALING_WINDOW_MS + 1)),
-        # every tick's rows, and an object a row
-        ("scenario.dump_measurements", sc.dump_measurements * ues * (8 * cells + 320)
-         * (config.horizon_ms // sc.rs_period_ms + 1)),
+        # every tick's powers, and one tick's as ``CellGrid.rsrp`` computes
+        # them: 32 bytes a cell with numpy's buffers
+        ("scenario.dump_measurements", sc.dump_measurements * ues * cells
+         * (8 * (config.horizon_ms // sc.rs_period_ms + 1) + 32)),
     ]
 
 
@@ -524,10 +521,11 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
 
     if result.config.scenario.dump_measurements:
         paths["measurements"] = out / "measurements.csv"
+        rs = result.config.scenario.rs_period_ms
         write_table(
             paths["measurements"],
             ["t_ms", "ue_id", "cell", "rsrp_dbm"],
-            ([m.t, m.ue_id, cell, _fmt(v)] for m in result.measurements
-             for cell, v in enumerate(m.rsrp_dbm)),
+            ([k * rs, ue, cell, _fmt(v)] for k, powers in enumerate(result.measurements)
+             for ue, row in enumerate(powers) for cell, v in enumerate(row.tolist())),
         )
     return paths

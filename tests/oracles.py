@@ -318,7 +318,7 @@ def handover_rows_oracle(ticks, uses_ledger: bool, collection_period_ms: int):
     return signals_csv_oracle(records), [tuple(row) for row in summary]
 
 
-_Sample = namedtuple("_Sample", "t rsrp_dbm")
+Sample = namedtuple("Sample", "t rsrp_dbm")  # one UE's powers at t
 
 
 def _csv_bytes(header, rows) -> bytes:
@@ -415,7 +415,7 @@ def run_oracle(config) -> dict[str, bytes]:
             rsrp = rsrp + rng_fading.normal(0.0, sc.shadow_sigma_db, rsrp.shape)
         for ue, row in enumerate(rsrp.tolist()):
             history[ue] = [s for s in history[ue] if s.t >= now - sc.ul_ttt_ms]
-            history[ue].append(_Sample(now, row))
+            history[ue].append(Sample(now, row))
             if sc.dump_measurements:
                 measurements.extend((now, ue, c, f"{v:.12g}") for c, v in enumerate(row))
 
@@ -428,7 +428,7 @@ def run_oracle(config) -> dict[str, bytes]:
                 if ue in waiting:
                     continue
                 for lead, row in zip(lead_ms.tolist(), future[ue]):
-                    target = ho_trigger_oracle([_Sample(0, row)], serving[ue], sc.ul_offset_db, 0)
+                    target = ho_trigger_oracle([Sample(0, row)], serving[ue], sc.ul_offset_db, 0)
                     if target is not None:
                         break
                 if target is None or target in pending or target in ledgered:

@@ -244,6 +244,22 @@ def test_bypass_counts_equal_through_the_payload_path(seed, q):
     assert flips.random() == payloads.random()
 
 
+@pytest.mark.parametrize("q", [16, 256])
+def test_the_ledgers_tags_for_the_base_are_the_tags_the_source_gave_it(q):
+    # ``bypass_rate_grid``'s ledger config: the harness takes the ledger's
+    # expectation from the base's own tags, which holds because tags are
+    # linear in the payload and the source tagged the base.
+    n, m, l = 32, 4, 8
+    spec = field_of_order(q)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        gen = random_generation("harness", m, n, spec, rng)
+        keys = generate_domain_keys(n, l, spec, rng, "harness")
+        base = attach_tags(encode(gen, rng), keys)
+        ledger = combine_tags(tagset_for_generation(gen, keys, "src").native_tags, base.coeffs)
+        assert np.array_equal(ledger.elems, base.tags.elems)
+
+
 def test_bypass_grid_holds_no_payload_stack():
     # A batch is 2048 forgeries at n = 32, l = 8.  Forming their (trials, n)
     # payloads and the key checks' products over them peaks near 800 KiB;

@@ -266,11 +266,11 @@ def test_ho_timeout_equal_to_collection_period_is_accepted():
     # prefilter applies, and a box and a full row (for far entries) for
     # every entry where it does not, below its slack
     [
-        ({"scenario.pl_exponent": "0"}, 95_702),
-        ({}, 304_497),
-        ({"scenario.rows": "8", "scenario.cols": "8"}, 304_474),
-        ({"scenario.ul_offset_db": "0"}, 39_406),
-        ({"scenario.rows": "8", "scenario.cols": "8", "scenario.ul_offset_db": "0"}, 21_333),
+        ({"scenario.pl_exponent": "0"}, 95_706),
+        ({}, 304_509),
+        ({"scenario.rows": "8", "scenario.cols": "8"}, 304_492),
+        ({"scenario.ul_offset_db": "0"}, 39_407),
+        ({"scenario.rows": "8", "scenario.cols": "8", "scenario.ul_offset_db": "0"}, 21_334),
     ],
     ids=["full-row", "small-box", "box", "small-box-unfiltered", "box-unfiltered"],
 )
@@ -295,11 +295,23 @@ def test_a_grid_too_large_to_allocate_names_its_size(rows, cols):
     # fail on the power resolution and name scenario.pl_exponent.
     with pytest.raises(ConfigError, match=r"^scenario\.rows, scenario\.cols"):
         apply_settings(RunConfig(), {"scenario.rows": str(rows), "scenario.cols": str(cols)})
-    # the largest square grid at 20 UEs: its tables, the placement's rows
-    # and a chain round's far rows
-    assert apply_settings(RunConfig(), {"scenario.rows": "932", "scenario.cols": "932"})
+    # the largest square grid at 20 UEs: its tables and a chain round's
+    # far rows; placing the UEs holds no row of the grid
+    assert apply_settings(RunConfig(), {"scenario.rows": "1193", "scenario.cols": "1193"})
     with pytest.raises(ConfigError, match=r"^scenario\.rows, scenario\.cols"):
-        apply_settings(RunConfig(), {"scenario.rows": "933", "scenario.cols": "933"})
+        apply_settings(RunConfig(), {"scenario.rows": "1194", "scenario.cols": "1194"})
+
+
+def test_a_grid_rejected_only_for_placements_rows_is_accepted():
+    # Validation only: no run starts.  Placing 200 UEs on 380x380 cells
+    # took a row of 24 bytes a cell per UE, 693 MB, which put the sum past
+    # the bound; the box of each UE's lattice square takes no row.
+    grid = {"scenario.rows": "380", "scenario.cols": "380", "scenario.num_ues": "200"}
+    assert apply_settings(RunConfig(), grid).scenario.num_cells == 380 * 380
+    # the largest square grid at 200 UEs
+    assert apply_settings(RunConfig(), {**grid, "scenario.rows": "459", "scenario.cols": "459"})
+    with pytest.raises(ConfigError, match=r"^scenario\.rows, scenario\.cols"):
+        apply_settings(RunConfig(), {**grid, "scenario.rows": "460", "scenario.cols": "460"})
 
 
 @pytest.mark.parametrize(

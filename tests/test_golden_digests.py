@@ -65,6 +65,15 @@ CASES: dict[str, dict[str, str]] = {
         "horizon_ms": "3000",
         "seed": "8",
     },
+    "dump_shadow4_predict": {
+        "scenario.dump_measurements": "true",
+        "scenario.shadow_sigma_db": "4",
+        "prediction.enabled": "true",
+        "prediction.lead_ms": "1000",
+        "scenario.num_ues": "6",
+        "horizon_ms": "4000",
+        "seed": "19",
+    },
     "no_ues": {"scenario.num_ues": "0", "horizon_ms": "5000", "seed": "9"},
     "no_wrap": {
         "scenario.wrap": "false",

@@ -13,15 +13,14 @@ from ncsecsim.config import RunConfig
 from ncsecsim.errors import InvalidParameter
 from ncsecsim.mobility import (
     CellGrid,
-    Measurement,
     advance,
     cell_grid_bytes,
     first_fires_bytes,
     place_ues,
     trigger_targets,
 )
-from ncsecsim.simulation import run_simulation
-from oracles import distances_oracle, ho_trigger_oracle
+from ncsecsim.simulation import _substreams, run_simulation
+from oracles import Sample, distances_oracle, ho_trigger_oracle
 
 
 @pytest.fixture
@@ -137,10 +136,14 @@ def test_measurement_dump_lies_on_rs_grid():
         config, scenario=dataclasses.replace(config.scenario, num_ues=2, dump_measurements=True)
     )
     result = run_simulation(config)
-    assert [(m.t, m.ue_id) for m in result.measurements] == [
-        (t, u) for t in range(0, 1001, 160) for u in range(2)
-    ]
-    assert all(m.rsrp_dbm.shape == (16,) for m in result.measurements)
+    # row k is tick k * 160 ms, 0..960, and row u within it UE u
+    assert result.measurements.shape == (7, 2, 16)
+    grid, sc = result.grid, config.scenario
+    ues = place_ues(grid, 2, sc.ue_speed_mps, _substreams(config.seed)["place"])
+    for k, powers in enumerate(result.measurements):
+        if k:
+            ues.pos = advance(ues.pos, ues.dirs, ues.speed, 160, grid)
+        assert np.array_equal(powers, grid.rsrp(ues.pos))
 
 
 def test_colocated_ue_sees_strongest_cell(grid):
@@ -215,7 +218,7 @@ def test_wraparound_translation_invariance(grid):
 
 
 def _meas(t, rsrp):
-    return Measurement(t, 0, np.asarray(rsrp, dtype=float))
+    return Sample(t, np.asarray(rsrp, dtype=float))
 
 
 def ho_trigger(history, serving, ul_offset_db, ul_ttt_ms, rs_period_ms=160):
@@ -337,11 +340,45 @@ def test_array_trigger_rule_matches_oracle(case):
     targets = trigger_targets(powers[-window:], serving, offset)
     assert targets.shape == (ues,)
     for u in range(ues):
-        history = [
-            Measurement(k * RS_PERIOD_MS, u, powers[k, u]) for k in range(samples)
-        ]
+        history = [Sample(k * RS_PERIOD_MS, powers[k, u]) for k in range(samples)]
         expected = ho_trigger_oracle(history, int(serving[u]), offset, ttt)
         assert (None if targets[u] < 0 else int(targets[u])) == expected
+
+
+@st.composite
+def placement_cases(draw):
+    """A grid at the ISDs of ``box_cases`` and positions (n, 2): drawn
+    uniformly, planted on square edges and corners (and cell centres),
+    some moved one ulp either way, and on a torus some past the extent."""
+    grid = CellGrid(
+        rows=draw(st.integers(1, 12)),
+        cols=draw(st.integers(1, 12)),
+        isd_m=draw(st.sampled_from([0.5, 1.0, 37.5, 100.0])),
+        wrap=draw(st.booleans()),
+    )
+    n = draw(st.integers(1, 8))
+    coords = []
+    for ext, squares in zip(grid.extent, (grid.cols, grid.rows)):
+        edge = st.integers(0, 2 * squares).map(lambda k: k * grid.isd_m / 2)
+        ulp = st.sampled_from([-np.inf, 0.0, np.inf])
+        nudged = st.tuples(edge, ulp).map(lambda e: e[0] if e[1] == 0 else np.nextafter(e[0], e[1]))
+        inside = st.one_of(edge, nudged, st.floats(0.0, ext))
+        laps = st.sampled_from([-2, -1, 0, 1, 2] if grid.wrap else [0])
+        coord = st.tuples(inside, laps).map(lambda c: c[0] + c[1] * ext)
+        coords.append(draw(st.lists(coord, min_size=n, max_size=n)))
+    return grid, np.array(coords).T
+
+
+@settings(max_examples=400, deadline=None)
+@given(placement_cases(), st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_placement_takes_the_full_row_argmin(case, seed, count):
+    grid, pos = case
+    nearest = grid._nearest_cells(grid._wrapped(pos))
+    assert nearest.dtype == np.intp
+    assert nearest.tolist() == grid.distances(pos).argmin(axis=-1).tolist()
+    # placement takes 64 UEs at a time
+    ues = place_ues(grid, count, 1.0, np.random.default_rng(seed))
+    assert ues.serving.tolist() == grid.distances(ues.pos).argmin(axis=-1).tolist()
 
 
 @st.composite
@@ -564,7 +601,10 @@ def test_first_fires_bytes_bounds_a_trigger_call(entries, sequences, window, pl_
     assert bound <= 2 * peak or not far
 
 
-@pytest.mark.parametrize("rows, cols, ues", [(4, 4, 2000), (8, 8, 200), (100, 37, 20), (64, 64, 0)])
+@pytest.mark.parametrize(
+    "rows, cols, ues",
+    [(4, 4, 2000), (8, 8, 200), (100, 37, 20), (64, 64, 0), (64, 64, 2000), (1, 1, 500)],
+)
 def test_cell_grid_bytes_bound_building_a_grid_and_placing_its_ues(rows, cols, ues):
     rng = np.random.default_rng(1)
     peak = _peak(lambda: place_ues(CellGrid(rows, cols), ues, 16.7, rng))

@@ -244,14 +244,36 @@ def test_measurement_dump_rows(tmp_path):
         scenario=dataclasses.replace(RunConfig().scenario, dump_measurements=True, num_ues=3),
     )
     result = run_simulation(cfg)
-    # 4 ticks (0..480) x 3 UEs
-    assert len(result.measurements) == 4 * 3
+    # 4 ticks (0..480) x 3 UEs x 16 cells
+    assert result.measurements.shape == (4, 3, 16)
     from ncsecsim.simulation import write_run_artifacts
 
     paths = write_run_artifacts(result, tmp_path)
     lines = paths["measurements"].read_text().strip().splitlines()
     assert lines[0] == "t_ms,ue_id,cell,rsrp_dbm"
     assert len(lines) == 1 + 4 * 3 * 16  # one row per (tick, ue, cell)
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"scenario.shadow_sigma_db": "4", "prediction.enabled": "true", "prediction.lead_ms": "1000"},
+    {"scenario.rows": "8", "scenario.cols": "8", "scenario.num_ues": "60",
+     "scenario.ul_offset_db": "-2", "scheme": "hmac"},
+    {"scenario.pl_exponent": "0", "scenario.wrap": "false"},
+], ids=["defaults", "shadow-predict", "neg-offset-8x8", "flat-no-wrap"])
+def test_the_dump_changes_no_other_artifact(tmp_path, settings):
+    # The dump records powers beside the trigger path: with the same seed,
+    # every artifact but the dump and the config echo keeps its bytes.
+    artifacts = []
+    for dump in ("false", "true"):
+        cfg = apply_settings(RunConfig(), {
+            **settings, "scenario.dump_measurements": dump, "horizon_ms": "20000", "seed": "2",
+        })
+        paths = write_run_artifacts(run_simulation(cfg), tmp_path / dump)
+        paths.pop("config")
+        artifacts.append({name: path.read_bytes() for name, path in paths.items()})
+    assert artifacts[1].pop("measurements")
+    assert artifacts[0] == artifacts[1]
 
 
 def test_csv_writer_is_called_only_by_the_table_writer_and_the_signal_quoting_rule():
@@ -696,14 +718,32 @@ def test_the_window_term_bounds_the_signaling_windows_within_twice_their_peak():
 
 
 @pytest.mark.parametrize("settings", [
+    {"scenario.num_ues": "3", "horizon_ms": "2000"},
+    {"scenario.rows": "8", "scenario.cols": "8", "scenario.num_ues": "50"},
+    {"scenario.shadow_sigma_db": "4", "horizon_ms": "30000"},
+], ids=["small", "8x8", "shadowing"])
+def test_the_dump_term_bounds_what_the_dump_adds_to_a_run_within_twice(settings):
+    # What the dump adds to a run's peak: its array and the powers of the
+    # tick it records (under shadowing, the row the trigger reads).
+    cfg = apply_settings(RunConfig(), settings)
+    dumped = apply_settings(cfg, {"scenario.dump_measurements": "true"})
+    run_simulation(dumped)  # cached tables
+    added = _peak(lambda: run_simulation(dumped)) - _peak(lambda: run_simulation(cfg))
+    term = dict(run_bytes(dumped))["scenario.dump_measurements"]
+    assert added <= term <= 2 * added
+
+
+@pytest.mark.parametrize("settings", [
     {},
     {"scenario.rows": "8", "scenario.cols": "8", "scenario.num_ues": "200", "horizon_ms": "30000"},
     {"scenario.rows": "16", "scenario.cols": "16", "scenario.pl_exponent": "0", "scheme": "hmac"},
     {"scenario.rows": "16", "scenario.cols": "16", "scenario.shadow_sigma_db": "4"},
     {"scenario.rows": "8", "scenario.cols": "8", "scenario.dump_measurements": "true"},
+    {"scenario.shadow_sigma_db": "4", "scenario.dump_measurements": "true"},
     {"prediction.enabled": "true", "prediction.lead_ms": "16000", "horizon_ms": "20000"},
     {"scenario.ul_ttt_ms": "1000", "scenario.ul_offset_db": "0", "scenario.num_ues": "100"},
-], ids=["defaults", "city", "flat", "shadowing", "dump", "forecast", "long-ttt-unfiltered"])
+], ids=["defaults", "city", "flat", "shadowing", "dump", "shadowing-dump", "forecast",
+        "long-ttt-unfiltered"])
 def test_run_bytes_bound_what_a_run_and_its_artifacts_hold(tmp_path, settings):
     # The terms are each a peak, so their sum bounds a run's peak, but for
     # what grows with its handovers: these runs make few.
