@@ -339,15 +339,16 @@ class HoTable(Sequence["HoView"]):
         columns = [getattr(self, name) for name in _COLUMNS]
         return _signal_trace(columns, uploads, self.clock, self.period)
 
-    def summary_rows(self) -> list[tuple[int, ...]]:
-        """The ``ho_summary.csv`` rows of the completed handovers in start
-        order: UE id, cells, trigger and completion times, key signals and
-        preparation wait."""
+    def summary_columns(self) -> list[np.ndarray]:
+        """The ``ho_summary.csv`` columns of the completed handovers in
+        start order, as int64 arrays: UE id, cells, trigger and completion
+        times, key signals and preparation wait."""
         ue, s, t, t0, t1, pattern = (
             np.asarray(getattr(self, name), dtype=np.int64) for name in _COLUMNS
         )
-        cols = (ue, s, t, t0, t1, np.array(_KEY_SIGNALS)[pattern], t1 - t0)
-        return list(zip(*(c[t1 >= 0].tolist() for c in cols)))
+        done = t1 >= 0
+        cols = (ue, s, t, t0, t1, np.array(_KEY_SIGNALS, dtype=np.int64)[pattern], t1 - t0)
+        return [c[done] for c in cols]
 
     def __len__(self) -> int:
         return len(self.ue_id)

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -87,15 +89,86 @@ KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _KEY_FLAG = tuple(int(kind in KEY_EXCHANGE_KINDS) for kind in _KINDS)
 _KEY_MASK = np.array(_KEY_FLAG, dtype=bool)
 # Rows a trace converts to Python ints at a time when it is read row by
-# row, so that iterating or writing a large trace holds no full-length lists.
-_CHUNK = 4096
+# row, and rows a CSV column writer renders at a time, so that iterating
+# or writing a large trace holds no full-length lists or texts.
+_CHUNK = 8192
+# 10, 100, ..., 10**19: a magnitude's decimal digits are 1 plus how many it reaches.
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# What makes csv.writer quote a field (QUOTE_MINIMAL, its default).
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` renders it in a row of several fields."""
+    """``text`` as ``csv.writer`` renders it in a row of several fields:
+    as it is unless it holds the delimiter, the quote or a line break."""
+    if not _NEEDS_QUOTES.search(text):
+        return text
     buf = io.StringIO()
     csv.writer(buf).writerow(["", text])
     return buf.getvalue()[1:-2]
+
+
+def _text_bytes(texts: Sequence[str], end: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``texts`` as a ``_csv_field`` in UTF-8 followed by ``end``:
+    a uint8 table, one left-aligned row per text, and where each row's
+    bytes lie."""
+    data = [_csv_field(text).encode() + end for text in texts]
+    lengths = np.array([len(b) for b in data], dtype=np.intp)
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    table = np.zeros(mask.shape, dtype=np.uint8)
+    table[mask] = np.frombuffer(b"".join(data), dtype=np.uint8)
+    return table, mask
+
+
+def _coded_bytes(table: np.ndarray, mask: np.ndarray, codes: np.ndarray):
+    """The ``_text_bytes`` rows of ``codes``, and where their bytes lie."""
+    return table.take(codes, axis=0), mask.take(codes, axis=0)
+
+
+def _int_bytes(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``values`` (ints) in decimal followed by ``end``: a uint8
+    block, one right-aligned row per value, and where each row's bytes lie."""
+    neg = values < 0
+    mag = values.astype(np.uint64)  # -2**63 becomes 2**63, which negates to itself
+    np.negative(mag, out=mag, where=neg)
+    digits = 1 + _POW10.searchsorted(mag, side="right")
+    width = int(digits.max(initial=1)) + 1  # and a sign column
+    # the block's transpose, so that each column is written contiguously
+    cols = np.empty((width + len(end), len(values)), dtype=np.uint8)
+    cols[width:] = np.frombuffer(end, dtype=np.uint8)[:, None]
+    for col in range(width - 1, 0, -1):
+        quot = mag // 10  # cheaper than a remainder
+        cols[col] = mag - 10 * quot
+        mag = quot
+    cols[1:width] += ord("0")
+    first = width - digits - neg  # the column of each row's first byte
+    cols[first[neg], neg] = ord("-")
+    return cols.T, np.arange(len(cols)) >= first[:, None]
+
+
+def _write_columns(fh, header: Sequence[str], columns: Sequence) -> None:
+    """Write a CSV to the text handle ``fh`` as ``csv.writer`` would: the
+    ``header`` row, then one row per index of ``columns``.
+
+    A column is an int array, written in decimal, or a pair (codes, texts):
+    an int array indexing a sequence of strings, each quoted as
+    ``_csv_field`` quotes it.  Rows are rendered ``_CHUNK`` at a time into
+    one uint8 matrix, each field's block beside the last, and one mask of
+    the fields' own lengths (a text may hold any byte, ``\\x00`` too) picks
+    the bytes out in row order.
+    """
+    fh.write(",".join(map(_csv_field, header)) + "\r\n")
+    ends = [b","] * (len(columns) - 1) + [b"\r\n"]
+    # each column's values, and how a chunk of them renders
+    fields = [
+        (col[0], partial(_coded_bytes, *_text_bytes(col[1], end))) if isinstance(col, tuple)
+        else (col, partial(_int_bytes, end=end))
+        for col, end in zip(columns, ends)
+    ]
+    for start in range(0, len(fields[0][0]), _CHUNK):
+        blocks, masks = zip(*(render(values[start : start + _CHUNK]) for values, render in fields))
+        text = np.concatenate(blocks, axis=1)[np.concatenate(masks, axis=1)]
+        fh.write(text.tobytes().decode())
 
 
 class SignalTrace(Sequence[SignalRecord]):
@@ -142,16 +215,12 @@ class SignalTrace(Sequence[SignalRecord]):
             return [self._record(j) for j in range(*i.indices(len(self)))]
         return self._record(range(len(self))[i])
 
-    def _rows(self) -> Iterator[tuple[int, int, int, int]]:
-        """The rows as (t, kind, src, dst) ints, read ``_CHUNK`` at a time."""
-        for start in range(0, len(self), _CHUNK):
-            cols = (self._t, self._kind, self._src, self._dst)
-            yield from zip(*(c[start : start + _CHUNK].tolist() for c in cols))
-
     def __iter__(self) -> Iterator[SignalRecord]:
-        names = self._names
-        for t, k, s, d in self._rows():
-            yield SignalRecord(_KINDS[k], names[s], names[d], t)
+        """The records, their columns read as ints ``_CHUNK`` rows at a time."""
+        names, cols = self._names, (self._t, self._kind, self._src, self._dst)
+        for start in range(0, len(self), _CHUNK):
+            for t, k, s, d in zip(*(c[start : start + _CHUNK].tolist() for c in cols)):
+                yield SignalRecord(_KINDS[k], names[s], names[d], t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -169,15 +238,16 @@ class SignalTrace(Sequence[SignalRecord]):
         return self._t[_KEY_MASK[self._kind]]
 
     def write_csv(self, fh) -> None:
-        """Write the ``signals.csv`` layout: a header, then one row per
-        signal with its key-exchange flag, as ``csv.writer`` would."""
-        kind_txt = [_csv_field(k.value) for k in _KINDS]
-        names = [_csv_field(n) for n in self._names]
-        fh.write("t_ms,kind,src,dst,key_exchange_flag\r\n")
-        fh.writelines(
-            f"{t},{kind_txt[k]},{names[s]},{names[d]},{_KEY_FLAG[k]}\r\n"
-            for t, k, s, d in self._rows()
-        )
+        """Write the ``signals.csv`` layout to the text handle ``fh``: a
+        header, then one row per signal with its key-exchange flag, as
+        ``csv.writer`` would (``_write_columns``)."""
+        _write_columns(fh, ["t_ms", "kind", "src", "dst", "key_exchange_flag"], [
+            self._t,
+            (self._kind, [k.value for k in _KINDS]),
+            (self._src, self._names),
+            (self._dst, self._names),
+            (self._kind, [str(flag) for flag in _KEY_FLAG]),
+        ])
 
 
 def as_trace(records: Iterable[SignalRecord]) -> SignalTrace:

@@ -72,10 +72,15 @@ def first_fires_bytes(
     ``window`` samples in ``sequences`` holds with its positions, at most.
     Its box sees one entry a sequence at a time where it ``prefilters``,
     every entry elsewhere: 400 bytes a sample, and a far one a full row of
-    24 bytes a cell.  A non-positive exponent takes full rows, no box."""
+    32 bytes a cell (``CellGrid._distances`` holds one offset plane while
+    numpy's subtraction forms the next beside two buffers of its size, up
+    to 8192 elements; the trigger rule's masks over one sample's row take
+    no more).  A non-positive exponent takes full rows, no box.  A call's
+    small arrays take 6 KiB, 8 KiB on the box path."""
     box = 400 if pl_exponent > 0 else 0
     boxed = min(entries, sequences) if prefilters(pl_exponent, ul_offset_db) else entries
-    return entries * (16 * window + 160) + boxed * (window * (24 * cells + box) + box)
+    small = 8192 if box else 6144
+    return entries * (16 * window + 160) + boxed * (window * (32 * cells + box) + box) + small
 
 
 def cell_grid_bytes(cells: int, ues: int) -> int:

@@ -71,6 +71,7 @@ from .ledger import (
     LedgerBlock,
     SignalTrace,
     SimulatedLedger,
+    _write_columns,
     per_window_signaling,
 )
 from .mobility import (
@@ -490,14 +491,14 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
     out = output_dir(out_dir)
     paths = {"config": out / "config.txt", "signals": out / "signals.csv"}
     write_config_echo(result.config, paths["config"])
-    # signals.csv has its own, faster writer (``SignalTrace.write_csv``)
+    # the two long files go through the column writer, the rest through ``write_table``
     with open(paths["signals"], "w", newline="") as fh:
         result.trace.write_csv(fh)
-
     paths["ho_summary"] = out / "ho_summary.csv"
     header = ["ue_id", "s_cell", "t_cell", "t_trigger_ms", "t_complete_ms", "key_signals",
               "prep_wait_ms"]
-    write_table(paths["ho_summary"], header, result.events.summary_rows())
+    with open(paths["ho_summary"], "w", newline="") as fh:
+        _write_columns(fh, header, result.events.summary_columns())
 
     # per scheme, the key exchanges in and before each window starting in [0, horizon]
     horizon = result.config.horizon_ms

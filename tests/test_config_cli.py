@@ -266,11 +266,11 @@ def test_ho_timeout_equal_to_collection_period_is_accepted():
     # prefilter applies, and a box and a full row (for far entries) for
     # every entry where it does not, below its slack
     [
-        ({"scenario.pl_exponent": "0"}, 95_706),
-        ({}, 304_509),
-        ({"scenario.rows": "8", "scenario.cols": "8"}, 304_492),
-        ({"scenario.ul_offset_db": "0"}, 39_407),
-        ({"scenario.rows": "8", "scenario.cols": "8", "scenario.ul_offset_db": "0"}, 21_334),
+        ({"scenario.pl_exponent": "0"}, 77_899),
+        ({}, 304_503),
+        ({"scenario.rows": "8", "scenario.cols": "8"}, 304_482),
+        ({"scenario.ul_offset_db": "0"}, 36_017),
+        ({"scenario.rows": "8", "scenario.cols": "8", "scenario.ul_offset_db": "0"}, 17_722),
     ],
     ids=["full-row", "small-box", "box", "small-box-unfiltered", "box-unfiltered"],
 )
@@ -297,9 +297,9 @@ def test_a_grid_too_large_to_allocate_names_its_size(rows, cols):
         apply_settings(RunConfig(), {"scenario.rows": str(rows), "scenario.cols": str(cols)})
     # the largest square grid at 20 UEs: its tables and a chain round's
     # far rows; placing the UEs holds no row of the grid
-    assert apply_settings(RunConfig(), {"scenario.rows": "1193", "scenario.cols": "1193"})
+    assert apply_settings(RunConfig(), {"scenario.rows": "1083", "scenario.cols": "1083"})
     with pytest.raises(ConfigError, match=r"^scenario\.rows, scenario\.cols"):
-        apply_settings(RunConfig(), {"scenario.rows": "1194", "scenario.cols": "1194"})
+        apply_settings(RunConfig(), {"scenario.rows": "1084", "scenario.cols": "1084"})
 
 
 def test_a_grid_rejected_only_for_placements_rows_is_accepted():
@@ -309,9 +309,9 @@ def test_a_grid_rejected_only_for_placements_rows_is_accepted():
     grid = {"scenario.rows": "380", "scenario.cols": "380", "scenario.num_ues": "200"}
     assert apply_settings(RunConfig(), grid).scenario.num_cells == 380 * 380
     # the largest square grid at 200 UEs
-    assert apply_settings(RunConfig(), {**grid, "scenario.rows": "459", "scenario.cols": "459"})
+    assert apply_settings(RunConfig(), {**grid, "scenario.rows": "400", "scenario.cols": "400"})
     with pytest.raises(ConfigError, match=r"^scenario\.rows, scenario\.cols"):
-        apply_settings(RunConfig(), {**grid, "scenario.rows": "460", "scenario.cols": "460"})
+        apply_settings(RunConfig(), {**grid, "scenario.rows": "401", "scenario.cols": "401"})
 
 
 @pytest.mark.parametrize(

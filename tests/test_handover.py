@@ -398,6 +398,8 @@ def test_table_matches_the_scalar_oracle(case, scheme):
         hos.finish_waiting(now)
     buf = io.StringIO(newline="")
     hos.trace().write_csv(buf)
-    assert (buf.getvalue(), hos.summary_rows()) == handover_rows_oracle(
+    summary = list(zip(*(col.tolist() for col in hos.summary_columns())))
+    assert (buf.getvalue(), summary) == handover_rows_oracle(
         ticks, scheme is Scheme.BLOCKCHAIN, period
     )
+

@@ -1,6 +1,11 @@
 import importlib.util
+import io
 import json
 from pathlib import Path
+
+import numpy as np
+
+from oracles import signals_csv_oracle
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 
@@ -14,15 +19,17 @@ def _tool():
 
 def test_layer_bench_times_every_case_at_tiny_sizes(capsys):
     tool = _tool()
-    argv = ["--m", "3", "--n", "8", "--l", "2", "--repeat", "2", "--number", "2"]
+    argv = ["--m", "3", "--n", "8", "--l", "2", "--rows", "300", "--repeat", "2", "--number", "2"]
     assert tool.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["settings"] == {"m": 3, "n": 8, "l": 2, "repeat": 2, "number": 2, "seed": 1}
+    assert report["settings"] == {
+        "m": 3, "n": 8, "l": 2, "rows": 300, "repeat": 2, "number": 2, "seed": 1
+    }
     timed = report["us_per_call"]
     widths = [f"gf.{op}.k{k}" for k in tool.WIDTHS for op in ("vec_mul", "dot")]
     layers = ["rlnc.encode", "rlnc.recode", "rlnc.decode", "integrity.attach_tags",
               "integrity.verify_tags", "integrity.tagset_for_generation",
-              "integrity.ledger_check", "relay.hop"]
+              "integrity.ledger_check", "relay.hop", "ledger.write_csv"]
     assert sorted(timed) == sorted(widths + layers)
     assert all(us > 0 for us in timed.values())
 
@@ -32,3 +39,11 @@ def test_layer_bench_hop_passes_both_checks():
     cases = _tool().cases(3, 8, 2, seed=4)
     assert all(cases["relay.hop"]() for _ in range(5))
     assert cases["integrity.ledger_check"]()
+
+
+def test_layer_bench_writes_the_synthetic_trace_as_csv_writer_does():
+    trace = _tool().signal_trace(300, np.random.default_rng(2))
+    assert len(trace) == 300
+    buf = io.StringIO(newline="")
+    trace.write_csv(buf)
+    assert buf.getvalue() == signals_csv_oracle(trace)

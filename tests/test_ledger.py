@@ -1,4 +1,7 @@
+import csv
+import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsecsim.errors import ClockError, InvalidParameter, UnknownController
-from ncsecsim.handover import cumulative_key_exchanges
+from ncsecsim.handover import HoTable, cumulative_key_exchanges
+from ncsecsim.keydist import Scheme
 from ncsecsim.ledger import (
     _CHUNK,
     CandidateEntry,
@@ -15,6 +19,7 @@ from ncsecsim.ledger import (
     SignalRecord,
     SignalTrace,
     SimulatedLedger,
+    _write_columns,
     key_exchange_count,
     per_window_signaling,
 )
@@ -323,6 +328,102 @@ def test_signal_trace_reads_rows_in_chunks():
     buf = io.StringIO(newline="")
     trace.write_csv(buf)
     assert buf.getvalue() == signals_csv_oracle(records)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# Every decimal digit count of an int64, either sign, 0 and both extremes.
+int64s = st.one_of(
+    st.sampled_from([0, INT64_MIN, INT64_MAX]),
+    st.integers(1, 19).flatmap(
+        lambda d: st.integers(10 ** (d - 1), min(10**d - 1, INT64_MAX))
+    ).flatmap(lambda m: st.sampled_from([m, -m])),
+)
+# Names csv.writer quotes, a NUL, non-ASCII text (a non-BMP character
+# too) and the empty name.
+csv_names = st.text(alphabet='ab1_ ,"\r\n\x00\xe9\u20ac\U0001f600', max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.builds(SignalRecord, st.sampled_from(list(SignalKind)), csv_names, csv_names,
+                       int64s), min_size=1, max_size=12),
+    st.sampled_from([0, 1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+)
+def test_signal_csv_is_csv_writer_byte_for_byte(pool, rows):
+    # ``rows`` records cycled from the pool: empty, short, and one row
+    # either side of a chunk boundary
+    records = (pool * (rows // len(pool) + 1))[:rows]
+    buf = io.StringIO(newline="")
+    SignalTrace(records).write_csv(buf)
+    assert buf.getvalue().encode() == signals_csv_oracle(records).encode()
+
+
+class _HashSink:
+    """A text handle that keeps only the SHA-256 of what it is given."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.digest.update(text.encode())
+
+
+def test_signal_csv_writer_holds_one_chunk_at_a_time():
+    # The pool has negative and extreme times and a NUL in a name, so the
+    # text checks too what the writer renders.
+    pool = [
+        SignalRecord(SignalKind.KEY_TO_UE, "bsh1", "ue\x0017", INT64_MIN),
+        SignalRecord(SignalKind.CANDIDATE_UPLOAD, "bsh12", "ledger", -160),
+        SignalRecord(SignalKind.BLOCK_BROADCAST, "ledger", "all,bsh", INT64_MAX),
+        SignalRecord(SignalKind.HO_REQUEST, "", "bsh\u20ac", 299_840),
+    ]
+
+    def write(rows):
+        records = (pool * (rows // len(pool) + 1))[:rows]
+        trace = SignalTrace(records)
+        sink = _HashSink()
+        tracemalloc.start()
+        try:
+            trace.write_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = hashlib.sha256(signals_csv_oracle(records).encode()).hexdigest()
+        assert sink.digest.hexdigest() == expected
+        return peak
+
+    rows = 2 * _CHUNK + 5
+    longest = max(len(line) for line in signals_csv_oracle(pool).encode().splitlines())
+    assert write(4 * rows) - write(rows) <= _CHUNK * (longest + 2)
+
+
+HO_SUMMARY_HEADER = ["ue_id", "s_cell", "t_cell", "t_trigger_ms", "t_complete_ms", "key_signals",
+                     "prep_wait_ms"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(int64s, int64s, int64s, int64s, st.one_of(st.just(-1), int64s),
+                       st.integers(0, 3)), min_size=1, max_size=12),
+    st.sampled_from([0, 1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+)
+def test_ho_summary_csv_is_csv_writer_byte_for_byte(pool, rows):
+    # Any int64 in any column (a wait of t_complete - t_trigger wraps as
+    # int64 does), rows still waiting left out, and one row either side of
+    # a chunk boundary.
+    hos = HoTable(Scheme.BLOCKCHAIN, 16, 1000, 160)
+    columns = zip(*(pool * (rows // len(pool) + 1))[:rows])
+    for name, column in zip(["ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern"],
+                            columns):
+        setattr(hos, name, list(column))
+    summary = hos.summary_columns()
+    buf = io.StringIO(newline="")
+    _write_columns(buf, HO_SUMMARY_HEADER, summary)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(HO_SUMMARY_HEADER)
+    writer.writerows(zip(*(col.tolist() for col in summary)))
+    assert buf.getvalue().encode() == expected.getvalue().encode()
 
 
 @settings(max_examples=200, deadline=None)

@@ -579,20 +579,28 @@ def _peak(call) -> int:
     ids=["full-rows", "box", "prefiltered-box"],
 )
 @pytest.mark.parametrize(
-    "entries, sequences, window", [(4000, 20, 1), (4000, 4000, 1), (2000, 20, 3), (600, 600, 4)]
+    "side, entries, sequences, window",
+    [
+        *(pytest.param(16, *case, id="-".join(map(str, case)))
+          for case in [(4000, 20, 1), (4000, 4000, 1), (2000, 20, 3), (600, 600, 4)]),
+        # small calls, where numpy's buffers for the distances' offset
+        # planes are as large as the planes
+        *(pytest.param(side, *case, id=f"{side}x{side}-" + "-".join(map(str, case)))
+          for side, case in [(8, (50, 50, 1)), (8, (20, 20, 2)), (4, (10, 10, 1)), (16, (8, 8, 1))]),
+    ],
 )
-def test_first_fires_bytes_bounds_a_trigger_call(entries, sequences, window, pl_exponent, offset,
-                                                 far):
+def test_first_fires_bytes_bounds_a_trigger_call(side, entries, sequences, window, pl_exponent,
+                                                 offset, far):
     # With each serving cell across the torus, every entry the box sees is
     # far and takes a full row: the case the bound counts, within twice
     # the peak.  Near entries take less.
-    grid = CellGrid(16, 16, pl_exponent=pl_exponent)
+    grid = CellGrid(side, side, pl_exponent=pl_exponent)
     rng = np.random.default_rng(0)
     pos = rng.uniform(0, 1, (window, entries, 2)) * grid.extent
     serving = grid._square_cells(pos[-1])
     if far:
-        row, col = np.divmod(serving, 16)
-        serving = (row + 8) % 16 * 16 + (col + 8) % 16
+        row, col = np.divmod(serving, side)
+        serving = (row + side // 2) % side * side + (col + side // 2) % side
     starts = np.linspace(0, entries, sequences, endpoint=False).astype(np.intp)
     grid.first_fires(pos, serving, starts, offset)  # cached tables
     peak = _peak(lambda: grid.first_fires(pos.copy(), serving.copy(), starts.copy(), offset))

@@ -277,8 +277,9 @@ def test_the_dump_changes_no_other_artifact(tmp_path, settings):
 
 
 def test_csv_writer_is_called_only_by_the_table_writer_and_the_signal_quoting_rule():
-    # Every table CSV goes through ``simulation.write_table``; signals.csv
-    # has its own writer, which takes its quoting from ``ledger._csv_field``.
+    # Every table CSV goes through ``simulation.write_table``, but for
+    # signals.csv and ho_summary.csv, which go through the column writer
+    # (``ledger._write_columns``), whose quoting is ``ledger._csv_field``.
     sites = []
     for path in sorted(Path(simulation.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

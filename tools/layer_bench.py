@@ -1,7 +1,7 @@
 """Time the field, coding and tag layers one call at a time and print JSON.
 
     PYTHONPATH=src python3 tools/layer_bench.py [--m 32] [--n 1024] [--l 8]
-        [--repeat 7] [--number 0] [--seed 1]
+        [--rows 86311] [--repeat 7] [--number 0] [--seed 1]
 
 Each case is one library call on fixed inputs.  It runs ``--number`` times
 per run (0 picks a count that takes at least 0.2 s, as ``timeit`` does),
@@ -15,7 +15,10 @@ and the best of ``--repeat`` runs is printed as microseconds per call:
 - ``integrity.attach_tags``, ``verify_tags``, ``tagset_for_generation`` and
   ``ledger_check``: under a ring of l keys, with the ledger check against
   the generation's tag set and no keys, as a relay calls it;
-- ``relay.hop``: the recode, key check and ledger check of one relay hop.
+- ``relay.hop``: the recode, key check and ledger check of one relay hop;
+- ``ledger.write_csv``: ``SignalTrace.write_csv`` of a synthetic trace of
+  ``--rows`` signals into memory (the default is the row count of the
+  scaled 8x8-cell, 200-UE, 300 s run at seed 1).
 
 The numbers time this host and are no gate; compare runs on one host only.
 """
@@ -23,6 +26,7 @@ The numbers time this host and are no gate; compare runs on one host only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import timeit
@@ -32,13 +36,25 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ncsecsim import gf, integrity, rlnc  # noqa: E402
+from ncsecsim import gf, integrity, ledger, rlnc  # noqa: E402
 
 WINDOW = 4  # packets a relay recodes, as in perfbench's relay workload
 WIDTHS = (4, 8, 16)
+ROWS = 86_311  # signals.csv rows of the scaled run at seed 1
 
 
-def cases(m: int, n: int, l: int, seed: int) -> dict:
+def signal_trace(rows: int, rng: np.random.Generator) -> ledger.SignalTrace:
+    """A trace shaped like a run's: ``rows`` signals in time order over
+    300 s, of any kind, between the ledger's, 64 cells' and 200 UEs' names."""
+    names = ["ledger", "all_bsh", "core", *(f"bsh{c}" for c in range(64)),
+             *(f"ue{u}" for u in range(200))]
+    t = np.sort(rng.integers(0, 300_000, rows))
+    kinds = rng.integers(0, len(ledger.SignalKind), rows)
+    src, dst = rng.integers(0, len(names), (2, rows))
+    return ledger.SignalTrace.from_columns(t, kinds, src, dst, names)
+
+
+def cases(m: int, n: int, l: int, seed: int, rows: int = ROWS) -> dict:
     """The name and the zero-argument call of every case."""
     rng = np.random.default_rng(seed)
     out = {}
@@ -68,6 +84,8 @@ def cases(m: int, n: int, l: int, seed: int) -> dict:
             gen, keys, "source"),
         "integrity.ledger_check": lambda: integrity.ledger_check(pkt, tagset),
         "relay.hop": hop,
+        "ledger.write_csv": lambda trace=signal_trace(rows, rng): trace.write_csv(
+            io.StringIO(newline="")),
     })
     return out
 
@@ -86,17 +104,19 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--m", type=int, default=32)
     parser.add_argument("--n", type=int, default=1024)
     parser.add_argument("--l", type=int, default=8)
+    parser.add_argument("--rows", type=int, default=ROWS)
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--number", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if min(args.m, args.n, args.l, args.repeat) < 1:
-        parser.error("--m, --n, --l and --repeat must be at least 1")
+    if min(args.m, args.n, args.l, args.rows, args.repeat) < 1:
+        parser.error("--m, --n, --l, --rows and --repeat must be at least 1")
     timed = {
         name: round(best_us(call, args.repeat, args.number), 2)
-        for name, call in cases(args.m, args.n, args.l, args.seed).items()
+        for name, call in cases(args.m, args.n, args.l, args.seed, args.rows).items()
     }
-    settings = {key: getattr(args, key) for key in ("m", "n", "l", "repeat", "number", "seed")}
+    keys = ("m", "n", "l", "rows", "repeat", "number", "seed")
+    settings = {key: getattr(args, key) for key in keys}
     print(json.dumps({"settings": settings, "us_per_call": timed}, indent=1))
     return 0
 
