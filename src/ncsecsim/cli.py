@@ -80,7 +80,7 @@ def _cmd_run(config: RunConfig) -> int:
     print(
         f"run: scheme={config.scheme.label} seed={config.seed} "
         f"horizon={config.horizon_ms} ms: {len(events)} HO triggers, "
-        f"{len(result.completed)} completed, {len(boundaries)} ledger blocks"
+        f"{np.count_nonzero(events.t_complete >= 0)} completed, {len(boundaries)} ledger blocks"
     )
     for name in sorted(paths):
         print(f"  {name}: {paths[name]}")

@@ -34,6 +34,9 @@ from a table's columns and upload times, so one builder makes the trace
 after the run: ``HoTable.trace`` for the run's own scheme, and
 ``replay_key_signaling`` for another scheme, from the patterns and
 completion times that ``key_outcome`` gives on the trigger columns.
+Both read one rule of which blocks a trace has (``_blocks``), and so
+does ``_key_times``, which gives the trace's key-exchange times from
+each block's time and template alone.
 """
 
 from __future__ import annotations
@@ -48,11 +51,13 @@ import numpy as np
 from .errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
 from .keydist import Scheme
 from .ledger import (
+    _KEY_MASK,
     KIND_CODE,
     SIGNALING_WINDOW_MS,
     SignalKind,
     SignalRecord,
     SignalTrace,
+    _windows,
     as_trace,
     key_blocks,
     key_boundary,
@@ -134,7 +139,51 @@ _TEMPLATE_ROWS = np.array([
     + [(0, 0, 0)] * (_TEMPLATE_LEN.max() - len(block))
     for block in _TEMPLATES
 ])
+# Key-exchange rows per template: ``_KEY_MASK`` of its rows' kinds, the
+# padding past its length masked off.
+_TEMPLATE_KEYS = (
+    _KEY_MASK[_TEMPLATE_ROWS[..., 0]]
+    & (np.arange(_TEMPLATE_ROWS.shape[1]) < _TEMPLATE_LEN[:, None])
+).sum(axis=1)
 _COLUMNS = ("ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern")
+
+
+def _blocks(
+    columns: Sequence[Sequence[int]],
+    uploads: Sequence[tuple[int, int]],
+    end_ms: int,
+    collection_period_ms: int,
+) -> tuple[tuple, ...]:
+    """The blocks of the signal trace of a set of handovers.
+
+    ``columns`` are the handovers' ``_COLUMNS`` and ``uploads`` the
+    key-set uploads as (time, cell) in upload order.  Each handover has a
+    start block at its trigger (its pattern's template), and one that
+    waited and completed has a completion block at its completion; an
+    upload that no handover made is a prestaged upload block, and every
+    block verified by ``end_ms`` a broadcast block.
+
+    The blocks come in four parts, in the order of the phases of a tick:
+    prestaged uploads, in upload order; start blocks, in row order;
+    broadcasts, each stamped with its boundary; completion blocks, in row
+    order.  A part is its blocks' times and templates, then their serving
+    cells, target cells (the uploading cell of a prestaged upload) and
+    UEs, in the order of the roles ``_S``, ``_T`` and ``_U``: int64
+    arrays, or 0 for a role the part's templates do not name.
+    """
+    ue, s_cell, t_cell, t_trigger, t_complete, pattern = (
+        np.asarray(c, dtype=np.int64) for c in columns
+    )
+    up_t, up_cell = np.asarray(uploads, dtype=np.int64).reshape(-1, 2).T
+    broadcasts, _ = key_blocks(up_t, end_ms, collection_period_ms)
+    prestaged = ~np.isin(up_cell, t_cell[pattern == _UPLOAD])
+    done = np.flatnonzero((pattern >= _UPLOAD) & (t_complete >= 0))
+    return (
+        (up_t[prestaged], _PRESTAGE, 0, up_cell[prestaged], 0),
+        (t_trigger, pattern, s_cell, t_cell, ue),
+        (broadcasts, _BROADCAST, 0, 0, 0),
+        (t_complete[done], _FINISH, s_cell[done], t_cell[done], ue[done]),
+    )
 
 
 def _signal_trace(
@@ -143,50 +192,36 @@ def _signal_trace(
     end_ms: int,
     collection_period_ms: int,
 ) -> SignalTrace:
-    """The signal trace of a set of handovers, in time order.
+    """The signal trace of a set of handovers (``_blocks`` of the same
+    arguments), in time order.
 
-    ``columns`` are the handovers' ``_COLUMNS`` and ``uploads`` the
-    key-set uploads as (time, cell) in upload order.  Each handover has a
-    start block at its trigger (its pattern's template), and one that
-    waited and completed has a completion block at its completion; an
-    upload that no handover made is a prestaged upload row, and every
-    block verified by ``end_ms`` one broadcast row.
-
-    Within one tick the loop acts in four phases, and its signals follow
-    them: prestaged uploads, in upload order; each starting UE's start
-    block (with its upload row), in UE order; the broadcasts of the
-    boundaries the clock passes, each stamped with its boundary; and
-    completion blocks, in UE order.  One stable lexsort of the blocks on
-    (time, phase, UE), then expanding each block into its template's
-    rows, gives that order.
+    Within one tick the loop acts in the order of the blocks' parts, and
+    its signals follow it: within a part, in UE order (prestaged uploads
+    in upload order).  One stable lexsort of the blocks on (time, part,
+    UE), then expanding each block into its template's rows, gives that
+    order.  The blocks are made of the handovers and uploads with their
+    cells and UEs as endpoint ids: the fixed names' come first, then the
+    cells' and the UEs', each in ascending order, so the order of the UE
+    ids is that of the UEs.
     """
     ue, s_cell, t_cell, t_trigger, t_complete, pattern = (
         np.asarray(c, dtype=np.int64) for c in columns
     )
     up_t, up_cell = np.asarray(uploads, dtype=np.int64).reshape(-1, 2).T
-    broadcasts, _ = key_blocks(up_t, end_ms, collection_period_ms)
-    prestaged = ~np.isin(up_cell, t_cell[pattern == _UPLOAD])
-    up_t, up_cell = up_t[prestaged], up_cell[prestaged]
-    done = np.flatnonzero((pattern >= _UPLOAD) & (t_complete >= 0))
-
     n, fixed = len(ue), len(_FIXED_NAMES)
     cells, cell_ids = np.unique(np.concatenate([s_cell, t_cell, up_cell]), return_inverse=True)
     ues, ue_ids = np.unique(ue, return_inverse=True)
     s_ids, t_ids, up_ids = np.split(cell_ids + fixed, [n, 2 * n])
-    u_ids = ue_ids + fixed + len(cells)
-    # Per block: time, phase, UE, template, and the serving, target and UE ids.
-    parts = (
-        (up_t, 0, 0, _PRESTAGE, 0, up_ids, 0),
-        (t_trigger, 1, ue, pattern, s_ids, t_ids, u_ids),
-        (broadcasts, 2, 0, _BROADCAST, 0, 0, 0),
-        (t_complete[done], 3, ue[done], _FINISH, s_ids[done], t_ids[done], u_ids[done]),
-    )
-    time, phase, who, template, *ends = (
+    ids = (ue_ids + fixed + len(cells), s_ids, t_ids, t_trigger, t_complete, pattern)
+    parts = _blocks(ids, np.c_[up_t, up_ids], end_ms, collection_period_ms)
+    time, template, *ends = (
         np.concatenate([np.broadcast_to(part[k], len(part[0])) for part in parts])
-        for k in range(7)
+        for k in range(5)
     )
-    order = np.lexsort((who, phase, time))  # stable: ties keep part and row order
+    phase = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+    order = np.lexsort((ends[_U], phase, time))  # stable: ties keep part and row order
     time, template = time[order], template[order]
+    # per block, the ids of its roles: serving, target and UE, then the fixed endpoints
     ends = np.column_stack([*ends, *(np.full(len(time), i) for i in range(fixed))])[order]
 
     # Expand the blocks row position by row position into the trace's
@@ -206,6 +241,21 @@ def _signal_trace(
     return SignalTrace.from_columns(times, *rows, names)
 
 
+def _key_times(
+    columns: Sequence[Sequence[int]],
+    uploads: Sequence[tuple[int, int]],
+    end_ms: int,
+    collection_period_ms: int,
+) -> np.ndarray:
+    """The times of the key-exchange rows of ``_signal_trace`` of the same
+    arguments, in no set order: each of its ``_blocks``' times, once per
+    key-exchange row of the block's template (``_TEMPLATE_KEYS``)."""
+    parts = _blocks(columns, uploads, end_ms, collection_period_ms)
+    return np.concatenate([
+        np.repeat(time, _TEMPLATE_KEYS[template]) for time, template, *_ in parts
+    ])
+
+
 class HoTable(Sequence["HoView"]):
     """Every handover of a run as parallel int columns, one row per
     trigger in start order.
@@ -213,7 +263,9 @@ class HoTable(Sequence["HoView"]):
     The columns are ``ue_id``, ``s_cell``, ``t_cell`` and ``t_trigger``;
     ``t_complete`` (-1 while waiting); and ``pattern``, the start pattern.
     ``waiting`` maps each UE whose handover waits for its keys to its row.
-    The columns are lists, to which the run appends.  ``uploaded_at`` is
+    The columns are lists, to which ``start`` appends, until
+    ``_columns_to_arrays`` makes them int64 arrays once a run ends, which
+    readers then take as they are.  ``uploaded_at`` is
     each cell's upload time (-1 for none), ``seen_at`` the RS instant that
     sees its block (``key_seen``) and ``uploads`` the cells in upload
     order.  ``start`` decides each outcome from ``seen_at``
@@ -332,12 +384,23 @@ class HoTable(Sequence["HoView"]):
             return key_seen(now - self.rs + 1, self.period, self.rs)
         return None
 
+    def _columns_to_arrays(self) -> None:
+        """Make the columns int64 arrays, once no row is to be appended;
+        ``finish_waiting`` still completes rows in place."""
+        for name in _COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+
+    def _trace_inputs(self) -> tuple:
+        """The table's handovers, uploads and clock as the arguments of
+        ``_signal_trace`` and ``_key_times``."""
+        uploads = [(self.uploaded_at[c], c) for c in self.uploads]
+        columns = [getattr(self, name) for name in _COLUMNS]
+        return columns, uploads, self.clock, self.period
+
     def trace(self) -> SignalTrace:
         """The signal trace of the table's handovers, uploads and the
         blocks up to the clock, in time order."""
-        uploads = [(self.uploaded_at[c], c) for c in self.uploads]
-        columns = [getattr(self, name) for name in _COLUMNS]
-        return _signal_trace(columns, uploads, self.clock, self.period)
+        return _signal_trace(*self._trace_inputs())
 
     def summary_columns(self) -> list[np.ndarray]:
         """The ``ho_summary.csv`` columns of the completed handovers in
@@ -422,9 +485,34 @@ def cumulative_key_exchanges(
     trace: Sequence[SignalRecord], horizon_ms: int
 ) -> list[tuple[int, int]]:
     """Running key-exchange count at the start of every signaling window."""
-    times = np.sort(as_trace(trace).key_exchange_times())
-    grid = np.arange(0, horizon_ms + 1, SIGNALING_WINDOW_MS)
-    return list(zip(grid.tolist(), np.searchsorted(times, grid, side="right").tolist()))
+    _, curve = _windows(as_trace(trace).key_exchange_times(), horizon_ms)
+    return list(zip(range(0, horizon_ms + 1, SIGNALING_WINDOW_MS), curve.tolist()))
+
+
+def _replay(
+    events: HoTable,
+    scheme: Scheme,
+    horizon_ms: int,
+    rs_period_ms: int,
+    collection_period_ms: int,
+) -> tuple:
+    """The arguments of ``_signal_trace`` and ``_key_times`` for a
+    trigger stream under one key-sharing policy: its patterns and
+    completion times, as ``replay_key_signaling`` gives them."""
+    ue, s_cell, t_cell, t_trigger = (
+        np.asarray(getattr(events, name), dtype=np.int64) for name in _COLUMNS[:4]
+    )
+    end = horizon_ms // rs_period_ms * rs_period_ms
+    uploads, pattern, t_complete = (), np.full(len(ue), _BASELINE), t_trigger
+    if scheme is Scheme.BLOCKCHAIN:
+        _, first, cell = np.unique(t_cell, return_index=True, return_inverse=True)
+        uploads = np.c_[t_trigger[first], t_cell[first]]
+        seen = key_seen(uploads[:, 0], collection_period_ms, rs_period_ms)
+        pattern, t_complete = key_outcome(t_trigger, seen[cell])
+        pattern[first] = _UPLOAD
+    t_complete = np.where(t_complete <= end, t_complete, -1)
+    columns = (ue, s_cell, t_cell, t_trigger, t_complete, pattern)
+    return columns, uploads, end, collection_period_ms
 
 
 def replay_key_signaling(
@@ -451,17 +539,4 @@ def replay_key_signaling(
     verify up to the last RS instant at or before the horizon, and a
     handover whose block does not stays incomplete.
     """
-    ue, s_cell, t_cell, t_trigger = (
-        np.asarray(getattr(events, name), dtype=np.int64) for name in _COLUMNS[:4]
-    )
-    end = horizon_ms // rs_period_ms * rs_period_ms
-    uploads, pattern, t_complete = (), np.full(len(ue), _BASELINE), t_trigger
-    if scheme is Scheme.BLOCKCHAIN:
-        _, first, cell = np.unique(t_cell, return_index=True, return_inverse=True)
-        uploads = np.c_[t_trigger[first], t_cell[first]]
-        seen = key_seen(uploads[:, 0], collection_period_ms, rs_period_ms)
-        pattern, t_complete = key_outcome(t_trigger, seen[cell])
-        pattern[first] = _UPLOAD
-    t_complete = np.where(t_complete <= end, t_complete, -1)
-    columns = (ue, s_cell, t_cell, t_trigger, t_complete, pattern)
-    return _signal_trace(columns, uploads, end, collection_period_ms)
+    return _signal_trace(*_replay(events, scheme, horizon_ms, rs_period_ms, collection_period_ms))

@@ -391,13 +391,28 @@ class SimulatedLedger:
 # trace accounting
 # ----------------------------------------------------------------------
 
+def _windows(times: np.ndarray, horizon_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of key exchanges at ``times`` (int ms, in any order), per
+    ``SIGNALING_WINDOW_MS`` window whose start lies in [0, horizon]: the
+    count in the window, and the running count at its start (those at or
+    before it).  A negative time is in no window, but counts from the
+    first start on.  Windows past the last fall into one more bin, which
+    is dropped."""
+    windows = max(0, horizon_ms // SIGNALING_WINDOW_MS + 1)
+    index = times // SIGNALING_WINDOW_MS
+    counts = np.bincount(np.where(index < 0, windows, np.minimum(index, windows)),
+                         minlength=windows + 1)[:windows]
+    # the first start at or after each time: ceil(t / W), without t + W - 1 overflowing
+    index += times % SIGNALING_WINDOW_MS > 0
+    curve = np.bincount(np.clip(index, 0, windows), minlength=windows + 1)[:windows].cumsum()
+    return counts, curve
+
+
 def per_window_signaling(records: Iterable[SignalRecord], horizon_ms: int) -> list[int]:
     """Key-exchange signals in each ``SIGNALING_WINDOW_MS`` window whose
     start lies in [0, horizon]."""
-    windows = max(0, horizon_ms // SIGNALING_WINDOW_MS + 1)
-    times = as_trace(records).key_exchange_times()
-    times = times[times >= 0]
-    return np.bincount(times // SIGNALING_WINDOW_MS, minlength=windows)[:windows].tolist()
+    counts, _ = _windows(as_trace(records).key_exchange_times(), horizon_ms)
+    return counts.tolist()
 
 
 def key_exchange_count(records: Iterable[SignalRecord], up_to_ms: int | None = None) -> int:

@@ -41,7 +41,9 @@ configuration give byte-identical artifacts.
 
 For scheme comparisons the result derives the other kind of scheme's
 trace from the table's trigger columns; the resulting curves differ only
-in key signaling, never in mobility.
+in key signaling, never in mobility.  The per-window signaling artifacts
+take each scheme's key-exchange times from the table's blocks and build
+no trace (``_signaling_counts``).
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from .gf import field_of_order
 from .handover import (
     HoTable,
     HoView,
-    cumulative_key_exchanges,
+    _key_times,
+    _replay,
     replay_key_signaling,
 )
 from .integrity import KeyRing, generate_domain_keys, key_ring_bytes
@@ -71,8 +74,8 @@ from .ledger import (
     LedgerBlock,
     SignalTrace,
     SimulatedLedger,
+    _windows,
     _write_columns,
-    per_window_signaling,
 )
 from .mobility import (
     CellGrid,
@@ -122,21 +125,14 @@ class SimulationResult:
 
     @cached_property
     def scheme_traces(self) -> dict[str, SignalTrace]:
-        """The signal trace of each scheme on the run's triggers, by label.
-
-        The baselines differ only in key assignment, not in signaling, so
-        the run's own trace serves its kind of scheme and one replay the
-        other kind.
-        """
-        own_uses_ledger, events = self.config.scheme is Scheme.BLOCKCHAIN, self.events
+        """The signal trace of each scheme on the run's triggers, by label:
+        the run's own trace for its kind of scheme and one replay for the
+        other kind (``_by_scheme``)."""
+        events, scheme = self.events, self.config.scheme
         replayed = replay_key_signaling(
-            events, Scheme.DOUBLE_RANDOM if own_uses_ledger else Scheme.BLOCKCHAIN,
-            self.config.horizon_ms, events.rs, events.period,
+            events, _replayed(scheme), self.config.horizon_ms, events.rs, events.period
         )
-        return {
-            scheme.label: self.trace if (scheme is Scheme.BLOCKCHAIN) == own_uses_ledger else replayed
-            for scheme in _ALL_SCHEMES
-        }
+        return _by_scheme(scheme, self.trace, replayed)
 
     @cached_property
     def upload_log(self) -> list[tuple[int, str, str]]:
@@ -256,7 +252,23 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         tail = block[size:]
         tick += size
 
+    handovers._columns_to_arrays()
     return SimulationResult(config, grid, handovers, measurements)
+
+
+def _replayed(scheme: Scheme) -> Scheme:
+    """The scheme whose replay stands for the other kind than ``scheme``'s."""
+    return Scheme.DOUBLE_RANDOM if scheme is Scheme.BLOCKCHAIN else Scheme.BLOCKCHAIN
+
+
+def _by_scheme(scheme: Scheme, own, replayed) -> dict:
+    """``own``, of a run of ``scheme``, for each scheme of its kind (the
+    ledger, or the baselines), and ``replayed`` for each of the other
+    kind, by label in ``_ALL_SCHEMES`` order: the baselines differ only in
+    key assignment, not in signaling."""
+    uses_ledger = scheme is Scheme.BLOCKCHAIN
+    return {s.label: own if (s is Scheme.BLOCKCHAIN) == uses_ledger else replayed
+            for s in _ALL_SCHEMES}
 
 
 def _prestage(
@@ -485,13 +497,45 @@ def write_table(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _signaling_counts(
+    events: HoTable, scheme: Scheme, horizon_ms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per signaling window starting in [0, horizon] (rows) and per scheme
+    of ``_ALL_SCHEMES`` (columns), the key exchanges in the window and the
+    running count at its start (``ledger._windows``), on the triggers of a
+    run of ``scheme`` whose handovers ``events`` holds.
+
+    They are the counts of ``SimulationResult.scheme_traces``, but taken
+    from the key-exchange times of the trace's blocks (``_key_times``), so
+    no trace is built.
+    """
+    own = _key_times(*events._trace_inputs())
+    replayed = _key_times(*_replay(events, _replayed(scheme), horizon_ms, events.rs, events.period))
+    by_scheme = _by_scheme(scheme, _windows(own, horizon_ms), _windows(replayed, horizon_ms))
+    counts, curves = zip(*by_scheme.values())
+    return np.column_stack(counts), np.column_stack(curves)
+
+
+def _write_windows(path: Path, header: list[str], values: np.ndarray) -> None:
+    """Write ``values`` (windows, schemes) one row per window start and
+    scheme of ``_ALL_SCHEMES``: the start, the label and the value."""
+    windows, schemes = values.shape
+    labels = [scheme.label for scheme in _ALL_SCHEMES]
+    with open(path, "w", newline="") as fh:
+        _write_columns(fh, header, [
+            np.arange(windows).repeat(schemes) * SIGNALING_WINDOW_MS,
+            (np.tile(np.arange(schemes), windows), labels),
+            values.ravel(),
+        ])
+
+
 def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[str, Path]:
     """Write the signal trace, per-HO summary, per-second and cumulative
     signaling CSVs, plus the canonical config echo."""
     out = output_dir(out_dir)
     paths = {"config": out / "config.txt", "signals": out / "signals.csv"}
     write_config_echo(result.config, paths["config"])
-    # the two long files go through the column writer, the rest through ``write_table``
+    # all but the measurement dump go through the column writer
     with open(paths["signals"], "w", newline="") as fh:
         result.trace.write_csv(fh)
     paths["ho_summary"] = out / "ho_summary.csv"
@@ -500,25 +544,16 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
     with open(paths["ho_summary"], "w", newline="") as fh:
         _write_columns(fh, header, result.events.summary_columns())
 
-    # per scheme, the key exchanges in and before each window starting in [0, horizon]
+    # per scheme, the key exchanges in and before each window starting in
+    # [0, horizon]; a run with no tick writes the headers alone
     horizon = result.config.horizon_ms
-    traces = result.scheme_traces if horizon > 0 else {}
-    counts = [per_window_signaling(tr, horizon) for tr in traces.values()]
-    curves = [cumulative_key_exchanges(tr, horizon) for tr in traces.values()]
+    counts, curves = _signaling_counts(
+        result.events, result.config.scheme, horizon if horizon > 0 else -1
+    )
     paths["per_second"] = out / "per_second_signaling.csv"
-    write_table(
-        paths["per_second"],
-        ["window_start_ms", "scheme", "key_exchanges"],
-        ([start, label, n]
-         for start, ns in zip(range(0, horizon + 1, SIGNALING_WINDOW_MS), zip(*counts))
-         for label, n in zip(traces, ns)),
-    )
+    _write_windows(paths["per_second"], ["window_start_ms", "scheme", "key_exchanges"], counts)
     paths["cumulative"] = out / "cumulative_key_exchanges.csv"
-    write_table(
-        paths["cumulative"],
-        ["t_ms", "scheme", "cumulative_key_exchanges"],
-        ([t, label, n] for points in zip(*curves) for label, (t, n) in zip(traces, points)),
-    )
+    _write_windows(paths["cumulative"], ["t_ms", "scheme", "cumulative_key_exchanges"], curves)
 
     if result.config.scenario.dump_measurements:
         paths["measurements"] = out / "measurements.csv"

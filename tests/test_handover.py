@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from ncsecsim.config import RunConfig
 from ncsecsim.errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
 from ncsecsim.handover import (
+    _TEMPLATE_KEYS,
+    _TEMPLATE_LEN,
+    _TEMPLATE_ROWS,
+    _TEMPLATES,
     HoTable,
     KeyPath,
     PredictionConfig,
@@ -16,7 +20,7 @@ from ncsecsim.handover import (
     replay_key_signaling,
 )
 from ncsecsim.keydist import Scheme
-from ncsecsim.ledger import SignalKind, key_exchange_count
+from ncsecsim.ledger import _KINDS, SignalKind, SignalRecord, key_exchange_count
 from ncsecsim.simulation import run_simulation
 
 from oracles import handover_rows_oracle
@@ -50,6 +54,18 @@ def triggers(rows):
     four columns ``replay_key_signaling`` reads."""
     cols = list(zip(*rows)) or [()] * 4
     return SimpleNamespace(**dict(zip(("ue_id", "s_cell", "t_cell", "t_trigger"), cols)))
+
+
+def test_each_template_counts_the_key_exchanges_of_its_rows():
+    # A block expands into its template's first ``_TEMPLATE_LEN`` rows; the
+    # padding after them has kind code 0, a candidate upload, which counts.
+    for template, block, length, keys in zip(
+        _TEMPLATES, _TEMPLATE_ROWS, _TEMPLATE_LEN, _TEMPLATE_KEYS
+    ):
+        records = [SignalRecord(_KINDS[code], "a", "b", 0) for code in block[:length, 0]]
+        assert [r.kind for r in records] == [kind for kind, _, _ in template]
+        assert keys == sum(r.counts_as_key_exchange for r in records)
+    assert _TEMPLATE_KEYS.tolist() == [2, 1, 1, 0, 1, 1, 1]
 
 
 def test_first_ho_emits_three_key_signals_in_order():

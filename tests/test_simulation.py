@@ -44,7 +44,7 @@ from ncsecsim.ledger import (
 from ncsecsim.mobility import CellGrid, place_ues
 from ncsecsim.simulation import run_bytes, run_simulation, write_run_artifacts
 
-from oracles import run_oracle
+from oracles import cumulative_key_exchanges_oracle, per_second_signaling, run_oracle
 
 
 @pytest.fixture(scope="module")
@@ -485,6 +485,80 @@ def test_a_ledger_run_is_the_replay_of_its_own_triggers(config):
     assert list(replayed) == list(result.trace)
 
 
+def _by_label(csv_bytes: bytes) -> dict[str, list[tuple[int, int]]]:
+    """The (window start, value) rows of a per-window signaling CSV, per
+    scheme label, in file order."""
+    rows = list(csv.reader(io.StringIO(csv_bytes.decode())))[1:]
+    by_label: dict[str, list[tuple[int, int]]] = {}
+    for start, label, value in rows:
+        by_label.setdefault(label, []).append((int(start), int(value)))
+    return by_label
+
+
+# A ledger run that prestages, with a handover still waiting at a horizon
+# off the RS grid; a baseline run whose ledger replay waits there; and a
+# run under one window with prediction off.
+@example(apply_settings(RunConfig(), {"horizon_ms": "7930", "prediction.enabled": "true",
+                                      "prediction.lead_ms": "1000"}))
+@example(apply_settings(RunConfig(), {"scheme": "hmac", "horizon_ms": "7930"}))
+@example(apply_settings(RunConfig(), {"scheme": "macsig", "horizon_ms": "750", "seed": "3"}))
+@settings(max_examples=100, deadline=None)
+@given(run_configs())
+def test_written_signaling_windows_are_those_of_the_scheme_traces(config):
+    # The two window tables count each scheme's key exchanges from its
+    # blocks' times and templates; they must be the counts of its whole
+    # trace, and those the scans of its rows.
+    result = run_simulation(config)
+    written = _written(result)
+    assert "scheme_traces" not in vars(result)
+    per_second = _by_label(written["per_second_signaling.csv"])
+    cumulative = _by_label(written["cumulative_key_exchanges.csv"])
+    horizon = config.horizon_ms
+    starts = list(range(0, horizon + 1, 1000)) if horizon > 0 else []
+    assert list(per_second) == list(cumulative) == ([s.label for s in Scheme] if starts else [])
+    for label, trace in result.scheme_traces.items():
+        counts = per_window_signaling(trace, horizon)
+        curve = cumulative_key_exchanges(trace, horizon)
+        assert counts == [per_second_signaling(trace, start) for start in starts or [0]]
+        assert curve == cumulative_key_exchanges_oracle(trace, horizon)
+        if starts:
+            assert per_second[label] == list(zip(starts, counts))
+            assert cumulative[label] == curve
+
+
+@pytest.mark.parametrize("scheme", ["blockchain", "hmac"])
+def test_artifacts_build_no_replayed_trace(tmp_path, scheme):
+    config = apply_settings(RunConfig(), {"scheme": scheme, "horizon_ms": "20000"})
+    result = run_simulation(config)
+    replayed = AssertionError("replayed a trace")
+    with (mock.patch("ncsecsim.handover.replay_key_signaling", side_effect=replayed),
+          mock.patch("ncsecsim.simulation.replay_key_signaling", side_effect=replayed)):
+        write_run_artifacts(result, tmp_path)
+    assert "scheme_traces" not in vars(result)
+
+
+def test_a_runs_columns_are_arrays_that_reads_see_change():
+    # The run hands back its columns as int64 arrays, which readers take
+    # without a copy; a read after the table changes sees the change.
+    config = apply_settings(RunConfig(), {"horizon_ms": "750", "seed": "3"})
+    events = run_simulation(config).events
+    for name in ("ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern"):
+        column = getattr(events, name)
+        assert column.dtype == np.int64 and np.asarray(column, dtype=np.int64) is column
+    waiting = sorted(events.waiting.items())
+    assert waiting
+    done = len(events.summary_columns()[0])
+    # completing the waits writes ``t_complete`` in place
+    finished = events.finish_waiting(max(events.seen_at[events.t_cell[i]] for _, i in waiting))
+    assert [ue for ue, _ in finished] == [ue for ue, _ in waiting]
+    summary = events.summary_columns()
+    assert len(summary[0]) == done + len(waiting)
+    assert [r.kind for r in events.trace()].count(SignalKind.HO_COMPLETE) == done + len(waiting)
+    # a column assigned as a list reads as assigned
+    events.t_trigger = (events.t_trigger - 1).tolist()
+    assert np.array_equal(events.summary_columns()[3], summary[3] - 1)
+
+
 def test_run_builds_no_ledger():
     # key visibility comes from the table's upload times alone
     config = dataclasses.replace(
@@ -716,6 +790,23 @@ def test_the_window_term_bounds_the_signaling_windows_within_twice_their_peak():
     peak = _peak(windows)
     term = dict(run_bytes(dataclasses.replace(result.config, horizon_ms=horizon)))["horizon_ms"]
     assert peak <= term <= 2 * peak
+
+
+def test_the_window_term_bounds_the_written_windows(tmp_path):
+    # What ``write_run_artifacts`` holds for the two window tables: the
+    # counts of every scheme from the table, and their rows as written.
+    result = run_simulation(RunConfig(horizon_ms=20_000))
+    horizon = 10**7  # 10,001 windows
+
+    def windows():
+        counts, curves = simulation._signaling_counts(result.events, result.config.scheme, horizon)
+        simulation._write_windows(tmp_path / "per_second.csv", ["start", "scheme", "n"], counts)
+        simulation._write_windows(tmp_path / "cumulative.csv", ["t", "scheme", "n"], curves)
+
+    windows()
+    assert (tmp_path / "cumulative.csv").read_text().count("\n") == 1 + 3 * 10_001
+    term = dict(run_bytes(dataclasses.replace(result.config, horizon_ms=horizon)))["horizon_ms"]
+    assert _peak(windows) <= term
 
 
 @pytest.mark.parametrize("settings", [
