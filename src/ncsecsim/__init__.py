@@ -18,7 +18,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     GenerationMismatch,
-    HoPreparationTimeout,
     InvalidParameter,
     InversionOfZero,
     NcSecError,

@@ -21,9 +21,11 @@ from . import __version__
 from .attack import bypass_rate_grid
 from .config import RunConfig, apply_settings, load_config, validate_command, write_config_echo
 from .errors import ConfigError, NcSecError
-from .keydist import SCHEME_BY_LABEL, Scheme, SchemeConfig, colluder_sweep
+from .keydist import SCHEME_BY_LABEL, SchemeConfig, colluder_sweep
 from .ledger import key_blocks
-from .simulation import _fmt, output_dir, run_simulation, write_run_artifacts, write_table
+from .simulation import (
+    _ALL_SCHEMES, _fmt, output_dir, run_simulation, write_run_artifacts, write_table,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,8 +94,7 @@ def _cmd_analyze(config: RunConfig) -> int:
     out = output_dir(config.output_dir)
     rows = []
     for scheme, child in zip(
-        (Scheme.BLOCKCHAIN, Scheme.DOUBLE_RANDOM, Scheme.C_COVER_FREE),
-        np.random.SeedSequence(config.seed).spawn(3),
+        _ALL_SCHEMES, np.random.SeedSequence(config.seed).spawn(len(_ALL_SCHEMES))
     ):
         base = SchemeConfig(scheme, l=sec.l, L=az.L, s=az.s, epsilon=az.epsilon, d=az.d,
                             q=sec.q, m=sec.m, n=sec.n)

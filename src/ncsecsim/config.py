@@ -112,12 +112,17 @@ class RunConfig:
     output_dir: str = "out"
 
 
-_SECTIONS = {
-    f.name: f.default_factory for f in dataclasses.fields(RunConfig)
-    if dataclasses.is_dataclass(f.default_factory)
+# The one table of settings: each key of a config file, with the section
+# of ``RunConfig`` that holds it (None at the top level) and its field
+# there, whose annotation names the type its value converts to.
+_KEYS = {
+    **{f"{section.name}.{f.name}": (section.name, f)
+       for section in dataclasses.fields(RunConfig)
+       if dataclasses.is_dataclass(section.default_factory)
+       for f in dataclasses.fields(section.default_factory)},
+    **{f.name: (None, f) for f in dataclasses.fields(RunConfig)
+       if not dataclasses.is_dataclass(f.default_factory)},
 }
-
-_TOP_LEVEL = {"scheme", "horizon_ms", "seed", "output_dir"}
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -129,68 +134,52 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def _convert(raw: str, target_type, key: str):
+def _parse_scheme(raw: str, key: str) -> Scheme:
+    label = raw.strip().lower()
+    if label not in SCHEME_BY_LABEL:
+        raise ConfigError(f"{key}: {raw!r} is not one of {sorted(SCHEME_BY_LABEL)}")
+    return SCHEME_BY_LABEL[label]
+
+
+def _parse_number(raw: str, key: str, kind: type):
     try:
-        if target_type is bool:
-            return _parse_bool(raw, key)
-        if target_type is int:
-            value = int(raw)
-            # numpy seeds any int; every other int setting meets int64 arrays
-            if key != "seed" and not -(2**63) <= value < 2**63:
-                raise ConfigError(f"{key}: {value} is outside the int64 range")
-            return value
-        if target_type is not float:
-            return raw
-        value = float(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    # numpy seeds any int; every other int setting meets int64 arrays
+    if kind is int and key != "seed" and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{key}: {value} is outside the int64 range")
     return value
 
 
-def _parse_scheme(raw: str) -> Scheme:
-    label = raw.strip().lower()
-    if label not in SCHEME_BY_LABEL:
-        raise ConfigError(
-            f"scheme: {raw!r} is not one of {sorted(SCHEME_BY_LABEL)}"
-        )
-    return SCHEME_BY_LABEL[label]
+# A field's annotation (a string: ``from __future__ import annotations``)
+# -> how a config value of it converts.
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": lambda raw, key: _parse_number(raw, key, int),
+    "float": lambda raw, key: _parse_number(raw, key, float),
+    "str": lambda raw, key: raw.strip(),
+    "Scheme": _parse_scheme,
+}
 
 
 def apply_settings(config: RunConfig, settings: dict[str, str]) -> RunConfig:
     """Return a new RunConfig with the given dotted-key settings applied."""
-    section_updates: dict[str, dict[str, object]] = {}
-    top_updates: dict[str, object] = {}
+    updates: dict[str | None, dict[str, object]] = {}
     for key, raw in settings.items():
-        if key in _TOP_LEVEL:
-            if key == "scheme":
-                top_updates[key] = _parse_scheme(raw)
-            elif key == "output_dir":
-                top_updates[key] = raw.strip()
-            else:
-                top_updates[key] = _convert(raw, int, key)
-            continue
-        if "." not in key:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        section, _, name = key.partition(".")
-        cls = _SECTIONS.get(section)
-        if cls is None:
-            raise ConfigError(f"unknown configuration section {section!r} in {key!r}")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        if name not in fields:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        # the sections' annotations are strings (``from __future__ import annotations``)
-        target_type = {"int": int, "float": float, "bool": bool}.get(fields[name].type, str)
-        section_updates.setdefault(section, {})[name] = _convert(raw, target_type, key)
-    updates: dict[str, object] = dict(top_updates)
-    for section, values in section_updates.items():
-        current = getattr(config, section)
+        section, f = _KEYS[key]
+        updates.setdefault(section, {})[f.name] = _PARSERS[f.type](raw, key)
+    top = updates.pop(None, {})
+    for section, values in updates.items():
         try:
-            updates[section] = dataclasses.replace(current, **values)
+            top[section] = dataclasses.replace(getattr(config, section), **values)
         except InvalidParameter as exc:  # a section's own checks (``__post_init__``)
             raise ConfigError(f"{', '.join(section + '.' + k for k in values)}: {exc}") from None
-    out = dataclasses.replace(config, **updates)
+    out = dataclasses.replace(config, **top)
     validate(out)
     return out
 
@@ -350,20 +339,14 @@ def _format_value(value) -> str:
 
 
 def config_items(config: RunConfig) -> list[tuple[str, str]]:
-    """Flat, sorted (key, value) view of the effective configuration.
-
-    ``output_dir`` is left out: it decides where artifacts land, not what
-    they contain.
-    """
-    items: list[tuple[str, str]] = []
-    for section, cls in _SECTIONS.items():
-        current = getattr(config, section)
-        for f in dataclasses.fields(cls):
-            items.append((f"{section}.{f.name}", _format_value(getattr(current, f.name))))
-    items.append(("scheme", _format_value(config.scheme)))
-    items.append(("horizon_ms", str(config.horizon_ms)))
-    items.append(("seed", str(config.seed)))
-    return sorted(items)
+    """Flat, sorted (key, value) view of the effective configuration, but
+    for ``output_dir``, which decides where artifacts land, not what they
+    contain."""
+    return sorted(
+        (key, _format_value(getattr(config if section is None else getattr(config, section),
+                                    f.name)))
+        for key, (section, f) in _KEYS.items() if key != "output_dir"
+    )
 
 
 def write_config_echo(config: RunConfig, path: str | Path) -> None:

@@ -49,9 +49,5 @@ class NoOpHandover(NcSecError):
     """Handover requested with target equal to the serving cell."""
 
 
-class HoPreparationTimeout(NcSecError):
-    """Key sharing did not finish within the preparation timeout."""
-
-
 class IoError(NcSecError):
     """Output artifacts could not be written."""

@@ -41,14 +41,13 @@ each block's time and template alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
+from .errors import InvalidParameter, NoOpHandover
 from .keydist import Scheme
 from .ledger import (
     _KEY_MASK,
@@ -60,7 +59,6 @@ from .ledger import (
     _windows,
     as_trace,
     key_blocks,
-    key_boundary,
     key_seen,
 )
 
@@ -119,7 +117,6 @@ _KEY_PATH = (
     KeyPath.BASELINE_PER_HO, KeyPath.LEDGER_STEADY_STATE,
     KeyPath.LEDGER_FIRST_HO, KeyPath.LEDGER_FIRST_HO,
 )
-_KEY_SIGNALS = (2, 1, 3, 1)
 # Trace block templates, indexed by pattern for start blocks, then the
 # completion block, a prestaged upload and a block broadcast.
 _FINISH, _PRESTAGE, _BROADCAST = range(4, 7)
@@ -145,6 +142,13 @@ _TEMPLATE_KEYS = (
     _KEY_MASK[_TEMPLATE_ROWS[..., 0]]
     & (np.arange(_TEMPLATE_ROWS.shape[1]) < _TEMPLATE_LEN[:, None])
 ).sum(axis=1)
+# Key signals of a completed handover per pattern: its start block's, the
+# completion block's if it waited, and the broadcast's if it uploaded.
+_KEY_SIGNALS = (
+    _TEMPLATE_KEYS[:_FINISH]
+    + (np.arange(_FINISH) >= _UPLOAD) * _TEMPLATE_KEYS[_FINISH]
+    + (np.arange(_FINISH) == _UPLOAD) * _TEMPLATE_KEYS[_BROADCAST]
+)
 _COLUMNS = ("ue_id", "s_cell", "t_cell", "t_trigger", "t_complete", "pattern")
 
 
@@ -274,19 +278,14 @@ class HoTable(Sequence["HoView"]):
     and ``trace`` builds the signal trace.
     """
 
-    def __init__(
-        self, scheme: Scheme, cells: int, collection_period_ms: int, rs_period_ms: int,
-        timeout_ms: int | None = None,
-    ):
+    def __init__(self, scheme: Scheme, cells: int, collection_period_ms: int, rs_period_ms: int):
         if collection_period_ms <= 0 or rs_period_ms <= 0:
             raise InvalidParameter("collection and RS periods must be positive")
         self._uses_ledger = scheme is Scheme.BLOCKCHAIN
         self.period, self.rs = int(collection_period_ms), int(rs_period_ms)
-        self.timeout_ms = 2 * self.period if timeout_ms is None else timeout_ms
         for name in _COLUMNS:
             setattr(self, name, [])
         self.waiting: dict[int, int] = {}
-        self._late = (math.inf, -1, -1)  # the earliest missed deadline: (t, UE, cell)
         self.uploaded_at = [-1] * cells
         self.seen_at = [-1] * cells
         self.uploads: list[int] = []
@@ -333,10 +332,6 @@ class HoTable(Sequence["HoView"]):
             done = pattern <= _STEADY
             if not done:
                 self.waiting[ue] = len(self.ue_id)
-                deadline = now + self.timeout_ms
-                verified = key_boundary(self.uploaded_at[t], self.period)
-                if verified > deadline and deadline < self._late[0]:
-                    self._late = (deadline, ue, t)
                 t_done = -1
             self.ue_id.append(ue)
             self.s_cell.append(s)
@@ -351,17 +346,8 @@ class HoTable(Sequence["HoView"]):
         """Advance the clock to ``now`` and complete, in UE id order, the
         waiting handovers whose completion instant has come; returns their
         (UE id, target cell).
-
-        Raises ``HoPreparationTimeout`` once ``now`` is past the timeout
-        of one whose keys verify after it, so the outcome does not depend
-        on which instants advance the clock.
         """
         self.clock = now
-        deadline, late_ue, cell = self._late
-        if now > deadline:
-            raise HoPreparationTimeout(
-                f"ue{late_ue}: keys for domain {cell} not ledgered within {self.timeout_ms} ms"
-            )
         finished = []
         for ue in sorted(self.waiting):
             i = self.waiting[ue]
@@ -410,7 +396,7 @@ class HoTable(Sequence["HoView"]):
             np.asarray(getattr(self, name), dtype=np.int64) for name in _COLUMNS
         )
         done = t1 >= 0
-        cols = (ue, s, t, t0, t1, np.array(_KEY_SIGNALS, dtype=np.int64)[pattern], t1 - t0)
+        cols = (ue, s, t, t0, t1, _KEY_SIGNALS[pattern], t1 - t0)
         return [c[done] for c in cols]
 
     def __len__(self) -> int:
@@ -465,7 +451,7 @@ class HoView:
     def key_signal_count(self) -> int:
         """Key-exchange signals of the handover so far: those of its start
         pattern once complete, its upload while it waits."""
-        return _KEY_SIGNALS[self._pattern] if self.complete else int(self.did_upload)
+        return int(_KEY_SIGNALS[self._pattern]) if self.complete else int(self.did_upload)
 
     @property
     def signals(self) -> list[SignalRecord]:

@@ -87,14 +87,12 @@ def _check_run_audit() -> None:
     for proc in result.completed:
         assert proc.key_signal_count in (1, 3)
         assert proc.prep_wait_ms < 1000
+    t_complete = result.events.t_complete  # -1 while waiting, in no window
     for start in range(0, config.horizon_ms + 1, SIGNALING_WINDOW_MS):
         end = start + SIGNALING_WINDOW_MS
         counted = sum(1 for r in result.trace if r.counts_as_key_exchange and start <= r.t < end)
         n_bsh = sum(1 for (t, _, _) in result.upload_log if start <= t < end)
-        n_ue = sum(
-            1 for p in result.completed
-            if p.t_complete is not None and start <= p.t_complete < end
-        )
+        n_ue = np.count_nonzero((start <= t_complete) & (t_complete < end))
         verified = sum(1 for b in result.blocks if start <= b.verified_at < end)
         assert counted == n_bsh + n_ue + verified
 

@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, write_config_echo
+from .config import RunConfig, validate, write_config_echo
 from .errors import IoError
 from .gf import field_of_order
 from .handover import (
@@ -116,7 +116,8 @@ class SimulationResult:
     @cached_property
     def completed(self) -> list[HoView]:
         """Views of the completed handovers, in start order."""
-        return [view for view in self.events if view.complete]
+        done = np.flatnonzero(np.asarray(self.events.t_complete) >= 0)
+        return [HoView(self.events, row) for row in done.tolist()]
 
     @cached_property
     def trace(self) -> SignalTrace:
@@ -165,6 +166,9 @@ class SimulationResult:
 
 
 def run_simulation(config: RunConfig) -> SimulationResult:
+    """Run ``config``, which must pass ``config.validate``: a config it
+    rejects raises ``ConfigError`` before the first tick."""
+    validate(config)
     sc = config.scenario
     rs, period = sc.rs_period_ms, config.ledger.collection_period_ms
     grid = CellGrid(
@@ -176,10 +180,9 @@ def run_simulation(config: RunConfig) -> SimulationResult:
         pl0_db=sc.pl0_db,
         pl_exponent=sc.pl_exponent,
     )
-    field_of_order(config.security.q)  # a bad field order fails before the run
     rng = _substreams(config.seed)
 
-    handovers = HoTable(config.scheme, grid.num_cells, period, rs, config.ledger.ho_timeout_ms)
+    handovers = HoTable(config.scheme, grid.num_cells, period, rs)
     waiting = handovers.waiting  # UE id -> row, for UEs waiting for their keys
     ues = place_ues(grid, sc.num_ues, sc.ue_speed_mps, rng["place"])
     window, lead_ticks, cap, full_rows = _block_shape(config)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import filecmp
 import io
+import re
 import shlex
 import warnings
 from collections import Counter
@@ -101,6 +102,54 @@ def test_config_file_roundtrip(tmp_path):
     loaded = load_config(echo)
     assert config_items(loaded) == config_items(cfg)
     assert loaded.scenario.num_ues == 7 and loaded.seed == 42
+
+
+# A valid value other than the default for every key the echo writes.
+NON_DEFAULT = {
+    "analyze.L": "24", "analyze.c_max": "5", "analyze.c_min": "2", "analyze.d": "0.25",
+    "analyze.epsilon": "0.05", "analyze.s": "10", "analyze.trials": "5000",
+    "attack.l": "4", "attack.m": "8", "attack.n": "64", "attack.q": "256",
+    "attack.trials": "2000", "horizon_ms": "5000",
+    "ledger.collection_period_ms": "500", "ledger.ho_timeout_ms": "3000",
+    "prediction.accuracy": "0.5", "prediction.enabled": "true", "prediction.lead_ms": "320",
+    "scenario.cols": "5", "scenario.dump_measurements": "true", "scenario.isd_m": "150.5",
+    "scenario.num_ues": "7", "scenario.pl0_db": "40.25", "scenario.pl_exponent": "3.0",
+    "scenario.ptx_dbm": "20.5", "scenario.rows": "3", "scenario.rs_period_ms": "100",
+    "scenario.shadow_sigma_db": "2.5", "scenario.ue_speed_kmh": "30.0",
+    "scenario.ul_offset_db": "2.5", "scenario.ul_ttt_ms": "64", "scenario.wrap": "false",
+    "scheme": "hmac", "security.l": "4", "security.m": "16", "security.n": "512",
+    "security.q": "16", "seed": "42",
+}
+
+
+@pytest.mark.parametrize("key", [key for key, _ in config_items(RunConfig())])
+def test_config_echo_round_trips_every_key(tmp_path, key):
+    # one key's value survives the echo and the reload, and changes that
+    # key's line alone
+    cfg = apply_settings(RunConfig(), {key: NON_DEFAULT[key]})
+    changed = dict(config_items(cfg)).items() - dict(config_items(RunConfig())).items()
+    assert changed == {(key, NON_DEFAULT[key])}
+    echo = tmp_path / "config.txt"
+    write_config_echo(cfg, echo)
+    assert load_config(echo) == cfg
+
+
+def test_config_echo_round_trips_every_key_at_once(tmp_path):
+    assert sorted(NON_DEFAULT) == [key for key, _ in config_items(RunConfig())]
+    cfg = apply_settings(RunConfig(), NON_DEFAULT)
+    assert config_items(cfg) == sorted(NON_DEFAULT.items())
+    echo = tmp_path / "config.txt"
+    write_config_echo(cfg, echo)
+    assert load_config(echo) == cfg
+
+
+@pytest.mark.parametrize("key", ["nonsense", "scenario.bogus_field", "bogus.section",
+                                 "scenario", "seed.x"])
+def test_unknown_keys_and_sections_name_the_key(tmp_path, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}=1\n")
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(cfg)
 
 
 def test_config_file_parsing_errors(tmp_path):
@@ -357,6 +406,17 @@ def _readme_invocations() -> list[list[str]]:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_gives_every_key_with_its_default():
+    # The "Command line" section's settings table: one row per key a
+    # config file takes, its default as ``config.txt`` writes it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| `([^`]*)` \|", section, flags=re.MULTILINE)
+    default = RunConfig()
+    assert dict(rows) == {**dict(config_items(default)), "output_dir": default.output_dir}
+    assert len(rows) == len(dict(rows))
 
 
 # Each argument list with the flag it is refused for (None: it parses).

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsecsim.config import RunConfig
-from ncsecsim.errors import HoPreparationTimeout, InvalidParameter, NoOpHandover
+from ncsecsim.errors import InvalidParameter, NoOpHandover
 from ncsecsim.handover import (
     _TEMPLATE_KEYS,
     _TEMPLATE_LEN,
@@ -32,8 +32,8 @@ def kinds(view):
     return [s.kind for s in view.signals]
 
 
-def table(scheme=Scheme.BLOCKCHAIN, period=1000, rs=160, **kw):
-    return HoTable(scheme, len(CELLS), period, rs, **kw)
+def table(scheme=Scheme.BLOCKCHAIN, period=1000, rs=160):
+    return HoTable(scheme, len(CELLS), period, rs)
 
 
 def begin(hos, ue, src, dst, now):
@@ -131,7 +131,7 @@ def assert_complete_or_waiting(view):
 def test_start_returns_complete_or_waiting(calls):
     # random streams of handovers on every scheme, one table per scheme,
     # with every table's clock advancing between them
-    tables = {scheme: table(scheme, timeout_ms=10**9) for scheme in Scheme}
+    tables = {scheme: table(scheme) for scheme in Scheme}
     now = 0
     for ue, (src, hop, scheme, ticks) in enumerate(calls):
         hos = tables[scheme]
@@ -227,26 +227,6 @@ def test_pending_joiner_waits_but_costs_one():
     assert joiner.prep_wait_ms == 800
     uploads = [r for r in hos.trace() if r.kind is SignalKind.CANDIDATE_UPLOAD]
     assert len(uploads) == 1
-
-
-def test_preparation_timeout_raises():
-    hos = table(timeout_ms=500)
-    view = begin(hos, 0, 1, 7, 160)
-    # the clock never reaches the boundary, so keys never arrive
-    assert hos.finish_waiting(400) == [] and not view.complete
-    with pytest.raises(HoPreparationTimeout):
-        hos.finish_waiting(700)
-
-
-@pytest.mark.parametrize("steps", [[400, 1000], [1000], [660, 2000]])
-def test_preparation_timeout_does_not_depend_on_the_clock_steps(steps):
-    # keys verified at 1000, 840 ms after the trigger: late, however the
-    # clock gets past the 660 ms deadline
-    hos = table(timeout_ms=500)
-    begin(hos, 0, 1, 7, 160)
-    with pytest.raises(HoPreparationTimeout):
-        for now in steps:
-            hos.finish_waiting(now)
 
 
 def test_per_cell_upload_uniqueness_with_prestaging():
@@ -405,7 +385,7 @@ def handover_ticks(draw):
 @given(handover_ticks(), st.sampled_from(list(Scheme)))
 def test_table_matches_the_scalar_oracle(case, scheme):
     ticks, period, rs = case
-    hos = table(scheme, period, rs, timeout_ms=10**9)
+    hos = table(scheme, period, rs)
     for now, prestaged, batch in ticks:
         for cell in prestaged:
             hos.upload(cell, now)

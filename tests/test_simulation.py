@@ -22,7 +22,7 @@ from ncsecsim.config import (
     SecurityConfig,
     apply_settings,
 )
-from ncsecsim.errors import HoPreparationTimeout, InvalidParameter
+from ncsecsim.errors import ConfigError
 from ncsecsim.gf import field
 from ncsecsim.handover import (
     KeyPath,
@@ -38,6 +38,7 @@ from ncsecsim.ledger import (
     SignalKind,
     SignalRecord,
     SimulatedLedger,
+    key_boundary,
     key_exchange_count,
     per_window_signaling,
 )
@@ -300,10 +301,25 @@ def test_horizon_zero_produces_nothing():
 
 
 def test_run_rejects_a_field_order_that_is_not_a_power_of_two():
-    # a library run is not validated like a CLI run; q=200 must not floor to GF(128)
+    # q=200 must not floor to GF(128)
     config = dataclasses.replace(RunConfig(seed=0), security=SecurityConfig(q=200))
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(ConfigError):
         run_simulation(config)
+
+
+@pytest.mark.parametrize("config, key", [
+    (RunConfig(ledger=LedgerConfig(collection_period_ms=1000, ho_timeout_ms=500)),
+     "ledger.ho_timeout_ms"),
+    (RunConfig(scenario=ScenarioConfig(num_ues=-1)), "scenario.num_ues"),
+], ids=["timeout-below-period", "negative-ues"])
+def test_a_library_run_checks_its_config_before_its_first_tick(config, key):
+    # A config ``validate`` rejects fails as in the CLI, naming its key,
+    # before the run places a UE (a field order that is not a power of
+    # two: the test above).
+    no_place = AssertionError("placed UEs")
+    with mock.patch("ncsecsim.simulation.place_ues", side_effect=no_place):
+        with pytest.raises(ConfigError, match=key):
+            run_simulation(config)
 
 
 def test_shadow_fading_keeps_determinism():
@@ -463,11 +479,32 @@ def test_run_matches_the_whole_run_oracle(config):
     # The blocks come from a ledger too, so check them against the
     # broadcasts of the oracle's own boundary walk as well.
     assert [b.verified_at for b in result.blocks] == broadcast_times(expected["signals.csv"])
-    # An upload at or before a trigger verifies within a collection period
-    # of it and is seen within an RS period after that; validation keeps
-    # ``ledger.ho_timeout_ms`` at least one period, so it cannot fire.
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_configs())
+def test_every_wait_ends_within_a_period_and_an_rs_period(config):
+    # A handover's target uploads its keys at or before the trigger, so
+    # their block verifies less than a collection period after it, which
+    # a validated ``ledger.ho_timeout_ms`` is at least, and the RS instant
+    # that sees the block comes less than an RS period after that.  So
+    # no wait, ended or not, reaches the timeout.
+    events = run_simulation(config).events
     period, rs = config.ledger.collection_period_ms, config.scenario.rs_period_ms
-    assert all(view.prep_wait_ms < period + rs for view in result.completed)
+    uploaded = np.asarray(events.uploaded_at)[events.t_cell]
+    seen = np.asarray(events.seen_at)[events.t_cell]
+    assert np.all(uploaded <= events.t_trigger)
+    assert np.all(key_boundary(uploaded, period) - events.t_trigger < period)
+    assert np.all(seen - events.t_trigger < period + rs)
+    done = events.t_complete >= 0
+    assert np.all((events.t_complete - events.t_trigger)[done] < period + rs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_configs())
+def test_a_completed_handovers_key_signals_are_its_key_exchange_rows(config):
+    for view in run_simulation(config).completed:
+        assert view.key_signal_count == sum(r.counts_as_key_exchange for r in view.signals)
 
 
 @settings(max_examples=150, deadline=None)
@@ -727,17 +764,6 @@ def test_ping_pong_without_the_prefilter_stays_near_one_tick_blocks(seed, one_ti
         run_simulation(config)
     assert sum(c.calls for c in chains) <= 376
     assert sum(c.entries for c in chains) <= 1.05 * one_tick_entries
-
-
-def test_a_timeout_below_the_period_fires_at_any_block_length():
-    # Only a configuration that skips validation can set one; whether it
-    # fires must not depend on where blocks end.  The run's last tick sees
-    # a block, so every wait ends at a block's end.
-    config = RunConfig(seed=0, horizon_ms=8000, ledger=LedgerConfig(1000, 500))
-    for length in (1, 16):
-        with mock.patch.object(simulation, "_block_length", lambda *_, n=length: n):
-            with pytest.raises(HoPreparationTimeout):
-                run_simulation(config)
 
 
 def _peak(call) -> int:
