@@ -23,9 +23,7 @@ from .config import RunConfig, apply_settings, load_config, validate_command, wr
 from .errors import ConfigError, NcSecError
 from .keydist import SCHEME_BY_LABEL, SchemeConfig, colluder_sweep
 from .ledger import key_blocks
-from .simulation import (
-    _ALL_SCHEMES, _fmt, output_dir, run_simulation, write_run_artifacts, write_table,
-)
+from .simulation import _ALL_SCHEMES, output_dir, run_simulation, write_run_artifacts, write_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +69,16 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return apply_settings(config, overrides) if overrides else config
 
 
+def _columns(rows: list, texts: list[str], ints: list[str], floats: list[str]) -> list:
+    """The attributes of ``rows`` so named as ``write_table`` columns, in
+    that order: texts (a text per row), ints, and floats, which the table
+    writes to 12 significant digits."""
+    values = {name: [getattr(row, name) for row in rows] for name in texts + ints + floats}
+    return ([(np.arange(len(rows)), values[name]) for name in texts]
+            + [np.array(values[name], dtype=np.int64) for name in ints]
+            + [np.array(values[name], dtype=float) for name in floats])
+
+
 def _cmd_run(config: RunConfig) -> int:
     result = run_simulation(config)
     paths = write_run_artifacts(result, config.output_dir)
@@ -92,24 +100,20 @@ def _cmd_run(config: RunConfig) -> int:
 def _cmd_analyze(config: RunConfig) -> int:
     az, sec = config.analyze, config.security
     out = output_dir(config.output_dir)
-    rows = []
-    for scheme, child in zip(
-        _ALL_SCHEMES, np.random.SeedSequence(config.seed).spawn(len(_ALL_SCHEMES))
-    ):
+    rows, seeds = [], np.random.SeedSequence(config.seed).spawn(len(_ALL_SCHEMES))
+    for scheme, child in zip(_ALL_SCHEMES, seeds):
         base = SchemeConfig(scheme, l=sec.l, L=az.L, s=az.s, epsilon=az.epsilon, d=az.d,
                             q=sec.q, m=sec.m, n=sec.n)
-        sweep = colluder_sweep(base, range(az.c_min, az.c_max + 1),
+        rows += colluder_sweep(base, range(az.c_min, az.c_max + 1),
                                rng=np.random.default_rng(child), trials=az.trials)
-        rows.extend(
-            [r.scheme, r.c, r.l, *map(_fmt, (r.bandwidth, r.safe_key_prob, r.ci_low, r.ci_high))]
-            for r in sweep
-        )
     # fig4: bandwidth at each scheme's own tag count; fig5: safe-key
     # probability, which every scheme takes at security.l
     header = ["scheme", "c", "l", "bandwidth", "safe_key_prob", "ci_low", "ci_high"]
-    write_table(out / "fig4.csv", header[:4], (r[:4] for r in rows))
-    write_table(out / "fig5.csv", header[:3] + header[4:], ([*r[:2], sec.l, *r[4:]] for r in rows))
-    write_table(out / "analytics.csv", header, rows)
+    columns = _columns(rows, header[:1], header[1:3], header[3:])
+    write_table(out / "fig4.csv", header[:4], columns[:4])
+    write_table(out / "fig5.csv", header[:3] + header[4:],
+                [*columns[:2], np.full(len(rows), sec.l), *columns[4:]])
+    write_table(out / "analytics.csv", header, columns)
     write_config_echo(config, out / "config.txt")
     print(f"analyze: {len(rows)} rows over c={az.c_min}..{az.c_max} -> {out}/fig4.csv, fig5.csv")
     return 0
@@ -121,12 +125,9 @@ def _cmd_attack(config: RunConfig) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     # trials=0 selects an empty measurement grid (header-only CSV)
     rows = [] if at.trials == 0 else bypass_rate_grid(at.q, at.trials, rng, n=at.n, m=at.m, l=at.l)
-    write_table(
-        out / "bypass_rates.csv",
-        ["scheme", "strategy", "q", "l_prime", "trials", "rate", "ci_low", "ci_high"],
-        ([r.scheme, r.strategy, r.q, r.l_prime, r.trials, *map(_fmt, (r.rate, r.ci_low, r.ci_high))]
-         for r in rows),
-    )
+    header = ["scheme", "strategy", "q", "l_prime", "trials", "rate", "ci_low", "ci_high"]
+    write_table(out / "bypass_rates.csv", header,
+                _columns(rows, header[:2], header[2:5], header[5:]))
     write_config_echo(config, out / "config.txt")
     print(f"attack: {len(rows)} measurements -> {out}/bypass_rates.csv")
     return 0

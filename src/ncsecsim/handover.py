@@ -274,8 +274,8 @@ class HoTable(Sequence["HoView"]):
     sees its block (``key_seen``) and ``uploads`` the cells in upload
     order.  ``start`` decides each outcome from ``seen_at``
     (``key_outcome``), and ``clock``, the last ``finish_waiting`` time,
-    says which have happened.  Indexing and iteration yield ``HoView``s,
-    and ``trace`` builds the signal trace.
+    says which have happened.  Indexing and iteration yield ``HoView``s
+    (a slice, a list of them), and ``trace`` builds the signal trace.
     """
 
     def __init__(self, scheme: Scheme, cells: int, collection_period_ms: int, rs_period_ms: int):
@@ -402,22 +402,22 @@ class HoTable(Sequence["HoView"]):
     def __len__(self) -> int:
         return len(self.ue_id)
 
-    def __getitem__(self, i: int) -> HoView:
-        return HoView(self, range(len(self))[i])
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        return [HoView(self, row) for row in rows] if isinstance(i, slice) else HoView(self, rows)
 
 
 def _column(name: str) -> property:
     return property(lambda view: int(getattr(view.table, name)[view.row]))
 
 
+@dataclass(frozen=True, slots=True)
 class HoView:
-    """One row of a ``HoTable`` read as a handover."""
+    """One row of a ``HoTable`` read as a handover.  Views are equal, and
+    hash alike, when they read the same row of the same table."""
 
-    __slots__ = ("table", "row")
-
-    def __init__(self, table: HoTable, row: int):
-        self.table = table
-        self.row = row
+    table: HoTable
+    row: int
 
     ue_id = _column("ue_id")
     s_cell = _column("s_cell")

@@ -37,15 +37,17 @@ j % 64 of word j // 64.  At U <= 64 a hand is one word per trial, so the
 estimate folds 8 bytes per trial with in-place word operations.
 
 A double-random hand (the source's l tag keys, a node's s keys) is a
-uniform size-subset of the L keys.  Where comb(L, size) * L <=
-``_TABLE_BYTES`` = 1 MiB (every size at L <= 18), each hand is one uniform
-rank into a cached table of every size-subset's words; larger hands are
-the ``size`` smallest of L uniforms, packed into words.  Both give the
-same law, but the rank draw costs one integer per hand where the other
-costs L floats and a partition.  The word table is smaller than the bool
-table that rule was written for, so it would fit at larger L too; the
-rule is kept so that every L takes the sampler, and so the draws, that it
-always has.
+uniform size-subset of the L keys, drawn in row blocks by one of two
+samplers.  Where comb(L, size) * L <= ``_TABLE_BYTES`` = 1 MiB (every
+size at L <= 18), a row is one uniform rank into a cached table of every
+size-subset's words (``_subset_table``); otherwise it marks the ``size``
+smallest of L uniforms, packed into words (53-bit floats: two in a row
+coincide with probability about L**2 / 2**54).  Both give the same law,
+not the same draws.  The rank costs one integer per hand where the
+partition costs L floats, so the table serves every hand that fits it,
+and the partition every hand past it.  The word table is smaller than
+the bool table the rule was written for, so it would fit at larger L
+too; the rule is kept so that every L keeps its sampler, and so its draws.
 """
 
 from __future__ import annotations
@@ -190,10 +192,8 @@ def sample_holdings(
     node holds all of them (nothing is drawn).  Double random: the
     universe is the L keys, the tag keys are a uniform l-subset (the
     source tags with l keys of its uniform s-key hand) and every node
-    holds a uniform s-subset.  Each uniform size-subset is one uniform
-    rank into the table of every size-subset where comb(L, size) * L <=
-    ``_TABLE_BYTES`` (every size at L <= 18), and the ``size`` smallest
-    of L uniforms otherwise.  C-cover-free: by symmetry the tag keys are
+    holds a uniform s-subset, each drawn by one of the module's two
+    samplers.  C-cover-free: by symmetry the tag keys are
     0..l-1 of the L, and every node holds one of them.  Draws run in node
     order: the tag keys, node 0, then the others.
 
@@ -216,11 +216,9 @@ def sample_holdings(
 # consecutive in the stream, so the block size changes no draw.
 _BLOCK_ELEMENTS = 1 << 16
 
-# The double-random sampler draws a hand of ``size`` keys as a rank into
-# the table of every size-subset where comb(L, size) * L bytes, the size
-# of that table as bool rows, is at most this: every size at L <= 18
-# (comb(18, 9) * 18 is 0.83 MiB).  Larger hands are drawn by partition.
-# The word table is at most as large (L >= 8) or tiny (L < 8).
+# The largest comb(L, size) * L, the bytes of the subset table as bool
+# rows, at which a double-random hand is a rank into it (comb(18, 9) * 18
+# is 0.83 MiB).  The word table is at most as large (L >= 8) or tiny.
 _TABLE_BYTES = 1 << 20
 
 # A hand is (trials, W) of these: key j is bit j % 64 of word j // 64, and
@@ -260,15 +258,13 @@ def _holdings(
     overwrites in full, so a consumer may change the words in place, and
     one that keeps them copies them.
 
-    A double-random hand of ``size`` keys is drawn in row blocks.  Where
-    comb(L, size) * L <= ``_TABLE_BYTES`` (every size at L <= 18), each row
-    is one rank ``rng.integers(0, comb(L, size))`` gathered from
-    ``_subset_table(L, size)``; otherwise it is L uniforms
-    (``_mark_uniform_subsets``) packed into the row's words.  The tag keys
-    and the hands may take different samplers.  Cover-free picks are drawn
-    as int64 in row blocks and kept in the narrowest unsigned dtype that
-    holds l - 1, in the first ``nodes`` rows of ``picks`` if given; a
-    node's words are the one bit of its pick."""
+    A double-random hand of ``size`` keys is drawn in row blocks, a row
+    being one rank ``rng.integers(0, comb(L, size))`` gathered from
+    ``_subset_table(L, size)`` or, where there is none, a partition of L
+    uniforms; the tag keys and the hands may take different samplers.
+    Cover-free picks are drawn as int64 in row blocks and kept in the
+    narrowest unsigned dtype that holds l - 1, in the first ``nodes`` rows
+    of ``picks`` if given; a node's words are the one bit of its pick."""
     if nodes < 1 or trials < 1:
         raise InvalidParameter("need at least one node and one trial")
     l = config.l
@@ -285,24 +281,18 @@ def _holdings(
     if config.scheme is Scheme.DOUBLE_RANDOM:
         rows = _block_rows(L, trials)
         tables = {size: _subset_table(L, size) for size in (l, config.s)}
-        if any(table is None for table in tables.values()):
-            # One set of draw buffers serves every partition-drawn hand:
-            # fresh per-node temporaries page-fault or not depending on
-            # what malloc last freed.
-            draws = np.empty((rows, L))
-            order = np.empty_like(draws)
-            # a row of marks per bit of the row's words; the keys past L
-            # stay unmarked
-            marks = np.zeros((rows, 64 * words.shape[1]), dtype=bool)
         for size in [l] + [config.s] * nodes:
             table = tables[size]
             for start in range(0, trials, rows):
                 block = words[start : start + rows]
                 n = len(block)
                 if table is None:
-                    _mark_uniform_subsets(marks[:n, :L], size, rng, draws[:n], order[:n])
-                    packed = np.packbits(marks[:n].reshape(-1), bitorder="little")
-                    block[...] = packed.view(_WORD).reshape(block.shape)
+                    draws = rng.random((n, L))
+                    kth = np.partition(draws, size - 1, axis=1)[:, size - 1 : size]
+                    # a mark per bit of the row's words; the keys past L stay unmarked
+                    marks = np.zeros((n, 64 * words.shape[1]), dtype=bool)
+                    np.less_equal(draws, kth, out=marks[:, :L])
+                    block[...] = np.packbits(marks, bitorder="little").view(_WORD).reshape(n, -1)
                 else:
                     # the ranks are in range; mode="raise" would copy
                     # through a buffer
@@ -368,20 +358,6 @@ def _cached_subset_table(L: int, size: int) -> np.ndarray:
         table[np.arange(len(table)), last >> 6] |= bits
     table.flags.writeable = False
     return table
-
-
-def _mark_uniform_subsets(
-    mask: np.ndarray, size: int, rng: np.random.Generator,
-    draws: np.ndarray, order: np.ndarray,
-) -> None:
-    """Mark a uniform size-subset in every row of the (rows, U) mask: the
-    keys of the ``size`` smallest of U uniform draws.  The draws are 53-bit
-    floats, so two in a row coincide with probability about U**2 / 2**54.
-    ``draws`` and ``order`` are float64 scratch of the mask's shape."""
-    rng.random(out=draws)
-    order[...] = draws
-    order.partition(size - 1, axis=1)
-    np.less_equal(draws, order[:, size - 1 : size], out=mask)
 
 
 # ----------------------------------------------------------------------
@@ -474,8 +450,9 @@ def safe_key_bytes(L: int, trials: int, c: int) -> int:
     """Bytes a baseline ``safe_key_probability`` holds at once, at most:
     two (trials, W) word arrays (the drawn one, which each colluder is
     inverted in, and the fold), plus the larger of the two samplers' own.
-    Double random: two float64 row blocks, a bool row block of a mark per
-    bit of the words and its packed words, a row block of int64 ranks and
+    Double random: two float64 row blocks (the draws and their partition),
+    a bool row block of a mark per key and its packed bytes (at most 72
+    bytes per word of a row), a row block of int64 ranks and
     two subset tables (the tag keys' and the hands'), each at most
     ``_TABLE_BYTES``.  Cover-free: c + 1 picks per trial in the narrowest
     dtype that holds L - 1 and one row block of int64 draws; above 64 keys

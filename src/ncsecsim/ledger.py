@@ -146,23 +146,36 @@ def _int_bytes(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
     return cols.T, np.arange(len(cols)) >= first[:, None]
 
 
+def _float_bytes(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``values`` (floats) to 12 significant digits followed by
+    ``end``, as ``_text_bytes`` lays texts out."""
+    return _text_bytes([f"{v:.12g}" for v in values.tolist()], end)
+
+
 def _write_columns(fh, header: Sequence[str], columns: Sequence) -> None:
     """Write a CSV to the text handle ``fh`` as ``csv.writer`` would: the
-    ``header`` row, then one row per index of ``columns``.
+    ``header`` row, then the rows of ``columns`` (``_write_rows``)."""
+    fh.write(",".join(map(_csv_field, header)) + "\r\n")
+    _write_rows(fh, columns)
 
-    A column is an int array, written in decimal, or a pair (codes, texts):
+
+def _write_rows(fh, columns: Sequence) -> None:
+    """Write one CSV row per index of ``columns`` to the text handle
+    ``fh`` as ``csv.writer`` would.
+
+    A column is an int array, written in decimal; a float array, written
+    to 12 significant digits (``f"{v:.12g}"``); or a pair (codes, texts):
     an int array indexing a sequence of strings, each quoted as
     ``_csv_field`` quotes it.  Rows are rendered ``_CHUNK`` at a time into
     one uint8 matrix, each field's block beside the last, and one mask of
     the fields' own lengths (a text may hold any byte, ``\\x00`` too) picks
     the bytes out in row order.
     """
-    fh.write(",".join(map(_csv_field, header)) + "\r\n")
     ends = [b","] * (len(columns) - 1) + [b"\r\n"]
     # each column's values, and how a chunk of them renders
     fields = [
         (col[0], partial(_coded_bytes, *_text_bytes(col[1], end))) if isinstance(col, tuple)
-        else (col, partial(_int_bytes, end=end))
+        else (col, partial(_float_bytes if col.dtype.kind == "f" else _int_bytes, end=end))
         for col, end in zip(columns, ends)
     ]
     for start in range(0, len(fields[0][0]), _CHUNK):

@@ -48,7 +48,6 @@ no trace (``_signaling_counts``).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,8 +73,10 @@ from .ledger import (
     LedgerBlock,
     SignalTrace,
     SimulatedLedger,
+    _CHUNK,
     _windows,
     _write_columns,
+    _write_rows,
 )
 from .mobility import (
     CellGrid,
@@ -171,15 +172,8 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     validate(config)
     sc = config.scenario
     rs, period = sc.rs_period_ms, config.ledger.collection_period_ms
-    grid = CellGrid(
-        rows=sc.rows,
-        cols=sc.cols,
-        isd_m=sc.isd_m,
-        wrap=sc.wrap,
-        ptx_dbm=sc.ptx_dbm,
-        pl0_db=sc.pl0_db,
-        pl_exponent=sc.pl_exponent,
-    )
+    grid = CellGrid(rows=sc.rows, cols=sc.cols, isd_m=sc.isd_m, wrap=sc.wrap,
+                    ptx_dbm=sc.ptx_dbm, pl0_db=sc.pl0_db, pl_exponent=sc.pl_exponent)
     rng = _substreams(config.seed)
 
     handovers = HoTable(config.scheme, grid.num_cells, period, rs)
@@ -477,11 +471,6 @@ def _block_length(last: _Chains | None, cap: int, calls_per_tick: int, prefilter
 # artifacts
 # ----------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """A number as every CSV artifact writes it: 12 significant digits."""
-    return f"{float(value):.12g}"
-
-
 def output_dir(path: str | Path) -> Path:
     """``path`` as a directory, created with its parents if it is missing."""
     out = Path(path)
@@ -492,12 +481,11 @@ def output_dir(path: str | Path) -> Path:
     return out
 
 
-def write_table(path: Path, header: list[str], rows) -> None:
-    """Write a table CSV: the ``header`` row, then ``rows``."""
+def write_table(path: Path, header: list[str], columns) -> None:
+    """Write a table CSV: the ``header`` row, then the rows of ``columns``
+    (``ledger._write_columns``)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        _write_columns(fh, header, columns)
 
 
 def _signaling_counts(
@@ -523,13 +511,11 @@ def _write_windows(path: Path, header: list[str], values: np.ndarray) -> None:
     """Write ``values`` (windows, schemes) one row per window start and
     scheme of ``_ALL_SCHEMES``: the start, the label and the value."""
     windows, schemes = values.shape
-    labels = [scheme.label for scheme in _ALL_SCHEMES]
-    with open(path, "w", newline="") as fh:
-        _write_columns(fh, header, [
-            np.arange(windows).repeat(schemes) * SIGNALING_WINDOW_MS,
-            (np.tile(np.arange(schemes), windows), labels),
-            values.ravel(),
-        ])
+    write_table(path, header, [
+        np.arange(windows).repeat(schemes) * SIGNALING_WINDOW_MS,
+        (np.tile(np.arange(schemes), windows), [scheme.label for scheme in _ALL_SCHEMES]),
+        values.ravel(),
+    ])
 
 
 def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[str, Path]:
@@ -538,14 +524,12 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
     out = output_dir(out_dir)
     paths = {"config": out / "config.txt", "signals": out / "signals.csv"}
     write_config_echo(result.config, paths["config"])
-    # all but the measurement dump go through the column writer
     with open(paths["signals"], "w", newline="") as fh:
         result.trace.write_csv(fh)
     paths["ho_summary"] = out / "ho_summary.csv"
     header = ["ue_id", "s_cell", "t_cell", "t_trigger_ms", "t_complete_ms", "key_signals",
               "prep_wait_ms"]
-    with open(paths["ho_summary"], "w", newline="") as fh:
-        _write_columns(fh, header, result.events.summary_columns())
+    write_table(paths["ho_summary"], header, result.events.summary_columns())
 
     # per scheme, the key exchanges in and before each window starting in
     # [0, horizon]; a run with no tick writes the headers alone
@@ -560,11 +544,24 @@ def write_run_artifacts(result: SimulationResult, out_dir: str | Path) -> dict[s
 
     if result.config.scenario.dump_measurements:
         paths["measurements"] = out / "measurements.csv"
-        rs = result.config.scenario.rs_period_ms
-        write_table(
-            paths["measurements"],
-            ["t_ms", "ue_id", "cell", "rsrp_dbm"],
-            ([k * rs, ue, cell, _fmt(v)] for k, powers in enumerate(result.measurements)
-             for ue, row in enumerate(powers) for cell, v in enumerate(row.tolist())),
-        )
+        with open(paths["measurements"], "w", newline="") as fh:
+            _write_dump(fh, result.measurements, result.config.scenario.rs_period_ms)
     return paths
+
+
+def _write_dump(fh, powers: np.ndarray, rs_period_ms: int) -> None:
+    """Write the measurement dump of ``powers`` (ticks, UEs, cells) to the
+    text handle ``fh``: one row per tick, UE and cell in that order.  The
+    rows go in blocks of whole ticks, each of at least ``_CHUNK`` rows but
+    the last, with their index columns built per block, so no column
+    holds every row."""
+    ticks, ues, cells = powers.shape
+    step = -(-_CHUNK // max(ues * cells, 1))  # ticks per block
+    for start in range(0, max(ticks, 1), step):  # a run with no tick writes the header
+        block = powers[start : start + step]
+        tick, ue, cell = np.indices(block.shape).reshape(3, -1)
+        columns = [(start + tick) * rs_period_ms, ue, cell, block.reshape(-1)]
+        if start:
+            _write_rows(fh, columns)
+        else:
+            _write_columns(fh, ["t_ms", "ue_id", "cell", "rsrp_dbm"], columns)

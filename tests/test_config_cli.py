@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import filecmp
+import inspect
 import io
 import re
 import shlex
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsecsim.attack import grid_bytes
+from ncsecsim.attack import bypass_rate_grid, grid_bytes
 from ncsecsim.cli import main
 from ncsecsim.config import (
     BYPASS_TRIALS,
@@ -29,8 +30,39 @@ from ncsecsim.config import (
 from ncsecsim.errors import ConfigError
 from ncsecsim.gf import GF256
 from ncsecsim.integrity import key_ring_bytes
-from ncsecsim.keydist import Scheme
+from ncsecsim.keydist import Scheme, SchemeConfig, colluder_sweep, safe_key_probability
+from ncsecsim.ledger import SimulatedLedger
+from ncsecsim.mobility import CellGrid
 from ncsecsim.simulation import run_simulation
+
+
+def _defaults(obj) -> dict:
+    """The default of each parameter of a function or a dataclass that has one."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.default for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING}
+    return {name: p.default for name, p in inspect.signature(obj).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_library_defaults_equal_the_config_defaults_they_mirror():
+    # Each library default that stands for a config key equals that key's
+    # default, so a change to one cannot leave its pair behind.
+    cfg = RunConfig()
+    mirrored = [
+        (CellGrid, cfg.scenario,
+         ("rows", "cols", "isd_m", "wrap", "ptx_dbm", "pl0_db", "pl_exponent")),
+        (SchemeConfig, cfg.security, ("l", "q", "m", "n")),
+        (SchemeConfig, cfg.analyze, ("L", "s", "epsilon", "d")),
+        (bypass_rate_grid, cfg.attack, ("n", "m", "l")),
+        (safe_key_probability, cfg.analyze, ("trials",)),
+        (colluder_sweep, cfg.analyze, ("trials",)),
+    ]
+    for library, section, names in mirrored:
+        defaults = _defaults(library)
+        assert {name: defaults[name] for name in names} == {
+            name: getattr(section, name) for name in names}, library
+    assert _defaults(SimulatedLedger)["collection_period_ms"] == cfg.ledger.collection_period_ms
 
 
 def test_defaults_match_reference_scenario():

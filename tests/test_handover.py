@@ -229,6 +229,50 @@ def test_pending_joiner_waits_but_costs_one():
     assert len(uploads) == 1
 
 
+def mid_run_table():
+    """A ledger table as a run leaves it between ticks: list columns, two
+    handovers that waited and completed, one steady-state handover and
+    one still waiting."""
+    hos = table()
+    hos.start([0, 1], [1, 3], [7, 7], 160)
+    hos.finish_waiting(1120)
+    hos.start([2, 3], [4, 5], [7, 9], 1280)
+    assert isinstance(hos.ue_id, list) and hos.waiting == {3: 3}
+    return hos
+
+
+@pytest.mark.parametrize("events", [
+    pytest.param(lambda: mid_run_table(), id="mid-run"),
+    pytest.param(lambda: run_simulation(RunConfig(seed=1, horizon_ms=5000)).events, id="finished"),
+])
+def test_table_is_a_sequence_of_views(events):
+    hos = events()
+    n = len(hos)
+    assert n >= 4
+    views = [hos[i] for i in range(n)]
+    # a view compares and hashes by its table and row
+    assert views == [hos[i - n] for i in range(n)] and len(set(views)) == n
+    assert hos[1] == hos[1] and hash(hos[1]) == hash(hos[1]) and hos[0] != hos[1]
+    assert all(view.table is hos and view.row == row for row, view in enumerate(views))
+    for cut in (slice(0, 2), slice(1, None, 2), slice(-3, -1), slice(None, None, -1),
+                slice(-1, 0, -2), slice(2, 2), slice(n + 5, None)):
+        got = hos[cut]
+        assert isinstance(got, list) and got == views[cut]
+        assert [v.ue_id for v in got] == [v.ue_id for v in views[cut]]
+        assert [v.t_complete for v in got] == [v.t_complete for v in views[cut]]
+    assert hos[0:2][1].ue_id == views[1].ue_id
+    assert list(hos) == views and list(reversed(hos)) == views[::-1]
+    for row, view in enumerate(views):
+        assert view in hos and hos.index(view) == row and hos.count(view) == 1
+    other = table()
+    other.start([0], [1], [7], 160)
+    assert other[0] not in hos and hos.count(other[0]) == 0
+    with pytest.raises(ValueError):
+        hos.index(other[0])
+    with pytest.raises(IndexError):
+        hos[n]
+
+
 def test_per_cell_upload_uniqueness_with_prestaging():
     hos = table()
     assert hos.upload(7, 0)

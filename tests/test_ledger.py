@@ -20,6 +20,7 @@ from ncsecsim.ledger import (
     SignalTrace,
     SimulatedLedger,
     _write_columns,
+    _write_rows,
     key_exchange_count,
     per_window_signaling,
 )
@@ -356,6 +357,48 @@ def test_signal_csv_is_csv_writer_byte_for_byte(pool, rows):
     buf = io.StringIO(newline="")
     SignalTrace(records).write_csv(buf)
     assert buf.getvalue().encode() == signals_csv_oracle(records).encode()
+
+
+# Every float edge the 12-significant-digit rendering meets: both zeros,
+# subnormals, the infinities, nan, the extremes and integral floats, and
+# any other float.
+edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e-310, float("inf"), float("-inf"),
+    float("nan"), 1e308, -1e308, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e12, 123456789012.0,
+    -1e15, 0.1,
+])
+table_rows = st.tuples(int64s, st.one_of(edge_floats, st.floats()), csv_names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(table_rows, min_size=1, max_size=12),
+    st.sampled_from([0, 1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+    st.lists(st.integers(0, 2 * _CHUNK + 1), max_size=4),
+)
+def test_float_columns_are_csv_writer_byte_for_byte(pool, rows, cuts):
+    # Int, float and coded columns, written as the measurement dump is: the
+    # header and a first block, then blocks appended at the cuts (some
+    # empty, some across a chunk boundary).
+    records = (pool * (rows // len(pool) + 1))[:rows]
+    ints, floats, names = (list(col) for col in zip(*records)) if records else ([], [], [])
+    columns = [np.array(ints, dtype=np.int64), np.array(floats, dtype=float),
+               np.arange(rows), np.array(floats, dtype=float)]
+    header = ["t,ms", "rsrp", "name", "again"]
+    bounds = [0, *sorted(cut % (rows + 1) for cut in cuts), rows]
+    buf = io.StringIO(newline="")
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        block = [col[start:end] for col in columns]
+        block[2] = (block[2], names)
+        if i:
+            _write_rows(buf, block)
+        else:
+            _write_columns(buf, header, block)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows([i, f"{v:.12g}", name, f"{v:.12g}"] for i, v, name in records)
+    assert buf.getvalue().encode() == expected.getvalue().encode()
 
 
 class _HashSink:

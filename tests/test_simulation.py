@@ -278,9 +278,8 @@ def test_the_dump_changes_no_other_artifact(tmp_path, settings):
 
 
 def test_csv_writer_is_called_only_by_the_table_writer_and_the_signal_quoting_rule():
-    # Every table CSV goes through ``simulation.write_table``, but for
-    # signals.csv and ho_summary.csv, which go through the column writer
-    # (``ledger._write_columns``), whose quoting is ``ledger._csv_field``.
+    # Every CSV goes through the column writer (``ledger._write_columns``),
+    # whose quoting is ``ledger._csv_field``.
     sites = []
     for path in sorted(Path(simulation.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -290,7 +289,7 @@ def test_csv_writer_is_called_only_by_the_table_writer_and_the_signal_quoting_ru
                 owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
                 sites.append(f"{path.stem}.{owner}")
-    assert sites == ["ledger._csv_field", "simulation.write_table"]
+    assert sites == ["ledger._csv_field"]
 
 
 def test_horizon_zero_produces_nothing():

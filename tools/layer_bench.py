@@ -1,7 +1,8 @@
 """Time the field, coding and tag layers one call at a time and print JSON.
 
     PYTHONPATH=src python3 tools/layer_bench.py [--m 32] [--n 1024] [--l 8]
-        [--rows 86311] [--handovers 12320] [--repeat 7] [--number 0] [--seed 1]
+        [--rows 86311] [--handovers 12320] [--sweep-trials 50000]
+        [--grid-trials 3000] [--dump-ms 60000] [--repeat 7] [--number 0] [--seed 1]
 
 Each case is one library call on fixed inputs.  It runs ``--number`` times
 per run (0 picks a count that takes at least 0.2 s, as ``timeit`` does),
@@ -22,7 +23,16 @@ and the best of ``--repeat`` runs is printed as microseconds per call:
 - ``simulation.signaling_counts``: the per-window key-exchange counts and
   running counts of all three schemes that ``write_run_artifacts``
   writes, from a synthetic ledger run's table of ``--handovers``
-  handovers (the default is the scaled run's count at seed 1).
+  handovers (the default is the scaled run's count at seed 1);
+- ``keydist.safe_key.table`` and ``keydist.safe_key.partition``: a
+  double-random ``colluder_sweep`` over c = 1..7 colluders at l = 8 and
+  ``--sweep-trials`` trials, at the ``security`` workload's L = 16, s = 8,
+  whose hands are ranks into the subset table, and at L = 24, s = 12,
+  whose hands are drawn by partition;
+- ``attack.bypass_grid``: the ``security`` workload's ``bypass_rate_grid``
+  at q = 16, n = 32, m = 4, l = 8 and ``--grid-trials`` trials;
+- ``simulation.write_dump``: the measurement dump of a reference run
+  (16 cells, 20 UEs) of ``--dump-ms`` into memory.
 
 The numbers time this host and are no gate; compare runs on one host only.
 """
@@ -40,13 +50,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ncsecsim import gf, handover, integrity, ledger, rlnc, simulation  # noqa: E402
-from ncsecsim.keydist import Scheme  # noqa: E402
+from ncsecsim import attack, gf, handover, integrity, keydist, ledger, rlnc, simulation  # noqa: E402
+from ncsecsim.config import RunConfig, ScenarioConfig  # noqa: E402
+from ncsecsim.keydist import Scheme, SchemeConfig  # noqa: E402
 
 WINDOW = 4  # packets a relay recodes, as in perfbench's relay workload
 WIDTHS = (4, 8, 16)
 ROWS = 86_311  # signals.csv rows of the scaled run at seed 1
 HANDOVERS = 12_320  # handovers of the scaled run at seed 1
+SWEEP_TRIALS, GRID_TRIALS = 50_000, 3_000  # the security workload's trials
+DUMP_MS = 60_000
 
 
 def signal_trace(rows: int, rng: np.random.Generator) -> ledger.SignalTrace:
@@ -79,8 +92,16 @@ def ho_table(handovers: int, rng: np.random.Generator) -> handover.HoTable:
     return hos
 
 
+def dumped_run(horizon_ms: int, seed: int) -> simulation.SimulationResult:
+    """A reference run of ``horizon_ms`` with the measurement dump."""
+    config = RunConfig(seed=seed, horizon_ms=horizon_ms,
+                       scenario=ScenarioConfig(dump_measurements=True))
+    return simulation.run_simulation(config)
+
+
 def cases(m: int, n: int, l: int, seed: int, rows: int = ROWS,
-          handovers: int = HANDOVERS) -> dict:
+          handovers: int = HANDOVERS, sweep_trials: int = SWEEP_TRIALS,
+          grid_trials: int = GRID_TRIALS, dump_ms: int = DUMP_MS) -> dict:
     """The name and the zero-argument call of every case."""
     rng = np.random.default_rng(seed)
     out = {}
@@ -115,6 +136,15 @@ def cases(m: int, n: int, l: int, seed: int, rows: int = ROWS,
         "simulation.signaling_counts": lambda events=ho_table(handovers, rng): (
             simulation._signaling_counts(events, Scheme.BLOCKCHAIN, 300_000)),
     })
+    for sampler, L, s in (("table", 16, 8), ("partition", 24, 12)):
+        base = SchemeConfig(Scheme.DOUBLE_RANDOM, l=8, L=L, s=s)
+        out[f"keydist.safe_key.{sampler}"] = lambda base=base: keydist.colluder_sweep(
+            base, range(1, 8), rng, sweep_trials)
+    out["attack.bypass_grid"] = lambda: attack.bypass_rate_grid(
+        16, grid_trials, rng, n=32, m=4, l=8)
+    dump = dumped_run(dump_ms, seed)
+    out["simulation.write_dump"] = lambda: simulation._write_dump(
+        io.StringIO(newline=""), dump.measurements, dump.config.scenario.rs_period_ms)
     return out
 
 
@@ -134,19 +164,28 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--l", type=int, default=8)
     parser.add_argument("--rows", type=int, default=ROWS)
     parser.add_argument("--handovers", type=int, default=HANDOVERS)
+    parser.add_argument("--sweep-trials", type=int, default=SWEEP_TRIALS)
+    parser.add_argument("--grid-trials", type=int, default=GRID_TRIALS)
+    parser.add_argument("--dump-ms", type=int, default=DUMP_MS)
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--number", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if min(args.m, args.n, args.l, args.rows, args.handovers, args.repeat) < 1:
-        parser.error("--m, --n, --l, --rows, --handovers and --repeat must be at least 1")
+    sizes = (args.m, args.n, args.l, args.rows, args.handovers, args.sweep_trials, args.repeat)
+    if min(sizes) < 1:
+        parser.error("--m, --n, --l, --rows, --handovers, --sweep-trials and --repeat must be"
+                     " at least 1")
+    if args.grid_trials < 1000 or args.dump_ms < 0:  # 1000: a bypass rate's trial floor
+        parser.error("--grid-trials must be at least 1000 and --dump-ms at least 0")
     timed = {
         name: round(best_us(call, args.repeat, args.number), 2)
         for name, call in cases(
-            args.m, args.n, args.l, args.seed, args.rows, args.handovers
+            args.m, args.n, args.l, args.seed, args.rows, args.handovers, args.sweep_trials,
+            args.grid_trials, args.dump_ms,
         ).items()
     }
-    keys = ("m", "n", "l", "rows", "handovers", "repeat", "number", "seed")
+    keys = ("m", "n", "l", "rows", "handovers", "sweep_trials", "grid_trials", "dump_ms",
+            "repeat", "number", "seed")
     settings = {key: getattr(args, key) for key in keys}
     print(json.dumps({"settings": settings, "us_per_call": timed}, indent=1))
     return 0
