@@ -100,8 +100,10 @@ def _cmd_run(config: RunConfig) -> int:
 def _cmd_analyze(config: RunConfig) -> int:
     az, sec = config.analyze, config.security
     out = output_dir(config.output_dir)
-    rows, seeds = [], np.random.SeedSequence(config.seed).spawn(len(_ALL_SCHEMES))
-    for scheme, child in zip(_ALL_SCHEMES, seeds):
+    rows = []
+    for scheme, child in zip(
+        _ALL_SCHEMES, np.random.SeedSequence(config.seed).spawn(len(_ALL_SCHEMES))
+    ):
         base = SchemeConfig(scheme, l=sec.l, L=az.L, s=az.s, epsilon=az.epsilon, d=az.d,
                             q=sec.q, m=sec.m, n=sec.n)
         rows += colluder_sweep(base, range(az.c_min, az.c_max + 1),

@@ -411,7 +411,7 @@ def _column(name: str) -> property:
     return property(lambda view: int(getattr(view.table, name)[view.row]))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HoView:
     """One row of a ``HoTable`` read as a handover.  Views are equal, and
     hash alike, when they read the same row of the same table."""

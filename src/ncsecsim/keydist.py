@@ -281,18 +281,27 @@ def _holdings(
     if config.scheme is Scheme.DOUBLE_RANDOM:
         rows = _block_rows(L, trials)
         tables = {size: _subset_table(L, size) for size in (l, config.s)}
+        if any(table is None for table in tables.values()):
+            # One set of draw buffers serves every partition-drawn hand:
+            # fresh per-node temporaries page-fault or not depending on
+            # what malloc last freed.
+            draws = np.empty((rows, L))
+            order = np.empty_like(draws)
+            # a row of marks per bit of the row's words; the keys past L
+            # stay unmarked
+            marks = np.zeros((rows, 64 * words.shape[1]), dtype=bool)
         for size in [l] + [config.s] * nodes:
             table = tables[size]
             for start in range(0, trials, rows):
                 block = words[start : start + rows]
                 n = len(block)
                 if table is None:
-                    draws = rng.random((n, L))
-                    kth = np.partition(draws, size - 1, axis=1)[:, size - 1 : size]
-                    # a mark per bit of the row's words; the keys past L stay unmarked
-                    marks = np.zeros((n, 64 * words.shape[1]), dtype=bool)
-                    np.less_equal(draws, kth, out=marks[:, :L])
-                    block[...] = np.packbits(marks, bitorder="little").view(_WORD).reshape(n, -1)
+                    rng.random(out=draws[:n])
+                    order[:n] = draws[:n]
+                    order[:n].partition(size - 1, axis=1)
+                    np.less_equal(draws[:n], order[:n, size - 1 : size], out=marks[:n, :L])
+                    packed = np.packbits(marks[:n], bitorder="little")
+                    block[...] = packed.view(_WORD).reshape(block.shape)
                 else:
                     # the ranks are in range; mode="raise" would copy
                     # through a buffer
@@ -450,9 +459,8 @@ def safe_key_bytes(L: int, trials: int, c: int) -> int:
     """Bytes a baseline ``safe_key_probability`` holds at once, at most:
     two (trials, W) word arrays (the drawn one, which each colluder is
     inverted in, and the fold), plus the larger of the two samplers' own.
-    Double random: two float64 row blocks (the draws and their partition),
-    a bool row block of a mark per key and its packed bytes (at most 72
-    bytes per word of a row), a row block of int64 ranks and
+    Double random: two float64 row blocks, a bool row block of a mark per
+    bit of the words and its packed words, a row block of int64 ranks and
     two subset tables (the tag keys' and the hands'), each at most
     ``_TABLE_BYTES``.  Cover-free: c + 1 picks per trial in the narrowest
     dtype that holds L - 1 and one row block of int64 draws; above 64 keys

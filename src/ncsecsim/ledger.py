@@ -108,11 +108,11 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-2]
 
 
-def _text_bytes(texts: Sequence[str], end: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Each of ``texts`` as a ``_csv_field`` in UTF-8 followed by ``end``:
-    a uint8 table, one left-aligned row per text, and where each row's
-    bytes lie."""
-    data = [_csv_field(text).encode() + end for text in texts]
+def _text_bytes(texts: Sequence, end: bytes, render=_csv_field) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``texts`` as ``render`` writes it (a ``_csv_field``) in
+    UTF-8 followed by ``end``: a uint8 table, one left-aligned row per
+    text, and where each row's bytes lie."""
+    data = [render(text).encode() + end for text in texts]
     lengths = np.array([len(b) for b in data], dtype=np.intp)
     mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
     table = np.zeros(mask.shape, dtype=np.uint8)
@@ -148,8 +148,8 @@ def _int_bytes(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 def _float_bytes(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Each of ``values`` (floats) to 12 significant digits followed by
-    ``end``, as ``_text_bytes`` lays texts out."""
-    return _text_bytes([f"{v:.12g}" for v in values.tolist()], end)
+    ``end``, as ``_text_bytes`` lays texts out; none needs quoting."""
+    return _text_bytes(values.tolist(), end, "{:.12g}".format)
 
 
 def _write_columns(fh, header: Sequence[str], columns: Sequence) -> None:

@@ -172,8 +172,15 @@ def run_simulation(config: RunConfig) -> SimulationResult:
     validate(config)
     sc = config.scenario
     rs, period = sc.rs_period_ms, config.ledger.collection_period_ms
-    grid = CellGrid(rows=sc.rows, cols=sc.cols, isd_m=sc.isd_m, wrap=sc.wrap,
-                    ptx_dbm=sc.ptx_dbm, pl0_db=sc.pl0_db, pl_exponent=sc.pl_exponent)
+    grid = CellGrid(
+        rows=sc.rows,
+        cols=sc.cols,
+        isd_m=sc.isd_m,
+        wrap=sc.wrap,
+        ptx_dbm=sc.ptx_dbm,
+        pl0_db=sc.pl0_db,
+        pl_exponent=sc.pl_exponent,
+    )
     rng = _substreams(config.seed)
 
     handovers = HoTable(config.scheme, grid.num_cells, period, rs)

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import io
 import json
@@ -22,16 +23,17 @@ def _tool():
     return module
 
 
-def test_layer_bench_times_every_case_at_tiny_sizes(capsys):
+def test_layer_bench_times_every_case_at_tiny_sizes(capsys, monkeypatch):
     tool = _tool()
+    monkeypatch.setattr(tool, "cases", functools.partial(
+        tool.cases, sweep_trials=200, grid_trials=1000, dump_ms=1000))
     argv = ["--m", "3", "--n", "8", "--l", "2", "--rows", "300", "--handovers", "40",
-            "--sweep-trials", "200", "--grid-trials", "1000", "--dump-ms", "1000",
             "--repeat", "2", "--number", "2"]
     assert tool.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["settings"] == {
-        "m": 3, "n": 8, "l": 2, "rows": 300, "handovers": 40, "sweep_trials": 200,
-        "grid_trials": 1000, "dump_ms": 1000, "repeat": 2, "number": 2, "seed": 1,
+        "m": 3, "n": 8, "l": 2, "rows": 300, "handovers": 40, "repeat": 2, "number": 2,
+        "seed": 1,
     }
     timed = report["us_per_call"]
     widths = [f"gf.{op}.k{k}" for k in tool.WIDTHS for op in ("vec_mul", "dot")]

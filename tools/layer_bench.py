@@ -1,8 +1,7 @@
 """Time the field, coding and tag layers one call at a time and print JSON.
 
     PYTHONPATH=src python3 tools/layer_bench.py [--m 32] [--n 1024] [--l 8]
-        [--rows 86311] [--handovers 12320] [--sweep-trials 50000]
-        [--grid-trials 3000] [--dump-ms 60000] [--repeat 7] [--number 0] [--seed 1]
+        [--rows 86311] [--handovers 12320] [--repeat 7] [--number 0] [--seed 1]
 
 Each case is one library call on fixed inputs.  It runs ``--number`` times
 per run (0 picks a count that takes at least 0.2 s, as ``timeit`` does),
@@ -26,13 +25,13 @@ and the best of ``--repeat`` runs is printed as microseconds per call:
   handovers (the default is the scaled run's count at seed 1);
 - ``keydist.safe_key.table`` and ``keydist.safe_key.partition``: a
   double-random ``colluder_sweep`` over c = 1..7 colluders at l = 8 and
-  ``--sweep-trials`` trials, at the ``security`` workload's L = 16, s = 8,
+  ``SWEEP_TRIALS`` trials, at the ``security`` workload's L = 16, s = 8,
   whose hands are ranks into the subset table, and at L = 24, s = 12,
   whose hands are drawn by partition;
 - ``attack.bypass_grid``: the ``security`` workload's ``bypass_rate_grid``
-  at q = 16, n = 32, m = 4, l = 8 and ``--grid-trials`` trials;
+  at q = 16, n = 32, m = 4, l = 8 and ``GRID_TRIALS`` trials;
 - ``simulation.write_dump``: the measurement dump of a reference run
-  (16 cells, 20 UEs) of ``--dump-ms`` into memory.
+  (16 cells, 20 UEs) of ``DUMP_MS`` into memory.
 
 The numbers time this host and are no gate; compare runs on one host only.
 """
@@ -164,28 +163,19 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--l", type=int, default=8)
     parser.add_argument("--rows", type=int, default=ROWS)
     parser.add_argument("--handovers", type=int, default=HANDOVERS)
-    parser.add_argument("--sweep-trials", type=int, default=SWEEP_TRIALS)
-    parser.add_argument("--grid-trials", type=int, default=GRID_TRIALS)
-    parser.add_argument("--dump-ms", type=int, default=DUMP_MS)
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--number", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    sizes = (args.m, args.n, args.l, args.rows, args.handovers, args.sweep_trials, args.repeat)
-    if min(sizes) < 1:
-        parser.error("--m, --n, --l, --rows, --handovers, --sweep-trials and --repeat must be"
-                     " at least 1")
-    if args.grid_trials < 1000 or args.dump_ms < 0:  # 1000: a bypass rate's trial floor
-        parser.error("--grid-trials must be at least 1000 and --dump-ms at least 0")
+    if min(args.m, args.n, args.l, args.rows, args.handovers, args.repeat) < 1:
+        parser.error("--m, --n, --l, --rows, --handovers and --repeat must be at least 1")
     timed = {
         name: round(best_us(call, args.repeat, args.number), 2)
         for name, call in cases(
-            args.m, args.n, args.l, args.seed, args.rows, args.handovers, args.sweep_trials,
-            args.grid_trials, args.dump_ms,
+            args.m, args.n, args.l, args.seed, args.rows, args.handovers
         ).items()
     }
-    keys = ("m", "n", "l", "rows", "handovers", "sweep_trials", "grid_trials", "dump_ms",
-            "repeat", "number", "seed")
+    keys = ("m", "n", "l", "rows", "handovers", "repeat", "number", "seed")
     settings = {key: getattr(args, key) for key in keys}
     print(json.dumps({"settings": settings, "us_per_call": timed}, indent=1))
     return 0
